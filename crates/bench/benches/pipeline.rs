@@ -357,8 +357,7 @@ fn bench_simnet_lanes(c: &mut Criterion) {
 /// transactions and per-lane occupancy (`DeploymentReport`'s lane rows).
 /// On a many-core host with an execution-heavy table this shows the real
 /// lane pool's scaling; on a starved CI box the value is the invariant —
-/// results and throughput at 1 lane match the sequential executor, and
-/// multi-lane runs stay correct under any interleaving.
+/// every lane count stays correct under any interleaving.
 fn bench_fabric_lanes(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline-fabric-lanes");
     g.sample_size(10);

@@ -1,4 +1,4 @@
-//! Ablation (E9 in DESIGN.md): GeoBFT's inter-cluster sharing fanout.
+//! Ablation: GeoBFT's inter-cluster sharing fanout.
 //!
 //! §2.3 of the paper argues that sending a *single* message per remote
 //! cluster is not enough (Example 2.4: the receivers cannot distinguish a

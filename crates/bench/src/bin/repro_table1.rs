@@ -2,11 +2,11 @@
 //! bandwidths.
 //!
 //! The paper *measured* these on Google Cloud; we *configure* the
-//! simulator with them (DESIGN.md substitution table). This binary
-//! validates the network substrate: it prints the configured matrix in
-//! the paper's format and then checks that the simulator's effective
-//! one-way delay and per-flow transfer rate of every region pair match
-//! the configuration.
+//! simulator with them (docs/ARCHITECTURE.md, "Table 1 → the simulated
+//! topology"). This binary validates the network substrate: it prints the
+//! configured matrix in the paper's format and then checks that the
+//! simulator's effective one-way delay and per-flow transfer rate of
+//! every region pair match the configuration.
 
 use rdb_common::region::Region;
 use rdb_common::time::SimDuration;

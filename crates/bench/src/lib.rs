@@ -2,11 +2,11 @@
 //! handling, result tables, and JSON report emission.
 //!
 //! Every `repro_*` binary regenerates one table or figure of the paper
-//! (see DESIGN.md §3 for the experiment index) and prints:
+//! (see docs/ARCHITECTURE.md, "Reproduction binaries → figures", for the
+//! index) and prints:
 //!
 //! 1. a human-readable table mirroring the paper's rows/series, and
-//! 2. one JSON line per data point (for EXPERIMENTS.md regeneration),
-//!    when `--json <path>` is given.
+//! 2. one JSON line per data point, when `--json <path>` is given.
 
 use rdb_simnet::RunMetrics;
 use std::fs::File;

@@ -113,10 +113,6 @@ impl DeploymentBuilder {
     /// certified checkpoints, and a directory holding a previous run's
     /// state is *recovered from* (table, ledger) instead of re-preloaded.
     /// See [`crate::Fabric::restart_from`] for the full restart path.
-    ///
-    /// Durable mode requires the sequential executor —
-    /// [`DeploymentBuilder::start`] panics if combined with
-    /// [`DeploymentBuilder::exec_lanes`] `> 1`.
     pub fn storage(mut self, mode: StorageMode) -> Self {
         self.storage = mode;
         self
@@ -165,13 +161,12 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Key-sharded execution lanes per replica (default 1: the original
-    /// sequential execute stage, and what every figure reproduction
-    /// uses). With `n > 1` the execute stage becomes a lane pool — key
+    /// Key-sharded execution lanes per replica (default 1, and what every
+    /// figure reproduction uses). The execute stage is a lane pool — key
     /// `k` executes on lane `k % n`, decisions touching disjoint lanes
     /// run in parallel, and a commit-order retirement step (bounded by
-    /// the exec queue's reorder window) keeps the ledger and audit
-    /// byte-identical to sequential execution. Clamped to
+    /// the exec queue's reorder window) keeps the ledger, the WAL and the
+    /// audit byte-identical at any lane count. Clamped to
     /// `1..=`[`rdb_store::MAX_LANES`].
     pub fn exec_lanes(mut self, n: usize) -> Self {
         self.exec_lanes = n.clamp(1, rdb_store::MAX_LANES);
@@ -367,19 +362,14 @@ impl DeploymentBuilder {
         };
         let ks = KeyStore::new(self.seed);
 
-        // Durable mode: assert the sequential-executor invariant and pin
-        // the deployment parameters to the data directory before any
-        // engine opens (a restart reads them back via the manifest).
+        // Durable mode: pin the deployment parameters to the data
+        // directory before any engine opens (a restart reads them back
+        // via the manifest).
         let durable_root = match &self.storage {
             StorageMode::Memory => None,
             StorageMode::Durable(root) => Some(root.clone()),
         };
         if let Some(root) = &durable_root {
-            assert_eq!(
-                self.exec_lanes, 1,
-                "durable storage requires the sequential executor (exec_lanes == 1): \
-                 the execute thread is the WAL writer"
-            );
             let manifest = Manifest {
                 kind: self.kind,
                 z: self.z,
@@ -408,13 +398,13 @@ impl DeploymentBuilder {
                 crypto: crypto.clone(),
                 system: system.clone(),
             };
-            // Memory mode preloads two identical tables (protocol +
-            // execution). Durable mode opens the replica's engine first:
-            // an initialized directory recovers table and ledger from
-            // disk; a fresh one bulk-dumps the preload before serving.
-            let (store, exec_store, ledger, backend) = match &durable_root {
+            // The protocol and the execution stage each get a copy of one
+            // table. Memory mode preloads it. Durable mode opens the
+            // replica's engine first: an initialized directory recovers
+            // table and ledger from disk; a fresh one bulk-dumps the
+            // preload before serving.
+            let (exec_store, ledger, backend) = match &durable_root {
                 None => (
-                    KvStore::with_ycsb_records(self.records),
                     KvStore::with_ycsb_records(self.records),
                     Ledger::new(),
                     None,
@@ -426,21 +416,21 @@ impl DeploymentBuilder {
                             .unwrap_or_else(|e| {
                                 panic!("open durable engine {}: {e}", dir.display())
                             });
-                    let (store, exec_store, ledger) = if storage::is_initialized(&engine) {
-                        let (recovered, ledger) = storage::recover_replica(&engine)
-                            .unwrap_or_else(|e| panic!("recover replica {rid}: {e}"));
-                        (recovered.clone(), recovered, ledger)
+                    let (exec_store, ledger) = if storage::is_initialized(&engine) {
+                        storage::recover_replica(&engine)
+                            .unwrap_or_else(|e| panic!("recover replica {rid}: {e}"))
                     } else {
                         let preload = KvStore::with_ycsb_records(self.records);
                         storage::init_replica(&mut engine, &preload)
                             .unwrap_or_else(|e| panic!("initialize replica {rid}: {e}"));
-                        (preload.clone(), preload, Ledger::new())
+                        (preload, Ledger::new())
                     };
                     let backend = std::sync::Arc::new(parking_lot::Mutex::new(engine));
                     backends.push((rid, std::sync::Arc::clone(&backend)));
-                    (store, exec_store, ledger, Some(backend))
+                    (exec_store, ledger, Some(backend))
                 }
             };
+            let store = exec_store.clone();
             let spec = self
                 .adversaries
                 .iter()
@@ -622,10 +612,9 @@ impl DeploymentReport {
     }
 
     /// Per-lane execution occupancy over the run: `(lane, busy fraction)`
-    /// rows from the lane pool (the sequential executor reports as a
-    /// single lane 0). Busy time is summed across replicas (all run the
-    /// same lane config), so it is normalized by the replica count like
-    /// [`DeploymentReport::worker_occupancy`].
+    /// rows from the lane pool. Busy time is summed across replicas (all
+    /// run the same lane config), so it is normalized by the replica count
+    /// like [`DeploymentReport::worker_occupancy`].
     pub fn exec_lane_occupancy(&self) -> Vec<(usize, f64)> {
         let replicas = self.system.z() * self.system.n();
         self.stages

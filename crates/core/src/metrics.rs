@@ -212,8 +212,7 @@ impl Metrics {
         self.inner.exec_lanes.fetch_max(lanes, Ordering::Relaxed);
     }
 
-    /// Configured execution-lane fan-out (0 before any lane pool spawned;
-    /// sequential executors report 1).
+    /// Configured execution-lane fan-out (0 before any lane pool spawned).
     pub fn exec_lanes(&self) -> usize {
         self.inner.exec_lanes.load(Ordering::Relaxed) as usize
     }
@@ -413,8 +412,7 @@ impl Metrics {
 pub struct StageSnapshot {
     /// One row per [`Stage`], in pipeline order.
     pub rows: Vec<StageRow>,
-    /// One row per execution lane (empty until a lane pool — or the
-    /// sequential executor, which reports as one lane — has spawned).
+    /// One row per execution lane (empty until a lane pool has spawned).
     pub lanes: Vec<LaneRow>,
 }
 
@@ -605,10 +603,11 @@ pub struct LaneRow {
     pub batches: u64,
     /// Operations this lane applied.
     pub ops: u64,
-    /// Accumulated apply time on the lane thread.
+    /// Accumulated apply time on the lane.
     pub busy: Duration,
     /// Accumulated time the commit-order retirement head spent waiting on
     /// this lane — conflict-stall from batches serialized on its shards.
+    /// Zero for lane 0, which the scheduler runs itself.
     pub stalled: Duration,
 }
 

@@ -197,8 +197,8 @@ impl ReplicaRuntime {
     /// [`Ledger::new`] on a fresh boot, or a ledger recovered from durable
     /// storage on restart. `backend` is the replica's durable engine
     /// handle (`None` for memory deployments): the executor WAL-logs every
-    /// applied decision through it and the checkpoint stage persists
-    /// certified checkpoints and flushes.
+    /// decision through it as it retires, and the checkpoint stage
+    /// persists certified checkpoints and flushes.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         mut protocol: Box<dyn ReplicaProtocol>,
@@ -237,10 +237,6 @@ impl ReplicaRuntime {
         // Checkpoint stage: snapshot jobs + peer votes -> quorum
         // certification -> ledger compaction. Only spawned when enabled.
         let system = verify.system.clone();
-        let exec_tracker = rdb_consensus::checkpoint::CheckpointTracker::new(
-            pipeline.checkpoint.interval,
-            system.global_quorum(),
-        );
         let (ckpt_tx, checkpoint_handle) = if pipeline.checkpoint.enabled() {
             let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(queues.checkpoint.capacity.max(1));
             let handle = spawn_checkpointer(
@@ -278,7 +274,6 @@ impl ReplicaRuntime {
             exec_rx,
             Arc::clone(&ledger),
             ckpt_tx,
-            exec_tracker,
             pipeline.checkpoint,
             queues.checkpoint,
             pipeline.exec_lanes,

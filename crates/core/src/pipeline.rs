@@ -14,10 +14,13 @@
 //!   Pipeline-level checkpoint votes (reserved scope, see
 //!   [`rdb_consensus::checkpoint`]) are routed straight to the checkpoint
 //!   stage — the worker never sees them.
-//! * **Execute** — a single thread applying finalized [`Decision`]s to the
-//!   node's `rdb-store` table and appending them to the `rdb-ledger`
-//!   chain, so neither store writes nor ledger hashing sit on the
-//!   consensus critical path. Every
+//! * **Execute** — a scheduler thread that is also lane 0, plus one
+//!   thread for each further key-sharded lane
+//!   ([`PipelineConfig::exec_lanes`]), applying finalized [`Decision`]s to
+//!   the node's `rdb-store` table; the scheduler retires them strictly in
+//!   commit order, appending to the `rdb-ledger` chain (and, in durable
+//!   mode, writing the decision's WAL batch), so neither store writes nor
+//!   ledger hashing sit on the consensus critical path. Every
 //!   [`CheckpointConfig::interval`] decisions it snapshots the table
 //!   digest into the checkpoint queue.
 //! * **Checkpoint** — a dedicated thread that certifies the execution
@@ -39,7 +42,7 @@ use crate::metrics::Metrics;
 use crate::queue::{send_with_policy, QueuePolicy, SendOutcome, StageQueues};
 use crate::storage::{self, SharedBackend};
 use crate::transport::{Envelope, TransportSender};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{NodeId, ReplicaId};
@@ -51,7 +54,7 @@ use rdb_consensus::types::Decision;
 use rdb_crypto::digest::Digest;
 use rdb_ledger::Ledger;
 use rdb_store::lanes::{self as store_lanes, LaneItem};
-use rdb_store::{KvStore, Operation, Value};
+use rdb_store::{KvStore, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -119,12 +122,12 @@ pub struct PipelineConfig {
     pub queues: StageQueues,
     /// Checkpoint stage configuration (disabled by default).
     pub checkpoint: CheckpointConfig,
-    /// Key-sharded execution lanes. `1` (the default) keeps the original
-    /// single-thread execute stage; `n > 1` spawns a lane pool where key
-    /// `k` executes on lane `k % n` and decisions touching disjoint lanes
-    /// proceed in parallel, bounded by a commit-order reorder window
-    /// derived from the exec queue's capacity (see the lane-pool section
-    /// below). Clamped to [`rdb_store::MAX_LANES`].
+    /// Key-sharded execution lanes (default `1`): key `k` executes on lane
+    /// `k % n`, decisions touching disjoint lanes proceed in parallel, and
+    /// a commit-order reorder window derived from the exec queue's
+    /// capacity bounds out-of-order completion (see the lane-pool section
+    /// below). One lane is the degenerate case of the same pool, not a
+    /// separate executor. Clamped to [`rdb_store::MAX_LANES`].
     pub exec_lanes: usize,
 }
 
@@ -347,24 +350,24 @@ fn verifier_loop(
     }
 }
 
-/// Spawn the execution stage: `exec_rx` → store apply → ledger append
-/// (into the shared ledger the checkpoint stage compacts). Runs until
-/// the worker drops its sender, so every decision emitted before
+/// Spawn the execution stage: `exec_rx` → lane apply → commit-order
+/// retirement (ledger append into the shared ledger the checkpoint stage
+/// compacts, plus the decision's WAL batch when `backend` is set). Runs
+/// until the worker drops its sender, so every decision emitted before
 /// shutdown is persisted. Returns the materialized table's state digest
 /// on join — which must equal the last appended block's `state_digest`
 /// (the ordering state machine executed the same decisions against an
 /// identically-preloaded store), making the off-path materialization
 /// independently auditable.
 ///
-/// With checkpointing enabled the stage keeps the store's incremental
-/// fingerprint *live* (per-write hashing instead of the deferred
-/// rebuild): checkpoint snapshots need an O(1) honest table digest at
-/// every interval boundary — that hashing is the execute-side cost of
-/// checkpointing. The boundary schedule is the [`CheckpointTracker`]'s
-/// ([`CheckpointTracker::on_decision`]); snapshot jobs go into the
-/// Block-policy checkpoint queue; when the checkpoint stage lags, this
-/// send parks the executor, which is precisely the throttle that bounds
-/// exec-to-stable lag.
+/// With checkpointing enabled the lanes keep their fingerprints *live*
+/// (per-write hashing instead of the deferred rebuild): checkpoint
+/// snapshots need an O(1) honest table digest at every interval boundary
+/// — that hashing is the execute-side cost of checkpointing. Boundaries
+/// fall every [`CheckpointConfig::interval`] decisions; snapshot jobs go
+/// into the Block-policy checkpoint queue, and when the checkpoint stage
+/// lags, that send parks the scheduler, which is precisely the throttle
+/// that bounds exec-to-stable lag.
 // The parameters mirror the stage wiring one-to-one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_executor(
@@ -373,9 +376,6 @@ pub(crate) fn spawn_executor(
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
     ckpt_tx: Option<Sender<CheckpointMsg>>,
-    // The executor drives the tracker's decision/interval half; the
-    // checkpoint thread owns a second instance for the vote/quorum half.
-    tracker: CheckpointTracker,
     cfg: CheckpointConfig,
     queue: QueuePolicy,
     lanes: usize,
@@ -387,143 +387,37 @@ pub(crate) fn spawn_executor(
     std::thread::Builder::new()
         .name(format!("{node}-execute"))
         .spawn(move || {
-            if lanes <= 1 {
-                run_sequential_executor(
-                    store, exec_rx, ledger, ckpt_tx, tracker, cfg, queue, backend, metrics,
-                )
-            } else {
-                // The deployment builder rejects durable + lane-pool
-                // configs before any thread spawns; this guards direct
-                // callers.
-                assert!(
-                    backend.is_none(),
-                    "durable storage requires the sequential executor (exec_lanes == 1)"
-                );
-                run_lane_pool(
-                    node,
-                    store,
-                    exec_rx,
-                    ledger,
-                    ckpt_tx,
-                    cfg,
-                    queue,
-                    lanes,
-                    reorder_window,
-                    metrics,
-                )
-            }
+            run_lane_pool(
+                node,
+                store,
+                exec_rx,
+                ledger,
+                ckpt_tx,
+                cfg,
+                queue,
+                lanes,
+                reorder_window,
+                backend,
+                metrics,
+            )
         })
         .expect("spawn execution thread")
 }
 
-/// The original single-thread execute stage: apply in commit order on one
-/// table, append, snapshot at interval boundaries. The lane pool must be
-/// observationally identical to this loop.
-#[allow(clippy::too_many_arguments)]
-fn run_sequential_executor(
-    mut store: KvStore,
-    exec_rx: Receiver<Decision>,
-    ledger: Arc<Mutex<Ledger>>,
-    ckpt_tx: Option<Sender<CheckpointMsg>>,
-    mut tracker: CheckpointTracker,
-    cfg: CheckpointConfig,
-    queue: QueuePolicy,
-    backend: Option<SharedBackend>,
-    metrics: Metrics,
-) -> Digest {
-    let mut checkpointing = cfg.enabled() && ckpt_tx.is_some();
-    metrics.set_exec_lanes(1);
-    if backend.is_some() {
-        // Durable mode: capture every table write as an absolute
-        // (key, value, version) image so the decision's WAL batch carries
-        // the exact post-state, not a delta to replay.
-        store.enable_capture();
-    }
-    while let Ok(decision) = exec_rx.recv() {
-        let t0 = Instant::now();
-        let mut ops = 0u64;
-        for entry in &decision.entries {
-            for op in entry.batch.batch.operations() {
-                ops += 1;
-                if checkpointing {
-                    // Live fingerprinting: snapshots need an
-                    // honest O(1) digest at interval boundaries.
-                    store.execute(op);
-                } else {
-                    // The decision's state digest is authoritative
-                    // (computed by the ordering state machine), so
-                    // the materialized table skips per-write
-                    // fingerprint hashing; the digest is rebuilt
-                    // once at shutdown.
-                    store.execute_unfingerprinted(op);
-                }
-            }
-        }
-        let (height, new_blocks) = {
-            let mut l = ledger.lock();
-            let prev = l.head_height();
-            l.append_decision(&decision);
-            let head = l.head_height();
-            // Durable mode: clone the block(s) this decision appended
-            // while still under the lock, so the persisted chain segment
-            // is exactly what the ledger linked.
-            let new_blocks: Vec<rdb_ledger::Block> = if backend.is_some() {
-                (prev + 1..=head)
-                    .map(|h| l.block(h).expect("just appended").clone())
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            (head, new_blocks)
-        };
-        if let Some(be) = &backend {
-            // One decision = one atomic WAL batch: blocks + absolute
-            // table images + applied watermark. A torn tail therefore
-            // truncates to a decision boundary on recovery.
-            let writes = store.take_captured();
-            storage::persist_decision(be, &new_blocks, &writes, height)
-                .expect("durable storage write failed");
-        }
-        metrics.lane_batch(0, ops, t0.elapsed());
-        metrics.stage_processed(Stage::Execute, t0.elapsed());
-        if !checkpointing {
-            continue;
-        }
-        if let Some((height, state)) = tracker.on_decision(height, store.state_digest()) {
-            let snapshot = cfg.retain_snapshot.then(|| store.clone());
-            let tx = ckpt_tx.as_ref().expect("checkpointing implies sender");
-            match send_with_policy(
-                tx,
-                CheckpointMsg::Snapshot {
-                    height,
-                    state,
-                    snapshot,
-                },
-                queue,
-                false,
-                &metrics,
-                Stage::Checkpoint,
-            ) {
-                SendOutcome::Sent => metrics.stage_enqueued(Stage::Checkpoint),
-                SendOutcome::Shed => unreachable!("snapshots never shed"),
-                SendOutcome::Disconnected => checkpointing = false,
-            }
-        }
-    }
-    if !checkpointing {
-        store.rebuild_fingerprint();
-    }
-    store.state_digest()
-}
-
 // ------------------------------------------------------------------------
-// The key-sharded lane pool (PipelineConfig::exec_lanes > 1).
+// The key-sharded lane pool — the only executor; PipelineConfig::exec_lanes
+// == 1 is its degenerate case (lane 0 owns every key, so the whole stage
+// is the one execute thread).
 //
-// The execute thread becomes a *scheduler*: it analyzes each decision's
-// key footprint (rdb_store::lanes::partition_batch), fans the per-lane
-// work lists out to N lane threads that each own the key-disjoint slice
-// of the table with keys ≡ lane (mod N), and retires decisions strictly
-// in commit order once every lane they touched reports completion.
+// The execute thread is a *scheduler*: it analyzes each decision's key
+// footprint (rdb_store::lanes::partition_batch), fans the per-lane work
+// lists out to N lanes that each own the key-disjoint slice of the table
+// with keys ≡ lane (mod N), and retires decisions strictly in commit
+// order once every lane they touched reports completion. Lane 0 is the
+// scheduler itself — it runs that lane's jobs where it would otherwise
+// sit waiting for completions, after handing the other lanes theirs — and
+// lanes 1..N are threads. N lanes are N threads; at N = 1 a decision is
+// planned, applied, appended and persisted without a thread hand-off.
 // Conflict-awareness falls out of the partition: two decisions touching
 // the same shard land on the same lane's FIFO and serialize; decisions
 // with disjoint footprints run on different lanes concurrently.
@@ -533,10 +427,17 @@ fn run_sequential_executor(
 // decisions are in flight between dispatch and retirement. Lane job
 // queues are bounded too; a full queue parks the *scheduler* only, and
 // lane threads always drain (their completion/reply channels never
-// block), so the scheduler/lane graph stays deadlock-free. Retirement
-// performs the ledger append and Stage::Execute accounting in commit
-// order, which keeps the ledger, checkpoint interval boundaries, and the
-// execution audit byte-identical to the sequential executor above.
+// block), so the scheduler/lane graph stays deadlock-free.
+//
+// Retirement is the one serialization point, so everything that must
+// happen in commit order happens there: the ledger append, Stage::Execute
+// accounting, and — in durable mode — the decision's single atomic WAL
+// batch. Lane stores run with write capture on; every completion carries
+// the (key, value, version) images its job wrote, and retirement
+// concatenates them behind the decision's blocks. Lanes own disjoint keys
+// and each lane's completions arrive in FIFO order, so the concatenation
+// is last-write-wins-correct per key and the on-disk format never learns
+// how many lanes wrote it.
 //
 // Cross-lane transaction programs (rdb_store::txn) are synchronization
 // points within their decision: the scheduler follows the batch's
@@ -547,15 +448,19 @@ fn run_sequential_executor(
 // machine once on the scheduler, and *scatters* the write set back as
 // Program jobs — which again ride the FIFOs, so every later operation
 // observes them. The home lane's Program job also carries the stats
-// note, keeping merged lane statistics identical to sequential
-// execution.
+// note, keeping merged lane statistics identical to in-order execution
+// on one table (KvStore::execute_batch).
+
+/// A captured table write: `(key, value, new version)`.
+type Image = (u64, Value, u64);
 
 /// A lane's answer to a checkpoint barrier: its index, its 40-byte
 /// fingerprint part, and (when snapshots are retained) a clone of its
 /// table slice.
 type LanePart = (usize, ([u8; 32], u64), Option<KvStore>);
 
-/// One unit of work on a lane thread's bounded FIFO.
+/// One unit of work for a lane: run in place on lane 0, queued on a lane
+/// thread's bounded FIFO otherwise.
 enum LaneJob {
     /// Apply this decision's lane-local items. `id` is the decision's
     /// dispatch ordinal, echoed in the completion message.
@@ -589,10 +494,15 @@ enum LaneJob {
     },
 }
 
-/// A lane finished the `Apply` job of decision `id`.
+/// A lane finished an `Apply` or `Program` job of decision `id`.
 struct LaneDone {
     lane: usize,
     id: u64,
+    /// Time the lane spent on the job (part of the decision's
+    /// Stage::Execute busy time).
+    busy: Duration,
+    /// The writes the job captured (empty unless durable).
+    images: Vec<Image>,
 }
 
 /// One in-flight decision in the reorder window.
@@ -604,9 +514,12 @@ struct InFlight {
     waiting: Vec<u16>,
     /// Total outstanding jobs; the decision is ready to retire at 0.
     left: u32,
-    /// Scheduler-side partition + dispatch + program-evaluation cost,
-    /// folded into the decision's Stage::Execute busy time at retirement.
-    dispatch: Duration,
+    /// Scheduler-side partition + dispatch + program-evaluation cost plus
+    /// the lanes' apply time, reported as the decision's Stage::Execute
+    /// busy time at retirement.
+    busy: Duration,
+    /// Captured writes of the completed jobs, for the WAL batch.
+    images: Vec<Image>,
 }
 
 impl InFlight {
@@ -620,6 +533,64 @@ impl InFlight {
     }
 }
 
+/// Run one job against a lane's table slice. `Apply` and `Program` jobs
+/// yield the completion that counts against their decision; `Gather` and
+/// `Checkpoint` answer on the job's own reply channel.
+fn run_job(lane: usize, store: &mut KvStore, job: LaneJob, metrics: &Metrics) -> Option<LaneDone> {
+    let (id, t0, ops) = match job {
+        LaneJob::Apply {
+            id,
+            items,
+            fingerprint,
+        } => {
+            let t0 = Instant::now();
+            for item in &items {
+                store.execute_partial(&item.op, item.home, fingerprint);
+            }
+            (id, t0, items.len() as u64)
+        }
+        LaneJob::Gather { keys, reply } => {
+            let values = keys.iter().map(|&k| (k, store.get(k))).collect();
+            let _ = reply.send(values);
+            return None;
+        }
+        LaneJob::Program {
+            id,
+            writes,
+            note,
+            fingerprint,
+        } => {
+            let t0 = Instant::now();
+            for (key, value) in &writes {
+                store.apply_program_write(*key, *value, fingerprint);
+            }
+            // The home lane counts the program as one op, like
+            // per-operation accounting on one table.
+            let ops = match note {
+                Some(aborted) => {
+                    store.note_program(aborted);
+                    1
+                }
+                None => 0,
+            };
+            (id, t0, ops)
+        }
+        LaneJob::Checkpoint { reply, snapshot } => {
+            let snap = snapshot.then(|| store.clone());
+            let _ = reply.send((lane, store.fingerprint_part(), snap));
+            return None;
+        }
+    };
+    let busy = t0.elapsed();
+    metrics.lane_batch(lane, ops, busy);
+    Some(LaneDone {
+        lane,
+        id,
+        busy,
+        images: store.take_captured(),
+    })
+}
+
 fn lane_loop(
     lane: usize,
     mut store: KvStore,
@@ -628,53 +599,9 @@ fn lane_loop(
     metrics: Metrics,
 ) -> KvStore {
     for job in jobs.iter() {
-        match job {
-            LaneJob::Apply {
-                id,
-                items,
-                fingerprint,
-            } => {
-                let t0 = Instant::now();
-                let ops = items.len() as u64;
-                for item in &items {
-                    store.execute_partial(&item.op, item.home, fingerprint);
-                }
-                metrics.lane_batch(lane, ops, t0.elapsed());
-                if done.send(LaneDone { lane, id }).is_err() {
-                    break; // scheduler gone: shutting down
-                }
-            }
-            LaneJob::Gather { keys, reply } => {
-                let values = keys.iter().map(|&k| (k, store.get(k))).collect();
-                let _ = reply.send(values);
-            }
-            LaneJob::Program {
-                id,
-                writes,
-                note,
-                fingerprint,
-            } => {
-                let t0 = Instant::now();
-                for (key, value) in &writes {
-                    store.apply_program_write(*key, *value, fingerprint);
-                }
-                // The home lane counts the program as one op, like the
-                // sequential per-operation accounting.
-                let ops = match note {
-                    Some(aborted) => {
-                        store.note_program(aborted);
-                        1
-                    }
-                    None => 0,
-                };
-                metrics.lane_batch(lane, ops, t0.elapsed());
-                if done.send(LaneDone { lane, id }).is_err() {
-                    break; // scheduler gone: shutting down
-                }
-            }
-            LaneJob::Checkpoint { reply, snapshot } => {
-                let snap = snapshot.then(|| store.clone());
-                let _ = reply.send((lane, store.fingerprint_part(), snap));
+        if let Some(completion) = run_job(lane, &mut store, job, &metrics) {
+            if done.send(completion).is_err() {
+                break; // scheduler gone: shutting down
             }
         }
     }
@@ -684,7 +611,7 @@ fn lane_loop(
 #[allow(clippy::too_many_arguments)]
 fn run_lane_pool(
     node: NodeId,
-    store: KvStore,
+    mut store: KvStore,
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
     ckpt_tx: Option<Sender<CheckpointMsg>>,
@@ -692,21 +619,33 @@ fn run_lane_pool(
     queue: QueuePolicy,
     lanes: usize,
     reorder_window: usize,
+    backend: Option<SharedBackend>,
     metrics: Metrics,
 ) -> Digest {
     let mut checkpointing = cfg.enabled() && ckpt_tx.is_some();
     // Checkpoint certification needs honest per-lane fingerprints at
-    // every barrier, so lanes hash incrementally; otherwise they defer
-    // (dirty-shard rebuild at shutdown), like the sequential stage.
+    // every barrier, so lanes hash incrementally; otherwise the
+    // decision's state digest is authoritative (the ordering state
+    // machine computed it) and lanes defer to one dirty-shard rebuild at
+    // shutdown.
     let fingerprint = checkpointing;
     let window = reorder_window.max(1);
     metrics.set_exec_lanes(lanes);
+    if backend.is_some() {
+        // Durable mode: capture every table write as an absolute
+        // (key, value, version) image so the decision's WAL batch carries
+        // the exact post-state, not a delta to replay. Lane stores
+        // inherit the flag from the table they are split from.
+        store.enable_capture();
+    }
 
-    let lane_stores = store.split_lanes(lanes);
+    // Lane 0 is the scheduler itself; lanes 1.. get a thread each.
+    let mut lane_stores = store.split_lanes(lanes).into_iter();
+    let mut home = lane_stores.next().expect("at least one lane");
     let (done_tx, done_rx) = crossbeam::channel::unbounded::<LaneDone>();
-    let mut job_txs: Vec<Sender<LaneJob>> = Vec::with_capacity(lanes);
-    let mut lane_handles: Vec<JoinHandle<KvStore>> = Vec::with_capacity(lanes);
-    for (lane, lane_store) in lane_stores.into_iter().enumerate() {
+    let mut job_txs: Vec<Sender<LaneJob>> = Vec::with_capacity(lanes - 1);
+    let mut lane_handles: Vec<JoinHandle<KvStore>> = Vec::with_capacity(lanes - 1);
+    for (lane, lane_store) in (1..).zip(lane_stores) {
         // Window-bounded FIFO: at most `window` decisions are in flight;
         // a plain decision sends this lane at most one job (the +1 covers
         // the barrier probe), so its dispatch never blocks. Decisions with
@@ -723,6 +662,17 @@ fn run_lane_pool(
         lane_handles.push(handle);
     }
     drop(done_tx);
+    // Hand `job` to `lane`. A lane-0 job runs here and now, and its
+    // completion (if the job has one) comes back as the return value;
+    // every other lane's arrives on `done_rx` later.
+    let mut dispatch = |lane: usize, job: LaneJob| -> Option<LaneDone> {
+        if lane == 0 {
+            run_job(0, &mut home, job, &metrics)
+        } else {
+            job_txs[lane - 1].send(job).expect("lane thread alive");
+            None
+        }
+    };
 
     // The reorder window: decisions dispatched but not yet retired, in
     // commit order. `retired` counts retirements, so in-flight decision
@@ -738,82 +688,126 @@ fn run_lane_pool(
         let f = &mut window_q[idx];
         f.waiting[done.lane] -= 1;
         f.left -= 1;
+        f.busy += done.busy;
+        f.images.extend(done.images);
     };
     // Retire every ready decision at the window head, in commit order:
-    // append to the shared ledger and account the Execute stage exactly
-    // like the sequential loop.
-    let retire_ready =
-        |window_q: &mut VecDeque<InFlight>, retired: &mut u64, ledger: &Mutex<Ledger>| -> u64 {
-            let mut height = 0;
-            while window_q.front().is_some_and(|f| f.left == 0) {
-                let f = window_q.pop_front().expect("checked front");
-                let t0 = Instant::now();
-                {
-                    let mut l = ledger.lock();
-                    l.append_decision(&f.decision);
-                    height = l.head_height();
-                }
-                metrics.stage_processed(Stage::Execute, f.dispatch + t0.elapsed());
-                *retired += 1;
+    // append to the shared ledger, persist, account the Execute stage.
+    let retire_ready = |window_q: &mut VecDeque<InFlight>, retired: &mut u64| {
+        while window_q.front().is_some_and(|f| f.left == 0) {
+            let f = window_q.pop_front().expect("checked front");
+            let t0 = Instant::now();
+            let (height, new_blocks) = {
+                let mut l = ledger.lock();
+                let prev = l.head_height();
+                l.append_decision(&f.decision);
+                let head = l.head_height();
+                // Durable mode: clone the block(s) this decision appended
+                // while still under the lock, so the persisted chain
+                // segment is exactly what the ledger linked.
+                let new_blocks: Vec<rdb_ledger::Block> = if backend.is_some() {
+                    (prev + 1..=head)
+                        .map(|h| l.block(h).expect("just appended").clone())
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                (head, new_blocks)
+            };
+            if let Some(be) = &backend {
+                // One decision = one atomic WAL batch: blocks + absolute
+                // table images from every lane + applied watermark. A torn
+                // tail therefore truncates to a decision boundary on
+                // recovery.
+                storage::persist_decision(be, &new_blocks, &f.images, height)
+                    .expect("durable storage write failed");
             }
-            height
-        };
-    // Block until one completion arrives, attributing the wait to the
-    // lanes the window head is still missing (the conflict stall).
-    let wait_one = |window_q: &mut VecDeque<InFlight>, retired: u64| -> bool {
-        let head_mask = window_q.front().map_or(0, |f| f.waiting_mask());
-        let t0 = Instant::now();
-        match done_rx.recv() {
-            Ok(done) => {
-                metrics.lane_stalled(head_mask, t0.elapsed());
-                mark(window_q, retired, done);
-                true
-            }
-            Err(_) => false, // every lane thread exited (panic): give up
+            metrics.stage_processed(Stage::Execute, f.busy + t0.elapsed());
+            *retired += 1;
+        }
+    };
+    // Wait for completions until at most `keep` decisions are in flight,
+    // attributing each wait to the lanes the window head is still missing
+    // (the conflict stall).
+    let drain_to = |window_q: &mut VecDeque<InFlight>, retired: &mut u64, keep: usize| {
+        while window_q.len() > keep {
+            let head_mask = window_q.front().map_or(0, |f| f.waiting_mask());
+            let t0 = Instant::now();
+            let Ok(done) = done_rx.recv() else {
+                break; // every lane thread exited (panic): give up
+            };
+            metrics.lane_stalled(head_mask, t0.elapsed());
+            mark(window_q, *retired, done);
+            retire_ready(window_q, retired);
         }
     };
 
-    while let Ok(decision) = exec_rx.recv() {
-        // Reorder-window bound: park until the head retires.
-        while window_q.len() >= window {
-            if !wait_one(&mut window_q, retired) {
-                break;
+    loop {
+        // With work in flight, take a new decision only if one is already
+        // queued (keeps the lanes fed); otherwise wait for a completion,
+        // so the window head retires — and its WAL batch lands — without
+        // waiting for unrelated later traffic.
+        let decision = if window_q.is_empty() {
+            match exec_rx.recv() {
+                Ok(decision) => decision,
+                Err(_) => break,
             }
-            retire_ready(&mut window_q, &mut retired, &ledger);
-        }
+        } else {
+            match exec_rx.try_recv() {
+                Ok(decision) => decision,
+                Err(TryRecvError::Empty) => {
+                    // Idle, not stalled: nothing is queued behind the
+                    // lanes, so this wait is not booked as conflict stall.
+                    match done_rx.recv() {
+                        Ok(done) => mark(&mut window_q, retired, done),
+                        Err(_) => break, // every lane thread exited
+                    }
+                    retire_ready(&mut window_q, &mut retired);
+                    continue;
+                }
+                Err(TryRecvError::Disconnected) => break,
+            }
+        };
+        // Reorder-window bound: park until the head retires.
+        drain_to(&mut window_q, &mut retired, window - 1);
         let t0 = Instant::now();
-        let ops: Vec<Operation> = decision
+        let ops = decision
             .entries
             .iter()
-            .flat_map(|e| e.batch.batch.operations())
-            .cloned()
-            .collect();
-        let plan = store_lanes::plan_batch(&ops, lanes);
+            .flat_map(|e| e.batch.batch.operations());
+        let plan = store_lanes::plan_batch(ops, lanes);
         let mut waiting = vec![0u16; lanes];
         let mut left = 0u32;
+        // Lane 0's captured writes; its apply time is inside `t0`.
+        let mut images: Vec<Image> = Vec::new();
         for step in plan {
             match step {
                 store_lanes::PlanStep::Items(parts) => {
-                    for (lane, items) in parts.into_iter().enumerate() {
+                    // Highest lane first, so the threads are already
+                    // working while the scheduler applies lane 0's share.
+                    for (lane, items) in parts.into_iter().enumerate().rev() {
                         if items.is_empty() {
                             continue;
                         }
-                        waiting[lane] += 1;
-                        left += 1;
-                        job_txs[lane]
-                            .send(LaneJob::Apply {
-                                id: next_id,
-                                items,
-                                fingerprint,
-                            })
-                            .expect("lane thread alive");
+                        let job = LaneJob::Apply {
+                            id: next_id,
+                            items,
+                            fingerprint,
+                        };
+                        match dispatch(lane, job) {
+                            Some(done) => images.extend(done.images),
+                            None => {
+                                waiting[lane] += 1;
+                                left += 1;
+                            }
+                        }
                     }
                 }
                 store_lanes::PlanStep::Program(step) => {
                     // Gather the static footprint from the owning lanes.
                     // The Gather job rides each lane's FIFO behind every
                     // earlier job of this (and prior) decisions, so the
-                    // values it reads are exactly the sequential state.
+                    // values it reads are exactly the in-order state.
                     let mut lane_keys: Vec<Vec<u64>> = vec![Vec::new(); lanes];
                     for key in step.prog.keys() {
                         lane_keys[store_lanes::lane_of(key, lanes)].push(key);
@@ -826,12 +820,8 @@ fn run_lane_pool(
                             continue;
                         }
                         expected += 1;
-                        job_txs[lane]
-                            .send(LaneJob::Gather {
-                                keys,
-                                reply: reply_tx.clone(),
-                            })
-                            .expect("lane thread alive");
+                        let reply = reply_tx.clone();
+                        dispatch(lane, LaneJob::Gather { keys, reply });
                     }
                     drop(reply_tx);
                     let mut values: BTreeMap<u64, Option<Value>> = BTreeMap::new();
@@ -854,16 +844,19 @@ fn run_lane_pool(
                         if writes.is_empty() && note.is_none() {
                             continue;
                         }
-                        waiting[lane] += 1;
-                        left += 1;
-                        job_txs[lane]
-                            .send(LaneJob::Program {
-                                id: next_id,
-                                writes,
-                                note,
-                                fingerprint,
-                            })
-                            .expect("lane thread alive");
+                        let job = LaneJob::Program {
+                            id: next_id,
+                            writes,
+                            note,
+                            fingerprint,
+                        };
+                        match dispatch(lane, job) {
+                            Some(done) => images.extend(done.images),
+                            None => {
+                                waiting[lane] += 1;
+                                left += 1;
+                            }
+                        }
                     }
                 }
             }
@@ -872,7 +865,8 @@ fn run_lane_pool(
             decision,
             waiting,
             left,
-            dispatch: t0.elapsed(),
+            busy: t0.elapsed(),
+            images,
         });
         next_id += 1;
         decided += 1;
@@ -881,28 +875,21 @@ fn run_lane_pool(
         while let Ok(done) = done_rx.try_recv() {
             mark(&mut window_q, retired, done);
         }
-        retire_ready(&mut window_q, &mut retired, &ledger);
+        retire_ready(&mut window_q, &mut retired);
 
-        // Checkpoint interval boundary (same count-based schedule as the
-        // sequential tracker): drain the window so the lanes have
-        // materialized exactly the committed prefix, then certify the
-        // combined digest at the boundary height.
+        // Checkpoint interval boundary, counted in decisions: drain the
+        // window so the lanes have materialized exactly the committed
+        // prefix, then certify the combined digest at the boundary height.
         if checkpointing && decided.is_multiple_of(cfg.interval) {
-            while !window_q.is_empty() {
-                if !wait_one(&mut window_q, retired) {
-                    break;
-                }
-                retire_ready(&mut window_q, &mut retired, &ledger);
-            }
+            drain_to(&mut window_q, &mut retired, 0);
             let height = ledger.lock().head_height();
-            let (reply_tx, reply_rx) =
-                crossbeam::channel::bounded::<(usize, ([u8; 32], u64), Option<KvStore>)>(lanes);
-            for tx in &job_txs {
-                tx.send(LaneJob::Checkpoint {
+            let (reply_tx, reply_rx) = crossbeam::channel::bounded::<LanePart>(lanes);
+            for lane in (0..lanes).rev() {
+                let job = LaneJob::Checkpoint {
                     reply: reply_tx.clone(),
                     snapshot: cfg.retain_snapshot,
-                })
-                .expect("lane thread alive");
+                };
+                dispatch(lane, job);
             }
             drop(reply_tx);
             let mut parts: Vec<([u8; 32], u64)> = Vec::with_capacity(lanes);
@@ -936,18 +923,15 @@ fn run_lane_pool(
 
     // Worker gone: drain the window, stop the lanes, reassemble the
     // combined digest for the execution-stage audit.
-    while !window_q.is_empty() {
-        if !wait_one(&mut window_q, retired) {
-            break;
-        }
-        retire_ready(&mut window_q, &mut retired, &ledger);
-    }
+    drain_to(&mut window_q, &mut retired, 0);
     drop(job_txs);
     drop(done_rx);
-    let mut stores: Vec<KvStore> = lane_handles
-        .into_iter()
-        .map(|h| h.join().expect("lane thread panicked"))
-        .collect();
+    let mut stores = vec![home];
+    stores.extend(
+        lane_handles
+            .into_iter()
+            .map(|h| h.join().expect("lane thread panicked")),
+    );
     if !fingerprint {
         for s in &mut stores {
             // Dirty-shard rebuild: only the slices this lane wrote.
@@ -1375,201 +1359,164 @@ mod tests {
         );
     }
 
-    fn send_write_decisions(exec_tx: &Sender<Decision>, n: u64) {
+    /// A decision carrying one client batch of `ops`.
+    fn decision(seq: u64, ops: Vec<Operation>) -> Decision {
         let client = ClientId::new(0, 0);
-        for seq in 1..=n {
-            let batch = ClientBatch {
-                client,
-                batch_seq: seq,
-                txns: vec![Transaction {
-                    client,
-                    seq,
-                    op: Operation::Write {
-                        key: seq,
-                        value: rdb_store::Value::from_u64(seq),
+        let txns = ops
+            .into_iter()
+            .map(|op| Transaction { client, seq, op })
+            .collect();
+        Decision {
+            seq,
+            entries: vec![DecisionEntry {
+                origin: Some(ClusterId(0)),
+                batch: SignedBatch {
+                    batch: ClientBatch {
+                        client,
+                        batch_seq: seq,
+                        txns,
                     },
-                }],
-            };
-            exec_tx
-                .send(Decision {
-                    seq,
-                    entries: vec![DecisionEntry {
-                        origin: Some(ClusterId(0)),
-                        batch: SignedBatch {
-                            batch,
-                            pubkey: Default::default(),
-                            sig: Default::default(),
-                        },
-                    }],
-                    state_digest: Digest::of(&seq.to_le_bytes()),
-                })
-                .unwrap();
+                    pubkey: Default::default(),
+                    sig: Default::default(),
+                },
+            }],
+            state_digest: Digest::of(&seq.to_le_bytes()),
         }
     }
 
-    #[test]
-    fn executor_applies_decisions_in_order() {
-        let (exec_tx, exec_rx) = unbounded::<Decision>();
-        let metrics = Metrics::new();
-        let ledger = Arc::new(parking_lot::Mutex::new(Ledger::new()));
-        let handle = spawn_executor(
-            ReplicaId::new(0, 0).into(),
-            KvStore::new(),
-            exec_rx,
-            Arc::clone(&ledger),
-            None,
-            CheckpointTracker::new(0, 3),
-            CheckpointConfig::default(),
-            QueuePolicy::block(8),
-            1,
-            8,
-            None,
-            metrics.clone(),
-        );
-        send_write_decisions(&exec_tx, 5);
-        drop(exec_tx); // worker shutdown: executor drains and returns
-        let exec_digest = handle.join().unwrap();
-        let Ok(ledger) = Arc::try_unwrap(ledger) else {
-            unreachable!("executor joined");
-        };
-        let ledger = ledger.into_inner();
-        // The materialized table matches an inline application of the
-        // same writes (fingerprint rebuilt after the deferred applies).
-        let mut reference = KvStore::new();
-        for seq in 1..=5u64 {
-            reference.execute(&Operation::Write {
-                key: seq,
-                value: rdb_store::Value::from_u64(seq),
-            });
-        }
-        assert_eq!(exec_digest, reference.state_digest());
-        assert_eq!(ledger.head_height(), 5);
-        // FIFO hand-off preserves decision order in the chain.
-        for h in 1..=5u64 {
-            let block = ledger.block(h).expect("block present");
-            assert_eq!(block.batch.batch.batch_seq, h);
-            assert_eq!(block.state_digest, Digest::of(&h.to_le_bytes()));
-        }
-        ledger.verify(None).expect("chain linkage intact");
-        assert_eq!(metrics.stage_snapshot().row(Stage::Execute).processed, 5);
+    /// `n` decisions of one write each (key = value = seq).
+    fn write_decisions(n: u64) -> Vec<Decision> {
+        (1..=n)
+            .map(|seq| {
+                let value = rdb_store::Value::from_u64(seq);
+                decision(seq, vec![Operation::Write { key: seq, value }])
+            })
+            .collect()
     }
 
-    #[test]
-    fn executor_snapshots_every_interval_with_live_fingerprint() {
-        let (exec_tx, exec_rx) = unbounded::<Decision>();
-        let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(8);
-        let metrics = Metrics::new();
-        let ledger = Arc::new(parking_lot::Mutex::new(Ledger::new()));
-        let cfg = CheckpointConfig {
-            interval: 2,
-            retain_snapshot: true,
-            fault_delay: Duration::ZERO,
-        };
-        let handle = spawn_executor(
-            ReplicaId::new(0, 0).into(),
-            KvStore::new(),
-            exec_rx,
-            Arc::clone(&ledger),
-            Some(ckpt_tx),
-            CheckpointTracker::new(cfg.interval, 3),
-            cfg,
-            QueuePolicy::block(8),
-            1,
-            8,
-            None,
-            metrics.clone(),
-        );
-        send_write_decisions(&exec_tx, 5);
-        drop(exec_tx);
-        let exec_digest = handle.join().unwrap();
-
-        // Reference: the honest table digest after each prefix.
-        let mut reference = KvStore::new();
-        let mut digests = vec![reference.state_digest()];
-        for seq in 1..=5u64 {
-            reference.execute(&Operation::Write {
-                key: seq,
-                value: rdb_store::Value::from_u64(seq),
-            });
-            digests.push(reference.state_digest());
-        }
-        assert_eq!(exec_digest, digests[5], "live fingerprint stays honest");
-
-        // Interval 2 over 5 decisions: snapshot jobs at heights 2 and 4.
-        let jobs: Vec<CheckpointMsg> = ckpt_rx.iter().collect();
-        assert_eq!(jobs.len(), 2);
-        for (job, expect_h) in jobs.iter().zip([2u64, 4]) {
-            let CheckpointMsg::Snapshot {
-                height,
-                state,
-                snapshot,
-            } = job
-            else {
-                panic!("executor only emits snapshots");
-            };
-            assert_eq!(*height, expect_h);
-            assert_eq!(*state, digests[expect_h as usize]);
-            let snap = snapshot.as_ref().expect("retained");
-            assert_eq!(snap.state_digest(), *state);
-            assert!(snap.verify_fingerprint(), "snapshot digest is live");
-        }
-        assert_eq!(metrics.stage_snapshot().row(Stage::Checkpoint).enqueued, 2);
+    /// What a finished `spawn_executor` run left behind.
+    struct ExecRun {
+        digest: Digest,
+        ledger: Ledger,
+        jobs: Vec<CheckpointMsg>,
+        metrics: Metrics,
     }
 
-    /// Run `spawn_executor` with `lanes` over `n` single-write decisions
-    /// and return (exec digest, ledger, snapshot jobs, metrics).
-    fn run_executor_lanes(
+    /// Drive `spawn_executor` at `lanes` over `decisions` on `store`.
+    fn run_executor(
         lanes: usize,
         window: usize,
-        n: u64,
+        store: KvStore,
+        decisions: &[Decision],
         cfg: CheckpointConfig,
-    ) -> (Digest, Ledger, Vec<CheckpointMsg>, Metrics) {
+        backend: Option<SharedBackend>,
+    ) -> ExecRun {
         let (exec_tx, exec_rx) = unbounded::<Decision>();
         let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(64);
         let metrics = Metrics::new();
         let ledger = Arc::new(parking_lot::Mutex::new(Ledger::new()));
         let handle = spawn_executor(
             ReplicaId::new(0, 0).into(),
-            KvStore::with_ycsb_records(64),
+            store,
             exec_rx,
             Arc::clone(&ledger),
-            cfg.enabled().then_some(ckpt_tx.clone()),
-            CheckpointTracker::new(cfg.interval, 3),
+            cfg.enabled().then_some(ckpt_tx),
             cfg,
             QueuePolicy::block(8),
             lanes,
             window,
-            None,
+            backend,
             metrics.clone(),
         );
-        send_write_decisions(&exec_tx, n);
-        drop(exec_tx);
+        for d in decisions {
+            exec_tx.send(d.clone()).unwrap();
+        }
+        drop(exec_tx); // worker shutdown: executor drains and returns
         let digest = handle.join().unwrap();
-        drop(ckpt_tx);
         let jobs: Vec<CheckpointMsg> = ckpt_rx.iter().collect();
         let Ok(ledger) = Arc::try_unwrap(ledger) else {
             unreachable!("executor joined");
         };
-        (digest, ledger.into_inner(), jobs, metrics)
+        ExecRun {
+            digest,
+            ledger: ledger.into_inner(),
+            jobs,
+            metrics,
+        }
+    }
+
+    /// The reference the pool is pinned to: the same decisions applied
+    /// inline, in order, with [`KvStore::execute_batch`] (the ordering
+    /// state machine's own executor) and appended to a ledger. Returns
+    /// the ledger and the table after each prefix (`[0]` = before any).
+    fn reference(mut store: KvStore, decisions: &[Decision]) -> (Ledger, Vec<KvStore>) {
+        let mut ledger = Ledger::new();
+        let mut prefixes = vec![store.clone()];
+        for d in decisions {
+            for entry in &d.entries {
+                let ops: Vec<Operation> = entry.batch.batch.operations().cloned().collect();
+                store.execute_batch(&ops);
+            }
+            ledger.append_decision(d);
+            prefixes.push(store.clone());
+        }
+        (ledger, prefixes)
+    }
+
+    #[test]
+    fn executor_applies_decisions_in_order() {
+        let decisions = write_decisions(5);
+        let run = run_executor(
+            1,
+            8,
+            KvStore::new(),
+            &decisions,
+            CheckpointConfig::default(),
+            None,
+        );
+        // The materialized table matches an inline application of the
+        // same writes (fingerprint rebuilt after the deferred applies).
+        let (_, prefixes) = reference(KvStore::new(), &decisions);
+        assert_eq!(run.digest, prefixes[5].state_digest());
+        assert_eq!(run.ledger.head_height(), 5);
+        // FIFO hand-off preserves decision order in the chain.
+        for h in 1..=5u64 {
+            let block = run.ledger.block(h).expect("block present");
+            assert_eq!(block.batch.batch.batch_seq, h);
+            assert_eq!(block.state_digest, Digest::of(&h.to_le_bytes()));
+        }
+        run.ledger.verify(None).expect("chain linkage intact");
+        let snap = run.metrics.stage_snapshot();
+        assert_eq!(snap.row(Stage::Execute).processed, 5);
+        assert!(
+            snap.row(Stage::Execute).busy >= snap.lanes[0].busy,
+            "Execute busy time includes the lanes' apply time"
+        );
     }
 
     #[test]
     fn lane_pool_is_byte_identical_to_sequential() {
-        let (seq_digest, seq_ledger, _, _) =
-            run_executor_lanes(1, 8, 20, CheckpointConfig::default());
-        for lanes in [2usize, 4] {
-            let (digest, ledger, _, metrics) =
-                run_executor_lanes(lanes, 8, 20, CheckpointConfig::default());
-            assert_eq!(digest, seq_digest, "lanes={lanes}");
-            assert_eq!(ledger.head_height(), seq_ledger.head_height());
+        let decisions = write_decisions(20);
+        let (ref_ledger, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
+        for lanes in [1usize, 2, 4] {
+            let run = run_executor(
+                lanes,
+                8,
+                KvStore::with_ycsb_records(64),
+                &decisions,
+                CheckpointConfig::default(),
+                None,
+            );
+            assert_eq!(run.digest, prefixes[20].state_digest(), "lanes={lanes}");
+            assert_eq!(run.ledger.head_height(), ref_ledger.head_height());
             for h in 1..=20u64 {
                 assert_eq!(
-                    ledger.block(h).unwrap().hash(),
-                    seq_ledger.block(h).unwrap().hash(),
+                    run.ledger.block(h).unwrap().hash(),
+                    ref_ledger.block(h).unwrap().hash(),
                     "block {h} diverged at lanes={lanes}"
                 );
             }
-            let snap = metrics.stage_snapshot();
+            let snap = run.metrics.stage_snapshot();
             assert_eq!(snap.row(Stage::Execute).processed, 20);
             assert_eq!(snap.lanes.len(), lanes, "per-lane rows surfaced");
             let lane_ops: u64 = snap.lanes.iter().map(|l| l.ops).sum();
@@ -1584,46 +1531,116 @@ mod tests {
             retain_snapshot: true,
             fault_delay: Duration::ZERO,
         };
-        let (seq_digest, _, seq_jobs, _) = run_executor_lanes(1, 8, 10, cfg);
-        let (digest, _, jobs, _) = run_executor_lanes(4, 8, 10, cfg);
-        assert_eq!(digest, seq_digest);
-        assert_eq!(jobs.len(), seq_jobs.len(), "same boundary count");
-        for (job, seq_job) in jobs.iter().zip(&seq_jobs) {
-            let (
-                CheckpointMsg::Snapshot {
+        let decisions = write_decisions(10);
+        let (_, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
+        for lanes in [1usize, 4] {
+            let run = run_executor(
+                lanes,
+                8,
+                KvStore::with_ycsb_records(64),
+                &decisions,
+                cfg,
+                None,
+            );
+            assert_eq!(run.digest, prefixes[10].state_digest(), "lanes={lanes}");
+            // Interval 3 over 10 decisions: snapshot jobs at 3, 6 and 9.
+            assert_eq!(run.jobs.len(), 3, "lanes={lanes}");
+            for (job, expect_h) in run.jobs.iter().zip([3u64, 6, 9]) {
+                let CheckpointMsg::Snapshot {
                     height,
                     state,
                     snapshot,
-                },
-                CheckpointMsg::Snapshot {
-                    height: sh,
-                    state: ss,
-                    snapshot: ssnap,
-                },
-            ) = (job, seq_job)
-            else {
-                panic!("executors only emit snapshots");
-            };
-            assert_eq!(height, sh);
-            assert_eq!(state, ss, "combined lane digest == sequential digest");
-            let (snap, ssnap) = (snapshot.as_ref().unwrap(), ssnap.as_ref().unwrap());
-            assert_eq!(snap.state_digest(), ssnap.state_digest());
-            assert_eq!(snap.stats(), ssnap.stats(), "merged lane stats match");
-            assert!(snap.verify_fingerprint(), "merged snapshot is live");
+                } = job
+                else {
+                    panic!("the executor only emits snapshots");
+                };
+                let expected = &prefixes[expect_h as usize];
+                assert_eq!(*height, expect_h);
+                assert_eq!(*state, expected.state_digest(), "combined lane digest");
+                let snap = snapshot.as_ref().expect("retained");
+                assert_eq!(snap.state_digest(), *state);
+                assert_eq!(snap.stats(), expected.stats(), "merged lane stats match");
+                assert!(snap.verify_fingerprint(), "snapshot digest is live");
+            }
+            let snap = run.metrics.stage_snapshot();
+            assert_eq!(snap.row(Stage::Checkpoint).enqueued, 3);
         }
     }
 
     #[test]
     fn lane_pool_respects_tiny_reorder_window() {
         // Window of 1 degenerates to lock-step dispatch; still correct.
-        let (seq_digest, seq_ledger, _, _) =
-            run_executor_lanes(1, 8, 12, CheckpointConfig::default());
-        let (digest, ledger, _, _) = run_executor_lanes(4, 1, 12, CheckpointConfig::default());
-        assert_eq!(digest, seq_digest);
-        assert_eq!(
-            ledger.block(12).unwrap().hash(),
-            seq_ledger.block(12).unwrap().hash()
+        let decisions = write_decisions(12);
+        let (ref_ledger, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
+        let run = run_executor(
+            4,
+            1,
+            KvStore::with_ycsb_records(64),
+            &decisions,
+            CheckpointConfig::default(),
+            None,
         );
+        assert_eq!(run.digest, prefixes[12].state_digest());
+        assert_eq!(
+            run.ledger.block(12).unwrap().hash(),
+            ref_ledger.block(12).unwrap().hash()
+        );
+    }
+
+    #[test]
+    fn durable_executor_persists_one_batch_per_decision_at_any_lane_count() {
+        use rdb_storage::{LogBackend, LogConfig, StorageBackend};
+        use rdb_store::txn::TxnProgram;
+        // Multi-key decisions: keys on every lane, a key written twice in
+        // one decision and again in the next, and a cross-lane program.
+        const N: u64 = 12;
+        let decisions: Vec<Decision> = (1..=N)
+            .map(|seq| {
+                let write = |key: u64, v: u64| Operation::Write {
+                    key,
+                    value: rdb_store::Value::from_u64(v),
+                };
+                decision(
+                    seq,
+                    vec![
+                        write(seq, seq),
+                        write(seq + 1, 7 * seq),
+                        Operation::Rmw { key: 5, delta: seq },
+                        write(seq, 100 + seq),
+                        Operation::Txn(TxnProgram::transfer(40 + seq, 21 + seq, 3)),
+                        Operation::Read { key: 2 },
+                    ],
+                )
+            })
+            .collect();
+        for lanes in [1usize, 4] {
+            let dir = std::env::temp_dir()
+                .join(format!("rdb-core-exec-wal-{lanes}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let preload = KvStore::with_ycsb_records(64);
+            let mut engine = LogBackend::open(&dir, LogConfig::default()).unwrap();
+            storage::init_replica(&mut engine, &preload).unwrap();
+            let before = engine.stats().wal_records;
+            let backend: SharedBackend = Arc::new(Mutex::new(engine));
+            let run = run_executor(
+                lanes,
+                8,
+                preload,
+                &decisions,
+                CheckpointConfig::default(),
+                Some(Arc::clone(&backend)),
+            );
+            let engine = backend.lock();
+            // One atomic WAL batch per decision, so a torn tail still
+            // truncates to a decision boundary.
+            assert_eq!(engine.stats().wal_records - before, N, "lanes={lanes}");
+            let (table, ledger) = storage::recover_replica(&engine).unwrap();
+            assert_eq!(ledger.head_height(), N);
+            assert_eq!(ledger.head_hash(), run.ledger.head_hash());
+            assert_eq!(table.state_digest(), run.digest, "lanes={lanes}");
+            drop(engine);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -43,9 +43,8 @@
 //! end state (see the decision table in `docs/ARCHITECTURE.md`).
 
 use crate::metrics::Metrics;
-use crate::queue::{send_with_policy, QueuePolicy, SendOutcome};
-use crate::transport::{Envelope, Transport, TransportHandle};
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crate::queue::QueuePolicy;
+use crate::transport::{Envelope, Inboxes, OnFull, Transport, TransportHandle};
 use parking_lot::Mutex;
 use rdb_common::ids::NodeId;
 use rdb_consensus::codec::{self, WireCodec, MAX_FRAME, NODE_ID_BYTES};
@@ -186,12 +185,6 @@ impl SockListener {
     }
 }
 
-/// One registered node's local inbox.
-struct SockInbox {
-    tx: Sender<Envelope>,
-    policy: Option<QueuePolicy>,
-}
-
 /// Outbound state of one `from -> to` link. Per-link mutex: a write
 /// parked on a full kernel buffer stalls only this link, never the
 /// whole transport.
@@ -230,7 +223,7 @@ type LinkTable = Mutex<HashMap<(NodeId, NodeId), Arc<Mutex<LinkState>>>>;
 struct SockShared {
     kind: SocketKind,
     epoch: u64,
-    inboxes: Mutex<HashMap<NodeId, SockInbox>>,
+    inboxes: Inboxes,
     addrs: Mutex<HashMap<NodeId, WireAddr>>,
     links: LinkTable,
     partitions: crate::transport::PartitionSet,
@@ -263,11 +256,12 @@ impl SocketTransport {
             kind != SocketKind::Uds,
             "unix-domain sockets are unavailable on this platform"
         );
+        let metrics = metrics.unwrap_or_default();
         SocketTransport {
             shared: Arc::new(SockShared {
                 kind,
                 epoch,
-                inboxes: Mutex::new(HashMap::new()),
+                inboxes: Inboxes::new(metrics.clone()),
                 addrs: Mutex::new(HashMap::new()),
                 links: Mutex::new(HashMap::new()),
                 partitions: crate::transport::PartitionSet::new(),
@@ -275,7 +269,7 @@ impl SocketTransport {
                 threads: Mutex::new(Vec::new()),
                 uds_paths: Mutex::new(Vec::new()),
                 uds_seq: AtomicU64::new(0),
-                metrics: metrics.unwrap_or_default(),
+                metrics,
             }),
         }
     }
@@ -288,25 +282,18 @@ impl SocketTransport {
     /// Register a node with an unbounded inbox (clients, tests). Binds
     /// a listener and starts accepting.
     pub fn register(&self, node: NodeId) -> TransportHandle {
-        self.register_inner(node, None)
+        self.handle(node, None)
     }
 
     /// Register a node whose inbox is the bounded input-stage queue of
     /// its pipeline (same policy semantics as
     /// [`crate::transport::InProcTransport::register_bounded`]).
     pub fn register_bounded(&self, node: NodeId, policy: QueuePolicy) -> TransportHandle {
-        self.register_inner(node, Some(policy))
+        self.handle(node, Some(policy))
     }
 
-    fn register_inner(&self, node: NodeId, policy: Option<QueuePolicy>) -> TransportHandle {
-        let (tx, rx) = match policy {
-            Some(p) => bounded(p.capacity.max(1)),
-            None => unbounded(),
-        };
-        self.shared
-            .inboxes
-            .lock()
-            .insert(node, SockInbox { tx, policy });
+    fn handle(&self, node: NodeId, policy: Option<QueuePolicy>) -> TransportHandle {
+        let rx = self.shared.inboxes.register(node, policy);
         let needs_listener = !self.shared.addrs.lock().contains_key(&node);
         if needs_listener {
             self.spawn_listener(node);
@@ -360,7 +347,7 @@ impl SocketTransport {
     /// Remove a node's inbox (crash tests): frames for it still arrive
     /// at its listener but are dropped at delivery.
     pub fn disconnect(&self, node: NodeId) {
-        self.shared.inboxes.lock().remove(&node);
+        self.shared.inboxes.disconnect(node);
     }
 
     /// Stop accept/reader threads, close outbound connections and
@@ -570,7 +557,12 @@ impl SocketTransport {
             match codec::decode_frame_body(&body) {
                 Ok((from, to, msg)) => {
                     self.shared.metrics.net_received(from, to, (4 + len) as u64);
-                    self.deliver(Envelope { from, to, msg });
+                    // Same input-stage policy as the in-process mesh: a
+                    // non-droppable frame at a full inbox parks this
+                    // reader (see the module docs on backpressure).
+                    self.shared
+                        .inboxes
+                        .deliver(Envelope { from, to, msg }, OnFull::Park);
                 }
                 Err(_) => return,
             }
@@ -596,37 +588,6 @@ impl SocketTransport {
             }
         }
         Ok(true)
-    }
-
-    /// Deliver into the local inbox with the same input-stage policy
-    /// semantics as the in-process transport.
-    fn deliver(&self, env: Envelope) {
-        let (tx, policy) = {
-            let inboxes = self.shared.inboxes.lock();
-            match inboxes.get(&env.to) {
-                Some(e) => (e.tx.clone(), e.policy),
-                None => return, // disconnected (crash tests): drop
-            }
-        };
-        let to_replica = matches!(env.to, NodeId::Replica(_));
-        let metrics = &self.shared.metrics;
-        let stage = rdb_consensus::stage::Stage::Input;
-        match policy {
-            None => {
-                if to_replica {
-                    metrics.stage_enqueued(stage);
-                }
-                let _ = tx.send(env);
-            }
-            Some(p) => {
-                let droppable = env.msg.droppable();
-                if send_with_policy(&tx, env, p, droppable, metrics, stage) == SendOutcome::Sent
-                    && to_replica
-                {
-                    metrics.stage_enqueued(stage);
-                }
-            }
-        }
     }
 }
 

@@ -4,10 +4,11 @@
 //!
 //! ## Crash consistency
 //!
-//! The execution stage persists each applied decision as **one atomic
-//! [`WriteBatch`]** (`persist_decision`): every block the decision
-//! appended, every table record it wrote (as absolute `(key, value,
-//! version)` images, not deltas), and the advanced `applied` watermark.
+//! The execution stage persists each decision, as it retires in commit
+//! order, as **one atomic [`WriteBatch`]** (`persist_decision`): every
+//! block the decision appended, every table record its lanes wrote (as
+//! absolute `(key, value, version)` images, not deltas), and the advanced
+//! `applied` watermark.
 //! [`rdb_storage::LogBackend`] appends the whole batch as a single
 //! checksummed WAL record, so a crash torn mid-write truncates to a
 //! *decision boundary* on replay — the recovered table digest equals the
@@ -52,9 +53,11 @@ pub enum StorageMode {
     #[default]
     Memory,
     /// Log-structured engines rooted at the given data directory, one
-    /// subdirectory per replica (`replica-<cluster>-<index>`). Requires
-    /// the sequential executor (`exec_lanes == 1`). A directory holding a
-    /// previous run's state is *recovered from*, not reinitialized.
+    /// subdirectory per replica (`replica-<cluster>-<index>`). A directory
+    /// holding a previous run's state is *recovered from*, not
+    /// reinitialized. The on-disk format is independent of
+    /// `exec_lanes`: a directory written at one lane count restarts at
+    /// any other.
     Durable(PathBuf),
 }
 

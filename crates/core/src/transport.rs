@@ -1,6 +1,9 @@
-//! In-process transport: crossbeam channels between nodes, with optional
-//! injected per-link delays to emulate a geo-distributed deployment on one
-//! machine.
+//! The transport surface shared by both meshes — [`Envelope`],
+//! [`Transport`], [`TransportHandle`], the inbox table with its one
+//! delivery routine, scheduled partitions — and the in-process mesh:
+//! crossbeam channels between nodes, with optional injected per-link
+//! delays to emulate a geo-distributed deployment on one machine. The
+//! socket mesh lives in [`crate::socket`].
 //!
 //! Replica inboxes registered via [`InProcTransport::register_bounded`]
 //! are the pipeline's *input stage queue*: delivery applies the queue's
@@ -16,18 +19,19 @@
 //! WAN — and returns immediately, so the *sender* does not block. The
 //! single pump thread then delivers without ever parking: droppable
 //! traffic is shed per the inbox policy, and a non-droppable message
-//! that finds the inbox full is requeued briefly and retried (the
-//! pump's `deliver_or_requeue`), i.e. it stays "in the network" until
-//! the replica has room. In-flight wheel memory is
-//! bounded by the closed-loop clients' outstanding requests plus
-//! consensus traffic, not by wall-clock.
+//! that finds the inbox full is requeued briefly and retried, i.e. it
+//! stays "in the network" until the replica has room. In-flight wheel
+//! memory is bounded by the closed-loop clients' outstanding requests
+//! plus consensus traffic, not by wall-clock.
 
-use crate::queue::{send_with_policy, QueuePolicy, SendOutcome};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::metrics::Metrics;
+use crate::queue::{Overload, QueuePolicy};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use rdb_common::ids::NodeId;
 use rdb_common::time::SimDuration;
 use rdb_consensus::messages::Message;
+use rdb_consensus::stage::Stage;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,11 +76,109 @@ impl Ord for DelayedEntry {
     }
 }
 
+/// What [`Inboxes::deliver`] does with a non-droppable message that finds
+/// its inbox full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OnFull {
+    /// Park the delivering thread until the inbox has room — the end of
+    /// the backpressure chain (a client's `Request` parks the submitting
+    /// client thread itself).
+    Park,
+    /// Hand the envelope back to the caller to hold and retry, for
+    /// threads that must never park on one peer's inbox.
+    HandBack,
+}
+
 /// One registered node's inbox: its sender plus the input-stage queue
 /// policy (None for unbounded client/test inboxes).
-struct InboxEntry {
+struct Inbox {
     tx: Sender<Envelope>,
     policy: Option<QueuePolicy>,
+}
+
+/// The inbox table of one mesh and the single inbox-delivery routine both
+/// transports use: look the inbox up, apply its [`QueuePolicy`], account
+/// the input stage. Each mesh keeps only its byte-moving core (delay
+/// wheel / links + listeners) on top.
+pub(crate) struct Inboxes {
+    table: Mutex<HashMap<NodeId, Inbox>>,
+    /// Replica-bound deliveries count as input-stage enqueues (so
+    /// `queue_depth(Stage::Input)` is the live inbox backlog) and overload
+    /// behavior lands in the input stage's `shed`/`blocked_ns`. A
+    /// transport built without metrics counts into a private sink.
+    metrics: Metrics,
+}
+
+impl Inboxes {
+    pub(crate) fn new(metrics: Metrics) -> Inboxes {
+        Inboxes {
+            table: Mutex::new(HashMap::new()),
+            metrics,
+        }
+    }
+
+    /// Register `node`: a bounded inbox under `policy` (a hand-built
+    /// policy with `capacity: 0` is clamped to 1; the [`QueuePolicy`]
+    /// constructors already guarantee ≥ 1), unbounded without one.
+    pub(crate) fn register(&self, node: NodeId, policy: Option<QueuePolicy>) -> Receiver<Envelope> {
+        let (tx, rx) = match policy {
+            Some(p) => bounded(p.capacity.max(1)),
+            None => unbounded(),
+        };
+        self.table.lock().insert(node, Inbox { tx, policy });
+        rx
+    }
+
+    /// Remove `node`'s inbox: deliveries to it are dropped from now on.
+    pub(crate) fn disconnect(&self, node: NodeId) {
+        self.table.lock().remove(&node);
+    }
+
+    /// Deliver `env` into its recipient's inbox. `None` means the message
+    /// is accounted for: enqueued, shed (droppable traffic at a full Shed
+    /// inbox), or dropped because the recipient is disconnected or shut
+    /// down. A non-droppable message at a full inbox parks the caller or
+    /// comes back as `Some`, per `on_full`.
+    pub(crate) fn deliver(&self, env: Envelope, on_full: OnFull) -> Option<Envelope> {
+        // Clone the sender out of the table so a parked delivery never
+        // holds the table lock: other deliveries keep flowing while one
+        // producer waits on a full input queue.
+        let (tx, policy) = {
+            let table = self.table.lock();
+            let inbox = table.get(&env.to)?; // disconnected (crash tests): drop
+            (inbox.tx.clone(), inbox.policy)
+        };
+        // Input-stage accounting covers replica inboxes only.
+        let metrics = matches!(env.to, NodeId::Replica(_)).then_some(&self.metrics);
+        match tx.try_send(env) {
+            Ok(()) => {
+                if let Some(m) = metrics {
+                    m.stage_enqueued(Stage::Input);
+                }
+            }
+            Err(TrySendError::Disconnected(_)) => {}
+            // Only bounded inboxes are ever full, so a policy exists.
+            Err(TrySendError::Full(env)) => {
+                if env.msg.droppable() && policy.is_some_and(|p| p.overload == Overload::Shed) {
+                    if let Some(m) = metrics {
+                        m.stage_shed(Stage::Input);
+                    }
+                } else if on_full == OnFull::HandBack {
+                    return Some(env);
+                } else {
+                    let t0 = Instant::now();
+                    let sent = tx.send(env).is_ok();
+                    if let Some(m) = metrics {
+                        m.stage_blocked(Stage::Input, t0.elapsed());
+                        if sent {
+                            m.stage_enqueued(Stage::Input);
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
 }
 
 /// A scheduled bidirectional cut between two node groups: messages
@@ -181,7 +283,7 @@ impl PartitionSet {
 }
 
 struct Shared {
-    inboxes: Mutex<HashMap<NodeId, InboxEntry>>,
+    inboxes: Inboxes,
     delay: Option<DelayFn>,
     wheel: Mutex<BinaryHeap<Reverse<DelayedEntry>>>,
     wheel_cv: Condvar,
@@ -190,11 +292,6 @@ struct Shared {
     partitions: PartitionSet,
     running: AtomicBool,
     seq: std::sync::atomic::AtomicU64,
-    /// When attached, replica-bound deliveries count as input-stage
-    /// enqueues (so `queue_depth(Stage::Input)` is the live inbox
-    /// backlog) and overload behavior lands in the input stage's
-    /// `shed`/`blocked_ns`. When not, a private sink absorbs the counts.
-    metrics: crate::metrics::Metrics,
 }
 
 /// The in-process transport. Cloneable handle.
@@ -310,20 +407,16 @@ impl InProcTransport {
     /// Like [`InProcTransport::new`], additionally recording every
     /// replica-bound delivery as an input-stage enqueue in `metrics`
     /// (and input-stage shed/blocked accounting for bounded inboxes).
-    pub fn with_metrics(
-        delay: Option<DelayFn>,
-        metrics: Option<crate::metrics::Metrics>,
-    ) -> InProcTransport {
+    pub fn with_metrics(delay: Option<DelayFn>, metrics: Option<Metrics>) -> InProcTransport {
         let t = InProcTransport {
             shared: Arc::new(Shared {
-                inboxes: Mutex::new(HashMap::new()),
+                inboxes: Inboxes::new(metrics.unwrap_or_default()),
                 delay,
                 wheel: Mutex::new(BinaryHeap::new()),
                 wheel_cv: Condvar::new(),
                 partitions: PartitionSet::new(),
                 running: AtomicBool::new(true),
                 seq: std::sync::atomic::AtomicU64::new(0),
-                metrics: metrics.unwrap_or_default(),
             }),
         };
         if t.shared.delay.is_some() {
@@ -334,35 +427,20 @@ impl InProcTransport {
 
     /// Register a node with an unbounded inbox (clients, tests).
     pub fn register(&self, node: NodeId) -> TransportHandle {
-        let (tx, rx) = unbounded();
-        self.shared
-            .inboxes
-            .lock()
-            .insert(node, InboxEntry { tx, policy: None });
-        TransportHandle {
-            node,
-            inbox: rx,
-            transport: Transport::InProc(self.clone()),
-        }
+        self.handle(node, None)
     }
 
     /// Register a node whose inbox is the bounded input-stage queue of
     /// its pipeline: deliveries at the bound shed droppable traffic or
-    /// block the sender per `policy` (see [`crate::queue`]). A
-    /// hand-built policy with `capacity: 0` is clamped to 1 (the
-    /// [`QueuePolicy`] constructors already guarantee ≥ 1).
+    /// block the sender per `policy` (see [`crate::queue`]).
     pub fn register_bounded(&self, node: NodeId, policy: QueuePolicy) -> TransportHandle {
-        let (tx, rx) = bounded(policy.capacity.max(1));
-        self.shared.inboxes.lock().insert(
-            node,
-            InboxEntry {
-                tx,
-                policy: Some(policy),
-            },
-        );
+        self.handle(node, Some(policy))
+    }
+
+    fn handle(&self, node: NodeId, policy: Option<QueuePolicy>) -> TransportHandle {
         TransportHandle {
             node,
-            inbox: rx,
+            inbox: self.shared.inboxes.register(node, policy),
             transport: Transport::InProc(self.clone()),
         }
     }
@@ -383,68 +461,10 @@ impl InProcTransport {
         self.shared.partitions.add(side_a, side_b, from, until);
     }
 
-    /// True when a currently-active partition cuts the `from -> to` link.
-    fn is_cut(&self, from: NodeId, to: NodeId) -> bool {
-        self.shared.partitions.is_cut(from, to)
-    }
-
-    /// Send an envelope (applying the delay policy).
+    /// Send an envelope (applying the delay policy). On a direct link a
+    /// full inbox parks the caller for non-droppable traffic.
     pub fn send(&self, env: Envelope) {
-        if self.is_cut(env.from, env.to) {
-            return; // dropped at the cut, like a crashed link
-        }
-        let delay = self
-            .shared
-            .delay
-            .as_ref()
-            .map(|f| f(env.from, env.to))
-            .unwrap_or(SimDuration::ZERO);
-        if delay == SimDuration::ZERO {
-            self.deliver(env);
-        } else {
-            let due = Instant::now() + Duration::from_nanos(delay.as_nanos());
-            let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .wheel
-                .lock()
-                .push(Reverse(DelayedEntry { due, seq, env }));
-            self.shared.wheel_cv.notify_one();
-        }
-    }
-
-    fn deliver(&self, env: Envelope) {
-        // Clone the sender out of the registry so a blocking (bounded)
-        // send never holds the inbox lock: other deliveries keep flowing
-        // while one producer is parked on a full input queue.
-        let (tx, policy) = {
-            let inboxes = self.shared.inboxes.lock();
-            match inboxes.get(&env.to) {
-                Some(e) => (e.tx.clone(), e.policy),
-                None => return, // disconnected (crash tests): drop
-            }
-        };
-        let to_replica = matches!(env.to, NodeId::Replica(_));
-        let metrics = &self.shared.metrics;
-        let stage = rdb_consensus::stage::Stage::Input;
-        match policy {
-            None => {
-                if to_replica {
-                    metrics.stage_enqueued(stage);
-                }
-                let _ = tx.send(env); // receiver may have shut down: drop
-            }
-            Some(p) => {
-                // Shed applies only to droppable traffic; a client's
-                // Request blocks here — the end of the backpressure
-                // chain, parking the submitting client thread itself.
-                let droppable = env.msg.droppable();
-                if send_with_policy(&tx, env, p, droppable, metrics, stage) == SendOutcome::Sent
-                    && to_replica
-                {
-                    metrics.stage_enqueued(stage);
-                }
-            }
-        }
+        self.route(env, OnFull::Park);
     }
 
     /// Non-blocking send for producer stages that must never park on a
@@ -457,117 +477,48 @@ impl InProcTransport {
     /// blocking here is exactly the cross-replica cycle the queue design
     /// forbids (see [`crate::queue`]).
     pub fn try_send(&self, env: Envelope) -> bool {
-        if self.is_cut(env.from, env.to) {
-            return true; // dropped at the cut: accounted for
+        self.route(env, OnFull::HandBack).is_none()
+    }
+
+    /// Route `env` over its link; `Some` hands it back (see
+    /// [`Inboxes::deliver`]).
+    fn route(&self, env: Envelope, on_full: OnFull) -> Option<Envelope> {
+        if self.shared.partitions.is_cut(env.from, env.to) {
+            return None; // dropped at the cut, like a crashed link
         }
         let delay = self
             .shared
             .delay
             .as_ref()
-            .map(|f| f(env.from, env.to))
-            .unwrap_or(SimDuration::ZERO);
-        if delay != SimDuration::ZERO {
-            self.send(env);
-            return true;
+            .map_or(SimDuration::ZERO, |f| f(env.from, env.to));
+        if delay == SimDuration::ZERO {
+            return self.shared.inboxes.deliver(env, on_full);
         }
-        let (tx, policy) = {
-            let inboxes = self.shared.inboxes.lock();
-            match inboxes.get(&env.to) {
-                Some(e) => (e.tx.clone(), e.policy),
-                None => return true, // disconnected (crash tests): drop
-            }
-        };
-        let to_replica = matches!(env.to, NodeId::Replica(_));
-        match tx.try_send(env) {
-            Ok(()) => {
-                if to_replica {
-                    self.shared
-                        .metrics
-                        .stage_enqueued(rdb_consensus::stage::Stage::Input);
-                }
-                true
-            }
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => true,
-            Err(crossbeam::channel::TrySendError::Full(env)) => {
-                let shed = match policy {
-                    Some(p) => p.overload == crate::queue::Overload::Shed && env.msg.droppable(),
-                    None => false, // unbounded inboxes are never Full
-                };
-                if shed {
-                    if to_replica {
-                        self.shared
-                            .metrics
-                            .stage_shed(rdb_consensus::stage::Stage::Input);
-                    }
-                    return true;
-                }
-                false
-            }
-        }
+        self.park_in_wheel(Duration::from_nanos(delay.as_nanos()), env);
+        self.shared.wheel_cv.notify_one();
+        None
+    }
+
+    /// Hold `env` "in the network" for `after`; the pump delivers it.
+    fn park_in_wheel(&self, after: Duration, env: Envelope) {
+        let due = Instant::now() + after;
+        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .wheel
+            .lock()
+            .push(Reverse(DelayedEntry { due, seq, env }));
     }
 
     /// Remove a node (its messages are dropped from now on). Used to
     /// crash replicas in failure tests.
     pub fn disconnect(&self, node: NodeId) {
-        self.shared.inboxes.lock().remove(&node);
+        self.shared.inboxes.disconnect(node);
     }
 
     /// Stop the delay pump.
     pub fn shutdown(&self) {
         self.shared.running.store(false, Ordering::SeqCst);
         self.shared.wheel_cv.notify_all();
-    }
-
-    /// Non-blocking delivery for the delay pump: the pump is a single
-    /// thread serving every delayed link, so it must never park on one
-    /// replica's full inbox (that would stall delayed traffic
-    /// cluster-wide). Droppable traffic is shed per the inbox policy as
-    /// usual; a non-droppable message that finds the queue full is
-    /// pushed back into the wheel and retried shortly — the message
-    /// stays "in the network" until the inbox has room, which is the
-    /// delayed-link analogue of the blocking admission on direct links.
-    fn deliver_or_requeue(&self, env: Envelope) {
-        let (tx, policy) = {
-            let inboxes = self.shared.inboxes.lock();
-            match inboxes.get(&env.to) {
-                Some(e) => (e.tx.clone(), e.policy),
-                None => return, // disconnected (crash tests): drop
-            }
-        };
-        let to_replica = matches!(env.to, NodeId::Replica(_));
-        match tx.try_send(env) {
-            Ok(()) => {
-                if to_replica {
-                    self.shared
-                        .metrics
-                        .stage_enqueued(rdb_consensus::stage::Stage::Input);
-                }
-            }
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {}
-            Err(crossbeam::channel::TrySendError::Full(env)) => {
-                let shed = match policy {
-                    Some(p) => p.overload == crate::queue::Overload::Shed && env.msg.droppable(),
-                    // Unbounded inboxes are never Full; unreachable.
-                    None => false,
-                };
-                if shed {
-                    if to_replica {
-                        self.shared
-                            .metrics
-                            .stage_shed(rdb_consensus::stage::Stage::Input);
-                    }
-                    return;
-                }
-                let due = Instant::now() + Duration::from_micros(200);
-                let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .wheel
-                    .lock()
-                    .push(Reverse(DelayedEntry { due, seq, env }));
-                // No notify needed: the pump rechecks within its own
-                // wait timeout, and we are on the pump thread anyway.
-            }
-        }
     }
 
     fn spawn_pump(&self) {
@@ -585,7 +536,18 @@ impl InProcTransport {
                             Some(Reverse(e)) if e.due <= now => {
                                 let Reverse(e) = wheel.pop().expect("peeked");
                                 drop(wheel);
-                                me.deliver_or_requeue(e.env);
+                                // The pump serves every delayed link, so
+                                // it must never park on one replica's
+                                // full inbox (that would stall delayed
+                                // traffic cluster-wide): a non-droppable
+                                // message that finds the queue full goes
+                                // back into the wheel and is retried
+                                // shortly — the delayed-link analogue of
+                                // blocking admission on direct links. No
+                                // notify: this is the pump thread.
+                                if let Some(env) = shared.inboxes.deliver(e.env, OnFull::HandBack) {
+                                    me.park_in_wheel(Duration::from_micros(200), env);
+                                }
                                 wheel = shared.wheel.lock();
                             }
                             _ => break,

@@ -25,7 +25,7 @@
 //! replica code cannot reach another identity's signing key. Property (b)
 //! is modeled explicitly: the discrete-event simulator charges configurable
 //! sign/verify costs, and wire sizes use the Ed25519 sizes (64-byte
-//! signatures, 32-byte keys). See DESIGN.md §1 for the substitution table.
+//! signatures, 32-byte keys).
 
 pub mod digest;
 pub mod hmac;

@@ -35,8 +35,8 @@
 //! Every scenario re-executes the observer replica's committed ledger
 //! against a fresh preloaded store ([`harness::replay_ledger`]) and
 //! verifies each block's recorded `state_digest`. This is a
-//! runtime-independent check: whatever the pipeline (sequential executor,
-//! sharded lanes, simulator model) claimed about execution is re-derived
+//! runtime-independent check: whatever the pipeline (execution lanes,
+//! simulator model) claimed about execution is re-derived
 //! from the chain alone, and it is also where program/abort counts for
 //! reports come from.
 

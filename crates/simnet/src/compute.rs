@@ -9,7 +9,7 @@
 //! ED25519 / AES-CMAC / SHA-256 (§3 "Cryptography"), with a
 //! `parallelism` factor modeling how much of the multi-threaded pipeline
 //! (paper Figure 9) each protocol keeps busy. Absolute numbers need not
-//! match the paper's testbed; see EXPERIMENTS.md for the calibration.
+//! match the paper's testbed.
 
 use rdb_consensus::messages::Message;
 use serde::{Deserialize, Serialize};

@@ -32,7 +32,7 @@ use serde::Serialize;
 /// Pipeline-parallelism calibration per protocol: how many cores of the
 /// 8-core N1 machines each implementation keeps busy in the Figure 9
 /// pipeline. These and [`protocol_window`] are the only per-protocol
-/// fudge factors in the model; see EXPERIMENTS.md ("Calibration").
+/// fudge factors in the model.
 pub fn protocol_parallelism(kind: ProtocolKind) -> f64 {
     match kind {
         ProtocolKind::GeoBft => 1.3,
@@ -194,7 +194,7 @@ impl Scenario {
         }
 
         // Keys are generated but signature checking is modeled: the
-        // compute model charges virtual time instead (DESIGN.md §1).
+        // compute model charges virtual time instead.
         let ks = KeyStore::new(self.seed);
 
         let real_exec = self.cfg.exec_mode == ExecMode::Real;

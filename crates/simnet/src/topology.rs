@@ -75,7 +75,8 @@ impl Topology {
             bandwidth_bps,
             // 480 Mbit/s aggregate WAN egress per VM: calibrated so that a
             // single PBFT primary saturates around the decision rates the
-            // paper reports (§4.4); see DESIGN.md and EXPERIMENTS.md.
+            // paper reports (§4.4); see docs/ARCHITECTURE.md, "Table 1 →
+            // the simulated topology".
             node_wan_egress_bps: 480e6 / 8.0,
             // Intra-region NIC ~8 Gbit/s (Table 1 diagonal).
             node_nic_bps: 8e9 / 8.0,

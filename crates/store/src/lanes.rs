@@ -186,11 +186,11 @@ pub enum PlanStep {
 /// [`PlanStep::Program`]. Programs whose footprint fits one lane stay
 /// ordinary lane items. For a batch without cross-lane programs the plan
 /// is a single `Items` step identical to [`partition_batch`].
-pub fn plan_batch(ops: &[Operation], lanes: usize) -> Vec<PlanStep> {
+pub fn plan_batch<'a>(ops: impl IntoIterator<Item = &'a Operation>, lanes: usize) -> Vec<PlanStep> {
     let mut plan = Vec::new();
     let mut segment: Vec<Vec<LaneItem>> = (0..lanes).map(|_| Vec::new()).collect();
     let mut segment_empty = true;
-    for (op_index, op) in ops.iter().enumerate() {
+    for (op_index, op) in ops.into_iter().enumerate() {
         let cross = match op {
             Operation::Txn(prog) => program_span(prog, lanes),
             _ => None,

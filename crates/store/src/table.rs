@@ -404,10 +404,26 @@ impl KvStore {
     /// the stats and applied-transaction counters so that summing over the
     /// returned stores reproduces this store's totals. The combined digest
     /// of the parts (via [`KvStore::combined_state_digest`]) equals this
-    /// store's [`KvStore::state_digest`].
+    /// store's [`KvStore::state_digest`]. Every part inherits this store's
+    /// write-capture flag; pending captures must have been drained
+    /// ([`KvStore::take_captured`]) — they belong to no single part. One
+    /// lane owns every key, so `split_lanes(1)` hands the store back as
+    /// is, without re-hashing a record.
     pub fn split_lanes(self, lanes: usize) -> Vec<KvStore> {
         assert!(lanes >= 1, "at least one lane");
-        let mut out: Vec<KvStore> = (0..lanes).map(|_| KvStore::new()).collect();
+        debug_assert!(
+            self.captured.as_ref().is_none_or(Vec::is_empty),
+            "split_lanes with undrained captured writes"
+        );
+        if lanes == 1 {
+            return vec![self];
+        }
+        let mut out: Vec<KvStore> = (0..lanes)
+            .map(|_| KvStore {
+                captured: self.captured.as_ref().map(|_| Vec::new()),
+                ..KvStore::new()
+            })
+            .collect();
         out[0].stats = self.stats;
         out[0].applied_txns = self.applied_txns;
         for shard in self.shards {

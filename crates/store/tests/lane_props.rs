@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use rdb_store::lanes::execute_batch_sharded;
 use rdb_store::txn::TxnProgram;
 use rdb_store::{KvStore, Operation, Value};
+use std::collections::BTreeMap;
 
 const RECORDS: u64 = 96;
 
@@ -121,6 +122,36 @@ proptest! {
             prop_assert_eq!(merged.state_digest(), seq.state_digest());
             prop_assert_eq!(merged.stats(), seq.stats());
             prop_assert!(merged.verify_fingerprint());
+        }
+    }
+
+    /// Write capture is lane-invariant: per batch, the union of the
+    /// per-lane captured `(key, value, version)` images — last write wins
+    /// per key — equals what one sequential store captured, image for
+    /// image in count. This is what lets the fabric's executor assemble
+    /// one lane-agnostic WAL batch per decision from lane completions.
+    /// Split parts inherit the capture flag; one lane is the identity.
+    #[test]
+    fn captured_images_lane_invariant(
+        plain in arb_batches(),
+        programs in arb_program_batches(),
+        lanes in 1usize..9,
+    ) {
+        fn last_wins(images: &[(u64, Value, u64)]) -> BTreeMap<u64, (Value, u64)> {
+            images.iter().map(|&(k, v, ver)| (k, (v, ver))).collect()
+        }
+        let mut seq = KvStore::with_ycsb_records(RECORDS);
+        seq.enable_capture();
+        let mut parts = seq.clone().split_lanes(lanes);
+        prop_assert!(parts.iter().all(|p| p.capturing()));
+
+        for batch in plain.iter().chain(&programs) {
+            seq.execute_batch(batch);
+            execute_batch_sharded(&mut parts, batch, false);
+            let expect = seq.take_captured();
+            let got: Vec<_> = parts.iter_mut().flat_map(|p| p.take_captured()).collect();
+            prop_assert_eq!(got.len(), expect.len(), "image count (lanes={})", lanes);
+            prop_assert_eq!(last_wins(&got), last_wins(&expect), "lanes={}", lanes);
         }
     }
 

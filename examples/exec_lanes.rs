@@ -2,8 +2,8 @@
 //! split into key-sharded lanes and watch the per-lane counters — each
 //! key executes on lane `key % lanes`, key-disjoint batches apply in
 //! parallel, conflicting batches serialize per shard, and commit-order
-//! retirement keeps the committed chain byte-identical to the
-//! single-threaded executor.
+//! retirement keeps the committed chain byte-identical at any lane
+//! count.
 //!
 //! ```bash
 //! cargo run --release --example exec_lanes
@@ -64,7 +64,7 @@ fn main() {
             );
         }
         // Every decision the execute stage processed is accounted to a
-        // lane, whichever path ran.
+        // lane.
         let lane_jobs: u64 = report.stages.lanes.iter().map(|l| l.batches).sum();
         assert!(
             lane_jobs >= report.stages.row(Stage::Execute).processed,

@@ -14,68 +14,80 @@ use resilientdb::{DeploymentBuilder, Fabric, StorageMode};
 
 #[test]
 fn durable_fabric_restart_recovers_identical_ledger_and_state() {
-    let tmp = support::TempDir::new("durable-restart");
-    let fabric = DeploymentBuilder::new(ProtocolKind::Pbft, 1, 4)
-        .batch_size(4)
-        .records(200)
-        .storage(StorageMode::Durable(tmp.path().to_path_buf()))
-        .start();
+    // The on-disk format is lane-agnostic: whatever lane count wrote the
+    // directory, `restart_from` (which reboots at the default, 1) must
+    // recover every replica exactly.
+    for lanes in [1usize, 4] {
+        let tmp = support::TempDir::new("durable-restart");
+        let fabric = DeploymentBuilder::new(ProtocolKind::Pbft, 1, 4)
+            .batch_size(4)
+            .records(200)
+            .exec_lanes(lanes)
+            .storage(StorageMode::Durable(tmp.path().to_path_buf()))
+            .start();
 
-    // Commit deterministic traffic: waiting on each proof guarantees the
-    // decisions were applied (and therefore WAL-logged) before shutdown.
-    let session = fabric.session(ClusterId(0));
-    for i in 0..6u64 {
-        let proof = session
-            .submit_one(Operation::Write {
-                key: i,
-                value: Value::from_u64(1_000 + i),
-            })
-            .wait();
+        // Commit deterministic traffic: single writes whose keys cover
+        // every lane, then one batch that spans all lanes in a single
+        // decision. No traffic follows the restart, so this pins recovery
+        // alone.
+        let session = fabric.session(ClusterId(0));
+        let write = |key: u64| Operation::Write {
+            key,
+            value: Value::from_u64(1_000 + key),
+        };
+        for i in 0..6u64 {
+            let proof = session.submit_one(write(i)).wait();
+            assert!(proof.quorum_size() >= 2);
+        }
+        let proof = session.submit((10..14u64).map(write).collect()).wait();
         assert!(proof.quorum_size() >= 2);
-    }
-    let before = fabric.shutdown();
-    assert!(before.decided > 0, "{}", before.summary());
-    assert_eq!(before.storage.engines, 4, "one durable engine per replica");
-    assert!(
-        before.storage.stats.wal_records > 0,
-        "decisions were logged"
-    );
-    before.audit_ledgers().expect("writer ledgers consistent");
+        let before = fabric.shutdown();
+        assert!(before.decided > 0, "{}", before.summary());
+        assert_eq!(before.storage.engines, 4, "one durable engine per replica");
+        assert!(
+            before.storage.stats.wal_records > 0,
+            "decisions were logged"
+        );
+        before.audit_ledgers().expect("writer ledgers consistent");
+        before
+            .audit_execution_stage()
+            .expect("lane tables match ledger heads");
 
-    // Reboot from disk. The manifest pins the deployment shape; every
-    // replica recovers rather than preloads.
-    let rebooted = Fabric::restart_from(tmp.path()).expect("restart from data dir");
-    let after = rebooted.shutdown();
-    assert_eq!(after.storage.engines, 4);
-    assert!(
-        after.storage.stats.keys_recovered > 0,
-        "recovery scanned keys from disk"
-    );
+        // Reboot from disk. The manifest pins the deployment shape; every
+        // replica recovers rather than preloads.
+        let rebooted = Fabric::restart_from(tmp.path()).expect("restart from data dir");
+        let after = rebooted.shutdown();
+        assert_eq!(after.storage.engines, 4);
+        assert!(
+            after.storage.stats.keys_recovered > 0,
+            "recovery scanned keys from disk"
+        );
 
-    for (rid, ledger) in &before.ledgers {
-        let recovered = after
-            .ledgers
-            .get(rid)
-            .expect("replica present after restart");
-        assert_eq!(
-            recovered.head_height(),
-            ledger.head_height(),
-            "replica {rid}: recovered ledger height"
-        );
-        assert_eq!(
-            recovered.head_hash(),
-            ledger.head_hash(),
-            "replica {rid}: recovered head hash is byte-identical"
-        );
-        assert_eq!(
-            after.exec_state_digests.get(rid),
-            before.exec_state_digests.get(rid),
-            "replica {rid}: recovered table digest"
-        );
+        for (rid, ledger) in &before.ledgers {
+            let recovered = after
+                .ledgers
+                .get(rid)
+                .expect("replica present after restart");
+            assert_eq!(
+                recovered.head_height(),
+                ledger.head_height(),
+                "lanes={lanes} replica {rid}: recovered ledger height"
+            );
+            assert_eq!(
+                recovered.head_hash(),
+                ledger.head_hash(),
+                "lanes={lanes} replica {rid}: recovered head hash is byte-identical"
+            );
+            assert_eq!(
+                after.exec_state_digests.get(rid),
+                before.exec_state_digests.get(rid),
+                "lanes={lanes} replica {rid}: recovered table digest"
+            );
+        }
+        after
+            .audit_execution_stage()
+            .expect("recovered tables match recovered ledger heads");
     }
-    after
-        .audit_execution_stage()
-        .expect("recovered tables match recovered ledger heads");
 }
 
 #[test]

@@ -15,8 +15,10 @@ use rdb_consensus::config::{ExecMode, ProtocolKind};
 use rdb_ledger::Ledger;
 use rdb_simnet::Scenario;
 use rdb_workload::ycsb::YcsbConfig;
-use resilientdb::{DeploymentBuilder, DeploymentReport};
+use resilientdb::{DeploymentBuilder, DeploymentReport, StorageMode};
 use std::time::Duration;
+
+mod support;
 
 /// The closed-loop YCSB harness, written out over the service API: boot
 /// the fabric, attach the workload clients, let it run, collect the
@@ -211,31 +213,45 @@ fn exec_lanes_commit_identical_ledgers_at_any_lane_count() {
     // batches, same post-execution state digests, same block hashes —
     // and the materialized tables still audit against the ledger heads
     // (the commit-order retirement and per-lane fingerprint combination
-    // at work). Lanes may only change timing, never content.
+    // at work). Lanes may only change timing, never content — and the
+    // same holds with durable storage, whose WAL batches are assembled
+    // at that same retirement step.
     let sim = simnet_ledger();
-    for lanes in [1usize, 2, 4] {
+    for (lanes, durable) in [
+        (1usize, false),
+        (2, false),
+        (4, false),
+        (1, true),
+        (4, true),
+    ] {
+        let tmp = durable.then(|| support::TempDir::new("equivalence-lanes"));
+        let storage = match &tmp {
+            Some(tmp) => StorageMode::Durable(tmp.path().to_path_buf()),
+            None => StorageMode::Memory,
+        };
         let builder = DeploymentBuilder::new(ProtocolKind::Pbft, 1, 4)
             .batch_size(BATCH)
             .records(RECORDS)
             .seed(SEED)
-            .exec_lanes(lanes);
+            .exec_lanes(lanes)
+            .storage(storage);
         let report = drive(builder, 1, Duration::from_millis(900));
         assert!(
             report.completed_batches > 0,
-            "lanes={lanes}: {}",
+            "lanes={lanes} durable={durable}: {}",
             report.summary()
         );
-        let common = report
-            .audit_ledgers()
-            .unwrap_or_else(|e| panic!("lanes={lanes}: fabric ledgers inconsistent: {e}"));
-        report
-            .audit_execution_stage()
-            .unwrap_or_else(|e| panic!("lanes={lanes}: execution audit failed: {e}"));
+        let common = report.audit_ledgers().unwrap_or_else(|e| {
+            panic!("lanes={lanes} durable={durable}: fabric ledgers inconsistent: {e}")
+        });
+        report.audit_execution_stage().unwrap_or_else(|e| {
+            panic!("lanes={lanes} durable={durable}: execution audit failed: {e}")
+        });
         let fabric = &report.ledgers[&ReplicaId::new(0, 0)];
         let prefix = common.min(sim.head_height());
         assert!(
             prefix >= 3,
-            "lanes={lanes}: need a non-trivial common prefix (fabric {common}, simnet {})",
+            "lanes={lanes} durable={durable}: need a non-trivial common prefix (fabric {common}, simnet {})",
             sim.head_height()
         );
         for h in 1..=prefix {
@@ -244,16 +260,16 @@ fn exec_lanes_commit_identical_ledgers_at_any_lane_count() {
             assert_eq!(
                 a.batch.digest(),
                 b.batch.digest(),
-                "lanes={lanes}: batch divergence at height {h}"
+                "lanes={lanes} durable={durable}: batch divergence at height {h}"
             );
             assert_eq!(
                 a.state_digest, b.state_digest,
-                "lanes={lanes}: execution state divergence at height {h}"
+                "lanes={lanes} durable={durable}: execution state divergence at height {h}"
             );
             assert_eq!(
                 a.hash(),
                 b.hash(),
-                "lanes={lanes}: block hash divergence at height {h}"
+                "lanes={lanes} durable={durable}: block hash divergence at height {h}"
             );
         }
         // The lane rows really saw the traffic: the report exposes one
@@ -261,11 +277,15 @@ fn exec_lanes_commit_identical_ledgers_at_any_lane_count() {
         // at least one lane job (a decision touching several shards
         // produces one per touched lane).
         use rdb_consensus::stage::Stage;
-        assert_eq!(report.stages.lanes.len(), lanes, "lanes={lanes}");
+        assert_eq!(
+            report.stages.lanes.len(),
+            lanes,
+            "lanes={lanes} durable={durable}"
+        );
         let lane_batches: u64 = report.stages.lanes.iter().map(|l| l.batches).sum();
         assert!(
             lane_batches >= report.stages.row(Stage::Execute).processed,
-            "lanes={lanes}: lane accounting lost decisions ({} jobs, {} processed)",
+            "lanes={lanes} durable={durable}: lane accounting lost decisions ({} jobs, {} processed)",
             lane_batches,
             report.stages.row(Stage::Execute).processed
         );
