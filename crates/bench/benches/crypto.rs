@@ -1,49 +1,9 @@
-//! Micro-benchmarks of the cryptographic substrate (E7): SHA-256,
-//! HMAC-SHA256, signing/verification and Merkle trees — the primitives
-//! whose costs §3 of the paper identifies as a throughput limiter.
+//! Micro-benchmark of the Merkle tree (E7). SHA-256, HMAC and
+//! signing/verification are `bench_report`'s `crypto.*` per-layer rows.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rdb_common::ids::{NodeId, ReplicaId};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdb_crypto::digest::Digest;
-use rdb_crypto::hmac::hmac_sha256;
 use rdb_crypto::merkle::MerkleTree;
-use rdb_crypto::sha256::sha256;
-use rdb_crypto::sign::KeyStore;
-
-fn bench_sha256(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sha256");
-    for size in [64usize, 250, 1024, 5450] {
-        let data = vec![0xa5u8; size];
-        g.throughput(Throughput::Bytes(size as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, d| {
-            b.iter(|| sha256(std::hint::black_box(d)))
-        });
-    }
-    g.finish();
-}
-
-fn bench_hmac(c: &mut Criterion) {
-    let key = [7u8; 32];
-    let msg = vec![0x5au8; 250]; // a control message
-    c.bench_function("hmac_sha256/250B", |b| {
-        b.iter(|| hmac_sha256(std::hint::black_box(&key), std::hint::black_box(&msg)))
-    });
-}
-
-fn bench_sign_verify(c: &mut Criterion) {
-    let ks = KeyStore::new(1);
-    let signer = ks.register(NodeId::Replica(ReplicaId::new(0, 0)));
-    let verifier = ks.verifier();
-    let pk = signer.public_key();
-    let msg = vec![0x11u8; 96]; // commit payload size
-    let sig = signer.sign(&msg);
-    c.bench_function("sign/commit-payload", |b| {
-        b.iter(|| signer.sign(std::hint::black_box(&msg)))
-    });
-    c.bench_function("verify/commit-payload", |b| {
-        b.iter(|| verifier.verify(&pk, std::hint::black_box(&msg), &sig))
-    });
-}
 
 fn bench_merkle(c: &mut Criterion) {
     let mut g = c.benchmark_group("merkle");
@@ -64,11 +24,5 @@ fn bench_merkle(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_sha256,
-    bench_hmac,
-    bench_sign_verify,
-    bench_merkle
-);
+criterion_group!(benches, bench_merkle);
 criterion_main!(benches);

@@ -1,54 +1,9 @@
-//! Micro-benchmarks of the execution substrate: YCSB table operations
-//! and batch execution (the per-transaction execution cost the simulator
-//! charges).
+//! Micro-benchmark of the execution substrate's fingerprint rebuild.
+//! Table operations, batch execution and workload generation are
+//! `bench_report`'s `store.*` and `workload.*` per-layer rows.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rdb_common::ids::ClientId;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdb_store::{KvStore, Operation, Value};
-use rdb_workload::ycsb::{YcsbConfig, YcsbWorkload};
-
-fn bench_ops(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kvstore");
-    g.throughput(Throughput::Elements(1));
-    let mut store = KvStore::with_ycsb_records(100_000);
-    let mut i = 0u64;
-    g.bench_function("write", |b| {
-        b.iter(|| {
-            i = (i + 1) % 100_000;
-            store.execute(&Operation::Write {
-                key: i,
-                value: Value::from_u64(i),
-            })
-        })
-    });
-    g.bench_function("read", |b| {
-        b.iter(|| {
-            i = (i + 1) % 100_000;
-            store.execute(&Operation::Read { key: i })
-        })
-    });
-    g.bench_function("state_digest", |b| b.iter(|| store.state_digest()));
-    g.finish();
-}
-
-fn bench_batch_execution(c: &mut Criterion) {
-    let mut g = c.benchmark_group("batch-exec");
-    for batch in [10usize, 100, 300] {
-        let cfg = YcsbConfig {
-            record_count: 100_000,
-            batch_size: batch,
-            ..YcsbConfig::default()
-        };
-        let mut w = YcsbWorkload::new(cfg, ClientId::new(0, 0), 7);
-        let ops: Vec<Operation> = w.next_batch(0).txns.into_iter().map(|t| t.op).collect();
-        let mut store = KvStore::with_ycsb_records(100_000);
-        g.throughput(Throughput::Elements(batch as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(batch), &ops, |b, ops| {
-            b.iter(|| store.execute_batch(std::hint::black_box(ops)))
-        });
-    }
-    g.finish();
-}
 
 /// The fingerprint-rebuild cost an unfingerprinted catch-up pays
 /// (recovery replay, lane-pool shutdown): the store tracks which of its
@@ -105,23 +60,5 @@ fn bench_fingerprint_rebuild(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_workload_generation(c: &mut Criterion) {
-    let cfg = YcsbConfig::default(); // 600 k records, batch 100
-    let mut w = YcsbWorkload::new(cfg, ClientId::new(0, 0), 7);
-    let mut seq = 0u64;
-    c.bench_function("ycsb/next_batch_100", |b| {
-        b.iter(|| {
-            seq += 1;
-            w.next_batch(seq)
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_ops,
-    bench_batch_execution,
-    bench_fingerprint_rebuild,
-    bench_workload_generation
-);
+criterion_group!(benches, bench_fingerprint_rebuild);
 criterion_main!(benches);

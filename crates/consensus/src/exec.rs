@@ -1,10 +1,18 @@
-//! Deterministic batch execution shared by all replica implementations.
+//! The commit tail shared by all replica implementations (§2.4, Figure 9).
+//! The five protocols only *order*; what happens to a batch once its
+//! position is final — execution, the [`ReplyData`] and its retransmission
+//! cache, the reported [`Decision`], the checkpoint cadence — is decided
+//! here, in [`CommitTail`], and nowhere else.
 
-use crate::config::ExecMode;
-use crate::types::SignedBatch;
+use crate::api::Outbox;
+use crate::config::{ExecMode, ProtocolConfig};
+use crate::messages::Message;
+use crate::types::{Decision, DecisionEntry, ReplyData, SignedBatch};
+use rdb_common::ids::{ClientId, ClusterId};
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sha256::Sha256;
 use rdb_store::{KvStore, TxnEffect};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// The canonical digest of one batch's execution effect: a hash binding
 /// the batch digest to every per-operation outcome, in order. Replicas
@@ -46,167 +54,473 @@ pub fn result_digest(batch_digest: &Digest, effect: &TxnEffect) -> Digest {
     Digest(h.finalize())
 }
 
-/// Execute `batch` against `store` (or model it) and return the *result
-/// digest* included in client replies together with the per-transaction
-/// outcomes the reply now carries. Determinism across replicas is what
-/// lets clients match `f + 1` identical replies (§2.4).
-///
-/// Under [`ExecMode::Modeled`] no store is touched and the outcome list
-/// is empty; the digest stays the historical modeled constant so figure
-/// reproductions are byte-identical to pre-API-redesign runs.
-pub fn execute_batch_with_results(
-    store: &mut KvStore,
-    mode: ExecMode,
-    sb: &SignedBatch,
-) -> (Digest, TxnEffect) {
-    match mode {
-        ExecMode::Real => {
-            let effect = store.execute_batch(&sb.batch.operations().cloned().collect::<Vec<_>>());
-            (result_digest(&sb.digest(), &effect), effect)
-        }
-        ExecMode::Modeled => {
-            // No store mutation; the simulator charges the execution cost
-            // in virtual time. The digest stays deterministic.
-            let d = Digest::of_parts(&[b"exec-modeled", sb.digest().as_bytes()]);
-            (d, TxnEffect::default())
-        }
-    }
+/// One ordered batch and the cluster whose consensus produced it (`None`
+/// for the single-log protocols): a [`DecisionEntry`] in the making.
+pub type Entry = (Option<ClusterId>, SignedBatch);
+
+/// One client's executed batches and the latest replies sent to it.
+#[derive(Default)]
+struct ClientLog {
+    /// Every batch numbered below this has executed ...
+    executed_below: u64,
+    /// ... and so have these above it: an open-loop client keeps many
+    /// batches in flight, and they may commit out of order.
+    executed_ahead: BTreeSet<u64>,
+    /// Oldest first, at most `CommitTail::reply_window`.
+    replies: VecDeque<ReplyData>,
 }
 
-/// [`execute_batch_with_results`] when only the digest is needed.
-pub fn execute_batch(store: &mut KvStore, mode: ExecMode, sb: &SignedBatch) -> Digest {
-    execute_batch_with_results(store, mode, sb).0
+/// A replica's commit tail: owns the table, executes ordered batches on it
+/// (or models that, see [`ExecMode`]), numbers the blocks, answers and
+/// remembers the clients, and reports decisions.
+pub struct CommitTail {
+    store: KvStore,
+    mode: ExecMode,
+    checkpoint_interval: u64,
+    /// Replies remembered per client (`cfg.window`, the depth the
+    /// protocols themselves pipeline to).
+    reply_window: usize,
+    /// Batches executed so far; each becomes one ledger block, so this is
+    /// also the height of the latest one.
+    blocks: u64,
+    decisions: u64,
+    clients: HashMap<ClientId, ClientLog>,
+}
+
+impl CommitTail {
+    /// A tail over `store`, which should be pre-loaded identically on
+    /// every replica (§4).
+    pub fn new(cfg: &ProtocolConfig, store: KvStore) -> CommitTail {
+        CommitTail {
+            store,
+            mode: cfg.exec_mode,
+            checkpoint_interval: cfg.checkpoint_interval,
+            reply_window: cfg.window as usize,
+            blocks: 0,
+            decisions: 0,
+            clients: HashMap::new(),
+        }
+    }
+
+    /// Decisions reported so far.
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    /// Digest of the table's current state.
+    pub fn state_digest(&self) -> Digest {
+        self.store.state_digest()
+    }
+
+    /// Execute `sb` as the next block: the *result digest* clients match
+    /// `f + 1` of (§2.4) and the per-transaction outcomes, deterministic
+    /// across replicas. Under [`ExecMode::Modeled`] the table is untouched
+    /// and the outcomes empty (the simulator charges the cost in virtual
+    /// time); the digest is the historical modeled constant, which keeps
+    /// figure reproductions byte-identical.
+    pub fn execute(&mut self, sb: &SignedBatch) -> (Digest, TxnEffect) {
+        self.blocks += 1;
+        match self.mode {
+            ExecMode::Real => {
+                let effect = self.store.execute_batch(sb.batch.operations());
+                (result_digest(&sb.digest(), &effect), effect)
+            }
+            ExecMode::Modeled => (
+                Digest::of_parts(&[b"exec-modeled", sb.digest().as_bytes()]),
+                TxnEffect::default(),
+            ),
+        }
+    }
+
+    /// Report the executed `(origin, batch)` entries as the decision at
+    /// `seq`. Returns the state digest to vote on when the decision closes
+    /// a checkpoint interval.
+    pub fn decided(
+        &mut self,
+        seq: u64,
+        entries: impl IntoIterator<Item = Entry>,
+        out: &mut Outbox,
+    ) -> Option<Digest> {
+        self.decisions += 1;
+        let state_digest = self.store.state_digest();
+        let entries = entries
+            .into_iter()
+            .map(|(origin, batch)| DecisionEntry { origin, batch })
+            .collect();
+        out.decided(Decision {
+            seq,
+            entries,
+            state_digest,
+        });
+        let boundary = self.decisions.is_multiple_of(self.checkpoint_interval);
+        boundary.then_some(state_digest)
+    }
+
+    /// The whole tail for the decision at `seq`: execute `entries` in
+    /// order, answer (and remember the [`Message::Reply`], stamped `view`,
+    /// to) the clients of cluster `local` — every client when `None`;
+    /// replicas inform only the clients their protocol assigns to them,
+    /// §2.4 — then report the decision like [`CommitTail::decided`].
+    pub fn commit(
+        &mut self,
+        seq: u64,
+        view: u64,
+        entries: impl IntoIterator<Item = Entry>,
+        local: Option<ClusterId>,
+        out: &mut Outbox,
+    ) -> Option<Digest> {
+        let entries: Vec<Entry> = entries.into_iter().collect();
+        for (_, sb) in &entries {
+            let (result_digest, results) = self.execute(sb);
+            let batch = &sb.batch;
+            if sb.is_noop() {
+                continue;
+            }
+            let log = self.clients.entry(batch.client).or_default();
+            if batch.batch_seq >= log.executed_below {
+                log.executed_ahead.insert(batch.batch_seq);
+            }
+            while log.executed_ahead.remove(&log.executed_below) {
+                log.executed_below += 1;
+            }
+            if local.is_some_and(|c| c != batch.client.cluster) {
+                continue;
+            }
+            let data = ReplyData {
+                client: batch.client,
+                batch_seq: batch.batch_seq,
+                seq,
+                block_height: self.blocks,
+                result_digest,
+                results,
+                txns: batch.len() as u32,
+            };
+            if log.replies.len() >= self.reply_window {
+                log.replies.pop_front();
+            }
+            log.replies.push_back(data.clone());
+            out.send(batch.client, Message::Reply { data, view });
+        }
+        self.decided(seq, entries, out)
+    }
+
+    /// Whether `sb` already executed here, in which case the caller must
+    /// not order, forward or track it again: its reply is re-sent if still
+    /// remembered, and the retransmission is dropped otherwise.
+    pub fn cached_reply(&self, sb: &SignedBatch, view: u64, out: &mut Outbox) -> bool {
+        let (client, batch_seq) = (sb.batch.client, sb.batch.batch_seq);
+        let Some(log) = self.clients.get(&client) else {
+            return false;
+        };
+        if batch_seq >= log.executed_below && !log.executed_ahead.contains(&batch_seq) {
+            return false;
+        }
+        if let Some(data) = log.replies.iter().find(|r| r.batch_seq == batch_seq) {
+            let data = data.clone();
+            out.send(client, Message::Reply { data, view });
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Action, ReplicaProtocol, TimerKind};
+    use crate::config::ProtocolKind;
+    use crate::crypto_ctx::CryptoCtx;
+    use crate::registry::build_replica;
     use crate::types::{ClientBatch, Transaction};
-    use rdb_common::ids::ClientId;
-    use rdb_store::{Operation, Value};
+    use rdb_common::config::SystemConfig;
+    use rdb_common::ids::{NodeId, ReplicaId};
+    use rdb_common::time::SimTime;
+    use rdb_crypto::sign::KeyStore;
+    use rdb_store::{ExecOutcome, Operation, Value};
 
-    fn batch() -> SignedBatch {
-        let client = ClientId::new(0, 0);
+    fn cfg(z: usize, mode: ExecMode) -> ProtocolConfig {
+        let mut cfg = ProtocolConfig::new(SystemConfig::geo(z, 4).unwrap());
+        cfg.exec_mode = mode;
+        cfg
+    }
+
+    fn tail(mode: ExecMode, store: KvStore) -> CommitTail {
+        CommitTail::new(&cfg(1, mode), store)
+    }
+
+    fn unsigned(client: ClientId, batch_seq: u64, ops: Vec<Operation>) -> SignedBatch {
+        let txns = ops.into_iter().enumerate();
         SignedBatch {
             batch: ClientBatch {
                 client,
-                batch_seq: 0,
-                txns: vec![
-                    Transaction {
+                batch_seq,
+                txns: txns
+                    .map(|(i, op)| Transaction {
                         client,
-                        seq: 0,
-                        op: Operation::Write {
-                            key: 3,
-                            value: Value::from_u64(42),
-                        },
-                    },
-                    Transaction {
-                        client,
-                        seq: 1,
-                        op: Operation::Read { key: 3 },
-                    },
-                ],
+                        seq: i as u64,
+                        op,
+                    })
+                    .collect(),
             },
             pubkey: Default::default(),
             sig: Default::default(),
         }
     }
 
+    /// Writes 42 to key 3, then reads it back.
+    fn batch() -> SignedBatch {
+        let write = Operation::Write {
+            key: 3,
+            value: Value::from_u64(42),
+        };
+        unsigned(
+            ClientId::new(0, 0),
+            0,
+            vec![write, Operation::Read { key: 3 }],
+        )
+    }
+
     #[test]
     fn real_execution_is_deterministic_across_replicas() {
-        let mut s1 = KvStore::with_ycsb_records(10);
-        let mut s2 = KvStore::with_ycsb_records(10);
-        let d1 = execute_batch(&mut s1, ExecMode::Real, &batch());
-        let d2 = execute_batch(&mut s2, ExecMode::Real, &batch());
-        assert_eq!(d1, d2);
-        assert_eq!(s1.state_digest(), s2.state_digest());
-        assert_eq!(s1.get(3), Some(Value::from_u64(42)));
+        let mut t1 = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
+        let mut t2 = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
+        assert_eq!(t1.execute(&batch()).0, t2.execute(&batch()).0);
+        assert_eq!(t1.state_digest(), t2.state_digest());
+        assert_eq!(t1.store.get(3), Some(Value::from_u64(42)));
     }
 
     #[test]
     fn real_execution_result_reflects_reads() {
-        // The same writes against different prior states give different
-        // read outcomes and hence different result digests.
-        let mut empty = KvStore::new();
-        let mut loaded = KvStore::with_ycsb_records(10);
-        loaded.execute(&Operation::Write {
-            key: 3,
-            value: Value::from_u64(7),
-        });
-        let b = batch();
-        let d_fresh = execute_batch(&mut empty, ExecMode::Real, &b);
-        // b writes 42 first, so the read outcome is identical; craft a
-        // read-only batch to see the divergence instead.
-        let client = ClientId::new(0, 0);
-        let ro = SignedBatch {
-            batch: ClientBatch {
-                client,
-                batch_seq: 1,
-                txns: vec![Transaction {
-                    client,
-                    seq: 0,
-                    op: Operation::Read { key: 3 },
-                }],
-            },
-            pubkey: Default::default(),
-            sig: Default::default(),
-        };
-        let mut a = KvStore::new();
-        let mut b2 = KvStore::new();
-        b2.execute(&Operation::Write {
+        // The same read against different prior states gives different
+        // outcomes and hence different result digests.
+        let ro = unsigned(ClientId::new(0, 0), 1, vec![Operation::Read { key: 3 }]);
+        let mut written = KvStore::new();
+        written.execute(&Operation::Write {
             key: 3,
             value: Value::from_u64(9),
         });
         assert_ne!(
-            execute_batch(&mut a, ExecMode::Real, &ro),
-            execute_batch(&mut b2, ExecMode::Real, &ro)
+            tail(ExecMode::Real, KvStore::new()).execute(&ro).0,
+            tail(ExecMode::Real, written).execute(&ro).0
         );
-        let _ = d_fresh;
     }
 
     #[test]
     fn reply_results_match_their_digest() {
-        let mut s = KvStore::with_ycsb_records(10);
+        let mut t = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
         let b = batch();
-        let (d, effect) = execute_batch_with_results(&mut s, ExecMode::Real, &b);
+        let (d, effect) = t.execute(&b);
         assert_eq!(result_digest(&b.digest(), &effect), d);
         // The batch writes 42 then reads it back: the carried outcomes
         // expose the read value end-to-end.
         assert_eq!(
             effect.outcomes,
             vec![
-                rdb_store::ExecOutcome::Done,
-                rdb_store::ExecOutcome::ReadValue(Some(Value::from_u64(42)))
+                ExecOutcome::Done,
+                ExecOutcome::ReadValue(Some(Value::from_u64(42)))
             ]
         );
         // Tampered results no longer hash to the claimed digest.
         let mut forged = effect.clone();
-        forged.outcomes[1] = rdb_store::ExecOutcome::ReadValue(Some(Value::from_u64(7)));
+        forged.outcomes[1] = ExecOutcome::ReadValue(Some(Value::from_u64(7)));
         assert_ne!(result_digest(&b.digest(), &forged), d);
     }
 
     #[test]
     fn modeled_execution_carries_no_results() {
-        let mut s = KvStore::with_ycsb_records(10);
-        let (_, effect) = execute_batch_with_results(&mut s, ExecMode::Modeled, &batch());
-        assert!(effect.outcomes.is_empty());
+        let mut t = tail(ExecMode::Modeled, KvStore::with_ycsb_records(10));
+        assert!(t.execute(&batch()).1.outcomes.is_empty());
     }
 
     #[test]
     fn modeled_execution_leaves_store_untouched() {
-        let mut s = KvStore::with_ycsb_records(10);
-        let before = s.state_digest();
-        let d = execute_batch(&mut s, ExecMode::Modeled, &batch());
-        assert_eq!(s.state_digest(), before);
-        assert_ne!(d, Digest::ZERO);
+        let mut t = tail(ExecMode::Modeled, KvStore::with_ycsb_records(10));
+        let before = t.state_digest();
+        assert_ne!(t.execute(&batch()).0, Digest::ZERO);
+        assert_eq!(t.state_digest(), before);
     }
 
     #[test]
     fn modeled_digest_is_batch_specific() {
-        let mut s = KvStore::new();
-        let d1 = execute_batch(&mut s, ExecMode::Modeled, &batch());
+        let mut t = tail(ExecMode::Modeled, KvStore::new());
         let noop = SignedBatch::noop(rdb_common::ids::ClusterId(0), 1);
-        let d2 = execute_batch(&mut s, ExecMode::Modeled, &noop);
-        assert_ne!(d1, d2);
+        assert_ne!(t.execute(&batch()).0, t.execute(&noop).0);
+    }
+
+    fn replies(out: &mut Outbox) -> Vec<ReplyData> {
+        let sent = out.take().into_iter().filter_map(|a| match a {
+            Action::Send {
+                msg: Message::Reply { data, .. },
+                ..
+            } => Some(data),
+            _ => None,
+        });
+        sent.collect()
+    }
+
+    #[test]
+    fn blocks_are_numbered_across_decisions_and_modeled_mode_touches_nothing() {
+        let entry = |client: u32, batch_seq: u64| -> Entry {
+            let ops = vec![Operation::Rmw { key: 1, delta: 1 }];
+            (None, unsigned(ClientId::new(0, client), batch_seq, ops))
+        };
+        for mode in [ExecMode::Real, ExecMode::Modeled] {
+            let mut t = tail(mode, KvStore::with_ycsb_records(10));
+            let before = t.state_digest();
+            let mut out = Outbox::new();
+            t.commit(1, 0, [entry(0, 0), entry(1, 0)], None, &mut out);
+            t.commit(2, 0, [entry(0, 1)], None, &mut out);
+            assert_eq!(t.decisions(), 2);
+            let sent = replies(&mut out);
+            let heights: Vec<u64> = sent.iter().map(|r| r.block_height).collect();
+            assert_eq!(heights, vec![1, 2, 3], "{mode:?}");
+            let seqs: Vec<u64> = sent.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, vec![1, 1, 2], "{mode:?}");
+            if mode == ExecMode::Modeled {
+                let b = entry(0, 0).1;
+                let historical = Digest::of_parts(&[b"exec-modeled", b.digest().as_bytes()]);
+                assert_eq!(sent[0].result_digest, historical);
+                assert!(sent.iter().all(|r| r.results.outcomes.is_empty()));
+                assert_eq!(t.state_digest(), before);
+            } else {
+                assert_ne!(t.state_digest(), before);
+            }
+        }
+    }
+
+    #[test]
+    fn reply_window_is_bounded_and_evicted_batches_stay_executed() {
+        let mut t = tail(ExecMode::Modeled, KvStore::new());
+        let window = t.reply_window as u64;
+        let client = ClientId::new(0, 0);
+        let b = |batch_seq| unsigned(client, batch_seq, vec![Operation::NoOp]);
+        let mut out = Outbox::new();
+        // Batch 1 commits before batch 0 (out of submission order).
+        for (seq, batch_seq) in [1, 0].into_iter().chain(2..=window).enumerate() {
+            t.commit(seq as u64 + 1, 0, [(None, b(batch_seq))], None, &mut out);
+        }
+        out.take();
+        assert_eq!(t.clients[&client].replies.len() as u64, window);
+        // Evicted: executed, so the caller drops it, but nothing to re-send.
+        assert!(t.cached_reply(&b(1), 0, &mut out));
+        assert!(out.is_empty());
+        // Still cached.
+        assert!(t.cached_reply(&b(0), 0, &mut out));
+        assert_eq!(replies(&mut out)[0].batch_seq, 0);
+        // Never seen: the caller orders it.
+        assert!(!t.cached_reply(&b(window + 1), 0, &mut out));
+        assert!(!t.cached_reply(&unsigned(ClientId::new(0, 9), 0, vec![]), 0, &mut out));
+        assert!(out.is_empty());
+    }
+
+    /// Deliver `initial` and everything it triggers until quiescence
+    /// (timers are not driven); returns the replies sent to clients.
+    fn route(
+        replicas: &mut [Box<dyn ReplicaProtocol>],
+        initial: Vec<(NodeId, ReplicaId, Message)>,
+    ) -> Vec<ReplyData> {
+        let mut queue: VecDeque<(NodeId, NodeId, Message)> = initial
+            .into_iter()
+            .map(|(from, to, msg)| (from, to.into(), msg))
+            .collect();
+        let mut sent = Vec::new();
+        while let Some((from, to, msg)) = queue.pop_front() {
+            let NodeId::Replica(rid) = to else {
+                if let Message::Reply { data, .. } = msg {
+                    sent.push(data);
+                }
+                continue;
+            };
+            let replica = replicas
+                .iter_mut()
+                .find(|r| r.id() == rid)
+                .expect("known replica");
+            let mut out = Outbox::new();
+            replica.on_message(SimTime::ZERO, from, msg, &mut out);
+            for a in out.take() {
+                if let Action::Send { to: next, msg } = a {
+                    queue.push_back((to, next, msg));
+                }
+            }
+        }
+        sent
+    }
+
+    /// The shared bug of the per-protocol reply caches this tail replaced:
+    /// they remembered only a client's *latest* reply, so an open-loop
+    /// client's retransmission of an older, already executed batch missed
+    /// the cache, was forwarded and tracked by the backup, and — never
+    /// committing a second time — left the progress timer armed until it
+    /// view-changed an honest primary.
+    #[test]
+    fn older_retransmission_is_answered_from_the_cache() {
+        let r = ReplicaId::new;
+        // (protocol, clusters, entry replica of batch 0, of batch 1, backup)
+        let table = [
+            (ProtocolKind::Pbft, 1, r(0, 0), r(0, 0), r(0, 2)),
+            (ProtocolKind::GeoBft, 2, r(0, 0), r(0, 0), r(0, 2)),
+            (ProtocolKind::Steward, 2, r(0, 0), r(0, 0), r(0, 2)),
+            // Parallel primaries: replica i leads slots i, i + 4, ...; slots
+            // 1 and 2 execute without waiting for an idle leader's timer.
+            (ProtocolKind::HotStuff, 1, r(0, 1), r(0, 2), r(0, 3)),
+        ];
+        for (kind, z, entry0, entry1, backup) in table {
+            let cfg = cfg(z, ExecMode::Real);
+            let ks = KeyStore::new(7);
+            let mut replicas: Vec<Box<dyn ReplicaProtocol>> = cfg
+                .system
+                .all_replicas()
+                .map(|id| {
+                    let crypto =
+                        CryptoCtx::new(ks.register(NodeId::Replica(id)), ks.verifier(), true);
+                    let store = KvStore::with_ycsb_records(50);
+                    build_replica(kind, cfg.clone(), id, crypto, store)
+                })
+                .collect();
+            let client = ClientId::new(0, 0);
+            let signer = ks.register(NodeId::Client(client));
+            let request = |batch_seq: u64| {
+                let mut sb = unsigned(client, batch_seq, vec![Operation::Rmw { key: 5, delta: 1 }]);
+                sb.sig = signer.sign(sb.batch.digest().as_bytes());
+                sb.pubkey = signer.public_key();
+                Message::Request(sb)
+            };
+            let mut originals = Vec::new();
+            for (batch_seq, entry) in [(0, entry0), (1, entry1)] {
+                let sent = route(
+                    &mut replicas,
+                    vec![(client.into(), entry, request(batch_seq))],
+                );
+                let reply = sent.into_iter().find(|d| d.batch_seq == batch_seq);
+                originals.push(reply.unwrap_or_else(|| panic!("{kind}: no reply")));
+            }
+
+            // Batch 0 is no longer the client's latest executed batch; a
+            // backup must still answer it — and the latest one — with the
+            // original reply and nothing else.
+            for (batch_seq, target) in [(0, backup), (1, entry1)] {
+                let target = replicas.iter_mut().find(|x| x.id() == target).unwrap();
+                let mut out = Outbox::new();
+                target.on_message(SimTime::ZERO, client.into(), request(batch_seq), &mut out);
+                let actions = out.take();
+                let forwarded_or_tracked = actions.iter().any(|a| {
+                    matches!(
+                        a,
+                        Action::Send {
+                            msg: Message::Forward(_),
+                            ..
+                        } | Action::SetTimer {
+                            kind: TimerKind::Progress,
+                            ..
+                        }
+                    )
+                });
+                assert!(!forwarded_or_tracked, "{kind}: {actions:?}");
+                assert!(
+                    matches!(&actions[..], [Action::Send { to, msg: Message::Reply { data, .. } }]
+                        if *to == NodeId::Client(client) && *data == originals[batch_seq as usize]),
+                    "{kind}: {actions:?}"
+                );
+            }
+        }
     }
 }

@@ -26,13 +26,12 @@ use crate::api::{Outbox, ReplicaProtocol, TimerKind};
 use crate::certificate::{CommitCertificate, CommitSig};
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
-use crate::exec::execute_batch_with_results;
+use crate::exec::CommitTail;
 use crate::messages::{Message, Scope};
 use crate::pbft_core::{CoreEvent, PbftCore};
-use crate::types::{Decision, DecisionEntry, ReplyData, SignedBatch};
-use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
+use crate::types::SignedBatch;
+use rdb_common::ids::{ClusterId, NodeId, ReplicaId};
 use rdb_common::time::{SimDuration, SimTime};
-use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::Signature;
 use rdb_store::KvStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -115,7 +114,7 @@ pub struct GeoBftReplica {
     id: ReplicaId,
     crypto: CryptoCtx,
     core: PbftCore,
-    store: KvStore,
+    tail: CommitTail,
     faults: GeoFaults,
     my_cluster: ClusterId,
 
@@ -132,9 +131,6 @@ pub struct GeoBftReplica {
 
     /// Next round to execute.
     exec_next: u64,
-    executed_rounds: u64,
-    /// Latest reply per local client.
-    reply_cache: HashMap<ClientId, ReplyData>,
 
     /// Observer-side remote view-change state, one per remote cluster.
     remote: HashMap<ClusterId, RemoteTracker>,
@@ -158,6 +154,7 @@ impl GeoBftReplica {
     ) -> Self {
         let my_cluster = id.cluster;
         let core = PbftCore::new(Scope::Cluster(my_cluster), cfg.clone(), id, crypto.clone());
+        let tail = CommitTail::new(&cfg, store);
         let remote = cfg
             .system
             .cluster_ids()
@@ -169,7 +166,7 @@ impl GeoBftReplica {
             id,
             crypto,
             core,
-            store,
+            tail,
             faults,
             my_cluster,
             certs: BTreeMap::new(),
@@ -177,31 +174,9 @@ impl GeoBftReplica {
             own_certs: BTreeMap::new(),
             shared_locally: HashSet::new(),
             exec_next: 1,
-            executed_rounds: 0,
-            reply_cache: HashMap::new(),
             remote,
             requesters: HashMap::new(),
         }
-    }
-
-    /// The embedded local-PBFT engine (tests).
-    pub fn core(&self) -> &PbftCore {
-        &self.core
-    }
-
-    /// Rounds fully executed so far.
-    pub fn executed_rounds(&self) -> u64 {
-        self.executed_rounds
-    }
-
-    /// Digest of the replica's store state.
-    pub fn state_digest(&self) -> Digest {
-        self.store.state_digest()
-    }
-
-    /// Next round awaiting execution (tests).
-    pub fn exec_next(&self) -> u64 {
-        self.exec_next
     }
 
     // ------------------------------------------------------------------
@@ -214,17 +189,8 @@ impl GeoBftReplica {
         if sb.batch.client.cluster != self.my_cluster {
             return;
         }
-        if let Some(cached) = self.reply_cache.get(&sb.batch.client) {
-            if cached.batch_seq == sb.batch.batch_seq {
-                out.send(
-                    sb.batch.client,
-                    Message::Reply {
-                        data: cached.clone(),
-                        view: self.core.view(),
-                    },
-                );
-                return;
-            }
+        if self.tail.cached_reply(&sb, self.core.view(), out) {
+            return;
         }
         if self.core.is_primary() {
             self.core.enqueue_request(sb, out);
@@ -367,53 +333,17 @@ impl GeoBftReplica {
                 break;
             }
             let mut map = self.certs.remove(&round).expect("checked above");
-            let mut entries = Vec::with_capacity(z);
-            for (idx, c) in self.cfg.system.cluster_ids().enumerate() {
+            // One entry per cluster, in cluster order (§2.4).
+            let entries = self.cfg.system.cluster_ids().map(|c| {
                 let cert = map.remove(&c).expect("all certificates present");
-                let (result, results) =
-                    execute_batch_with_results(&mut self.store, self.cfg.exec_mode, &cert.batch);
-                // Replicas inform only their local clients (§2.4).
-                if c == self.my_cluster && !cert.batch.is_noop() {
-                    let data = ReplyData {
-                        client: cert.batch.batch.client,
-                        batch_seq: cert.batch.batch.batch_seq,
-                        seq: round,
-                        // Each round appends z blocks, one per cluster in
-                        // cluster order (§2.4), so this batch lands at
-                        // rounds-before · z + its in-round position.
-                        block_height: self.executed_rounds * z as u64 + idx as u64 + 1,
-                        result_digest: result,
-                        results,
-                        txns: cert.batch.batch.len() as u32,
-                    };
-                    self.reply_cache
-                        .insert(cert.batch.batch.client, data.clone());
-                    out.send(
-                        cert.batch.batch.client,
-                        Message::Reply {
-                            data,
-                            view: self.core.view(),
-                        },
-                    );
-                }
-                entries.push(DecisionEntry {
-                    origin: Some(c),
-                    batch: cert.batch,
-                });
-            }
-            self.exec_next += 1;
-            self.executed_rounds += 1;
-            out.decided(Decision {
-                seq: round,
-                entries,
-                state_digest: self.store.state_digest(),
+                (Some(c), cert.batch)
             });
-            if self
-                .executed_rounds
-                .is_multiple_of(self.cfg.checkpoint_interval)
-            {
-                self.core
-                    .record_checkpoint(round, self.store.state_digest(), out);
+            self.exec_next += 1;
+            // Replicas inform only their local clients (§2.4).
+            let view = self.core.view();
+            let local = Some(self.my_cluster);
+            if let Some(state) = self.tail.commit(round, view, entries, local, out) {
+                self.core.record_checkpoint(round, state, out);
                 self.prune_caches();
             }
         }
@@ -721,6 +651,7 @@ mod tests {
     use crate::config::ExecMode;
     use crate::testkit::{RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
+    use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
     use std::collections::VecDeque;
 
@@ -838,8 +769,8 @@ mod tests {
             assert_eq!(d.entries[1].origin, Some(ClusterId(1)));
         }
         // All states identical (non-divergence, Theorem 2.8).
-        let s0 = net.replicas[0].state_digest();
-        assert!(net.replicas.iter().all(|r| r.state_digest() == s0));
+        let s0 = net.replicas[0].tail.state_digest();
+        assert!(net.replicas.iter().all(|r| r.tail.state_digest() == s0));
         // Replies are local only: each client got n = 4 replies from its
         // own cluster.
         for client in [c1, c2] {
@@ -902,7 +833,7 @@ mod tests {
             &mut out,
         );
         assert!(out.take().is_empty(), "forged certificate produced actions");
-        assert_eq!(net.replicas[idx].exec_next(), 1);
+        assert_eq!(net.replicas[idx].exec_next, 1);
     }
 
     #[test]
@@ -975,7 +906,7 @@ mod tests {
             actions.extend(out.take());
         }
         assert!(
-            net.replicas[target_replica].core().in_view_change(),
+            net.replicas[target_replica].core.in_view_change(),
             "f+1 RVCs must force a local view change (Fig 7 line 16-17)"
         );
         // Each external RVC was forwarded to the three local peers.
@@ -1022,7 +953,7 @@ mod tests {
             }
         };
         send_rvcs(&mut net, 0);
-        assert!(net.replicas[target_replica].core().in_view_change());
+        assert!(net.replicas[target_replica].core.in_view_change());
         let honored = net.replicas[target_replica]
             .requesters
             .get(&ClusterId(1))
@@ -1118,7 +1049,7 @@ mod tests {
         }
         let c1_exec: Vec<u64> = net.replicas[4..]
             .iter()
-            .map(|r| r.executed_rounds())
+            .map(|r| r.tail.decisions())
             .collect();
         assert_eq!(c1_exec, vec![0, 0, 0, 0]);
     }

@@ -24,9 +24,9 @@
 use crate::api::{Outbox, ReplicaProtocol, TimerKind};
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
-use crate::exec::execute_batch_with_results;
+use crate::exec::CommitTail;
 use crate::messages::{HsPhase, HsQc, Message};
-use crate::types::{Decision, DecisionEntry, ReplyData, SignedBatch};
+use crate::types::SignedBatch;
 use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
@@ -78,7 +78,7 @@ pub struct HotStuffReplica {
     cfg: ProtocolConfig,
     id: ReplicaId,
     crypto: CryptoCtx,
-    store: KvStore,
+    tail: CommitTail,
     members: Vec<ReplicaId>,
     my_idx: usize,
     /// Client batches queued for this replica's owned slots.
@@ -91,8 +91,6 @@ pub struct HotStuffReplica {
     /// Decided batches awaiting in-order execution.
     decided: BTreeMap<u64, SignedBatch>,
     exec_next: u64,
-    executed_decisions: u64,
-    reply_cache: HashMap<ClientId, ReplyData>,
     /// Slot the no-op/skip timer is armed for.
     stall_timer_slot: Option<u64>,
     /// Leaders whose slots were already skipped once: their subsequent
@@ -109,11 +107,12 @@ impl HotStuffReplica {
         let n = members.len() as u64;
         // First owned slot >= 1.
         let my_next_slot = if my_idx == 0 { n } else { my_idx as u64 };
+        let tail = CommitTail::new(&cfg, store);
         HotStuffReplica {
             cfg,
             id,
             crypto,
-            store,
+            tail,
             members,
             my_idx,
             queue: VecDeque::new(),
@@ -122,8 +121,6 @@ impl HotStuffReplica {
             slots: BTreeMap::new(),
             decided: BTreeMap::new(),
             exec_next: 1,
-            executed_decisions: 0,
-            reply_cache: HashMap::new(),
             stall_timer_slot: None,
             suspected: HashSet::new(),
         }
@@ -145,32 +142,13 @@ impl HotStuffReplica {
         (slot % self.n() as u64) as usize == self.my_idx
     }
 
-    /// Decisions executed.
-    pub fn executed_decisions(&self) -> u64 {
-        self.executed_decisions
-    }
-
-    /// Store digest (tests).
-    pub fn state_digest(&self) -> Digest {
-        self.store.state_digest()
-    }
-
     // ------------------------------------------------------------------
     // Proposing
     // ------------------------------------------------------------------
 
     fn handle_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        if let Some(cached) = self.reply_cache.get(&sb.batch.client) {
-            if cached.batch_seq == sb.batch.batch_seq {
-                out.send(
-                    sb.batch.client,
-                    Message::Reply {
-                        data: cached.clone(),
-                        view: 0,
-                    },
-                );
-                return;
-            }
+        if self.tail.cached_reply(&sb, 0, out) {
+            return;
         }
         if !self.crypto.verify_batch(&sb) {
             return;
@@ -535,31 +513,9 @@ impl HotStuffReplica {
         while let Some(batch) = self.decided.remove(&self.exec_next) {
             let slot = self.exec_next;
             self.exec_next += 1;
-            self.executed_decisions += 1;
-            let (result, results) =
-                execute_batch_with_results(&mut self.store, self.cfg.exec_mode, &batch);
-            if !batch.is_noop() {
-                let data = ReplyData {
-                    client: batch.batch.client,
-                    batch_seq: batch.batch.batch_seq,
-                    seq: slot,
-                    // Slots execute strictly in order, one block each.
-                    block_height: self.executed_decisions,
-                    result_digest: result,
-                    results,
-                    txns: batch.batch.len() as u32,
-                };
-                self.reply_cache.insert(batch.batch.client, data.clone());
-                out.send(batch.batch.client, Message::Reply { data, view: 0 });
-            }
-            out.decided(Decision {
-                seq: slot,
-                entries: vec![DecisionEntry {
-                    origin: None,
-                    batch: batch.clone(),
-                }],
-                state_digest: self.store.state_digest(),
-            });
+            // Every replica answers every client; HotStuff as evaluated
+            // (§3) takes no checkpoints, so the cadence is ignored.
+            self.tail.commit(slot, 0, [(None, batch)], None, out);
             self.slots.remove(&slot);
         }
         self.try_propose(out);
@@ -620,6 +576,7 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
+    use crate::types::Decision;
     use rdb_common::config::SystemConfig;
     use rdb_crypto::sign::KeyStore;
     use std::collections::VecDeque as Q;
@@ -708,10 +665,10 @@ mod tests {
         let decisions = route(&mut replicas, initial, None);
         // Slots 1..4 decided on all 4 replicas.
         assert_eq!(decisions.len(), 16);
-        let s0 = replicas[0].state_digest();
-        assert!(replicas.iter().all(|r| r.state_digest() == s0));
+        let s0 = replicas[0].tail.state_digest();
+        assert!(replicas.iter().all(|r| r.tail.state_digest() == s0));
         for r in &replicas {
-            assert_eq!(r.executed_decisions(), 4);
+            assert_eq!(r.tail.decisions(), 4);
         }
     }
 

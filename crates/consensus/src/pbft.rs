@@ -4,83 +4,50 @@
 //! One global primary (placed in Oregon in the paper's geo experiments)
 //! coordinates the three-phase protocol over the whole replica set. The
 //! engine itself lives in [`crate::pbft_core`]; this module adds the
-//! client-facing plumbing: request intake and forwarding, execution in
-//! sequence order, reply caching, and checkpoint recording.
+//! client-facing plumbing: request intake and forwarding, and handing
+//! committed batches to the [`CommitTail`] in sequence order.
 
 use crate::api::{Outbox, ReplicaProtocol, TimerKind};
-use crate::certificate::CommitSig;
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
-use crate::exec::execute_batch_with_results;
+use crate::exec::CommitTail;
 use crate::messages::{Message, Scope};
 use crate::pbft_core::{CoreEvent, PbftCore};
-use crate::types::{Decision, DecisionEntry, ReplyData, SignedBatch};
-use rdb_common::ids::{ClientId, NodeId, ReplicaId};
+use crate::types::SignedBatch;
+use rdb_common::ids::{NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_store::KvStore;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A PBFT replica.
 pub struct PbftReplica {
-    cfg: ProtocolConfig,
     id: ReplicaId,
     core: PbftCore,
-    store: KvStore,
+    tail: CommitTail,
     /// Committed but not yet executed instances (execution is in sequence
     /// order).
-    committed: BTreeMap<u64, (SignedBatch, Vec<CommitSig>)>,
+    committed: BTreeMap<u64, SignedBatch>,
     /// Next sequence number to execute.
     exec_next: u64,
-    /// Latest reply per client, re-sent on retransmitted requests.
-    reply_cache: HashMap<ClientId, ReplyData>,
-    executed_decisions: u64,
 }
 
 impl PbftReplica {
     /// Build a replica. `store` should be pre-loaded identically on every
     /// replica (§4).
     pub fn new(cfg: ProtocolConfig, id: ReplicaId, crypto: CryptoCtx, store: KvStore) -> Self {
-        let core = PbftCore::new(Scope::Global, cfg.clone(), id, crypto);
+        let tail = CommitTail::new(&cfg, store);
         PbftReplica {
-            cfg,
             id,
-            core,
-            store,
+            core: PbftCore::new(Scope::Global, cfg, id, crypto),
+            tail,
             committed: BTreeMap::new(),
             exec_next: 1,
-            reply_cache: HashMap::new(),
-            executed_decisions: 0,
         }
     }
 
-    /// The embedded engine (tests).
-    pub fn core(&self) -> &PbftCore {
-        &self.core
-    }
-
-    /// Number of decisions executed so far.
-    pub fn executed_decisions(&self) -> u64 {
-        self.executed_decisions
-    }
-
-    /// Digest of the replica's current store state.
-    pub fn state_digest(&self) -> rdb_crypto::digest::Digest {
-        self.store.state_digest()
-    }
-
     fn handle_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        // Serve retransmissions from the reply cache.
-        if let Some(cached) = self.reply_cache.get(&sb.batch.client) {
-            if cached.batch_seq == sb.batch.batch_seq {
-                out.send(
-                    sb.batch.client,
-                    Message::Reply {
-                        data: cached.clone(),
-                        view: self.core.view(),
-                    },
-                );
-                return;
-            }
+        if self.tail.cached_reply(&sb, self.core.view(), out) {
+            return;
         }
         if self.core.is_primary() {
             self.core.enqueue_request(sb, out);
@@ -96,74 +63,25 @@ impl PbftReplica {
 
     fn process_events(&mut self, events: Vec<CoreEvent>, out: &mut Outbox) {
         for e in events {
-            match e {
-                CoreEvent::Committed {
-                    seq,
-                    batch,
-                    commits,
-                } => {
-                    self.committed.insert(seq, (batch, commits));
-                    self.try_execute(out);
+            // Re-proposing after a view change and pruning below a stable
+            // checkpoint both happen inside the core.
+            if let CoreEvent::Committed { seq, batch, .. } = e {
+                if seq >= self.exec_next {
+                    self.committed.insert(seq, batch);
                 }
-                CoreEvent::ViewInstalled { .. } => {
-                    // Re-propose is handled inside the core; nothing extra
-                    // at this layer.
-                }
-                CoreEvent::CheckpointStable { seq } => {
-                    // Executed instances below the checkpoint can be
-                    // dropped from the committed buffer.
-                    self.committed.retain(|s, _| *s >= self.exec_next.min(seq));
-                }
+                self.try_execute(out);
             }
         }
     }
 
     fn try_execute(&mut self, out: &mut Outbox) {
-        while let Some((batch, _commits)) = self.committed.get(&self.exec_next) {
-            let batch = batch.clone();
+        while let Some(batch) = self.committed.remove(&self.exec_next) {
             let seq = self.exec_next;
             self.exec_next += 1;
-            self.executed_decisions += 1;
-
-            let (result, results) =
-                execute_batch_with_results(&mut self.store, self.cfg.exec_mode, &batch);
-            if !batch.is_noop() {
-                let data = ReplyData {
-                    client: batch.batch.client,
-                    batch_seq: batch.batch.batch_seq,
-                    seq,
-                    // One block per decision, executed strictly in order:
-                    // the ledger height of this batch is the number of
-                    // decisions executed so far.
-                    block_height: self.executed_decisions,
-                    result_digest: result,
-                    results,
-                    txns: batch.batch.len() as u32,
-                };
-                self.reply_cache.insert(batch.batch.client, data.clone());
-                out.send(
-                    batch.batch.client,
-                    Message::Reply {
-                        data,
-                        view: self.core.view(),
-                    },
-                );
-            }
-            out.decided(Decision {
-                seq,
-                entries: vec![DecisionEntry {
-                    origin: None,
-                    batch: batch.clone(),
-                }],
-                state_digest: self.store.state_digest(),
-            });
-
-            if self
-                .executed_decisions
-                .is_multiple_of(self.cfg.checkpoint_interval)
-            {
-                self.core
-                    .record_checkpoint(seq, self.store.state_digest(), out);
+            // Every replica answers every client (global F + 1 quorum).
+            let view = self.core.view();
+            if let Some(state) = self.tail.commit(seq, view, [(None, batch)], None, out) {
+                self.core.record_checkpoint(seq, state, out);
             }
         }
     }
@@ -209,6 +127,7 @@ mod tests {
     use crate::config::ExecMode;
     use crate::testkit::{RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
+    use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
     use std::collections::VecDeque;
 
@@ -309,8 +228,8 @@ mod tests {
         assert!(replies.iter().all(|(_, r)| r.result_digest == d0));
         assert_eq!(decisions.len(), 4);
         // Stores agree.
-        let s0 = net.replicas[0].state_digest();
-        assert!(net.replicas.iter().all(|r| r.state_digest() == s0));
+        let s0 = net.replicas[0].tail.state_digest();
+        assert!(net.replicas.iter().all(|r| r.tail.state_digest() == s0));
     }
 
     #[test]
@@ -321,27 +240,6 @@ mod tests {
         let backup: NodeId = ReplicaId::new(0, 2).into();
         let (replies, _) = net.route(vec![(NodeId::Client(client), backup, Message::Request(sb))]);
         assert_eq!(replies.len(), 4);
-    }
-
-    #[test]
-    fn retransmission_hits_reply_cache() {
-        let (mut net, ks, _cfg) = Net::new(1, 4, ExecMode::Real);
-        let client = ClientId::new(0, 2);
-        let sb = signed_batch(&ks, client, 0);
-        let primary: NodeId = ReplicaId::new(0, 0).into();
-        net.route(vec![(
-            NodeId::Client(client),
-            primary,
-            Message::Request(sb.clone()),
-        )]);
-        // Retransmit the same request: a cached reply, no new consensus.
-        let (replies, decisions) = net.route(vec![(
-            NodeId::Client(client),
-            primary,
-            Message::Request(sb),
-        )]);
-        assert_eq!(replies.len(), 1);
-        assert!(decisions.is_empty());
     }
 
     #[test]
@@ -367,8 +265,8 @@ mod tests {
             assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
         }
         // Final states agree everywhere.
-        let s0 = net.replicas[0].state_digest();
-        assert!(net.replicas.iter().all(|r| r.state_digest() == s0));
+        let s0 = net.replicas[0].tail.state_digest();
+        assert!(net.replicas.iter().all(|r| r.tail.state_digest() == s0));
     }
 
     #[test]
@@ -384,7 +282,7 @@ mod tests {
         }
         net.route(initial);
         for r in &net.replicas {
-            assert_eq!(r.core().stable_seq(), k);
+            assert_eq!(r.core.stable_seq(), k);
         }
     }
 }

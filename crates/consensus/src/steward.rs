@@ -30,16 +30,16 @@ use crate::api::{Outbox, ReplicaProtocol, TimerKind};
 use crate::certificate::CommitCertificate;
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
-use crate::exec::execute_batch_with_results;
+use crate::exec::CommitTail;
 use crate::messages::{Message, Scope};
 use crate::pbft_core::{CoreEvent, PbftCore};
-use crate::types::{Decision, DecisionEntry, ReplyData, SignedBatch};
-use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
+use crate::types::SignedBatch;
+use rdb_common::ids::{ClusterId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::Signature;
 use rdb_store::KvStore;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// The cluster coordinating all operations (placed in Oregon by §4).
 pub const PRIMARY_CLUSTER: ClusterId = ClusterId(0);
@@ -77,14 +77,12 @@ pub struct StewardReplica {
     cfg: ProtocolConfig,
     id: ReplicaId,
     crypto: CryptoCtx,
-    store: KvStore,
+    tail: CommitTail,
     my_cluster: ClusterId,
     /// PBFT engine; only primary-cluster members participate in it.
     core: Option<PbftCore>,
     insts: BTreeMap<u64, StInst>,
     exec_next: u64,
-    executed_decisions: u64,
-    reply_cache: HashMap<ClientId, ReplyData>,
 }
 
 impl StewardReplica {
@@ -99,17 +97,16 @@ impl StewardReplica {
                 crypto.clone(),
             )
         });
+        let tail = CommitTail::new(&cfg, store);
         StewardReplica {
             cfg,
             id,
             crypto,
-            store,
+            tail,
             my_cluster,
             core,
             insts: BTreeMap::new(),
             exec_next: 1,
-            executed_decisions: 0,
-            reply_cache: HashMap::new(),
         }
     }
 
@@ -128,32 +125,13 @@ impl StewardReplica {
         self.cfg.system.z() / 2 + 1
     }
 
-    /// Decisions executed.
-    pub fn executed_decisions(&self) -> u64 {
-        self.executed_decisions
-    }
-
-    /// Store digest (tests).
-    pub fn state_digest(&self) -> Digest {
-        self.store.state_digest()
-    }
-
     // ------------------------------------------------------------------
     // Request routing
     // ------------------------------------------------------------------
 
     fn handle_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        if let Some(cached) = self.reply_cache.get(&sb.batch.client) {
-            if cached.batch_seq == sb.batch.batch_seq {
-                out.send(
-                    sb.batch.client,
-                    Message::Reply {
-                        data: cached.clone(),
-                        view: 0,
-                    },
-                );
-                return;
-            }
+        if self.tail.cached_reply(&sb, 0, out) {
+            return;
         }
         match &mut self.core {
             Some(core) => {
@@ -435,45 +413,14 @@ impl StewardReplica {
                 break;
             }
             let inst = self.insts.remove(&seq).expect("present");
-            let cert = inst.cert.expect("checked");
             self.exec_next += 1;
-            self.executed_decisions += 1;
-            let (result, results) =
-                execute_batch_with_results(&mut self.store, self.cfg.exec_mode, &cert.batch);
-            let client = cert.batch.batch.client;
+            let entry = (Some(PRIMARY_CLUSTER), inst.cert.expect("checked").batch);
             // Replicas of the client's own cluster reply.
-            if client.cluster == self.my_cluster && !cert.batch.is_noop() {
-                let data = ReplyData {
-                    client,
-                    batch_seq: cert.batch.batch.batch_seq,
-                    seq,
-                    // Global sequence numbers execute strictly in order,
-                    // one block each.
-                    block_height: self.executed_decisions,
-                    result_digest: result,
-                    results,
-                    txns: cert.batch.batch.len() as u32,
-                };
-                self.reply_cache.insert(client, data.clone());
-                out.send(client, Message::Reply { data, view: 0 });
-            }
-            out.decided(Decision {
-                seq,
-                entries: vec![DecisionEntry {
-                    origin: Some(PRIMARY_CLUSTER),
-                    batch: cert.batch,
-                }],
-                state_digest: self.store.state_digest(),
-            });
+            let local = Some(self.my_cluster);
+            let checkpoint = self.tail.commit(seq, 0, [entry], local, out);
             // Checkpoint the primary-cluster engine periodically.
-            if self
-                .executed_decisions
-                .is_multiple_of(self.cfg.checkpoint_interval)
-            {
-                let state = self.store.state_digest();
-                if let Some(core) = &mut self.core {
-                    core.record_checkpoint(seq, state, out);
-                }
+            if let (Some(state), Some(core)) = (checkpoint, &mut self.core) {
+                core.record_checkpoint(seq, state, out);
             }
         }
     }
@@ -538,6 +485,7 @@ mod tests {
     use crate::config::ExecMode;
     use crate::testkit::{RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
+    use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
     use std::collections::VecDeque;
 
@@ -630,8 +578,8 @@ mod tests {
         assert!(!replies.is_empty());
         assert!(replies.iter().all(|(r, _)| r.cluster == ClusterId(2)));
         // State identical everywhere.
-        let s0 = net.replicas[0].state_digest();
-        assert!(net.replicas.iter().all(|r| r.state_digest() == s0));
+        let s0 = net.replicas[0].tail.state_digest();
+        assert!(net.replicas.iter().all(|r| r.tail.state_digest() == s0));
     }
 
     #[test]
@@ -694,7 +642,7 @@ mod tests {
             &mut out,
         );
         assert!(out.take().is_empty());
-        assert_eq!(net.replicas[idx].executed_decisions(), 0);
+        assert_eq!(net.replicas[idx].tail.decisions(), 0);
     }
 
     #[test]

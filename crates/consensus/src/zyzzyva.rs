@@ -19,9 +19,9 @@ use crate::api::{ClientProtocol, Outbox, ReplicaProtocol, TimerKind};
 use crate::clients::BatchSource;
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
-use crate::exec::execute_batch_with_results;
+use crate::exec::CommitTail;
 use crate::messages::Message;
-use crate::types::{Decision, DecisionEntry, SignedBatch};
+use crate::types::SignedBatch;
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
@@ -52,7 +52,7 @@ pub struct ZyzzyvaReplica {
     cfg: ProtocolConfig,
     id: ReplicaId,
     crypto: CryptoCtx,
-    store: KvStore,
+    tail: CommitTail,
     members: Vec<ReplicaId>,
     /// Fixed view 0: the paper excludes Zyzzyva from primary-failure
     /// experiments ("it already fails to deal with non-primary failures").
@@ -70,18 +70,18 @@ pub struct ZyzzyvaReplica {
     executed: BTreeMap<u64, (Digest, Digest, ClientId, u64)>,
     /// Primary-side dedupe of proposed client batches.
     proposed: HashMap<(ClientId, u64), u64>,
-    executed_decisions: u64,
 }
 
 impl ZyzzyvaReplica {
     /// Build a replica.
     pub fn new(cfg: ProtocolConfig, id: ReplicaId, crypto: CryptoCtx, store: KvStore) -> Self {
         let members = cfg.system.all_replicas().collect();
+        let tail = CommitTail::new(&cfg, store);
         ZyzzyvaReplica {
             cfg,
             id,
             crypto,
-            store,
+            tail,
             members,
             view: 0,
             next_seq: 1,
@@ -90,7 +90,6 @@ impl ZyzzyvaReplica {
             history: Digest::ZERO,
             executed: BTreeMap::new(),
             proposed: HashMap::new(),
-            executed_decisions: 0,
         }
     }
 
@@ -100,16 +99,6 @@ impl ZyzzyvaReplica {
 
     fn is_primary(&self) -> bool {
         self.primary() == self.id
-    }
-
-    /// Decisions speculatively executed.
-    pub fn executed_decisions(&self) -> u64 {
-        self.executed_decisions
-    }
-
-    /// Store state digest (tests).
-    pub fn state_digest(&self) -> Digest {
-        self.store.state_digest()
     }
 
     fn handle_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
@@ -165,11 +154,9 @@ impl ZyzzyvaReplica {
         while let Some(batch) = self.ordered.remove(&self.exec_next) {
             let seq = self.exec_next;
             self.exec_next += 1;
-            self.executed_decisions += 1;
             let digest = batch.digest();
             self.history = Digest::combine(&self.history, &digest);
-            let (result, results) =
-                execute_batch_with_results(&mut self.store, self.cfg.exec_mode, &batch);
+            let (result, results) = self.tail.execute(&batch);
             let client = batch.batch.client;
             let batch_seq = batch.batch.batch_seq;
             self.executed
@@ -198,14 +185,8 @@ impl ZyzzyvaReplica {
                     sig,
                 },
             );
-            out.decided(Decision {
-                seq,
-                entries: vec![DecisionEntry {
-                    origin: None,
-                    batch,
-                }],
-                state_digest: self.store.state_digest(),
-            });
+            // Speculative execution takes no checkpoints.
+            self.tail.decided(seq, [(None, batch)], out);
             // Prune the executed log to a window.
             let keep_from = self.exec_next.saturating_sub(4 * self.cfg.window);
             self.executed.retain(|s, _| *s >= keep_from);
@@ -596,9 +577,9 @@ mod tests {
         let completed = pump(&mut replicas, &mut client, out.take(), None);
         assert!(completed, "all 4 spec responses => fast-path completion");
         // All replicas executed speculatively and agree.
-        let s0 = replicas[0].state_digest();
-        assert!(replicas.iter().all(|r| r.state_digest() == s0));
-        assert!(replicas.iter().all(|r| r.executed_decisions() == 1));
+        let s0 = replicas[0].tail.state_digest();
+        assert!(replicas.iter().all(|r| r.tail.state_digest() == s0));
+        assert!(replicas.iter().all(|r| r.tail.decisions() == 1));
     }
 
     #[test]
@@ -682,7 +663,7 @@ mod tests {
             },
             &mut out,
         );
-        assert_eq!(replicas[1].executed_decisions(), 0, "gap at seq 1");
+        assert_eq!(replicas[1].tail.decisions(), 0, "gap at seq 1");
         replicas[1].on_message(
             SimTime::ZERO,
             primary.into(),
@@ -694,11 +675,7 @@ mod tests {
             },
             &mut out,
         );
-        assert_eq!(
-            replicas[1].executed_decisions(),
-            2,
-            "both executed in order"
-        );
+        assert_eq!(replicas[1].tail.decisions(), 2, "both executed in order");
     }
 
     #[test]
@@ -726,7 +703,7 @@ mod tests {
             },
             &mut out,
         );
-        assert_eq!(replicas[1].executed_decisions(), 0);
+        assert_eq!(replicas[1].tail.decisions(), 0);
         assert!(out.take().is_empty());
     }
 

@@ -1454,8 +1454,7 @@ mod tests {
         let mut prefixes = vec![store.clone()];
         for d in decisions {
             for entry in &d.entries {
-                let ops: Vec<Operation> = entry.batch.batch.operations().cloned().collect();
-                store.execute_batch(&ops);
+                store.execute_batch(entry.batch.batch.operations());
             }
             ledger.append_decision(d);
             prefixes.push(store.clone());

@@ -118,8 +118,7 @@ pub fn recover_from(
     audit_chain(peer, trusted, cfg, crypto)?;
     let mut store = initial_store;
     for block in peer.blocks().iter().skip(1) {
-        let ops: Vec<rdb_store::Operation> = block.batch.batch.operations().cloned().collect();
-        store.execute_batch(&ops);
+        store.execute_batch(block.batch.batch.operations());
     }
     Ok(store)
 }
@@ -159,8 +158,7 @@ pub fn recover_from_checkpoint(
     let mut store = anchor_store;
     for h in (anchor_height + 1)..=peer.head_height() {
         let block = peer.block(h).expect("suffix retained past the anchor");
-        let ops: Vec<rdb_store::Operation> = block.batch.batch.operations().cloned().collect();
-        store.execute_batch(&ops);
+        store.execute_batch(block.batch.batch.operations());
     }
     let head = peer.block(peer.head_height()).expect("head present");
     if peer.head_height() > anchor_height && head.state_digest != store.state_digest() {
@@ -296,8 +294,7 @@ mod tests {
         let mut states = vec![store.clone()];
         for i in 1..=n {
             let sb = write_batch(i);
-            let ops: Vec<rdb_store::Operation> = sb.batch.operations().cloned().collect();
-            store.execute_batch(&ops);
+            store.execute_batch(sb.batch.operations());
             l.append(sb, None, store.state_digest());
             states.push(store.clone());
         }

@@ -1,7 +1,5 @@
-//! The storage interface the fabric writes through, plus the in-memory
-//! engine that preserves the pre-durability behavior.
+//! The storage interface the fabric writes through.
 
-use std::collections::BTreeMap;
 use std::io;
 
 /// Named keyspaces, in the spirit of RocksDB column families.
@@ -195,70 +193,11 @@ pub trait StorageBackend: Send {
         self.len(ks) == 0
     }
 
-    /// Force all applied batches onto durable media (no-op for memory).
+    /// Force all applied batches onto durable media.
     fn flush(&mut self) -> io::Result<()>;
 
     /// Cumulative activity counters.
     fn stats(&self) -> StorageStats;
-}
-
-/// Heap-only engine: the pre-durability behavior, extracted.
-///
-/// Used by every repro binary and by `StorageMode::Memory` deployments, so
-/// the figure-generating paths carry no durability overhead and their bytes
-/// are untouched.
-#[derive(Debug, Default)]
-pub struct MemoryBackend {
-    spaces: [BTreeMap<Vec<u8>, Vec<u8>>; 4],
-    stats: StorageStats,
-}
-
-impl MemoryBackend {
-    /// An empty in-memory engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl StorageBackend for MemoryBackend {
-    fn apply(&mut self, batch: WriteBatch) -> io::Result<()> {
-        for op in batch.ops {
-            match op {
-                WriteOp::Put { ks, key, value } => {
-                    self.spaces[ks.index()].insert(key, value);
-                    self.stats.puts += 1;
-                }
-                WriteOp::Delete { ks, key } => {
-                    self.spaces[ks.index()].remove(&key);
-                    self.stats.deletes += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn get(&self, ks: Keyspace, key: &[u8]) -> Option<Vec<u8>> {
-        self.spaces[ks.index()].get(key).cloned()
-    }
-
-    fn scan(&self, ks: Keyspace) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.spaces[ks.index()]
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    fn len(&self, ks: Keyspace) -> usize {
-        self.spaces[ks.index()].len()
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn stats(&self) -> StorageStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
@@ -271,32 +210,5 @@ mod tests {
             assert_eq!(Keyspace::from_tag(ks as u8), Some(ks));
         }
         assert_eq!(Keyspace::from_tag(4), None);
-    }
-
-    #[test]
-    fn memory_backend_basic_ops() {
-        let mut b = MemoryBackend::new();
-        let mut batch = WriteBatch::new();
-        batch.put(Keyspace::Table, *b"k1", *b"v1");
-        batch.put(Keyspace::Table, *b"k0", *b"v0");
-        batch.put(Keyspace::Meta, *b"m", *b"1");
-        b.apply(batch).unwrap();
-
-        assert_eq!(b.get(Keyspace::Table, b"k1"), Some(b"v1".to_vec()));
-        assert_eq!(b.get(Keyspace::Meta, b"m"), Some(b"1".to_vec()));
-        assert_eq!(b.get(Keyspace::Blocks, b"k1"), None);
-        assert_eq!(b.len(Keyspace::Table), 2);
-
-        // Scans come back key-ordered regardless of insertion order.
-        let scan = b.scan(Keyspace::Table);
-        assert_eq!(scan[0].0, b"k0".to_vec());
-        assert_eq!(scan[1].0, b"k1".to_vec());
-
-        let mut batch = WriteBatch::new();
-        batch.delete(Keyspace::Table, *b"k0");
-        b.apply(batch).unwrap();
-        assert_eq!(b.get(Keyspace::Table, b"k0"), None);
-        assert_eq!(b.stats().puts, 3);
-        assert_eq!(b.stats().deletes, 1);
     }
 }

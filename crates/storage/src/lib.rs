@@ -16,12 +16,14 @@
 //!   `table` (application records), `blocks` (the ledger chain, including
 //!   blocks compacted out of memory), `checkpoints` (certified checkpoint
 //!   records), and `meta` (replica markers such as the applied height).
-//! * [`MemoryBackend`] — today's behavior, extracted: a heap-only engine
-//!   used by every repro binary so figure bytes are untouched.
 //! * [`LogBackend`] — a log-structured persistent engine over `std::fs`:
 //!   a checksummed write-ahead log with torn-tail truncation on replay, an
 //!   in-memory memtable per keyspace, sorted immutable runs flushed at a
 //!   size threshold, and k-way-merge compaction.
+//!
+//! In-memory deployments (the fabric's `StorageMode::Memory`, which every
+//! repro binary uses) open no engine at all, so figure bytes never depend
+//! on this crate.
 //!
 //! Every batch appended to the WAL is atomic: replay either observes the
 //! whole batch or (when the tail record is torn) none of it, so a crash can
@@ -36,5 +38,5 @@ pub mod log;
 pub mod run;
 pub mod wal;
 
-pub use backend::{Keyspace, MemoryBackend, StorageBackend, StorageStats, WriteBatch};
+pub use backend::{Keyspace, StorageBackend, StorageStats, WriteBatch};
 pub use log::{LogBackend, LogConfig};

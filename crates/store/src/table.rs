@@ -583,9 +583,9 @@ impl KvStore {
     }
 
     /// Execute a batch of operations, producing the combined effect.
-    pub fn execute_batch(&mut self, ops: &[Operation]) -> TxnEffect {
+    pub fn execute_batch<'a>(&mut self, ops: impl IntoIterator<Item = &'a Operation>) -> TxnEffect {
         TxnEffect {
-            outcomes: ops.iter().map(|op| self.execute(op)).collect(),
+            outcomes: ops.into_iter().map(|op| self.execute(op)).collect(),
         }
     }
 }
