@@ -12,6 +12,7 @@
 //! * `resilientdb::Node` — the real multi-threaded pipelined fabric
 //!   (paper Figure 9).
 
+use crate::clients::CommitProof;
 use crate::messages::Message;
 use crate::types::Decision;
 use rdb_common::ids::{ClusterId, NodeId, ReplicaId};
@@ -61,7 +62,7 @@ pub enum TimerKind {
 // `Send` dominates the size but is also ~all instances; boxing it would
 // cost an allocation on the hottest path.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Send `msg` to `to`. Sends to self are legal and are delivered by
     /// the driver without network cost (loopback).
@@ -87,13 +88,16 @@ pub enum Action {
     /// to append to the ledger and account throughput.
     Decided(Decision),
     /// A client completed a request (received the required matching
-    /// replies). Consumed by the driver to measure latency and, in closed
-    /// loop, to submit the next request.
+    /// replies). Consumed by the driver to measure latency, to hand the
+    /// proof to whoever awaits it and, in closed loop, to submit the next
+    /// request.
     RequestComplete {
         /// Client-local sequence number of the completed request.
         seq: u64,
         /// Number of transactions in the completed batch.
         txns: usize,
+        /// What the reply quorum attested.
+        proof: CommitProof,
     },
 }
 
@@ -144,8 +148,9 @@ impl Outbox {
     }
 
     /// Report request completion (client side).
-    pub fn request_complete(&mut self, seq: u64, txns: usize) {
-        self.actions.push(Action::RequestComplete { seq, txns });
+    pub fn request_complete(&mut self, seq: u64, txns: usize, proof: CommitProof) {
+        self.actions
+            .push(Action::RequestComplete { seq, txns, proof });
     }
 
     /// Queue a pre-built action. Used by protocol *wrappers* (see
@@ -194,8 +199,8 @@ pub trait ReplicaProtocol: Send {
     fn on_timer(&mut self, now: SimTime, timer: TimerKind, out: &mut Outbox);
 }
 
-/// A client-side protocol state machine. Clients are closed-loop: the
-/// driver calls [`ClientProtocol::next_request`] after start and after
+/// A client-side protocol state machine, as a closed-loop driver sees it:
+/// the driver calls [`ClientProtocol::next_request`] after start and after
 /// every [`Action::RequestComplete`].
 pub trait ClientProtocol: Send {
     /// This client's identity.

@@ -1,22 +1,79 @@
-//! The generic closed-loop client used by PBFT, GeoBFT, HotStuff and
-//! Steward (Zyzzyva's speculative client lives in [`crate::zyzzyva`]).
+//! The client: one sans-io state machine for all five protocols.
 //!
-//! A client submits one batch at a time, waits for a quorum of *matching*
-//! replies (same result digest from distinct replicas), reports completion
-//! and is then asked by the driver for its next batch — exactly the
-//! closed-loop behaviour of the paper's YCSB clients. On timeout it
-//! retransmits, broadcasting so that replicas forward to the current
-//! primary and start view-change pressure (§2.2).
+//! The paper gives a client one rule — accept a result once `f + 1`
+//! replicas *of its own cluster* report the same outcome (§2.4); for
+//! Zyzzyva, once all `n` replicas do, else once `2F + 1` of them
+//! acknowledge a commit certificate (§3). [`QuorumClient`] is that rule:
+//!
+//! * any number of batches in flight, each with its own retransmission
+//!   timer ([`TimerKind::ClientRetry`]) on a doubling, capped back-off —
+//!   a retransmission is broadcast so that replicas forward it to the
+//!   current primary and start view-change pressure (§2.2);
+//! * a reply votes on the whole `(seq, block height, result digest)`
+//!   outcome, so a forged height or sequence number joins no honest
+//!   quorum;
+//! * its `results` must hash to the digest it claims
+//!   ([`crate::exec::digest_under`] over the *locally known* batch
+//!   digest) before it may vote, so forged read values cannot ride an
+//!   honest digest;
+//! * one vote per replica and batch, so `f` colluding replicas never
+//!   assemble `f + 1`;
+//! * votes count only from the client's reply set ([`retry_targets`]: its
+//!   own cluster under GeoBFT and Steward), so faulty replicas of
+//!   *different* clusters cannot pool theirs;
+//! * Zyzzyva's signed speculative responses are the same tally's votes,
+//!   and its commit certificate ([`TimerKind::SpecWindow`],
+//!   `ZyzCommit` / `LocalCommit`) the same tally's second phase.
+//!
+//! A batch enters through [`QuorumClient::submit`] and leaves as an
+//! [`crate::api::Action::RequestComplete`] carrying its [`CommitProof`]. With a
+//! [`BatchSource`] attached the client also is a [`ClientProtocol`]: a
+//! closed-loop driver calls `next_request` after every completion —
+//! exactly the behaviour of the paper's YCSB clients.
 
 use crate::api::{ClientProtocol, Outbox, TimerKind};
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
+use crate::exec::digest_under;
 use crate::messages::Message;
 use crate::types::{ClientBatch, SignedBatch};
+use crate::zyzzyva::spec_response_payload;
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::{SimDuration, SimTime};
 use rdb_crypto::digest::Digest;
+use rdb_crypto::sign::Signature;
+use rdb_store::TxnEffect;
 use std::collections::HashMap;
+
+/// Evidence that a submitted batch committed: the agreed log position and
+/// execution outcome, attested by a reply quorum (`f + 1` matching
+/// replies, §2.4 — at least one of which is from a non-faulty replica).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CommitProof {
+    /// The log position (consensus sequence number / GeoBFT round) the
+    /// batch committed at.
+    pub seq: u64,
+    /// Ledger height of the block carrying the batch.
+    pub block_height: u64,
+    /// Digest of the execution effect the quorum agreed on.
+    pub result_digest: Digest,
+    /// The replicas whose matching replies formed the quorum, in arrival
+    /// order.
+    pub attesting_replicas: Vec<ReplicaId>,
+    /// Per-transaction execution outcomes, in submission order: reads
+    /// carry the committed values ([`rdb_store::ExecOutcome::ReadValue`]),
+    /// read-modify-writes their post-increment counters. Validated
+    /// against `result_digest`, so the payload is as trustworthy as the
+    /// digest quorum itself.
+    pub results: TxnEffect,
+}
+
+impl CommitProof {
+    /// Number of distinct replicas that attested to this outcome.
+    pub fn quorum_size(&self) -> usize {
+        self.attesting_replicas.len()
+    }
+}
 
 /// Where a client sends fresh requests and retransmissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,9 +97,7 @@ pub enum TargetPolicy {
 pub type BatchSource = Box<dyn FnMut(u64) -> ClientBatch + Send>;
 
 /// The replica a fresh request from `id` goes to under `policy` (given
-/// the client's current primary hint). Shared by [`QuorumClient`] and the
-/// fabric's open-loop client sessions, so both enter the system through
-/// the same admission edge.
+/// the client's current primary hint).
 pub fn entry_target(
     policy: TargetPolicy,
     sys: &rdb_common::config::SystemConfig,
@@ -66,7 +121,8 @@ pub fn entry_target(
     }
 }
 
-/// The retransmission broadcast set of a client under `policy`: its local
+/// The retransmission broadcast set of a client under `policy`, which is
+/// also its reply set — the replicas whose replies it counts: its local
 /// cluster for topology-aware protocols, everyone for global ones.
 pub fn retry_targets(
     policy: TargetPolicy,
@@ -81,33 +137,69 @@ pub fn retry_targets(
     }
 }
 
-/// In-flight request state.
-struct Outstanding {
+/// What one reply attests. Replies match when all of it does.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Outcome {
     seq: u64,
-    signed: SignedBatch,
-    /// result digest -> replicas that reported it.
-    replies: HashMap<Digest, Vec<ReplicaId>>,
-    retries: u32,
+    block_height: u64,
+    result_digest: Digest,
+    /// Zyzzyva's rolling history digest after `seq` ([`Digest::ZERO`] in a
+    /// [`Message::Reply`]): a commit certificate names one history.
+    history: Digest,
 }
 
-/// The generic quorum client.
+/// The replicas that reported one outcome.
+struct Tally {
+    outcome: Outcome,
+    /// The outcome's payload, validated, from its first vote.
+    results: TxnEffect,
+    /// In arrival order.
+    voters: Vec<ReplicaId>,
+    /// The voters' signatures over the outcome, in step with `voters`
+    /// (speculative responses only).
+    sigs: Vec<Signature>,
+}
+
+/// One batch in flight.
+struct InFlight {
+    /// Kept for retransmission.
+    signed: SignedBatch,
+    /// What honest result digests are bound to.
+    digest: Digest,
+    /// One per reported outcome, in order of first arrival.
+    tallies: Vec<Tally>,
+    /// The delay the retransmission timer was last armed with.
+    retry: SimDuration,
+    /// Zyzzyva's second phase, once it started: the tally whose commit
+    /// certificate went out and the replicas that acknowledged it.
+    committing: Option<(usize, Vec<ReplicaId>)>,
+}
+
+/// The client (see the module docs).
 pub struct QuorumClient {
     id: ClientId,
     cfg: ProtocolConfig,
     crypto: CryptoCtx,
     policy: TargetPolicy,
-    /// Matching replies needed (f+1 local for GeoBFT/Steward, F+1 global
-    /// for PBFT/HotStuff).
+    /// Matching replies that complete a batch (see
+    /// [`crate::registry::reply_quorum`]).
     reply_quorum: usize,
-    source: BatchSource,
+    /// Zyzzyva only (see [`crate::registry::commit_quorum`]): replicas
+    /// answer with signed speculative responses, and this many matching
+    /// ones certify a commit when `reply_quorum` stays out of reach.
+    commit_quorum: Option<usize>,
+    /// The only replicas whose replies count, and where retransmissions
+    /// go: [`retry_targets`].
+    reply_set: Vec<ReplicaId>,
+    source: Option<BatchSource>,
     next_seq: u64,
     view_hint: u64,
-    outstanding: Option<Outstanding>,
-    retry_timeout: SimDuration,
+    in_flight: HashMap<u64, InFlight>,
 }
 
 impl QuorumClient {
-    /// Create a client. `reply_quorum` is protocol-specific; see
+    /// A client with no batch source: batches enter through
+    /// [`QuorumClient::submit`]. The quorums are protocol-specific; see
     /// [`crate::registry`].
     pub fn new(
         id: ClientId,
@@ -115,32 +207,145 @@ impl QuorumClient {
         crypto: CryptoCtx,
         policy: TargetPolicy,
         reply_quorum: usize,
-        source: BatchSource,
+        commit_quorum: Option<usize>,
     ) -> QuorumClient {
-        let retry_timeout = cfg.client_retry;
         QuorumClient {
             id,
+            reply_set: retry_targets(policy, &cfg.system, id),
             cfg,
             crypto,
             policy,
             reply_quorum,
-            source,
+            commit_quorum,
+            source: None,
             next_seq: 0,
             view_hint: 0,
-            outstanding: None,
-            retry_timeout,
+            in_flight: HashMap::new(),
         }
     }
 
-    /// The replica a fresh request goes to under the current policy.
-    fn entry_target(&self) -> ReplicaId {
+    /// Attach the source [`ClientProtocol::next_request`] draws from.
+    pub fn with_source(mut self, source: BatchSource) -> QuorumClient {
+        self.source = Some(source);
+        self
+    }
+
+    /// Where a fresh request goes right now.
+    fn entry(&self) -> ReplicaId {
         entry_target(self.policy, &self.cfg.system, self.id, self.view_hint)
     }
 
-    /// The retransmission broadcast set: local cluster for topology-aware
-    /// protocols, everyone for global ones.
-    fn retry_targets(&self) -> Vec<ReplicaId> {
-        retry_targets(self.policy, &self.cfg.system, self.id)
+    /// Batches submitted and not yet complete.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// Track `signed` until a reply quorum completes it: send it to the
+    /// entry replica and arm its timers.
+    pub fn submit(&mut self, signed: SignedBatch, out: &mut Outbox) {
+        debug_assert_eq!(signed.batch.client, self.id);
+        let seq = signed.batch.batch_seq;
+        out.send(self.entry(), Message::Request(signed.clone()));
+        if self.commit_quorum.is_some() {
+            out.set_timer(TimerKind::SpecWindow { seq }, self.cfg.spec_window);
+        }
+        out.set_timer(TimerKind::ClientRetry { seq }, self.cfg.client_retry);
+        self.in_flight.insert(
+            seq,
+            InFlight {
+                digest: signed.digest(),
+                signed,
+                tallies: Vec::new(),
+                retry: self.cfg.client_retry,
+                committing: None,
+            },
+        );
+    }
+
+    /// Count `replica`'s vote for `outcome` of batch `batch_seq`; `spec`
+    /// is the `(view, batch digest, signature)` of a speculative response.
+    fn vote(
+        &mut self,
+        replica: ReplicaId,
+        batch_seq: u64,
+        outcome: Outcome,
+        results: TxnEffect,
+        spec: Option<(u64, Digest, Signature)>,
+        out: &mut Outbox,
+    ) {
+        let Some(batch) = self.in_flight.get_mut(&batch_seq) else {
+            return; // unknown or already complete
+        };
+        if batch.tallies.iter().any(|t| t.voters.contains(&replica)) {
+            return; // one vote per replica
+        }
+        if let Some((view, digest, sig)) = &spec {
+            if *digest != batch.digest {
+                return;
+            }
+            if self.crypto.checks_signatures() {
+                let Some(pk) = self.crypto.verifier().public_key_of(replica.into()) else {
+                    return;
+                };
+                let Outcome {
+                    seq,
+                    history,
+                    result_digest,
+                    ..
+                } = outcome;
+                let payload = spec_response_payload(*view, seq, digest, &history, &result_digest);
+                if !self.crypto.verify(&pk, &payload, sig) {
+                    return;
+                }
+            }
+        }
+        if digest_under(self.cfg.exec_mode, &batch.digest, &results) != outcome.result_digest {
+            return; // forged results payload
+        }
+        let idx = match batch.tallies.iter().position(|t| t.outcome == outcome) {
+            Some(idx) => idx,
+            None => {
+                batch.tallies.push(Tally {
+                    outcome,
+                    results,
+                    voters: Vec::new(),
+                    sigs: Vec::new(),
+                });
+                batch.tallies.len() - 1
+            }
+        };
+        let tally = &mut batch.tallies[idx];
+        tally.voters.push(replica);
+        tally.sigs.extend(spec.map(|(_, _, sig)| sig));
+        if tally.voters.len() >= self.reply_quorum {
+            self.complete(batch_seq, idx, out);
+        }
+    }
+
+    /// Batch `batch_seq` is done: `tally` is the outcome its proof carries.
+    fn complete(&mut self, batch_seq: u64, tally: usize, out: &mut Outbox) {
+        let mut batch = self.in_flight.remove(&batch_seq).expect("in flight");
+        let Tally {
+            outcome,
+            results,
+            voters,
+            ..
+        } = batch.tallies.swap_remove(tally);
+        out.cancel_timer(TimerKind::ClientRetry { seq: batch_seq });
+        if self.commit_quorum.is_some() {
+            out.cancel_timer(TimerKind::SpecWindow { seq: batch_seq });
+        }
+        out.request_complete(
+            batch_seq,
+            batch.signed.batch.len(),
+            CommitProof {
+                seq: outcome.seq,
+                block_height: outcome.block_height,
+                result_digest: outcome.result_digest,
+                attesting_replicas: voters,
+                results,
+            },
+        );
     }
 }
 
@@ -150,78 +355,149 @@ impl ClientProtocol for QuorumClient {
     }
 
     fn next_request(&mut self, _now: SimTime, out: &mut Outbox) -> bool {
-        debug_assert!(self.outstanding.is_none(), "closed loop violated");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let batch = (self.source)(seq);
-        debug_assert_eq!(batch.client, self.id);
-        let digest = batch.digest();
-        let signed = SignedBatch {
-            sig: self.crypto.sign(digest.as_bytes()),
-            pubkey: self.crypto.public_key(),
-            batch,
+        let Some(source) = self.source.as_mut() else {
+            return false;
         };
-        self.outstanding = Some(Outstanding {
-            seq,
-            signed: signed.clone(),
-            replies: HashMap::new(),
-            retries: 0,
-        });
-        self.retry_timeout = self.cfg.client_retry;
-        out.send(self.entry_target(), Message::Request(signed));
-        out.set_timer(TimerKind::ClientRetry { seq }, self.retry_timeout);
+        let batch = source(self.next_seq);
+        self.next_seq += 1;
+        debug_assert_eq!(batch.client, self.id);
+        let signed = self.crypto.sign_batch(batch);
+        self.submit(signed, out);
         true
     }
 
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut Outbox) {
-        let Message::Reply { data, view } = msg else {
-            return;
-        };
         let NodeId::Replica(replica) = from else {
             return;
         };
-        self.view_hint = self.view_hint.max(view);
-        let Some(outst) = self.outstanding.as_mut() else {
-            return;
-        };
-        if data.batch_seq != outst.seq || data.client != self.id {
-            return;
+        if !self.reply_set.contains(&replica) {
+            return; // not a replica this client's quorum is made of
         }
-        let voters = outst.replies.entry(data.result_digest).or_default();
-        if voters.contains(&replica) {
-            return;
-        }
-        voters.push(replica);
-        if voters.len() >= self.reply_quorum {
-            let seq = outst.seq;
-            let txns = outst.signed.batch.len();
-            self.outstanding = None;
-            out.cancel_timer(TimerKind::ClientRetry { seq });
-            out.request_complete(seq, txns);
+        match msg {
+            Message::Reply { data, view } if self.commit_quorum.is_none() => {
+                self.view_hint = self.view_hint.max(view);
+                if data.client != self.id {
+                    return;
+                }
+                let outcome = Outcome {
+                    seq: data.seq,
+                    block_height: data.block_height,
+                    result_digest: data.result_digest,
+                    history: Digest::ZERO,
+                };
+                self.vote(replica, data.batch_seq, outcome, data.results, None, out);
+            }
+            // Zyzzyva keeps one log, one block per sequence number.
+            Message::SpecResponse {
+                view,
+                seq,
+                batch_seq,
+                replica: signer,
+                digest,
+                history,
+                result,
+                results,
+                sig,
+            } if self.commit_quorum.is_some() && signer == replica => {
+                let outcome = Outcome {
+                    seq,
+                    block_height: seq,
+                    result_digest: result,
+                    history,
+                };
+                let spec = Some((view, digest, sig));
+                self.vote(replica, batch_seq, outcome, results, spec, out);
+            }
+            Message::LocalCommit {
+                seq,
+                batch_seq,
+                replica: signer,
+                ..
+            } if signer == replica => {
+                let Some(quorum) = self.commit_quorum else {
+                    return;
+                };
+                let Some(batch) = self.in_flight.get_mut(&batch_seq) else {
+                    return;
+                };
+                let Some((tally, acks)) = batch.committing.as_mut() else {
+                    return;
+                };
+                // Only for the position the certificate named, once each.
+                if seq != batch.tallies[*tally].outcome.seq || acks.contains(&replica) {
+                    return;
+                }
+                acks.push(replica);
+                if acks.len() >= quorum {
+                    let tally = *tally;
+                    self.complete(batch_seq, tally, out);
+                }
+            }
+            _ => {}
         }
     }
 
     fn on_timer(&mut self, _now: SimTime, timer: TimerKind, out: &mut Outbox) {
-        let TimerKind::ClientRetry { seq } = timer else {
-            return;
-        };
-        let Some(outst) = self.outstanding.as_mut() else {
-            return;
-        };
-        if outst.seq != seq {
-            return;
+        match timer {
+            TimerKind::ClientRetry { seq } => {
+                let entry = self.entry();
+                let Some(batch) = self.in_flight.get_mut(&seq) else {
+                    return;
+                };
+                let msg = Message::Request(batch.signed.clone());
+                if self.commit_quorum.is_some() {
+                    // A Zyzzyva backup only forwards to the primary, which
+                    // is where new requests go anyway.
+                    out.send(entry, msg);
+                } else {
+                    // §2.2: a client whose request stalls broadcasts it;
+                    // replicas forward to the primary, which either
+                    // proposes it or gets view-changed away.
+                    out.multicast(self.reply_set.iter().copied(), &msg);
+                }
+                // Exponential back-off, capped: unbounded doubling would
+                // let a long outage push the next retransmission
+                // arbitrarily far out.
+                batch.retry = batch.retry.doubled().min(self.cfg.client_retry_cap);
+                out.set_timer(TimerKind::ClientRetry { seq }, batch.retry);
+            }
+            TimerKind::SpecWindow { seq } => {
+                let Some(quorum) = self.commit_quorum else {
+                    return;
+                };
+                let Some(batch) = self.in_flight.get_mut(&seq) else {
+                    return;
+                };
+                if batch.committing.is_some() {
+                    return;
+                }
+                // The largest tally, the first to arrive among equals
+                // (`max_by_key` keeps the last maximum it sees).
+                let best = batch.tallies.iter().enumerate().rev();
+                match best.max_by_key(|(_, t)| t.voters.len()) {
+                    Some((idx, tally)) if tally.voters.len() >= quorum => {
+                        // Commit phase: a certificate of 2F + 1 matching
+                        // responses, to all replicas.
+                        let signers = tally.voters.iter().copied().zip(tally.sigs.iter().copied());
+                        let msg = Message::ZyzCommit {
+                            client: self.id,
+                            batch_seq: seq,
+                            view: 0,
+                            seq: tally.outcome.seq,
+                            digest: batch.digest,
+                            history: tally.outcome.history,
+                            sigs: signers.take(quorum).collect(),
+                        };
+                        batch.committing = Some((idx, Vec::new()));
+                        out.multicast(self.reply_set.iter().copied(), &msg);
+                    }
+                    // Not enough responses yet: extend the window and keep
+                    // waiting (the retry timer handles retransmission).
+                    _ => out.set_timer(TimerKind::SpecWindow { seq }, self.cfg.spec_window),
+                }
+            }
+            _ => {}
         }
-        outst.retries += 1;
-        // §2.2: a client whose request stalls broadcasts it; replicas
-        // forward to the primary, which either proposes it or gets view-
-        // changed away.
-        let msg = Message::Request(outst.signed.clone());
-        let targets = self.retry_targets();
-        out.multicast(targets, &msg);
-        // Exponential back-off, capped: unbounded doubling would let a
-        // long outage push the next retransmission arbitrarily far out.
-        self.retry_timeout = self.retry_timeout.doubled().min(self.cfg.client_retry_cap);
-        out.set_timer(TimerKind::ClientRetry { seq }, self.retry_timeout);
     }
 }
 
@@ -247,234 +523,693 @@ pub fn synthetic_source(client: ClientId, count: usize, keys: u64) -> BatchSourc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Action;
+    use crate::config::{ExecMode, ProtocolKind};
+    use crate::exec::result_digest;
+    use crate::registry;
     use crate::types::ReplyData;
     use rdb_common::config::SystemConfig;
-    use rdb_crypto::sign::KeyStore;
+    use rdb_crypto::sign::{KeyStore, Signer};
+    use rdb_store::ExecOutcome;
 
-    fn client(policy: TargetPolicy, quorum: usize) -> QuorumClient {
-        let cfg = ProtocolConfig::new(SystemConfig::geo(2, 4).unwrap());
-        let ks = KeyStore::new(3);
-        let id = ClientId::new(1, 5);
-        let signer = ks.register(NodeId::Client(id));
-        let crypto = CryptoCtx::new(signer, ks.verifier(), true);
-        QuorumClient::new(
-            id,
-            cfg,
-            crypto,
-            policy,
-            quorum,
-            synthetic_source(id, 3, 100),
-        )
+    const ME: ClientId = ClientId {
+        cluster: rdb_common::ids::ClusterId(1),
+        index: 5,
+    };
+
+    /// A client of one kind in a 2 × 4 deployment (real execution, real
+    /// signatures), plus what it takes to answer it like a replica.
+    struct Rig {
+        kind: ProtocolKind,
+        cfg: ProtocolConfig,
+        signers: Vec<(ReplicaId, Signer)>,
+        client: QuorumClient,
     }
 
-    fn reply(_replica: ReplicaId, seq: u64, digest: Digest) -> Message {
-        Message::Reply {
-            data: ReplyData {
-                client: ClientId::new(1, 5),
-                batch_seq: seq,
-                seq: seq + 1,
-                block_height: seq + 1,
-                result_digest: digest,
-                results: rdb_store::TxnEffect::default(),
-                txns: 3,
-            },
-            view: 0,
+    /// What a replica claims about a batch.
+    #[derive(Clone)]
+    struct Claim {
+        seq: u64,
+        height: u64,
+        digest: Digest,
+        results: TxnEffect,
+    }
+
+    impl Rig {
+        fn new(kind: ProtocolKind) -> Rig {
+            let mut cfg = ProtocolConfig::new(SystemConfig::geo(2, 4).unwrap());
+            cfg.exec_mode = ExecMode::Real;
+            let ks = KeyStore::new(3);
+            let signers = cfg
+                .system
+                .all_replicas()
+                .map(|r| (r, ks.register(r.into())))
+                .collect();
+            let crypto = CryptoCtx::new(ks.register(ME.into()), ks.verifier(), true);
+            let client = registry::client(kind, cfg.clone(), ME, crypto)
+                .with_source(synthetic_source(ME, 3, 100));
+            Rig {
+                kind,
+                cfg,
+                signers,
+                client,
+            }
         }
-    }
 
-    #[test]
-    fn submits_signed_batches_to_local_primary() {
-        let mut c = client(TargetPolicy::LocalPrimary, 2);
-        let mut out = Outbox::new();
-        assert!(c.next_request(SimTime::ZERO, &mut out));
-        let actions = out.take();
-        let sends: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                crate::api::Action::Send { to, msg } => Some((to, msg)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(sends.len(), 1);
-        let (to, msg) = sends[0];
-        assert_eq!(*to, NodeId::Replica(ReplicaId::new(1, 0)));
-        let Message::Request(sb) = msg else {
-            panic!("expected request")
-        };
-        assert!(c.crypto.verify_batch(sb));
-    }
-
-    #[test]
-    fn completes_on_quorum_of_matching_replies() {
-        let mut c = client(TargetPolicy::LocalPrimary, 2);
-        let mut out = Outbox::new();
-        c.next_request(SimTime::ZERO, &mut out);
-        out.take();
-        let d = Digest::of(b"result");
-        let mut out = Outbox::new();
-        c.on_message(
-            SimTime::ZERO,
-            ReplicaId::new(1, 0).into(),
-            reply(ReplicaId::new(1, 0), 0, d),
-            &mut out,
-        );
-        assert!(out
-            .take()
-            .iter()
-            .all(|a| !matches!(a, crate::api::Action::RequestComplete { .. })));
-        let mut out = Outbox::new();
-        c.on_message(
-            SimTime::ZERO,
-            ReplicaId::new(1, 1).into(),
-            reply(ReplicaId::new(1, 1), 0, d),
-            &mut out,
-        );
-        assert!(out
-            .take()
-            .iter()
-            .any(|a| matches!(a, crate::api::Action::RequestComplete { seq: 0, txns: 3 })));
-    }
-
-    #[test]
-    fn conflicting_replies_do_not_complete() {
-        let mut c = client(TargetPolicy::LocalPrimary, 2);
-        let mut out = Outbox::new();
-        c.next_request(SimTime::ZERO, &mut out);
-        out.take();
-        let mut out = Outbox::new();
-        c.on_message(
-            SimTime::ZERO,
-            ReplicaId::new(1, 0).into(),
-            reply(ReplicaId::new(1, 0), 0, Digest::of(b"a")),
-            &mut out,
-        );
-        c.on_message(
-            SimTime::ZERO,
-            ReplicaId::new(1, 1).into(),
-            reply(ReplicaId::new(1, 1), 0, Digest::of(b"b")),
-            &mut out,
-        );
-        assert!(!out
-            .take()
-            .iter()
-            .any(|a| matches!(a, crate::api::Action::RequestComplete { .. })));
-    }
-
-    #[test]
-    fn duplicate_replica_replies_count_once() {
-        let mut c = client(TargetPolicy::LocalPrimary, 2);
-        let mut out = Outbox::new();
-        c.next_request(SimTime::ZERO, &mut out);
-        out.take();
-        let d = Digest::of(b"r");
-        let mut out = Outbox::new();
-        for _ in 0..3 {
-            c.on_message(
-                SimTime::ZERO,
-                ReplicaId::new(1, 0).into(),
-                reply(ReplicaId::new(1, 0), 0, d),
-                &mut out,
-            );
-        }
-        assert!(!out
-            .take()
-            .iter()
-            .any(|a| matches!(a, crate::api::Action::RequestComplete { .. })));
-    }
-
-    #[test]
-    fn retry_broadcasts_locally_with_backoff() {
-        let mut c = client(TargetPolicy::LocalPrimary, 2);
-        let mut out = Outbox::new();
-        c.next_request(SimTime::ZERO, &mut out);
-        out.take();
-        let mut out = Outbox::new();
-        c.on_timer(SimTime::ZERO, TimerKind::ClientRetry { seq: 0 }, &mut out);
-        let actions = out.take();
-        let sends = actions
-            .iter()
-            .filter(|a| matches!(a, crate::api::Action::Send { .. }))
-            .count();
-        assert_eq!(sends, 4, "broadcast to the 4 local replicas");
-        // Back-off doubles.
-        let t1 = c.retry_timeout;
-        let mut out = Outbox::new();
-        c.on_timer(SimTime::ZERO, TimerKind::ClientRetry { seq: 0 }, &mut out);
-        assert_eq!(c.retry_timeout, t1.doubled());
-    }
-
-    #[test]
-    fn retry_backoff_is_capped_at_the_configured_ceiling() {
-        let mut c = client(TargetPolicy::LocalPrimary, 2);
-        let cap = c.cfg.client_retry_cap;
-        assert!(c.cfg.client_retry < cap, "test needs headroom to double");
-        let mut out = Outbox::new();
-        c.next_request(SimTime::ZERO, &mut out);
-        out.take();
-        // Far more firings than needed to overflow an uncapped doubling
-        // of the 4 s base past 60 s (2^40 · 4 s otherwise).
-        for _ in 0..40 {
+        /// Closed-loop submit; the actions and the batch they carry.
+        fn next_request(&mut self) -> (Vec<Action>, SignedBatch) {
             let mut out = Outbox::new();
-            c.on_timer(SimTime::ZERO, TimerKind::ClientRetry { seq: 0 }, &mut out);
-            assert!(c.retry_timeout <= cap, "back-off exceeded the ceiling");
+            assert!(self.client.next_request(SimTime::ZERO, &mut out));
+            let actions = out.take();
+            let Some(Action::Send {
+                msg: Message::Request(sb),
+                ..
+            }) = actions.first()
+            else {
+                panic!("a submit starts with the request")
+            };
+            let sb = sb.clone();
+            (actions, sb)
         }
-        assert_eq!(c.retry_timeout, cap, "back-off settles at the ceiling");
-        // And stays there.
-        let mut out = Outbox::new();
-        c.on_timer(SimTime::ZERO, TimerKind::ClientRetry { seq: 0 }, &mut out);
-        assert_eq!(c.retry_timeout, cap);
+
+        fn local(&self) -> Vec<ReplicaId> {
+            self.cfg.system.replicas_of(ME.cluster).collect()
+        }
+
+        fn foreign(&self) -> Vec<ReplicaId> {
+            let all = self.cfg.system.all_replicas();
+            all.filter(|r| r.cluster != ME.cluster).collect()
+        }
+
+        /// The replicas an honest quorum is drawn from, nearest first.
+        fn everyone(&self) -> Vec<ReplicaId> {
+            [self.local(), self.foreign()].concat()
+        }
+
+        /// What every honest replica reports for `sb` (three writes).
+        fn honest(&self, sb: &SignedBatch) -> Claim {
+            let results = TxnEffect {
+                outcomes: vec![ExecOutcome::Done; 3],
+            };
+            let seq = sb.batch.batch_seq + 7;
+            Claim {
+                seq,
+                // Zyzzyva's responses carry no height: it is the seq.
+                height: seq,
+                digest: result_digest(&sb.digest(), &results),
+                results,
+            }
+        }
+
+        /// `replica`'s answer to `sb` in this kind's reply format.
+        fn attest(&self, replica: ReplicaId, sb: &SignedBatch, claim: &Claim) -> Message {
+            if self.kind != ProtocolKind::Zyzzyva {
+                return Message::Reply {
+                    data: ReplyData {
+                        client: ME,
+                        batch_seq: sb.batch.batch_seq,
+                        seq: claim.seq,
+                        block_height: claim.height,
+                        result_digest: claim.digest,
+                        results: claim.results.clone(),
+                        txns: 3,
+                    },
+                    view: 0,
+                };
+            }
+            let (_, signer) = self.signers.iter().find(|(r, _)| *r == replica).unwrap();
+            let history = Digest::of(b"history");
+            let payload =
+                spec_response_payload(0, claim.seq, &sb.digest(), &history, &claim.digest);
+            Message::SpecResponse {
+                view: 0,
+                seq: claim.seq,
+                batch_seq: sb.batch.batch_seq,
+                replica,
+                digest: sb.digest(),
+                history,
+                result: claim.digest,
+                results: claim.results.clone(),
+                sig: signer.sign(&payload),
+            }
+        }
+
+        fn deliver(&mut self, from: ReplicaId, msg: Message) -> Vec<Action> {
+            let mut out = Outbox::new();
+            self.client
+                .on_message(SimTime::ZERO, from.into(), msg, &mut out);
+            out.take()
+        }
+
+        fn fire(&mut self, timer: TimerKind) -> Vec<Action> {
+            let mut out = Outbox::new();
+            self.client.on_timer(SimTime::ZERO, timer, &mut out);
+            out.take()
+        }
+
+        /// `replica` reports `claim`; the proof if that completed `sb`.
+        fn vote(
+            &mut self,
+            replica: ReplicaId,
+            sb: &SignedBatch,
+            claim: &Claim,
+        ) -> Option<CommitProof> {
+            let msg = self.attest(replica, sb, claim);
+            proof(&self.deliver(replica, msg))
+        }
+
+        /// Honest replies from `voters` in order, stopping at completion.
+        /// Zyzzyva, its fast path spoiled by whoever did not vote
+        /// honestly, finishes through the commit phase.
+        fn honest_quorum(&mut self, voters: &[ReplicaId], sb: &SignedBatch) -> Option<CommitProof> {
+            let claim = self.honest(sb);
+            for r in voters {
+                if let Some(proof) = self.vote(*r, sb, &claim) {
+                    return Some(proof);
+                }
+            }
+            if self.kind != ProtocolKind::Zyzzyva {
+                return None;
+            }
+            let seq = sb.batch.batch_seq;
+            let actions = self.fire(TimerKind::SpecWindow { seq });
+            let Some(Action::Send {
+                msg: Message::ZyzCommit { seq: cert_seq, .. },
+                ..
+            }) = actions.first()
+            else {
+                return None; // no certificate yet: the window was extended
+            };
+            let cert_seq = *cert_seq;
+            for r in voters {
+                let ack = Message::LocalCommit {
+                    view: 0,
+                    seq: cert_seq,
+                    batch_seq: seq,
+                    replica: *r,
+                };
+                if let Some(proof) = proof(&self.deliver(*r, ack)) {
+                    return Some(proof);
+                }
+            }
+            None
+        }
     }
 
-    #[test]
-    fn global_policy_targets_global_primary_and_retries_everywhere() {
-        let mut c = client(TargetPolicy::GlobalPrimary, 3);
-        let mut out = Outbox::new();
-        c.next_request(SimTime::ZERO, &mut out);
-        let actions = out.take();
-        let Some(crate::api::Action::Send { to, .. }) = actions
-            .iter()
-            .find(|a| matches!(a, crate::api::Action::Send { .. }))
-        else {
-            panic!()
+    fn proof(actions: &[Action]) -> Option<CommitProof> {
+        actions.iter().find_map(|a| match a {
+            Action::RequestComplete { proof, .. } => Some(proof.clone()),
+            _ => None,
+        })
+    }
+
+    fn sends(actions: &[Action]) -> Vec<NodeId> {
+        let to = |a: &Action| match a {
+            Action::Send { to, .. } => Some(*to),
+            _ => None,
         };
-        assert_eq!(*to, NodeId::Replica(ReplicaId::new(0, 0)));
-        let mut out = Outbox::new();
-        c.on_timer(SimTime::ZERO, TimerKind::ClientRetry { seq: 0 }, &mut out);
-        let sends = out
-            .take()
-            .iter()
-            .filter(|a| matches!(a, crate::api::Action::Send { .. }))
-            .count();
-        assert_eq!(sends, 8, "retry broadcast hits all z*n replicas");
+        actions.iter().filter_map(to).collect()
+    }
+
+    /// The Byzantine-reply table: per kind, what one faulty replica (the
+    /// first of the client's own cluster) may send, and that an honest
+    /// quorum of the others completes regardless — with the honest
+    /// outcome, and without the liar among the attestors.
+    #[test]
+    fn byzantine_replies_never_complete_and_never_block_an_honest_quorum() {
+        for kind in ProtocolKind::ALL {
+            type Lie = fn(&mut Claim, &Digest);
+            let lies: [(&str, Lie); 3] = [
+                ("self-consistent forged results", |c, batch| {
+                    c.results.outcomes[1] = ExecOutcome::Counter(666);
+                    c.digest = result_digest(batch, &c.results);
+                }),
+                ("forged seq", |c, _| {
+                    c.seq += 5;
+                    c.height += 5;
+                }),
+                ("forged height", |c, _| c.height += 5),
+            ];
+            for (what, lie) in lies {
+                let mut rig = Rig::new(kind);
+                let (_, sb) = rig.next_request();
+                let honest = rig.honest(&sb);
+                let mut forged = honest.clone();
+                lie(&mut forged, &sb.digest());
+                if kind == ProtocolKind::Zyzzyva && forged.height != forged.seq {
+                    continue; // a speculative response carries no height
+                }
+                let everyone = rig.everyone();
+                let (liar, others) = everyone.split_first().unwrap();
+                // The liar repeating itself is still one replica.
+                for _ in 0..3 {
+                    assert!(rig.vote(*liar, &sb, &forged).is_none(), "{kind} {what}");
+                }
+                let proof = rig
+                    .honest_quorum(others, &sb)
+                    .unwrap_or_else(|| panic!("{kind}: honest quorum after {what}"));
+                assert_eq!(
+                    (proof.seq, proof.block_height, proof.result_digest),
+                    (honest.seq, honest.height, honest.digest),
+                    "{kind} {what}"
+                );
+                assert_eq!(proof.results, honest.results);
+                assert!(!proof.attesting_replicas.contains(liar), "{kind} {what}");
+                assert_eq!(rig.client.in_flight(), 0);
+            }
+        }
     }
 
     #[test]
-    fn home_replica_is_stable_per_client() {
-        let c = client(TargetPolicy::HomeReplica, 3);
-        let t1 = c.entry_target();
-        let t2 = c.entry_target();
-        assert_eq!(t1, t2);
-        // index 5 % 8 replicas = replica 5 => cluster 1 index 1.
-        assert_eq!(t1, ReplicaId::new(1, 1));
+    fn results_not_hashing_to_their_claimed_digest_are_discarded() {
+        // A Byzantine replica votes the *honest* digest but attaches
+        // forged outcomes: the mismatch disqualifies the reply entirely —
+        // it does not even consume the replica's vote.
+        for kind in ProtocolKind::ALL {
+            let mut rig = Rig::new(kind);
+            let (_, sb) = rig.next_request();
+            let honest = rig.honest(&sb);
+            let mut forged = honest.clone();
+            forged.results.outcomes[1] = ExecOutcome::Counter(666);
+            let everyone = rig.everyone();
+            assert!(rig.vote(everyone[0], &sb, &forged).is_none());
+            let proof = rig.honest_quorum(&everyone, &sb).expect("honest quorum");
+            assert_eq!(proof.results, honest.results);
+            assert_eq!(proof.attesting_replicas[0], everyone[0], "{kind}");
+        }
     }
 
     #[test]
-    fn stale_replies_ignored() {
-        let mut c = client(TargetPolicy::LocalPrimary, 1);
-        let mut out = Outbox::new();
-        c.next_request(SimTime::ZERO, &mut out);
-        out.take();
-        // Reply for a different (old) sequence number.
-        let mut out = Outbox::new();
-        c.on_message(
-            SimTime::ZERO,
-            ReplicaId::new(1, 0).into(),
-            reply(ReplicaId::new(1, 0), 99, Digest::of(b"x")),
-            &mut out,
+    fn duplicate_replica_votes_count_once() {
+        for kind in ProtocolKind::ALL {
+            let mut rig = Rig::new(kind);
+            let (_, sb) = rig.next_request();
+            let honest = rig.honest(&sb);
+            let everyone = rig.everyone();
+            for _ in 0..9 {
+                assert!(rig.vote(everyone[0], &sb, &honest).is_none(), "{kind}");
+            }
+            let proof = rig.honest_quorum(&everyone[1..], &sb).expect("quorum");
+            let quorum = registry::reply_quorum(kind, &rig.cfg);
+            assert_eq!(proof.attesting_replicas, everyone[..quorum], "{kind}");
+        }
+    }
+
+    /// `z·f ≥ f + 1`: one faulty replica in each of two clusters must not
+    /// reach a *local* quorum. Replies from outside the client's reply set
+    /// do not vote; for the global protocols everyone is inside it.
+    #[test]
+    fn replies_from_outside_the_reply_set_do_not_vote() {
+        for kind in ProtocolKind::ALL {
+            let mut rig = Rig::new(kind);
+            let (_, sb) = rig.next_request();
+            let honest = rig.honest(&sb);
+            let quorum = registry::reply_quorum(kind, &rig.cfg);
+            let (local, foreign) = (rig.local(), rig.foreign());
+            assert!(rig.vote(local[0], &sb, &honest).is_none());
+            let mut done = None;
+            for r in &foreign {
+                done = done.or(rig.vote(*r, &sb, &honest));
+            }
+            if kind.is_topology_aware() {
+                assert!(done.is_none(), "{kind}: foreign replicas completed");
+                let proof = rig.vote(local[1], &sb, &honest).expect("local f + 1");
+                assert_eq!(proof.attesting_replicas, local[..2]);
+            } else if quorum <= 1 + foreign.len() {
+                let proof = done.expect("global quorum");
+                assert_eq!(proof.quorum_size(), quorum, "{kind}");
+            } else {
+                assert!(done.is_none(), "{kind} needs all n");
+            }
+        }
+    }
+
+    #[test]
+    fn stale_and_misaddressed_replies_are_ignored() {
+        for kind in ProtocolKind::ALL {
+            let mut rig = Rig::new(kind);
+            let (_, sb) = rig.next_request();
+            let honest = rig.honest(&sb);
+            let local = rig.local();
+            // A reply for a batch that is not in flight.
+            let mut other = sb.clone();
+            other.batch.batch_seq = 99;
+            let stale = rig.attest(local[0], &other, &honest);
+            assert!(rig.deliver(local[0], stale).is_empty());
+            // A reply relayed under another replica's name, or by a client.
+            let msg = rig.attest(local[1], &sb, &honest);
+            if kind == ProtocolKind::Zyzzyva {
+                assert!(rig.deliver(local[0], msg.clone()).is_empty());
+            }
+            let mut out = Outbox::new();
+            let peer = ClientId::new(1, 6);
+            rig.client
+                .on_message(SimTime::ZERO, peer.into(), msg, &mut out);
+            assert!(out.is_empty());
+            // None of it cost anybody's vote.
+            let proof = rig.honest_quorum(&rig.everyone(), &sb).expect("quorum");
+            assert_eq!(proof.attesting_replicas[..2], local[..2]);
+        }
+    }
+
+    #[test]
+    fn a_speculative_response_with_a_bad_signature_does_not_vote() {
+        let mut rig = Rig::new(ProtocolKind::Zyzzyva);
+        let (_, sb) = rig.next_request();
+        let honest = rig.honest(&sb);
+        let everyone = rig.everyone();
+        let Message::SpecResponse {
+            view,
+            seq,
+            batch_seq,
+            replica,
+            digest,
+            history,
+            result,
+            results,
+            ..
+        } = rig.attest(everyone[0], &sb, &honest)
+        else {
+            unreachable!()
+        };
+        // Signed by somebody else.
+        let payload = spec_response_payload(view, seq, &digest, &history, &result);
+        let forged = Message::SpecResponse {
+            view,
+            seq,
+            batch_seq,
+            replica,
+            digest,
+            history,
+            result,
+            results,
+            sig: rig.signers[1].1.sign(&payload),
+        };
+        rig.deliver(everyone[0], forged);
+        // The vote is still free: all n honest responses take the fast path.
+        let proof = rig.honest_quorum(&everyone, &sb).expect("fast path");
+        assert_eq!(proof.attesting_replicas, everyone);
+    }
+
+    #[test]
+    fn commit_phase_counts_local_commits_for_the_certified_position_only() {
+        let mut rig = Rig::new(ProtocolKind::Zyzzyva);
+        let (_, sb) = rig.next_request();
+        let honest = rig.honest(&sb);
+        let everyone = rig.everyone();
+        let batch_seq = sb.batch.batch_seq;
+        let ack = |replica: ReplicaId, seq: u64| Message::LocalCommit {
+            view: 0,
+            seq,
+            batch_seq,
+            replica,
+        };
+        // Too few responses: the window is extended, no certificate.
+        for r in &everyone[..4] {
+            assert!(rig.vote(*r, &sb, &honest).is_none());
+        }
+        let extended = rig.fire(TimerKind::SpecWindow { seq: batch_seq });
+        assert_eq!(
+            extended,
+            vec![Action::SetTimer {
+                kind: TimerKind::SpecWindow { seq: batch_seq },
+                after: rig.cfg.spec_window
+            }]
         );
-        assert!(!out
-            .take()
-            .iter()
-            .any(|a| matches!(a, crate::api::Action::RequestComplete { .. })));
+        // Acknowledgements before any certificate went out count nothing.
+        for r in &everyone {
+            assert!(rig.deliver(*r, ack(*r, honest.seq)).is_empty());
+        }
+        // 2F + 1 = 5 of 8: the certificate carries the first five
+        // signatures, in arrival order, whatever the process's hash seed.
+        assert!(rig.vote(everyone[4], &sb, &honest).is_none());
+        let actions = rig.fire(TimerKind::SpecWindow { seq: batch_seq });
+        assert_eq!(sends(&actions).len(), 8, "to every replica");
+        let Some(Action::Send {
+            msg: Message::ZyzCommit { seq, sigs, .. },
+            ..
+        }) = actions.first()
+        else {
+            panic!("expected the certificate")
+        };
+        assert_eq!(*seq, honest.seq);
+        let signers: Vec<ReplicaId> = sigs.iter().map(|(r, _)| *r).collect();
+        assert_eq!(signers, everyone[..5]);
+        // Wrong position, somebody else's name, a repeat: none counts.
+        for r in &everyone[..4] {
+            assert!(rig.deliver(*r, ack(*r, honest.seq + 1)).is_empty());
+            assert!(rig.deliver(*r, ack(everyone[7], honest.seq)).is_empty());
+            assert!(rig.deliver(*r, ack(*r, honest.seq)).is_empty());
+            assert!(rig.deliver(*r, ack(*r, honest.seq)).is_empty());
+        }
+        let done = rig.deliver(everyone[4], ack(everyone[4], honest.seq));
+        let proof = proof(&done).expect("the fifth acknowledgement completes");
+        assert_eq!(proof.attesting_replicas, everyone[..5]);
+        assert_eq!(rig.client.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_tie_between_outcomes_goes_to_the_first_to_arrive() {
+        // Two outcomes with three signed responses each, against a commit
+        // quorum lowered so that both qualify.
+        let mut rig = Rig::new(ProtocolKind::Zyzzyva);
+        rig.client.commit_quorum = Some(3);
+        let (_, sb) = rig.next_request();
+        let first = rig.honest(&sb);
+        let mut second = first.clone();
+        second.seq += 1;
+        second.height += 1;
+        let everyone = rig.everyone();
+        for pair in everyone[..6].chunks(2) {
+            assert!(rig.vote(pair[0], &sb, &first).is_none());
+            assert!(rig.vote(pair[1], &sb, &second).is_none());
+        }
+        let actions = rig.fire(TimerKind::SpecWindow { seq: 0 });
+        let Some(Action::Send {
+            msg: Message::ZyzCommit { seq, .. },
+            ..
+        }) = actions.first()
+        else {
+            panic!("expected the certificate")
+        };
+        assert_eq!(*seq, first.seq);
+    }
+
+    /// Open loop: many batches tracked at once, answered out of order.
+    #[test]
+    fn open_loop_batches_complete_independently_and_leave_nothing_behind() {
+        let mut rig = Rig::new(ProtocolKind::Pbft);
+        let mut source = synthetic_source(ME, 3, 100);
+        let batches: Vec<SignedBatch> = (0..65)
+            .map(|seq| rig.client.crypto.sign_batch(source(seq)))
+            .collect();
+        for sb in &batches {
+            let mut out = Outbox::new();
+            rig.client.submit(sb.clone(), &mut out);
+            assert_eq!(out.len(), 2, "one send, one timer");
+        }
+        assert_eq!(rig.client.in_flight(), 65);
+        // Replies for the first 64 arrive newest first; each completes
+        // exactly once, with its own proof.
+        let voters = rig.everyone();
+        for sb in batches[..64].iter().rev() {
+            let proof = rig.honest_quorum(&voters, sb).expect("completes");
+            assert_eq!(proof.seq, rig.honest(sb).seq);
+            assert_eq!(proof.result_digest, rig.honest(sb).digest);
+            assert!(rig.honest_quorum(&voters, sb).is_none(), "completed twice");
+        }
+        assert_eq!(rig.client.in_flight(), 1);
+        // The unanswered one retransmits on its own back-off ...
+        let (base, cap) = (rig.cfg.client_retry, rig.cfg.client_retry_cap);
+        let retry = TimerKind::ClientRetry { seq: 64 };
+        let mut delay = base;
+        for _ in 0..40 {
+            let actions = rig.fire(retry);
+            assert_eq!(sends(&actions).len(), 8, "broadcast to all z*n");
+            delay = delay.doubled().min(cap);
+            let rearm = Action::SetTimer {
+                kind: retry,
+                after: delay,
+            };
+            assert_eq!(actions.last(), Some(&rearm));
+        }
+        assert_eq!(delay, cap, "back-off settles at the ceiling");
+        // ... which a batch submitted later does not inherit.
+        let late = rig.client.crypto.sign_batch(source(65));
+        rig.client.submit(late, &mut Outbox::new());
+        let actions = rig.fire(TimerKind::ClientRetry { seq: 65 });
+        let rearm = Action::SetTimer {
+            kind: TimerKind::ClientRetry { seq: 65 },
+            after: base.doubled(),
+        };
+        assert_eq!(actions.last(), Some(&rearm));
+        // Timers of completed batches find nothing to do.
+        assert!(rig.fire(TimerKind::ClientRetry { seq: 3 }).is_empty());
+        assert!(rig.fire(TimerKind::SpecWindow { seq: 3 }).is_empty());
+        for sb in [&batches[64], &rig.client.crypto.sign_batch(source(65))] {
+            assert!(rig.honest_quorum(&voters, sb).is_some());
+        }
+        assert_eq!(rig.client.in_flight(), 0);
+    }
+
+    /// What the closed-loop drivers (and so every simulator figure) see,
+    /// pinned literally per kind: submit, quorum, next submit.
+    #[test]
+    fn closed_loop_exchange_is_pinned_per_kind() {
+        for kind in ProtocolKind::ALL {
+            let mut rig = Rig::new(kind);
+            let (retry, window) = (rig.cfg.client_retry, rig.cfg.spec_window);
+            let zyzzyva = kind == ProtocolKind::Zyzzyva;
+            let entry = match kind {
+                ProtocolKind::GeoBft | ProtocolKind::Steward => ReplicaId::new(1, 0),
+                ProtocolKind::Pbft | ProtocolKind::Zyzzyva => ReplicaId::new(0, 0),
+                ProtocolKind::HotStuff => ReplicaId::new(1, 1), // 5 % 8
+            };
+            let submit = |seq: u64, sb: &SignedBatch| {
+                let mut expect = vec![Action::Send {
+                    to: entry.into(),
+                    msg: Message::Request(sb.clone()),
+                }];
+                if zyzzyva {
+                    expect.push(Action::SetTimer {
+                        kind: TimerKind::SpecWindow { seq },
+                        after: window,
+                    });
+                }
+                expect.push(Action::SetTimer {
+                    kind: TimerKind::ClientRetry { seq },
+                    after: retry,
+                });
+                expect
+            };
+            for seq in 0..2 {
+                let (actions, sb) = rig.next_request();
+                assert_eq!(sb.batch.batch_seq, seq);
+                assert_eq!(actions, submit(seq, &sb), "{kind}");
+                let honest = rig.honest(&sb);
+                let quorum = registry::reply_quorum(kind, &rig.cfg);
+                let voters = rig.everyone();
+                for r in &voters[..quorum - 1] {
+                    let msg = rig.attest(*r, &sb, &honest);
+                    assert_eq!(rig.deliver(*r, msg), vec![], "{kind}");
+                }
+                let last = voters[quorum - 1];
+                let msg = rig.attest(last, &sb, &honest);
+                let mut expect = vec![Action::CancelTimer {
+                    kind: TimerKind::ClientRetry { seq },
+                }];
+                if zyzzyva {
+                    expect.push(Action::CancelTimer {
+                        kind: TimerKind::SpecWindow { seq },
+                    });
+                }
+                expect.push(Action::RequestComplete {
+                    seq,
+                    txns: 3,
+                    proof: CommitProof {
+                        seq: honest.seq,
+                        block_height: honest.height,
+                        result_digest: honest.digest,
+                        attesting_replicas: voters[..quorum].to_vec(),
+                        results: honest.results,
+                    },
+                });
+                assert_eq!(rig.deliver(last, msg), expect, "{kind}");
+            }
+        }
+    }
+
+    /// ... and: submit, retry timer (twice), quorum.
+    #[test]
+    fn closed_loop_retransmission_is_pinned_per_kind() {
+        for kind in ProtocolKind::ALL {
+            let mut rig = Rig::new(kind);
+            let (_, sb) = rig.next_request();
+            let request = Message::Request(sb.clone());
+            // Zyzzyva backups only forward, so it re-asks the primary; the
+            // others broadcast to their reply set.
+            let targets = match kind {
+                ProtocolKind::Zyzzyva => vec![ReplicaId::new(0, 0)],
+                ProtocolKind::GeoBft | ProtocolKind::Steward => rig.local(),
+                ProtocolKind::Pbft | ProtocolKind::HotStuff => {
+                    rig.cfg.system.all_replicas().collect()
+                }
+            };
+            let retry = TimerKind::ClientRetry { seq: 0 };
+            let mut delay = rig.cfg.client_retry;
+            for _ in 0..2 {
+                delay = delay.doubled();
+                let mut expect: Vec<Action> = targets
+                    .iter()
+                    .map(|r| Action::Send {
+                        to: (*r).into(),
+                        msg: request.clone(),
+                    })
+                    .collect();
+                expect.push(Action::SetTimer {
+                    kind: retry,
+                    after: delay,
+                });
+                assert_eq!(rig.fire(retry), expect, "{kind}");
+            }
+            let proof = rig.honest_quorum(&rig.everyone(), &sb).expect("quorum");
+            assert_eq!(proof.seq, rig.honest(&sb).seq);
+            // The next batch starts from the base delay again.
+            let (actions, _) = rig.next_request();
+            let rearm = Action::SetTimer {
+                kind: TimerKind::ClientRetry { seq: 1 },
+                after: rig.cfg.client_retry,
+            };
+            assert_eq!(actions.last(), Some(&rearm), "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_reply_view_redirects_the_next_request() {
+        let mut rig = Rig::new(ProtocolKind::GeoBft);
+        let (_, sb) = rig.next_request();
+        let local = rig.local();
+        let Message::Reply { data, .. } = rig.attest(local[0], &sb, &rig.honest(&sb)) else {
+            unreachable!()
+        };
+        rig.deliver(local[0], Message::Reply { data, view: 2 });
+        let (actions, _) = rig.next_request();
+        assert_eq!(sends(&actions), vec![NodeId::from(ReplicaId::new(1, 2))]);
+    }
+
+    #[test]
+    fn requests_are_signed_by_the_client() {
+        let mut rig = Rig::new(ProtocolKind::GeoBft);
+        let (_, sb) = rig.next_request();
+        assert!(rig.client.crypto.verify_batch(&sb));
+    }
+
+    #[test]
+    fn a_client_without_a_source_has_no_next_request() {
+        let rig = Rig::new(ProtocolKind::Pbft);
+        let mut bare = registry::client(rig.kind, rig.cfg.clone(), ME, rig.client.crypto.clone());
+        let mut out = Outbox::new();
+        assert!(!bare.next_request(SimTime::ZERO, &mut out));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn modeled_execution_checks_the_modeled_digest() {
+        let mut rig = Rig::new(ProtocolKind::Pbft);
+        rig.client.cfg.exec_mode = ExecMode::Modeled;
+        let (_, sb) = rig.next_request();
+        let voters = rig.everyone();
+        // A real-execution digest is not what a modeled replica reports.
+        assert!(rig.honest_quorum(&voters, &sb).is_none());
+        let modeled = Claim {
+            digest: digest_under(ExecMode::Modeled, &sb.digest(), &TxnEffect::default()),
+            results: TxnEffect::default(),
+            ..rig.honest(&sb)
+        };
+        let mut done = None;
+        for r in &voters[3..] {
+            done = done.or(rig.vote(*r, &sb, &modeled));
+        }
+        assert_eq!(done.expect("F + 1 = 3").result_digest, modeled.digest);
     }
 }

@@ -10,7 +10,7 @@
 //! outcome. Integration tests and the threaded fabric run with
 //! `check_sigs = true`, so the verification paths are genuinely exercised.
 
-use crate::types::SignedBatch;
+use crate::types::{ClientBatch, SignedBatch};
 use rdb_crypto::sign::{PublicKey, Signature, Signer, Verifier};
 use std::sync::Arc;
 
@@ -68,6 +68,16 @@ impl CryptoCtx {
             return Signature::default();
         }
         self.signer.sign(msg)
+    }
+
+    /// Sign `batch` as its client: `⟨T⟩_c`, the signature covering the
+    /// batch digest.
+    pub fn sign_batch(&self, batch: ClientBatch) -> SignedBatch {
+        SignedBatch {
+            sig: self.sign(batch.digest().as_bytes()),
+            pubkey: self.public_key(),
+            batch,
+        }
     }
 
     /// Verify a signature over raw bytes.

@@ -54,6 +54,18 @@ pub fn result_digest(batch_digest: &Digest, effect: &TxnEffect) -> Digest {
     Digest(h.finalize())
 }
 
+/// The result digest a replica running `mode` reports for a batch that
+/// executed to `effect` — what [`CommitTail::execute`] produces and what a
+/// client holds a reply's `results` against before the reply may vote.
+/// [`ExecMode::Modeled`] executes nothing: its digest is a constant of the
+/// batch and covers no outcomes (honest modeled replies carry none).
+pub fn digest_under(mode: ExecMode, batch_digest: &Digest, effect: &TxnEffect) -> Digest {
+    match mode {
+        ExecMode::Real => result_digest(batch_digest, effect),
+        ExecMode::Modeled => Digest::of_parts(&[b"exec-modeled", batch_digest.as_bytes()]),
+    }
+}
+
 /// One ordered batch and the cluster whose consensus produced it (`None`
 /// for the single-log protocols): a [`DecisionEntry`] in the making.
 pub type Entry = (Option<ClusterId>, SignedBatch);
@@ -120,16 +132,11 @@ impl CommitTail {
     /// figure reproductions byte-identical.
     pub fn execute(&mut self, sb: &SignedBatch) -> (Digest, TxnEffect) {
         self.blocks += 1;
-        match self.mode {
-            ExecMode::Real => {
-                let effect = self.store.execute_batch(sb.batch.operations());
-                (result_digest(&sb.digest(), &effect), effect)
-            }
-            ExecMode::Modeled => (
-                Digest::of_parts(&[b"exec-modeled", sb.digest().as_bytes()]),
-                TxnEffect::default(),
-            ),
-        }
+        let effect = match self.mode {
+            ExecMode::Real => self.store.execute_batch(sb.batch.operations()),
+            ExecMode::Modeled => TxnEffect::default(),
+        };
+        (digest_under(self.mode, &sb.digest(), &effect), effect)
     }
 
     /// Report the executed `(origin, batch)` entries as the decision at

@@ -10,7 +10,7 @@ use crate::geobft::{GeoBftReplica, GeoFaults};
 use crate::hotstuff::HotStuffReplica;
 use crate::pbft::PbftReplica;
 use crate::steward::StewardReplica;
-use crate::zyzzyva::{ZyzzyvaClient, ZyzzyvaReplica};
+use crate::zyzzyva::ZyzzyvaReplica;
 use rdb_common::ids::{ClientId, ReplicaId};
 use rdb_store::KvStore;
 
@@ -71,15 +71,21 @@ pub fn reply_quorum(kind: ProtocolKind, cfg: &ProtocolConfig) -> usize {
         ProtocolKind::GeoBft | ProtocolKind::Steward => cfg.system.weak_quorum(),
         // Global F + 1.
         ProtocolKind::Pbft | ProtocolKind::HotStuff => cfg.global_f() + 1,
-        // Zyzzyva's client logic is bespoke (all n / 2F+1 paths).
+        // §3: "clients in Zyzzyva require identical responses from all n
+        // replicas" — short of that, see `commit_quorum`.
         ProtocolKind::Zyzzyva => cfg.global_n(),
     }
 }
 
-/// Where a client of `kind` sends fresh requests and retransmissions
-/// (see [`TargetPolicy`]). For Zyzzyva this is the policy of the session
-/// layer; the bespoke [`ZyzzyvaClient`] itself always targets the global
-/// primary.
+/// Zyzzyva only: the matching speculative responses that make a commit
+/// certificate, and the acknowledgements of it that complete a request
+/// whose `reply_quorum` stays out of reach (`2F + 1`).
+pub fn commit_quorum(kind: ProtocolKind, cfg: &ProtocolConfig) -> Option<usize> {
+    (kind == ProtocolKind::Zyzzyva).then(|| 2 * cfg.global_f() + 1)
+}
+
+/// Where a client of `kind` sends fresh requests and retransmissions, and
+/// whose replies it counts (see [`TargetPolicy`]).
 pub fn target_policy(kind: ProtocolKind) -> TargetPolicy {
     match kind {
         ProtocolKind::GeoBft => TargetPolicy::LocalPrimary,
@@ -89,7 +95,24 @@ pub fn target_policy(kind: ProtocolKind) -> TargetPolicy {
     }
 }
 
-/// Build a client state machine for `kind`.
+/// The client of `kind`, without a batch source: its driver hands it
+/// batches through [`QuorumClient::submit`].
+pub fn client(
+    kind: ProtocolKind,
+    cfg: ProtocolConfig,
+    id: ClientId,
+    crypto: CryptoCtx,
+) -> QuorumClient {
+    let (policy, reply, commit) = (
+        target_policy(kind),
+        reply_quorum(kind, &cfg),
+        commit_quorum(kind, &cfg),
+    );
+    QuorumClient::new(id, cfg, crypto, policy, reply, commit)
+}
+
+/// Build a closed-loop client state machine for `kind`, drawing its
+/// batches from `source`.
 pub fn build_client(
     kind: ProtocolKind,
     cfg: ProtocolConfig,
@@ -97,18 +120,7 @@ pub fn build_client(
     crypto: CryptoCtx,
     source: BatchSource,
 ) -> Box<dyn ClientProtocol> {
-    let quorum = reply_quorum(kind, &cfg);
-    match kind {
-        ProtocolKind::Zyzzyva => Box::new(ZyzzyvaClient::new(id, cfg, crypto, source)),
-        _ => Box::new(QuorumClient::new(
-            id,
-            cfg,
-            crypto,
-            target_policy(kind),
-            quorum,
-            source,
-        )),
-    }
+    Box::new(client(kind, cfg, id, crypto).with_source(source))
 }
 
 #[cfg(test)]

@@ -13,10 +13,10 @@
 //! The replica side is minimal: the primary orders requests and replicas
 //! *speculatively execute* in order, answering clients directly with
 //! signed responses that embed a rolling history digest. The client side
-//! carries the protocol's complexity.
+//! carries the protocol's complexity: [`crate::clients::QuorumClient`]
+//! counts those responses and, short of all `n`, runs the commit phase.
 
-use crate::api::{ClientProtocol, Outbox, ReplicaProtocol, TimerKind};
-use crate::clients::BatchSource;
+use crate::api::{Outbox, ReplicaProtocol, TimerKind};
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
 use crate::exec::CommitTail;
@@ -255,257 +255,16 @@ impl ReplicaProtocol for ZyzzyvaReplica {
     fn on_timer(&mut self, _now: SimTime, _timer: TimerKind, _out: &mut Outbox) {}
 }
 
-/// One speculative response recorded by the client.
-#[derive(Debug, Clone)]
-struct SpecEntry {
-    seq: u64,
-    digest: Digest,
-    history: Digest,
-    sig: Signature,
-}
-
-/// In-flight request state at the client.
-struct ZyzOutstanding {
-    seq: u64,
-    signed: SignedBatch,
-    /// replica -> response.
-    responses: HashMap<ReplicaId, SpecEntry>,
-    /// replicas that acknowledged the commit certificate.
-    local_commits: HashMap<ReplicaId, u64>,
-    committing: bool,
-}
-
-/// The Zyzzyva client: the fast path requires responses from *all* `n`
-/// replicas; the fallback broadcasts a commit certificate of `2F + 1`
-/// matching responses.
-pub struct ZyzzyvaClient {
-    id: ClientId,
-    cfg: ProtocolConfig,
-    crypto: CryptoCtx,
-    source: BatchSource,
-    next_seq: u64,
-    outstanding: Option<ZyzOutstanding>,
-    retry_timeout: rdb_common::time::SimDuration,
-}
-
-impl ZyzzyvaClient {
-    /// Create a client.
-    pub fn new(
-        id: ClientId,
-        cfg: ProtocolConfig,
-        crypto: CryptoCtx,
-        source: BatchSource,
-    ) -> ZyzzyvaClient {
-        let retry_timeout = cfg.client_retry;
-        ZyzzyvaClient {
-            id,
-            cfg,
-            crypto,
-            source,
-            next_seq: 0,
-            outstanding: None,
-            retry_timeout,
-        }
-    }
-
-    fn primary(&self) -> ReplicaId {
-        self.cfg
-            .system
-            .all_replicas()
-            .next()
-            .expect("non-empty system")
-    }
-
-    fn total_replicas(&self) -> usize {
-        self.cfg.global_n()
-    }
-
-    /// Find the largest set of matching responses (same seq, digest,
-    /// history).
-    fn best_match(outst: &ZyzOutstanding) -> (usize, Option<(u64, Digest, Digest)>) {
-        let mut counts: HashMap<(u64, Digest, Digest), usize> = HashMap::new();
-        for e in outst.responses.values() {
-            *counts.entry((e.seq, e.digest, e.history)).or_default() += 1;
-        }
-        counts
-            .into_iter()
-            .max_by_key(|(_, c)| *c)
-            .map_or((0, None), |(k, c)| (c, Some(k)))
-    }
-
-    fn complete(&mut self, out: &mut Outbox) {
-        let outst = self.outstanding.take().expect("outstanding");
-        out.cancel_timer(TimerKind::ClientRetry { seq: outst.seq });
-        out.cancel_timer(TimerKind::SpecWindow { seq: outst.seq });
-        out.request_complete(outst.seq, outst.signed.batch.len());
-    }
-}
-
-impl ClientProtocol for ZyzzyvaClient {
-    fn id(&self) -> ClientId {
-        self.id
-    }
-
-    fn next_request(&mut self, _now: SimTime, out: &mut Outbox) -> bool {
-        debug_assert!(self.outstanding.is_none());
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let batch = (self.source)(seq);
-        let digest = batch.digest();
-        let signed = SignedBatch {
-            sig: self.crypto.sign(digest.as_bytes()),
-            pubkey: self.crypto.public_key(),
-            batch,
-        };
-        self.outstanding = Some(ZyzOutstanding {
-            seq,
-            signed: signed.clone(),
-            responses: HashMap::new(),
-            local_commits: HashMap::new(),
-            committing: false,
-        });
-        self.retry_timeout = self.cfg.client_retry;
-        out.send(self.primary(), Message::Request(signed));
-        out.set_timer(TimerKind::SpecWindow { seq }, self.cfg.spec_window);
-        out.set_timer(TimerKind::ClientRetry { seq }, self.retry_timeout);
-        true
-    }
-
-    fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut Outbox) {
-        let NodeId::Replica(replica) = from else {
-            return;
-        };
-        let total = self.total_replicas();
-        let needed_commit = 2 * self.cfg.global_f() + 1;
-        let Some(outst) = self.outstanding.as_mut() else {
-            return;
-        };
-        match msg {
-            Message::SpecResponse {
-                view,
-                seq,
-                batch_seq,
-                replica: resp_replica,
-                digest,
-                history,
-                result,
-                results: _,
-                sig,
-            } => {
-                if batch_seq != outst.seq || resp_replica != replica {
-                    return;
-                }
-                if digest != outst.signed.digest() {
-                    return;
-                }
-                if self.crypto.checks_signatures() {
-                    let Some(pk) = self.crypto.verifier().public_key_of(replica.into()) else {
-                        return;
-                    };
-                    let payload = spec_response_payload(view, seq, &digest, &history, &result);
-                    if !self.crypto.verify(&pk, &payload, &sig) {
-                        return;
-                    }
-                }
-                outst.responses.insert(
-                    replica,
-                    SpecEntry {
-                        seq,
-                        digest,
-                        history,
-                        sig,
-                    },
-                );
-                // Fast path: all n replicas agree (§3: "clients in Zyzzyva
-                // require identical responses from all n replicas").
-                let (count, _) = Self::best_match(outst);
-                if count == total {
-                    self.complete(out);
-                }
-            }
-            Message::LocalCommit { seq, batch_seq, .. } => {
-                if batch_seq != outst.seq || !outst.committing {
-                    return;
-                }
-                outst.local_commits.insert(replica, seq);
-                if outst.local_commits.len() >= needed_commit {
-                    self.complete(out);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, _now: SimTime, timer: TimerKind, out: &mut Outbox) {
-        let needed_commit = 2 * self.cfg.global_f() + 1;
-        match timer {
-            TimerKind::SpecWindow { seq } => {
-                let Some(outst) = self.outstanding.as_mut() else {
-                    return;
-                };
-                if outst.seq != seq || outst.committing {
-                    return;
-                }
-                let (count, key) = Self::best_match(outst);
-                if count >= needed_commit {
-                    // Commit phase: broadcast the certificate of 2F + 1
-                    // matching responses to all replicas.
-                    let (rseq, digest, history) = key.expect("count > 0");
-                    outst.committing = true;
-                    let sigs: Vec<(ReplicaId, Signature)> = outst
-                        .responses
-                        .iter()
-                        .filter(|(_, e)| {
-                            e.seq == rseq && e.digest == digest && e.history == history
-                        })
-                        .map(|(r, e)| (*r, e.sig))
-                        .take(needed_commit)
-                        .collect();
-                    let msg = Message::ZyzCommit {
-                        client: self.id,
-                        batch_seq: outst.seq,
-                        view: 0,
-                        seq: rseq,
-                        digest,
-                        history,
-                        sigs,
-                    };
-                    let members: Vec<ReplicaId> = self.cfg.system.all_replicas().collect();
-                    out.multicast(members, &msg);
-                } else {
-                    // Not enough responses yet: extend the window and keep
-                    // waiting (the retry timer handles retransmission).
-                    out.set_timer(TimerKind::SpecWindow { seq }, self.cfg.spec_window);
-                }
-            }
-            TimerKind::ClientRetry { seq } => {
-                let Some(outst) = self.outstanding.as_ref() else {
-                    return;
-                };
-                if outst.seq != seq {
-                    return;
-                }
-                let msg = Message::Request(outst.signed.clone());
-                out.send(self.primary(), msg);
-                // Capped exponential back-off, like QuorumClient's.
-                self.retry_timeout = self.retry_timeout.doubled().min(self.cfg.client_retry_cap);
-                out.set_timer(TimerKind::ClientRetry { seq }, self.retry_timeout);
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Action;
-    use crate::clients::synthetic_source;
-    use crate::config::ExecMode;
+    use crate::api::{Action, ClientProtocol};
+    use crate::clients::{synthetic_source, QuorumClient};
+    use crate::config::{ExecMode, ProtocolKind};
     use rdb_common::config::SystemConfig;
     use rdb_crypto::sign::KeyStore;
 
-    fn setup(n: usize) -> (Vec<ZyzzyvaReplica>, ZyzzyvaClient, KeyStore, ProtocolConfig) {
+    fn setup(n: usize) -> (Vec<ZyzzyvaReplica>, QuorumClient, KeyStore, ProtocolConfig) {
         let system = SystemConfig::geo(1, n).unwrap();
         let mut cfg = ProtocolConfig::new(system.clone());
         cfg.exec_mode = ExecMode::Real;
@@ -521,14 +280,15 @@ mod tests {
         let cid = ClientId::new(0, 0);
         let signer = ks.register(NodeId::Client(cid));
         let crypto = CryptoCtx::new(signer, ks.verifier(), true);
-        let client = ZyzzyvaClient::new(cid, cfg.clone(), crypto, synthetic_source(cid, 3, 30));
+        let client = crate::registry::client(ProtocolKind::Zyzzyva, cfg.clone(), cid, crypto)
+            .with_source(synthetic_source(cid, 3, 30));
         (replicas, client, ks, cfg)
     }
 
     /// Deliver actions among replicas + the one client until quiescent.
     fn pump(
         replicas: &mut [ZyzzyvaReplica],
-        client: &mut ZyzzyvaClient,
+        client: &mut QuorumClient,
         initial: Vec<Action>,
         skip_replica: Option<usize>,
     ) -> bool {

@@ -498,7 +498,6 @@ impl DeploymentBuilder {
             epoch,
             replicas,
             clients: parking_lot::Mutex::new(Vec::new()),
-            sessions: parking_lot::Mutex::new(Vec::new()),
             next_ycsb_client: std::sync::atomic::AtomicUsize::new(0),
             next_session: std::sync::atomic::AtomicU32::new(0),
             crash_threads,

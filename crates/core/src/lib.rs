@@ -110,7 +110,7 @@ pub use deployment::{DeploymentBuilder, DeploymentReport, TransportMode};
 pub use metrics::{
     LaneRow, LinkRow, Metrics, NetSnapshot, StageRow, StageSnapshot, StorageSnapshot,
 };
-pub use node::{ClientRuntime, ReplicaRuntime, ReplicaStopReport};
+pub use node::{ReplicaRuntime, ReplicaStopReport};
 pub use pipeline::{CheckpointConfig, CheckpointReport, PipelineConfig, VerifyCtx};
 pub use queue::{Overload, QueuePolicy, StageQueues};
 pub use service::{ClientSession, CommitProof, Fabric, Ticket};

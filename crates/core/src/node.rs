@@ -1,5 +1,5 @@
-//! Node runtimes: the per-replica staged pipeline and the per-client
-//! thread loop.
+//! The replica runtime: the per-replica staged pipeline, and the timer
+//! wheel it shares with the client driver ([`crate::service`]).
 //!
 //! A replica runs the full Figure-9 pipeline (see the crate docs):
 //! input → verifier pool → ordering worker → execution → output, each on
@@ -18,7 +18,7 @@ use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rdb_common::ids::NodeId;
 use rdb_common::time::SimTime;
-use rdb_consensus::api::{Action, ClientProtocol, Outbox, ReplicaProtocol, TimerKind};
+use rdb_consensus::api::{Action, Outbox, ReplicaProtocol, TimerKind};
 use rdb_consensus::messages::Message;
 use rdb_consensus::stage::Stage;
 use rdb_consensus::types::Decision;
@@ -42,7 +42,7 @@ const WHEEL_MIN_WATERMARK: usize = 64;
 /// the `gens` slots would otherwise grow without bound; once the
 /// structures outgrow a watermark, [`TimerWheel::compact`] rebuilds them
 /// keeping only live entries.
-struct TimerWheel {
+pub(crate) struct TimerWheel {
     epoch: Instant,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(Instant, u64, TimerKind)>>,
     gens: HashMap<TimerKind, u64>,
@@ -52,7 +52,7 @@ struct TimerWheel {
 }
 
 impl TimerWheel {
-    fn new(epoch: Instant) -> TimerWheel {
+    pub(crate) fn new(epoch: Instant) -> TimerWheel {
         TimerWheel {
             epoch,
             heap: std::collections::BinaryHeap::new(),
@@ -61,7 +61,7 @@ impl TimerWheel {
         }
     }
 
-    fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         SimTime(self.epoch.elapsed().as_nanos() as u64)
     }
 
@@ -71,7 +71,7 @@ impl TimerWheel {
         SimTime(t.saturating_duration_since(self.epoch).as_nanos() as u64)
     }
 
-    fn set(&mut self, kind: TimerKind, after: rdb_common::time::SimDuration) {
+    pub(crate) fn set(&mut self, kind: TimerKind, after: rdb_common::time::SimDuration) {
         let gen = self.gens.entry(kind).or_insert(0);
         *gen += 1;
         let due = Instant::now() + Duration::from_nanos(after.as_nanos());
@@ -79,7 +79,7 @@ impl TimerWheel {
         self.maybe_compact();
     }
 
-    fn cancel(&mut self, kind: TimerKind) {
+    pub(crate) fn cancel(&mut self, kind: TimerKind) {
         *self.gens.entry(kind).or_insert(0) += 1;
         self.maybe_compact();
     }
@@ -113,7 +113,7 @@ impl TimerWheel {
     }
 
     /// Pop all due timers whose generation is current.
-    fn due(&mut self) -> Vec<TimerKind> {
+    pub(crate) fn due(&mut self) -> Vec<TimerKind> {
         let now = Instant::now();
         let mut fired = Vec::new();
         while let Some(std::cmp::Reverse((due, gen, kind))) = self.heap.peek().copied() {
@@ -129,7 +129,7 @@ impl TimerWheel {
     }
 
     /// Time until the next (possibly stale) timer.
-    fn next_wait(&self) -> Duration {
+    pub(crate) fn next_wait(&self) -> Duration {
         match self.heap.peek() {
             Some(std::cmp::Reverse((due, _, _))) => due
                 .saturating_duration_since(Instant::now())
@@ -538,114 +538,6 @@ fn process_replica_actions(
     }
     metrics.stage_enqueued_many(Stage::Output, sends);
     metrics.stage_enqueued_many(Stage::Execute, decisions);
-}
-
-/// A running closed-loop client.
-pub struct ClientRuntime {
-    shutdown: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
-}
-
-impl ClientRuntime {
-    /// Spawn the client loop. The client submits, waits for its reply
-    /// quorum, records the latency and submits again until stopped.
-    pub fn spawn(
-        mut protocol: Box<dyn ClientProtocol>,
-        handle: TransportHandle,
-        metrics: Metrics,
-        epoch: Instant,
-    ) -> ClientRuntime {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&shutdown);
-        let join = std::thread::Builder::new()
-            .name(format!("{}-client", handle.node))
-            .spawn(move || {
-                let mut wheel = TimerWheel::new(epoch);
-                let mut submitted_at = Instant::now();
-                let mut out = Outbox::new();
-                protocol.next_request(wheel.now(), &mut out);
-                let mut pending =
-                    process_client_actions(out.take(), &mut wheel, &handle, &metrics, submitted_at);
-                debug_assert!(!pending);
-                while !stop.load(Ordering::Relaxed) {
-                    match handle.inbox.recv_timeout(wheel.next_wait()) {
-                        Ok(env) => {
-                            let mut out = Outbox::new();
-                            protocol.on_message(wheel.now(), env.from, env.msg, &mut out);
-                            pending = process_client_actions(
-                                out.take(),
-                                &mut wheel,
-                                &handle,
-                                &metrics,
-                                submitted_at,
-                            );
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                    for kind in wheel.due() {
-                        let mut out = Outbox::new();
-                        protocol.on_timer(wheel.now(), kind, &mut out);
-                        pending |= process_client_actions(
-                            out.take(),
-                            &mut wheel,
-                            &handle,
-                            &metrics,
-                            submitted_at,
-                        );
-                    }
-                    if pending && !stop.load(Ordering::Relaxed) {
-                        // Closed loop: completed -> submit the next batch.
-                        submitted_at = Instant::now();
-                        let mut out = Outbox::new();
-                        protocol.next_request(wheel.now(), &mut out);
-                        process_client_actions(
-                            out.take(),
-                            &mut wheel,
-                            &handle,
-                            &metrics,
-                            submitted_at,
-                        );
-                        pending = false;
-                    }
-                }
-            })
-            .expect("spawn client thread");
-        ClientRuntime {
-            shutdown,
-            handle: join,
-        }
-    }
-
-    /// Stop the client.
-    pub fn stop(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.handle.join();
-    }
-}
-
-/// Returns true when a request completed (caller submits the next one).
-fn process_client_actions(
-    actions: Vec<Action>,
-    wheel: &mut TimerWheel,
-    handle: &TransportHandle,
-    metrics: &Metrics,
-    submitted_at: Instant,
-) -> bool {
-    let mut completed = false;
-    for a in actions {
-        match a {
-            Action::Send { to, msg } => handle.send(to, msg),
-            Action::SetTimer { kind, after } => wheel.set(kind, after),
-            Action::CancelTimer { kind } => wheel.cancel(kind),
-            Action::RequestComplete { txns, .. } => {
-                metrics.record_completion(txns, submitted_at.elapsed());
-                completed = true;
-            }
-            Action::Decided(_) => {}
-        }
-    }
-    completed
 }
 
 #[cfg(test)]

@@ -27,87 +27,51 @@
 //! `run()` ≡ `start()` + [`Fabric::spawn_ycsb_clients`] + sleep +
 //! `shutdown()`.
 //!
-//! ## Trust model of a ticket
+//! ## One client, one driver
 //!
-//! A ticket completes only when [`reply_quorum`](rdb_consensus::registry::reply_quorum)
-//! distinct replicas reported the same `(seq, block height, result
-//! digest)` triple — with at most `f` faulty replicas per cluster, at
-//! least one attestor is honest, so the proof's contents are the real
-//! committed outcome (§2.4). Two extra defenses make the carried results
-//! trustworthy too:
-//!
-//! * a reply whose `results` payload does not hash to its claimed
-//!   `result_digest` ([`rdb_consensus::exec::result_digest`] over the
-//!   *locally known* batch digest) is discarded as forged before it can
-//!   vote, and
-//! * each replica gets exactly one vote per ticket, so `f` colluding
-//!   replicas can never assemble an `f + 1` quorum by themselves.
+//! Every client identity — a session or a harness client — is one
+//! [`rdb_consensus::clients::QuorumClient`], the sans-io state machine
+//! that is the workspace's only reply tally (its module docs hold the
+//! trust model of a ticket: triple vote, payload check, one vote per
+//! replica, reply-set membership, and Zyzzyva's commit phase), and one
+//! driver thread (`drive`): inbox + `TimerWheel` + `dispatch`. A batch
+//! enters through one door (`ClientCore::submit`) — built and
+//! signed outside the client's lock, its `Request` sent on the submitting
+//! thread after the lock is released, so admission control parks the
+//! submitter and never the driver. A session is that door handed to the
+//! application; a harness client is the driver walking through it itself,
+//! once at start and once per completion.
 
 use crate::metrics::Metrics;
-use crate::node::{ClientRuntime, ReplicaRuntime};
+use crate::node::{ReplicaRuntime, TimerWheel};
 use crate::pipeline::PipelineConfig;
 use crate::transport::{Envelope, Transport, TransportSender};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::{Condvar, Mutex};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
-use rdb_common::time::SimDuration;
-use rdb_consensus::clients::{entry_target, retry_targets, TargetPolicy};
+use rdb_consensus::api::{Action, ClientProtocol, Outbox};
+use rdb_consensus::clients::{BatchSource, QuorumClient};
 use rdb_consensus::config::{ProtocolConfig, ProtocolKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
-use rdb_consensus::exec::result_digest;
 use rdb_consensus::messages::Message;
 use rdb_consensus::registry;
-use rdb_consensus::types::{ClientBatch, SignedBatch, Transaction};
-use rdb_crypto::digest::Digest;
+use rdb_consensus::types::{ClientBatch, Transaction};
 use rdb_crypto::sign::KeyStore;
 use rdb_storage::StorageBackend;
-use rdb_store::{Operation, TxnEffect};
+use rdb_store::Operation;
 use rdb_workload::ycsb::{batch_source, YcsbConfig};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+pub use rdb_consensus::clients::CommitProof;
+
 /// Session client indices start here, far above any closed-loop harness
 /// client (`u32::MAX` stays reserved for the primaries' no-op batches).
 const SESSION_INDEX_BASE: u32 = 1 << 30;
-
-/// Evidence that a submitted batch committed: the agreed log position and
-/// execution outcome, attested by a reply quorum (`f + 1` matching
-/// replies, §2.4 — at least one of which is from a non-faulty replica).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitProof {
-    /// The log position (consensus sequence number / GeoBFT round) the
-    /// batch committed at.
-    pub seq: u64,
-    /// Ledger height of the block carrying the batch.
-    pub block_height: u64,
-    /// Digest of the execution effect the quorum agreed on.
-    pub result_digest: Digest,
-    /// The replicas whose matching replies formed the quorum, in arrival
-    /// order.
-    pub attesting_replicas: Vec<ReplicaId>,
-    /// Per-transaction execution outcomes, in submission order: reads
-    /// carry the committed values ([`rdb_store::ExecOutcome::ReadValue`]),
-    /// read-modify-writes their post-increment counters. Validated
-    /// against `result_digest`, so the payload is as trustworthy as the
-    /// digest quorum itself.
-    pub results: TxnEffect,
-}
-
-impl CommitProof {
-    /// Number of distinct replicas that attested to this outcome.
-    pub fn quorum_size(&self) -> usize {
-        self.attesting_replicas.len()
-    }
-}
-
-/// (log seq, block height, result digest) — replies vote on the whole
-/// triple, so a forged height or sequence number can no more complete a
-/// ticket than a forged result.
-type ProofKey = (u64, u64, Digest);
 
 enum TicketState {
     Pending,
@@ -212,213 +176,162 @@ impl Ticket {
     }
 }
 
-/// Reply bookkeeping for one in-flight ticket — the quorum logic, kept
-/// free of I/O so the Byzantine-reply tests can drive it directly.
-struct PendingTicket {
-    /// The signed batch, kept for retransmission.
-    signed: SignedBatch,
-    /// Digest of the batch (what honest result digests are bound to).
-    batch_digest: Digest,
-    /// Replicas that already voted on this ticket (one vote each).
-    voted: HashSet<ReplicaId>,
-    /// Votes per outcome triple, in arrival order.
-    votes: HashMap<ProofKey, Vec<ReplicaId>>,
-    /// The validated results payload per outcome triple.
-    results: HashMap<ProofKey, TxnEffect>,
-    cell: Arc<TicketCell>,
-    submitted_at: Instant,
-    /// Retransmission schedule (capped exponential back-off).
-    next_retry: Instant,
-    timeout: SimDuration,
+/// What one client identity's submitters and its driver thread share
+/// under one lock.
+struct ClientState {
+    client: QuorumClient,
+    wheel: TimerWheel,
+    /// Per batch in flight: when it was submitted and, for a session's,
+    /// the ticket to resolve.
+    in_flight: HashMap<u64, (Instant, Option<Arc<TicketCell>>)>,
+    /// Set by [`ClientCore::stop`]; nothing is submitted after it.
+    stopped: bool,
 }
 
-impl PendingTicket {
-    fn new(signed: SignedBatch, cell: Arc<TicketCell>, retry: SimDuration) -> PendingTicket {
-        let now = Instant::now();
-        PendingTicket {
-            batch_digest: signed.digest(),
-            signed,
-            voted: HashSet::new(),
-            votes: HashMap::new(),
-            results: HashMap::new(),
-            cell,
-            submitted_at: now,
-            next_retry: now + Duration::from_nanos(retry.as_nanos()),
-            timeout: retry,
+/// Apply what the client asked for: timers to the wheel, completions to
+/// the metrics and the tickets. Sends are collected into `sends` — the
+/// caller knows whether its thread may park on them. Returns the number
+/// of batches completed.
+fn dispatch(
+    state: &mut ClientState,
+    actions: Vec<Action>,
+    metrics: &Metrics,
+    sends: &mut Vec<(NodeId, Message)>,
+) -> usize {
+    let mut completed = 0;
+    for a in actions {
+        match a {
+            Action::Send { to, msg } => sends.push((to, msg)),
+            Action::SetTimer { kind, after } => state.wheel.set(kind, after),
+            Action::CancelTimer { kind } => state.wheel.cancel(kind),
+            Action::RequestComplete { seq, txns, proof } => {
+                // Absent once `stop` aborted it.
+                if let Some((submitted, cell)) = state.in_flight.remove(&seq) {
+                    metrics.record_completion(txns, submitted.elapsed());
+                    if let Some(cell) = cell {
+                        cell.resolve(TicketState::Committed(proof));
+                    }
+                    completed += 1;
+                }
+            }
+            Action::Decided(_) => {}
         }
     }
-
-    /// Count one replica's reply; `Some(proof)` when the quorum is
-    /// reached. A reply whose `results` payload does not hash to the
-    /// claimed digest is forged and discarded *before* it can vote; a
-    /// replica that already voted is ignored.
-    fn record_reply(
-        &mut self,
-        replica: ReplicaId,
-        key: ProofKey,
-        results: TxnEffect,
-        quorum: usize,
-    ) -> Option<CommitProof> {
-        if result_digest(&self.batch_digest, &results) != key.2 {
-            return None; // forged results payload
-        }
-        if !self.voted.insert(replica) {
-            return None; // one vote per replica
-        }
-        let voters = self.votes.entry(key).or_default();
-        voters.push(replica);
-        self.results.entry(key).or_insert(results);
-        if voters.len() < quorum {
-            return None;
-        }
-        Some(CommitProof {
-            seq: key.0,
-            block_height: key.1,
-            result_digest: key.2,
-            attesting_replicas: voters.clone(),
-            results: self.results.remove(&key).expect("inserted with first vote"),
-        })
-    }
+    completed
 }
 
-/// Shared state of one session: the submit side (any thread) and the
-/// reply pump (one thread per session) meet here.
-struct SessionCore {
+/// One client identity: the door batches enter through, shared by its
+/// submitters and its driver thread.
+pub(crate) struct ClientCore {
     id: ClientId,
-    cfg: ProtocolConfig,
-    policy: TargetPolicy,
-    quorum: usize,
+    /// For signing outside the lock (the client holds its own copy).
     crypto: CryptoCtx,
     sender: TransportSender,
     metrics: Metrics,
-    pending: Mutex<HashMap<u64, PendingTicket>>,
+    state: Mutex<ClientState>,
     next_batch: AtomicU64,
     next_txn: AtomicU64,
-    /// Highest view seen in replies — the primary hint for fresh submits.
-    view_hint: AtomicU64,
-    stop: AtomicBool,
 }
 
-impl SessionCore {
-    fn on_envelope(&self, env: Envelope) {
-        let NodeId::Replica(replica) = env.from else {
-            return;
-        };
-        match env.msg {
-            Message::Reply { data, view } => {
-                self.view_hint.fetch_max(view, Ordering::Relaxed);
-                if data.client != self.id {
-                    return;
+impl ClientCore {
+    /// Sign `batch`, start tracking it and send it to its entry replica.
+    /// The send is the admission edge: a `Request` is non-droppable, so it
+    /// parks the calling thread while the replica's input queue is full.
+    fn submit(&self, batch: ClientBatch, cell: Option<Arc<TicketCell>>) {
+        let submitted = Instant::now();
+        let seq = batch.batch_seq;
+        let signed = self.crypto.sign_batch(batch);
+        let mut sends = Vec::new();
+        {
+            let mut state = self.state.lock();
+            // A session outlives its fabric (it is a cheap clonable
+            // handle); submitting after shutdown must fail fast, not hang
+            // forever on a request nobody will answer. `stop` flips the
+            // flag under this lock, so a ticket is either registered in
+            // time to be aborted there or never registered.
+            if state.stopped {
+                if let Some(cell) = cell {
+                    cell.resolve(TicketState::Aborted("session's fabric already shut down"));
                 }
-                self.record(
-                    replica,
-                    data.batch_seq,
-                    (data.seq, data.block_height, data.result_digest),
-                    data.results,
-                );
+                return;
             }
-            // Zyzzyva replicas answer with speculative responses instead
-            // of replies; the session treats them as attestations for the
-            // speculative log position (`reply_quorum` for Zyzzyva is all
-            // `n`, i.e. the protocol's fast path). The results payload is
-            // validated against the signed result digest like any reply.
-            Message::SpecResponse {
-                seq,
-                batch_seq,
-                replica: responder,
-                result,
-                results,
-                ..
-            } => {
-                if responder != replica {
-                    return;
-                }
-                self.record(replica, batch_seq, (seq, seq, result), results);
-            }
-            _ => {}
+            // Registered *before* the request leaves, so a reply can never
+            // race past an unregistered submission.
+            state.in_flight.insert(seq, (submitted, cell));
+            let mut out = Outbox::new();
+            state.client.submit(signed, &mut out);
+            dispatch(&mut state, out.take(), &self.metrics, &mut sends);
+        }
+        for (to, msg) in sends {
+            self.sender.send(to, msg);
         }
     }
 
-    fn record(&self, replica: ReplicaId, batch_seq: u64, key: ProofKey, results: TxnEffect) {
-        let completed = {
-            let mut pending = self.pending.lock();
-            let Some(ticket) = pending.get_mut(&batch_seq) else {
-                return; // unknown or already resolved
-            };
-            match ticket.record_reply(replica, key, results, self.quorum) {
-                Some(proof) => {
-                    let ticket = pending.remove(&batch_seq).expect("present");
-                    Some((ticket, proof))
-                }
-                None => None,
+    /// Stop accepting batches and abort every unresolved ticket; the
+    /// driver thread exits at its next wake-up.
+    fn stop(&self, reason: &'static str) {
+        let mut state = self.state.lock();
+        state.stopped = true;
+        for (_, (_, cell)) in state.in_flight.drain() {
+            if let Some(cell) = cell {
+                cell.resolve(TicketState::Aborted(reason));
             }
-        };
-        if let Some((ticket, proof)) = completed {
-            self.metrics
-                .record_completion(ticket.signed.batch.len(), ticket.submitted_at.elapsed());
-            ticket.cell.resolve(TicketState::Committed(proof));
-        }
-    }
-
-    /// Retransmit every overdue in-flight batch (capped exponential
-    /// back-off, broadcast like [`rdb_consensus::clients::QuorumClient`]'s
-    /// retry so replicas forward to the current primary, §2.2). Runs on
-    /// the pump thread, which must never park on a replica's full inbox —
-    /// retransmissions go out best-effort via `try_send` and are simply
-    /// re-driven at the next back-off if the replica is saturated.
-    fn retransmit_due(&self) {
-        let now = Instant::now();
-        let due: Vec<SignedBatch> = {
-            let mut pending = self.pending.lock();
-            pending
-                .values_mut()
-                .filter(|t| now >= t.next_retry)
-                .map(|t| {
-                    t.timeout = t.timeout.doubled().min(self.cfg.client_retry_cap);
-                    t.next_retry = now + Duration::from_nanos(t.timeout.as_nanos());
-                    t.signed.clone()
-                })
-                .collect()
-        };
-        if due.is_empty() {
-            return;
-        }
-        let targets = retry_targets(self.policy, &self.cfg.system, self.id);
-        for signed in due {
-            for target in &targets {
-                let _ = self
-                    .sender
-                    .try_send((*target).into(), Message::Request(signed.clone()));
-            }
-        }
-    }
-
-    fn abort_pending(&self, reason: &'static str) {
-        for (_, ticket) in self.pending.lock().drain() {
-            ticket.cell.resolve(TicketState::Aborted(reason));
         }
     }
 }
 
-fn pump_loop(core: &SessionCore, inbox: Receiver<Envelope>) {
-    // Retry deadlines have client_retry (seconds) granularity; checking
-    // them on a coarse cadence instead of per envelope keeps the hot
-    // reply path from scanning the pending map under its lock for every
-    // message.
-    const RETRY_CHECK_EVERY: Duration = Duration::from_millis(50);
-    let mut last_retry_check = Instant::now();
-    while !core.stop.load(Ordering::Relaxed) {
-        match inbox.recv_timeout(Duration::from_millis(5)) {
-            Ok(env) => core.on_envelope(env),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+/// The driver loop of one client identity: feed the client its replies
+/// and its due timers until stopped. Whatever those make it send (a
+/// retransmission, a commit certificate) goes out best-effort by
+/// `try_send` — this thread must never park on a replica's full inbox,
+/// and the next back-off re-drives what a saturated replica missed. With
+/// a `source` the client is closed-loop: the driver submits one batch at
+/// start and one per completion, parking at the admission edge like any
+/// submitter.
+fn drive(core: &ClientCore, inbox: Receiver<Envelope>, mut source: Option<BatchSource>) {
+    let mut next = |owed: usize| {
+        let Some(source) = source.as_mut() else {
+            return;
+        };
+        for _ in 0..owed {
+            let seq = core.next_batch.fetch_add(1, Ordering::Relaxed);
+            core.submit(source(seq), None);
         }
-        if last_retry_check.elapsed() >= RETRY_CHECK_EVERY {
-            last_retry_check = Instant::now();
-            core.retransmit_due();
+    };
+    next(1);
+    let mut wait = Duration::ZERO;
+    loop {
+        let env = match inbox.recv_timeout(wait) {
+            Ok(env) => Some(env),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        let mut sends = Vec::new();
+        let mut completed = 0;
+        {
+            let mut guard = core.state.lock();
+            let state = &mut *guard;
+            if state.stopped {
+                return;
+            }
+            let mut out = Outbox::new();
+            if let Some(env) = env {
+                let now = state.wheel.now();
+                state.client.on_message(now, env.from, env.msg, &mut out);
+                completed += dispatch(state, out.take(), &core.metrics, &mut sends);
+            }
+            for kind in state.wheel.due() {
+                let now = state.wheel.now();
+                state.client.on_timer(now, kind, &mut out);
+                completed += dispatch(state, out.take(), &core.metrics, &mut sends);
+            }
+            wait = state.wheel.next_wait();
         }
+        for (to, msg) in sends {
+            let _ = core.sender.try_send(to, msg);
+        }
+        next(completed);
     }
-    core.abort_pending("fabric shut down with the ticket unresolved");
 }
 
 /// An open-loop client session bound to one cluster. Cheap to clone;
@@ -427,7 +340,7 @@ fn pump_loop(core: &SessionCore, inbox: Receiver<Envelope>) {
 /// lives until the fabric shuts down.
 #[derive(Clone)]
 pub struct ClientSession {
-    core: Arc<SessionCore>,
+    core: Arc<ClientCore>,
 }
 
 impl ClientSession {
@@ -467,47 +380,8 @@ impl ClientSession {
             batch_seq,
             txns,
         };
-        let digest = batch.digest();
-        let signed = SignedBatch {
-            sig: core.crypto.sign(digest.as_bytes()),
-            pubkey: core.crypto.public_key(),
-            batch,
-        };
         let cell = Arc::new(TicketCell::new());
-        // A session outlives its fabric (it is a cheap clonable handle);
-        // submitting after shutdown must fail fast, not hang forever on
-        // a request nobody will answer.
-        if core.stop.load(Ordering::SeqCst) {
-            cell.resolve(TicketState::Aborted("session's fabric already shut down"));
-            return Ticket { batch_seq, cell };
-        }
-        // Register the ticket *before* the request leaves, so a reply can
-        // never race past an unregistered submission.
-        core.pending.lock().insert(
-            batch_seq,
-            PendingTicket::new(signed.clone(), Arc::clone(&cell), core.cfg.client_retry),
-        );
-        // Close the race with a concurrent shutdown: `stop` is stored
-        // (SeqCst) before the pump is joined and the pending map drained,
-        // so either this load sees it — and the insert above is drained
-        // by `abort_pending` — or the insert happened early enough for
-        // the drain to catch it. Either way the ticket resolves.
-        if core.stop.load(Ordering::SeqCst) {
-            if let Some(t) = core.pending.lock().remove(&batch_seq) {
-                t.cell
-                    .resolve(TicketState::Aborted("session's fabric already shut down"));
-            }
-            return Ticket { batch_seq, cell };
-        }
-        let target = entry_target(
-            core.policy,
-            &core.cfg.system,
-            core.id,
-            core.view_hint.load(Ordering::Relaxed),
-        );
-        // The admission edge: a Request is non-droppable, so this parks
-        // the submitting thread when the replica's input queue is full.
-        core.sender.send(target.into(), Message::Request(signed));
+        core.submit(batch, Some(Arc::clone(&cell)));
         Ticket { batch_seq, cell }
     }
 
@@ -515,13 +389,6 @@ impl ClientSession {
     pub fn submit_one(&self, op: Operation) -> Ticket {
         self.submit(vec![op])
     }
-}
-
-/// A session's runtime half, owned by the fabric: the pump thread and the
-/// shared core, joined at shutdown.
-pub(crate) struct SessionRuntime {
-    core: Arc<SessionCore>,
-    pump: JoinHandle<()>,
 }
 
 /// A live, running deployment: replicas are up and serving. Mint
@@ -542,8 +409,9 @@ pub struct Fabric {
     pub(crate) keystore: KeyStore,
     pub(crate) epoch: Instant,
     pub(crate) replicas: Vec<ReplicaRuntime>,
-    pub(crate) clients: Mutex<Vec<ClientRuntime>>,
-    pub(crate) sessions: Mutex<Vec<SessionRuntime>>,
+    /// Every client identity — sessions and harness clients alike — with
+    /// its driver thread.
+    pub(crate) clients: Mutex<Vec<(Arc<ClientCore>, JoinHandle<()>)>>,
     pub(crate) next_ycsb_client: AtomicUsize,
     pub(crate) next_session: AtomicU32,
     pub(crate) crash_threads: Vec<JoinHandle<()>>,
@@ -596,15 +464,6 @@ impl Fabric {
     /// through the same admission edge as the closed-loop harness and are
     /// torn down by [`Fabric::shutdown`].
     ///
-    /// **Zyzzyva caveat**: sessions ride the protocol's speculative fast
-    /// path only — a ticket resolves when *all* `n` replicas answer
-    /// identically (the paper: "clients in Zyzzyva require identical
-    /// responses from all n replicas"). The 2F+1 commit-phase fallback
-    /// lives in the bespoke closed-loop `ZyzzyvaClient`, not in sessions,
-    /// so under a crashed or faulty replica a Zyzzyva session ticket
-    /// never resolves: use [`Ticket::wait_timeout`], or the closed-loop
-    /// harness, for Zyzzyva deployments with failures.
-    ///
     /// # Panics
     ///
     /// Panics if `cluster` is outside the deployment.
@@ -615,34 +474,43 @@ impl Fabric {
             self.system.z()
         );
         let index = SESSION_INDEX_BASE + self.next_session.fetch_add(1, Ordering::Relaxed);
-        let id = ClientId { cluster, index };
+        let core = self.spawn_client(ClientId { cluster, index }, None);
+        ClientSession { core }
+    }
+
+    /// Register client `id` with the keystore and the transport and start
+    /// its driver thread: closed-loop over `source`, or idle until a
+    /// session submits.
+    fn spawn_client(&self, id: ClientId, source: Option<BatchSource>) -> Arc<ClientCore> {
         let signer = self.keystore.register(id.into());
         let crypto = CryptoCtx::new(signer, self.keystore.verifier(), self.check_sigs);
         let (inbox, sender) = self.transport.register(id.into()).split();
-        let core = Arc::new(SessionCore {
+        let role = if source.is_some() {
+            "client"
+        } else {
+            "session"
+        };
+        let core = Arc::new(ClientCore {
             id,
-            cfg: self.cfg.clone(),
-            policy: registry::target_policy(self.kind),
-            quorum: registry::reply_quorum(self.kind, &self.cfg),
-            crypto,
+            crypto: crypto.clone(),
             sender,
             metrics: self.metrics.clone(),
-            pending: Mutex::new(HashMap::new()),
+            state: Mutex::new(ClientState {
+                client: registry::client(self.kind, self.cfg.clone(), id, crypto),
+                wheel: TimerWheel::new(self.epoch),
+                in_flight: HashMap::new(),
+                stopped: false,
+            }),
             next_batch: AtomicU64::new(0),
             next_txn: AtomicU64::new(0),
-            view_hint: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
         });
-        let pump_core = Arc::clone(&core);
-        let pump = std::thread::Builder::new()
-            .name(format!("{id}-session"))
-            .spawn(move || pump_loop(&pump_core, inbox))
-            .expect("spawn session pump thread");
-        self.sessions.lock().push(SessionRuntime {
-            core: Arc::clone(&core),
-            pump,
-        });
-        ClientSession { core }
+        let driver = Arc::clone(&core);
+        let thread = std::thread::Builder::new()
+            .name(format!("{id}-{role}"))
+            .spawn(move || drive(&driver, inbox, source))
+            .expect("spawn client driver thread");
+        self.clients.lock().push((Arc::clone(&core), thread));
+        core
     }
 
     /// Spawn `count` closed-loop YCSB clients, spread round-robin over
@@ -670,43 +538,27 @@ impl Fabric {
     ) {
         let z = self.system.z();
         let offset = self.next_ycsb_client.fetch_add(count, Ordering::Relaxed);
-        let mut clients = self.clients.lock();
         for i in offset..offset + count {
             let cid = ClientId::new((i % z) as u16, (i / z) as u32);
-            let signer = self.keystore.register(cid.into());
-            let crypto = CryptoCtx::new(signer, self.keystore.verifier(), self.check_sigs);
-            let source = factory(cid, self.seed);
-            let protocol = registry::build_client(self.kind, self.cfg.clone(), cid, crypto, source);
-            let handle = self.transport.register(cid.into());
-            clients.push(ClientRuntime::spawn(
-                protocol,
-                handle,
-                self.metrics.clone(),
-                self.epoch,
-            ));
+            self.spawn_client(cid, Some(factory(cid, self.seed)));
         }
     }
 
-    /// Stop every thread of the deployment — sessions first (pending
-    /// tickets abort), then the closed-loop clients, then the replica
-    /// pipelines, then the crash schedulers — and hand back what the
+    /// Stop every thread of the deployment — the clients first (pending
+    /// tickets abort), then the replica pipelines, then the crash
+    /// schedulers — and hand back what the
     /// replicas ended with. Idempotent: both [`Fabric::shutdown`] and
     /// [`Drop`] funnel through here, and a second call finds everything
     /// already drained.
     fn stop_all(&mut self) -> Vec<(NodeId, crate::node::ReplicaStopReport)> {
-        // Sessions: stop the pumps so no retransmission races the replica
-        // teardown, then fail any still-unresolved ticket loudly.
-        let sessions = std::mem::take(&mut *self.sessions.lock());
-        for s in &sessions {
-            s.core.stop.store(true, Ordering::SeqCst);
+        // Clients first, so no retransmission races the replica teardown
+        // and every still-unresolved ticket fails loudly.
+        let clients = std::mem::take(&mut *self.clients.lock());
+        for (core, _) in &clients {
+            core.stop("fabric shut down with the ticket unresolved");
         }
-        for s in sessions {
-            s.pump.join().expect("session pump thread");
-            s.core
-                .abort_pending("fabric shut down with the ticket unresolved");
-        }
-        for c in std::mem::take(&mut *self.clients.lock()) {
-            c.stop();
+        for (_, driver) in clients {
+            driver.join().expect("client driver thread");
         }
         // Two-phase replica stop: signal everyone, then join. See
         // `ReplicaRuntime::signal_stop` for why joining one replica while
@@ -737,9 +589,9 @@ impl Fabric {
         stopped
     }
 
-    /// Stop everything — sessions first (pending tickets abort), then the
-    /// closed-loop clients, then the replica pipelines — and assemble the
-    /// run's [`crate::DeploymentReport`].
+    /// Stop everything — the clients first (pending tickets abort), then
+    /// the replica pipelines — and assemble the run's
+    /// [`crate::DeploymentReport`].
     pub fn shutdown(mut self) -> crate::DeploymentReport {
         let mut ledgers = HashMap::new();
         let mut exec_state_digests = HashMap::new();
@@ -782,7 +634,7 @@ impl Fabric {
 
 impl Drop for Fabric {
     /// A fabric dropped without [`Fabric::shutdown`] still tears the
-    /// deployment down — replica pipelines, session pumps and crash
+    /// deployment down — replica pipelines, client drivers and crash
     /// schedulers are joined, not leaked. (After `shutdown` this is a
     /// no-op: everything was already drained.)
     fn drop(&mut self) {
@@ -793,161 +645,8 @@ impl Drop for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdb_store::{ExecOutcome, Value};
-
-    fn signed_batch() -> SignedBatch {
-        let client = ClientId::new(0, SESSION_INDEX_BASE);
-        SignedBatch {
-            batch: ClientBatch {
-                client,
-                batch_seq: 0,
-                txns: vec![
-                    Transaction {
-                        client,
-                        seq: 0,
-                        op: Operation::Write {
-                            key: 1,
-                            value: Value::from_u64(11),
-                        },
-                    },
-                    Transaction {
-                        client,
-                        seq: 1,
-                        op: Operation::Read { key: 1 },
-                    },
-                ],
-            },
-            pubkey: Default::default(),
-            sig: Default::default(),
-        }
-    }
-
-    /// The honest execution outcome of `signed_batch` against any store.
-    fn honest_effect() -> TxnEffect {
-        TxnEffect {
-            outcomes: vec![
-                ExecOutcome::Done,
-                ExecOutcome::ReadValue(Some(Value::from_u64(11))),
-            ],
-        }
-    }
-
-    fn pending() -> PendingTicket {
-        PendingTicket::new(
-            signed_batch(),
-            Arc::new(TicketCell::new()),
-            SimDuration::from_millis(100),
-        )
-    }
-
-    fn honest_key(t: &PendingTicket) -> ProofKey {
-        (7, 7, result_digest(&t.batch_digest, &honest_effect()))
-    }
-
-    #[test]
-    fn quorum_of_matching_replies_completes_with_proof() {
-        let mut t = pending();
-        let key = honest_key(&t);
-        assert!(t
-            .record_reply(ReplicaId::new(0, 0), key, honest_effect(), 2)
-            .is_none());
-        let proof = t
-            .record_reply(ReplicaId::new(0, 1), key, honest_effect(), 2)
-            .expect("second matching reply completes");
-        assert_eq!(proof.seq, 7);
-        assert_eq!(proof.block_height, 7);
-        assert_eq!(
-            proof.attesting_replicas,
-            vec![ReplicaId::new(0, 0), ReplicaId::new(0, 1)]
-        );
-        assert_eq!(proof.results, honest_effect());
-    }
-
-    #[test]
-    fn forged_replies_with_mismatched_digest_never_complete() {
-        // f = 1 in a 4-replica cluster, quorum f + 1 = 2: one forged
-        // reply (self-consistent but wrong digest) plus one honest reply
-        // must not complete, no matter the interleaving.
-        let mut t = pending();
-        let honest = honest_key(&t);
-        let mut forged_results = honest_effect();
-        forged_results.outcomes[1] = ExecOutcome::ReadValue(Some(Value::from_u64(666)));
-        let forged = (7, 7, result_digest(&t.batch_digest, &forged_results));
-        assert_ne!(forged.2, honest.2);
-
-        assert!(t
-            .record_reply(ReplicaId::new(0, 3), forged, forged_results.clone(), 2)
-            .is_none());
-        assert!(t
-            .record_reply(ReplicaId::new(0, 0), honest, honest_effect(), 2)
-            .is_none());
-        // A second forged vote for the same wrong outcome would need a
-        // second colluding replica; replica 3 repeating itself is a
-        // no-op.
-        assert!(t
-            .record_reply(ReplicaId::new(0, 3), forged, forged_results, 2)
-            .is_none());
-        // The honest quorum still completes with the honest outcome.
-        let proof = t
-            .record_reply(ReplicaId::new(0, 1), honest, honest_effect(), 2)
-            .expect("honest quorum");
-        assert_eq!(proof.result_digest, honest.2);
-        assert_eq!(proof.results, honest_effect());
-    }
-
-    #[test]
-    fn results_not_hashing_to_their_claimed_digest_are_discarded() {
-        // A Byzantine replica votes the *honest* digest but attaches
-        // forged read values: the payload/digest mismatch must disqualify
-        // the reply entirely (it does not even consume the vote).
-        let mut t = pending();
-        let honest = honest_key(&t);
-        let mut forged_results = honest_effect();
-        forged_results.outcomes[1] = ExecOutcome::ReadValue(Some(Value::from_u64(666)));
-        assert!(t
-            .record_reply(ReplicaId::new(0, 2), honest, forged_results, 2)
-            .is_none());
-        assert!(t.voted.is_empty(), "forged payload must not vote");
-        // Two honest replies complete with the true values.
-        t.record_reply(ReplicaId::new(0, 0), honest, honest_effect(), 2);
-        let proof = t
-            .record_reply(ReplicaId::new(0, 1), honest, honest_effect(), 2)
-            .expect("honest quorum unaffected");
-        assert_eq!(proof.results, honest_effect());
-    }
-
-    #[test]
-    fn forged_height_or_seq_cannot_join_the_honest_quorum() {
-        // Matching digest but a lying block height is a *different*
-        // outcome triple: it neither completes nor pollutes the honest
-        // tally.
-        let mut t = pending();
-        let honest = honest_key(&t);
-        let lying_height = (honest.0, honest.1 + 5, honest.2);
-        assert!(t
-            .record_reply(ReplicaId::new(0, 3), lying_height, honest_effect(), 2)
-            .is_none());
-        assert!(t
-            .record_reply(ReplicaId::new(0, 0), honest, honest_effect(), 2)
-            .is_none());
-        let proof = t
-            .record_reply(ReplicaId::new(0, 1), honest, honest_effect(), 2)
-            .expect("two honest replies");
-        assert_eq!(proof.block_height, honest.1);
-        assert!(!proof.attesting_replicas.contains(&ReplicaId::new(0, 3)));
-    }
-
-    #[test]
-    fn duplicate_replica_votes_count_once() {
-        let mut t = pending();
-        let key = honest_key(&t);
-        for _ in 0..5 {
-            assert!(t
-                .record_reply(ReplicaId::new(0, 0), key, honest_effect(), 2)
-                .is_none());
-        }
-        assert_eq!(t.votes[&key].len(), 1);
-    }
+    use rdb_crypto::digest::Digest;
+    use rdb_store::TxnEffect;
 
     #[test]
     fn ticket_wait_timeout_and_try_wait_observe_resolution() {

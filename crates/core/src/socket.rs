@@ -18,7 +18,11 @@
 //! the epoch — a nonce shared by every transport of one deployment
 //! incarnation — so a socket held open by a *previous* incarnation (or
 //! a stale reconnecting peer) is refused instead of injecting old
-//! traffic into a new run.
+//! traffic into a new run. The listener then holds the connection to
+//! the identity it was opened under: a link carries one directed pair, so
+//! the first frame whose `from` is not the handshake peer, or whose `to`
+//! is not the listener's node, drops the connection — a connected peer
+//! cannot speak (or vote) as anybody else.
 //!
 //! # Reconnect
 //!
@@ -427,30 +431,9 @@ impl SocketTransport {
             .get(&to)
             .cloned()
             .ok_or_else(|| std::io::Error::new(ErrorKind::NotFound, "peer not registered"))?;
-        let stream = match addr {
-            WireAddr::Tcp(a) => {
-                let s = TcpStream::connect(a)?;
-                s.set_nodelay(true)?;
-                SockStream::Tcp(s)
-            }
-            #[cfg(unix)]
-            WireAddr::Uds(p) => SockStream::Uds(UnixStream::connect(p)?),
-            #[cfg(not(unix))]
-            WireAddr::Uds(_) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::Unsupported,
-                    "unix-domain sockets unavailable",
-                ))
-            }
-        };
-        let mut stream = stream;
+        let mut stream = dial(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-        let mut hello = Vec::with_capacity(HANDSHAKE_BYTES);
-        hello.extend_from_slice(&MAGIC);
-        hello.push(VERSION);
-        codec::encode_node_id(&mut hello, from);
-        hello.extend_from_slice(&self.shared.epoch.to_le_bytes());
-        stream.write_all(&hello)?;
+        stream.write_all(&handshake(from, self.shared.epoch))?;
         let peer = read_handshake(&mut stream, self.shared.epoch)?;
         if peer != to {
             return Err(std::io::Error::new(
@@ -522,19 +505,16 @@ impl SocketTransport {
     /// One inbound connection: handshake, then decode frames until EOF,
     /// error, or shutdown. A corrupt frame closes the connection — the
     /// peer reconnects with fresh framing, so one bad frame can never
-    /// desync a long-lived stream.
+    /// desync a long-lived stream — and so does a frame that is not from
+    /// the handshake peer to this listener's node.
     fn serve_conn(&self, mut stream: SockStream, node: NodeId) {
         if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
             return;
         }
-        let Ok(_peer) = read_handshake(&mut stream, self.shared.epoch) else {
+        let Ok(peer) = read_handshake(&mut stream, self.shared.epoch) else {
             return; // wrong magic/version/epoch: refuse stale peers
         };
-        let mut reply = Vec::with_capacity(HANDSHAKE_BYTES);
-        reply.extend_from_slice(&MAGIC);
-        reply.push(VERSION);
-        codec::encode_node_id(&mut reply, node);
-        reply.extend_from_slice(&self.shared.epoch.to_le_bytes());
+        let reply = handshake(node, self.shared.epoch);
         if stream.write_all(&reply).is_err() {
             return;
         }
@@ -555,6 +535,10 @@ impl SocketTransport {
                 _ => return,
             }
             match codec::decode_frame_body(&body) {
+                // A connection carries one directed link: a frame under
+                // any other name is a peer voting as somebody else, or
+                // reaching into an inbox it did not dial.
+                Ok((from, to, _)) if from != peer || to != node => return,
                 Ok((from, to, msg)) => {
                     self.shared.metrics.net_received(from, to, (4 + len) as u64);
                     // Same input-stage policy as the in-process mesh: a
@@ -589,6 +573,34 @@ impl SocketTransport {
         }
         Ok(true)
     }
+}
+
+/// Open a connection to a listener at `addr`.
+fn dial(addr: WireAddr) -> std::io::Result<SockStream> {
+    match addr {
+        WireAddr::Tcp(a) => {
+            let s = TcpStream::connect(a)?;
+            s.set_nodelay(true)?;
+            Ok(SockStream::Tcp(s))
+        }
+        #[cfg(unix)]
+        WireAddr::Uds(p) => Ok(SockStream::Uds(UnixStream::connect(p)?)),
+        #[cfg(not(unix))]
+        WireAddr::Uds(_) => Err(std::io::Error::new(
+            ErrorKind::Unsupported,
+            "unix-domain sockets unavailable",
+        )),
+    }
+}
+
+/// The handshake `node` sends in deployment `epoch`.
+fn handshake(node: NodeId, epoch: u64) -> Vec<u8> {
+    let mut hello = Vec::with_capacity(HANDSHAKE_BYTES);
+    hello.extend_from_slice(&MAGIC);
+    hello.push(VERSION);
+    codec::encode_node_id(&mut hello, node);
+    hello.extend_from_slice(&epoch.to_le_bytes());
+    hello
 }
 
 /// Read and validate one handshake, returning the peer's node id.
@@ -719,6 +731,39 @@ mod tests {
         );
         t1.shutdown();
         t2.shutdown();
+    }
+
+    #[test]
+    fn frames_must_come_from_the_handshake_peer_to_the_listener() {
+        for kind in kinds() {
+            let t = SocketTransport::new(kind, None);
+            let [a, b, target, other]: [NodeId; 4] =
+                std::array::from_fn(|i| ReplicaId::new(0, i as u16).into());
+            let ha = t.register(a);
+            let ht = t.register(target);
+            let ho = t.register(other);
+            // Handshake as `a`, by hand, then claim to be `b` — and, on a
+            // second connection, be `a` but address somebody else's inbox.
+            for (from, to) in [(b, target), (a, other)] {
+                let mut raw = dial(t.listen_addr(target).unwrap()).unwrap();
+                raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+                raw.write_all(&handshake(a, t.epoch())).unwrap();
+                assert_eq!(read_handshake(&mut raw, t.epoch()).unwrap(), target);
+                let mut codec = WireCodec::new();
+                raw.write_all(codec.encode_frame(from, to, &Message::Noop))
+                    .unwrap();
+                // The connection is gone: a well-formed honest frame sent
+                // behind the forged one never arrives either.
+                let _ = raw.write_all(codec.encode_frame(a, target, &Message::Noop));
+            }
+            assert!(ht.inbox.recv_timeout(Duration::from_millis(300)).is_err());
+            assert!(ho.inbox.try_recv().is_err());
+            // An honest a -> target link still delivers.
+            ha.send(target, Message::Noop);
+            let env = ht.inbox.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!((env.from, env.to), (a, target));
+            t.shutdown();
+        }
     }
 
     #[test]

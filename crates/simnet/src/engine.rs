@@ -492,7 +492,7 @@ impl Engine {
                         }
                     }
                 }
-                Action::RequestComplete { seq: _, txns } => {
+                Action::RequestComplete { txns, .. } => {
                     if let NodeId::Client(cid) = node {
                         if let Some(submitted) = self.submit_times.remove(&cid) {
                             self.stats.on_complete(txns, submitted, cursor);

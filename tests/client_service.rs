@@ -213,7 +213,7 @@ fn submit_after_shutdown_aborts_instead_of_hanging() {
 }
 
 /// Dropping a fabric without `shutdown()` still joins every thread of
-/// the deployment (replica pipelines, session pumps, crash schedulers) —
+/// the deployment (replica pipelines, client drivers, crash schedulers) —
 /// the test would hang or leak otherwise.
 #[test]
 fn dropping_a_fabric_tears_the_deployment_down() {
@@ -277,15 +277,13 @@ fn sessions_coexist_with_closed_loop_harness_load() {
         .expect("materialized tables match ledger heads");
 }
 
-/// Regression for the documented Zyzzyva session caveat: session tickets
-/// ride the speculative fast path only, which needs identical responses
-/// from *all* `n` replicas — under a single crashed replica a ticket can
-/// never resolve. The contract is that this surfaces deterministically:
-/// `wait_timeout` returns `None` (instead of hanging forever) while the
-/// ticket is merely pending (`aborted()` is `None`), and after shutdown
-/// the ticket is dead and says why (`aborted()` is `Some`).
+/// A crashed replica puts Zyzzyva's all-`n` fast path out of reach; the
+/// session's client then runs the protocol's commit phase — a certificate
+/// of `2F + 1` matching speculative responses, acknowledged by `2F + 1`
+/// replicas — so the ticket resolves under the very fault the protocol
+/// tolerates, exactly as it does for a closed-loop client.
 #[test]
-fn zyzzyva_session_under_replica_fault_times_out_deterministically() {
+fn zyzzyva_session_under_replica_fault_commits_through_the_commit_phase() {
     let fabric = DeploymentBuilder::new(ProtocolKind::Zyzzyva, 1, 4)
         .batch_size(5)
         .records(500)
@@ -297,15 +295,53 @@ fn zyzzyva_session_under_replica_fault_times_out_deterministically() {
     std::thread::sleep(Duration::from_millis(100));
 
     let session = fabric.session(ClusterId(0));
+    let value = Value::from_u64(11);
+    let write = session
+        .submit_one(Operation::Write { key: 3, value })
+        .wait_timeout(WAIT)
+        .expect("write must commit through the commit phase");
+    // 2F + 1 = 3 of the 4 replicas signed the certified outcome.
+    assert!(write.quorum_size() >= 3, "only {}", write.quorum_size());
+    let read = session
+        .submit_one(Operation::Read { key: 3 })
+        .wait_timeout(WAIT)
+        .expect("read must commit through the commit phase");
+    assert_eq!(
+        read.results.outcomes,
+        vec![ExecOutcome::ReadValue(Some(value))]
+    );
+    assert!(read.seq > write.seq);
+
+    let report = fabric.shutdown();
+    report.audit_ledgers().expect("ledgers consistent");
+}
+
+/// A ticket that genuinely cannot resolve — two of four Zyzzyva replicas
+/// down leave fewer than `2F + 1` responders — surfaces deterministically:
+/// `wait_timeout` returns `None` (instead of hanging forever) while the
+/// ticket is merely pending (`aborted()` is `None`), and after shutdown
+/// the ticket is dead and says why (`aborted()` is `Some`).
+#[test]
+fn shutdown_aborts_a_ticket_that_cannot_resolve() {
+    let fabric = DeploymentBuilder::new(ProtocolKind::Zyzzyva, 1, 4)
+        .batch_size(5)
+        .records(500)
+        .fast_timeouts()
+        .crash(rdb_common::ids::ReplicaId::new(0, 2), Duration::ZERO)
+        .crash(rdb_common::ids::ReplicaId::new(0, 3), Duration::ZERO)
+        .start();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let session = fabric.session(ClusterId(0));
     let ticket = session.submit_one(Operation::Write {
         key: 3,
         value: Value::from_u64(11),
     });
 
-    // Deterministic miss, not a hang: the fast path cannot complete.
+    // Deterministic miss, not a hang: neither phase can complete.
     assert!(
         ticket.wait_timeout(Duration::from_millis(800)).is_none(),
-        "ticket resolved through the speculative path with a replica down"
+        "ticket resolved with half the replicas down"
     );
     // A timed-out ticket is still *pending*, not dead: the fabric is up
     // and a recovered replica could in principle still complete it.
