@@ -253,21 +253,24 @@ pub(crate) fn persist_checkpoint(
     be.flush()
 }
 
-/// Rebuild a replica's in-memory state from its engine: scan the `table`
+/// Rebuild a replica's in-memory state from its engine: stream the `table`
 /// keyspace into a fresh store (restoring persisted versions, fingerprint
 /// maintained) and the `blocks` keyspace into a ledger rooted at genesis.
-/// The recovered ledger is uncompacted — every persisted block is
-/// retained, so its head hash and heights are identical to the ledger
-/// that wrote it.
+/// Each entry goes from the engine's run files straight into the store or
+/// the block vector, so recovery never holds a second copy of either. The
+/// recovered ledger is uncompacted — every persisted block is retained, so
+/// its head hash and heights are identical to the ledger that wrote it.
 pub(crate) fn recover_replica(backend: &LogBackend) -> io::Result<(KvStore, Ledger)> {
     let mut store = KvStore::new();
-    for (key, raw) in backend.scan(Keyspace::Table) {
+    for entry in backend.stream(Keyspace::Table) {
+        let (key, raw) = entry?;
         let (k, v, version) = decode_table_entry(&key, &raw)?;
         store.restore_record(k, v, version);
     }
 
     let mut blocks = vec![Block::genesis()];
-    for (key, raw) in backend.scan(Keyspace::Blocks) {
+    for entry in backend.stream(Keyspace::Blocks) {
+        let (key, raw) = entry?;
         let height = decode_be_key(&key)?;
         let block = decode_block(&raw)?;
         if block.height != height {

@@ -18,8 +18,12 @@
 //!   records), and `meta` (replica markers such as the applied height).
 //! * [`LogBackend`] — a log-structured persistent engine over `std::fs`:
 //!   a checksummed write-ahead log with torn-tail truncation on replay, an
-//!   in-memory memtable per keyspace, sorted immutable runs flushed at a
-//!   size threshold, and k-way-merge compaction.
+//!   in-memory memtable per keyspace, and sorted immutable runs streamed
+//!   out at a size threshold. A flushed run is a handle with a sparse
+//!   index, not a resident copy ([`run`]), and compaction is a policy per
+//!   keyspace ([`log`]): the height-keyed `blocks` and `checkpoints` are
+//!   append-only and never rewritten, `table` and `meta` merge
+//!   size-tiered.
 //!
 //! In-memory deployments (the fabric's `StorageMode::Memory`, which every
 //! repro binary uses) open no engine at all, so figure bytes never depend

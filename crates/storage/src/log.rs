@@ -10,27 +10,58 @@
 //! Writes land in the WAL first (one record per batch, so a batch is
 //! atomic under crash), then in per-keyspace in-memory memtables. When the
 //! memtables exceed [`LogConfig::memtable_bytes`] — or on an explicit
-//! [`flush`](crate::StorageBackend::flush) — each dirty memtable is written
+//! [`flush`](crate::StorageBackend::flush) — each dirty memtable is streamed
 //! out as a new sorted run and the WAL is reset (everything it protected is
-//! now durable in runs). When a keyspace accumulates
-//! [`LogConfig::compact_runs`] runs they are k-way-merged, newest wins,
-//! into a single base run and the inputs are deleted; tombstones vanish at
-//! the base.
+//! now durable in runs). What stays in memory of a run is a [`Run`] handle
+//! — path, entry count and a sparse key index — never its payload:
+//! [`LogBackend::resident_bytes`] is bounded by the memtable threshold
+//! however much has been written.
+//!
+//! ## Compaction policy, per keyspace
+//!
+//! * `blocks` and `checkpoints` are **append-only and never compact**.
+//!   Their keys are heights, so each flush adds a run disjoint from every
+//!   older one and a merge would only rewrite bytes. Never merging is
+//!   always *correct* — reads go newest-first whatever the keys are — it
+//!   only gives up reclaiming the space of overwritten keys, which these
+//!   keyspaces do not have.
+//! * `table` and `meta` compact **size-tiered**, with
+//!   [`LogConfig::compact_runs`] as the fan-out `T`: whenever the oldest of
+//!   the newest `T` runs is no bigger than the `T − 1` above it combined,
+//!   those `T` age-contiguous runs are merged into one. Small runs merge
+//!   among themselves, and a big old run (the preloaded base) is rewritten
+//!   only once the tier above it rivals it in size.
+//!
+//! A merge is one streaming pass ([`Merge`]) from run files to a run file.
+//! Two invariants keep it invisible to readers:
+//!
+//! * **Tombstones survive unless the merge includes the keyspace's oldest
+//!   run.** An upper-tier merge keeps them, or a key deleted above a base
+//!   run that still holds it would come back.
+//! * **The merged run takes the newest input's sequence number** (tmp +
+//!   rename over that input; the older inputs are deleted afterwards), so
+//!   on reopen it still sorts between its un-merged neighbours — a fresh
+//!   number would make it shadow newer runs. Its header records the oldest
+//!   sequence number it covers; inputs a crash left behind fall inside that
+//!   range and are removed at open instead of being read.
 //!
 //! ## Recovery state machine (at [`LogBackend::open`])
 //!
-//! 1. list `<ks>-<seq>.run` files, validate checksums, load ascending by
-//!    sequence number (older seq = older data);
+//! 1. remove orphaned `*.tmp` files; validate and index every
+//!    `<ks>-<seq>.run` ([`Run::open`]: checksum, framing, key order — any
+//!    failure fails the open), order them by sequence number (older seq =
+//!    older data), and drop the inputs of a merge that crashed before
+//!    deleting them;
 //! 2. replay the WAL: every checksummed record re-applies one whole batch
 //!    to the memtables; the first torn/corrupt frame truncates the file;
 //! 3. serve reads newest-first: memtable, then runs from newest to oldest.
 
 use crate::backend::{Keyspace, StorageBackend, StorageStats, WriteBatch, WriteOp};
-use crate::run::{merge_runs, read_run, write_run, Run};
+use crate::run::{Memtable, Merge, Run, RunWriter};
 use crate::wal::Wal;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Tuning knobs for [`LogBackend`].
@@ -39,7 +70,9 @@ pub struct LogConfig {
     /// Flush memtables to runs once their resident payload exceeds this
     /// many bytes (keys + values, summed over keyspaces).
     pub memtable_bytes: usize,
-    /// Compact a keyspace down to one run once it holds this many runs.
+    /// Fan-out of the size-tiered compaction of the `table` and `meta`
+    /// keyspaces: this many age-contiguous runs of similar size merge into
+    /// one (values below 2 act as 2). See the module docs.
     pub compact_runs: usize,
     /// `fsync` after WAL appends and run writes. Off in CI and benches;
     /// the crash-safety tests model torn writes by truncating files, which
@@ -60,8 +93,7 @@ impl Default for LogConfig {
 /// One keyspace's mutable state: resident writes plus on-disk runs.
 #[derive(Debug, Default)]
 struct Space {
-    /// Resident writes; `None` value = tombstone awaiting flush.
-    memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    memtable: Memtable,
     /// Runs oldest → newest, each paired with its sequence number.
     runs: Vec<(u64, Run)>,
 }
@@ -74,10 +106,25 @@ pub struct LogBackend {
     wal: Wal,
     spaces: [Space; 4],
     /// Payload bytes resident in memtables (flush trigger).
-    resident_bytes: usize,
+    memtable_bytes: usize,
     /// Next run-file sequence number.
     next_seq: u64,
     stats: StorageStats,
+}
+
+/// Keyspaces keyed by height: every flush is disjoint from the runs before
+/// it, so they are never merged (module docs).
+fn append_only(ks: Keyspace) -> bool {
+    matches!(ks, Keyspace::Blocks | Keyspace::Checkpoints)
+}
+
+/// The size-tiered rule over run sizes ordered oldest → newest: the newest
+/// `fan_out` runs, if the oldest of them is no bigger than the rest of them
+/// combined.
+fn tier_window(sizes: &[u64], fan_out: usize) -> Option<Range<usize>> {
+    let start = sizes.len().checked_sub(fan_out.max(2))?;
+    let newer: u64 = sizes[start + 1..].iter().sum();
+    (sizes[start] <= newer).then_some(start..sizes.len())
 }
 
 impl LogBackend {
@@ -87,25 +134,51 @@ impl LogBackend {
         fs::create_dir_all(dir)?;
         let mut stats = StorageStats::default();
 
-        // 1. Load runs, ascending by sequence number.
-        let mut loaded: Vec<(u64, Run)> = Vec::new();
+        // 1. Validate and index runs, ascending by sequence number.
+        let mut spaces: [Space; 4] = Default::default();
+        let mut next_seq = 1;
         for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(seq) = parse_run_name(name) else {
+            let path = entry?.path();
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            let run = read_run(&entry.path())?;
-            loaded.push((seq, run));
+            if name.ends_with(".tmp") {
+                // A flush or merge that crashed before its rename.
+                fs::remove_file(&path)?;
+                continue;
+            }
+            let Some((ks, seq)) = parse_run_name(name) else {
+                continue;
+            };
+            let run = Run::open(&path)?;
+            if run.ks() != ks || run.covers_from() > seq {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: header does not match the file name", path.display()),
+                ));
+            }
+            spaces[ks.index()].runs.push((seq, run));
+            next_seq = next_seq.max(seq + 1);
         }
-        loaded.sort_by_key(|(seq, _)| *seq);
-        let next_seq = loaded.last().map_or(1, |(seq, _)| seq + 1);
-
-        let mut spaces: [Space; 4] = Default::default();
-        for (seq, run) in loaded {
-            stats.keys_recovered += run.entries.len() as u64;
-            spaces[run.ks.index()].runs.push((seq, run));
+        for space in &mut spaces {
+            space.runs.sort_by_key(|(seq, _)| *seq);
+            // Newest → oldest: a run numbered inside the range a newer run
+            // covers is an input of a merge that crashed before deleting
+            // it. The merged run holds all it held (and may have dropped
+            // tombstones on the strength of that), so it must not be read.
+            let mut covered_from = u64::MAX;
+            let mut kept = Vec::new();
+            for (seq, run) in space.runs.drain(..).rev() {
+                if seq >= covered_from {
+                    fs::remove_file(run.path())?;
+                    continue;
+                }
+                covered_from = run.covers_from();
+                stats.keys_recovered += run.count();
+                kept.push((seq, run));
+            }
+            kept.reverse();
+            space.runs = kept;
         }
 
         // 2. Replay the WAL into the memtables (truncating any torn tail).
@@ -116,7 +189,7 @@ impl LogBackend {
             cfg,
             wal,
             spaces,
-            resident_bytes: 0,
+            memtable_bytes: 0,
             next_seq,
             stats,
         };
@@ -142,16 +215,46 @@ impl LogBackend {
         self.spaces[ks.index()].runs.len()
     }
 
+    /// Bytes of keys and values the engine holds in memory: the memtables'
+    /// payload plus every run handle's sparse index.
+    pub fn resident_bytes(&self) -> usize {
+        let indexes: usize = self
+            .spaces
+            .iter()
+            .flat_map(|space| &space.runs)
+            .map(|(_, run)| run.resident_bytes())
+            .sum();
+        self.memtable_bytes + indexes
+    }
+
+    /// The live `(key, value)` pairs of `ks` in ascending key order, read
+    /// from the run files as the iterator advances: one streaming merge
+    /// over the keyspace's runs and its memtable, holding one entry at a
+    /// time. [`StorageBackend::scan`] collects it.
+    pub fn stream(
+        &self,
+        ks: Keyspace,
+    ) -> impl Iterator<Item = io::Result<(Vec<u8>, Vec<u8>)>> + '_ {
+        let space = &self.spaces[ks.index()];
+        Merge::new(space.runs.iter().map(|(_, run)| run), Some(&space.memtable)).filter_map(
+            |entry| match entry {
+                Ok((key, Some(value))) => Some(Ok((key, value))),
+                Ok((_, None)) => None,
+                Err(e) => Some(Err(e)),
+            },
+        )
+    }
+
     fn apply_to_memtables(&mut self, batch: WriteBatch) {
         for op in batch.ops {
             match op {
                 WriteOp::Put { ks, key, value } => {
-                    self.resident_bytes += key.len() + value.len();
+                    self.memtable_bytes += key.len() + value.len();
                     self.spaces[ks.index()].memtable.insert(key, Some(value));
                     self.stats.puts += 1;
                 }
                 WriteOp::Delete { ks, key } => {
-                    self.resident_bytes += key.len();
+                    self.memtable_bytes += key.len();
                     self.spaces[ks.index()].memtable.insert(key, None);
                     self.stats.deletes += 1;
                 }
@@ -159,7 +262,8 @@ impl LogBackend {
         }
     }
 
-    /// Write every dirty memtable out as a run, then reset the WAL.
+    /// Write every dirty memtable out as a run, reset the WAL, then let the
+    /// compacting keyspaces merge whatever their policy now allows.
     fn flush_memtables(&mut self) -> io::Result<()> {
         let mut wrote = false;
         for ks in Keyspace::ALL {
@@ -167,58 +271,84 @@ impl LogBackend {
             if space.memtable.is_empty() {
                 continue;
             }
-            let entries: Vec<_> = std::mem::take(&mut space.memtable).into_iter().collect();
-            let run = Run { ks, entries };
             let seq = self.next_seq;
             self.next_seq += 1;
-            let path = self.dir.join(run_name(ks, seq));
-            let bytes = write_run(&path, &run, self.cfg.fsync)?;
-            space.runs.push((seq, run));
+            let mut writer = RunWriter::create(&self.dir.join(run_name(ks, seq)), ks, seq)?;
+            for (key, value) in &space.memtable {
+                writer.push(key, value.as_deref())?;
+            }
+            let run = writer.finish(self.cfg.fsync)?;
+            space.memtable.clear();
             self.stats.flushes += 1;
-            self.stats.run_bytes += bytes;
+            self.stats.run_bytes += run.bytes();
+            space.runs.push((seq, run));
             wrote = true;
         }
         if wrote {
             // Every write the WAL protected now lives in a run; restart the
             // log so replay cost stays proportional to the unflushed tail.
             self.wal.reset()?;
-            self.resident_bytes = 0;
+            self.memtable_bytes = 0;
         }
         for ks in Keyspace::ALL {
-            if self.spaces[ks.index()].runs.len() >= self.cfg.compact_runs {
-                self.compact(ks)?;
+            if append_only(ks) {
+                continue;
+            }
+            while let Some(window) = self.mergeable(ks) {
+                self.merge(ks, window)?;
             }
         }
         Ok(())
     }
 
-    /// K-way-merge every run of `ks` into a single base run.
-    fn compact(&mut self, ks: Keyspace) -> io::Result<()> {
+    fn mergeable(&self, ks: Keyspace) -> Option<Range<usize>> {
+        let sizes: Vec<u64> = self.spaces[ks.index()]
+            .runs
+            .iter()
+            .map(|(_, run)| run.bytes())
+            .collect();
+        tier_window(&sizes, self.cfg.compact_runs)
+    }
+
+    /// Merge the age-contiguous runs `window` of `ks` into one, holding
+    /// the two invariants of the module docs.
+    fn merge(&mut self, ks: Keyspace, window: Range<usize>) -> io::Result<()> {
         let space = &mut self.spaces[ks.index()];
-        if space.runs.len() < 2 {
-            return Ok(());
+        let inputs = &space.runs[window.clone()];
+        let (newest_seq, _) = inputs[inputs.len() - 1];
+        // Below the keyspace's oldest run there is nothing for a tombstone
+        // to shadow; anywhere else it still hides older runs' entries.
+        let keep_tombstones = window.start > 0;
+        let path = self.dir.join(run_name(ks, newest_seq));
+        let mut writer = RunWriter::create(&path, ks, inputs[0].1.covers_from())?;
+        for entry in Merge::new(inputs.iter().map(|(_, run)| run), None) {
+            let (key, value) = entry?;
+            if value.is_some() || keep_tombstones {
+                writer.push(&key, value.as_deref())?;
+            }
         }
-        let inputs: Vec<(u64, Run)> = std::mem::take(&mut space.runs);
-        let ordered: Vec<Run> = inputs.iter().map(|(_, r)| r.clone()).collect();
-        // The merged output is the new base: tombstones have nothing older
-        // to shadow, so they are dropped.
-        let entries = merge_runs(&ordered, true);
-        let run = Run { ks, entries };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let path = self.dir.join(run_name(ks, seq));
-        let bytes = write_run(&path, &run, self.cfg.fsync)?;
-        // New run is in place; the inputs are now garbage.
-        for (old_seq, _) in &inputs {
-            let _ = fs::remove_file(self.dir.join(run_name(ks, *old_seq)));
+        // The rename replaces the newest input; the older ones are garbage
+        // from here on, and `open` removes any a crash leaves behind.
+        let merged = writer.finish(self.cfg.fsync)?;
+        for (_, input) in &inputs[..inputs.len() - 1] {
+            let _ = fs::remove_file(input.path());
         }
-        self.spaces[ks.index()].runs = vec![(seq, run)];
         self.stats.compactions += 1;
-        self.stats.run_bytes += bytes;
+        self.stats.run_bytes += merged.bytes();
+        space.runs.splice(window, [(newest_seq, merged)]);
         Ok(())
     }
 }
 
+/// The trait leaves `get`, `scan` and `len` no way to report an I/O error.
+fn readable<T>(read: io::Result<T>) -> T {
+    read.unwrap_or_else(|e| panic!("run file validated at open no longer reads: {e}"))
+}
+
+/// Reads go to the run files (see [`Run::get`]), which
+/// [`LogBackend::open`] validated; `get`, `scan` and `len` panic if such a
+/// file can no longer be read. [`LogBackend::stream`] is the fallible form
+/// of `scan`.
 impl StorageBackend for LogBackend {
     fn apply(&mut self, batch: WriteBatch) -> io::Result<()> {
         if batch.is_empty() {
@@ -228,7 +358,7 @@ impl StorageBackend for LogBackend {
         self.stats.wal_records += 1;
         self.stats.wal_bytes += appended;
         self.apply_to_memtables(batch);
-        if self.resident_bytes > self.cfg.memtable_bytes {
+        if self.memtable_bytes > self.cfg.memtable_bytes {
             self.flush_memtables()?;
         }
         Ok(())
@@ -239,34 +369,21 @@ impl StorageBackend for LogBackend {
         if let Some(v) = space.memtable.get(key) {
             return v.clone();
         }
-        for (_, run) in space.runs.iter().rev() {
-            if let Some(v) = run.get(key) {
-                return v.map(<[u8]>::to_vec);
-            }
-        }
-        None
+        // The newest run that knows the key decides, tombstone or not.
+        space
+            .runs
+            .iter()
+            .rev()
+            .find_map(|(_, run)| readable(run.get(key)))
+            .flatten()
     }
 
     fn scan(&self, ks: Keyspace) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let space = &self.spaces[ks.index()];
-        // Oldest runs first, memtable last: later inserts overwrite.
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for (_, run) in &space.runs {
-            for (k, v) in &run.entries {
-                merged.insert(k.clone(), v.clone());
-            }
-        }
-        for (k, v) in &space.memtable {
-            merged.insert(k.clone(), v.clone());
-        }
-        merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect()
+        readable(self.stream(ks).collect())
     }
 
     fn len(&self, ks: Keyspace) -> usize {
-        self.scan(ks).len()
+        readable(self.stream(ks).try_fold(0, |n, entry| entry.map(|_| n + 1)))
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -282,14 +399,12 @@ fn run_name(ks: Keyspace, seq: u64) -> String {
     format!("{}-{seq:08}.run", ks.name())
 }
 
-/// Parse `<ks>-<seq>.run`; `None` for any other file (e.g. `wal`, `.tmp`).
-fn parse_run_name(name: &str) -> Option<u64> {
+/// Parse `<ks>-<seq>.run`; `None` for any other file (e.g. `wal`).
+fn parse_run_name(name: &str) -> Option<(Keyspace, u64)> {
     let stem = name.strip_suffix(".run")?;
     let (ks_name, seq) = stem.rsplit_once('-')?;
-    if !Keyspace::ALL.iter().any(|ks| ks.name() == ks_name) {
-        return None;
-    }
-    seq.parse().ok()
+    let ks = Keyspace::ALL.into_iter().find(|ks| ks.name() == ks_name)?;
+    Some((ks, seq.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -421,6 +536,167 @@ mod tests {
                 (2u64.to_be_bytes().to_vec(), b"TWO".to_vec()),
             ]
         );
+    }
+
+    fn run_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n != "wal")
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn tier_window_merges_similar_sizes_and_spares_a_big_base() {
+        // Fewer runs than the fan-out: nothing to do.
+        assert_eq!(tier_window(&[10, 10, 10], 4), None);
+        assert_eq!(tier_window(&[], 4), None);
+        // Four similar runs merge; a base they do not rival stays out.
+        assert_eq!(tier_window(&[10, 10, 10, 10], 4), Some(0..4));
+        assert_eq!(tier_window(&[4500, 25, 25, 25, 25], 4), Some(1..5));
+        assert_eq!(tier_window(&[4500, 400, 100, 25], 4), None);
+        assert_eq!(tier_window(&[4500, 1500, 1500, 1400], 4), None);
+        assert_eq!(tier_window(&[4500, 1500, 1500, 1500], 4), Some(0..4));
+        // Small runs of uneven size still merge among themselves.
+        assert_eq!(tier_window(&[4500, 25, 3, 25, 2], 4), Some(1..5));
+        // A fan-out below two acts as two.
+        assert_eq!(tier_window(&[10, 10], 0), Some(0..2));
+        assert_eq!(tier_window(&[10], 1), None);
+    }
+
+    #[test]
+    fn orphaned_tmp_files_are_removed_at_open() {
+        let dir = tmp("orphan");
+        let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        put(&mut b, Keyspace::Table, 1, b"one");
+        b.flush().unwrap();
+        put(&mut b, Keyspace::Table, 2, b"two");
+        let before = b.scan(Keyspace::Table);
+        drop(b);
+        // What a crash mid-flush leaves: a partial run under its tmp name.
+        let orphan = dir.join("table-00000009.tmp");
+        fs::write(&orphan, b"RDBRUN02 torn").unwrap();
+
+        let b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        assert!(!orphan.exists());
+        assert_eq!(b.scan(Keyspace::Table), before);
+        assert_eq!(run_files(&dir), ["table-00000001.run"]);
+    }
+
+    #[test]
+    fn merged_run_takes_the_newest_inputs_sequence_number() {
+        let dir = tmp("tiers");
+        let cfg = LogConfig {
+            compact_runs: 2,
+            ..LogConfig::default()
+        };
+        let mut b = LogBackend::open(&dir, cfg).unwrap();
+        // A base far bigger than what follows.
+        for k in 0..100u64 {
+            put(&mut b, Keyspace::Table, k, &[k as u8; 64]);
+        }
+        b.flush().unwrap();
+        put(&mut b, Keyspace::Table, 7, b"seven");
+        b.flush().unwrap();
+        assert_eq!(b.run_count(Keyspace::Table), 2, "the base is not rivalled");
+        put(&mut b, Keyspace::Table, 8, b"newer");
+        b.flush().unwrap();
+        // Runs 2 and 3 merged above the base, under run 3's number.
+        assert_eq!(b.stats().compactions, 1);
+        assert_eq!(
+            run_files(&dir),
+            ["table-00000001.run", "table-00000003.run"]
+        );
+        // So the next flush is newer than the merged run, after reopen too.
+        put(&mut b, Keyspace::Table, 8, b"newest");
+        b.flush().unwrap();
+        assert_eq!(
+            run_files(&dir),
+            [
+                "table-00000001.run",
+                "table-00000003.run",
+                "table-00000004.run"
+            ]
+        );
+        drop(b);
+        let b = LogBackend::open(&dir, cfg).unwrap();
+        assert_eq!(
+            b.get(Keyspace::Table, &8u64.to_be_bytes()),
+            Some(b"newest".to_vec())
+        );
+        assert_eq!(
+            b.get(Keyspace::Table, &7u64.to_be_bytes()),
+            Some(b"seven".to_vec())
+        );
+        assert_eq!(b.len(Keyspace::Table), 100);
+    }
+
+    #[test]
+    fn base_merge_drops_tombstones_and_leftover_inputs_are_pruned_at_open() {
+        let dir = tmp("leftover");
+        let cfg = LogConfig {
+            compact_runs: 2,
+            ..LogConfig::default()
+        };
+        let mut b = LogBackend::open(&dir, cfg).unwrap();
+        put(&mut b, Keyspace::Table, 1, b"doomed");
+        put(&mut b, Keyspace::Table, 2, b"kept");
+        b.flush().unwrap();
+        let base = fs::read(dir.join("table-00000001.run")).unwrap();
+        // A second run as big as the first, deleting key 1: both merge into
+        // a new base, which has nothing left to say about key 1.
+        let mut batch = WriteBatch::new();
+        batch.delete(Keyspace::Table, 1u64.to_be_bytes());
+        batch.put(Keyspace::Table, 3u64.to_be_bytes(), &b"a longer value"[..]);
+        b.apply(batch).unwrap();
+        b.flush().unwrap();
+        assert_eq!(run_files(&dir), ["table-00000002.run"]);
+        let expect = b.scan(Keyspace::Table);
+        assert_eq!(expect.len(), 2);
+        drop(b);
+
+        // The crash window: merged run installed, old base not yet deleted.
+        fs::write(dir.join("table-00000001.run"), base).unwrap();
+        let b = LogBackend::open(&dir, cfg).unwrap();
+        assert_eq!(b.scan(Keyspace::Table), expect);
+        assert_eq!(b.get(Keyspace::Table, &1u64.to_be_bytes()), None);
+        assert_eq!(run_files(&dir), ["table-00000002.run"]);
+    }
+
+    #[test]
+    fn runs_are_handles_so_residency_stays_bounded() {
+        let dir = tmp("resident");
+        let cfg = LogConfig::default();
+        let mut b = LogBackend::open(&dir, cfg).unwrap();
+        // Decision-shaped batches: one 64 KiB block, 50 record images, the
+        // applied marker. 512 of them push 32 MiB of blocks through.
+        let block = vec![0xabu8; 64 << 10];
+        let mut pushed = 0usize;
+        for h in 0..512u64 {
+            let mut batch = WriteBatch::new();
+            batch.put(Keyspace::Blocks, h.to_be_bytes(), block.clone());
+            for i in 0..50u64 {
+                let key = (h * 37 + i * 101) % 5000;
+                batch.put(Keyspace::Table, key.to_be_bytes(), [h as u8; 32]);
+            }
+            batch.put(Keyspace::Meta, &b"applied"[..], h.to_le_bytes());
+            pushed += block.len();
+            b.apply(batch).unwrap();
+            assert!(
+                b.resident_bytes() < 2 * cfg.memtable_bytes,
+                "{} bytes resident after {pushed} pushed",
+                b.resident_bytes()
+            );
+        }
+        assert!(pushed >= 32 << 20);
+        b.flush().unwrap();
+        // With the memtables empty only the run indexes are left.
+        assert!(b.resident_bytes() < 64 << 10, "{}", b.resident_bytes());
+        assert!(b.run_count(Keyspace::Blocks) >= 30);
+        assert_eq!(b.len(Keyspace::Blocks), 512);
+        assert_eq!(b.len(Keyspace::Table), 5000);
     }
 
     #[test]
