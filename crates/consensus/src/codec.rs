@@ -1,4 +1,5 @@
-//! Hand-rolled binary wire codec: [`Message`] ⇄ length-prefixed frames.
+//! The one binary codec: [`Message`] ⇄ length-prefixed frames on the
+//! socket, and [`Wire`] values ⇄ bytes on disk.
 //!
 //! The socket transport (`resilientdb::socket`) needs real bytes on a
 //! real socket, but the repro's bandwidth accounting is calibrated
@@ -26,6 +27,21 @@
 //! replies whose `ReadValue(Some(_))` outcomes (26 B) exceed the modeled
 //! 14 B/result.
 //!
+//! # One description per type
+//!
+//! Every encodable type implements [`Wire`], and each implementation is
+//! the only place that type's bytes are described: encode, decode and the
+//! smallest possible encoding ([`Wire::MIN_BYTES`], which guards element
+//! counts against the bytes actually present) all come from it. Structs
+//! and tagged enums are rows of the [`wire_struct!`](crate::wire_struct)
+//! and `wire_enum!` tables below — fields in wire order, each with its
+//! wire type; the few irregular encodings ([`NodeId`], [`Scope`],
+//! [`ExecOutcome`]) are written out by hand, still once. Adding a message
+//! variant is one `wire_enum!` row (a fresh tag) plus its
+//! [`Message::wire_size`] arm. The same codec writes ledger blocks and the
+//! deployment manifest to disk (`rdb_ledger::Block`,
+//! `resilientdb::storage::Manifest`), through [`encode`] and [`decode`].
+//!
 //! # Frame layout
 //!
 //! ```text
@@ -44,6 +60,7 @@
 //! in sync (the reader always knows where the next frame starts).
 
 use crate::certificate::{CommitCertificate, CommitSig};
+use crate::config::ProtocolKind;
 use crate::messages::{HsPhase, HsQc, Message, PreparedProof, Scope};
 use crate::types::{ClientBatch, ReplyData, SignedBatch, Transaction};
 use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
@@ -79,9 +96,10 @@ pub enum CodecError {
         tag: u8,
     },
     /// A claimed length exceeds [`MAX_FRAME`] or the bytes actually
-    /// present.
+    /// present, or a value is outside its field's range.
     BadLength {
-        /// Which field carried the length.
+        /// Which field carried the length (for an element count, the
+        /// element type).
         what: &'static str,
         /// The claimed value.
         claimed: u64,
@@ -109,18 +127,15 @@ impl std::error::Error for CodecError {}
 type Result<T> = std::result::Result<T, CodecError>;
 
 // ---------------------------------------------------------------------
-// Reader
+// The trait and its leaves
 // ---------------------------------------------------------------------
 
-struct Reader<'a> {
+/// The undecoded rest of a buffer; [`Wire::get`] consumes from its front.
+pub struct Reader<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf }
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len()
     }
@@ -139,1022 +154,492 @@ impl<'a> Reader<'a> {
         out.copy_from_slice(self.bytes(N)?);
         Ok(out)
     }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// Read an element count and validate it against the bytes actually
-    /// left (`min_elem` is the smallest possible encoding of one
-    /// element) — so a corrupt count can never trigger a huge
-    /// allocation.
-    fn len(&mut self, what: &'static str, min_elem: usize) -> Result<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem.max(1)) > self.remaining() {
-            return Err(CodecError::BadLength {
-                what,
-                claimed: n as u64,
-            });
-        }
-        Ok(n)
-    }
 }
 
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
+/// A type with one binary encoding, described once for both directions.
+/// Encoding is total and deterministic (identical values encode to
+/// identical bytes); decoding any byte string returns a value or a
+/// [`CodecError`], never panics, and never allocates more than the bytes
+/// present can justify.
+pub trait Wire: Sized {
+    /// Length of the shortest encoding of any value of this type — a true
+    /// lower bound, which is what lets `Vec<T>` reject an element count
+    /// the remaining bytes cannot hold *before* allocating for it.
+    const MIN_BYTES: usize;
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+    /// Append the encoding of `self` to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Decode one value from the front of `r`.
+    fn get(r: &mut Reader<'_>) -> Result<Self>;
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The encoding of `value` in a fresh buffer.
+pub fn encode<T: Wire>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.put(&mut out);
+    out
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_node(out: &mut Vec<u8>, n: NodeId) {
-    match n {
-        NodeId::Replica(r) => {
-            out.push(0);
-            put_u16(out, r.cluster.0);
-            put_u32(out, r.index as u32);
-        }
-        NodeId::Client(c) => {
-            out.push(1);
-            put_u16(out, c.cluster.0);
-            put_u32(out, c.index);
-        }
-    }
-}
-
-fn put_replica(out: &mut Vec<u8>, r: ReplicaId) {
-    put_u16(out, r.cluster.0);
-    put_u16(out, r.index);
-}
-
-fn put_client(out: &mut Vec<u8>, c: ClientId) {
-    put_u16(out, c.cluster.0);
-    put_u32(out, c.index);
-}
-
-fn put_scope(out: &mut Vec<u8>, s: Scope) {
-    match s {
-        Scope::Global => {
-            out.push(0);
-            put_u16(out, 0);
-        }
-        Scope::Cluster(c) => {
-            out.push(1);
-            put_u16(out, c.0);
-        }
-    }
-}
-
-fn put_op(out: &mut Vec<u8>, op: &Operation) {
-    match op {
-        Operation::Write { key, value } => {
-            out.push(0);
-            put_u64(out, *key);
-            out.extend_from_slice(&value.0);
-        }
-        Operation::Read { key } => {
-            out.push(1);
-            put_u64(out, *key);
-        }
-        Operation::Rmw { key, delta } => {
-            out.push(2);
-            put_u64(out, *key);
-            put_u64(out, *delta);
-        }
-        Operation::Insert { key, value } => {
-            out.push(3);
-            put_u64(out, *key);
-            out.extend_from_slice(&value.0);
-        }
-        Operation::Scan { key, count } => {
-            out.push(4);
-            put_u64(out, *key);
-            put_u32(out, *count);
-        }
-        Operation::NoOp => out.push(5),
-        Operation::Txn(prog) => {
-            out.push(6);
-            put_u32(out, prog.instrs.len() as u32);
-            for i in &prog.instrs {
-                put_instr(out, i);
-            }
-        }
-    }
-}
-
-fn put_instr(out: &mut Vec<u8>, i: &TxnInstr) {
-    match i {
-        TxnInstr::Read { dst, key } => {
-            out.push(0);
-            out.push(*dst);
-            put_u64(out, *key);
-        }
-        TxnInstr::Write { key, src } => {
-            out.push(1);
-            out.push(*src);
-            put_u64(out, *key);
-        }
-        TxnInstr::Set { dst, imm } => {
-            out.push(2);
-            out.push(*dst);
-            put_u64(out, *imm);
-        }
-        TxnInstr::Add { dst, src } => {
-            out.push(3);
-            out.push(*dst);
-            out.push(*src);
-        }
-        TxnInstr::Sub { dst, src } => {
-            out.push(4);
-            out.push(*dst);
-            out.push(*src);
-        }
-        TxnInstr::BranchIf { a, cmp, b, skip } => {
-            out.push(5);
-            out.push(*a);
-            out.push(match cmp {
-                Cmp::Eq => 0,
-                Cmp::Ne => 1,
-                Cmp::Lt => 2,
-                Cmp::Le => 3,
-                Cmp::Gt => 4,
-                Cmp::Ge => 5,
-            });
-            out.push(*b);
-            out.push(*skip);
-        }
-        TxnInstr::Abort { code } => {
-            out.push(6);
-            put_u32(out, *code);
-        }
-        TxnInstr::Halt => out.push(7),
-    }
-}
-
-fn put_txn(out: &mut Vec<u8>, t: &Transaction) {
-    put_client(out, t.client);
-    put_u64(out, t.seq);
-    put_op(out, &t.op);
-}
-
-fn put_batch(out: &mut Vec<u8>, b: &ClientBatch) {
-    put_client(out, b.client);
-    put_u64(out, b.batch_seq);
-    put_u32(out, b.txns.len() as u32);
-    for t in &b.txns {
-        put_txn(out, t);
-    }
-}
-
-fn put_signed_batch(out: &mut Vec<u8>, sb: &SignedBatch) {
-    put_batch(out, &sb.batch);
-    out.extend_from_slice(&sb.pubkey.0);
-    out.extend_from_slice(&sb.sig.0);
-}
-
-fn put_outcome(out: &mut Vec<u8>, o: &ExecOutcome) {
-    match o {
-        ExecOutcome::Done => out.push(0),
-        ExecOutcome::ReadValue(None) => out.push(1),
-        ExecOutcome::ReadValue(Some(v)) => {
-            out.push(2);
-            out.extend_from_slice(&v.0);
-        }
-        ExecOutcome::Counter(c) => {
-            out.push(3);
-            put_u64(out, *c);
-        }
-        ExecOutcome::Scanned(n) => {
-            out.push(4);
-            put_u32(out, *n);
-        }
-        ExecOutcome::Txn(t) => {
-            out.push(5);
-            // Reuse the canonical digest encoding: tag + LE payload.
-            out.extend_from_slice(&t.canonical_bytes());
-        }
-    }
-}
-
-fn put_effect(out: &mut Vec<u8>, e: &TxnEffect) {
-    put_u32(out, e.outcomes.len() as u32);
-    for o in &e.outcomes {
-        put_outcome(out, o);
-    }
-}
-
-fn put_reply_data(out: &mut Vec<u8>, d: &ReplyData) {
-    put_client(out, d.client);
-    put_u64(out, d.batch_seq);
-    put_u64(out, d.seq);
-    put_u64(out, d.block_height);
-    out.extend_from_slice(&d.result_digest.0);
-    put_effect(out, &d.results);
-    put_u32(out, d.txns);
-}
-
-fn put_cert(out: &mut Vec<u8>, c: &CommitCertificate) {
-    put_u16(out, c.cluster.0);
-    put_u64(out, c.round);
-    out.extend_from_slice(&c.digest.0);
-    put_signed_batch(out, &c.batch);
-    put_u32(out, c.commits.len() as u32);
-    for cs in &c.commits {
-        put_replica(out, cs.replica);
-        out.extend_from_slice(&cs.sig.0);
-    }
-}
-
-fn put_phase(out: &mut Vec<u8>, p: HsPhase) {
-    out.push(match p {
-        HsPhase::Prepare => 0,
-        HsPhase::PreCommit => 1,
-        HsPhase::Commit => 2,
-        HsPhase::Decide => 3,
-    });
-}
-
-fn put_votes(out: &mut Vec<u8>, votes: &[(ReplicaId, Signature)]) {
-    put_u32(out, votes.len() as u32);
-    for (r, s) in votes {
-        put_replica(out, *r);
-        out.extend_from_slice(&s.0);
-    }
-}
-
-fn put_qc(out: &mut Vec<u8>, qc: &HsQc) {
-    put_u64(out, qc.slot);
-    put_phase(out, qc.phase);
-    out.extend_from_slice(&qc.digest.0);
-    put_votes(out, &qc.votes);
-}
-
-/// Append the compact encoding of `msg` to `out`. Total and
-/// deterministic: identical messages encode to identical bytes.
-pub fn encode_message(out: &mut Vec<u8>, msg: &Message) {
-    match msg {
-        Message::Request(sb) => {
-            out.push(0);
-            put_signed_batch(out, sb);
-        }
-        Message::Forward(sb) => {
-            out.push(1);
-            put_signed_batch(out, sb);
-        }
-        Message::Reply { data, view } => {
-            out.push(2);
-            put_reply_data(out, data);
-            put_u64(out, *view);
-        }
-        Message::PrePrepare {
-            scope,
-            view,
-            seq,
-            batch,
-            digest,
-        } => {
-            out.push(3);
-            put_scope(out, *scope);
-            put_u64(out, *view);
-            put_u64(out, *seq);
-            put_signed_batch(out, batch);
-            out.extend_from_slice(&digest.0);
-        }
-        Message::Prepare {
-            scope,
-            view,
-            seq,
-            digest,
-        } => {
-            out.push(4);
-            put_scope(out, *scope);
-            put_u64(out, *view);
-            put_u64(out, *seq);
-            out.extend_from_slice(&digest.0);
-        }
-        Message::Commit {
-            scope,
-            view,
-            seq,
-            digest,
-            sig,
-        } => {
-            out.push(5);
-            put_scope(out, *scope);
-            put_u64(out, *view);
-            put_u64(out, *seq);
-            out.extend_from_slice(&digest.0);
-            out.extend_from_slice(&sig.0);
-        }
-        Message::Checkpoint { scope, seq, state } => {
-            out.push(6);
-            put_scope(out, *scope);
-            put_u64(out, *seq);
-            out.extend_from_slice(&state.0);
-        }
-        Message::ViewChange {
-            scope,
-            new_view,
-            stable_seq,
-            prepared,
-        } => {
-            out.push(7);
-            put_scope(out, *scope);
-            put_u64(out, *new_view);
-            put_u64(out, *stable_seq);
-            put_u32(out, prepared.len() as u32);
-            for p in prepared {
-                put_u64(out, p.seq);
-                out.extend_from_slice(&p.digest.0);
-                put_signed_batch(out, &p.batch);
-            }
-        }
-        Message::NewView {
-            scope,
-            view,
-            preprepares,
-            stable_seq,
-        } => {
-            out.push(8);
-            put_scope(out, *scope);
-            put_u64(out, *view);
-            put_u64(out, *stable_seq);
-            put_u32(out, preprepares.len() as u32);
-            for (seq, sb) in preprepares {
-                put_u64(out, *seq);
-                put_signed_batch(out, sb);
-            }
-        }
-        Message::GlobalShare { cert } => {
-            out.push(9);
-            put_cert(out, cert);
-        }
-        Message::Drvc { target, round, v } => {
-            out.push(10);
-            put_u16(out, target.0);
-            put_u64(out, *round);
-            put_u64(out, *v);
-        }
-        Message::Rvc {
-            target,
-            round,
-            v,
-            requester,
-            sig,
-        } => {
-            out.push(11);
-            put_u16(out, target.0);
-            put_u64(out, *round);
-            put_u64(out, *v);
-            put_replica(out, *requester);
-            out.extend_from_slice(&sig.0);
-        }
-        Message::OrderReq {
-            view,
-            seq,
-            batch,
-            history,
-        } => {
-            out.push(12);
-            put_u64(out, *view);
-            put_u64(out, *seq);
-            put_signed_batch(out, batch);
-            out.extend_from_slice(&history.0);
-        }
-        Message::SpecResponse {
-            view,
-            seq,
-            batch_seq,
-            replica,
-            digest,
-            history,
-            result,
-            results,
-            sig,
-        } => {
-            out.push(13);
-            put_u64(out, *view);
-            put_u64(out, *seq);
-            put_u64(out, *batch_seq);
-            put_replica(out, *replica);
-            out.extend_from_slice(&digest.0);
-            out.extend_from_slice(&history.0);
-            out.extend_from_slice(&result.0);
-            put_effect(out, results);
-            out.extend_from_slice(&sig.0);
-        }
-        Message::ZyzCommit {
-            client,
-            batch_seq,
-            view,
-            seq,
-            digest,
-            history,
-            sigs,
-        } => {
-            out.push(14);
-            put_client(out, *client);
-            put_u64(out, *batch_seq);
-            put_u64(out, *view);
-            put_u64(out, *seq);
-            out.extend_from_slice(&digest.0);
-            out.extend_from_slice(&history.0);
-            put_votes(out, sigs);
-        }
-        Message::LocalCommit {
-            view,
-            seq,
-            batch_seq,
-            replica,
-        } => {
-            out.push(15);
-            put_u64(out, *view);
-            put_u64(out, *seq);
-            put_u64(out, *batch_seq);
-            put_replica(out, *replica);
-        }
-        Message::HsProposal {
-            slot,
-            phase,
-            batch,
-            digest,
-            justify,
-        } => {
-            out.push(16);
-            put_u64(out, *slot);
-            put_phase(out, *phase);
-            match batch {
-                None => out.push(0),
-                Some(sb) => {
-                    out.push(1);
-                    put_signed_batch(out, sb);
-                }
-            }
-            out.extend_from_slice(&digest.0);
-            match justify {
-                None => out.push(0),
-                Some(qc) => {
-                    out.push(1);
-                    put_qc(out, qc);
-                }
-            }
-        }
-        Message::HsVote {
-            slot,
-            phase,
-            digest,
-            replica,
-            sig,
-        } => {
-            out.push(17);
-            put_u64(out, *slot);
-            put_phase(out, *phase);
-            out.extend_from_slice(&digest.0);
-            put_replica(out, *replica);
-            out.extend_from_slice(&sig.0);
-        }
-        Message::StewardProposal { seq, cert } => {
-            out.push(18);
-            put_u64(out, *seq);
-            put_cert(out, cert);
-        }
-        Message::StewardLocalAccept {
-            seq,
-            digest,
-            replica,
-            sig,
-        } => {
-            out.push(19);
-            put_u64(out, *seq);
-            out.extend_from_slice(&digest.0);
-            put_replica(out, *replica);
-            out.extend_from_slice(&sig.0);
-        }
-        Message::StewardAccept {
-            seq,
-            cluster,
-            digest,
-            sigs,
-        } => {
-            out.push(20);
-            put_u64(out, *seq);
-            put_u16(out, cluster.0);
-            out.extend_from_slice(&digest.0);
-            put_votes(out, sigs);
-        }
-        Message::Noop => out.push(21),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-fn get_node(r: &mut Reader) -> Result<NodeId> {
-    let tag = r.u8()?;
-    let cluster = ClusterId(r.u16()?);
-    let index = r.u32()?;
-    match tag {
-        0 => {
-            let index = u16::try_from(index).map_err(|_| CodecError::BadLength {
-                what: "replica index",
-                claimed: index as u64,
-            })?;
-            Ok(NodeId::Replica(ReplicaId { cluster, index }))
-        }
-        1 => Ok(NodeId::Client(ClientId { cluster, index })),
-        tag => Err(CodecError::BadTag {
-            what: "node id",
-            tag,
-        }),
-    }
-}
-
-fn get_replica(r: &mut Reader) -> Result<ReplicaId> {
-    Ok(ReplicaId {
-        cluster: ClusterId(r.u16()?),
-        index: r.u16()?,
-    })
-}
-
-fn get_client(r: &mut Reader) -> Result<ClientId> {
-    Ok(ClientId {
-        cluster: ClusterId(r.u16()?),
-        index: r.u32()?,
-    })
-}
-
-fn get_scope(r: &mut Reader) -> Result<Scope> {
-    let tag = r.u8()?;
-    let cluster = r.u16()?;
-    match tag {
-        0 => Ok(Scope::Global),
-        1 => Ok(Scope::Cluster(ClusterId(cluster))),
-        tag => Err(CodecError::BadTag { what: "scope", tag }),
-    }
-}
-
-fn get_digest(r: &mut Reader) -> Result<Digest> {
-    Ok(Digest(r.array()?))
-}
-
-fn get_sig(r: &mut Reader) -> Result<Signature> {
-    Ok(Signature(r.array()?))
-}
-
-fn get_value(r: &mut Reader) -> Result<Value> {
-    Ok(Value(r.array()?))
-}
-
-fn get_op(r: &mut Reader) -> Result<Operation> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => Operation::Write {
-            key: r.u64()?,
-            value: get_value(r)?,
-        },
-        1 => Operation::Read { key: r.u64()? },
-        2 => Operation::Rmw {
-            key: r.u64()?,
-            delta: r.u64()?,
-        },
-        3 => Operation::Insert {
-            key: r.u64()?,
-            value: get_value(r)?,
-        },
-        4 => Operation::Scan {
-            key: r.u64()?,
-            count: r.u32()?,
-        },
-        5 => Operation::NoOp,
-        6 => {
-            let n = r.len("program instrs", 1)?;
-            let mut instrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                instrs.push(get_instr(r)?);
-            }
-            Operation::Txn(TxnProgram::new(instrs))
-        }
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "operation",
-                tag,
-            })
-        }
-    })
-}
-
-fn get_instr(r: &mut Reader) -> Result<TxnInstr> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => TxnInstr::Read {
-            dst: r.u8()?,
-            key: r.u64()?,
-        },
-        1 => {
-            let src = r.u8()?;
-            TxnInstr::Write { key: r.u64()?, src }
-        }
-        2 => TxnInstr::Set {
-            dst: r.u8()?,
-            imm: r.u64()?,
-        },
-        3 => TxnInstr::Add {
-            dst: r.u8()?,
-            src: r.u8()?,
-        },
-        4 => TxnInstr::Sub {
-            dst: r.u8()?,
-            src: r.u8()?,
-        },
-        5 => {
-            let a = r.u8()?;
-            let cmp = match r.u8()? {
-                0 => Cmp::Eq,
-                1 => Cmp::Ne,
-                2 => Cmp::Lt,
-                3 => Cmp::Le,
-                4 => Cmp::Gt,
-                5 => Cmp::Ge,
-                tag => return Err(CodecError::BadTag { what: "cmp", tag }),
-            };
-            TxnInstr::BranchIf {
-                a,
-                cmp,
-                b: r.u8()?,
-                skip: r.u8()?,
-            }
-        }
-        6 => TxnInstr::Abort { code: r.u32()? },
-        7 => TxnInstr::Halt,
-        tag => return Err(CodecError::BadTag { what: "instr", tag }),
-    })
-}
-
-fn get_txn(r: &mut Reader) -> Result<Transaction> {
-    Ok(Transaction {
-        client: get_client(r)?,
-        seq: r.u64()?,
-        op: get_op(r)?,
-    })
-}
-
-fn get_batch(r: &mut Reader) -> Result<ClientBatch> {
-    let client = get_client(r)?;
-    let batch_seq = r.u64()?;
-    // Smallest txn: client(6) + seq(8) + NoOp tag(1).
-    let n = r.len("batch txns", 15)?;
-    let mut txns = Vec::with_capacity(n);
-    for _ in 0..n {
-        txns.push(get_txn(r)?);
-    }
-    Ok(ClientBatch {
-        client,
-        batch_seq,
-        txns,
-    })
-}
-
-fn get_signed_batch(r: &mut Reader) -> Result<SignedBatch> {
-    Ok(SignedBatch {
-        batch: get_batch(r)?,
-        pubkey: PublicKey(r.array()?),
-        sig: get_sig(r)?,
-    })
-}
-
-fn get_outcome(r: &mut Reader) -> Result<ExecOutcome> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => ExecOutcome::Done,
-        1 => ExecOutcome::ReadValue(None),
-        2 => ExecOutcome::ReadValue(Some(get_value(r)?)),
-        3 => ExecOutcome::Counter(r.u64()?),
-        4 => ExecOutcome::Scanned(r.u32()?),
-        5 => {
-            // Mirrors TxnOutcome::canonical_bytes.
-            match r.u8()? {
-                0 => ExecOutcome::Txn(TxnOutcome::Committed { ret: r.u64()? }),
-                1 => {
-                    let abort = match r.u8()? {
-                        0 => TxnAbort::Underflow { pc: r.u32()? },
-                        1 => TxnAbort::Overflow { pc: r.u32()? },
-                        2 => TxnAbort::Explicit {
-                            code: r.u32()?,
-                            pc: r.u32()?,
-                        },
-                        3 => TxnAbort::Invalid { pc: r.u32()? },
-                        tag => {
-                            return Err(CodecError::BadTag {
-                                what: "txn abort",
-                                tag,
-                            })
-                        }
-                    };
-                    ExecOutcome::Txn(TxnOutcome::Aborted(abort))
-                }
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "txn outcome",
-                        tag,
-                    })
-                }
-            }
-        }
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "exec outcome",
-                tag,
-            })
-        }
-    })
-}
-
-fn get_effect(r: &mut Reader) -> Result<TxnEffect> {
-    let n = r.len("effect outcomes", 1)?;
-    let mut outcomes = Vec::with_capacity(n);
-    for _ in 0..n {
-        outcomes.push(get_outcome(r)?);
-    }
-    Ok(TxnEffect { outcomes })
-}
-
-fn get_reply_data(r: &mut Reader) -> Result<ReplyData> {
-    Ok(ReplyData {
-        client: get_client(r)?,
-        batch_seq: r.u64()?,
-        seq: r.u64()?,
-        block_height: r.u64()?,
-        result_digest: get_digest(r)?,
-        results: get_effect(r)?,
-        txns: r.u32()?,
-    })
-}
-
-fn get_cert(r: &mut Reader) -> Result<CommitCertificate> {
-    let cluster = ClusterId(r.u16()?);
-    let round = r.u64()?;
-    let digest = get_digest(r)?;
-    let batch = get_signed_batch(r)?;
-    // One commit = replica(4) + sig(64).
-    let n = r.len("cert commits", 68)?;
-    let mut commits = Vec::with_capacity(n);
-    for _ in 0..n {
-        commits.push(CommitSig {
-            replica: get_replica(r)?,
-            sig: get_sig(r)?,
-        });
-    }
-    Ok(CommitCertificate {
-        cluster,
-        round,
-        digest,
-        batch,
-        commits,
-    })
-}
-
-fn get_phase(r: &mut Reader) -> Result<HsPhase> {
-    match r.u8()? {
-        0 => Ok(HsPhase::Prepare),
-        1 => Ok(HsPhase::PreCommit),
-        2 => Ok(HsPhase::Commit),
-        3 => Ok(HsPhase::Decide),
-        tag => Err(CodecError::BadTag { what: "phase", tag }),
-    }
-}
-
-fn get_votes(r: &mut Reader) -> Result<Vec<(ReplicaId, Signature)>> {
-    let n = r.len("votes", 68)?;
-    let mut votes = Vec::with_capacity(n);
-    for _ in 0..n {
-        votes.push((get_replica(r)?, get_sig(r)?));
-    }
-    Ok(votes)
-}
-
-fn get_qc(r: &mut Reader) -> Result<HsQc> {
-    Ok(HsQc {
-        slot: r.u64()?,
-        phase: get_phase(r)?,
-        digest: get_digest(r)?,
-        votes: get_votes(r)?,
-    })
-}
-
-fn get_message(r: &mut Reader) -> Result<Message> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        0 => Message::Request(get_signed_batch(r)?),
-        1 => Message::Forward(get_signed_batch(r)?),
-        2 => Message::Reply {
-            data: get_reply_data(r)?,
-            view: r.u64()?,
-        },
-        3 => Message::PrePrepare {
-            scope: get_scope(r)?,
-            view: r.u64()?,
-            seq: r.u64()?,
-            batch: get_signed_batch(r)?,
-            digest: get_digest(r)?,
-        },
-        4 => Message::Prepare {
-            scope: get_scope(r)?,
-            view: r.u64()?,
-            seq: r.u64()?,
-            digest: get_digest(r)?,
-        },
-        5 => Message::Commit {
-            scope: get_scope(r)?,
-            view: r.u64()?,
-            seq: r.u64()?,
-            digest: get_digest(r)?,
-            sig: get_sig(r)?,
-        },
-        6 => Message::Checkpoint {
-            scope: get_scope(r)?,
-            seq: r.u64()?,
-            state: get_digest(r)?,
-        },
-        7 => {
-            let scope = get_scope(r)?;
-            let new_view = r.u64()?;
-            let stable_seq = r.u64()?;
-            // One proof: seq(8) + digest(32) + minimal batch(114).
-            let n = r.len("prepared proofs", 154)?;
-            let mut prepared = Vec::with_capacity(n);
-            for _ in 0..n {
-                prepared.push(PreparedProof {
-                    seq: r.u64()?,
-                    digest: get_digest(r)?,
-                    batch: get_signed_batch(r)?,
-                });
-            }
-            Message::ViewChange {
-                scope,
-                new_view,
-                stable_seq,
-                prepared,
-            }
-        }
-        8 => {
-            let scope = get_scope(r)?;
-            let view = r.u64()?;
-            let stable_seq = r.u64()?;
-            // One entry: seq(8) + minimal batch(114).
-            let n = r.len("new-view preprepares", 122)?;
-            let mut preprepares = Vec::with_capacity(n);
-            for _ in 0..n {
-                preprepares.push((r.u64()?, get_signed_batch(r)?));
-            }
-            Message::NewView {
-                scope,
-                view,
-                preprepares,
-                stable_seq,
-            }
-        }
-        9 => Message::GlobalShare { cert: get_cert(r)? },
-        10 => Message::Drvc {
-            target: ClusterId(r.u16()?),
-            round: r.u64()?,
-            v: r.u64()?,
-        },
-        11 => Message::Rvc {
-            target: ClusterId(r.u16()?),
-            round: r.u64()?,
-            v: r.u64()?,
-            requester: get_replica(r)?,
-            sig: get_sig(r)?,
-        },
-        12 => Message::OrderReq {
-            view: r.u64()?,
-            seq: r.u64()?,
-            batch: get_signed_batch(r)?,
-            history: get_digest(r)?,
-        },
-        13 => Message::SpecResponse {
-            view: r.u64()?,
-            seq: r.u64()?,
-            batch_seq: r.u64()?,
-            replica: get_replica(r)?,
-            digest: get_digest(r)?,
-            history: get_digest(r)?,
-            result: get_digest(r)?,
-            results: get_effect(r)?,
-            sig: get_sig(r)?,
-        },
-        14 => Message::ZyzCommit {
-            client: get_client(r)?,
-            batch_seq: r.u64()?,
-            view: r.u64()?,
-            seq: r.u64()?,
-            digest: get_digest(r)?,
-            history: get_digest(r)?,
-            sigs: get_votes(r)?,
-        },
-        15 => Message::LocalCommit {
-            view: r.u64()?,
-            seq: r.u64()?,
-            batch_seq: r.u64()?,
-            replica: get_replica(r)?,
-        },
-        16 => {
-            let slot = r.u64()?;
-            let phase = get_phase(r)?;
-            let batch = match r.u8()? {
-                0 => None,
-                1 => Some(get_signed_batch(r)?),
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "option batch",
-                        tag,
-                    })
-                }
-            };
-            let digest = get_digest(r)?;
-            let justify = match r.u8()? {
-                0 => None,
-                1 => Some(get_qc(r)?),
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "option qc",
-                        tag,
-                    })
-                }
-            };
-            Message::HsProposal {
-                slot,
-                phase,
-                batch,
-                digest,
-                justify,
-            }
-        }
-        17 => Message::HsVote {
-            slot: r.u64()?,
-            phase: get_phase(r)?,
-            digest: get_digest(r)?,
-            replica: get_replica(r)?,
-            sig: get_sig(r)?,
-        },
-        18 => Message::StewardProposal {
-            seq: r.u64()?,
-            cert: get_cert(r)?,
-        },
-        19 => Message::StewardLocalAccept {
-            seq: r.u64()?,
-            digest: get_digest(r)?,
-            replica: get_replica(r)?,
-            sig: get_sig(r)?,
-        },
-        20 => Message::StewardAccept {
-            seq: r.u64()?,
-            cluster: ClusterId(r.u16()?),
-            digest: get_digest(r)?,
-            sigs: get_votes(r)?,
-        },
-        21 => Message::Noop,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "message",
-                tag,
-            })
-        }
-    })
-}
-
-/// Decode a compact [`Message`] encoding. The whole buffer must be
-/// consumed ([`CodecError::TrailingBytes`] otherwise).
-pub fn decode_message(buf: &[u8]) -> Result<Message> {
-    let mut r = Reader::new(buf);
-    let msg = get_message(&mut r)?;
+/// Decode a whole buffer as one `T`; bytes left over are an error
+/// ([`CodecError::TrailingBytes`]).
+pub fn decode<T: Wire>(buf: &[u8]) -> Result<T> {
+    let mut r = Reader { buf };
+    let value = T::get(&mut r)?;
     if r.remaining() != 0 {
         return Err(CodecError::TrailingBytes);
     }
-    Ok(msg)
+    Ok(value)
 }
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u16, u32, u64);
+
+/// `usize` travels as a `u64` (the manifest's counts).
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let v = u64::get(r)?;
+        usize::try_from(v).map_err(|_| CodecError::BadLength {
+            what: "usize",
+            claimed: v,
+        })
+    }
+}
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(CodecError::BadTag { what: "bool", tag }),
+        }
+    }
+}
+
+impl<const N: usize> Wire for [u8; N] {
+    const MIN_BYTES: usize = N;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        r.array()
+    }
+}
+
+/// Presence byte (0 / 1), then the value.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            tag => Err(CodecError::BadTag {
+                what: "option",
+                tag,
+            }),
+        }
+    }
+}
+
+/// `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        // Validate the count against the bytes actually left, so a
+        // corrupt count can never trigger a huge allocation.
+        let n = u32::get(r)? as usize;
+        if n.saturating_mul(T::MIN_BYTES.max(1)) > r.remaining() {
+            return Err(CodecError::BadLength {
+                what: std::any::type_name::<T>(),
+                claimed: n as u64,
+            });
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tables
+// ---------------------------------------------------------------------
+
+/// Implement [`Wire`](crate::codec::Wire) for a struct from one table:
+/// its fields in wire order, each with its type (`0: T` names a tuple
+/// struct's field). The encoding is the fields' encodings back to back.
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident { $($field:tt : $ty:ty),* $(,)? }) => {
+        impl $crate::codec::Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$ty as $crate::codec::Wire>::MIN_BYTES)*;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $($crate::codec::Wire::put(&self.$field, out);)*
+            }
+            #[inline]
+            fn get(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                Ok($name { $($field: $crate::codec::Wire::get(r)?),* })
+            }
+        }
+    };
+}
+
+const fn min_of(sizes: &[usize]) -> usize {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < sizes.len() {
+        if sizes[i] < min {
+            min = sizes[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// Implement [`Wire`] for a tagged enum from one table: `tag => Variant`,
+/// `tag => Variant(name: T)` or `tag => Variant { field: T, .. }` with
+/// fields in wire order. The encoding is the tag byte, then the variant's
+/// fields; `$what` names the enum in [`CodecError::BadTag`]. The `match`
+/// in `put` is exhaustive, so a variant without a row does not compile.
+macro_rules! wire_enum {
+    ($name:ident, $what:literal { $(
+        $tag:literal => $variant:ident
+            $(($bind:ident : $inner:ty))?
+            $({ $($field:ident : $ty:ty),* $(,)? })?
+    ),* $(,)? }) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = 1 + min_of(&[$(
+                0 $(+ <$inner as Wire>::MIN_BYTES)? $($(+ <$ty as Wire>::MIN_BYTES)*)?
+            ),*]);
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    $name::$variant $(($bind))? $({ $($field),* })? => {
+                        out.push($tag);
+                        $(<$inner as Wire>::put($bind, out);)?
+                        $($(<$ty as Wire>::put($field, out);)*)?
+                    }
+                )*}
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(match u8::get(r)? {
+                    $($tag => $name::$variant
+                        $((<$inner as Wire>::get(r)?))?
+                        $({ $($field: <$ty as Wire>::get(r)?),* })?,)*
+                    tag => return Err(CodecError::BadTag { what: $what, tag }),
+                })
+            }
+        }
+    };
+}
+
+wire_struct! { ClusterId { 0: u16 } }
+wire_struct! { ReplicaId { cluster: ClusterId, index: u16 } }
+wire_struct! { ClientId { cluster: ClusterId, index: u32 } }
+wire_struct! { Digest { 0: [u8; 32] } }
+wire_struct! { Signature { 0: [u8; 64] } }
+wire_struct! { PublicKey { 0: [u8; 32] } }
+wire_struct! { Value { 0: [u8; 24] } }
+
+/// Fixed [`NODE_ID_BYTES`]: both kinds carry a 32-bit index so a node id
+/// has one width (the socket handshake reads it unframed).
+impl Wire for NodeId {
+    const MIN_BYTES: usize = NODE_ID_BYTES;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        let (tag, cluster, index) = match *self {
+            NodeId::Replica(r) => (0u8, r.cluster, r.index as u32),
+            NodeId::Client(c) => (1, c.cluster, c.index),
+        };
+        tag.put(out);
+        cluster.put(out);
+        index.put(out);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let (tag, cluster, index) = (u8::get(r)?, ClusterId::get(r)?, u32::get(r)?);
+        match tag {
+            0 => {
+                let index = u16::try_from(index).map_err(|_| CodecError::BadLength {
+                    what: "replica index",
+                    claimed: index as u64,
+                })?;
+                Ok(NodeId::Replica(ReplicaId { cluster, index }))
+            }
+            1 => Ok(NodeId::Client(ClientId { cluster, index })),
+            tag => Err(CodecError::BadTag {
+                what: "node id",
+                tag,
+            }),
+        }
+    }
+}
+
+/// The cluster field is always present (zero for [`Scope::Global`]) so
+/// every scoped message has a fixed-offset header.
+impl Wire for Scope {
+    const MIN_BYTES: usize = 3;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        let (tag, cluster) = match *self {
+            Scope::Global => (0u8, ClusterId(0)),
+            Scope::Cluster(c) => (1, c),
+        };
+        tag.put(out);
+        cluster.put(out);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        match (u8::get(r)?, ClusterId::get(r)?) {
+            (0, ClusterId(0)) => Ok(Scope::Global),
+            // One value, one encoding: a cluster under `Global` is not
+            // silently dropped.
+            (0, ClusterId(c)) => Err(CodecError::BadLength {
+                what: "global scope cluster",
+                claimed: c as u64,
+            }),
+            (1, c) => Ok(Scope::Cluster(c)),
+            (tag, _) => Err(CodecError::BadTag { what: "scope", tag }),
+        }
+    }
+}
+
+wire_enum! { Cmp, "cmp" { 0 => Eq, 1 => Ne, 2 => Lt, 3 => Le, 4 => Gt, 5 => Ge } }
+
+wire_enum! { TxnInstr, "instr" {
+    0 => Read { dst: u8, key: u64 },
+    1 => Write { src: u8, key: u64 },
+    2 => Set { dst: u8, imm: u64 },
+    3 => Add { dst: u8, src: u8 },
+    4 => Sub { dst: u8, src: u8 },
+    5 => BranchIf { a: u8, cmp: Cmp, b: u8, skip: u8 },
+    6 => Abort { code: u32 },
+    7 => Halt,
+} }
+
+wire_struct! { TxnProgram { instrs: Vec<TxnInstr> } }
+
+wire_enum! { Operation, "operation" {
+    0 => Write { key: u64, value: Value },
+    1 => Read { key: u64 },
+    2 => Rmw { key: u64, delta: u64 },
+    3 => Insert { key: u64, value: Value },
+    4 => Scan { key: u64, count: u32 },
+    5 => NoOp,
+    6 => Txn(prog: TxnProgram),
+} }
+
+wire_struct! { Transaction { client: ClientId, seq: u64, op: Operation } }
+wire_struct! { ClientBatch { client: ClientId, batch_seq: u64, txns: Vec<Transaction> } }
+wire_struct! { SignedBatch { batch: ClientBatch, pubkey: PublicKey, sig: Signature } }
+
+// The same bytes as `TxnOutcome::canonical_bytes` (tag + LE payload).
+wire_enum! { TxnAbort, "txn abort" {
+    0 => Underflow { pc: u32 },
+    1 => Overflow { pc: u32 },
+    2 => Explicit { code: u32, pc: u32 },
+    3 => Invalid { pc: u32 },
+} }
+wire_enum! { TxnOutcome, "txn outcome" {
+    0 => Committed { ret: u64 },
+    1 => Aborted(abort: TxnAbort),
+} }
+
+/// `ReadValue`'s inner option is folded into the outcome tag (1 = absent,
+/// 2 = present), so the common outcomes stay one byte.
+impl Wire for ExecOutcome {
+    const MIN_BYTES: usize = 1;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            ExecOutcome::Done => out.push(0),
+            ExecOutcome::ReadValue(None) => out.push(1),
+            ExecOutcome::ReadValue(Some(v)) => {
+                out.push(2);
+                v.put(out);
+            }
+            ExecOutcome::Counter(c) => {
+                out.push(3);
+                c.put(out);
+            }
+            ExecOutcome::Scanned(n) => {
+                out.push(4);
+                n.put(out);
+            }
+            ExecOutcome::Txn(t) => {
+                out.push(5);
+                t.put(out);
+            }
+        }
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        match u8::get(r)? {
+            0 => Ok(ExecOutcome::Done),
+            1 => Ok(ExecOutcome::ReadValue(None)),
+            2 => Ok(ExecOutcome::ReadValue(Some(Value::get(r)?))),
+            3 => Ok(ExecOutcome::Counter(u64::get(r)?)),
+            4 => Ok(ExecOutcome::Scanned(u32::get(r)?)),
+            5 => Ok(ExecOutcome::Txn(TxnOutcome::get(r)?)),
+            tag => Err(CodecError::BadTag {
+                what: "exec outcome",
+                tag,
+            }),
+        }
+    }
+}
+
+wire_struct! { TxnEffect { outcomes: Vec<ExecOutcome> } }
+wire_struct! { ReplyData {
+    client: ClientId,
+    batch_seq: u64,
+    seq: u64,
+    block_height: u64,
+    result_digest: Digest,
+    results: TxnEffect,
+    txns: u32,
+} }
+
+wire_struct! { CommitSig { replica: ReplicaId, sig: Signature } }
+wire_struct! { CommitCertificate {
+    cluster: ClusterId,
+    round: u64,
+    digest: Digest,
+    batch: SignedBatch,
+    commits: Vec<CommitSig>,
+} }
+
+wire_enum! { HsPhase, "phase" { 0 => Prepare, 1 => PreCommit, 2 => Commit, 3 => Decide } }
+wire_struct! { HsQc {
+    slot: u64,
+    phase: HsPhase,
+    digest: Digest,
+    votes: Vec<(ReplicaId, Signature)>,
+} }
+wire_struct! { PreparedProof { seq: u64, digest: Digest, batch: SignedBatch } }
+
+wire_enum! { Message, "message" {
+    0 => Request(batch: SignedBatch),
+    1 => Forward(batch: SignedBatch),
+    2 => Reply { data: ReplyData, view: u64 },
+    3 => PrePrepare { scope: Scope, view: u64, seq: u64, batch: SignedBatch, digest: Digest },
+    4 => Prepare { scope: Scope, view: u64, seq: u64, digest: Digest },
+    5 => Commit { scope: Scope, view: u64, seq: u64, digest: Digest, sig: Signature },
+    6 => Checkpoint { scope: Scope, seq: u64, state: Digest },
+    7 => ViewChange { scope: Scope, new_view: u64, stable_seq: u64, prepared: Vec<PreparedProof> },
+    8 => NewView {
+        scope: Scope,
+        view: u64,
+        stable_seq: u64,
+        preprepares: Vec<(u64, SignedBatch)>,
+    },
+    9 => GlobalShare { cert: CommitCertificate },
+    10 => Drvc { target: ClusterId, round: u64, v: u64 },
+    11 => Rvc { target: ClusterId, round: u64, v: u64, requester: ReplicaId, sig: Signature },
+    12 => OrderReq { view: u64, seq: u64, batch: SignedBatch, history: Digest },
+    13 => SpecResponse {
+        view: u64,
+        seq: u64,
+        batch_seq: u64,
+        replica: ReplicaId,
+        digest: Digest,
+        history: Digest,
+        result: Digest,
+        results: TxnEffect,
+        sig: Signature,
+    },
+    14 => ZyzCommit {
+        client: ClientId,
+        batch_seq: u64,
+        view: u64,
+        seq: u64,
+        digest: Digest,
+        history: Digest,
+        sigs: Vec<(ReplicaId, Signature)>,
+    },
+    15 => LocalCommit { view: u64, seq: u64, batch_seq: u64, replica: ReplicaId },
+    16 => HsProposal {
+        slot: u64,
+        phase: HsPhase,
+        batch: Option<SignedBatch>,
+        digest: Digest,
+        justify: Option<HsQc>,
+    },
+    17 => HsVote { slot: u64, phase: HsPhase, digest: Digest, replica: ReplicaId, sig: Signature },
+    18 => StewardProposal { seq: u64, cert: CommitCertificate },
+    19 => StewardLocalAccept { seq: u64, digest: Digest, replica: ReplicaId, sig: Signature },
+    20 => StewardAccept {
+        seq: u64,
+        cluster: ClusterId,
+        digest: Digest,
+        sigs: Vec<(ReplicaId, Signature)>,
+    },
+    21 => Noop,
+} }
+
+// On disk only: the deployment manifest's protocol byte.
+wire_enum! { ProtocolKind, "protocol kind" {
+    0 => GeoBft,
+    1 => Pbft,
+    2 => Zyzzyva,
+    3 => HotStuff,
+    4 => Steward,
+} }
 
 // ---------------------------------------------------------------------
 // Frames
@@ -1190,13 +675,13 @@ impl WireCodec {
 /// message whose compact encoding fits the model.
 pub fn encode_frame_into(out: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &Message) {
     let len_at = out.len();
-    put_u32(out, 0); // patched below
-    put_node(out, from);
-    put_node(out, to);
+    0u32.put(out); // patched below
+    from.put(out);
+    to.put(out);
     let payload_len_at = out.len();
-    put_u32(out, 0); // patched below
+    0u32.put(out); // patched below
     let payload_at = out.len();
-    encode_message(out, msg);
+    msg.put(out);
     let payload_len = out.len() - payload_at;
     let padded = payload_len.max(msg.wire_size());
     out.resize(payload_at + padded, 0);
@@ -1210,44 +695,36 @@ pub fn encode_frame_into(out: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &Mess
 /// the encoder but is deliberately not validated — skipping it keeps
 /// decode O(payload).
 pub fn decode_frame_body(body: &[u8]) -> Result<(NodeId, NodeId, Message)> {
-    let mut r = Reader::new(body);
-    let from = get_node(&mut r)?;
-    let to = get_node(&mut r)?;
-    let payload_len = r.u32()? as usize;
+    let mut r = Reader { buf: body };
+    let from = NodeId::get(&mut r)?;
+    let to = NodeId::get(&mut r)?;
+    let payload_len = u32::get(&mut r)? as usize;
     if payload_len > r.remaining() {
         return Err(CodecError::BadLength {
             what: "payload",
             claimed: payload_len as u64,
         });
     }
-    let payload = r.bytes(payload_len)?;
-    let msg = decode_message(payload)?;
+    let msg = decode(r.bytes(payload_len)?)?;
     Ok((from, to, msg))
 }
 
 /// Append the fixed [`NODE_ID_BYTES`] encoding of a node id (the
 /// socket handshake exchanges bare node ids outside any frame).
 pub fn encode_node_id(out: &mut Vec<u8>, n: NodeId) {
-    put_node(out, n);
+    n.put(out);
 }
 
 /// Decode a [`NODE_ID_BYTES`] node id.
 pub fn decode_node_id(bytes: &[u8; NODE_ID_BYTES]) -> Result<NodeId> {
-    let mut r = Reader::new(bytes);
-    let n = get_node(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(CodecError::TrailingBytes);
-    }
-    Ok(n)
+    decode(bytes)
 }
 
 /// The full on-socket size of the frame `encode_frame_into` produces for
 /// `msg`: the modeled wire size (or the compact encoding when larger)
 /// plus [`FRAME_OVERHEAD`].
 pub fn frame_size(msg: &Message) -> usize {
-    let mut payload = Vec::new();
-    encode_message(&mut payload, msg);
-    FRAME_OVERHEAD + payload.len().max(msg.wire_size())
+    FRAME_OVERHEAD + encode(msg).len().max(msg.wire_size())
 }
 
 #[cfg(test)]
@@ -1501,9 +978,44 @@ mod tests {
         }
     }
 
+    /// The frame bytes are a contract (other builds, captured traces and
+    /// the bandwidth model all read them): SHA-256 over the concatenated
+    /// frames of every exemplar, computed on the hand-written codec this
+    /// table replaced. A failure means a tag, a field order or a width
+    /// moved.
     #[test]
-    fn txn_program_operations_roundtrip() {
+    fn exemplar_frames_are_pinned() {
+        let from: NodeId = ReplicaId::new(2, 3).into();
+        let to: NodeId = ClientId::new(1, 9).into();
+        let pin = |msgs: Vec<Message>| {
+            let mut out = Vec::new();
+            for m in &msgs {
+                encode_frame_into(&mut out, from, to, m);
+            }
+            Digest::of(&out).to_hex()
+        };
+        assert_eq!(
+            pin(exemplars()),
+            "9b71070e8133a8749331e19f3a0657c5ad2c6e830014194e7e6cd043d55596ad"
+        );
+        assert_eq!(
+            pin(op_exemplars()),
+            "5eeaf56e54603d8f09a238cf1c66c113a2d45b33ebc15b3bb2c0f8e845644e4e"
+        );
+    }
+
+    /// Requests covering every [`Operation`], [`TxnInstr`] and [`Cmp`]
+    /// variant (the exemplars' batches are all writes).
+    fn op_exemplars() -> Vec<Message> {
         let client = ClientId::new(0, 1);
+        let every_cmp = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge]
+            .into_iter()
+            .map(|cmp| TxnInstr::BranchIf {
+                a: 1,
+                cmp,
+                b: 2,
+                skip: 3,
+            });
         let ops = [
             Operation::Read { key: 3 },
             Operation::Rmw { key: 4, delta: 9 },
@@ -1514,21 +1026,34 @@ mod tests {
             Operation::Scan { key: 7, count: 11 },
             Operation::NoOp,
             Operation::Txn(TxnProgram::transfer_checked(1, 2, 30)),
-            Operation::Txn(TxnProgram::new(vec![
-                TxnInstr::Abort { code: 77 },
-                TxnInstr::Halt,
-            ])),
+            Operation::Txn(TxnProgram::new(
+                [TxnInstr::Set { dst: 4, imm: 5 }]
+                    .into_iter()
+                    .chain(every_cmp)
+                    .chain([TxnInstr::Abort { code: 77 }, TxnInstr::Halt])
+                    .collect(),
+            )),
         ];
-        for (i, op) in ops.into_iter().enumerate() {
-            roundtrip(&Message::Request(SignedBatch {
-                batch: ClientBatch {
-                    client,
-                    batch_seq: i as u64,
-                    txns: vec![Transaction { client, seq: 1, op }],
-                },
-                pubkey: PublicKey::default(),
-                sig: Signature::default(),
-            }));
+        ops.into_iter()
+            .enumerate()
+            .map(|(i, op)| {
+                Message::Request(SignedBatch {
+                    batch: ClientBatch {
+                        client,
+                        batch_seq: i as u64,
+                        txns: vec![Transaction { client, seq: 1, op }],
+                    },
+                    pubkey: PublicKey::default(),
+                    sig: Signature::default(),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn txn_program_operations_roundtrip() {
+        for m in &op_exemplars() {
+            roundtrip(m);
         }
     }
 
@@ -1593,9 +1118,7 @@ mod tests {
             // Every strict prefix of the body must fail cleanly (the
             // padding region may decode fine at full payload length, so
             // stop before payload end).
-            let mut payload_end = 18;
-            let mut r = Reader::new(&body[14..18]);
-            payload_end += r.u32().unwrap() as usize;
+            let payload_end = 18 + decode::<u32>(&body[14..18]).unwrap() as usize;
             for cut in 0..payload_end.min(body.len()) {
                 assert!(
                     decode_frame_body(&body[..cut]).is_err(),
@@ -1631,6 +1154,41 @@ mod tests {
                 ..
             })
         ));
+        // A `Global` scope has one encoding: its cluster field is zero.
+        let prepare = Message::Prepare {
+            scope: Scope::Global,
+            view: 1,
+            seq: 2,
+            digest: digest(3),
+        };
+        let mut payload = encode(&prepare);
+        assert_eq!(decode(&payload), Ok(prepare));
+        payload[2] = 7; // scope cluster, after message tag + scope tag
+        assert_eq!(
+            decode::<Message>(&payload),
+            Err(CodecError::BadLength {
+                what: "global scope cluster",
+                claimed: 7,
+            })
+        );
+    }
+
+    /// `Vec<T>` must refuse any count the remaining bytes cannot hold at
+    /// `T::MIN_BYTES` apiece — before allocating — and accept the largest
+    /// count they can.
+    fn count_guard<T: Wire + std::fmt::Debug>() {
+        let room_for_three = vec![0u8; 3 * T::MIN_BYTES + T::MIN_BYTES / 2];
+        for (count, refused) in [(u32::MAX, true), (4, true), (3, false)] {
+            let mut buf = Vec::new();
+            count.put(&mut buf);
+            buf.extend_from_slice(&room_for_three);
+            let got = decode::<Vec<T>>(&buf);
+            let guard_fired = matches!(
+                got,
+                Err(CodecError::BadLength { claimed, .. }) if claimed == count as u64
+            );
+            assert_eq!(guard_fired, refused, "count {count}: {got:?}");
+        }
     }
 
     #[test]
@@ -1638,22 +1196,35 @@ mod tests {
         // A Request frame claiming u32::MAX transactions but carrying
         // only a few bytes must be rejected by the length check.
         let mut body = Vec::new();
-        put_node(&mut body, ReplicaId::new(0, 0).into());
-        put_node(&mut body, ReplicaId::new(0, 1).into());
+        NodeId::from(ReplicaId::new(0, 0)).put(&mut body);
+        NodeId::from(ReplicaId::new(0, 1)).put(&mut body);
         let mut payload = Vec::new();
         payload.push(0u8); // Request
-        put_client(&mut payload, ClientId::new(0, 0));
-        put_u64(&mut payload, 1); // batch_seq
-        put_u32(&mut payload, u32::MAX); // txn count
-        put_u32(&mut body, payload.len() as u32);
+        ClientId::new(0, 0).put(&mut payload);
+        1u64.put(&mut payload); // batch_seq
+        u32::MAX.put(&mut payload); // txn count
+        (payload.len() as u32).put(&mut body);
         body.extend_from_slice(&payload);
-        assert_eq!(
+        assert!(matches!(
             decode_frame_body(&body),
-            Err(CodecError::BadLength {
-                what: "batch txns",
-                claimed: u32::MAX as u64,
-            })
-        );
+            Err(CodecError::BadLength { what, claimed })
+                if what.ends_with("Transaction") && claimed == u32::MAX as u64
+        ));
+
+        // Every element type a message or block carries in a `Vec`.
+        count_guard::<Transaction>();
+        count_guard::<TxnInstr>();
+        count_guard::<ExecOutcome>();
+        count_guard::<CommitSig>();
+        count_guard::<(ReplicaId, Signature)>();
+        count_guard::<PreparedProof>();
+        count_guard::<(u64, SignedBatch)>();
+        // The hand-computed bounds the old decoder carried.
+        assert_eq!(Transaction::MIN_BYTES, 15);
+        assert_eq!(CommitSig::MIN_BYTES, 68);
+        assert_eq!(SignedBatch::MIN_BYTES, 114);
+        assert_eq!(PreparedProof::MIN_BYTES, 154);
+        assert_eq!(<(u64, SignedBatch)>::MIN_BYTES, 122);
     }
 
     #[test]
@@ -1814,6 +1385,22 @@ mod tests {
         ]
     }
 
+    fn min_holds<T: Wire>(v: &T) -> bool {
+        T::MIN_BYTES <= encode(v).len()
+    }
+
+    fn batch_min_holds(sb: &SignedBatch) -> bool {
+        min_holds(sb)
+            && min_holds(&sb.batch)
+            && sb.batch.txns.iter().all(|t| {
+                let instrs_hold = match &t.op {
+                    Operation::Txn(p) => min_holds(p) && p.instrs.iter().all(min_holds),
+                    _ => true,
+                };
+                min_holds(t) && min_holds(&t.op) && instrs_hold
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1831,10 +1418,33 @@ mod tests {
         }
 
         #[test]
+        fn min_bytes_never_exceeds_an_encoding(msg in arb_message()) {
+            prop_assert!(min_holds(&msg));
+            match &msg {
+                Message::Request(b)
+                | Message::Forward(b)
+                | Message::PrePrepare { batch: b, .. } => prop_assert!(batch_min_holds(b)),
+                Message::Reply { data, .. } => {
+                    prop_assert!(min_holds(data) && min_holds(&data.results));
+                    prop_assert!(data.results.outcomes.iter().all(min_holds));
+                }
+                Message::GlobalShare { cert } => {
+                    prop_assert!(min_holds(cert) && batch_min_holds(&cert.batch));
+                    prop_assert!(cert.commits.iter().all(min_holds));
+                }
+                Message::ViewChange { prepared, .. } => {
+                    let proof_holds = |p: &PreparedProof| min_holds(p) && batch_min_holds(&p.batch);
+                    prop_assert!(prepared.iter().all(proof_holds));
+                }
+                other => prop_assert!(false, "arb_message grew {}", other.label()),
+            }
+        }
+
+        #[test]
         fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             // Arbitrary garbage must decode to Ok or Err, never panic.
             let _ = decode_frame_body(&bytes);
-            let _ = decode_message(&bytes);
+            let _ = decode::<Message>(&bytes);
         }
     }
 }

@@ -20,27 +20,31 @@
 //! | keyspace      | key                      | value                                  |
 //! |---------------|--------------------------|----------------------------------------|
 //! | `table`       | record key, 8 B BE       | 24 B value ‖ version (8 B LE)          |
-//! | `blocks`      | block height, 8 B BE     | JSON-encoded [`Block`]                 |
+//! | `blocks`      | block height, 8 B BE     | codec-encoded [`Block`] (`Block: Wire`) |
 //! | `checkpoints` | stable height, 8 B BE    | state digest (32 B) ‖ anchor hash (32 B) |
 //! | `meta`        | `"init"` / `"applied"` / `"stable"` | marker byte / height (8 B LE) |
 //!
 //! Big-endian keys make the engine's ascending-key scans come back in
 //! height/key order for free. Blocks compacted out of the in-memory ledger
 //! are *retained* in the `blocks` keyspace — archival past the recovery
-//! anchor instead of dropping.
+//! anchor instead of dropping. A block goes to disk in the encoding it
+//! travels in: [`rdb_consensus::codec`]'s [`codec::Wire`] table for [`Block`],
+//! whose batch and certificate are the bytes of the frames that carried
+//! them. Decoding is strict (a short, long or foreign value — such as the
+//! JSON an older build wrote — is `InvalidData`, never a misread block).
 //!
 //! The deployment parameters needed to reboot an equivalent fabric are
-//! written once to `<root>/manifest.json` ([`Manifest`]);
-//! [`crate::Fabric::restart_from`] reads them back.
+//! written once, through the same codec, to `<root>/manifest`
+//! ([`Manifest`]); [`crate::Fabric::restart_from`] reads them back.
 
 use parking_lot::Mutex;
 use rdb_common::ids::ReplicaId;
+use rdb_consensus::codec;
 use rdb_consensus::config::ProtocolKind;
 use rdb_crypto::digest::Digest;
 use rdb_ledger::{Block, Ledger};
 use rdb_storage::{Keyspace, LogBackend, StorageBackend, WriteBatch};
 use rdb_store::{KvStore, Value};
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -115,15 +119,13 @@ fn decode_table_entry(key: &[u8], raw: &[u8]) -> io::Result<(u64, Value, u64)> {
     Ok((key, Value(value), version))
 }
 
-/// `blocks` value: the JSON encoding of the block (lossless through the
-/// workspace serde stack, including signatures and certificates).
-fn encode_block(block: &Block) -> io::Result<Vec<u8>> {
-    Ok(serde_json::to_string(block).map_err(invalid)?.into_bytes())
+/// `blocks` value: the block's [`codec::Wire`] encoding.
+fn encode_block(block: &Block) -> Vec<u8> {
+    codec::encode(block)
 }
 
 fn decode_block(raw: &[u8]) -> io::Result<Block> {
-    let json = std::str::from_utf8(raw).map_err(invalid)?;
-    serde_json::from_str(json).map_err(invalid)
+    codec::decode(raw).map_err(invalid)
 }
 
 /// `checkpoints` value: certified state digest ‖ anchor block hash.
@@ -134,10 +136,10 @@ fn encode_checkpoint(state: Digest, anchor: Digest) -> [u8; 64] {
     out
 }
 
-/// Deployment parameters persisted to `<root>/manifest.json` on first
+/// Deployment parameters persisted to `<root>/manifest` on first
 /// durable boot. [`crate::Fabric::restart_from`] reads this back and
 /// rebuilds an equivalent deployment over the recovered engines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Consensus protocol of the deployment.
     pub kind: ProtocolKind,
@@ -157,8 +159,19 @@ pub struct Manifest {
     pub checkpoint_interval: u64,
 }
 
+rdb_consensus::wire_struct! { Manifest {
+    kind: ProtocolKind,
+    z: usize,
+    n: usize,
+    batch_size: usize,
+    records: u64,
+    seed: u64,
+    check_sigs: bool,
+    checkpoint_interval: u64,
+} }
+
 fn manifest_path(root: &Path) -> PathBuf {
-    root.join("manifest.json")
+    root.join("manifest")
 }
 
 /// Write the manifest on first boot; an existing manifest (a restart) is
@@ -169,13 +182,12 @@ pub(crate) fn write_manifest_if_absent(root: &Path, manifest: &Manifest) -> io::
         return Ok(());
     }
     std::fs::create_dir_all(root)?;
-    std::fs::write(path, serde_json::to_string(manifest).map_err(invalid)?)
+    std::fs::write(path, codec::encode(manifest))
 }
 
 /// Read the deployment manifest back from a durable data directory.
 pub fn read_manifest(root: &Path) -> io::Result<Manifest> {
-    let json = std::fs::read_to_string(manifest_path(root))?;
-    serde_json::from_str(&json).map_err(invalid)
+    codec::decode(&std::fs::read(manifest_path(root))?).map_err(invalid)
 }
 
 /// The engine directory of `rid` under the deployment's data root.
@@ -219,7 +231,7 @@ pub(crate) fn persist_decision(
 ) -> io::Result<()> {
     let mut batch = WriteBatch::new();
     for block in blocks {
-        batch.put(Keyspace::Blocks, be_key(block.height), encode_block(block)?);
+        batch.put(Keyspace::Blocks, be_key(block.height), encode_block(block));
     }
     for &(key, value, version) in writes {
         batch.put(
@@ -332,12 +344,38 @@ mod tests {
     }
 
     #[test]
-    fn block_json_round_trips() {
+    fn block_round_trips() {
         let block = Block::genesis();
-        let raw = encode_block(&block).unwrap();
+        let mut raw = encode_block(&block);
         let back = decode_block(&raw).unwrap();
         assert_eq!(back, block);
         assert_eq!(back.hash(), block.hash());
+        for cut in 0..raw.len() {
+            assert!(decode_block(&raw[..cut]).is_err(), "prefix {cut} decoded");
+        }
+        raw.push(0);
+        assert_eq!(
+            decode_block(&raw).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+    }
+
+    /// A directory written before blocks went through the codec holds
+    /// JSON in `blocks`: recovery must refuse it, not misread it.
+    #[test]
+    fn json_blocks_of_an_older_build_are_refused() {
+        let dir = tempdir("old-json");
+        let mut backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        init_replica(&mut backend, &KvStore::with_ycsb_records(5)).unwrap();
+        // Block 1 of `init_then_recover_round_trips_store_and_ledger`, as
+        // the parent build's `serde_json::to_string` wrote it.
+        let old = br#"{"height":1,"parent":[25,52,10,135,35,237,144,114,138,202,86,60,157,143,202,201,229,252,85,234,63,34,228,237,61,117,69,137,34,125,214,176],"batch":{"batch":{"client":{"cluster":0,"index":4294967295},"batch_seq":1,"txns":[{"client":{"cluster":0,"index":4294967295},"seq":1,"op":"NoOp"}]},"pubkey":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"sig":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},"certificate":null,"state_digest":[114,35,16,67,188,24,7,230,247,64,178,53,235,117,17,236,179,50,85,166,163,117,67,86,49,25,109,232,169,117,13,75]}"#;
+        let mut batch = WriteBatch::new();
+        batch.put(Keyspace::Blocks, be_key(1), old.to_vec());
+        batch.put(Keyspace::Meta, META_APPLIED, 1u64.to_le_bytes());
+        backend.apply(batch).unwrap();
+        let err = recover_replica(&backend).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -361,6 +399,16 @@ mod tests {
         };
         write_manifest_if_absent(&dir, &other).unwrap();
         assert_eq!(read_manifest(&dir).unwrap(), manifest);
+
+        // A truncated or foreign manifest is refused, not half-read.
+        let raw = std::fs::read(manifest_path(&dir)).unwrap();
+        for bad in [&raw[..raw.len() - 1], &br#"{"kind":"Pbft","z":1}"#[..]] {
+            std::fs::write(manifest_path(&dir), bad).unwrap();
+            assert_eq!(
+                read_manifest(&dir).unwrap_err().kind(),
+                io::ErrorKind::InvalidData
+            );
+        }
     }
 
     #[test]

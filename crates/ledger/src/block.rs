@@ -25,6 +25,16 @@ pub struct Block {
     pub state_digest: Digest,
 }
 
+// The on-disk encoding (the `blocks` keyspace of a durable replica): the
+// same codec, and the same batch and certificate bytes, as on the wire.
+rdb_consensus::wire_struct! { Block {
+    height: u64,
+    parent: Digest,
+    batch: SignedBatch,
+    certificate: Option<CommitCertificate>,
+    state_digest: Digest,
+} }
+
 impl Block {
     /// The genesis block of every ledger.
     pub fn genesis() -> Block {
@@ -70,7 +80,96 @@ impl Block {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdb_common::ids::ClusterId;
+    use proptest::prelude::*;
+    use rdb_common::ids::{ClientId, ClusterId, ReplicaId};
+    use rdb_consensus::certificate::CommitSig;
+    use rdb_consensus::codec::{decode, encode, Wire};
+    use rdb_consensus::types::{ClientBatch, Transaction};
+    use rdb_crypto::sign::{PublicKey, Signature};
+    use rdb_store::{Operation, TxnProgram, Value};
+
+    fn arb_op() -> impl Strategy<Value = Operation> {
+        prop_oneof![
+            (any::<u64>(), any::<u64>()).prop_map(|(key, v)| Operation::Write {
+                key,
+                value: Value::from_u64(v)
+            }),
+            any::<u64>().prop_map(|key| Operation::Read { key }),
+            (any::<u64>(), any::<u32>()).prop_map(|(key, count)| Operation::Scan { key, count }),
+            Just(Operation::NoOp),
+            (any::<u64>(), any::<u64>(), 1u64..1000)
+                .prop_map(|(a, b, amt)| Operation::Txn(TxnProgram::transfer_checked(a, b, amt))),
+        ]
+    }
+
+    /// Blocks with and without a certificate, over batches of every
+    /// operation shape the fabric persists.
+    fn arb_block() -> impl Strategy<Value = Block> {
+        (
+            (any::<u64>(), any::<u16>(), any::<u32>(), any::<u8>()),
+            proptest::collection::vec(arb_op(), 0..6),
+            proptest::collection::vec(any::<u16>(), 0..4),
+            any::<bool>(),
+        )
+            .prop_map(
+                |((height, cluster, index, fill), ops, signers, certified)| {
+                    let client = ClientId::new(cluster, index);
+                    let txns = ops.into_iter().enumerate();
+                    let batch = SignedBatch {
+                        batch: ClientBatch {
+                            client,
+                            batch_seq: height ^ 1,
+                            txns: txns
+                                .map(|(i, op)| Transaction {
+                                    client,
+                                    seq: i as u64,
+                                    op,
+                                })
+                                .collect(),
+                        },
+                        pubkey: PublicKey([fill; 32]),
+                        sig: Signature([fill.wrapping_add(1); 64]),
+                    };
+                    let certificate = certified.then(|| CommitCertificate {
+                        cluster: ClusterId(cluster),
+                        round: height,
+                        digest: batch.digest(),
+                        batch: batch.clone(),
+                        commits: signers
+                            .into_iter()
+                            .map(|i| CommitSig {
+                                replica: ReplicaId::new(cluster, i),
+                                sig: Signature([i as u8; 64]),
+                            })
+                            .collect(),
+                    });
+                    Block {
+                        height,
+                        parent: Digest::of(&height.to_le_bytes()),
+                        batch,
+                        certificate,
+                        state_digest: Digest::of(&[fill]),
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #[test]
+        fn wire_encoding_round_trips_and_rejects_damage(block in arb_block()) {
+            let mut raw = encode(&block);
+            let back: Block = decode(&raw).unwrap();
+            prop_assert_eq!(back.hash(), block.hash());
+            prop_assert_eq!(back, block);
+            prop_assert!(Block::MIN_BYTES <= raw.len());
+            // Every strict prefix, and one byte too many, is an error.
+            for cut in 0..raw.len() {
+                prop_assert!(decode::<Block>(&raw[..cut]).is_err(), "prefix {}", cut);
+            }
+            raw.push(0);
+            prop_assert!(decode::<Block>(&raw).is_err());
+        }
+    }
 
     #[test]
     fn genesis_is_stable() {
