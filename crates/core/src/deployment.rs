@@ -5,9 +5,8 @@ use crate::node::ReplicaRuntime;
 use crate::pipeline::{CheckpointConfig, CheckpointReport, PipelineConfig, VerifyCtx};
 use crate::queue::{QueuePolicy, StageQueues};
 use crate::service::Fabric;
-use crate::socket::{SocketKind, SocketTransport};
 use crate::storage::{self, Manifest, SharedBackend, StorageMode};
-use crate::transport::{DelayFn, InProcTransport, Transport};
+use crate::transport::{DelayFn, Transport};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{NodeId, ReplicaId};
 use rdb_common::time::SimDuration;
@@ -22,24 +21,25 @@ use rdb_workload::ycsb::YcsbConfig;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Which transport carries the deployment's messages.
+/// Which mesh carries the deployment's messages. Both sit under one
+/// router (`crate::transport`), so inbox registration, partitions and
+/// injected link delays behave the same on either; only the last hop
+/// differs.
 ///
 /// `InProcess` (the default) moves [`crate::transport::Envelope`]s over
 /// crossbeam channels — zero serialization, and what every figure
-/// reproduction uses, so repro output stays byte-identical. The socket
-/// modes serialize every message through
-/// [`rdb_consensus::codec::WireCodec`] and carry it over real loopback
+/// reproduction uses, so repro output stays byte-identical. `Tcp`
+/// serializes every message through
+/// [`rdb_consensus::codec::WireCodec`] and carries it over real loopback
 /// connections (see `crate::socket`): same protocols, same ledgers, real
 /// bytes on a real wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
-    /// In-process channel mesh (default; supports injected link delays).
+    /// In-process channel mesh (default).
     #[default]
     InProcess,
     /// TCP over 127.0.0.1.
     Tcp,
-    /// Unix-domain sockets (unix only).
-    Uds,
 }
 
 /// Builder for an in-process ResilientDB deployment.
@@ -239,16 +239,17 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Inject per-link one-way delays (e.g. Table 1 emulation).
-    /// In-process transport only — combining this with a socket
-    /// [`TransportMode`] panics at [`DeploymentBuilder::start`].
+    /// Inject per-link one-way delays (e.g. Table 1 emulation), over
+    /// either [`TransportMode`]. The delay wheel sits in front of the
+    /// receiving inbox, so over TCP the delay adds to the loopback
+    /// latency.
     pub fn delay(mut self, f: DelayFn) -> Self {
         self.delay = Some(f);
         self
     }
 
     /// Select the transport ([`TransportMode::InProcess`] by default).
-    /// Socket modes carry every message as length-prefixed frames over
+    /// `Tcp` carries every message as length-prefixed frames over
     /// real loopback connections; the workload, protocols and committed
     /// ledgers are unchanged (see `tests/pipeline_equivalence.rs`).
     pub fn transport_mode(mut self, mode: TransportMode) -> Self {
@@ -341,25 +342,7 @@ impl DeploymentBuilder {
         };
 
         let metrics = Metrics::new();
-        let transport = match self.transport_mode {
-            TransportMode::InProcess => Transport::InProc(InProcTransport::with_metrics(
-                self.delay.clone(),
-                Some(metrics.clone()),
-            )),
-            mode => {
-                assert!(
-                    self.delay.is_none(),
-                    "injected link delays require TransportMode::InProcess — \
-                     socket links have real (loopback) latency instead"
-                );
-                let kind = match mode {
-                    TransportMode::Tcp => SocketKind::Tcp,
-                    TransportMode::Uds => SocketKind::Uds,
-                    TransportMode::InProcess => unreachable!(),
-                };
-                Transport::Socket(SocketTransport::new(kind, Some(metrics.clone())))
-            }
-        };
+        let transport = Transport::new(self.transport_mode, self.delay.clone(), metrics.clone());
         let ks = KeyStore::new(self.seed);
 
         // Durable mode: pin the deployment parameters to the data
@@ -545,10 +528,15 @@ pub struct DeploymentReport {
     pub decided: u64,
     /// Messages through the transport.
     pub messages_sent: u64,
-    /// Mean client latency.
+    /// Mean client latency (exact).
     pub avg_latency: Duration,
+    /// Median client latency (within 1/16, like every percentile here:
+    /// see [`Metrics::latency_percentile`]).
+    pub p50_latency: Duration,
     /// Tail latency.
     pub p99_latency: Duration,
+    /// Far-tail latency.
+    pub p999_latency: Duration,
     /// Final ledger of every replica.
     pub ledgers: HashMap<ReplicaId, Ledger>,
     /// State digest of each replica's execution-stage table after the run

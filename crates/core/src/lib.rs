@@ -114,6 +114,6 @@ pub use node::{ReplicaRuntime, ReplicaStopReport};
 pub use pipeline::{CheckpointConfig, CheckpointReport, PipelineConfig, VerifyCtx};
 pub use queue::{Overload, QueuePolicy, StageQueues};
 pub use service::{ClientSession, CommitProof, Fabric, Ticket};
-pub use socket::{SocketKind, SocketTransport, WireAddr};
+pub use socket::{SocketKind, SocketTransport};
 pub use storage::{Manifest, SharedBackend, StorageMode};
 pub use transport::{Envelope, InProcTransport, Transport, TransportHandle, TransportSender};

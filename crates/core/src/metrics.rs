@@ -14,6 +14,11 @@
 //! accumulated time producers spent parked on it waiting for room — the
 //! backpressure actually applied upstream. Shed items are never counted
 //! as `enqueued`, so `queue_depth` stays the live backlog.
+//!
+//! Client completion latencies go into a fixed log-bucket histogram
+//! (`LatencyHistogram`): recording is three relaxed atomic adds, memory
+//! does not grow with the number of samples, and a percentile is exact
+//! to within one bucket (1/16 of the value).
 
 use parking_lot::Mutex;
 use rdb_common::ids::NodeId;
@@ -68,6 +73,88 @@ impl Default for LaneTable {
     }
 }
 
+/// Sub-buckets per power of two: a bucket spans at most 1/16 of its
+/// lower bound, which bounds a percentile's relative error.
+const SUB_BITS: u32 = 4;
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+/// Values below 16 ns get one exact bucket each; every octave
+/// `[2^e, 2^(e+1))` above gets 16, up to `u64::MAX`.
+const LATENCY_BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS as usize + 1);
+
+/// Completion latencies in nanoseconds: per-bucket counts plus the exact
+/// sum and count (so the mean stays exact).
+struct LatencyHistogram {
+    buckets: [AtomicU64; LATENCY_BUCKETS],
+    sum_ns: AtomicU64,
+    count: AtomicU64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum_ns: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+        }
+    }
+}
+
+impl LatencyHistogram {
+    /// The bucket holding `ns`: the exponent picks the octave, the next
+    /// four bits below the leading one pick the sub-bucket.
+    fn bucket(ns: u64) -> usize {
+        if ns < SUB_BUCKETS as u64 {
+            return ns as usize;
+        }
+        let shift = 63 - ns.leading_zeros() - SUB_BITS;
+        ((shift as usize + 1) << SUB_BITS) + ((ns >> shift) as usize & (SUB_BUCKETS - 1))
+    }
+
+    /// The value reported for bucket `i`: the middle of its range.
+    fn midpoint(i: usize) -> u64 {
+        if i < SUB_BUCKETS {
+            return i as u64;
+        }
+        let shift = (i >> SUB_BITS) - 1;
+        let lo = ((SUB_BUCKETS + (i & (SUB_BUCKETS - 1))) as u64) << shift;
+        lo + ((1u64 << shift) >> 1)
+    }
+
+    fn record(&self, ns: u64) {
+        self.buckets[Self::bucket(ns)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn mean(&self) -> Duration {
+        match self.count.load(Ordering::Relaxed) {
+            0 => Duration::ZERO,
+            n => Duration::from_nanos(self.sum_ns.load(Ordering::Relaxed) / n),
+        }
+    }
+
+    /// The bucket midpoint of the sample a sorted list would hold at
+    /// index `round((n - 1) · p)`.
+    fn percentile(&self, p: f64) -> Duration {
+        // One pass, so concurrent recording cannot skew rank against counts.
+        let counts: [u64; LATENCY_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let n: u64 = counts.iter().sum();
+        if n == 0 {
+            return Duration::ZERO;
+        }
+        let rank = (((n - 1) as f64 * p).round() as u64).min(n - 1);
+        let mut seen = 0;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen > rank {
+                return Duration::from_nanos(Self::midpoint(i));
+            }
+        }
+        unreachable!("rank < n")
+    }
+}
+
 /// Wire-level counters of one directed `from -> to` link (socket
 /// transport only; the in-process transport moves no bytes).
 #[derive(Default)]
@@ -92,7 +179,7 @@ struct Inner {
     completed_txns: AtomicU64,
     decided: AtomicU64,
     messages_sent: AtomicU64,
-    latencies_ns: Mutex<Vec<u64>>,
+    latencies: LatencyHistogram,
     stages: StageTable,
     lanes: LaneTable,
     exec_lanes: AtomicU64,
@@ -118,10 +205,7 @@ impl Metrics {
         self.inner
             .completed_txns
             .fetch_add(txns as u64, Ordering::Relaxed);
-        self.inner
-            .latencies_ns
-            .lock()
-            .push(latency.as_nanos() as u64);
+        self.inner.latencies.record(latency.as_nanos() as u64);
     }
 
     /// Record a replica decision.
@@ -385,25 +469,14 @@ impl Metrics {
         self.inner.messages_sent.load(Ordering::Relaxed)
     }
 
-    /// Mean completion latency.
+    /// Mean completion latency (exact).
     pub fn avg_latency(&self) -> Duration {
-        let v = self.inner.latencies_ns.lock();
-        if v.is_empty() {
-            Duration::ZERO
-        } else {
-            Duration::from_nanos(v.iter().sum::<u64>() / v.len() as u64)
-        }
+        self.inner.latencies.mean()
     }
 
-    /// Latency percentile in [0, 1].
+    /// Latency percentile in [0, 1], within 1/16 of the exact sample.
     pub fn latency_percentile(&self, p: f64) -> Duration {
-        let mut v = self.inner.latencies_ns.lock().clone();
-        if v.is_empty() {
-            return Duration::ZERO;
-        }
-        v.sort_unstable();
-        let idx = ((v.len() as f64 - 1.0) * p).round() as usize;
-        Duration::from_nanos(v[idx.min(v.len() - 1)])
+        self.inner.latencies.percentile(p)
     }
 }
 
@@ -637,7 +710,8 @@ mod tests {
         assert_eq!(m.decided(), 1);
         assert_eq!(m.messages_sent(), 1);
         assert_eq!(m.avg_latency(), Duration::from_millis(20));
-        assert_eq!(m.latency_percentile(1.0), Duration::from_millis(30));
+        let p100 = m.latency_percentile(1.0);
+        assert!(p100.abs_diff(Duration::from_millis(30)) <= Duration::from_millis(30) / 16);
     }
 
     #[test]
@@ -645,6 +719,27 @@ mod tests {
         let m = Metrics::new();
         assert_eq!(m.avg_latency(), Duration::ZERO);
         assert_eq!(m.latency_percentile(0.5), Duration::ZERO);
+    }
+
+    #[test]
+    fn latency_buckets_tile_the_range() {
+        // Each bucket starts where the previous one ended, is at most
+        // 1/16 of its lower bound wide, and its midpoint maps back to it.
+        let mut next_lo = 0u64;
+        for i in 0..LATENCY_BUCKETS {
+            let lo = next_lo;
+            assert_eq!(LatencyHistogram::bucket(lo), i);
+            let width = if i < 2 * SUB_BUCKETS {
+                1
+            } else {
+                1u64 << ((i >> SUB_BITS) - 1)
+            };
+            assert!(width == 1 || width * 16 <= lo, "bucket {i}");
+            assert_eq!(LatencyHistogram::bucket(LatencyHistogram::midpoint(i)), i);
+            next_lo = lo.wrapping_add(width);
+        }
+        assert_eq!(next_lo, 0, "the last bucket ends at u64::MAX");
+        assert_eq!(LatencyHistogram::bucket(u64::MAX), LATENCY_BUCKETS - 1);
     }
 
     #[test]

@@ -1644,9 +1644,9 @@ mod tests {
 
     #[test]
     fn checkpointer_certifies_quorum_and_compacts_with_lag() {
-        use crate::transport::InProcTransport;
+        use crate::transport::{InProcTransport, Transport};
         let system = SystemConfig::geo(1, 4).unwrap();
-        let transport = InProcTransport::new(None);
+        let transport = Transport::InProc(InProcTransport::new(None));
         let me: NodeId = ReplicaId::new(0, 0).into();
         let handle = transport.register(me);
         let peer_handles: Vec<_> = (1..4u16)

@@ -621,7 +621,9 @@ impl Fabric {
             decided: metrics.decided(),
             messages_sent: metrics.messages_sent(),
             avg_latency: metrics.avg_latency(),
+            p50_latency: metrics.latency_percentile(0.5),
             p99_latency: metrics.latency_percentile(0.99),
+            p999_latency: metrics.latency_percentile(0.999),
             net: metrics.net_snapshot(),
             storage: metrics.storage_snapshot(),
             ledgers,

@@ -1,14 +1,17 @@
-//! Socket-backed transport: TCP or Unix-domain links carrying the
-//! length-prefixed frames of `rdb_consensus::codec`.
+//! The socket mesh: TCP links carrying the length-prefixed frames of
+//! `rdb_consensus::codec`, under the same `Router` as the in-process
+//! mesh (see [`crate::transport`]).
 //!
-//! Where [`crate::transport::InProcTransport`] moves [`Envelope`]s over
-//! crossbeam channels, this transport serializes them: every registered
+//! Where [`crate::transport::InProcTransport`] hands [`Envelope`]s to the
+//! router directly, this mesh serializes them: every registered
 //! node gets a loopback listener, and each `from -> to` link lazily
 //! opens one outbound connection on first send. A deployment can
 //! therefore span OS processes — peers in another process are wired in
 //! with [`SocketTransport::advertise`] and a shared handshake epoch —
 //! while the default single-process loopback keeps the whole fabric
-//! testable in one test binary.
+//! testable in one test binary. Registration, partitions (checked
+//! before the frame is written) and injected link delays (applied after
+//! the frame is read) are the router's; this module only moves bytes.
 //!
 //! # Handshake
 //!
@@ -37,28 +40,26 @@
 //!
 //! # Backpressure
 //!
-//! A reader thread delivers decoded frames into the same bounded
-//! input-stage inboxes the in-process transport uses: droppable
-//! traffic is shed at the bound, and a non-droppable `Request` *blocks
-//! the reader*. Frames behind it then queue in the kernel socket
-//! buffer until the sender's `write` blocks — admission control
-//! propagates to the submitting client through TCP flow control rather
-//! than a parked thread, coarser than in-process blocking but the same
-//! end state (see the decision table in `docs/ARCHITECTURE.md`).
+//! A reader thread hands decoded frames to the router, which delivers
+//! them into the same bounded input-stage inboxes the in-process mesh
+//! uses: droppable traffic is shed at the bound, and a non-droppable
+//! `Request` *blocks the reader*. Frames behind it then queue in the
+//! kernel socket buffer until the sender's `write` blocks — admission
+//! control propagates to the submitting client through TCP flow control
+//! rather than a parked thread, coarser than in-process blocking but the
+//! same end state (see the decision table in `docs/ARCHITECTURE.md`). On
+//! a delayed link the reader never parks: the frame waits in the delay
+//! wheel, which retries it until the inbox has room.
 
 use crate::metrics::Metrics;
-use crate::queue::QueuePolicy;
-use crate::transport::{Envelope, Inboxes, OnFull, Transport, TransportHandle};
+use crate::transport::{Envelope, OnFull, Router};
 use parking_lot::Mutex;
 use rdb_common::ids::NodeId;
 use rdb_consensus::codec::{self, WireCodec, MAX_FRAME, NODE_ID_BYTES};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -93,107 +94,13 @@ pub fn fresh_epoch() -> u64 {
 pub enum SocketKind {
     /// TCP over 127.0.0.1 (ephemeral ports).
     Tcp,
-    /// Unix-domain sockets in the system temp directory (unix only).
-    Uds,
-}
-
-/// Where a peer listens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireAddr {
-    /// A TCP address.
-    Tcp(SocketAddr),
-    /// A Unix-domain socket path.
-    Uds(PathBuf),
-}
-
-enum SockStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(UnixStream),
-}
-
-impl SockStream {
-    fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            SockStream::Tcp(s) => s.set_read_timeout(dur),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.set_read_timeout(dur),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            SockStream::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.set_nonblocking(nb),
-        }
-    }
-}
-
-impl Read for SockStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            SockStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for SockStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            SockStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            SockStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.flush(),
-        }
-    }
-}
-
-enum SockListener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Uds(UnixListener),
-}
-
-impl SockListener {
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            SockListener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            SockListener::Uds(l) => l.set_nonblocking(nb),
-        }
-    }
-
-    fn accept(&self) -> std::io::Result<SockStream> {
-        match self {
-            SockListener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                let _ = s.set_nodelay(true);
-                Ok(SockStream::Tcp(s))
-            }
-            #[cfg(unix)]
-            SockListener::Uds(l) => {
-                let (s, _) = l.accept()?;
-                Ok(SockStream::Uds(s))
-            }
-        }
-    }
 }
 
 /// Outbound state of one `from -> to` link. Per-link mutex: a write
 /// parked on a full kernel buffer stalls only this link, never the
 /// whole transport.
 struct LinkState {
-    stream: Option<SockStream>,
+    stream: Option<TcpStream>,
     codec: WireCodec,
     backoff: Duration,
     down_until: Option<Instant>,
@@ -225,23 +132,19 @@ impl LinkState {
 type LinkTable = Mutex<HashMap<(NodeId, NodeId), Arc<Mutex<LinkState>>>>;
 
 struct SockShared {
-    kind: SocketKind,
     epoch: u64,
-    inboxes: Inboxes,
-    addrs: Mutex<HashMap<NodeId, WireAddr>>,
+    addrs: Mutex<HashMap<NodeId, SocketAddr>>,
     links: LinkTable,
-    partitions: crate::transport::PartitionSet,
-    running: AtomicBool,
+    /// Accept loops and reader threads; finished readers are pruned
+    /// whenever a thread is added.
     threads: Mutex<Vec<JoinHandle<()>>>,
-    uds_paths: Mutex<Vec<PathBuf>>,
-    uds_seq: AtomicU64,
-    metrics: Metrics,
 }
 
 /// The socket transport. Cloneable handle, like
 /// [`crate::transport::InProcTransport`].
 #[derive(Clone)]
 pub struct SocketTransport {
+    pub(crate) router: Arc<Router>,
     shared: Arc<SockShared>,
 }
 
@@ -254,26 +157,19 @@ impl SocketTransport {
 
     /// A transport with an explicit handshake epoch — every process of
     /// one multi-process deployment must pass the same value.
-    pub fn with_epoch(kind: SocketKind, epoch: u64, metrics: Option<Metrics>) -> SocketTransport {
-        #[cfg(not(unix))]
-        assert!(
-            kind != SocketKind::Uds,
-            "unix-domain sockets are unavailable on this platform"
-        );
-        let metrics = metrics.unwrap_or_default();
+    pub fn with_epoch(_kind: SocketKind, epoch: u64, metrics: Option<Metrics>) -> SocketTransport {
+        SocketTransport::over(Router::new(None, metrics.unwrap_or_default()), epoch)
+    }
+
+    /// The socket mesh under `router`.
+    pub(crate) fn over(router: Arc<Router>, epoch: u64) -> SocketTransport {
         SocketTransport {
+            router,
             shared: Arc::new(SockShared {
-                kind,
                 epoch,
-                inboxes: Inboxes::new(metrics.clone()),
                 addrs: Mutex::new(HashMap::new()),
                 links: Mutex::new(HashMap::new()),
-                partitions: crate::transport::PartitionSet::new(),
-                running: AtomicBool::new(true),
                 threads: Mutex::new(Vec::new()),
-                uds_paths: Mutex::new(Vec::new()),
-                uds_seq: AtomicU64::new(0),
-                metrics,
             }),
         }
     }
@@ -283,95 +179,46 @@ impl SocketTransport {
         self.shared.epoch
     }
 
-    /// Register a node with an unbounded inbox (clients, tests). Binds
-    /// a listener and starts accepting.
-    pub fn register(&self, node: NodeId) -> TransportHandle {
-        self.handle(node, None)
-    }
-
-    /// Register a node whose inbox is the bounded input-stage queue of
-    /// its pipeline (same policy semantics as
-    /// [`crate::transport::InProcTransport::register_bounded`]).
-    pub fn register_bounded(&self, node: NodeId, policy: QueuePolicy) -> TransportHandle {
-        self.handle(node, Some(policy))
-    }
-
-    fn handle(&self, node: NodeId, policy: Option<QueuePolicy>) -> TransportHandle {
-        let rx = self.shared.inboxes.register(node, policy);
-        let needs_listener = !self.shared.addrs.lock().contains_key(&node);
-        if needs_listener {
-            self.spawn_listener(node);
-        }
-        TransportHandle::from_parts(node, rx, Transport::Socket(self.clone()))
-    }
-
     /// Record where a *remote* peer (typically in another process)
     /// listens, so local sends can reach it. Local registrations
     /// advertise themselves automatically.
-    pub fn advertise(&self, node: NodeId, addr: WireAddr) {
+    pub fn advertise(&self, node: NodeId, addr: SocketAddr) {
         self.shared.addrs.lock().insert(node, addr);
     }
 
     /// Where `node` listens (to hand to another process's
     /// [`SocketTransport::advertise`]).
-    pub fn listen_addr(&self, node: NodeId) -> Option<WireAddr> {
-        self.shared.addrs.lock().get(&node).cloned()
+    pub fn listen_addr(&self, node: NodeId) -> Option<SocketAddr> {
+        self.shared.addrs.lock().get(&node).copied()
     }
 
-    /// Schedule a partition (same contract as the in-process
-    /// transport: crossing messages are dropped at send time).
-    pub fn partition(
-        &self,
-        side_a: Vec<NodeId>,
-        side_b: Vec<NodeId>,
-        from: Duration,
-        until: Duration,
-    ) {
-        self.shared.partitions.add(side_a, side_b, from, until);
-    }
-
-    /// Send an envelope over the link's connection, opening or
-    /// re-opening it as needed. Down links drop (lossy network).
-    pub fn send(&self, env: Envelope) {
-        if self.shared.partitions.is_cut(env.from, env.to) {
-            return; // dropped at the cut, like a crashed link
-        }
-        self.send_frame(env);
-    }
-
-    /// Non-blocking contract of
-    /// [`crate::transport::InProcTransport::try_send`]: on sockets the
-    /// kernel buffer plays the delay wheel's role — a sent frame is "in
-    /// the network" — so the message is always accounted for.
-    pub fn try_send(&self, env: Envelope) -> bool {
-        self.send(env);
-        true
-    }
-
-    /// Remove a node's inbox (crash tests): frames for it still arrive
-    /// at its listener but are dropped at delivery.
-    pub fn disconnect(&self, node: NodeId) {
-        self.shared.inboxes.disconnect(node);
-    }
-
-    /// Stop accept/reader threads, close outbound connections and
-    /// remove any Unix socket files. Blocked reader deliveries release
-    /// when the replica pipelines drop their inbox receivers, so
-    /// deployments stop replicas before the transport (see
-    /// `Fabric::stop_all`).
-    pub fn shutdown(&self) {
-        self.shared.running.store(false, Ordering::SeqCst);
+    /// Close outbound connections and join the accept and reader threads
+    /// (the router's running flag is already clear, so they stop).
+    /// Blocked reader deliveries release when the replica pipelines drop
+    /// their inbox receivers, so deployments stop replicas before the
+    /// transport (see `Fabric::stop_all`).
+    pub(crate) fn close(&self) {
         // Drop outbound streams so peer readers see EOF promptly.
-        for (_, link) in self.shared.links.lock().iter() {
+        for link in self.shared.links.lock().values() {
             link.lock().stream = None;
         }
         let threads: Vec<_> = self.shared.threads.lock().drain(..).collect();
         for t in threads {
             let _ = t.join();
         }
-        for path in self.shared.uds_paths.lock().drain(..) {
-            let _ = std::fs::remove_file(path);
-        }
+    }
+
+    /// Run `f` on a named mesh thread. Handles of finished threads are
+    /// dropped first, so a peer that keeps reconnecting cannot grow the
+    /// list for the transport's lifetime.
+    fn spawn(&self, name: String, f: impl FnOnce() + Send + 'static) {
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(f)
+            .expect("spawn socket thread");
+        let mut threads = self.shared.threads.lock();
+        threads.retain(|t| !t.is_finished());
+        threads.push(handle);
     }
 
     // ------------------------------------------------------------------
@@ -387,7 +234,9 @@ impl SocketTransport {
             .clone()
     }
 
-    fn send_frame(&self, env: Envelope) {
+    /// Write `env` as one frame over its link's connection, opening or
+    /// re-opening it as needed. Down links drop (lossy network).
+    pub(crate) fn send_frame(&self, env: Envelope) {
         let link = self.link(env.from, env.to);
         let mut l = link.lock();
         let now = Instant::now();
@@ -400,7 +249,7 @@ impl SocketTransport {
             match self.connect(env.from, env.to) {
                 Ok(stream) => {
                     if l.generation > 0 {
-                        self.shared.metrics.net_reconnect(env.from, env.to);
+                        self.router.metrics().net_reconnect(env.from, env.to);
                     }
                     l.generation += 1;
                     l.stream = Some(stream);
@@ -417,19 +266,15 @@ impl SocketTransport {
         let frame = codec.encode_frame(env.from, env.to, &env.msg);
         let sent = frame.len() as u64;
         match stream.as_mut().expect("connected above").write_all(frame) {
-            Ok(()) => self.shared.metrics.net_sent(env.from, env.to, sent),
+            Ok(()) => self.router.metrics().net_sent(env.from, env.to, sent),
             Err(_) => l.mark_down(now),
         }
     }
 
     /// Dial `to` and run the connector side of the handshake.
-    fn connect(&self, from: NodeId, to: NodeId) -> std::io::Result<SockStream> {
+    fn connect(&self, from: NodeId, to: NodeId) -> std::io::Result<TcpStream> {
         let addr = self
-            .shared
-            .addrs
-            .lock()
-            .get(&to)
-            .cloned()
+            .listen_addr(to)
             .ok_or_else(|| std::io::Error::new(ErrorKind::NotFound, "peer not registered"))?;
         let mut stream = dial(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(2)))?;
@@ -448,55 +293,35 @@ impl SocketTransport {
     // Inbound path
     // ------------------------------------------------------------------
 
-    fn spawn_listener(&self, node: NodeId) {
-        let (listener, addr) = match self.shared.kind {
-            SocketKind::Tcp => {
-                let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-                let addr = WireAddr::Tcp(l.local_addr().expect("listener addr"));
-                (SockListener::Tcp(l), addr)
-            }
-            #[cfg(unix)]
-            SocketKind::Uds => {
-                let path = std::env::temp_dir().join(format!(
-                    "rdb-{}-{:x}-{}.sock",
-                    std::process::id(),
-                    self.shared.epoch,
-                    self.shared.uds_seq.fetch_add(1, Ordering::Relaxed),
-                ));
-                let _ = std::fs::remove_file(&path);
-                let l = UnixListener::bind(&path).expect("bind unix listener");
-                self.shared.uds_paths.lock().push(path.clone());
-                (SockListener::Uds(l), WireAddr::Uds(path))
-            }
-            #[cfg(not(unix))]
-            SocketKind::Uds => unreachable!("rejected in the constructor"),
-        };
+    /// Bind `node`'s loopback listener and start accepting, unless it
+    /// already listens (a re-registration keeps its address).
+    pub(crate) fn listen(&self, node: NodeId) {
+        if self.shared.addrs.lock().contains_key(&node) {
+            return;
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
         listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
+        let addr = listener.local_addr().expect("listener addr");
         self.shared.addrs.lock().insert(node, addr);
         let me = self.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("rdb-accept-{node:?}"))
-            .spawn(move || me.accept_loop(listener, node))
-            .expect("spawn accept loop");
-        self.shared.threads.lock().push(handle);
+        self.spawn(format!("rdb-accept-{node:?}"), move || {
+            me.accept_loop(listener, node)
+        });
     }
 
-    fn accept_loop(&self, listener: SockListener, node: NodeId) {
-        while self.shared.running.load(Ordering::SeqCst) {
+    fn accept_loop(&self, listener: TcpListener, node: NodeId) {
+        while self.router.running() {
             match listener.accept() {
-                Ok(stream) => {
+                Ok((stream, _)) => {
+                    let _ = stream.set_nodelay(true);
                     let me = self.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("rdb-read-{node:?}"))
-                        .spawn(move || me.serve_conn(stream, node))
-                        .expect("spawn reader");
-                    self.shared.threads.lock().push(handle);
+                    self.spawn(format!("rdb-read-{node:?}"), move || {
+                        me.serve_conn(stream, node)
+                    });
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    std::thread::sleep(POLL);
-                }
+                // Nothing pending (or a transient accept error): poll.
                 Err(_) => std::thread::sleep(POLL),
             }
         }
@@ -507,7 +332,7 @@ impl SocketTransport {
     /// peer reconnects with fresh framing, so one bad frame can never
     /// desync a long-lived stream — and so does a frame that is not from
     /// the handshake peer to this listener's node.
-    fn serve_conn(&self, mut stream: SockStream, node: NodeId) {
+    fn serve_conn(&self, mut stream: TcpStream, node: NodeId) {
         if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
             return;
         }
@@ -540,13 +365,15 @@ impl SocketTransport {
                 // reaching into an inbox it did not dial.
                 Ok((from, to, _)) if from != peer || to != node => return,
                 Ok((from, to, msg)) => {
-                    self.shared.metrics.net_received(from, to, (4 + len) as u64);
-                    // Same input-stage policy as the in-process mesh: a
-                    // non-droppable frame at a full inbox parks this
-                    // reader (see the module docs on backpressure).
-                    self.shared
-                        .inboxes
-                        .deliver(Envelope { from, to, msg }, OnFull::Park);
+                    self.router
+                        .metrics()
+                        .net_received(from, to, (4 + len) as u64);
+                    // Same input-stage policy as the in-process mesh: on
+                    // a direct link a non-droppable frame at a full inbox
+                    // parks this reader (see the module docs on
+                    // backpressure); on a delayed link it waits in the
+                    // wheel instead.
+                    self.router.arrive(Envelope { from, to, msg }, OnFull::Park);
                 }
                 Err(_) => return,
             }
@@ -555,10 +382,10 @@ impl SocketTransport {
 
     /// Fill `buf` completely, retrying across read timeouts while the
     /// transport runs. `Ok(false)` = clean stop (EOF or shutdown).
-    fn read_full(&self, stream: &mut SockStream, buf: &mut [u8]) -> std::io::Result<bool> {
+    fn read_full(&self, stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<bool> {
         let mut pos = 0;
         while pos < buf.len() {
-            if !self.shared.running.load(Ordering::SeqCst) {
+            if !self.router.running() {
                 return Ok(false);
             }
             match stream.read(&mut buf[pos..]) {
@@ -576,21 +403,10 @@ impl SocketTransport {
 }
 
 /// Open a connection to a listener at `addr`.
-fn dial(addr: WireAddr) -> std::io::Result<SockStream> {
-    match addr {
-        WireAddr::Tcp(a) => {
-            let s = TcpStream::connect(a)?;
-            s.set_nodelay(true)?;
-            Ok(SockStream::Tcp(s))
-        }
-        #[cfg(unix)]
-        WireAddr::Uds(p) => Ok(SockStream::Uds(UnixStream::connect(p)?)),
-        #[cfg(not(unix))]
-        WireAddr::Uds(_) => Err(std::io::Error::new(
-            ErrorKind::Unsupported,
-            "unix-domain sockets unavailable",
-        )),
-    }
+fn dial(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// The handshake `node` sends in deployment `epoch`.
@@ -604,7 +420,7 @@ fn handshake(node: NodeId, epoch: u64) -> Vec<u8> {
 }
 
 /// Read and validate one handshake, returning the peer's node id.
-fn read_handshake(stream: &mut SockStream, epoch: u64) -> std::io::Result<NodeId> {
+fn read_handshake(stream: &mut TcpStream, epoch: u64) -> std::io::Result<NodeId> {
     let mut buf = [0u8; HANDSHAKE_BYTES];
     let deadline = Instant::now() + Duration::from_secs(2);
     let mut pos = 0;
@@ -647,38 +463,35 @@ fn read_handshake(stream: &mut SockStream, epoch: u64) -> std::io::Result<NodeId
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Transport;
     use rdb_common::ids::ReplicaId;
     use rdb_consensus::messages::Message;
 
-    fn kinds() -> Vec<SocketKind> {
-        let mut k = vec![SocketKind::Tcp];
-        if cfg!(unix) {
-            k.push(SocketKind::Uds);
-        }
-        k
+    /// A TCP mesh, plus the transport surface that routes over it.
+    fn tcp(epoch: u64, metrics: Option<Metrics>) -> (SocketTransport, Transport) {
+        let s = SocketTransport::with_epoch(SocketKind::Tcp, epoch, metrics);
+        (s.clone(), Transport::Socket(s))
     }
 
     #[test]
-    fn loopback_delivery_over_both_kinds() {
-        for kind in kinds() {
-            let t = SocketTransport::new(kind, None);
-            let a: NodeId = ReplicaId::new(0, 0).into();
-            let b: NodeId = ReplicaId::new(0, 1).into();
-            let ha = t.register(a);
-            let hb = t.register(b);
-            ha.send(b, Message::Noop);
-            let env = hb.inbox.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(env.from, a);
-            assert!(matches!(env.msg, Message::Noop));
-            hb.send(a, Message::Noop);
-            assert!(ha.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
-            t.shutdown();
-        }
+    fn loopback_delivery_both_ways() {
+        let (_, t) = tcp(fresh_epoch(), None);
+        let a: NodeId = ReplicaId::new(0, 0).into();
+        let b: NodeId = ReplicaId::new(0, 1).into();
+        let ha = t.register(a);
+        let hb = t.register(b);
+        ha.send(b, Message::Noop);
+        let env = hb.inbox.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(env.from, a);
+        assert!(matches!(env.msg, Message::Noop));
+        hb.send(a, Message::Noop);
+        assert!(ha.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
+        t.shutdown();
     }
 
     #[test]
     fn frames_on_the_socket_match_the_wire_model() {
-        let t = SocketTransport::new(SocketKind::Tcp, None);
+        let (s, t) = tcp(fresh_epoch(), None);
         let a: NodeId = ReplicaId::new(0, 0).into();
         let b: NodeId = ReplicaId::new(0, 1).into();
         let ha = t.register(a);
@@ -697,7 +510,7 @@ mod tests {
         ha.send(b, msg);
         let env = hb.inbox.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(env.msg, Message::Prepare { .. }));
-        let snap = t.shared.metrics.net_snapshot();
+        let snap = s.router.metrics().net_snapshot();
         let link = snap
             .links
             .iter()
@@ -712,14 +525,14 @@ mod tests {
 
     #[test]
     fn stale_epoch_peers_are_refused() {
-        let t1 = SocketTransport::with_epoch(SocketKind::Tcp, 7, None);
-        let t2 = SocketTransport::with_epoch(SocketKind::Tcp, 8, None);
+        let (s1, t1) = tcp(7, None);
+        let (s2, t2) = tcp(8, None);
         let a: NodeId = ReplicaId::new(0, 0).into();
         let b: NodeId = ReplicaId::new(0, 1).into();
         let _ha = t1.register(a);
         let hb = t2.register(b);
         // t1 learns where b listens, but the epochs differ.
-        t1.advertise(b, t2.listen_addr(b).unwrap());
+        s1.advertise(b, s2.listen_addr(b).unwrap());
         t1.send(Envelope {
             from: a,
             to: b,
@@ -735,66 +548,70 @@ mod tests {
 
     #[test]
     fn frames_must_come_from_the_handshake_peer_to_the_listener() {
-        for kind in kinds() {
-            let t = SocketTransport::new(kind, None);
-            let [a, b, target, other]: [NodeId; 4] =
-                std::array::from_fn(|i| ReplicaId::new(0, i as u16).into());
-            let ha = t.register(a);
-            let ht = t.register(target);
-            let ho = t.register(other);
-            // Handshake as `a`, by hand, then claim to be `b` — and, on a
-            // second connection, be `a` but address somebody else's inbox.
-            for (from, to) in [(b, target), (a, other)] {
-                let mut raw = dial(t.listen_addr(target).unwrap()).unwrap();
-                raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-                raw.write_all(&handshake(a, t.epoch())).unwrap();
-                assert_eq!(read_handshake(&mut raw, t.epoch()).unwrap(), target);
-                let mut codec = WireCodec::new();
-                raw.write_all(codec.encode_frame(from, to, &Message::Noop))
-                    .unwrap();
-                // The connection is gone: a well-formed honest frame sent
-                // behind the forged one never arrives either.
-                let _ = raw.write_all(codec.encode_frame(a, target, &Message::Noop));
-            }
-            assert!(ht.inbox.recv_timeout(Duration::from_millis(300)).is_err());
-            assert!(ho.inbox.try_recv().is_err());
-            // An honest a -> target link still delivers.
-            ha.send(target, Message::Noop);
-            let env = ht.inbox.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!((env.from, env.to), (a, target));
-            t.shutdown();
+        let (s, t) = tcp(fresh_epoch(), None);
+        let [a, b, target, other]: [NodeId; 4] =
+            std::array::from_fn(|i| ReplicaId::new(0, i as u16).into());
+        let ha = t.register(a);
+        let ht = t.register(target);
+        let ho = t.register(other);
+        // Handshake as `a`, by hand, then claim to be `b` — and, on a
+        // second connection, be `a` but address somebody else's inbox.
+        for (from, to) in [(b, target), (a, other)] {
+            let mut raw = dial(s.listen_addr(target).unwrap()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            raw.write_all(&handshake(a, s.epoch())).unwrap();
+            assert_eq!(read_handshake(&mut raw, s.epoch()).unwrap(), target);
+            let mut codec = WireCodec::new();
+            raw.write_all(codec.encode_frame(from, to, &Message::Noop))
+                .unwrap();
+            // The connection is gone: a well-formed honest frame sent
+            // behind the forged one never arrives either.
+            let _ = raw.write_all(codec.encode_frame(a, target, &Message::Noop));
         }
+        assert!(ht.inbox.recv_timeout(Duration::from_millis(300)).is_err());
+        assert!(ho.inbox.try_recv().is_err());
+        // An honest a -> target link still delivers.
+        ha.send(target, Message::Noop);
+        let env = ht.inbox.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((env.from, env.to), (a, target));
+        t.shutdown();
     }
 
     #[test]
     fn reconnect_after_peer_restart_counts() {
         let metrics = Metrics::default();
-        let t = SocketTransport::new(SocketKind::Tcp, Some(metrics.clone()));
+        let (s, t) = tcp(fresh_epoch(), Some(metrics.clone()));
         let a: NodeId = ReplicaId::new(0, 0).into();
         let b: NodeId = ReplicaId::new(0, 1).into();
         let ha = t.register(a);
         let hb = t.register(b);
         ha.send(b, Message::Noop);
         assert!(hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
-        // Kill the outbound connection under the sender's feet.
-        t.shared.links.lock().get(&(a, b)).unwrap().lock().stream = None;
-        // First send re-dials; the message must arrive and the
-        // reconnect counter must tick.
-        ha.send(b, Message::Noop);
-        assert!(hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
+        for _ in 0..20 {
+            // Kill the outbound connection under the sender's feet.
+            s.shared.links.lock().get(&(a, b)).unwrap().lock().stream = None;
+            // The next send re-dials; the message must arrive and the
+            // reconnect counter must tick.
+            ha.send(b, Message::Noop);
+            assert!(hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
+            // Two accept loops, the live reader, and at most one reader
+            // whose EOF is still in flight: finished readers are pruned.
+            let threads = s.shared.threads.lock().len();
+            assert!(threads <= 4, "{threads} thread handles kept");
+        }
         let snap = metrics.net_snapshot();
         let link = snap
             .links
             .iter()
             .find(|l| l.from == a && l.to == b)
             .unwrap();
-        assert_eq!(link.reconnects, 1);
+        assert_eq!(link.reconnects, 20);
         t.shutdown();
     }
 
     #[test]
     fn down_links_drop_and_back_off() {
-        let t = SocketTransport::new(SocketKind::Tcp, None);
+        let (s, t) = tcp(fresh_epoch(), None);
         let a: NodeId = ReplicaId::new(0, 0).into();
         let b: NodeId = ReplicaId::new(0, 1).into();
         let _ha = t.register(a);
@@ -807,27 +624,11 @@ mod tests {
                 msg: Message::Noop,
             });
         }
-        let link = t.shared.links.lock().get(&(a, b)).unwrap().clone();
+        let link = s.shared.links.lock().get(&(a, b)).unwrap().clone();
         let l = link.lock();
         assert!(l.down_until.is_some());
         assert!(l.backoff > INITIAL_BACKOFF);
         drop(l);
-        t.shutdown();
-    }
-
-    #[test]
-    fn partitions_cut_socket_links_too() {
-        let t = SocketTransport::new(SocketKind::Tcp, None);
-        let a: NodeId = ReplicaId::new(0, 0).into();
-        let b: NodeId = ReplicaId::new(0, 1).into();
-        let ha = t.register(a);
-        let hb = t.register(b);
-        t.partition(vec![a], vec![b], Duration::ZERO, Duration::from_millis(100));
-        ha.send(b, Message::Noop);
-        assert!(hb.inbox.recv_timeout(Duration::from_millis(50)).is_err());
-        std::thread::sleep(Duration::from_millis(80));
-        ha.send(b, Message::Noop);
-        assert!(hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
         t.shutdown();
     }
 }

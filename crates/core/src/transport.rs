@@ -1,31 +1,40 @@
-//! The transport surface shared by both meshes — [`Envelope`],
-//! [`Transport`], [`TransportHandle`], the inbox table with its one
-//! delivery routine, scheduled partitions — and the in-process mesh:
-//! crossbeam channels between nodes, with optional injected per-link
-//! delays to emulate a geo-distributed deployment on one machine. The
-//! socket mesh lives in [`crate::socket`].
+//! The transport: one `Router` above two byte-movers.
 //!
-//! Replica inboxes registered via [`InProcTransport::register_bounded`]
+//! The router owns, once, everything both meshes share: the inbox table
+//! with its one delivery routine, scheduled partitions (checked at send
+//! time), the optional [`DelayFn`] with its delay wheel and pump thread,
+//! and the running flag. Each mesh keeps only its byte-moving core: the
+//! in-process mesh ([`InProcTransport`]) hands an [`Envelope`] straight to
+//! the router, and the socket mesh ([`crate::socket`]) writes a frame
+//! whose reader thread hands it to the router on the far side.
+//! [`Transport`] is the one routing surface over both — partition check,
+//! then arrive (in-process) or frame write (socket).
+//!
+//! Replica inboxes registered via [`Transport::register_bounded`]
 //! are the pipeline's *input stage queue*: delivery applies the queue's
 //! [`QueuePolicy`] — droppable consensus traffic is shed at the bound
 //! (counted per stage), while client `Request`s block the delivering
 //! thread, which is exactly how admission control propagates from an
 //! overloaded replica back to the submitting client. Client inboxes stay
-//! unbounded ([`InProcTransport::register`]): clients are closed-loop and
+//! unbounded ([`Transport::register`]): clients are closed-loop and
 //! drain their own replies, so they are leaves of the blocking graph.
 //!
-//! Delayed links (a [`DelayFn`] topology) relax admission: a delayed
-//! send parks in the delay wheel — modeling traffic in flight on the
-//! WAN — and returns immediately, so the *sender* does not block. The
-//! single pump thread then delivers without ever parking: droppable
-//! traffic is shed per the inbox policy, and a non-droppable message
-//! that finds the inbox full is requeued briefly and retried, i.e. it
-//! stays "in the network" until the replica has room. In-flight wheel
-//! memory is bounded by the closed-loop clients' outstanding requests
-//! plus consensus traffic, not by wall-clock.
+//! Delayed links (a [`DelayFn`] topology, emulating a geo-distributed
+//! deployment on one machine) relax admission. The delay sits in front
+//! of the inbox: a delayed message parks in the delay wheel — modeling
+//! traffic in flight on the WAN — and the thread that handed it over (the
+//! sender in-process, the socket reader over TCP) returns immediately, so
+//! it does not block. The single pump thread then delivers without ever
+//! parking: droppable traffic is shed per the inbox policy, and a
+//! non-droppable message that finds the inbox full is requeued briefly
+//! and retried, i.e. it stays "in the network" until the replica has
+//! room. In-flight wheel memory is bounded by the closed-loop clients'
+//! outstanding requests plus consensus traffic, not by wall-clock.
 
+use crate::deployment::TransportMode;
 use crate::metrics::Metrics;
 use crate::queue::{Overload, QueuePolicy};
+use crate::socket::{fresh_epoch, SocketTransport};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use rdb_common::ids::NodeId;
@@ -34,8 +43,9 @@ use rdb_consensus::messages::Message;
 use rdb_consensus::stage::Stage;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A message in flight.
@@ -96,10 +106,9 @@ struct Inbox {
     policy: Option<QueuePolicy>,
 }
 
-/// The inbox table of one mesh and the single inbox-delivery routine both
-/// transports use: look the inbox up, apply its [`QueuePolicy`], account
-/// the input stage. Each mesh keeps only its byte-moving core (delay
-/// wheel / links + listeners) on top.
+/// The inbox table of one `Router` and the single inbox-delivery
+/// routine both meshes use: look the inbox up, apply its
+/// [`QueuePolicy`], account the input stage.
 pub(crate) struct Inboxes {
     table: Mutex<HashMap<NodeId, Inbox>>,
     /// Replica-bound deliveries count as input-stage enqueues (so
@@ -203,8 +212,8 @@ impl Partition {
     }
 }
 
-/// Scheduled partitions plus the lock-free fast path. Shared by both
-/// the in-process and the socket transport (both drop at send time).
+/// Scheduled partitions plus the lock-free fast path, checked by the
+/// `Router` on every send over either mesh.
 ///
 /// `active` short-circuits the per-send check so the common (no faults)
 /// path never takes the lock — and, since expired windows are pruned
@@ -282,22 +291,149 @@ impl PartitionSet {
     }
 }
 
-struct Shared {
+/// What both meshes share, once: inbox registration and delivery,
+/// scheduled partitions, the optional delay wheel with its pump thread,
+/// and the running flag the mesh threads poll.
+pub(crate) struct Router {
     inboxes: Inboxes,
-    delay: Option<DelayFn>,
-    wheel: Mutex<BinaryHeap<Reverse<DelayedEntry>>>,
-    wheel_cv: Condvar,
     /// Scheduled network partitions (see [`PartitionSet`] for the
     /// fast-path flag and pruning semantics).
     partitions: PartitionSet,
+    delay: Option<DelayFn>,
+    wheel: Mutex<BinaryHeap<Reverse<DelayedEntry>>>,
+    wheel_cv: Condvar,
+    seq: AtomicU64,
     running: AtomicBool,
-    seq: std::sync::atomic::AtomicU64,
+    /// The delay pump (delayed routers only), joined by `shutdown`.
+    pump: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// The in-process transport. Cloneable handle.
+impl Router {
+    /// A running router. The pump thread exists only when `delay` is
+    /// set, so a direct deployment runs no extra thread.
+    pub(crate) fn new(delay: Option<DelayFn>, metrics: Metrics) -> Arc<Router> {
+        let router = Arc::new(Router {
+            inboxes: Inboxes::new(metrics),
+            partitions: PartitionSet::new(),
+            delay,
+            wheel: Mutex::new(BinaryHeap::new()),
+            wheel_cv: Condvar::new(),
+            seq: AtomicU64::new(0),
+            running: AtomicBool::new(true),
+            pump: Mutex::new(None),
+        });
+        if router.delay.is_some() {
+            // The pump holds the router weakly: a router dropped without
+            // `shutdown` is freed, and the pump exits at its next round
+            // instead of leaking.
+            let weak = Arc::downgrade(&router);
+            let pump = std::thread::Builder::new()
+                .name("rdb-delay-pump".into())
+                .spawn(move || while weak.upgrade().is_some_and(|r| r.pump_round()) {})
+                .expect("spawn delay pump");
+            *router.pump.lock() = Some(pump);
+        }
+        router
+    }
+
+    /// The counters inbox delivery accounts into.
+    pub(crate) fn metrics(&self) -> &Metrics {
+        &self.inboxes.metrics
+    }
+
+    /// False once [`Router::shutdown`] ran; mesh threads poll it.
+    pub(crate) fn running(&self) -> bool {
+        self.running.load(Ordering::SeqCst)
+    }
+
+    /// Hand `env` to its recipient: into the delay wheel when its link is
+    /// delayed (always accepted: the message is "in the network"),
+    /// straight into the inbox otherwise. `Some` hands it back (see
+    /// [`Inboxes::deliver`]).
+    pub(crate) fn arrive(&self, env: Envelope, on_full: OnFull) -> Option<Envelope> {
+        let delay = self
+            .delay
+            .as_ref()
+            .map_or(SimDuration::ZERO, |f| f(env.from, env.to));
+        if delay == SimDuration::ZERO {
+            return self.inboxes.deliver(env, on_full);
+        }
+        self.hold(Duration::from_nanos(delay.as_nanos()), env);
+        self.wheel_cv.notify_one();
+        None
+    }
+
+    /// Hold `env` "in the network" for `after`; the pump delivers it.
+    fn hold(&self, after: Duration, env: Envelope) {
+        let due = Instant::now() + after;
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        self.wheel
+            .lock()
+            .push(Reverse(DelayedEntry { due, seq, env }));
+    }
+
+    /// One pump round: deliver everything due, then wait for the next
+    /// due time or a new arrival. `false` once the router is shut down.
+    fn pump_round(&self) -> bool {
+        let mut wheel = self.wheel.lock();
+        let now = Instant::now();
+        while wheel.peek().is_some_and(|Reverse(e)| e.due <= now) {
+            let Reverse(e) = wheel.pop().expect("peeked");
+            drop(wheel);
+            // The pump serves every delayed link, so it must never park
+            // on one replica's full inbox (that would stall delayed
+            // traffic cluster-wide): a non-droppable message that finds
+            // the queue full goes back into the wheel and is retried
+            // shortly — the delayed-link analogue of blocking admission
+            // on direct links. No notify: this is the pump thread.
+            if let Some(env) = self.inboxes.deliver(e.env, OnFull::HandBack) {
+                self.hold(Duration::from_micros(200), env);
+            }
+            wheel = self.wheel.lock();
+        }
+        // Read under the wheel lock, which `shutdown` takes to clear the
+        // flag, so its wake-up cannot slip in before the wait.
+        if !self.running() {
+            return false;
+        }
+        let wait = wheel.peek().map_or(Duration::from_millis(5), |Reverse(e)| {
+            e.due
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_micros(50))
+        });
+        self.wheel_cv.wait_for(&mut wheel, wait);
+        true
+    }
+
+    /// Clear the running flag and join the pump. A second call is a
+    /// no-op.
+    pub(crate) fn shutdown(&self) {
+        {
+            let _wheel = self.wheel.lock();
+            self.running.store(false, Ordering::SeqCst);
+        }
+        self.wheel_cv.notify_all();
+        if let Some(pump) = self.pump.lock().take() {
+            let _ = pump.join();
+        }
+    }
+}
+
+/// The in-process mesh: envelopes go straight to the `Router` over
+/// crossbeam channels, so no bytes move. Cloneable handle.
 #[derive(Clone)]
 pub struct InProcTransport {
-    shared: Arc<Shared>,
+    router: Arc<Router>,
+}
+
+impl InProcTransport {
+    /// Create a transport. `delay` injects per-link one-way delays (e.g.
+    /// from `rdb-simnet`'s Table 1 topology); `None` delivers directly.
+    pub fn new(delay: Option<DelayFn>) -> InProcTransport {
+        InProcTransport {
+            router: Router::new(delay, Metrics::default()),
+        }
+    }
 }
 
 /// A node's endpoint: its receiver plus a sending handle.
@@ -309,120 +445,41 @@ pub struct TransportHandle {
     transport: Transport,
 }
 
-/// Either transport behind one dispatching surface, so the replica and
-/// client runtimes are transport-agnostic: [`TransportHandle`] /
+/// Either mesh behind one routing surface, so the replica and client
+/// runtimes are transport-agnostic: [`TransportHandle`] /
 /// [`TransportSender`] wrap this enum and every call site stays the
 /// same whether messages travel over crossbeam channels or sockets.
+/// Registration, partitions, delays and disconnects are the shared
+/// `Router`'s; only the last hop differs per mesh.
 ///
 /// In-process is the default everywhere — it keeps the repro figures
-/// byte-identical and supports delay emulation and partitions. The
-/// socket transport exists to span OS processes with real framing; see
-/// `crate::socket` and the "Wire transport" chapter of
-/// `docs/ARCHITECTURE.md` for the decision table.
+/// byte-identical. The socket transport exists to span OS processes
+/// with real framing; see `crate::socket` and the "Wire transport"
+/// chapter of `docs/ARCHITECTURE.md` for the decision table.
 #[derive(Clone)]
 pub enum Transport {
     /// Channel mesh within one process.
     InProc(InProcTransport),
-    /// TCP or Unix-domain sockets with length-prefixed frames.
-    Socket(crate::socket::SocketTransport),
+    /// TCP sockets with length-prefixed frames.
+    Socket(SocketTransport),
 }
 
 impl Transport {
-    /// Register a node with an unbounded inbox (clients, tests).
-    pub fn register(&self, node: NodeId) -> TransportHandle {
+    /// `mode`'s mesh over a fresh router carrying `delay` and counting
+    /// into `metrics` (the deployment's transport).
+    pub(crate) fn new(mode: TransportMode, delay: Option<DelayFn>, metrics: Metrics) -> Transport {
+        let router = Router::new(delay, metrics);
+        match mode {
+            TransportMode::InProcess => Transport::InProc(InProcTransport { router }),
+            TransportMode::Tcp => Transport::Socket(SocketTransport::over(router, fresh_epoch())),
+        }
+    }
+
+    fn router(&self) -> &Router {
         match self {
-            Transport::InProc(t) => t.register(node),
-            Transport::Socket(t) => t.register(node),
+            Transport::InProc(t) => &t.router,
+            Transport::Socket(t) => &t.router,
         }
-    }
-
-    /// Register a node whose inbox is the bounded input-stage queue of
-    /// its pipeline (see [`InProcTransport::register_bounded`]).
-    pub fn register_bounded(&self, node: NodeId, policy: QueuePolicy) -> TransportHandle {
-        match self {
-            Transport::InProc(t) => t.register_bounded(node, policy),
-            Transport::Socket(t) => t.register_bounded(node, policy),
-        }
-    }
-
-    /// Schedule a bidirectional partition (see
-    /// [`InProcTransport::partition`]). Supported on both transports:
-    /// the socket transport drops at send time exactly like the
-    /// in-process one (the cut models a WAN failure, not a closed
-    /// socket).
-    pub fn partition(
-        &self,
-        side_a: Vec<NodeId>,
-        side_b: Vec<NodeId>,
-        from: Duration,
-        until: Duration,
-    ) {
-        match self {
-            Transport::InProc(t) => t.partition(side_a, side_b, from, until),
-            Transport::Socket(t) => t.partition(side_a, side_b, from, until),
-        }
-    }
-
-    /// Send an envelope.
-    pub fn send(&self, env: Envelope) {
-        match self {
-            Transport::InProc(t) => t.send(env),
-            Transport::Socket(t) => t.send(env),
-        }
-    }
-
-    /// Non-blocking send; `false` hands a non-droppable message back to
-    /// the caller to hold and retry (see [`InProcTransport::try_send`]).
-    pub fn try_send(&self, env: Envelope) -> bool {
-        match self {
-            Transport::InProc(t) => t.try_send(env),
-            Transport::Socket(t) => t.try_send(env),
-        }
-    }
-
-    /// Remove a node (crash tests).
-    pub fn disconnect(&self, node: NodeId) {
-        match self {
-            Transport::InProc(t) => t.disconnect(node),
-            Transport::Socket(t) => t.disconnect(node),
-        }
-    }
-
-    /// Stop background threads (the delay pump / socket readers).
-    pub fn shutdown(&self) {
-        match self {
-            Transport::InProc(t) => t.shutdown(),
-            Transport::Socket(t) => t.shutdown(),
-        }
-    }
-}
-
-impl InProcTransport {
-    /// Create a transport. `delay` injects per-link one-way delays (e.g.
-    /// from `rdb-simnet`'s Table 1 topology); `None` delivers directly.
-    pub fn new(delay: Option<DelayFn>) -> InProcTransport {
-        InProcTransport::with_metrics(delay, None)
-    }
-
-    /// Like [`InProcTransport::new`], additionally recording every
-    /// replica-bound delivery as an input-stage enqueue in `metrics`
-    /// (and input-stage shed/blocked accounting for bounded inboxes).
-    pub fn with_metrics(delay: Option<DelayFn>, metrics: Option<Metrics>) -> InProcTransport {
-        let t = InProcTransport {
-            shared: Arc::new(Shared {
-                inboxes: Inboxes::new(metrics.unwrap_or_default()),
-                delay,
-                wheel: Mutex::new(BinaryHeap::new()),
-                wheel_cv: Condvar::new(),
-                partitions: PartitionSet::new(),
-                running: AtomicBool::new(true),
-                seq: std::sync::atomic::AtomicU64::new(0),
-            }),
-        };
-        if t.shared.delay.is_some() {
-            t.spawn_pump();
-        }
-        t
     }
 
     /// Register a node with an unbounded inbox (clients, tests).
@@ -438,10 +495,14 @@ impl InProcTransport {
     }
 
     fn handle(&self, node: NodeId, policy: Option<QueuePolicy>) -> TransportHandle {
+        let inbox = self.router().inboxes.register(node, policy);
+        if let Transport::Socket(t) = self {
+            t.listen(node);
+        }
         TransportHandle {
             node,
-            inbox: self.shared.inboxes.register(node, policy),
-            transport: Transport::InProc(self.clone()),
+            inbox,
+            transport: self.clone(),
         }
     }
 
@@ -450,7 +511,8 @@ impl InProcTransport {
     /// (both relative to now, i.e. to deployment start when called from
     /// the builder), after which the link heals. Mirrors the simulator's
     /// `FaultSpec::partition` so one scenario script can inject the same
-    /// fault in both runtimes.
+    /// fault in both runtimes. Both meshes drop at send time: the cut
+    /// models a WAN failure, not a closed socket.
     pub fn partition(
         &self,
         side_a: Vec<NodeId>,
@@ -458,11 +520,11 @@ impl InProcTransport {
         from: Duration,
         until: Duration,
     ) {
-        self.shared.partitions.add(side_a, side_b, from, until);
+        self.router().partitions.add(side_a, side_b, from, until);
     }
 
-    /// Send an envelope (applying the delay policy). On a direct link a
-    /// full inbox parks the caller for non-droppable traffic.
+    /// Send an envelope. On a direct in-process link a full inbox parks
+    /// the caller for non-droppable traffic.
     pub fn send(&self, env: Envelope) {
         self.route(env, OnFull::Park);
     }
@@ -483,111 +545,38 @@ impl InProcTransport {
     /// Route `env` over its link; `Some` hands it back (see
     /// [`Inboxes::deliver`]).
     fn route(&self, env: Envelope, on_full: OnFull) -> Option<Envelope> {
-        if self.shared.partitions.is_cut(env.from, env.to) {
+        if self.router().partitions.is_cut(env.from, env.to) {
             return None; // dropped at the cut, like a crashed link
         }
-        let delay = self
-            .shared
-            .delay
-            .as_ref()
-            .map_or(SimDuration::ZERO, |f| f(env.from, env.to));
-        if delay == SimDuration::ZERO {
-            return self.shared.inboxes.deliver(env, on_full);
+        match self {
+            Transport::InProc(t) => t.router.arrive(env, on_full),
+            Transport::Socket(t) => {
+                // On sockets the kernel buffer plays the delay wheel's
+                // role — a written frame is "in the network" — so the
+                // message is always accounted for.
+                t.send_frame(env);
+                None
+            }
         }
-        self.park_in_wheel(Duration::from_nanos(delay.as_nanos()), env);
-        self.shared.wheel_cv.notify_one();
-        None
-    }
-
-    /// Hold `env` "in the network" for `after`; the pump delivers it.
-    fn park_in_wheel(&self, after: Duration, env: Envelope) {
-        let due = Instant::now() + after;
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .wheel
-            .lock()
-            .push(Reverse(DelayedEntry { due, seq, env }));
     }
 
     /// Remove a node (its messages are dropped from now on). Used to
     /// crash replicas in failure tests.
     pub fn disconnect(&self, node: NodeId) {
-        self.shared.inboxes.disconnect(node);
+        self.router().inboxes.disconnect(node);
     }
 
-    /// Stop the delay pump.
+    /// Stop background threads (the delay pump, socket accept loops and
+    /// readers) and join them.
     pub fn shutdown(&self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        self.shared.wheel_cv.notify_all();
-    }
-
-    fn spawn_pump(&self) {
-        let shared = Arc::clone(&self.shared);
-        let me = self.clone();
-        std::thread::Builder::new()
-            .name("rdb-delay-pump".into())
-            .spawn(move || {
-                let mut wheel = shared.wheel.lock();
-                while shared.running.load(Ordering::SeqCst) {
-                    let now = Instant::now();
-                    // Deliver everything due.
-                    loop {
-                        match wheel.peek() {
-                            Some(Reverse(e)) if e.due <= now => {
-                                let Reverse(e) = wheel.pop().expect("peeked");
-                                drop(wheel);
-                                // The pump serves every delayed link, so
-                                // it must never park on one replica's
-                                // full inbox (that would stall delayed
-                                // traffic cluster-wide): a non-droppable
-                                // message that finds the queue full goes
-                                // back into the wheel and is retried
-                                // shortly — the delayed-link analogue of
-                                // blocking admission on direct links. No
-                                // notify: this is the pump thread.
-                                if let Some(env) = shared.inboxes.deliver(e.env, OnFull::HandBack) {
-                                    me.park_in_wheel(Duration::from_micros(200), env);
-                                }
-                                wheel = shared.wheel.lock();
-                            }
-                            _ => break,
-                        }
-                    }
-                    match wheel.peek() {
-                        Some(Reverse(e)) => {
-                            let due = e.due;
-                            let wait = due.saturating_duration_since(Instant::now());
-                            shared
-                                .wheel_cv
-                                .wait_for(&mut wheel, wait.max(Duration::from_micros(50)));
-                        }
-                        None => {
-                            shared
-                                .wheel_cv
-                                .wait_for(&mut wheel, Duration::from_millis(5));
-                        }
-                    }
-                }
-            })
-            .expect("spawn delay pump");
+        self.router().shutdown();
+        if let Transport::Socket(t) = self {
+            t.close();
+        }
     }
 }
 
 impl TransportHandle {
-    /// Assemble a handle (used by the socket transport, whose inbox
-    /// channels live in `crate::socket`).
-    pub(crate) fn from_parts(
-        node: NodeId,
-        inbox: Receiver<Envelope>,
-        transport: Transport,
-    ) -> TransportHandle {
-        TransportHandle {
-            node,
-            inbox,
-            transport,
-        }
-    }
-
     /// Send a message from this node.
     pub fn send(&self, to: NodeId, msg: Message) {
         self.transport.send(Envelope {
@@ -639,7 +628,7 @@ impl TransportSender {
 
     /// Non-blocking send: `false` means the target inbox is full and the
     /// (non-droppable) message was handed back — hold it and retry. See
-    /// [`InProcTransport::try_send`].
+    /// [`Transport::try_send`].
     pub fn try_send(&self, to: NodeId, msg: Message) -> bool {
         self.transport.try_send(Envelope {
             from: self.node,
@@ -654,9 +643,15 @@ mod tests {
     use super::*;
     use rdb_common::ids::ReplicaId;
 
+    const MESHES: [TransportMode; 2] = [TransportMode::InProcess, TransportMode::Tcp];
+
+    fn send(t: &Transport, from: NodeId, to: NodeId, msg: Message) {
+        t.send(Envelope { from, to, msg });
+    }
+
     #[test]
     fn direct_delivery() {
-        let t = InProcTransport::new(None);
+        let t = Transport::InProc(InProcTransport::new(None));
         let a: NodeId = ReplicaId::new(0, 0).into();
         let b: NodeId = ReplicaId::new(0, 1).into();
         let ha = t.register(a);
@@ -669,126 +664,143 @@ mod tests {
 
     #[test]
     fn delayed_delivery_takes_at_least_the_delay() {
-        let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(30));
-        let t = InProcTransport::new(Some(delay));
-        let a: NodeId = ReplicaId::new(0, 0).into();
-        let b: NodeId = ReplicaId::new(1, 0).into();
-        let _ha = t.register(a);
-        let hb = t.register(b);
-        let start = Instant::now();
-        t.send(Envelope {
-            from: a,
-            to: b,
-            msg: Message::Noop,
-        });
-        let _ = hb.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(28));
-        t.shutdown();
+        for mode in MESHES {
+            let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(30));
+            let t = Transport::new(mode, Some(delay), Metrics::default());
+            let a: NodeId = ReplicaId::new(0, 0).into();
+            let b: NodeId = ReplicaId::new(1, 0).into();
+            let _ha = t.register(a);
+            let hb = t.register(b);
+            let start = Instant::now();
+            send(&t, a, b, Message::Noop);
+            let _ = hb.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert!(start.elapsed() >= Duration::from_millis(28), "{mode:?}");
+            t.shutdown();
+        }
     }
 
     #[test]
     fn delayed_ordering_respects_due_times() {
-        // A message with a short delay overtakes one with a long delay.
-        let delay: DelayFn = Arc::new(|from, _| match from {
-            NodeId::Replica(r) if r.index == 0 => SimDuration::from_millis(80),
-            _ => SimDuration::from_millis(10),
-        });
-        let t = InProcTransport::new(Some(delay));
-        let slow: NodeId = ReplicaId::new(0, 0).into();
-        let fast: NodeId = ReplicaId::new(0, 1).into();
-        let dst: NodeId = ReplicaId::new(1, 0).into();
-        let _h1 = t.register(slow);
-        let _h2 = t.register(fast);
-        let hd = t.register(dst);
-        t.send(Envelope {
-            from: slow,
-            to: dst,
-            msg: Message::Noop,
-        });
-        t.send(Envelope {
-            from: fast,
-            to: dst,
-            msg: Message::Noop,
-        });
-        let first = hd.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(first.from, fast, "shorter delay must arrive first");
-        t.shutdown();
+        for mode in MESHES {
+            // A message with a short delay overtakes one with a long delay.
+            let delay: DelayFn = Arc::new(|from, _| match from {
+                NodeId::Replica(r) if r.index == 0 => SimDuration::from_millis(80),
+                _ => SimDuration::from_millis(10),
+            });
+            let t = Transport::new(mode, Some(delay), Metrics::default());
+            let slow: NodeId = ReplicaId::new(0, 0).into();
+            let fast: NodeId = ReplicaId::new(0, 1).into();
+            let dst: NodeId = ReplicaId::new(1, 0).into();
+            let _h1 = t.register(slow);
+            let _h2 = t.register(fast);
+            let hd = t.register(dst);
+            send(&t, slow, dst, Message::Noop);
+            send(&t, fast, dst, Message::Noop);
+            let first = hd.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert_eq!(
+                first.from, fast,
+                "{mode:?}: shorter delay must arrive first"
+            );
+            t.shutdown();
+        }
     }
 
     #[test]
     fn delay_pump_sheds_or_requeues_instead_of_parking() {
-        use crate::queue::QueuePolicy;
         use rdb_common::ids::ClientId;
         use rdb_consensus::types::SignedBatch;
 
-        let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(5));
-        let t = InProcTransport::new(Some(delay));
-        let client: NodeId = ClientId::new(0, 0).into();
-        let b: NodeId = ReplicaId::new(0, 1).into();
-        let c: NodeId = ReplicaId::new(0, 2).into();
-        let _hc_sender = t.register(client);
-        let hb = t.register_bounded(b, QueuePolicy::shed(1));
-        let hc = t.register(c);
+        for mode in MESHES {
+            let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(5));
+            let metrics = Metrics::default();
+            let t = Transport::new(mode, Some(delay), metrics.clone());
+            let client: NodeId = ClientId::new(0, 0).into();
+            let b: NodeId = ReplicaId::new(0, 1).into();
+            let c: NodeId = ReplicaId::new(0, 2).into();
+            let _hc_sender = t.register(client);
+            let hb = t.register_bounded(b, QueuePolicy::shed(1));
+            let hc = t.register(c);
 
-        let request = || Message::Request(SignedBatch::noop(rdb_common::ids::ClusterId(0), 1));
-        // Fill b's 1-slot inbox, then overflow it with one droppable
-        // (shed) and one non-droppable (requeued) message, and follow
-        // with traffic for c that must not be stalled behind them.
-        t.send(Envelope {
-            from: client,
-            to: b,
-            msg: Message::Noop,
-        });
-        t.send(Envelope {
-            from: client,
-            to: b,
-            msg: Message::Noop,
-        });
-        t.send(Envelope {
-            from: client,
-            to: b,
-            msg: request(),
-        });
-        t.send(Envelope {
-            from: client,
-            to: c,
-            msg: Message::Noop,
-        });
+            let request = || Message::Request(SignedBatch::noop(rdb_common::ids::ClusterId(0), 1));
+            // Fill b's 1-slot inbox, then overflow it with one droppable
+            // (shed) and one non-droppable (requeued) message, and follow
+            // with traffic for c that must not be stalled behind them.
+            send(&t, client, b, Message::Noop);
+            send(&t, client, b, Message::Noop);
+            send(&t, client, b, request());
+            send(&t, client, c, Message::Noop);
 
-        // c's delivery proves the pump never parked on b's full inbox.
-        hc.inbox
-            .recv_timeout(Duration::from_secs(2))
-            .expect("pump must keep serving other links");
-        // Drain b: first the queued Noop, then the retried Request; the
-        // second (droppable) Noop was shed and never arrives.
-        let first = hb.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert!(matches!(first.msg, Message::Noop));
-        let second = hb.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert!(
-            matches!(second.msg, Message::Request(_)),
-            "non-droppable overflow must be retried, not lost"
-        );
-        assert!(hb.inbox.recv_timeout(Duration::from_millis(100)).is_err());
-        t.shutdown();
+            // c's delivery proves the pump never parked on b's full inbox.
+            hc.inbox
+                .recv_timeout(Duration::from_secs(2))
+                .expect("pump must keep serving other links");
+            // Over TCP, c's frame travels on its own connection and may
+            // overtake b's: drain b only once the overflow was shed.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while metrics.stage_snapshot().row(Stage::Input).shed == 0 {
+                assert!(Instant::now() < deadline, "{mode:?}: overflow never shed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Drain b: first the queued Noop, then the retried Request; the
+            // second (droppable) Noop was shed and never arrives.
+            let first = hb.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert!(matches!(first.msg, Message::Noop), "{mode:?}");
+            let second = hb.inbox.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert!(
+                matches!(second.msg, Message::Request(_)),
+                "{mode:?}: non-droppable overflow must be retried, not lost"
+            );
+            assert!(hb.inbox.recv_timeout(Duration::from_millis(100)).is_err());
+            t.shutdown();
+        }
+    }
+
+    #[test]
+    fn delay_pump_has_exited_when_shutdown_returns() {
+        let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(50));
+        let router = Router::new(Some(delay.clone()), Metrics::default());
+        // The pump thread's closure owns the only weak reference; it is
+        // dropped exactly when the thread finishes.
+        assert_eq!(Arc::weak_count(&router), 1);
+        router.shutdown();
+        assert_eq!(Arc::weak_count(&router), 0, "pump still running");
+        router.shutdown(); // a second shutdown is a no-op
+
+        // A router dropped without `shutdown` is freed, not kept alive
+        // by its pump.
+        let router = Router::new(Some(delay), Metrics::default());
+        let weak = Arc::downgrade(&router);
+        drop(router);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while weak.strong_count() > 0 {
+            assert!(Instant::now() < deadline, "pump keeps the router alive");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
     fn partition_drops_then_heals() {
-        let t = InProcTransport::new(None);
-        let a: NodeId = ReplicaId::new(0, 0).into();
-        let b: NodeId = ReplicaId::new(0, 1).into();
-        let ha = t.register(a);
-        let hb = t.register(b);
-        t.partition(vec![a], vec![b], Duration::ZERO, Duration::from_millis(150));
-        // During the cut both directions drop.
-        ha.send(b, Message::Noop);
-        hb.send(a, Message::Noop);
-        assert!(hb.inbox.recv_timeout(Duration::from_millis(50)).is_err());
-        assert!(ha.inbox.recv_timeout(Duration::from_millis(50)).is_err());
-        // After `until` the partition heals.
-        std::thread::sleep(Duration::from_millis(120));
-        ha.send(b, Message::Noop);
-        assert!(hb.inbox.recv_timeout(Duration::from_secs(1)).is_ok());
+        for mode in MESHES {
+            let t = Transport::new(mode, None, Metrics::default());
+            let a: NodeId = ReplicaId::new(0, 0).into();
+            let b: NodeId = ReplicaId::new(0, 1).into();
+            let ha = t.register(a);
+            let hb = t.register(b);
+            t.partition(vec![a], vec![b], Duration::ZERO, Duration::from_millis(150));
+            // During the cut both directions drop.
+            ha.send(b, Message::Noop);
+            hb.send(a, Message::Noop);
+            assert!(hb.inbox.recv_timeout(Duration::from_millis(50)).is_err());
+            assert!(ha.inbox.recv_timeout(Duration::from_millis(50)).is_err());
+            // After `until` the partition heals.
+            std::thread::sleep(Duration::from_millis(120));
+            ha.send(b, Message::Noop);
+            assert!(
+                hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok(),
+                "{mode:?}"
+            );
+            t.shutdown();
+        }
     }
 
     #[test]
@@ -797,17 +809,17 @@ mod tests {
         // the `active` flag was never cleared, so every send after a
         // heal still took the partition mutex and scanned stale
         // windows.
-        let t = InProcTransport::new(None);
+        let t = Transport::InProc(InProcTransport::new(None));
         let a: NodeId = ReplicaId::new(0, 0).into();
         let b: NodeId = ReplicaId::new(0, 1).into();
         let ha = t.register(a);
         let hb = t.register(b);
-        assert!(t.shared.partitions.fast_path_is_lock_free());
+        assert!(t.router().partitions.fast_path_is_lock_free());
         t.partition(vec![a], vec![b], Duration::ZERO, Duration::from_millis(40));
         ha.send(b, Message::Noop);
         assert!(hb.inbox.recv_timeout(Duration::from_millis(30)).is_err());
         assert!(
-            !t.shared.partitions.fast_path_is_lock_free(),
+            !t.router().partitions.fast_path_is_lock_free(),
             "flag must be set while the cut is scheduled"
         );
         std::thread::sleep(Duration::from_millis(50));
@@ -816,7 +828,7 @@ mod tests {
         assert!(hb.inbox.recv_timeout(Duration::from_secs(1)).is_ok());
         // ...and every later send short-circuits without the lock.
         assert!(
-            t.shared.partitions.fast_path_is_lock_free(),
+            t.router().partitions.fast_path_is_lock_free(),
             "post-heal sends must be lock-free again"
         );
     }
@@ -838,7 +850,7 @@ mod tests {
 
     #[test]
     fn disconnect_drops_messages() {
-        let t = InProcTransport::new(None);
+        let t = Transport::InProc(InProcTransport::new(None));
         let a: NodeId = ReplicaId::new(0, 0).into();
         let b: NodeId = ReplicaId::new(0, 1).into();
         let ha = t.register(a);

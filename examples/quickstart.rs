@@ -57,7 +57,9 @@ fn main() {
     println!("throughput:        {:>10.0} txn/s", report.throughput_txn_s);
     println!("completed batches: {:>10}", report.completed_batches);
     println!("mean latency:      {:>10.2?}", report.avg_latency);
+    println!("p50 latency:       {:>10.2?}", report.p50_latency);
     println!("p99 latency:       {:>10.2?}", report.p99_latency);
+    println!("p999 latency:      {:>10.2?}", report.p999_latency);
 
     // Every replica independently maintains the full blockchain (§3 of the
     // paper). Verify integrity and agreement.

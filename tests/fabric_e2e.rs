@@ -71,9 +71,11 @@ fn steward_fabric_deployment_reaches_consensus() {
 #[test]
 fn fabric_with_emulated_wan_delays_still_commits() {
     // 20 ms one-way between clusters, direct within a cluster: a
-    // two-region deployment on loopback.
+    // two-region deployment on loopback, over both meshes (the delay
+    // wheel sits in front of the inbox either way).
     use rdb_common::ids::NodeId;
     use rdb_common::time::SimDuration;
+    use resilientdb::TransportMode;
     use std::sync::Arc;
     let delay: resilientdb::transport::DelayFn = Arc::new(|from: NodeId, to: NodeId| {
         if from.cluster() != to.cluster() {
@@ -82,15 +84,31 @@ fn fabric_with_emulated_wan_delays_still_commits() {
             SimDuration::ZERO
         }
     });
-    let report = DeploymentBuilder::new(ProtocolKind::GeoBft, 2, 4)
-        .batch_size(5)
-        .clients(2)
-        .records(500)
-        .delay(delay)
-        .duration(Duration::from_millis(1_500))
-        .run();
-    assert!(report.completed_batches > 0, "{}", report.summary());
-    report.audit_ledgers().expect("consistent ledgers");
+    for mode in [TransportMode::InProcess, TransportMode::Tcp] {
+        let report = DeploymentBuilder::new(ProtocolKind::GeoBft, 2, 4)
+            .batch_size(5)
+            .clients(2)
+            .records(500)
+            .delay(delay.clone())
+            .transport_mode(mode)
+            .duration(Duration::from_millis(1_500))
+            .run();
+        assert!(
+            report.completed_batches > 0,
+            "{mode:?}: {}",
+            report.summary()
+        );
+        report
+            .audit_ledgers()
+            .unwrap_or_else(|e| panic!("{mode:?}: inconsistent ledgers: {e}"));
+        // Real bytes crossed the wire only over TCP.
+        assert_eq!(
+            report.net.links.is_empty(),
+            mode == TransportMode::InProcess,
+            "{mode:?}: {}",
+            report.net.summary()
+        );
+    }
 }
 
 #[test]
