@@ -126,6 +126,12 @@ impl SystemConfig {
         self.total_replicas() - self.global_f()
     }
 
+    /// Whether `r` is one of this system's replicas.
+    #[inline]
+    pub fn contains(&self, r: ReplicaId) -> bool {
+        r.cluster.as_usize() < self.clusters && (r.index as usize) < self.replicas_per_cluster
+    }
+
     /// Region of a cluster.
     #[inline]
     pub fn region_of(&self, cluster: ClusterId) -> Region {

@@ -216,16 +216,14 @@ mod tests {
         let mut primary = wrapped_primary(&ks, victims.clone());
         let sb = client_batch(&ks);
         let honest_digest = sb.digest();
-        let mut out = Outbox::new();
-        primary.on_message(
-            SimTime::ZERO,
-            NodeId::Client(sb.batch.client),
-            Message::Request(sb),
-            &mut out,
-        );
+        let edge = crate::testkit::Edge::new(&SystemConfig::geo(1, 4).unwrap(), &ks);
+        let from = NodeId::Client(sb.batch.client);
+        let actions = edge.deliver(from, Message::Request(sb), |from, msg, out| {
+            primary.on_message(SimTime::ZERO, from, msg, out)
+        });
         let mut honest = 0;
         let mut forged = 0;
-        for a in out.actions() {
+        for a in &actions {
             if let Action::Send {
                 to: NodeId::Replica(r),
                 msg: Message::PrePrepare { batch, digest, .. },

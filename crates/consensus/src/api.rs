@@ -190,9 +190,15 @@ pub trait ReplicaProtocol: Send {
     /// start). Protocols arm initial timers here.
     fn on_start(&mut self, now: SimTime, out: &mut Outbox);
 
-    /// Handle a message from `from` (a replica or a client). Malformed or
-    /// unverifiable messages must be dropped silently, per §2.1 ("Replicas
-    /// will discard any messages that are not well-formed...").
+    /// Handle a message from `from` (a replica or a client).
+    ///
+    /// Precondition: the caller ran
+    /// [`crate::stage::VerifiedMessage::check`] on it — every driver's
+    /// input edge does, and a replica's own messages looped back to it are
+    /// the one exception. Signatures, digest bindings and quorum shapes
+    /// are therefore not re-checked here (§2.1's "discard any messages
+    /// that are not well-formed" happened at the edge); the state machine
+    /// drops only what its own state rejects (views, primaries, windows).
     fn on_message(&mut self, now: SimTime, from: NodeId, msg: Message, out: &mut Outbox);
 
     /// Handle a timer expiration.
@@ -210,7 +216,9 @@ pub trait ClientProtocol: Send {
     /// client has exhausted its workload.
     fn next_request(&mut self, now: SimTime, out: &mut Outbox) -> bool;
 
-    /// Handle a reply-path message.
+    /// Handle a reply-path message. Same precondition as
+    /// [`ReplicaProtocol::on_message`]: the caller ran
+    /// [`crate::stage::VerifiedMessage::check`] on it.
     fn on_message(&mut self, now: SimTime, from: NodeId, msg: Message, out: &mut Outbox);
 
     /// Handle a timer expiration (retransmissions, Zyzzyva fallbacks).

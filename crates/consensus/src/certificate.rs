@@ -14,6 +14,7 @@ use rdb_common::wire;
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::Signature;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// One replica's signed commit vote inside a certificate.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,6 +38,29 @@ pub fn commit_payload(cluster: ClusterId, seq: u64, digest: &Digest) -> Vec<u8> 
     out
 }
 
+/// At least `quorum` distinct signers, each accepted by `member`: the
+/// shape every aggregated vote (certificate, QC, cluster accept) shares.
+pub(crate) fn distinct_quorum(
+    mut signers: impl ExactSizeIterator<Item = ReplicaId>,
+    quorum: usize,
+    member: impl Fn(ReplicaId) -> bool,
+) -> bool {
+    let mut seen = HashSet::with_capacity(signers.len());
+    signers.len() >= quorum && signers.all(|r| member(r) && seen.insert(r))
+}
+
+/// `n - f` distinct replicas of `cluster`, which must exist.
+pub(crate) fn cluster_quorum(
+    cfg: &SystemConfig,
+    cluster: ClusterId,
+    signers: impl ExactSizeIterator<Item = ReplicaId>,
+) -> bool {
+    cluster.as_usize() < cfg.z()
+        && distinct_quorum(signers, cfg.quorum(), |r| {
+            r.cluster == cluster && cfg.contains(r)
+        })
+}
+
 /// A commit certificate `[⟨T⟩c, ρ]_C`: proof that cluster `cluster`
 /// replicated `batch` in round (local sequence) `round`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,46 +81,18 @@ impl CommitCertificate {
     /// Full validity check: digest binding, quorum size, membership,
     /// distinctness, signature validity, and the client signature on the
     /// inner batch. Returns `false` rather than an error — invalid
-    /// certificates are simply discarded (§2.1).
+    /// certificates are simply discarded (§2.1). The structural checks
+    /// run under any context; the signatures only under a real one.
     pub fn verify(&self, cfg: &SystemConfig, crypto: &CryptoCtx) -> bool {
-        if self.cluster.as_usize() >= cfg.clusters {
-            return false;
-        }
-        if self.batch.digest() != self.digest {
-            return false;
-        }
-        if self.commits.len() < cfg.quorum() {
-            return false;
-        }
-        // Distinct signers, all members of the certifying cluster.
-        let mut seen = std::collections::HashSet::with_capacity(self.commits.len());
-        for c in &self.commits {
-            if c.replica.cluster != self.cluster
-                || c.replica.index as usize >= cfg.replicas_per_cluster
-                || !seen.insert(c.replica)
-            {
-                return false;
-            }
-        }
-        if !crypto.verify_batch(&self.batch) {
-            return false;
-        }
-        if crypto.checks_signatures() {
-            // One payload, n - f signatures: check them as a batch (single
-            // pass over the key registry — the verifier-stage hot path).
-            let payload = commit_payload(self.cluster, self.round, &self.digest);
-            let mut pairs = Vec::with_capacity(self.commits.len());
-            for c in &self.commits {
-                let Some(pk) = crypto.verifier().public_key_of(c.replica.into()) else {
-                    return false;
-                };
-                pairs.push((pk, c.sig));
-            }
-            if !crypto.verify_many(&payload, &pairs) {
-                return false;
-            }
-        }
-        true
+        let payload = commit_payload(self.cluster, self.round, &self.digest);
+        let signers = self.commits.iter().map(|c| c.replica);
+        // One payload, n - f signatures: checked as a batch (single pass
+        // over the key registry — the verifier-stage hot path).
+        let sigs = self.commits.iter().map(|c| (c.replica.into(), c.sig));
+        cluster_quorum(cfg, self.cluster, signers)
+            && self.batch.digest() == self.digest
+            && crypto.verify_batch(&self.batch, &self.digest)
+            && crypto.verify_many(&payload, sigs)
     }
 
     /// Modeled wire size: the embedded pre-prepare (batch) plus one signed

@@ -37,7 +37,6 @@ use crate::crypto_ctx::CryptoCtx;
 use crate::exec::digest_under;
 use crate::messages::Message;
 use crate::types::{ClientBatch, SignedBatch};
-use crate::zyzzyva::spec_response_payload;
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::{SimDuration, SimTime};
 use rdb_crypto::digest::Digest;
@@ -263,14 +262,15 @@ impl QuorumClient {
     }
 
     /// Count `replica`'s vote for `outcome` of batch `batch_seq`; `spec`
-    /// is the `(view, batch digest, signature)` of a speculative response.
+    /// is the `(batch digest, signature)` of a speculative response, whose
+    /// signature the input edge already checked.
     fn vote(
         &mut self,
         replica: ReplicaId,
         batch_seq: u64,
         outcome: Outcome,
         results: TxnEffect,
-        spec: Option<(u64, Digest, Signature)>,
+        spec: Option<(Digest, Signature)>,
         out: &mut Outbox,
     ) {
         let Some(batch) = self.in_flight.get_mut(&batch_seq) else {
@@ -279,25 +279,8 @@ impl QuorumClient {
         if batch.tallies.iter().any(|t| t.voters.contains(&replica)) {
             return; // one vote per replica
         }
-        if let Some((view, digest, sig)) = &spec {
-            if *digest != batch.digest {
-                return;
-            }
-            if self.crypto.checks_signatures() {
-                let Some(pk) = self.crypto.verifier().public_key_of(replica.into()) else {
-                    return;
-                };
-                let Outcome {
-                    seq,
-                    history,
-                    result_digest,
-                    ..
-                } = outcome;
-                let payload = spec_response_payload(*view, seq, digest, &history, &result_digest);
-                if !self.crypto.verify(&pk, &payload, sig) {
-                    return;
-                }
-            }
+        if spec.is_some_and(|(digest, _)| digest != batch.digest) {
+            return;
         }
         if digest_under(self.cfg.exec_mode, &batch.digest, &results) != outcome.result_digest {
             return; // forged results payload
@@ -316,7 +299,7 @@ impl QuorumClient {
         };
         let tally = &mut batch.tallies[idx];
         tally.voters.push(replica);
-        tally.sigs.extend(spec.map(|(_, _, sig)| sig));
+        tally.sigs.extend(spec.map(|(_, sig)| sig));
         if tally.voters.len() >= self.reply_quorum {
             self.complete(batch_seq, idx, out);
         }
@@ -387,33 +370,28 @@ impl ClientProtocol for QuorumClient {
                 };
                 self.vote(replica, data.batch_seq, outcome, data.results, None, out);
             }
-            // Zyzzyva keeps one log, one block per sequence number.
+            // Zyzzyva keeps one log, one block per sequence number. The
+            // input edge checked that the sender signed it.
             Message::SpecResponse {
-                view,
                 seq,
                 batch_seq,
-                replica: signer,
                 digest,
                 history,
                 result,
                 results,
                 sig,
-            } if self.commit_quorum.is_some() && signer == replica => {
+                ..
+            } if self.commit_quorum.is_some() => {
                 let outcome = Outcome {
                     seq,
                     block_height: seq,
                     result_digest: result,
                     history,
                 };
-                let spec = Some((view, digest, sig));
+                let spec = Some((digest, sig));
                 self.vote(replica, batch_seq, outcome, results, spec, out);
             }
-            Message::LocalCommit {
-                seq,
-                batch_seq,
-                replica: signer,
-                ..
-            } if signer == replica => {
+            Message::LocalCommit { seq, batch_seq, .. } => {
                 let Some(quorum) = self.commit_quorum else {
                     return;
                 };
@@ -527,7 +505,9 @@ mod tests {
     use crate::config::{ExecMode, ProtocolKind};
     use crate::exec::result_digest;
     use crate::registry;
+    use crate::testkit::Edge;
     use crate::types::ReplyData;
+    use crate::zyzzyva::spec_response_payload;
     use rdb_common::config::SystemConfig;
     use rdb_crypto::sign::{KeyStore, Signer};
     use rdb_store::ExecOutcome;
@@ -544,6 +524,7 @@ mod tests {
         cfg: ProtocolConfig,
         signers: Vec<(ReplicaId, Signer)>,
         client: QuorumClient,
+        edge: Edge,
     }
 
     /// What a replica claims about a batch.
@@ -569,6 +550,7 @@ mod tests {
             let client = registry::client(kind, cfg.clone(), ME, crypto)
                 .with_source(synthetic_source(ME, 3, 100));
             Rig {
+                edge: Edge::new(&cfg.system, &ks),
                 kind,
                 cfg,
                 signers,
@@ -654,11 +636,11 @@ mod tests {
             }
         }
 
-        fn deliver(&mut self, from: ReplicaId, msg: Message) -> Vec<Action> {
-            let mut out = Outbox::new();
-            self.client
-                .on_message(SimTime::ZERO, from.into(), msg, &mut out);
-            out.take()
+        fn deliver(&mut self, from: impl Into<NodeId>, msg: Message) -> Vec<Action> {
+            let client = &mut self.client;
+            self.edge.deliver(from.into(), msg, |from, msg, out| {
+                client.on_message(SimTime::ZERO, from, msg, out)
+            })
         }
 
         fn fire(&mut self, timer: TimerKind) -> Vec<Action> {
@@ -861,11 +843,7 @@ mod tests {
             if kind == ProtocolKind::Zyzzyva {
                 assert!(rig.deliver(local[0], msg.clone()).is_empty());
             }
-            let mut out = Outbox::new();
-            let peer = ClientId::new(1, 6);
-            rig.client
-                .on_message(SimTime::ZERO, peer.into(), msg, &mut out);
-            assert!(out.is_empty());
+            assert!(rig.deliver(ClientId::new(1, 6), msg).is_empty());
             // None of it cost anybody's vote.
             let proof = rig.honest_quorum(&rig.everyone(), &sb).expect("quorum");
             assert_eq!(proof.attesting_replicas[..2], local[..2]);
@@ -876,8 +854,12 @@ mod tests {
     fn a_speculative_response_with_a_bad_signature_does_not_vote() {
         let mut rig = Rig::new(ProtocolKind::Zyzzyva);
         let (_, sb) = rig.next_request();
-        let honest = rig.honest(&sb);
         let everyone = rig.everyone();
+        // A response claiming another position, which would spend
+        // everyone[0]'s one vote on an outcome nobody else reports ...
+        let mut lie = rig.honest(&sb);
+        lie.seq += 5;
+        lie.height += 5;
         let Message::SpecResponse {
             view,
             seq,
@@ -888,11 +870,11 @@ mod tests {
             result,
             results,
             ..
-        } = rig.attest(everyone[0], &sb, &honest)
+        } = rig.attest(everyone[0], &sb, &lie)
         else {
             unreachable!()
         };
-        // Signed by somebody else.
+        // ... signed by somebody else.
         let payload = spec_response_payload(view, seq, &digest, &history, &result);
         let forged = Message::SpecResponse {
             view,
@@ -1181,7 +1163,7 @@ mod tests {
     fn requests_are_signed_by_the_client() {
         let mut rig = Rig::new(ProtocolKind::GeoBft);
         let (_, sb) = rig.next_request();
-        assert!(rig.client.crypto.verify_batch(&sb));
+        assert!(rig.client.crypto.verify_batch(&sb, &sb.digest()));
     }
 
     #[test]

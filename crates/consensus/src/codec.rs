@@ -728,7 +728,7 @@ pub fn frame_size(msg: &Message) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rdb_common::wire;
@@ -799,7 +799,7 @@ mod tests {
 
     /// One exemplar per variant — the fixed sweep backing the proptest
     /// (which fuzzes the payload-heavy variants more deeply).
-    fn exemplars() -> Vec<Message> {
+    pub(crate) fn exemplars() -> Vec<Message> {
         vec![
             Message::Request(batch(3)),
             Message::Forward(batch(1)),

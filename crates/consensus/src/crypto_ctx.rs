@@ -1,16 +1,20 @@
 //! Per-node cryptographic context handed to protocol state machines.
 //!
-//! Bundles the node's unique [`Signer`], a shared [`Verifier`], and a
-//! switch controlling whether signatures are actually checked.
+//! Bundles the node's unique [`Signer`], a shared [`Verifier`], and one
+//! flag: real or modeled crypto, for signing and verifying alike.
 //!
-//! The switch exists because the discrete-event simulator *models* crypto
-//! compute costs in virtual time (see `rdb-simnet::compute`); re-checking
+//! The modeled mode exists because the discrete-event simulator charges
+//! crypto compute in virtual time (see `rdb-simnet::compute`); re-checking
 //! every tag on the host CPU while simulating tens of thousands of
 //! decisions would only slow the simulation down without changing its
-//! outcome. Integration tests and the threaded fabric run with
-//! `check_sigs = true`, so the verification paths are genuinely exercised.
+//! outcome. The threaded fabric and the tests run real contexts. The only
+//! reader of the verifying half is [`crate::stage`]: `Message::verify` at
+//! each node's input edge is the one place a message is checked, so the
+//! state machines never verify anything themselves.
 
 use crate::types::{ClientBatch, SignedBatch};
+use rdb_common::ids::NodeId;
+use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::{PublicKey, Signature, Signer, Verifier};
 use std::sync::Arc;
 
@@ -19,39 +23,26 @@ use std::sync::Arc;
 pub struct CryptoCtx {
     signer: Arc<Signer>,
     verifier: Verifier,
-    /// Produce real signatures when signing.
-    sign_real: bool,
-    /// Check signatures on inbound material. Independent from `sign_real`
-    /// so a pipeline's ordering stage can *trust* a dedicated verifier
-    /// stage (inbound checks off) while still signing its own votes.
-    verify_inbound: bool,
+    /// Sign and verify for real; `false` models both.
+    real: bool,
 }
 
 impl CryptoCtx {
-    /// Build a context. `check_sigs = false` turns `verify*` into
-    /// constant-`true` (modeled verification) and signing into placeholder
-    /// tags.
-    pub fn new(signer: Signer, verifier: Verifier, check_sigs: bool) -> CryptoCtx {
+    /// Build a context. `real = false` makes signing produce placeholder
+    /// tags and every `verify*` skip the key lookup and return `true`.
+    pub fn new(signer: Signer, verifier: Verifier, real: bool) -> CryptoCtx {
         CryptoCtx {
             signer: Arc::new(signer),
             verifier,
-            sign_real: check_sigs,
-            verify_inbound: check_sigs,
+            real,
         }
     }
 
-    /// A context for a state machine running *behind* a verifier stage
-    /// (paper Figure 9): inbound signature checks become constant-`true`
-    /// because [`crate::stage::VerifiedMessage`] proved them already, while
-    /// outbound signing stays real so peers can verify our votes.
-    pub fn preverified(mut self) -> CryptoCtx {
-        self.verify_inbound = false;
+    /// The identity: a context behind a verifier stage is the same
+    /// context, because no state machine verifies anything. Kept only
+    /// because the benchmark's layer replay still calls it.
+    pub fn preverified(self) -> CryptoCtx {
         self
-    }
-
-    /// Whether inbound verification is real or delegated/modeled.
-    pub fn checks_signatures(&self) -> bool {
-        self.verify_inbound
     }
 
     /// This node's public key.
@@ -59,12 +50,12 @@ impl CryptoCtx {
         self.signer.public_key()
     }
 
-    /// Sign arbitrary bytes as this node. In modeled mode
-    /// (`check_sigs = false`) this returns a placeholder tag: nobody will
-    /// inspect it, and the *cost* of signing is charged in virtual time by
-    /// the simulator instead of on the host CPU.
+    /// Sign arbitrary bytes as this node. In modeled mode this returns a
+    /// placeholder tag: nobody will inspect it, and the *cost* of signing
+    /// is charged in virtual time by the simulator instead of on the host
+    /// CPU.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        if !self.sign_real {
+        if !self.real {
             return Signature::default();
         }
         self.signer.sign(msg)
@@ -80,48 +71,41 @@ impl CryptoCtx {
         }
     }
 
-    /// Verify a signature over raw bytes.
-    pub fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
-        if !self.verify_inbound {
-            return true;
-        }
-        self.verifier.verify(pk, msg, sig)
+    /// `signer`'s signature over `payload`. An unregistered signer fails.
+    pub fn verify(&self, signer: NodeId, payload: &[u8], sig: &Signature) -> bool {
+        let check = |pk: PublicKey| self.verifier.verify(&pk, payload, sig);
+        !self.real || self.verifier.public_key_of(signer).is_some_and(check)
     }
 
-    /// Verify many signatures over the *same* payload (certificates, QCs)
-    /// in one batched pass over the key registry.
-    pub fn verify_many(&self, msg: &[u8], pairs: &[(PublicKey, Signature)]) -> bool {
-        if !self.verify_inbound {
+    /// Every `(signer, signature)` pair over the *same* payload
+    /// (certificates, QCs), in one batched pass over the key registry.
+    pub fn verify_many(
+        &self,
+        payload: &[u8],
+        signers: impl IntoIterator<Item = (NodeId, Signature)>,
+    ) -> bool {
+        if !self.real {
             return true;
         }
-        self.verifier.verify_many(msg, pairs)
+        let pairs: Option<Vec<_>> = signers
+            .into_iter()
+            .map(|(node, sig)| Some((self.verifier.public_key_of(node)?, sig)))
+            .collect();
+        pairs.is_some_and(|pairs| self.verifier.verify_many(payload, &pairs))
     }
 
-    /// Verify a client's signature on a batch. No-op batches are primary
-    /// products and carry no client signature (§2.5); they validate
-    /// through the surrounding commit certificate instead.
-    pub fn verify_batch(&self, sb: &SignedBatch) -> bool {
-        if sb.is_noop() {
-            return true;
-        }
-        if !self.verify_inbound {
-            return true;
-        }
-        self.verifier
-            .verify(&sb.pubkey, sb.digest().as_bytes(), &sb.sig)
-    }
-
-    /// Access to the shared verifier (for certificate checks).
-    pub fn verifier(&self) -> &Verifier {
-        &self.verifier
+    /// A client's signature on a batch whose digest is `digest`. No-op
+    /// batches are primary products and carry no client signature (§2.5);
+    /// they validate through the surrounding commit certificate instead.
+    pub fn verify_batch(&self, sb: &SignedBatch, digest: &Digest) -> bool {
+        !self.real || sb.is_noop() || self.verifier.verify(&sb.pubkey, digest.as_bytes(), &sb.sig)
     }
 }
 
 impl std::fmt::Debug for CryptoCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CryptoCtx")
-            .field("sign_real", &self.sign_real)
-            .field("verify_inbound", &self.verify_inbound)
+            .field("real", &self.real)
             .finish()
     }
 }
@@ -134,10 +118,10 @@ mod tests {
     use rdb_crypto::sign::KeyStore;
     use rdb_store::Operation;
 
-    fn make_ctx(check: bool) -> (CryptoCtx, KeyStore) {
+    fn make_ctx(real: bool) -> (CryptoCtx, KeyStore) {
         let ks = KeyStore::new(1);
         let signer = ks.register(ReplicaId::new(0, 0).into());
-        (CryptoCtx::new(signer, ks.verifier(), check), ks)
+        (CryptoCtx::new(signer, ks.verifier(), real), ks)
     }
 
     fn signed_batch(ks: &KeyStore, valid: bool) -> SignedBatch {
@@ -165,58 +149,64 @@ mod tests {
         }
     }
 
+    const ME: NodeId = NodeId::Replica(ReplicaId {
+        cluster: rdb_common::ids::ClusterId(0),
+        index: 0,
+    });
+
     #[test]
     fn real_mode_checks() {
         let (ctx, ks) = make_ctx(true);
         let good = signed_batch(&ks, true);
-        assert!(ctx.verify_batch(&good));
+        assert!(ctx.verify_batch(&good, &good.digest()));
         let sig = ctx.sign(b"hello");
-        assert!(ctx.verify(&ctx.public_key(), b"hello", &sig));
-        assert!(!ctx.verify(&ctx.public_key(), b"other", &sig));
+        assert!(ctx.verify(ME, b"hello", &sig));
+        assert!(!ctx.verify(ME, b"other", &sig));
+        // Someone else's key, and nobody's key.
+        assert!(!ctx.verify(ClientId::new(0, 0).into(), b"hello", &sig));
+        assert!(!ctx.verify(ReplicaId::new(5, 5).into(), b"hello", &sig));
     }
 
     #[test]
     fn real_mode_rejects_bad_batch() {
         let (ctx, ks) = make_ctx(true);
         let bad = signed_batch(&ks, false);
-        assert!(!ctx.verify_batch(&bad));
+        assert!(!ctx.verify_batch(&bad, &bad.digest()));
     }
 
     #[test]
-    fn modeled_mode_accepts_everything() {
+    fn modeled_mode_accepts_everything_and_signs_placeholders() {
         let (ctx, ks) = make_ctx(false);
         let bad = signed_batch(&ks, false);
-        assert!(ctx.verify_batch(&bad));
-        assert!(ctx.verify(&ctx.public_key(), b"m", &Signature::default()));
-        assert!(!ctx.checks_signatures());
+        assert!(ctx.verify_batch(&bad, &bad.digest()));
+        assert!(ctx.verify(ME, b"m", &Signature::default()));
+        // Not even the key lookup runs.
+        assert!(ctx.verify(ReplicaId::new(5, 5).into(), b"m", &Signature::default()));
+        assert_eq!(ctx.sign(b"vote"), Signature::default());
     }
 
     #[test]
-    fn preverified_trusts_inbound_but_signs_real() {
-        let (ctx, ks) = make_ctx(true);
-        let pre = ctx.clone().preverified();
-        // Inbound checks are delegated: even a bad batch passes.
-        let bad = signed_batch(&ks, false);
-        assert!(pre.verify_batch(&bad));
-        assert!(!pre.checks_signatures());
-        // Outbound signing stays real: the full ctx can verify it.
-        let sig = pre.sign(b"vote");
-        assert!(ctx.verify(&ctx.public_key(), b"vote", &sig));
-        assert_ne!(sig, Signature::default());
-    }
-
-    #[test]
-    fn verify_many_gates_on_inbound_mode() {
+    fn preverified_is_the_identity() {
         let (ctx, _ks) = make_ctx(true);
-        let bad = [(ctx.public_key(), Signature::default())];
-        assert!(!ctx.verify_many(b"payload", &bad));
-        assert!(ctx.clone().preverified().verify_many(b"payload", &bad));
+        let pre = ctx.clone().preverified();
+        assert!(!pre.verify(ME, b"vote", &Signature::default()));
+        assert_eq!(pre.sign(b"vote"), ctx.sign(b"vote"));
+    }
+
+    #[test]
+    fn verify_many_checks_every_pair() {
+        let (ctx, _ks) = make_ctx(true);
+        let good = ctx.sign(b"payload");
+        assert!(ctx.verify_many(b"payload", [(ME, good), (ME, good)]));
+        assert!(!ctx.verify_many(b"payload", [(ME, good), (ME, Signature::default())]));
+        let (modeled, _ks) = make_ctx(false);
+        assert!(modeled.verify_many(b"payload", [(ME, Signature::default())]));
     }
 
     #[test]
     fn noop_batches_skip_client_verification() {
         let (ctx, _ks) = make_ctx(true);
         let noop = SignedBatch::noop(rdb_common::ids::ClusterId(0), 3);
-        assert!(ctx.verify_batch(&noop));
+        assert!(ctx.verify_batch(&noop, &noop.digest()));
     }
 }

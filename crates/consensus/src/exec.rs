@@ -237,6 +237,7 @@ mod tests {
     use crate::config::ProtocolKind;
     use crate::crypto_ctx::CryptoCtx;
     use crate::registry::build_replica;
+    use crate::testkit::Edge;
     use crate::types::{ClientBatch, Transaction};
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::{NodeId, ReplicaId};
@@ -422,6 +423,7 @@ mod tests {
     /// Deliver `initial` and everything it triggers until quiescence
     /// (timers are not driven); returns the replies sent to clients.
     fn route(
+        edge: &Edge,
         replicas: &mut [Box<dyn ReplicaProtocol>],
         initial: Vec<(NodeId, ReplicaId, Message)>,
     ) -> Vec<ReplyData> {
@@ -441,9 +443,10 @@ mod tests {
                 .iter_mut()
                 .find(|r| r.id() == rid)
                 .expect("known replica");
-            let mut out = Outbox::new();
-            replica.on_message(SimTime::ZERO, from, msg, &mut out);
-            for a in out.take() {
+            let actions = edge.deliver(from, msg, |from, msg, out| {
+                replica.on_message(SimTime::ZERO, from, msg, out)
+            });
+            for a in actions {
                 if let Action::Send { to: next, msg } = a {
                     queue.push_back((to, next, msg));
                 }
@@ -483,6 +486,7 @@ mod tests {
                     build_replica(kind, cfg.clone(), id, crypto, store)
                 })
                 .collect();
+            let edge = Edge::new(&cfg.system, &ks);
             let client = ClientId::new(0, 0);
             let signer = ks.register(NodeId::Client(client));
             let request = |batch_seq: u64| {
@@ -494,6 +498,7 @@ mod tests {
             let mut originals = Vec::new();
             for (batch_seq, entry) in [(0, entry0), (1, entry1)] {
                 let sent = route(
+                    &edge,
                     &mut replicas,
                     vec![(client.into(), entry, request(batch_seq))],
                 );
@@ -506,9 +511,9 @@ mod tests {
             // original reply and nothing else.
             for (batch_seq, target) in [(0, backup), (1, entry1)] {
                 let target = replicas.iter_mut().find(|x| x.id() == target).unwrap();
-                let mut out = Outbox::new();
-                target.on_message(SimTime::ZERO, client.into(), request(batch_seq), &mut out);
-                let actions = out.take();
+                let actions = edge.deliver(client.into(), request(batch_seq), |from, msg, out| {
+                    target.on_message(SimTime::ZERO, from, msg, out)
+                });
                 let forwarded_or_tracked = actions.iter().any(|a| {
                     matches!(
                         a,

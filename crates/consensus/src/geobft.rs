@@ -268,9 +268,6 @@ impl GeoBftReplica {
     // ------------------------------------------------------------------
 
     fn handle_global_share(&mut self, from: NodeId, cert: CommitCertificate, out: &mut Outbox) {
-        if !cert.verify(&self.cfg.system, &self.crypto) {
-            return;
-        }
         let known = self.cert_cache.contains_key(&(cert.round, cert.cluster.0));
         if !known {
             // No-op detection (§2.5): remote clusters are already working
@@ -499,22 +496,10 @@ impl GeoBftReplica {
         sig: Signature,
         out: &mut Outbox,
     ) {
-        if target != self.my_cluster || requester.cluster == self.my_cluster {
+        // The input edge checked the requester's signature and that it
+        // belongs to another cluster.
+        if target != self.my_cluster {
             return;
-        }
-        if requester.cluster.as_usize() >= self.cfg.system.z() {
-            return;
-        }
-        if self.crypto.checks_signatures() {
-            let Some(pk) = self.crypto.verifier().public_key_of(requester.into()) else {
-                return;
-            };
-            if !self
-                .crypto
-                .verify(&pk, &rvc_payload(target, round, v, requester), &sig)
-            {
-                return;
-            }
         }
         let rc = requester.cluster;
         let f_1 = self.cfg.system.weak_quorum();
@@ -649,7 +634,7 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
-    use crate::testkit::{RoutedDecisions, RoutedReplies};
+    use crate::testkit::{Edge, RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
@@ -658,6 +643,7 @@ mod tests {
     struct GeoNet {
         replicas: Vec<GeoBftReplica>,
         n: usize,
+        edge: Edge,
     }
 
     impl GeoNet {
@@ -689,11 +675,21 @@ mod tests {
                     faults,
                 ));
             }
-            (GeoNet { replicas, n }, ks, cfg)
+            let edge = Edge::new(&system, &ks);
+            (GeoNet { replicas, n, edge }, ks, cfg)
         }
 
         fn index(&self, r: ReplicaId) -> usize {
             r.cluster.as_usize() * self.n + r.index as usize
+        }
+
+        /// `msg` through the input edge into `to`; what it emitted.
+        fn deliver(&mut self, to: ReplicaId, from: NodeId, msg: Message) -> Vec<Action> {
+            let idx = self.index(to);
+            let replica = &mut self.replicas[idx];
+            self.edge.deliver(from, msg, |from, msg, out| {
+                replica.on_message(SimTime::ZERO, from, msg, out)
+            })
         }
 
         fn route(
@@ -715,10 +711,7 @@ mod tests {
                     }
                     continue;
                 };
-                let idx = self.index(rid);
-                let mut out = Outbox::new();
-                self.replicas[idx].on_message(SimTime::ZERO, from, msg, &mut out);
-                for a in out.take() {
+                for a in self.deliver(rid, from, msg) {
                     match a {
                         Action::Send { to: t, msg: m } => queue.push_back((to, t, m)),
                         Action::Decided(d) => decisions.push((rid, d)),
@@ -824,16 +817,10 @@ mod tests {
                 .collect(),
         };
         let target = ReplicaId::new(1, 0);
-        let mut out = Outbox::new();
-        let idx = net.index(target);
-        net.replicas[idx].on_message(
-            SimTime::ZERO,
-            ReplicaId::new(0, 0).into(),
-            Message::GlobalShare { cert },
-            &mut out,
-        );
-        assert!(out.take().is_empty(), "forged certificate produced actions");
-        assert_eq!(net.replicas[idx].exec_next, 1);
+        let share = Message::GlobalShare { cert };
+        let actions = net.deliver(target, ReplicaId::new(0, 0).into(), share);
+        assert!(actions.is_empty(), "forged certificate produced actions");
+        assert!(net.replicas[net.index(target)].cert_cache.is_empty());
     }
 
     #[test]
@@ -855,19 +842,12 @@ mod tests {
         ]);
         // Replica (1,1) pretends it missed cluster 0's certificate and
         // sends a DRVC; peer (1,0) must answer with the certificate.
-        let holder = net.index(ReplicaId::new(1, 0));
-        let mut out = Outbox::new();
-        net.replicas[holder].on_message(
-            SimTime::ZERO,
-            ReplicaId::new(1, 1).into(),
-            Message::Drvc {
-                target: ClusterId(0),
-                round: 1,
-                v: 0,
-            },
-            &mut out,
-        );
-        let actions = out.take();
+        let drvc = Message::Drvc {
+            target: ClusterId(0),
+            round: 1,
+            v: 0,
+        };
+        let actions = net.deliver(ReplicaId::new(1, 0), ReplicaId::new(1, 1).into(), drvc);
         assert!(actions.iter().any(|a| matches!(
             a,
             Action::Send {
@@ -890,20 +870,14 @@ mod tests {
                 let r = &net.replicas[net.index(requester)];
                 r.crypto.sign(&rvc_payload(ClusterId(0), 1, 0, requester))
             };
-            let mut out = Outbox::new();
-            net.replicas[target_replica].on_message(
-                SimTime::ZERO,
-                requester.into(),
-                Message::Rvc {
-                    target: ClusterId(0),
-                    round: 1,
-                    v: 0,
-                    requester,
-                    sig,
-                },
-                &mut out,
-            );
-            actions.extend(out.take());
+            let rvc = Message::Rvc {
+                target: ClusterId(0),
+                round: 1,
+                v: 0,
+                requester,
+                sig,
+            };
+            actions.extend(net.deliver(ReplicaId::new(0, 2), requester.into(), rvc));
         }
         assert!(
             net.replicas[target_replica].core.in_view_change(),
@@ -936,20 +910,14 @@ mod tests {
                     let r = &net.replicas[net.index(requester)];
                     r.crypto.sign(&rvc_payload(ClusterId(0), 1, v, requester))
                 };
-                let mut out = Outbox::new();
-                let idx = net.index(ReplicaId::new(0, 2));
-                net.replicas[idx].on_message(
-                    SimTime::ZERO,
-                    requester.into(),
-                    Message::Rvc {
-                        target: ClusterId(0),
-                        round: 1,
-                        v,
-                        requester,
-                        sig,
-                    },
-                    &mut out,
-                );
+                let rvc = Message::Rvc {
+                    target: ClusterId(0),
+                    round: 1,
+                    v,
+                    requester,
+                    sig,
+                };
+                net.deliver(ReplicaId::new(0, 2), requester.into(), rvc);
             }
         };
         send_rvcs(&mut net, 0);

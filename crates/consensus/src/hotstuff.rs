@@ -150,9 +150,6 @@ impl HotStuffReplica {
         if self.tail.cached_reply(&sb, 0, out) {
             return;
         }
-        if !self.crypto.verify_batch(&sb) {
-            return;
-        }
         let key = (sb.batch.client, sb.batch.batch_seq);
         if !self.seen.insert(key) {
             return;
@@ -187,33 +184,6 @@ impl HotStuffReplica {
     // Replica side: voting
     // ------------------------------------------------------------------
 
-    fn qc_valid(&self, qc: &HsQc, slot: u64, phase: HsPhase, digest: &Digest) -> bool {
-        if qc.slot != slot || qc.phase != phase || qc.digest != *digest {
-            return false;
-        }
-        if qc.votes.len() < self.quorum() {
-            return false;
-        }
-        let mut seen = HashSet::with_capacity(qc.votes.len());
-        for (r, _) in &qc.votes {
-            if !seen.insert(*r) {
-                return false;
-            }
-        }
-        if self.crypto.checks_signatures() {
-            let payload = hs_vote_payload(slot, phase, digest);
-            for (r, sig) in &qc.votes {
-                let Some(pk) = self.crypto.verifier().public_key_of((*r).into()) else {
-                    return false;
-                };
-                if !self.crypto.verify(&pk, &payload, sig) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     fn vote(&mut self, slot: u64, phase: HsPhase, digest: Digest, out: &mut Outbox) {
         let leader = self.leader_of(slot);
         let sig = self.crypto.sign(&hs_vote_payload(slot, phase, &digest));
@@ -229,8 +199,9 @@ impl HotStuffReplica {
         );
     }
 
-    // The parameters mirror the wire message's fields one-to-one.
-    #[allow(clippy::too_many_arguments)]
+    /// A proposal whose shape, batch binding and QC the input edge
+    /// already checked ([`crate::stage`]): only its place in this
+    /// replica's slot state is decided here.
     fn handle_proposal(
         &mut self,
         from: ReplicaId,
@@ -238,7 +209,6 @@ impl HotStuffReplica {
         phase: HsPhase,
         batch: Option<SignedBatch>,
         digest: Digest,
-        justify: Option<HsQc>,
         out: &mut Outbox,
     ) {
         if from != self.leader_of(slot) {
@@ -250,9 +220,6 @@ impl HotStuffReplica {
         match phase {
             HsPhase::Prepare => {
                 let Some(batch) = batch else { return };
-                if batch.digest() != digest || !self.crypto.verify_batch(&batch) {
-                    return;
-                }
                 // A proposing leader is alive: clear any cached suspicion.
                 self.suspected.remove(&from);
                 let slot_state = self.slots.entry(slot).or_default();
@@ -271,14 +238,6 @@ impl HotStuffReplica {
                 }
             }
             HsPhase::PreCommit | HsPhase::Commit => {
-                let prev = match phase {
-                    HsPhase::PreCommit => HsPhase::Prepare,
-                    _ => HsPhase::PreCommit,
-                };
-                let Some(qc) = justify else { return };
-                if !self.qc_valid(&qc, slot, prev, &digest) {
-                    return;
-                }
                 let slot_state = self.slots.entry(slot).or_default();
                 if slot_state.decided || slot_state.digest != Some(digest) {
                     return;
@@ -288,10 +247,6 @@ impl HotStuffReplica {
                 }
             }
             HsPhase::Decide => {
-                let Some(qc) = justify else { return };
-                if !self.qc_valid(&qc, slot, HsPhase::Commit, &digest) {
-                    return;
-                }
                 let slot_state = self.slots.entry(slot).or_default();
                 if slot_state.decided || slot_state.digest != Some(digest) {
                     return;
@@ -325,17 +280,6 @@ impl HotStuffReplica {
         if !self.is_my_slot(slot) || slot < self.exec_next {
             return;
         }
-        if self.crypto.checks_signatures() {
-            let Some(pk) = self.crypto.verifier().public_key_of(from.into()) else {
-                return;
-            };
-            if !self
-                .crypto
-                .verify(&pk, &hs_vote_payload(slot, phase, &digest), &sig)
-            {
-                return;
-            }
-        }
         let quorum = self.quorum();
         let slot_state = self.slots.entry(slot).or_default();
         let votes = slot_state.votes.entry((phase, digest)).or_default();
@@ -347,11 +291,8 @@ impl HotStuffReplica {
                 digest,
                 votes: votes.iter().take(quorum).map(|(r, s)| (*r, *s)).collect(),
             };
-            let next_phase = match phase {
-                HsPhase::Prepare => HsPhase::PreCommit,
-                HsPhase::PreCommit => HsPhase::Commit,
-                HsPhase::Commit => HsPhase::Decide,
-                HsPhase::Decide => return,
+            let Some(next_phase) = phase.next() else {
+                return;
             };
             let msg = Message::HsProposal {
                 slot,
@@ -371,15 +312,6 @@ impl HotStuffReplica {
     fn handle_skip_vote(&mut self, from: ReplicaId, slot: u64, sig: Signature, out: &mut Outbox) {
         if slot < self.exec_next {
             return;
-        }
-        if self.crypto.checks_signatures() {
-            let Some(pk) = self.crypto.verifier().public_key_of(from.into()) else {
-                return;
-            };
-            let payload = hs_vote_payload(slot, HsPhase::Prepare, &skip_digest(slot));
-            if !self.crypto.verify(&pk, &payload, &sig) {
-                return;
-            }
         }
         let quorum = self.quorum();
         let join = self.cfg.global_f() + 1;
@@ -540,25 +472,20 @@ impl ReplicaProtocol for HotStuffReplica {
                 phase,
                 batch,
                 digest,
-                justify,
+                ..
             } => {
                 if let NodeId::Replica(from) = from {
-                    self.handle_proposal(from, slot, phase, batch, digest, justify, out);
+                    self.handle_proposal(from, slot, phase, batch, digest, out);
                 }
             }
+            // The input edge checked that `replica` sent and signed it.
             Message::HsVote {
                 slot,
                 phase,
                 digest,
                 replica,
                 sig,
-            } => {
-                if let NodeId::Replica(from) = from {
-                    if from == replica {
-                        self.handle_vote(from, slot, phase, digest, sig, out);
-                    }
-                }
-            }
+            } => self.handle_vote(replica, slot, phase, digest, sig, out),
             _ => {}
         }
     }
@@ -576,12 +503,13 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
+    use crate::testkit::Edge;
     use crate::types::Decision;
     use rdb_common::config::SystemConfig;
     use rdb_crypto::sign::KeyStore;
     use std::collections::VecDeque as Q;
 
-    fn setup(n: usize) -> (Vec<HotStuffReplica>, KeyStore, ProtocolConfig) {
+    fn setup(n: usize) -> (Vec<HotStuffReplica>, KeyStore, Edge) {
         let system = SystemConfig::geo(1, n).unwrap();
         let mut cfg = ProtocolConfig::new(system.clone());
         cfg.exec_mode = ExecMode::Real;
@@ -594,7 +522,8 @@ mod tests {
                 HotStuffReplica::new(cfg.clone(), r, crypto, KvStore::with_ycsb_records(50))
             })
             .collect();
-        (replicas, ks, cfg)
+        let edge = Edge::new(&system, &ks);
+        (replicas, ks, edge)
     }
 
     fn signed(ks: &KeyStore, client: ClientId, seq: u64) -> SignedBatch {
@@ -610,6 +539,7 @@ mod tests {
     }
 
     fn route(
+        edge: &Edge,
         replicas: &mut [HotStuffReplica],
         initial: Vec<(NodeId, NodeId, Message)>,
         skip: Option<usize>,
@@ -625,9 +555,11 @@ mod tests {
             if Some(idx) == skip {
                 continue;
             }
-            let mut out = Outbox::new();
-            replicas[idx].on_message(SimTime::ZERO, from, msg, &mut out);
-            for a in out.take() {
+            let replica = &mut replicas[idx];
+            let actions = edge.deliver(from, msg, |from, msg, out| {
+                replica.on_message(SimTime::ZERO, from, msg, out)
+            });
+            for a in actions {
                 match a {
                     Action::Send { to: t, msg: m } => queue.push_back((to, t, m)),
                     Action::Decided(d) => decisions.push((rid, d)),
@@ -640,7 +572,7 @@ mod tests {
 
     #[test]
     fn four_phase_flow_decides_and_executes() {
-        let (mut replicas, ks, _cfg) = setup(4);
+        let (mut replicas, ks, edge) = setup(4);
         let client = ClientId::new(0, 0);
         let sb = signed(&ks, client, 0);
         // Client's home replica is index 0 % 4 = 0; replica 0 owns slots
@@ -662,7 +594,7 @@ mod tests {
             ReplicaId::new(0, 0).into(),
             Message::Request(sb),
         ));
-        let decisions = route(&mut replicas, initial, None);
+        let decisions = route(&edge, &mut replicas, initial, None);
         // Slots 1..4 decided on all 4 replicas.
         assert_eq!(decisions.len(), 16);
         let s0 = replicas[0].tail.state_digest();
@@ -674,71 +606,73 @@ mod tests {
 
     #[test]
     fn proposal_from_wrong_leader_ignored() {
-        let (mut replicas, ks, _cfg) = setup(4);
+        let (mut replicas, ks, edge) = setup(4);
         let sb = signed(&ks, ClientId::new(0, 7), 0);
         let digest = sb.digest();
-        let mut out = Outbox::new();
         // Slot 1 belongs to replica 1; replica 2 tries to propose it.
-        replicas[3].on_message(
-            SimTime::ZERO,
-            ReplicaId::new(0, 2).into(),
-            Message::HsProposal {
-                slot: 1,
-                phase: HsPhase::Prepare,
-                batch: Some(sb),
-                digest,
-                justify: None,
-            },
-            &mut out,
-        );
-        assert!(out.take().is_empty());
+        let proposal = Message::HsProposal {
+            slot: 1,
+            phase: HsPhase::Prepare,
+            batch: Some(sb),
+            digest,
+            justify: None,
+        };
+        let actions = edge.deliver(ReplicaId::new(0, 2).into(), proposal, |from, msg, out| {
+            replicas[3].on_message(SimTime::ZERO, from, msg, out)
+        });
+        assert!(actions.is_empty());
     }
 
     #[test]
     fn qc_with_too_few_votes_rejected() {
-        let (mut replicas, ks, _cfg) = setup(4);
+        let (mut replicas, ks, edge) = setup(4);
         let sb = signed(&ks, ClientId::new(0, 8), 0);
         let digest = sb.digest();
+        // Two valid votes of the n - f = 3 a QC needs.
+        let payload = hs_vote_payload(1, HsPhase::Prepare, &digest);
+        let votes = [0usize, 2].map(|i| {
+            (
+                ReplicaId::new(0, i as u16),
+                replicas[i].crypto.sign(&payload),
+            )
+        });
+        let leader: NodeId = ReplicaId::new(0, 1).into();
+        let mut deliver = |msg| {
+            edge.deliver(leader, msg, |from, msg, out| {
+                replicas[3].on_message(SimTime::ZERO, from, msg, out)
+            })
+        };
         // Deliver a proper Prepare for slot 1 (leader = replica 1).
-        let mut out = Outbox::new();
-        replicas[3].on_message(
-            SimTime::ZERO,
-            ReplicaId::new(0, 1).into(),
-            Message::HsProposal {
+        let prepare = Message::HsProposal {
+            slot: 1,
+            phase: HsPhase::Prepare,
+            batch: Some(sb),
+            digest,
+            justify: None,
+        };
+        assert_eq!(deliver(prepare).len(), 1, "prepare vote sent");
+        // Now a PreCommit with the undersized QC.
+        let precommit = Message::HsProposal {
+            slot: 1,
+            phase: HsPhase::PreCommit,
+            batch: None,
+            digest,
+            justify: Some(HsQc {
                 slot: 1,
                 phase: HsPhase::Prepare,
-                batch: Some(sb),
                 digest,
-                justify: None,
-            },
-            &mut out,
+                votes: votes.to_vec(),
+            }),
+        };
+        assert!(
+            deliver(precommit).is_empty(),
+            "undersized QC must not advance"
         );
-        assert_eq!(out.take().len(), 1, "prepare vote sent");
-        // Now a PreCommit with an undersized QC.
-        let mut out = Outbox::new();
-        replicas[3].on_message(
-            SimTime::ZERO,
-            ReplicaId::new(0, 1).into(),
-            Message::HsProposal {
-                slot: 1,
-                phase: HsPhase::PreCommit,
-                batch: None,
-                digest,
-                justify: Some(HsQc {
-                    slot: 1,
-                    phase: HsPhase::Prepare,
-                    digest,
-                    votes: vec![(ReplicaId::new(0, 0), Signature::default())],
-                }),
-            },
-            &mut out,
-        );
-        assert!(out.take().is_empty(), "undersized QC must not advance");
     }
 
     #[test]
     fn dead_leader_slot_is_skipped_by_quorum() {
-        let (mut replicas, ks, _cfg) = setup(4);
+        let (mut replicas, ks, edge) = setup(4);
         // Replica 1 (leader of slot 1) is dead. Other replicas' stall
         // timers fire, they broadcast skip votes.
         let mut msgs = Vec::new();
@@ -752,7 +686,7 @@ mod tests {
                 }
             }
         }
-        let decisions = route(&mut replicas, msgs, Some(1));
+        let decisions = route(&edge, &mut replicas, msgs, Some(1));
         // Slot 1 decided as no-op on the three live replicas.
         let live: Vec<_> = decisions
             .iter()
@@ -767,7 +701,7 @@ mod tests {
 
     #[test]
     fn idle_own_slot_is_filled_with_noop_on_timer() {
-        let (mut replicas, _ks, _cfg) = setup(4);
+        let (mut replicas, _ks, edge) = setup(4);
         // Replica 1 owns blocking slot 1 and has an empty queue; its stall
         // timer fires -> it proposes a no-op through the normal 4-phase
         // path.
@@ -789,7 +723,7 @@ mod tests {
                 ..
             }
         )));
-        let decisions = route(&mut replicas, msgs, None);
+        let decisions = route(&edge, &mut replicas, msgs, None);
         assert_eq!(decisions.len(), 4, "no-op decided everywhere");
         assert!(decisions.iter().all(|(_, d)| d.entries[0].batch.is_noop()));
     }

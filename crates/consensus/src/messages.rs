@@ -40,6 +40,19 @@ pub enum HsPhase {
     Decide,
 }
 
+impl HsPhase {
+    /// The phase a QC of this phase justifies proposing (none after
+    /// Decide).
+    pub fn next(self) -> Option<HsPhase> {
+        match self {
+            HsPhase::Prepare => Some(HsPhase::PreCommit),
+            HsPhase::PreCommit => Some(HsPhase::Commit),
+            HsPhase::Commit => Some(HsPhase::Decide),
+            HsPhase::Decide => None,
+        }
+    }
+}
+
 /// A HotStuff quorum certificate: `n - f` signed votes for `(slot, phase,
 /// digest)`. The paper's implementation skips threshold signatures, so the
 /// QC carries the individual votes (§3, "Other protocols").

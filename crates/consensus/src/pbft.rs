@@ -125,7 +125,7 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
-    use crate::testkit::{RoutedDecisions, RoutedReplies};
+    use crate::testkit::{Edge, RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
@@ -135,6 +135,7 @@ mod tests {
     struct Net {
         replicas: Vec<PbftReplica>,
         ids: Vec<ReplicaId>,
+        edge: Edge,
     }
 
     impl Net {
@@ -156,11 +157,29 @@ mod tests {
                 ));
                 ids.push(r);
             }
-            (Net { replicas, ids }, ks, cfg)
+            let edge = Edge::new(&system, &ks);
+            (
+                Net {
+                    replicas,
+                    ids,
+                    edge,
+                },
+                ks,
+                cfg,
+            )
         }
 
         fn index(&self, r: ReplicaId) -> usize {
             self.ids.iter().position(|x| *x == r).unwrap()
+        }
+
+        /// `msg` through the input edge into `to`; what it emitted.
+        fn deliver(&mut self, to: ReplicaId, from: NodeId, msg: Message) -> Vec<Action> {
+            let idx = self.index(to);
+            let replica = &mut self.replicas[idx];
+            self.edge.deliver(from, msg, |from, msg, out| {
+                replica.on_message(SimTime::ZERO, from, msg, out)
+            })
         }
 
         /// Deliver messages until quiescence; returns (replies, decisions).
@@ -184,10 +203,7 @@ mod tests {
                     }
                     continue;
                 };
-                let idx = self.index(rid);
-                let mut out = Outbox::new();
-                self.replicas[idx].on_message(SimTime::ZERO, from, msg, &mut out);
-                for a in out.take() {
+                for a in self.deliver(rid, from, msg) {
                     match a {
                         Action::Send { to: t, msg: m } => queue.push_back((to, t, m)),
                         Action::Decided(d) => decisions.push((rid, d)),

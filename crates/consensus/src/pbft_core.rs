@@ -219,13 +219,8 @@ impl PbftCore {
 
     fn is_member(&self, r: ReplicaId) -> bool {
         match self.scope {
-            Scope::Global => {
-                r.cluster.as_usize() < self.cfg.system.clusters
-                    && (r.index as usize) < self.cfg.system.replicas_per_cluster
-            }
-            Scope::Cluster(c) => {
-                r.cluster == c && (r.index as usize) < self.cfg.system.replicas_per_cluster
-            }
+            Scope::Global => self.cfg.system.contains(r),
+            Scope::Cluster(c) => r.cluster == c && self.cfg.system.contains(r),
         }
     }
 
@@ -242,9 +237,6 @@ impl PbftCore {
     /// that reach the current primary. Non-primaries should use
     /// [`PbftCore::track_forwarded`] instead.
     pub fn enqueue_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        if !self.crypto.verify_batch(&sb) {
-            return;
-        }
         let key = (sb.batch.client, sb.batch.batch_seq);
         if self.proposed.contains(&key) {
             return;
@@ -276,9 +268,6 @@ impl PbftCore {
     /// Track a request this backup forwarded to the primary; arms the
     /// progress timer that backs the view-change path.
     pub fn track_forwarded(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        if !self.crypto.verify_batch(&sb) {
-            return;
-        }
         let d = sb.digest();
         let newly = self.awaiting.insert(d, sb).is_none();
         if newly {
@@ -333,9 +322,6 @@ impl PbftCore {
             return vec![];
         }
         if seq <= self.stable_seq() || seq > self.stable_seq() + self.cfg.window {
-            return vec![];
-        }
-        if batch.digest() != digest || !self.crypto.verify_batch(&batch) {
             return vec![];
         }
         {
@@ -413,15 +399,6 @@ impl PbftCore {
         // (scope, seq, digest), so votes from an older view still count
         // toward the certificate (Lemma 2.3 gives digest uniqueness).
         let _ = view;
-        if self.crypto.checks_signatures() {
-            let payload = scoped_commit_payload(self.scope, seq, &digest);
-            let Some(pk) = self.crypto.verifier().public_key_of(from.into()) else {
-                return vec![];
-            };
-            if !self.crypto.verify(&pk, &payload, &sig) {
-                return vec![];
-            }
-        }
         self.inst(seq)
             .commits
             .entry(digest)
@@ -685,7 +662,7 @@ impl PbftCore {
         let mut chosen: BTreeMap<u64, SignedBatch> = BTreeMap::new();
         for vote in votes.values() {
             for p in &vote.prepared {
-                if p.seq > max_stable && p.batch.digest() == p.digest {
+                if p.seq > max_stable {
                     chosen.entry(p.seq).or_insert_with(|| p.batch.clone());
                 }
             }
@@ -804,7 +781,10 @@ impl PbftCore {
 
     /// Dispatch any PBFT-core message to the right handler. Non-core
     /// messages (client path, GeoBFT global messages, ...) are ignored —
-    /// embedders handle those themselves.
+    /// embedders handle those themselves. Like every handler here, it
+    /// expects a message that passed
+    /// [`crate::stage::VerifiedMessage::check`]: signatures and digest
+    /// bindings are not re-checked.
     pub fn handle_message(
         &mut self,
         from: ReplicaId,
@@ -880,7 +860,7 @@ mod tests {
         let batch = tc.signed_batch(0, 0, 3);
         let mut out = Outbox::new();
         tc.cores[0].enqueue_request(batch.clone(), &mut out);
-        let events = route_core_messages(&mut tc.cores, out);
+        let events = route_core_messages(&mut tc, out);
         let committed: Vec<_> = events
             .iter()
             .filter(|(_, e)| matches!(e, CoreEvent::Committed { .. }))
@@ -907,7 +887,7 @@ mod tests {
         let mut out = Outbox::new();
         tc.cores[0].enqueue_request(batch.clone(), &mut out);
         tc.cores[0].enqueue_request(batch, &mut out);
-        let events = route_core_messages(&mut tc.cores, out);
+        let events = route_core_messages(&mut tc, out);
         let commits_at_r0 = events
             .iter()
             .filter(|(idx, e)| *idx == 0 && matches!(e, CoreEvent::Committed { .. }))
@@ -922,7 +902,7 @@ mod tests {
         let batch = tc.signed_batch(0, 0, 1);
         let mut out = Outbox::new();
         tc.cores[0].enqueue_request(batch, &mut out);
-        let events = route_core_messages(&mut tc.cores, out);
+        let events = route_core_messages(&mut tc, out);
         let (
             _,
             CoreEvent::Committed {
@@ -994,7 +974,7 @@ mod tests {
         let batch = tc.signed_batch(0, 0, 1);
         let mut out = Outbox::new();
         tc.cores[0].enqueue_request(batch, &mut out);
-        route_core_messages(&mut tc.cores, out);
+        route_core_messages(&mut tc, out);
         // Everyone records a checkpoint at seq 1.
         let state = Digest::of(b"state@1");
         let mut pending = Vec::new();
@@ -1003,7 +983,7 @@ mod tests {
             core.record_checkpoint(1, state, &mut out);
             pending.push((i, out));
         }
-        let events = crate::testkit::route_batches(&mut tc.cores, pending, |_| true);
+        let events = crate::testkit::route_batches(&mut tc, pending, |_| true);
         assert!(events
             .iter()
             .any(|(_, e)| matches!(e, CoreEvent::CheckpointStable { seq: 1 })));
@@ -1021,7 +1001,7 @@ mod tests {
         let b1 = tc.signed_batch(0, 0, 1);
         let mut out = Outbox::new();
         tc.cores[0].enqueue_request(b1, &mut out);
-        route_core_messages(&mut tc.cores, out);
+        route_core_messages(&mut tc, out);
 
         // Now replicas 1..4 time out and vote; replica 0 (old primary) is
         // silent.
@@ -1031,7 +1011,7 @@ mod tests {
             core.force_view_change(&mut out);
             pending.push((i, out));
         }
-        let events = crate::testkit::route_batches(&mut tc.cores, pending, |t| t != 0);
+        let events = crate::testkit::route_batches(&mut tc, pending, |t| t != 0);
         assert!(events
             .iter()
             .any(|(i, e)| *i != 0 && matches!(e, CoreEvent::ViewInstalled { view: 1 })));
@@ -1073,7 +1053,7 @@ mod tests {
             core.force_view_change(&mut out);
             pending.push((i, out));
         }
-        let events = crate::testkit::route_batches(&mut tc.cores, pending, |t| t != 0);
+        let events = crate::testkit::route_batches(&mut tc, pending, |t| t != 0);
         // The re-proposal must commit in the new view among 1..4 (n - f =
         // 3 = the three live replicas).
         let committed: Vec<_> = events

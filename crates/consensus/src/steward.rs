@@ -213,12 +213,6 @@ impl StewardReplica {
         cert: CommitCertificate,
         out: &mut Outbox,
     ) {
-        if cert.cluster != PRIMARY_CLUSTER || cert.round != seq {
-            return;
-        }
-        if !cert.verify(&self.cfg.system, &self.crypto) {
-            return;
-        }
         // Relay the first externally-received copy within the cluster.
         let inst = self.insts.entry(seq).or_default();
         let need_relay = from.cluster() != self.my_cluster
@@ -278,17 +272,6 @@ impl StewardReplica {
         if !self.is_representative() || from.cluster != self.my_cluster {
             return;
         }
-        if self.crypto.checks_signatures() {
-            let Some(pk) = self.crypto.verifier().public_key_of(from.into()) else {
-                return;
-            };
-            if !self
-                .crypto
-                .verify(&pk, &accept_payload(self.my_cluster, seq, &digest), &sig)
-            {
-                return;
-            }
-        }
         let quorum = self.cfg.system.quorum();
         let fanout = self.cfg.system.weak_quorum();
         let my_cluster = self.my_cluster;
@@ -346,29 +329,6 @@ impl StewardReplica {
         sigs: &[(ReplicaId, Signature)],
         out: &mut Outbox,
     ) {
-        if cluster.as_usize() >= self.cfg.system.z() {
-            return;
-        }
-        if sigs.len() < self.cfg.system.quorum() {
-            return;
-        }
-        let mut seen = HashSet::with_capacity(sigs.len());
-        for (r, _) in sigs {
-            if r.cluster != cluster || !seen.insert(*r) {
-                return;
-            }
-        }
-        if self.crypto.checks_signatures() {
-            let payload = accept_payload(cluster, seq, &digest);
-            for (r, sig) in sigs {
-                let Some(pk) = self.crypto.verifier().public_key_of((*r).into()) else {
-                    return;
-                };
-                if !self.crypto.verify(&pk, &payload, sig) {
-                    return;
-                }
-            }
-        }
         // Relay externally-received accepts locally, once per cluster.
         let inst = self.insts.entry(seq).or_default();
         if from.cluster() != self.my_cluster && inst.relayed_accepts.insert(cluster) {
@@ -437,18 +397,13 @@ impl ReplicaProtocol for StewardReplica {
         match msg {
             Message::Request(sb) | Message::Forward(sb) => self.handle_request(sb, out),
             Message::StewardProposal { seq, cert } => self.handle_proposal(from, seq, cert, out),
+            // The input edge checked that `replica` sent and signed it.
             Message::StewardLocalAccept {
                 seq,
                 digest,
                 replica,
                 sig,
-            } => {
-                if let NodeId::Replica(from) = from {
-                    if from == replica {
-                        self.handle_local_accept(from, seq, digest, sig, out);
-                    }
-                }
-            }
+            } => self.handle_local_accept(replica, seq, digest, sig, out),
             Message::StewardAccept {
                 seq,
                 cluster,
@@ -483,7 +438,7 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
-    use crate::testkit::{RoutedDecisions, RoutedReplies};
+    use crate::testkit::{Edge, RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
@@ -492,6 +447,7 @@ mod tests {
     struct Net {
         replicas: Vec<StewardReplica>,
         n: usize,
+        edge: Edge,
     }
 
     impl Net {
@@ -508,11 +464,21 @@ mod tests {
                     StewardReplica::new(cfg.clone(), r, crypto, KvStore::with_ycsb_records(50))
                 })
                 .collect();
-            (Net { replicas, n }, ks, cfg)
+            let edge = Edge::new(&system, &ks);
+            (Net { replicas, n, edge }, ks, cfg)
         }
 
         fn index(&self, r: ReplicaId) -> usize {
             r.cluster.as_usize() * self.n + r.index as usize
+        }
+
+        /// `msg` through the input edge into `to`; what it emitted.
+        fn deliver(&mut self, to: ReplicaId, from: NodeId, msg: Message) -> Vec<Action> {
+            let idx = self.index(to);
+            let replica = &mut self.replicas[idx];
+            self.edge.deliver(from, msg, |from, msg, out| {
+                replica.on_message(SimTime::ZERO, from, msg, out)
+            })
         }
 
         fn route(
@@ -534,10 +500,7 @@ mod tests {
                     }
                     continue;
                 };
-                let idx = self.index(rid);
-                let mut out = Outbox::new();
-                self.replicas[idx].on_message(SimTime::ZERO, from, msg, &mut out);
-                for a in out.take() {
+                for a in self.deliver(rid, from, msg) {
                     match a {
                         Action::Send { to: t, msg: m } => queue.push_back((to, t, m)),
                         Action::Decided(d) => decisions.push((rid, d)),
@@ -600,20 +563,24 @@ mod tests {
     #[test]
     fn accept_with_insufficient_signatures_rejected() {
         let (mut net, _ks, _cfg) = Net::new(2, 4);
-        let idx = net.index(ReplicaId::new(1, 1));
-        let mut out = Outbox::new();
-        net.replicas[idx].on_message(
-            SimTime::ZERO,
-            ReplicaId::new(0, 0).into(),
-            Message::StewardAccept {
-                seq: 1,
-                cluster: ClusterId(0),
-                digest: Digest::ZERO,
-                sigs: vec![(ReplicaId::new(0, 0), Signature::default())],
-            },
-            &mut out,
-        );
-        assert!(out.take().is_empty());
+        // Two valid signatures of the n - f = 3 a cluster accept needs.
+        let payload = accept_payload(ClusterId(0), 1, &Digest::ZERO);
+        let sigs = (0..2)
+            .map(|i| {
+                (
+                    ReplicaId::new(0, i),
+                    net.replicas[i as usize].crypto.sign(&payload),
+                )
+            })
+            .collect();
+        let accept = Message::StewardAccept {
+            seq: 1,
+            cluster: ClusterId(0),
+            digest: Digest::ZERO,
+            sigs,
+        };
+        let actions = net.deliver(ReplicaId::new(1, 1), ReplicaId::new(0, 0).into(), accept);
+        assert!(actions.is_empty());
     }
 
     #[test]
@@ -633,16 +600,11 @@ mod tests {
                 })
                 .collect(),
         };
-        let idx = net.index(ReplicaId::new(1, 0));
-        let mut out = Outbox::new();
-        net.replicas[idx].on_message(
-            SimTime::ZERO,
-            ReplicaId::new(0, 0).into(),
-            Message::StewardProposal { seq: 1, cert },
-            &mut out,
-        );
-        assert!(out.take().is_empty());
-        assert_eq!(net.replicas[idx].tail.decisions(), 0);
+        let target = ReplicaId::new(1, 0);
+        let proposal = Message::StewardProposal { seq: 1, cert };
+        let actions = net.deliver(target, ReplicaId::new(0, 0).into(), proposal);
+        assert!(actions.is_empty());
+        assert_eq!(net.replicas[net.index(target)].tail.decisions(), 0);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! Only compiled for tests. Timers are ignored (tests trigger timeouts by
 //! calling the timeout handlers directly), and messages are delivered in
 //! FIFO order, which suffices for normal-case and view-change unit tests.
+//! Every router delivers through an [`Edge`], the same
+//! [`VerifiedMessage::check`] both runtimes run before `on_message`.
 
 use crate::api::{Action, Outbox};
 use crate::certificate::CommitSig;
@@ -11,6 +13,7 @@ use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
 use crate::messages::{Message, Scope};
 use crate::pbft_core::{CoreEvent, PbftCore};
+use crate::stage::VerifiedMessage;
 use crate::types::{ClientBatch, SignedBatch, Transaction};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
@@ -23,8 +26,43 @@ pub(crate) type RoutedReplies = Vec<(ReplicaId, crate::types::ReplyData)>;
 /// Decisions collected while routing a protocol network to quiescence.
 pub(crate) type RoutedDecisions = Vec<(ReplicaId, crate::types::Decision)>;
 
+/// A node's input edge: a message reaches a state machine only if
+/// [`VerifiedMessage::check`] passes it under a real context.
+pub(crate) struct Edge {
+    system: SystemConfig,
+    ctx: CryptoCtx,
+}
+
+impl Edge {
+    /// An edge for `system` checking signatures against `ks`'s keys.
+    pub fn new(system: &SystemConfig, ks: &KeyStore) -> Edge {
+        let observer = ks.register(NodeId::Client(ClientId::new(0, u32::MAX)));
+        Edge {
+            system: system.clone(),
+            ctx: CryptoCtx::new(observer, ks.verifier(), true),
+        }
+    }
+
+    /// Hand `msg` from `from` to `handle` if it verifies; returns what
+    /// `handle` emitted (nothing for a dropped message).
+    pub fn deliver(
+        &self,
+        from: NodeId,
+        msg: Message,
+        handle: impl FnOnce(NodeId, Message, &mut Outbox),
+    ) -> Vec<Action> {
+        let mut out = Outbox::new();
+        if let Some(vm) = VerifiedMessage::check(&self.system, &self.ctx, from, msg) {
+            let (from, msg) = vm.into_parts();
+            handle(from, msg, &mut out);
+        }
+        out.take()
+    }
+}
+
 /// A single-cluster test fixture of `n` PBFT cores with real crypto.
 pub(crate) struct TestCluster {
+    pub edge: Edge,
     pub scope: Scope,
     pub ids: Vec<ReplicaId>,
     pub cores: Vec<PbftCore>,
@@ -52,6 +90,7 @@ impl TestCluster {
             cores.push(PbftCore::new(scope, cfg.clone(), r, crypto));
         }
         TestCluster {
+            edge: Edge::new(&system, &ks),
             scope,
             ids,
             cores,
@@ -96,7 +135,7 @@ impl TestCluster {
 /// core that produced them) until quiescence. Returns every
 /// [`CoreEvent`] tagged with the index of the core that emitted it.
 pub(crate) fn route_batches(
-    cores: &mut [PbftCore],
+    tc: &mut TestCluster,
     initial: Vec<(usize, Outbox)>,
     mut deliver_to: impl FnMut(usize) -> bool,
 ) -> Vec<(usize, CoreEvent)> {
@@ -126,21 +165,26 @@ pub(crate) fn route_batches(
         if !deliver_to(to) {
             continue;
         }
-        let from_id = cores[from].id();
-        let mut out = Outbox::new();
-        let evs = cores[to].handle_message(from_id, msg, &mut out);
-        for e in evs {
-            events.push((to, e));
-        }
-        push_actions(to, out.take(), &mut queue);
+        let core = &mut tc.cores[to];
+        let actions = tc.edge.deliver(tc.ids[from].into(), msg, |from, msg, out| {
+            let NodeId::Replica(from) = from else {
+                unreachable!("cores only hear replicas")
+            };
+            events.extend(
+                core.handle_message(from, msg, out)
+                    .into_iter()
+                    .map(|e| (to, e)),
+            );
+        });
+        push_actions(to, actions, &mut queue);
     }
     events
 }
 
 /// Route until quiescent, delivering everything; the initial outbox is
 /// attributed to core 0.
-pub(crate) fn route_core_messages(cores: &mut [PbftCore], out: Outbox) -> Vec<(usize, CoreEvent)> {
-    route_batches(cores, vec![(0, out)], |_| true)
+pub(crate) fn route_core_messages(tc: &mut TestCluster, out: Outbox) -> Vec<(usize, CoreEvent)> {
+    route_batches(tc, vec![(0, out)], |_| true)
 }
 
 /// Build a commit-certificate fixture from core `Committed` output.

@@ -25,7 +25,6 @@ use crate::types::SignedBatch;
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
-use rdb_crypto::sign::Signature;
 use rdb_store::KvStore;
 use std::collections::{BTreeMap, HashMap};
 
@@ -106,9 +105,6 @@ impl ZyzzyvaReplica {
             out.send(self.primary(), Message::Forward(sb));
             return;
         }
-        if !self.crypto.verify_batch(&sb) {
-            return;
-        }
         let key = (sb.batch.client, sb.batch.batch_seq);
         if self.proposed.contains_key(&key) {
             return; // duplicate; the speculative response was already sent
@@ -141,9 +137,6 @@ impl ZyzzyvaReplica {
             return;
         }
         if seq < self.exec_next || seq >= self.exec_next + 2 * self.cfg.window {
-            return;
-        }
-        if !self.crypto.verify_batch(&batch) {
             return;
         }
         self.ordered.entry(seq).or_insert(batch);
@@ -193,20 +186,16 @@ impl ZyzzyvaReplica {
         }
     }
 
+    /// A commit certificate (its 2F + 1 size checked at the input edge)
+    /// is acknowledged when it names what this replica executed.
     fn handle_zyz_commit(
         &mut self,
         client: ClientId,
         batch_seq: u64,
         seq: u64,
         digest: Digest,
-        sigs: &[(ReplicaId, Signature)],
         out: &mut Outbox,
     ) {
-        // A commit certificate needs 2F + 1 matching responses.
-        let needed = 2 * self.cfg.global_f() + 1;
-        if sigs.len() < needed {
-            return;
-        }
         let Some((d, _h, c, bs)) = self.executed.get(&seq) else {
             return; // not executed here yet; the client will retry
         };
@@ -245,9 +234,8 @@ impl ReplicaProtocol for ZyzzyvaReplica {
                 batch_seq,
                 seq,
                 digest,
-                sigs,
                 ..
-            } => self.handle_zyz_commit(client, batch_seq, seq, digest, &sigs, out),
+            } => self.handle_zyz_commit(client, batch_seq, seq, digest, out),
             _ => {}
         }
     }
@@ -261,10 +249,11 @@ mod tests {
     use crate::api::{Action, ClientProtocol};
     use crate::clients::{synthetic_source, QuorumClient};
     use crate::config::{ExecMode, ProtocolKind};
+    use crate::testkit::Edge;
     use rdb_common::config::SystemConfig;
-    use rdb_crypto::sign::KeyStore;
+    use rdb_crypto::sign::{KeyStore, Signature};
 
-    fn setup(n: usize) -> (Vec<ZyzzyvaReplica>, QuorumClient, KeyStore, ProtocolConfig) {
+    fn setup(n: usize) -> (Vec<ZyzzyvaReplica>, QuorumClient, KeyStore, Edge) {
         let system = SystemConfig::geo(1, n).unwrap();
         let mut cfg = ProtocolConfig::new(system.clone());
         cfg.exec_mode = ExecMode::Real;
@@ -282,11 +271,25 @@ mod tests {
         let crypto = CryptoCtx::new(signer, ks.verifier(), true);
         let client = crate::registry::client(ProtocolKind::Zyzzyva, cfg.clone(), cid, crypto)
             .with_source(synthetic_source(cid, 3, 30));
-        (replicas, client, ks, cfg)
+        let edge = Edge::new(&system, &ks);
+        (replicas, client, ks, edge)
+    }
+
+    /// `msg` from `from` through the input edge into `replica`.
+    fn deliver(
+        edge: &Edge,
+        replica: &mut ZyzzyvaReplica,
+        from: NodeId,
+        msg: Message,
+    ) -> Vec<Action> {
+        edge.deliver(from, msg, |from, msg, out| {
+            replica.on_message(SimTime::ZERO, from, msg, out)
+        })
     }
 
     /// Deliver actions among replicas + the one client until quiescent.
     fn pump(
+        edge: &Edge,
         replicas: &mut [ZyzzyvaReplica],
         client: &mut QuorumClient,
         initial: Vec<Action>,
@@ -308,18 +311,14 @@ mod tests {
                         if Some(idx) == skip_replica {
                             continue;
                         }
-                        let mut out = Outbox::new();
-                        replicas[idx].on_message(SimTime::ZERO, from, msg, &mut out);
-                        for a in out.take() {
-                            queue.push((NodeId::Replica(r), a));
-                        }
+                        let actions = deliver(edge, &mut replicas[idx], from, msg);
+                        queue.extend(actions.into_iter().map(|a| (NodeId::Replica(r), a)));
                     }
-                    NodeId::Client(_) => {
-                        let mut out = Outbox::new();
-                        client.on_message(SimTime::ZERO, from, msg, &mut out);
-                        for a in out.take() {
-                            queue.push((NodeId::Client(client.id()), a));
-                        }
+                    NodeId::Client(c) => {
+                        let actions = edge.deliver(from, msg, |from, msg, out| {
+                            client.on_message(SimTime::ZERO, from, msg, out)
+                        });
+                        queue.extend(actions.into_iter().map(|a| (NodeId::Client(c), a)));
                     }
                 },
                 Action::RequestComplete { .. } => completed = true,
@@ -331,10 +330,10 @@ mod tests {
 
     #[test]
     fn fast_path_completes_with_all_replicas() {
-        let (mut replicas, mut client, _ks, _cfg) = setup(4);
+        let (mut replicas, mut client, _ks, edge) = setup(4);
         let mut out = Outbox::new();
         client.next_request(SimTime::ZERO, &mut out);
-        let completed = pump(&mut replicas, &mut client, out.take(), None);
+        let completed = pump(&edge, &mut replicas, &mut client, out.take(), None);
         assert!(completed, "all 4 spec responses => fast-path completion");
         // All replicas executed speculatively and agree.
         let s0 = replicas[0].tail.state_digest();
@@ -344,11 +343,11 @@ mod tests {
 
     #[test]
     fn one_failure_stalls_fast_path_until_commit_phase() {
-        let (mut replicas, mut client, _ks, _cfg) = setup(4);
+        let (mut replicas, mut client, _ks, edge) = setup(4);
         let mut out = Outbox::new();
         client.next_request(SimTime::ZERO, &mut out);
         // Replica 3 is down: only 3 of 4 responses arrive.
-        let completed = pump(&mut replicas, &mut client, out.take(), Some(3));
+        let completed = pump(&edge, &mut replicas, &mut client, out.take(), Some(3));
         assert!(!completed, "fast path requires all n responses");
 
         // The spec-window timer fires: 3 = 2F+1 responses are enough for
@@ -363,13 +362,13 @@ mod tests {
                 ..
             }
         )));
-        let completed = pump(&mut replicas, &mut client, actions, Some(3));
+        let completed = pump(&edge, &mut replicas, &mut client, actions, Some(3));
         assert!(completed, "commit phase completes with 2F+1 local-commits");
     }
 
     #[test]
     fn too_few_responses_extends_window() {
-        let (_replicas, mut client, _ks, _cfg) = setup(4);
+        let (_replicas, mut client, _ks, _edge) = setup(4);
         let mut out = Outbox::new();
         client.next_request(SimTime::ZERO, &mut out);
         drop(out); // nobody answers
@@ -394,7 +393,7 @@ mod tests {
 
     #[test]
     fn replicas_execute_in_seq_order_despite_reordering() {
-        let (mut replicas, _client, ks, _cfg) = setup(4);
+        let (mut replicas, _client, ks, edge) = setup(4);
         // Hand a backup replica order-reqs out of order.
         let c = ClientId::new(0, 9);
         let signer = ks.register(NodeId::Client(c));
@@ -408,39 +407,23 @@ mod tests {
                 batch: b,
             }
         };
-        let b1 = mk(0);
-        let b2 = mk(1);
-        let primary = ReplicaId::new(0, 0);
-        let mut out = Outbox::new();
-        replicas[1].on_message(
-            SimTime::ZERO,
-            primary.into(),
-            Message::OrderReq {
-                view: 0,
-                seq: 2,
-                batch: b2,
-                history: Digest::ZERO,
-            },
-            &mut out,
-        );
+        let order = |seq: u64, batch| Message::OrderReq {
+            view: 0,
+            seq,
+            batch,
+            history: Digest::ZERO,
+        };
+        let (b1, b2) = (mk(0), mk(1));
+        let primary = ReplicaId::new(0, 0).into();
+        deliver(&edge, &mut replicas[1], primary, order(2, b2));
         assert_eq!(replicas[1].tail.decisions(), 0, "gap at seq 1");
-        replicas[1].on_message(
-            SimTime::ZERO,
-            primary.into(),
-            Message::OrderReq {
-                view: 0,
-                seq: 1,
-                batch: b1,
-                history: Digest::ZERO,
-            },
-            &mut out,
-        );
+        deliver(&edge, &mut replicas[1], primary, order(1, b1));
         assert_eq!(replicas[1].tail.decisions(), 2, "both executed in order");
     }
 
     #[test]
     fn order_req_from_non_primary_rejected() {
-        let (mut replicas, _client, ks, _cfg) = setup(4);
+        let (mut replicas, _client, ks, edge) = setup(4);
         let c = ClientId::new(0, 9);
         let signer = ks.register(NodeId::Client(c));
         let mut src = synthetic_source(c, 2, 20);
@@ -451,44 +434,40 @@ mod tests {
             sig,
             batch: b,
         };
-        let mut out = Outbox::new();
-        replicas[1].on_message(
-            SimTime::ZERO,
-            ReplicaId::new(0, 2).into(),
-            Message::OrderReq {
-                view: 0,
-                seq: 1,
-                batch: sb,
-                history: Digest::ZERO,
-            },
-            &mut out,
-        );
+        let msg = Message::OrderReq {
+            view: 0,
+            seq: 1,
+            batch: sb,
+            history: Digest::ZERO,
+        };
+        let actions = deliver(&edge, &mut replicas[1], ReplicaId::new(0, 2).into(), msg);
         assert_eq!(replicas[1].tail.decisions(), 0);
-        assert!(out.take().is_empty());
+        assert!(actions.is_empty());
     }
 
     #[test]
     fn commit_certificate_with_too_few_sigs_ignored() {
-        let (mut replicas, mut client, _ks, _cfg) = setup(4);
+        let (mut replicas, mut client, _ks, edge) = setup(4);
         let mut out = Outbox::new();
         client.next_request(SimTime::ZERO, &mut out);
-        pump(&mut replicas, &mut client, out.take(), None);
-        // Craft an undersized commit certificate.
-        let mut out = Outbox::new();
-        replicas[1].on_message(
-            SimTime::ZERO,
-            NodeId::Client(ClientId::new(0, 0)),
-            Message::ZyzCommit {
-                client: ClientId::new(0, 0),
-                batch_seq: 0,
-                view: 0,
-                seq: 1,
-                digest: Digest::ZERO,
-                history: Digest::ZERO,
-                sigs: vec![(ReplicaId::new(0, 0), Signature::default())],
-            },
-            &mut out,
-        );
-        assert!(out.take().is_empty());
+        pump(&edge, &mut replicas, &mut client, out.take(), None);
+        // A certificate naming exactly what replica 1 executed, with one
+        // signature fewer than the 2F + 1 = 3 it needs.
+        let (digest, history, ..) = replicas[1].executed[&1];
+        let cert = |signers: u16| Message::ZyzCommit {
+            client: client.id(),
+            batch_seq: 0,
+            view: 0,
+            seq: 1,
+            digest,
+            history,
+            sigs: (0..signers)
+                .map(|i| (ReplicaId::new(0, i), Signature::default()))
+                .collect(),
+        };
+        let from = client.id().into();
+        assert!(deliver(&edge, &mut replicas[1], from, cert(2)).is_empty());
+        let full = deliver(&edge, &mut replicas[1], from, cert(3));
+        assert_eq!(full.len(), 1, "a full certificate is acknowledged");
     }
 }

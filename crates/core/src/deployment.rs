@@ -51,7 +51,6 @@ pub struct DeploymentBuilder {
     batch_size: usize,
     clients: usize,
     duration: Duration,
-    check_sigs: bool,
     records: u64,
     seed: u64,
     delay: Option<DelayFn>,
@@ -83,7 +82,6 @@ impl DeploymentBuilder {
             batch_size: 10,
             clients: z, // one client per cluster by default
             duration: Duration::from_millis(500),
-            check_sigs: true,
             records: 10_000,
             seed: 42,
             delay: None,
@@ -221,12 +219,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Verify signatures for real (default) or skip (micro-benchmarks).
-    pub fn check_sigs(mut self, check: bool) -> Self {
-        self.check_sigs = check;
-        self
-    }
-
     /// Records preloaded into every replica's store.
     pub fn records(mut self, r: u64) -> Self {
         self.records = r;
@@ -360,7 +352,6 @@ impl DeploymentBuilder {
                 batch_size: self.batch_size,
                 records: self.records,
                 seed: self.seed,
-                check_sigs: self.check_sigs,
                 checkpoint_interval: self.checkpoint.interval,
             };
             storage::write_manifest_if_absent(root, &manifest)
@@ -373,9 +364,10 @@ impl DeploymentBuilder {
         let mut backends: Vec<(ReplicaId, SharedBackend)> = Vec::new();
         for rid in system.all_replicas().collect::<Vec<_>>() {
             let signer = ks.register(rid.into());
-            let crypto = CryptoCtx::new(signer, ks.verifier(), self.check_sigs);
-            // The verifier stage checks inbound signatures with the full
-            // context; the worker's state machine runs pre-verified. The
+            let crypto = CryptoCtx::new(signer, ks.verifier(), true);
+            // The verifier stage runs the one validity check
+            // (`Message::verify`) on every inbound message; the worker's
+            // state machine only signs with the same context. The
             // execution stage gets its own identically-preloaded table.
             let verify = VerifyCtx {
                 crypto: crypto.clone(),
@@ -423,7 +415,7 @@ impl DeploymentBuilder {
                 self.kind,
                 cfg.clone(),
                 rid,
-                crypto.preverified(),
+                crypto,
                 store,
                 spec,
             );
@@ -473,7 +465,6 @@ impl DeploymentBuilder {
             cfg,
             ycsb,
             seed: self.seed,
-            check_sigs: self.check_sigs,
             pipeline: self.pipeline,
             metrics,
             transport,
@@ -509,8 +500,6 @@ pub struct DeploymentReport {
     pub kind: ProtocolKind,
     /// The deployment shape.
     pub system: SystemConfig,
-    /// Reserved for crypto sampling extensions.
-    pub crypto_sample: Option<()>,
     /// Thread layout the replicas ran with.
     pub pipeline: PipelineConfig,
     /// Per-stage pipeline counters, summed over all replicas (processed

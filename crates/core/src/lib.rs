@@ -23,14 +23,13 @@
 //!   the verification queue (Figure 9 "input");
 //! * a pool of **verifier threads** ([`pipeline::PipelineConfig`]
 //!   `verifier_threads`, default sized to the host's cores) drains that
-//!   queue in batches and runs
-//!   the pure signature/MAC checks that `rdb-consensus` factors out as
-//!   [`rdb_consensus::stage::VerifiedMessage`]. Malformed traffic dies
-//!   here (§2.1); the worker never sees it (Figure 9 "batching");
+//!   queue in batches and runs the workspace's one validity check,
+//!   [`rdb_consensus::stage::VerifiedMessage::check`] (signatures, digest
+//!   bindings, quorum shapes). Malformed traffic dies here (§2.1); the
+//!   worker never sees it (Figure 9 "batching");
 //! * the **worker thread** owns the protocol state machine and timers —
-//!   ordering only. It runs on a
-//!   [`rdb_consensus::crypto_ctx::CryptoCtx::preverified`] context, so it
-//!   spends no cycles re-checking signatures (Figure 9 "worker/certify");
+//!   ordering only. No state machine checks a signature, so it spends no
+//!   cycles re-checking what the pool proved (Figure 9 "worker/certify");
 //! * the **execution thread** applies finalized decisions to the
 //!   replica's `rdb-store` table and appends them to the `rdb-ledger`
 //!   chain, off the consensus critical path (Figure 9 "execute");

@@ -186,11 +186,11 @@ pub struct ReplicaStopReport {
 impl ReplicaRuntime {
     /// Spawn the pipeline for `protocol` on `handle`.
     ///
-    /// `protocol` should be built on a
-    /// [`rdb_consensus::crypto_ctx::CryptoCtx::preverified`] context: the
-    /// verifier pool (driven by `verify`, the *full* context) has already
-    /// checked every signature the worker would otherwise re-check.
-    /// `exec_store` is the execution stage's state table (preloaded like
+    /// The verifier pool runs [`rdb_consensus::stage::VerifiedMessage::check`]
+    /// (with `verify`) on every inbound message, so the worker hands
+    /// `protocol` only checked traffic — the precondition of
+    /// [`ReplicaProtocol::on_message`] — plus its own loopback messages
+    /// (see `dispatch_replica_actions`). `exec_store` is the execution stage's state table (preloaded like
     /// the protocol's own store so state digests line up).
     ///
     /// `initial_ledger` is the chain the execution stage appends onto —
@@ -384,14 +384,6 @@ impl ReplicaRuntime {
         self.node
     }
 
-    /// Stop the pipeline and return the replica's ledger plus the
-    /// execution stage's materialized-table state digest. The execution
-    /// stage drains every decision the worker emitted before exiting.
-    pub fn stop(self) -> (Ledger, rdb_crypto::digest::Digest) {
-        let report = self.stop_full();
-        (report.ledger, report.exec_digest)
-    }
-
     /// Raise the stop flag without joining. Deployment teardown signals
     /// *every* replica before joining any, so all pipelines stop within
     /// about one loop iteration of each other; joining one replica's
@@ -403,9 +395,11 @@ impl ReplicaRuntime {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Like [`ReplicaRuntime::stop`], additionally returning the
-    /// checkpoint stage's final state.
-    pub fn stop_full(self) -> ReplicaStopReport {
+    /// Stop the pipeline and return the replica's ledger, the execution
+    /// stage's materialized-table state digest and the checkpoint stage's
+    /// final state. The execution stage drains every decision the worker
+    /// emitted before exiting.
+    pub fn stop(self) -> ReplicaStopReport {
         self.shutdown.store(true, Ordering::SeqCst);
         // Join order follows sender ownership: verifiers (hold work_tx +
         // ckpt_tx) first, then the worker (exec_tx), then the executor
@@ -441,9 +435,10 @@ impl ReplicaRuntime {
 /// a blocking cycle wholly inside one replica — input → work → output →
 /// own input — whose capacity (unlike the cross-replica cycles the queue
 /// design sizes for, see `tests/pipeline_equivalence.rs`) a single
-/// saturated replica can exhaust and deadlock on. A replica's own
-/// messages also need no signature verification, so the worker handles
-/// them inline as ordering work instead.
+/// saturated replica can exhaust and deadlock on. The worker handles them
+/// inline as ordering work instead, and this is the one delivery path that
+/// skips [`rdb_consensus::stage::VerifiedMessage::check`]: a replica's own
+/// messages are trusted, not verified.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_replica_actions(
     protocol: &mut dyn ReplicaProtocol,

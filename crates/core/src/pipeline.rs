@@ -7,10 +7,10 @@
 //! the staged refactor:
 //!
 //! * **Verify** — a configurable pool of threads draining the raw envelope
-//!   queue in batches, running the pure [`VerifiedMessage::check`]
-//!   signature checks from `rdb-consensus`, and forwarding only valid
-//!   traffic to the worker (which runs on a
-//!   [`rdb_consensus::crypto_ctx::CryptoCtx::preverified`] context).
+//!   queue in batches, running the one validity check from
+//!   `rdb-consensus` ([`VerifiedMessage::check`]), and forwarding only
+//!   valid traffic to the worker, whose state machine checks nothing
+//!   again.
 //!   Pipeline-level checkpoint votes (reserved scope, see
 //!   [`rdb_consensus::checkpoint`]) are routed straight to the checkpoint
 //!   stage — the worker never sees them.
@@ -112,9 +112,6 @@ impl CheckpointConfig {
 pub struct PipelineConfig {
     /// Parallel verifier threads between input and worker.
     pub verifier_threads: usize,
-    /// Maximum envelopes one verifier drains per wakeup (batched
-    /// signature checking amortizes queue synchronization).
-    pub verify_batch: usize,
     /// Bounded inter-stage queue layout (capacity + overload policy per
     /// queue; see [`crate::queue`]). Every channel between stages is
     /// bounded — an overloaded replica sheds droppable traffic or blocks
@@ -143,7 +140,6 @@ impl Default for PipelineConfig {
         let verifier_threads = (cores / 4).clamp(1, 4);
         PipelineConfig {
             verifier_threads,
-            verify_batch: 16,
             queues: StageQueues::derive(10, verifier_threads),
             checkpoint: CheckpointConfig::default(),
             exec_lanes: 1,
@@ -181,12 +177,16 @@ impl PipelineConfig {
     }
 }
 
-/// What the verifier stage needs to check signatures: the node's *full*
-/// crypto context (inbound checks on) and the system layout for
-/// certificate membership checks.
+/// Maximum envelopes one verifier drains per wakeup (batched checking
+/// amortizes queue synchronization).
+const VERIFY_BATCH: usize = 16;
+
+/// What the verifier stage needs to run [`VerifiedMessage::check`]: the
+/// node's crypto context and the system layout for certificate and quorum
+/// membership checks.
 #[derive(Clone)]
 pub struct VerifyCtx {
-    /// Full-verification crypto context.
+    /// The node's (real) crypto context.
     pub crypto: CryptoCtx,
     /// Deployment shape (cluster membership, quorum sizes).
     pub system: SystemConfig,
@@ -260,13 +260,12 @@ fn verifier_loop(
     stop: &AtomicBool,
     cfg: PipelineConfig,
 ) {
-    let batch_limit = cfg.verify_batch.max(1);
-    let mut batch = Vec::with_capacity(batch_limit);
+    let mut batch = Vec::with_capacity(VERIFY_BATCH);
     while !stop.load(Ordering::Relaxed) {
         match rx.recv_timeout(Duration::from_millis(20)) {
             Ok(env) => {
                 batch.push(env);
-                while batch.len() < batch_limit {
+                while batch.len() < VERIFY_BATCH {
                     match rx.try_recv() {
                         Ok(env) => batch.push(env),
                         Err(_) => break,

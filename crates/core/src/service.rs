@@ -56,6 +56,7 @@ use rdb_consensus::config::{ProtocolConfig, ProtocolKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
 use rdb_consensus::messages::Message;
 use rdb_consensus::registry;
+use rdb_consensus::stage::VerifiedMessage;
 use rdb_consensus::types::{ClientBatch, Transaction};
 use rdb_crypto::sign::KeyStore;
 use rdb_storage::StorageBackend;
@@ -224,8 +225,10 @@ fn dispatch(
 /// submitters and its driver thread.
 pub(crate) struct ClientCore {
     id: ClientId,
-    /// For signing outside the lock (the client holds its own copy).
+    /// For signing outside the lock (the client holds its own copy), and
+    /// with `system`, for checking replies before the client sees them.
     crypto: CryptoCtx,
+    system: SystemConfig,
     sender: TransportSender,
     metrics: Metrics,
     state: Mutex<ClientState>,
@@ -280,8 +283,9 @@ impl ClientCore {
     }
 }
 
-/// The driver loop of one client identity: feed the client its replies
-/// and its due timers until stopped. Whatever those make it send (a
+/// The driver loop of one client identity: feed the client its replies —
+/// each through [`VerifiedMessage::check`] first, outside the lock — and
+/// its due timers until stopped. Whatever those make it send (a
 /// retransmission, a commit certificate) goes out best-effort by
 /// `try_send` — this thread must never park on a replica's full inbox,
 /// and the next back-off re-drives what a saturated replica missed. With
@@ -301,8 +305,8 @@ fn drive(core: &ClientCore, inbox: Receiver<Envelope>, mut source: Option<BatchS
     next(1);
     let mut wait = Duration::ZERO;
     loop {
-        let env = match inbox.recv_timeout(wait) {
-            Ok(env) => Some(env),
+        let reply = match inbox.recv_timeout(wait) {
+            Ok(env) => VerifiedMessage::check(&core.system, &core.crypto, env.from, env.msg),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => return,
         };
@@ -315,9 +319,10 @@ fn drive(core: &ClientCore, inbox: Receiver<Envelope>, mut source: Option<BatchS
                 return;
             }
             let mut out = Outbox::new();
-            if let Some(env) = env {
+            if let Some(reply) = reply {
                 let now = state.wheel.now();
-                state.client.on_message(now, env.from, env.msg, &mut out);
+                let (from, msg) = reply.into_parts();
+                state.client.on_message(now, from, msg, &mut out);
                 completed += dispatch(state, out.take(), &core.metrics, &mut sends);
             }
             for kind in state.wheel.due() {
@@ -402,7 +407,6 @@ pub struct Fabric {
     pub(crate) cfg: ProtocolConfig,
     pub(crate) ycsb: YcsbConfig,
     pub(crate) seed: u64,
-    pub(crate) check_sigs: bool,
     pub(crate) pipeline: PipelineConfig,
     pub(crate) metrics: Metrics,
     pub(crate) transport: Transport,
@@ -441,7 +445,6 @@ impl Fabric {
             .batch_size(m.batch_size)
             .records(m.records)
             .seed(m.seed)
-            .check_sigs(m.check_sigs)
             .checkpoint_interval(m.checkpoint_interval)
             .storage(crate::StorageMode::Durable(root.to_path_buf()))
             .start())
@@ -483,7 +486,7 @@ impl Fabric {
     /// session submits.
     fn spawn_client(&self, id: ClientId, source: Option<BatchSource>) -> Arc<ClientCore> {
         let signer = self.keystore.register(id.into());
-        let crypto = CryptoCtx::new(signer, self.keystore.verifier(), self.check_sigs);
+        let crypto = CryptoCtx::new(signer, self.keystore.verifier(), true);
         let (inbox, sender) = self.transport.register(id.into()).split();
         let role = if source.is_some() {
             "client"
@@ -493,6 +496,7 @@ impl Fabric {
         let core = Arc::new(ClientCore {
             id,
             crypto: crypto.clone(),
+            system: self.system.clone(),
             sender,
             metrics: self.metrics.clone(),
             state: Mutex::new(ClientState {
@@ -571,7 +575,7 @@ impl Fabric {
             .into_iter()
             .map(|r| {
                 let node = r.node();
-                (node, r.stop_full())
+                (node, r.stop())
             })
             .collect();
         for t in std::mem::take(&mut self.crash_threads) {
@@ -611,7 +615,6 @@ impl Fabric {
         crate::DeploymentReport {
             kind: self.kind,
             system: self.system.clone(),
-            crypto_sample: None,
             pipeline: self.pipeline,
             stages: metrics.stage_snapshot(),
             elapsed,

@@ -153,8 +153,6 @@ pub struct Manifest {
     pub records: u64,
     /// Deployment seed (keys, workload).
     pub seed: u64,
-    /// Whether signatures are verified for real.
-    pub check_sigs: bool,
     /// Checkpoint-stage interval in decisions (0 = disabled).
     pub checkpoint_interval: u64,
 }
@@ -166,7 +164,6 @@ rdb_consensus::wire_struct! { Manifest {
     batch_size: usize,
     records: u64,
     seed: u64,
-    check_sigs: bool,
     checkpoint_interval: u64,
 } }
 
@@ -388,7 +385,6 @@ mod tests {
             batch_size: 5,
             records: 100,
             seed: 42,
-            check_sigs: true,
             checkpoint_interval: 0,
         };
         write_manifest_if_absent(&dir, &manifest).unwrap();
@@ -400,9 +396,17 @@ mod tests {
         write_manifest_if_absent(&dir, &other).unwrap();
         assert_eq!(read_manifest(&dir).unwrap(), manifest);
 
-        // A truncated or foreign manifest is refused, not half-read.
+        // A truncated or foreign manifest is refused, not half-read —
+        // including the 50-byte encoding of builds that still carried a
+        // `check_sigs` flag between `seed` and `checkpoint_interval`.
         let raw = std::fs::read(manifest_path(&dir)).unwrap();
-        for bad in [&raw[..raw.len() - 1], &br#"{"kind":"Pbft","z":1}"#[..]] {
+        assert_eq!(raw.len(), 49);
+        let with_flag = [&raw[..41], &[1], &raw[41..]].concat();
+        for bad in [
+            &raw[..raw.len() - 1],
+            &br#"{"kind":"Pbft","z":1}"#[..],
+            &with_flag[..],
+        ] {
             std::fs::write(manifest_path(&dir), bad).unwrap();
             assert_eq!(
                 read_manifest(&dir).unwrap_err().kind(),

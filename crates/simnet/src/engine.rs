@@ -13,10 +13,13 @@ use crate::compute::ComputeModel;
 use crate::faults::FaultState;
 use crate::stats::NetStats;
 use crate::topology::Topology;
+use rdb_common::config::SystemConfig;
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::{SimDuration, SimTime};
 use rdb_consensus::api::{Action, ClientProtocol, Outbox, ReplicaProtocol, TimerKind};
+use rdb_consensus::crypto_ctx::CryptoCtx;
 use rdb_consensus::messages::Message;
+use rdb_consensus::stage::VerifiedMessage;
 use rdb_consensus::types::Decision;
 use rdb_ledger::Ledger;
 use std::cmp::Reverse;
@@ -104,6 +107,12 @@ type HeapEntry = Reverse<(SimTime, u64)>;
 /// The simulator.
 pub struct Engine {
     topo: Topology,
+    /// Every delivery passes [`VerifiedMessage::check`] against the
+    /// deployment's shape and a modeled context before `on_message`: the
+    /// structural checks run, while signatures cost nothing on the host
+    /// (the compute model charges them in virtual time).
+    system: SystemConfig,
+    crypto: CryptoCtx,
     replica_model: ComputeModel,
     client_model: ComputeModel,
     clock: SimTime,
@@ -127,15 +136,21 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create an engine over `topo` with the given compute models.
+    /// Create an engine over `topo` for the deployment `system`, checking
+    /// deliveries with the modeled context `crypto`, with the given
+    /// compute models.
     pub fn new(
         topo: Topology,
+        system: SystemConfig,
+        crypto: CryptoCtx,
         replica_model: ComputeModel,
         client_model: ComputeModel,
         faults: FaultState,
     ) -> Engine {
         Engine {
             topo,
+            system,
+            crypto,
             replica_model,
             client_model,
             clock: SimTime::ZERO,
@@ -331,6 +346,14 @@ impl Engine {
                         }
                     }
                 }
+                // The input edge: a message the one validity check rejects
+                // never reaches the state machine (its modeled verify and
+                // dispatch cost is still paid above).
+                let Some(verified) = VerifiedMessage::check(&self.system, &self.crypto, from, msg)
+                else {
+                    return;
+                };
+                let (from, msg) = verified.into_parts();
                 let mut out = Outbox::new();
                 match to {
                     NodeId::Replica(rid) => {
@@ -667,6 +690,21 @@ impl Engine {
 mod tests {
     use super::*;
     use rdb_common::region::Region;
+    use rdb_crypto::sign::KeyStore;
+
+    /// An engine over `topo` for a 4-replica-per-region system.
+    fn engine(
+        topo: Topology,
+        replica_model: ComputeModel,
+        client_model: ComputeModel,
+        faults: FaultState,
+    ) -> Engine {
+        let system = SystemConfig::geo(topo.regions(), 4).unwrap();
+        let ks = KeyStore::new(1);
+        let observer = ks.register(ClientId::new(0, u32::MAX).into());
+        let crypto = CryptoCtx::new(observer, ks.verifier(), false);
+        Engine::new(topo, system, crypto, replica_model, client_model, faults)
+    }
 
     /// A replica that answers any Noop with a Noop to a fixed peer and
     /// counts messages.
@@ -694,7 +732,7 @@ mod tests {
 
     fn two_node_engine(reply: bool) -> (Engine, std::sync::Arc<std::sync::atomic::AtomicU64>) {
         let topo = Topology::paper(&[Region::Oregon, Region::Sydney]);
-        let mut e = Engine::new(
+        let mut e = engine(
             topo,
             ComputeModel::default(),
             ComputeModel::default(),
@@ -780,7 +818,7 @@ mod tests {
             }
         }
         let topo = Topology::paper(&[Region::Oregon]);
-        let mut e = Engine::new(
+        let mut e = engine(
             topo,
             ComputeModel::default(),
             ComputeModel::default(),
@@ -819,7 +857,7 @@ mod tests {
             }
         }
         let topo = Topology::paper(&[Region::Oregon]);
-        let mut e = Engine::new(
+        let mut e = engine(
             topo,
             ComputeModel::default(),
             ComputeModel::default(),
@@ -841,7 +879,7 @@ mod tests {
         let a = ReplicaId::new(0, 0);
         let b = ReplicaId::new(1, 0);
         let faults = FaultState::new(&[crate::faults::FaultSpec::crash_at_secs(b, 0.0)]);
-        let mut e = Engine::new(
+        let mut e = engine(
             topo,
             ComputeModel::default(),
             ComputeModel::default(),
@@ -902,7 +940,7 @@ mod tests {
                 pipeline,
                 ..ComputeModel::default()
             };
-            let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+            let mut e = engine(topo, model.clone(), model, FaultState::default());
             let to = ReplicaId::new(0, 0);
             let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
             e.add_replica(Box::new(Echo {
@@ -979,7 +1017,7 @@ mod tests {
                 pipeline,
                 ..ComputeModel::default()
             };
-            let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+            let mut e = engine(topo, model.clone(), model, FaultState::default());
             let to = ReplicaId::new(0, 0);
             e.add_replica(Box::new(Decider { id: to }));
             e.route(
@@ -1062,7 +1100,7 @@ mod tests {
             pipeline,
             ..ComputeModel::default()
         };
-        let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+        let mut e = engine(topo, model.clone(), model, FaultState::default());
         let to = ReplicaId::new(0, 0);
         e.add_replica(Box::new(LaneDecider {
             id: to,
@@ -1123,7 +1161,7 @@ mod tests {
                 exec_ns_per_txn: 2_000_000,
                 ..ComputeModel::default()
             };
-            let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+            let mut e = engine(topo, model.clone(), model, FaultState::default());
             let to = ReplicaId::new(0, 0);
             e.add_replica(Box::new(LaneDecider {
                 id: to,
@@ -1166,7 +1204,7 @@ mod tests {
             exec_ns_per_txn: 2_000_000,
             ..ComputeModel::default()
         };
-        let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+        let mut e = engine(topo, model.clone(), model, FaultState::default());
         let to = ReplicaId::new(0, 0);
         e.add_replica(Box::new(LaneDecider {
             id: to,
@@ -1236,7 +1274,7 @@ mod tests {
                 pipeline: PipelineModel::default().with_checkpointing(interval),
                 ..ComputeModel::default()
             };
-            let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+            let mut e = engine(topo, model.clone(), model, FaultState::default());
             e.attach_ledgers();
             let to = ReplicaId::new(0, 0);
             e.add_replica(Box::new(Decider { id: to, seq: 0 }));
@@ -1302,7 +1340,7 @@ mod tests {
             pipeline: PipelineModel::with_verifiers(2).with_input_queue(2, Overload::Shed),
             ..ComputeModel::default()
         };
-        let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+        let mut e = engine(topo, model.clone(), model, FaultState::default());
         let to = ReplicaId::new(0, 0);
         let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         e.add_replica(Box::new(Echo {
@@ -1346,7 +1384,7 @@ mod tests {
             pipeline: PipelineModel::with_verifiers(2).with_input_queue(2, Overload::Shed),
             ..ComputeModel::default()
         };
-        let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+        let mut e = engine(topo, model.clone(), model, FaultState::default());
         let to = ReplicaId::new(0, 0);
         let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         e.add_replica(Box::new(Echo {
@@ -1384,7 +1422,7 @@ mod tests {
                     .with_input_queue(capacity, Overload::Block),
                 ..ComputeModel::default()
             };
-            let mut e = Engine::new(topo, model.clone(), model, FaultState::default());
+            let mut e = engine(topo, model.clone(), model, FaultState::default());
             let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
             let a = ReplicaId::new(0, 0);
             let b = ReplicaId::new(1, 0);

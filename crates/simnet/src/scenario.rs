@@ -188,14 +188,22 @@ impl Scenario {
             .collect();
         let fault_state = FaultState::new(&self.faults);
 
-        let mut engine = Engine::new(topology, replica_model, client_model, fault_state);
-        if self.track_ledgers {
-            engine.attach_ledgers();
-        }
-
         // Keys are generated but signature checking is modeled: the
         // compute model charges virtual time instead.
         let ks = KeyStore::new(self.seed);
+        let observer = ks.register(ClientId::new(0, u32::MAX).into());
+        let edge = CryptoCtx::new(observer, ks.verifier(), false);
+        let mut engine = Engine::new(
+            topology,
+            self.cfg.system.clone(),
+            edge,
+            replica_model,
+            client_model,
+            fault_state,
+        );
+        if self.track_ledgers {
+            engine.attach_ledgers();
+        }
 
         let real_exec = self.cfg.exec_mode == ExecMode::Real;
         for rid in self.cfg.system.all_replicas().collect::<Vec<_>>() {
