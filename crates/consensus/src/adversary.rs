@@ -9,8 +9,12 @@
 //! and malicious, manners"): the adversary controls what the replica
 //! *sends*, not the protocol logic of the honest majority.
 //!
-//! [`EquivocatingPrimary`] implements the classic equivocation attack:
-//! whenever the wrapped replica proposes a batch (PBFT/GeoBFT
+//! Every [`AdversarySpec`] is one [`Adversary`] wrapper that rewrites or
+//! drops the inner replica's outbound messages; nothing else about a
+//! Byzantine replica differs from an honest one.
+//!
+//! [`AdversarySpec::EquivocatePrimary`] is the classic equivocation
+//! attack: whenever the wrapped replica proposes a batch (PBFT/GeoBFT
 //! `PrePrepare`, Zyzzyva `OrderReq`, HotStuff Prepare-phase
 //! `HsProposal`), the victims receive a *different but well-formed*
 //! proposal — a no-op batch with a correctly recomputed digest, which
@@ -28,15 +32,20 @@
 //!   commit certificate (`2f + 1` matching responses) can cover it;
 //!   clients fall back to the commit phase over the honest majority.
 //!
+//! [`AdversarySpec::SuppressGlobalShare`] is GeoBFT's withholding primary
+//! (Example 2.4 case (1)): the replica takes part in local replication
+//! but never shares its own cluster's certificates, so remote clusters
+//! must detect the silence and force a local view change through the
+//! remote view-change protocol (§2.3, Figure 7).
+//!
 //! The scenario harness (`rdb-scenario`) runs exactly these attacks per
 //! protocol in both runtimes and asserts no divergent commit.
 
 use crate::api::{Action, Outbox, ReplicaProtocol, TimerKind};
 use crate::messages::{HsPhase, Message};
 use crate::types::SignedBatch;
-use rdb_common::ids::{NodeId, ReplicaId};
+use rdb_common::ids::{ClusterId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
-use std::collections::BTreeSet;
 
 /// Byzantine behaviour to install on one replica at deployment time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,6 +56,12 @@ pub enum AdversarySpec {
         /// The replicas that receive the conflicting proposal.
         victims: Vec<ReplicaId>,
     },
+    /// Drop every outbound `GlobalShare` that carries a certificate of the
+    /// replica's own cluster. A GeoBFT replica sends those only as the
+    /// primary sharing (or, after a view change, re-sharing) its
+    /// cluster's rounds; DRVC help and the local re-broadcast forward
+    /// remote certificates only, and pass untouched.
+    SuppressGlobalShare,
 }
 
 /// Wrap `inner` according to `spec`.
@@ -54,105 +69,99 @@ pub fn apply_adversary(
     inner: Box<dyn ReplicaProtocol>,
     spec: &AdversarySpec,
 ) -> Box<dyn ReplicaProtocol> {
-    match spec {
-        AdversarySpec::EquivocatePrimary { victims } => Box::new(EquivocatingPrimary::new(
-            inner,
-            victims.iter().copied().collect(),
-        )),
-    }
+    Box::new(Adversary {
+        inner,
+        spec: spec.clone(),
+    })
 }
 
-/// A replica whose outgoing proposals equivocate: victims see a
-/// conflicting well-formed proposal in place of the honest one. All other
-/// behaviour (voting, view changes, execution) stays honest, which is the
-/// strongest position for the attack — the replica keeps its standing in
-/// the protocol while trying to split the quorum.
-pub struct EquivocatingPrimary {
+/// A replica whose outbound messages pass through its [`AdversarySpec`].
+/// All other behaviour (voting, view changes, execution) stays honest,
+/// which is the strongest position for an attack — the replica keeps its
+/// standing in the protocol while misbehaving on the wire.
+pub struct Adversary {
     inner: Box<dyn ReplicaProtocol>,
-    victims: BTreeSet<ReplicaId>,
+    spec: AdversarySpec,
 }
 
-impl EquivocatingPrimary {
-    /// Wrap `inner`, equivocating towards `victims`.
-    pub fn new(inner: Box<dyn ReplicaProtocol>, victims: BTreeSet<ReplicaId>) -> Self {
-        EquivocatingPrimary { inner, victims }
-    }
-
-    /// The conflicting proposal sent to victims in place of `honest`: a
-    /// no-op batch tagged with the proposal's log position, so every
-    /// equivocated position gets a distinct, well-formed digest.
-    fn forge(&self, position: u64) -> SignedBatch {
-        SignedBatch::noop(self.inner.id().cluster, position)
-    }
-
-    /// Rewrite a proposal action bound for a victim; `None` passes the
-    /// action through unchanged.
-    fn rewrite(&self, to: NodeId, msg: &Message) -> Option<Message> {
-        let NodeId::Replica(r) = to else {
-            return None;
-        };
-        if !self.victims.contains(&r) {
-            return None;
-        }
-        match msg {
-            Message::PrePrepare {
-                scope, view, seq, ..
-            } => {
-                let forged = self.forge(*seq);
-                let digest = forged.digest();
-                Some(Message::PrePrepare {
-                    scope: *scope,
-                    view: *view,
-                    seq: *seq,
-                    batch: forged,
-                    digest,
-                })
-            }
-            Message::OrderReq { view, seq, .. } => {
-                let forged = self.forge(*seq);
-                let history = forged.digest();
-                Some(Message::OrderReq {
-                    view: *view,
-                    seq: *seq,
-                    batch: forged,
-                    history,
-                })
-            }
-            Message::HsProposal {
-                slot,
-                phase: HsPhase::Prepare,
-                batch: Some(_),
-                justify,
-                ..
-            } => {
-                let forged = self.forge(*slot);
-                let digest = forged.digest();
-                Some(Message::HsProposal {
-                    slot: *slot,
-                    phase: HsPhase::Prepare,
-                    batch: Some(forged),
-                    digest,
-                    justify: justify.clone(),
-                })
-            }
-            _ => None,
+impl Adversary {
+    /// What the replica sends to `to` in place of `msg`; `None` drops it.
+    fn outbound(&self, to: NodeId, msg: Message) -> Option<Message> {
+        let cluster = self.inner.id().cluster;
+        match &self.spec {
+            AdversarySpec::EquivocatePrimary { victims } => Some(match to {
+                NodeId::Replica(r) if victims.contains(&r) => forge(cluster, msg),
+                _ => msg,
+            }),
+            AdversarySpec::SuppressGlobalShare => match &msg {
+                Message::GlobalShare { cert } if cert.cluster == cluster => None,
+                _ => Some(msg),
+            },
         }
     }
 
     fn relay(&mut self, scratch: &mut Outbox, out: &mut Outbox) {
         for action in scratch.take() {
             match action {
-                Action::Send { to, msg } => match self.rewrite(to, &msg) {
-                    Some(forged) => out.send(to, forged),
-                    None => out.send(to, msg),
-                },
+                Action::Send { to, msg } => {
+                    if let Some(msg) = self.outbound(to, msg) {
+                        out.send(to, msg);
+                    }
+                }
                 other => out.push(other),
             }
         }
     }
 }
 
-impl ReplicaProtocol for EquivocatingPrimary {
+/// The conflicting proposal a victim receives in place of `msg`: a no-op
+/// batch tagged with the proposal's log position, so every equivocated
+/// position gets a distinct, well-formed digest. Anything but a proposal
+/// passes unchanged.
+fn forge(cluster: ClusterId, msg: Message) -> Message {
+    match msg {
+        Message::PrePrepare {
+            scope, view, seq, ..
+        } => {
+            let batch = SignedBatch::noop(cluster, seq);
+            Message::PrePrepare {
+                scope,
+                view,
+                seq,
+                digest: batch.digest(),
+                batch,
+            }
+        }
+        Message::OrderReq { view, seq, .. } => {
+            let batch = SignedBatch::noop(cluster, seq);
+            Message::OrderReq {
+                view,
+                seq,
+                history: batch.digest(),
+                batch,
+            }
+        }
+        Message::HsProposal {
+            slot,
+            phase: HsPhase::Prepare,
+            batch: Some(_),
+            justify,
+            ..
+        } => {
+            let batch = SignedBatch::noop(cluster, slot);
+            Message::HsProposal {
+                slot,
+                phase: HsPhase::Prepare,
+                digest: batch.digest(),
+                batch: Some(batch),
+                justify,
+            }
+        }
+        other => other,
+    }
+}
+
+impl ReplicaProtocol for Adversary {
     fn id(&self) -> ReplicaId {
         self.inner.id()
     }

@@ -1,4 +1,10 @@
-//! Fault injection for the failure experiments (§4.3 of the paper).
+//! Fault injection for the failure experiments (§4.3 of the paper): one
+//! fault script that both runtimes read. The simulator consults a
+//! [`FaultState`] on every send and delivery in virtual time; the
+//! threaded fabric's transport router consults the same state at the same
+//! two points, timed in the `SimTime` since deployment start its replicas'
+//! timers report. Byzantine behaviour is not a fault here: it is a
+//! protocol wrapper ([`crate::adversary`]).
 
 use rdb_common::ids::ReplicaId;
 use rdb_common::time::SimTime;
@@ -12,15 +18,8 @@ pub enum FaultSpec {
     Crash {
         /// The replica to crash.
         replica: ReplicaId,
-        /// Virtual time of the crash.
+        /// Time of the crash, since deployment start.
         at: SimTime,
-    },
-    /// GeoBFT-specific Byzantine behaviour (Example 2.4 case 1): the
-    /// replica participates in local replication but, when primary, never
-    /// shares certificates globally. Installed at deployment time.
-    SuppressGlobalShare {
-        /// The Byzantine replica.
-        replica: ReplicaId,
     },
     /// Drop every message between two replicas (asymmetric link failure /
     /// partition building block), starting at `from_time` and healing at
@@ -84,7 +83,8 @@ impl FaultSpec {
     }
 }
 
-/// Runtime fault state consulted by the engine on every delivery.
+/// The read-only fault schedule a runtime consults on every send and
+/// delivery.
 #[derive(Debug, Default)]
 pub struct FaultState {
     crashes: Vec<(ReplicaId, SimTime)>,
@@ -92,8 +92,7 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Build from specs (suppress-share faults are consumed at deployment
-    /// time by the scenario builder, not here).
+    /// Build from specs.
     pub fn new(specs: &[FaultSpec]) -> FaultState {
         let mut fs = FaultState::default();
         for s in specs {
@@ -105,7 +104,6 @@ impl FaultState {
                     from_time,
                     until,
                 } => fs.drops.push((*a, *b, *from_time, *until)),
-                FaultSpec::SuppressGlobalShare { .. } => {}
             }
         }
         fs
@@ -158,5 +156,19 @@ mod tests {
         assert!(fs.is_dropped(b, a, SimTime(199)));
         assert!(!fs.is_dropped(a, b, SimTime(200)), "healed");
         assert!(!fs.is_dropped(b, a, SimTime(250)));
+    }
+
+    #[test]
+    fn overlapping_partitions_heal_independently() {
+        let a = ReplicaId::new(0, 0);
+        let b = ReplicaId::new(0, 1);
+        let mut specs = FaultSpec::partition(&[a], &[b], SimTime(0), SimTime(100));
+        specs.extend(FaultSpec::partition(&[a], &[b], SimTime(50), SimTime(300)));
+        let fs = FaultState::new(&specs);
+        assert!(fs.is_dropped(a, b, SimTime(10)));
+        // The short window healed but the long one still cuts.
+        assert!(fs.is_dropped(a, b, SimTime(150)));
+        assert!(fs.is_dropped(b, a, SimTime(299)));
+        assert!(!fs.is_dropped(a, b, SimTime(300)), "both healed");
     }
 }

@@ -48,16 +48,6 @@ pub fn rvc_payload(target: ClusterId, round: u64, v: u64, requester: ReplicaId) 
     out
 }
 
-/// Fault-injection switches for experiments and tests (the replica stays
-/// protocol-conformant otherwise).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GeoFaults {
-    /// Byzantine primary that completes local replication but never shares
-    /// certificates globally (case (1) of Example 2.4). Used to exercise
-    /// the remote view-change path.
-    pub suppress_global_share: bool,
-}
-
 /// Observer-side state about one remote cluster (Figure 7, initiation
 /// role).
 #[derive(Debug)]
@@ -115,7 +105,6 @@ pub struct GeoBftReplica {
     crypto: CryptoCtx,
     core: PbftCore,
     tail: CommitTail,
-    faults: GeoFaults,
     my_cluster: ClusterId,
 
     /// Certificates pending execution: round -> cluster -> certificate.
@@ -141,17 +130,6 @@ pub struct GeoBftReplica {
 impl GeoBftReplica {
     /// Build a replica.
     pub fn new(cfg: ProtocolConfig, id: ReplicaId, crypto: CryptoCtx, store: KvStore) -> Self {
-        Self::with_faults(cfg, id, crypto, store, GeoFaults::default())
-    }
-
-    /// Build a replica with fault injection.
-    pub fn with_faults(
-        cfg: ProtocolConfig,
-        id: ReplicaId,
-        crypto: CryptoCtx,
-        store: KvStore,
-        faults: GeoFaults,
-    ) -> Self {
         let my_cluster = id.cluster;
         let core = PbftCore::new(Scope::Cluster(my_cluster), cfg.clone(), id, crypto.clone());
         let tail = CommitTail::new(&cfg, store);
@@ -167,7 +145,6 @@ impl GeoBftReplica {
             crypto,
             core,
             tail,
-            faults,
             my_cluster,
             certs: BTreeMap::new(),
             cert_cache: BTreeMap::new(),
@@ -240,7 +217,7 @@ impl GeoBftReplica {
         self.own_certs.insert(round, cert.clone());
         self.store_certificate(cert.clone(), out);
 
-        if self.core.is_primary() && !self.faults.suppress_global_share {
+        if self.core.is_primary() {
             self.share_globally(&cert, out);
         }
         self.try_execute(out);
@@ -548,7 +525,7 @@ impl GeoBftReplica {
     /// "it takes one of the remote view-change requests it received and
     /// determines the rounds for which it needs to send requests").
     fn on_view_installed(&mut self, out: &mut Outbox) {
-        if !self.core.is_primary() || self.faults.suppress_global_share {
+        if !self.core.is_primary() {
             return;
         }
         let mut floor: Option<u64> = None;
@@ -631,6 +608,7 @@ impl ReplicaProtocol for GeoBftReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{apply_adversary, AdversarySpec};
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
@@ -642,41 +620,49 @@ mod tests {
 
     struct GeoNet {
         replicas: Vec<GeoBftReplica>,
+        /// A replica that runs inside an adversary wrapper: deliveries to
+        /// it go to the wrapper, and its honest slot in `replicas` idles.
+        byzantine: Option<(ReplicaId, Box<dyn ReplicaProtocol>)>,
         n: usize,
         edge: Edge,
     }
 
     impl GeoNet {
         fn new(z: usize, n: usize) -> (GeoNet, KeyStore, ProtocolConfig) {
-            Self::with_faults(z, n, &[])
+            Self::with_adversary(z, n, None)
         }
 
-        fn with_faults(
+        fn with_adversary(
             z: usize,
             n: usize,
-            suppressing: &[ReplicaId],
+            adversary: Option<(ReplicaId, AdversarySpec)>,
         ) -> (GeoNet, KeyStore, ProtocolConfig) {
             let system = SystemConfig::geo(z, n).unwrap();
             let mut cfg = ProtocolConfig::new(system.clone());
             cfg.exec_mode = ExecMode::Real;
             let ks = KeyStore::new(21);
             let mut replicas = Vec::new();
+            let mut byzantine = None;
             for r in system.all_replicas() {
                 let signer = ks.register(NodeId::Replica(r));
                 let crypto = CryptoCtx::new(signer, ks.verifier(), true);
-                let faults = GeoFaults {
-                    suppress_global_share: suppressing.contains(&r),
+                let replica = || {
+                    let store = KvStore::with_ycsb_records(50);
+                    GeoBftReplica::new(cfg.clone(), r, crypto.clone(), store)
                 };
-                replicas.push(GeoBftReplica::with_faults(
-                    cfg.clone(),
-                    r,
-                    crypto,
-                    KvStore::with_ycsb_records(50),
-                    faults,
-                ));
+                if let Some((_, spec)) = adversary.as_ref().filter(|(a, _)| *a == r) {
+                    byzantine = Some((r, apply_adversary(Box::new(replica()), spec)));
+                }
+                replicas.push(replica());
             }
             let edge = Edge::new(&system, &ks);
-            (GeoNet { replicas, n, edge }, ks, cfg)
+            let net = GeoNet {
+                replicas,
+                byzantine,
+                n,
+                edge,
+            };
+            (net, ks, cfg)
         }
 
         fn index(&self, r: ReplicaId) -> usize {
@@ -686,7 +672,10 @@ mod tests {
         /// `msg` through the input edge into `to`; what it emitted.
         fn deliver(&mut self, to: ReplicaId, from: NodeId, msg: Message) -> Vec<Action> {
             let idx = self.index(to);
-            let replica = &mut self.replicas[idx];
+            let replica: &mut dyn ReplicaProtocol = match &mut self.byzantine {
+                Some((r, wrapped)) if *r == to => wrapped.as_mut(),
+                _ => &mut self.replicas[idx],
+            };
             self.edge.deliver(from, msg, |from, msg, out| {
                 replica.on_message(SimTime::ZERO, from, msg, out)
             })
@@ -993,7 +982,8 @@ mod tests {
     fn suppressing_primary_blocks_execution_without_remote_vc() {
         // The Byzantine primary of cluster 0 completes local replication
         // but never shares (Example 2.4 case 1): cluster 1 cannot execute.
-        let (mut net, ks, _cfg) = GeoNet::with_faults(2, 4, &[ReplicaId::new(0, 0)]);
+        let suppressor = (ReplicaId::new(0, 0), AdversarySpec::SuppressGlobalShare);
+        let (mut net, ks, _cfg) = GeoNet::with_adversary(2, 4, Some(suppressor));
         let c1 = ClientId::new(0, 0);
         let c2 = ClientId::new(1, 0);
         let (_, decisions) = net.route(vec![

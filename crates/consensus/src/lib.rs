@@ -29,6 +29,7 @@ pub mod codec;
 pub mod config;
 pub mod crypto_ctx;
 pub mod exec;
+pub mod faults;
 pub mod messages;
 pub mod pbft_core;
 pub mod stage;
@@ -50,6 +51,7 @@ pub use certificate::{CommitCertificate, CommitSig};
 pub use checkpoint::{CheckpointTracker, StableCheckpoint};
 pub use config::{ExecMode, ProtocolConfig, ProtocolKind};
 pub use crypto_ctx::CryptoCtx;
+pub use faults::{FaultSpec, FaultState};
 pub use messages::{Message, Scope};
 pub use stage::{Stage, VerificationCost, VerifiedMessage};
 pub use types::{ClientBatch, Decision, DecisionEntry, ReplyData, SignedBatch, Transaction};

@@ -6,7 +6,7 @@ use crate::api::{ClientProtocol, ReplicaProtocol};
 use crate::clients::{BatchSource, QuorumClient, TargetPolicy};
 use crate::config::{ProtocolConfig, ProtocolKind};
 use crate::crypto_ctx::CryptoCtx;
-use crate::geobft::{GeoBftReplica, GeoFaults};
+use crate::geobft::GeoBftReplica;
 use crate::hotstuff::HotStuffReplica;
 use crate::pbft::PbftReplica;
 use crate::steward::StewardReplica;
@@ -29,18 +29,6 @@ pub fn build_replica(
         ProtocolKind::HotStuff => Box::new(HotStuffReplica::new(cfg, id, crypto, store)),
         ProtocolKind::Steward => Box::new(StewardReplica::new(cfg, id, crypto, store)),
     }
-}
-
-/// Build a GeoBFT replica with fault injection (the other protocols model
-/// failures as crashes, which the drivers inject by dropping delivery).
-pub fn build_geobft_with_faults(
-    cfg: ProtocolConfig,
-    id: ReplicaId,
-    crypto: CryptoCtx,
-    store: KvStore,
-    faults: GeoFaults,
-) -> Box<dyn ReplicaProtocol> {
-    Box::new(GeoBftReplica::with_faults(cfg, id, crypto, store, faults))
 }
 
 /// Build a replica state machine for `kind`, optionally wrapped in

@@ -10,7 +10,8 @@
 //! protocol state. This module is that function:
 //!
 //! * [`Stage`] names the five stages so runtimes and metrics agree on the
-//!   vocabulary;
+//!   vocabulary, and [`Overload`] / [`input_capacity`] are the one
+//!   queue policy and input bound both runtimes apply;
 //! * [`Message::verification_cost`] declares, per message, how much
 //!   signature/MAC work the verifier stage will spend (the simulator
 //!   charges exactly this on its modeled verifier pool);
@@ -45,6 +46,7 @@ use crate::zyzzyva::spec_response_payload;
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::NodeId;
 use rdb_crypto::digest::Digest;
+use serde::{Deserialize, Serialize};
 
 /// One stage of the replica pipeline (paper Figure 9, plus the
 /// checkpoint stage that garbage-collects stable state).
@@ -102,6 +104,40 @@ impl Stage {
             Stage::Output => "output",
         }
     }
+}
+
+/// What a producer does when a bounded stage queue is full: the fabric's
+/// per-queue policy and the simulator's modeled input queue share it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Overload {
+    /// Park the producer until the consumer makes room; the wait is
+    /// accumulated as the stage's blocked time. Applied to the input
+    /// stage it propagates all the way back to the submitting client.
+    /// Because the simulator's modeled verifier pool is work-conserving
+    /// and FIFO, Block changes no simulated schedule there — it only makes
+    /// the queueing observable.
+    ///
+    /// Caveat for the fabric's *input* queue: Block parks whoever
+    /// delivers — including peer replicas' output threads. Under flood,
+    /// an all-Block geometry whose queues are small relative to the
+    /// in-flight message volume can park output threads on each other's
+    /// inboxes in a cycle; the derived default for the input stage is
+    /// therefore [`Overload::Shed`], which keeps replica-to-replica
+    /// deliveries non-blocking and the flow graph cycle-free.
+    Block,
+    /// Drop droppable items at the full queue (counted in the stage's
+    /// `shed` counter); non-droppable items still block. Safe only for
+    /// traffic some retransmission path re-drives — see
+    /// [`Message::droppable`].
+    Shed,
+}
+
+/// The derived input-queue bound of one replica: one burst of consensus
+/// chatter per in-flight batch across the verifier fan-out — `32 ·
+/// fan-out` envelopes — plus `4 ·` batch size for request bursts, floor
+/// 64.
+pub fn input_capacity(batch_size: usize, verifier_threads: usize) -> usize {
+    (32 * verifier_threads.max(1) + 4 * batch_size.max(1)).max(64)
 }
 
 /// Declared verification work for one message copy: how many signature

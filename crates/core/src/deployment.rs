@@ -6,13 +6,14 @@ use crate::pipeline::{CheckpointConfig, CheckpointReport, PipelineConfig, Verify
 use crate::queue::{QueuePolicy, StageQueues};
 use crate::service::Fabric;
 use crate::storage::{self, Manifest, SharedBackend, StorageMode};
-use crate::transport::{DelayFn, Transport};
+use crate::transport::{DelayFn, FaultClock, Transport};
 use rdb_common::config::SystemConfig;
-use rdb_common::ids::{NodeId, ReplicaId};
+use rdb_common::ids::ReplicaId;
 use rdb_common::time::SimDuration;
 use rdb_consensus::adversary::AdversarySpec;
 use rdb_consensus::config::{ExecMode, ProtocolConfig, ProtocolKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
+use rdb_consensus::faults::FaultSpec;
 use rdb_consensus::registry;
 use rdb_crypto::sign::KeyStore;
 use rdb_ledger::Ledger;
@@ -22,8 +23,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Which mesh carries the deployment's messages. Both sit under one
-/// router (`crate::transport`), so inbox registration, partitions and
-/// injected link delays behave the same on either; only the last hop
+/// router (`crate::transport`), so inbox registration, the fault script
+/// and injected link delays behave the same on either; only the last hop
 /// differs.
 ///
 /// `InProcess` (the default) moves [`crate::transport::Envelope`]s over
@@ -43,6 +44,14 @@ pub enum TransportMode {
 }
 
 /// Builder for an in-process ResilientDB deployment.
+///
+/// Faults come in two kinds, each described once for both runtimes.
+/// Crashes and link cuts are a [`FaultSpec`] script
+/// ([`DeploymentBuilder::faults`]), the same values the simulator's
+/// `Scenario::faults` takes, applied by the transport router at send and
+/// at delivery on the replicas' own clock. Byzantine behaviour is an
+/// [`AdversarySpec`] protocol wrapper ([`DeploymentBuilder::adversary`]),
+/// the same one the simulator installs.
 pub struct DeploymentBuilder {
     kind: ProtocolKind,
     transport_mode: TransportMode,
@@ -54,8 +63,7 @@ pub struct DeploymentBuilder {
     records: u64,
     seed: u64,
     delay: Option<DelayFn>,
-    crash_after: Vec<(ReplicaId, Duration)>,
-    partitions: Vec<(Vec<ReplicaId>, Vec<ReplicaId>, Duration, Duration)>,
+    faults: Vec<FaultSpec>,
     adversaries: Vec<(ReplicaId, AdversarySpec)>,
     progress_timeout: SimDuration,
     client_retry: SimDuration,
@@ -85,8 +93,7 @@ impl DeploymentBuilder {
             records: 10_000,
             seed: 42,
             delay: None,
-            crash_after: Vec::new(),
-            partitions: Vec::new(),
+            faults: Vec::new(),
             adversaries: Vec::new(),
             progress_timeout: SimDuration::from_millis(2_000),
             client_retry: SimDuration::from_millis(4_000),
@@ -249,25 +256,15 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Crash a replica after running for `after`.
-    pub fn crash(mut self, replica: ReplicaId, after: Duration) -> Self {
-        self.crash_after.push((replica, after));
-        self
-    }
-
-    /// Cut the network between two replica groups from `from` until
-    /// `until` (relative to deployment start), after which the partition
-    /// heals. Client traffic is unaffected — only replica-to-replica
-    /// links crossing the cut drop. Mirrors the simulator's
-    /// `FaultSpec::partition`.
-    pub fn partition(
-        mut self,
-        side_a: Vec<ReplicaId>,
-        side_b: Vec<ReplicaId>,
-        from: Duration,
-        until: Duration,
-    ) -> Self {
-        self.partitions.push((side_a, side_b, from, until));
+    /// Add `faults` to the deployment's fault script, timed from
+    /// deployment start exactly as the simulator times them from virtual
+    /// zero. A `Crash` is crash-stop: from its instant on, nothing the
+    /// replica sends leaves and nothing reaches it, and the report
+    /// excludes it from the audits. A `DropLink` (and so
+    /// `FaultSpec::partition`) drops replica-to-replica traffic on its
+    /// link while the cut lasts; client traffic is unaffected.
+    pub fn faults(mut self, faults: Vec<FaultSpec>) -> Self {
+        self.faults.extend(faults);
         self
     }
 
@@ -334,7 +331,6 @@ impl DeploymentBuilder {
         };
 
         let metrics = Metrics::new();
-        let transport = Transport::new(self.transport_mode, self.delay.clone(), metrics.clone());
         let ks = KeyStore::new(self.seed);
 
         // Durable mode: pin the deployment parameters to the data
@@ -419,23 +415,28 @@ impl DeploymentBuilder {
                 store,
                 spec,
             );
-            // The replica's inbox is the bounded input-stage queue.
-            let handle = transport.register_bounded(rid.into(), self.pipeline.queues.input);
-            prepared.push((protocol, handle, verify, exec_store, ledger, backend));
+            prepared.push((rid, protocol, verify, exec_store, ledger, backend));
         }
 
+        // The fault script runs on the clock the replicas' timer wheels
+        // read, and is fixed before any of their threads starts.
         let epoch = Instant::now();
-        // Partition windows are relative to the epoch just taken.
-        for (side_a, side_b, from, until) in self.partitions.drain(..) {
-            transport.partition(
-                side_a.into_iter().map(NodeId::Replica).collect(),
-                side_b.into_iter().map(NodeId::Replica).collect(),
-                from,
-                until,
-            );
-        }
+        let transport = Transport::new(
+            self.transport_mode,
+            self.delay.clone(),
+            FaultClock::new(&self.faults, epoch),
+            metrics.clone(),
+        );
+        // Every inbox (the bounded input-stage queue) exists before the
+        // first replica can send.
+        let handles: Vec<_> = prepared
+            .iter()
+            .map(|(rid, ..)| transport.register_bounded((*rid).into(), self.pipeline.queues.input))
+            .collect();
         let mut replicas = Vec::new();
-        for (protocol, handle, verify, exec_store, ledger, backend) in prepared {
+        for ((_, protocol, verify, exec_store, ledger, backend), handle) in
+            prepared.into_iter().zip(handles)
+        {
             replicas.push(ReplicaRuntime::spawn(
                 protocol,
                 handle,
@@ -447,16 +448,6 @@ impl DeploymentBuilder {
                 backend,
                 self.pipeline,
             ));
-        }
-
-        // Schedule crashes.
-        let mut crash_threads = Vec::new();
-        for (replica, after) in self.crash_after.clone() {
-            let t = transport.clone();
-            crash_threads.push(std::thread::spawn(move || {
-                std::thread::sleep(after);
-                t.disconnect(NodeId::Replica(replica));
-            }));
         }
 
         Fabric {
@@ -474,8 +465,14 @@ impl DeploymentBuilder {
             clients: parking_lot::Mutex::new(Vec::new()),
             next_ycsb_client: std::sync::atomic::AtomicUsize::new(0),
             next_session: std::sync::atomic::AtomicU32::new(0),
-            crash_threads,
-            crashed: self.crash_after.iter().map(|(r, _)| *r).collect(),
+            crashed: self
+                .faults
+                .iter()
+                .filter_map(|f| match f {
+                    FaultSpec::Crash { replica, .. } => Some(*replica),
+                    FaultSpec::DropLink { .. } => None,
+                })
+                .collect(),
             backends,
         }
     }
@@ -545,7 +542,7 @@ pub struct DeploymentReport {
     /// bytes, memtable flushes, run bytes, compactions). Zero engines in
     /// the default [`StorageMode::Memory`].
     pub storage: StorageSnapshot,
-    /// Replicas crashed during the run.
+    /// Replicas the fault script crashed (its `Crash` entries).
     pub crashed: Vec<ReplicaId>,
 }
 
@@ -744,7 +741,7 @@ mod tests {
             .clients(2)
             .records(500)
             .duration(Duration::from_millis(900))
-            .crash(ReplicaId::new(0, 3), Duration::from_millis(200))
+            .faults(vec![FaultSpec::crash_at_secs(ReplicaId::new(0, 3), 0.2)])
             .run();
         assert!(report.completed_batches > 0);
         report.audit_ledgers().expect("live ledgers consistent");

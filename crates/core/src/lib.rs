@@ -19,11 +19,13 @@
 //!                                        └─────▶ output ─▶ transport
 //! ```
 //!
-//! * the **input thread** receives envelopes from the transport and feeds
-//!   the verification queue (Figure 9 "input");
+//! * the **input stage** has no thread of its own: the transport delivers
+//!   each envelope straight into the replica's bounded inbox, and that
+//!   delivery is the stage (Figure 9 "input"; in-process there is no
+//!   socket to drain, so a forwarding thread would only add a hand-off);
 //! * a pool of **verifier threads** ([`pipeline::PipelineConfig`]
-//!   `verifier_threads`, default sized to the host's cores) drains that
-//!   queue in batches and runs the workspace's one validity check,
+//!   `verifier_threads`, default sized to the host's cores) drains the
+//!   inbox in batches and runs the workspace's one validity check,
 //!   [`rdb_consensus::stage::VerifiedMessage::check`] (signatures, digest
 //!   bindings, quorum shapes). Malformed traffic dies here (§2.1); the
 //!   worker never sees it (Figure 9 "batching");

@@ -37,38 +37,17 @@
 //! only threads that block across nodes are client submission threads —
 //! leaves of the flow graph.
 //!
-//! `rdb-simnet` mirrors the same policy on its modeled input queue
-//! (`PipelineModel::input_queue`), so saturation behaves identically —
-//! shed for droppable traffic, delayed admission for requests — in
-//! virtual time.
+//! `rdb-simnet` applies the same [`Overload`] and the same input bound
+//! ([`rdb_consensus::stage::input_capacity`]) to its modeled input
+//! queue, so saturation behaves identically — shed for droppable traffic,
+//! delayed admission for requests — in virtual time.
 
 use crate::metrics::Metrics;
 use crossbeam::channel::{Sender, TrySendError};
-use rdb_consensus::stage::Stage;
+use rdb_consensus::stage::{input_capacity, Stage};
 use std::time::Instant;
 
-/// What a producer does when a bounded stage queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Overload {
-    /// Park the producer until the consumer makes room; the wait is
-    /// accumulated in the stage's `blocked_ns` counter. This is the
-    /// backpressure edge: applied to the input stage it propagates all
-    /// the way back to the submitting client.
-    ///
-    /// Caveat for the *input* queue: Block parks whoever delivers —
-    /// including peer replicas' output threads. Under flood, an
-    /// all-Block geometry whose queues are small relative to the
-    /// in-flight message volume can park output threads on each other's
-    /// inboxes in a cycle; the derived default for the input stage is
-    /// therefore [`Overload::Shed`], which keeps replica-to-replica
-    /// deliveries non-blocking and the flow graph cycle-free.
-    Block,
-    /// Drop droppable items at the full queue (counted in the stage's
-    /// `shed` counter); non-droppable items still block. Safe only for
-    /// traffic some retransmission path re-drives — see
-    /// [`rdb_consensus::messages::Message::droppable`].
-    Shed,
-}
+pub use rdb_consensus::stage::Overload;
 
 /// Capacity and overload behavior of one inter-stage queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,9 +127,8 @@ impl StageQueues {
     /// Derive the default layout from the workload shape, the way the
     /// paper's fabric sizes its queues to the deployment:
     ///
-    /// * the *input* queue absorbs one burst of consensus chatter per
-    ///   in-flight batch across the verifier fan-out — `32 · fan-out`
-    ///   envelopes plus `4 ·` batch size for request bursts, floor 64;
+    /// * the *input* queue is [`input_capacity`], the bound the simulator
+    ///   models too;
     /// * the *work* queue holds what the fan-out can verify ahead of the
     ///   worker — half the input bound, floor 32;
     /// * the *exec* queue holds a handful of in-flight decisions (each is
@@ -162,9 +140,7 @@ impl StageQueues {
     /// * the *output* queue covers the fan-out burst a single decision
     ///   emits (one message per peer replica and client), floor 64.
     pub fn derive(batch_size: usize, verifier_threads: usize) -> StageQueues {
-        let b = batch_size.max(1);
-        let v = verifier_threads.max(1);
-        let input = (32 * v + 4 * b).max(64);
+        let input = input_capacity(batch_size, verifier_threads);
         StageQueues {
             input: QueuePolicy::shed(input),
             work: QueuePolicy::block((input / 2).max(32)),

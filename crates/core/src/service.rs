@@ -418,7 +418,6 @@ pub struct Fabric {
     pub(crate) clients: Mutex<Vec<(Arc<ClientCore>, JoinHandle<()>)>>,
     pub(crate) next_ycsb_client: AtomicUsize,
     pub(crate) next_session: AtomicU32,
-    pub(crate) crash_threads: Vec<JoinHandle<()>>,
     pub(crate) crashed: Vec<ReplicaId>,
     pub(crate) backends: Vec<(ReplicaId, crate::storage::SharedBackend)>,
 }
@@ -549,9 +548,8 @@ impl Fabric {
     }
 
     /// Stop every thread of the deployment — the clients first (pending
-    /// tickets abort), then the replica pipelines, then the crash
-    /// schedulers — and hand back what the
-    /// replicas ended with. Idempotent: both [`Fabric::shutdown`] and
+    /// tickets abort), then the replica pipelines, then the transport —
+    /// and hand back what the replicas ended with. Idempotent: both [`Fabric::shutdown`] and
     /// [`Drop`] funnel through here, and a second call finds everything
     /// already drained.
     fn stop_all(&mut self) -> Vec<(NodeId, crate::node::ReplicaStopReport)> {
@@ -578,9 +576,6 @@ impl Fabric {
                 (node, r.stop())
             })
             .collect();
-        for t in std::mem::take(&mut self.crash_threads) {
-            let _ = t.join();
-        }
         // Durable engines: the executor threads (the WAL writers) are
         // joined, so seal each engine — flush the memtables to runs and
         // fold its counters into the metrics for the report.
@@ -639,8 +634,8 @@ impl Fabric {
 
 impl Drop for Fabric {
     /// A fabric dropped without [`Fabric::shutdown`] still tears the
-    /// deployment down — replica pipelines, client drivers and crash
-    /// schedulers are joined, not leaked. (After `shutdown` this is a
+    /// deployment down — replica pipelines, client drivers and transport
+    /// threads are joined, not leaked. (After `shutdown` this is a
     /// no-op: everything was already drained.)
     fn drop(&mut self) {
         let _ = self.stop_all();

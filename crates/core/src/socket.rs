@@ -9,9 +9,10 @@
 //! therefore span OS processes — peers in another process are wired in
 //! with [`SocketTransport::advertise`] and a shared handshake epoch —
 //! while the default single-process loopback keeps the whole fabric
-//! testable in one test binary. Registration, partitions (checked
-//! before the frame is written) and injected link delays (applied after
-//! the frame is read) are the router's; this module only moves bytes.
+//! testable in one test binary. Registration, the fault script (its send
+//! rule checked before the frame is written, its delivery rule after the
+//! frame is read) and injected link delays (applied after the frame is
+//! read) are the router's; this module only moves bytes.
 //!
 //! # Handshake
 //!
@@ -158,7 +159,7 @@ impl SocketTransport {
     /// A transport with an explicit handshake epoch — every process of
     /// one multi-process deployment must pass the same value.
     pub fn with_epoch(_kind: SocketKind, epoch: u64, metrics: Option<Metrics>) -> SocketTransport {
-        SocketTransport::over(Router::new(None, metrics.unwrap_or_default()), epoch)
+        SocketTransport::over(Router::new(None, None, metrics.unwrap_or_default()), epoch)
     }
 
     /// The socket mesh under `router`.

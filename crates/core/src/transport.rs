@@ -1,14 +1,22 @@
 //! The transport: one `Router` above two byte-movers.
 //!
 //! The router owns, once, everything both meshes share: the inbox table
-//! with its one delivery routine, scheduled partitions (checked at send
-//! time), the optional [`DelayFn`] with its delay wheel and pump thread,
-//! and the running flag. Each mesh keeps only its byte-moving core: the
+//! with its one delivery routine, the deployment's fault script, the
+//! optional [`DelayFn`] with its delay wheel and pump thread, and the
+//! running flag. Each mesh keeps only its byte-moving core: the
 //! in-process mesh ([`InProcTransport`]) hands an [`Envelope`] straight to
 //! the router, and the socket mesh ([`crate::socket`]) writes a frame
 //! whose reader thread hands it to the router on the far side.
-//! [`Transport`] is the one routing surface over both — partition check,
-//! then arrive (in-process) or frame write (socket).
+//! [`Transport`] is the one routing surface over both — fault check, then
+//! arrive (in-process) or frame write (socket).
+//!
+//! The fault script is the simulator's: one read-only
+//! [`FaultState`] built from the deployment's [`FaultSpec`]s, consulted
+//! where the simulator consults it. At send, a crashed replica's
+//! messages and a cut link's messages drop; at delivery (after any
+//! injected delay), a message to a crashed replica drops. A crash is
+//! therefore crash-stop: the replica's threads keep running, but nothing
+//! it sends leaves and nothing reaches it.
 //!
 //! Replica inboxes registered via [`Transport::register_bounded`]
 //! are the pipeline's *input stage queue*: delivery applies the queue's
@@ -38,7 +46,8 @@ use crate::socket::{fresh_epoch, SocketTransport};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use rdb_common::ids::NodeId;
-use rdb_common::time::SimDuration;
+use rdb_common::time::{SimDuration, SimTime};
+use rdb_consensus::faults::{FaultSpec, FaultState};
 use rdb_consensus::messages::Message;
 use rdb_consensus::stage::Stage;
 use std::cmp::Reverse;
@@ -138,14 +147,9 @@ impl Inboxes {
         rx
     }
 
-    /// Remove `node`'s inbox: deliveries to it are dropped from now on.
-    pub(crate) fn disconnect(&self, node: NodeId) {
-        self.table.lock().remove(&node);
-    }
-
     /// Deliver `env` into its recipient's inbox. `None` means the message
     /// is accounted for: enqueued, shed (droppable traffic at a full Shed
-    /// inbox), or dropped because the recipient is disconnected or shut
+    /// inbox), or dropped because the recipient is unregistered or shut
     /// down. A non-droppable message at a full inbox parks the caller or
     /// comes back as `Some`, per `on_full`.
     pub(crate) fn deliver(&self, env: Envelope, on_full: OnFull) -> Option<Envelope> {
@@ -154,7 +158,7 @@ impl Inboxes {
         // producer waits on a full input queue.
         let (tx, policy) = {
             let table = self.table.lock();
-            let inbox = table.get(&env.to)?; // disconnected (crash tests): drop
+            let inbox = table.get(&env.to)?; // unregistered: drop
             (inbox.tx.clone(), inbox.policy)
         };
         // Input-stage accounting covers replica inboxes only.
@@ -190,115 +194,53 @@ impl Inboxes {
     }
 }
 
-/// A scheduled bidirectional cut between two node groups: messages
-/// crossing the cut are dropped while `from <= now < until`, after which
-/// the partition heals. The check happens at *send* time — matching the
-/// simulator's `FaultSpec::partition`, which drops at route time — so
-/// traffic already in the delay wheel when the cut starts still arrives.
-struct Partition {
-    side_a: Vec<NodeId>,
-    side_b: Vec<NodeId>,
-    from: Instant,
-    until: Instant,
+/// The deployment's fault script on its replicas' clock: a read-only
+/// [`FaultState`] timed in the `SimTime` since `epoch`, the instant the
+/// replicas' timer wheels count from. Fixed before any replica thread
+/// starts, so consulting it takes no lock and no atomic.
+pub(crate) struct FaultClock {
+    epoch: Instant,
+    state: FaultState,
 }
 
-impl Partition {
-    fn cuts(&self, now: Instant, from: NodeId, to: NodeId) -> bool {
-        if now < self.from || now >= self.until {
+impl FaultClock {
+    /// `specs` on the clock started at `epoch`; `None` when there is no
+    /// fault, so a fault-free router checks nothing but an `Option`.
+    pub(crate) fn new(specs: &[FaultSpec], epoch: Instant) -> Option<FaultClock> {
+        (!specs.is_empty()).then(|| FaultClock {
+            epoch,
+            state: FaultState::new(specs),
+        })
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime(self.epoch.elapsed().as_nanos() as u64)
+    }
+
+    /// The simulator's send-time rule: a crashed replica sends nothing,
+    /// and a cut replica-to-replica link drops.
+    fn drops_send(&self, from: NodeId, to: NodeId) -> bool {
+        let NodeId::Replica(a) = from else {
             return false;
-        }
-        (self.side_a.contains(&from) && self.side_b.contains(&to))
-            || (self.side_b.contains(&from) && self.side_a.contains(&to))
+        };
+        let now = self.now();
+        self.state.is_crashed(a, now)
+            || matches!(to, NodeId::Replica(b) if self.state.is_dropped(a, b, now))
+    }
+
+    /// The simulator's delivery-time rule: a crashed replica receives
+    /// nothing.
+    fn drops_delivery(&self, to: NodeId) -> bool {
+        matches!(to, NodeId::Replica(r) if self.state.is_crashed(r, self.now()))
     }
 }
 
-/// Scheduled partitions plus the lock-free fast path, checked by the
-/// `Router` on every send over either mesh.
-///
-/// `active` short-circuits the per-send check so the common (no faults)
-/// path never takes the lock — and, since expired windows are pruned
-/// inside [`PartitionSet::is_cut`] and the flag is cleared when the
-/// list empties, a *healed* deployment returns to that lock-free path
-/// instead of scanning a stale partition list forever.
-///
-/// Memory ordering: the store in [`PartitionSet::add`] is `Release` and
-/// the load in [`PartitionSet::is_cut`] is `Acquire`, pairing them. The
-/// partition-vec mutex already makes the race benign for cut *contents*
-/// — any sender that decides to scan acquires the lock and sees a fully
-/// written `Partition` — but the mutex cannot help a sender that never
-/// reaches it: with a `Relaxed` load, a sender could observe
-/// `active == false` arbitrarily long after `add` returned and skip a
-/// window that has already started. Acquire/Release bounds that
-/// visibility gap to the synchronization the caller already performs
-/// after scheduling the partition (in practice: the builder schedules
-/// partitions before spawning replica threads, and thread spawn is a
-/// release edge).
-pub(crate) struct PartitionSet {
-    partitions: Mutex<Vec<Partition>>,
-    active: AtomicBool,
-}
-
-impl PartitionSet {
-    pub(crate) fn new() -> PartitionSet {
-        PartitionSet {
-            partitions: Mutex::new(Vec::new()),
-            active: AtomicBool::new(false),
-        }
-    }
-
-    /// Schedule a bidirectional cut between `side_a` and `side_b` over
-    /// `[from, until)` (both relative to now).
-    pub(crate) fn add(
-        &self,
-        side_a: Vec<NodeId>,
-        side_b: Vec<NodeId>,
-        from: Duration,
-        until: Duration,
-    ) {
-        let now = Instant::now();
-        self.partitions.lock().push(Partition {
-            side_a,
-            side_b,
-            from: now + from,
-            until: now + until,
-        });
-        self.active.store(true, Ordering::Release);
-    }
-
-    /// True when a currently-active partition cuts the `from -> to`
-    /// link. Prunes windows whose `until` has passed; once the last one
-    /// heals, the flag clears and subsequent sends take the lock-free
-    /// fast path again.
-    pub(crate) fn is_cut(&self, from: NodeId, to: NodeId) -> bool {
-        if !self.active.load(Ordering::Acquire) {
-            return false;
-        }
-        let now = Instant::now();
-        let mut partitions = self.partitions.lock();
-        partitions.retain(|p| now < p.until);
-        if partitions.is_empty() {
-            self.active.store(false, Ordering::Release);
-            return false;
-        }
-        partitions.iter().any(|p| p.cuts(now, from, to))
-    }
-
-    /// Test probe: whether the next `is_cut` would short-circuit
-    /// without touching the partition mutex.
-    #[cfg(test)]
-    pub(crate) fn fast_path_is_lock_free(&self) -> bool {
-        !self.active.load(Ordering::Acquire)
-    }
-}
-
-/// What both meshes share, once: inbox registration and delivery,
-/// scheduled partitions, the optional delay wheel with its pump thread,
-/// and the running flag the mesh threads poll.
+/// What both meshes share, once: inbox registration and delivery, the
+/// fault script, the optional delay wheel with its pump thread, and the
+/// running flag the mesh threads poll.
 pub(crate) struct Router {
     inboxes: Inboxes,
-    /// Scheduled network partitions (see [`PartitionSet`] for the
-    /// fast-path flag and pruning semantics).
-    partitions: PartitionSet,
+    faults: Option<FaultClock>,
     delay: Option<DelayFn>,
     wheel: Mutex<BinaryHeap<Reverse<DelayedEntry>>>,
     wheel_cv: Condvar,
@@ -311,10 +253,14 @@ pub(crate) struct Router {
 impl Router {
     /// A running router. The pump thread exists only when `delay` is
     /// set, so a direct deployment runs no extra thread.
-    pub(crate) fn new(delay: Option<DelayFn>, metrics: Metrics) -> Arc<Router> {
+    pub(crate) fn new(
+        delay: Option<DelayFn>,
+        faults: Option<FaultClock>,
+        metrics: Metrics,
+    ) -> Arc<Router> {
         let router = Arc::new(Router {
             inboxes: Inboxes::new(metrics),
-            partitions: PartitionSet::new(),
+            faults,
             delay,
             wheel: Mutex::new(BinaryHeap::new()),
             wheel_cv: Condvar::new(),
@@ -356,11 +302,24 @@ impl Router {
             .as_ref()
             .map_or(SimDuration::ZERO, |f| f(env.from, env.to));
         if delay == SimDuration::ZERO {
-            return self.inboxes.deliver(env, on_full);
+            return self.deliver(env, on_full);
         }
         self.hold(Duration::from_nanos(delay.as_nanos()), env);
         self.wheel_cv.notify_one();
         None
+    }
+
+    /// Deliver `env` into its inbox unless its recipient has crashed by
+    /// now, in which case it is dropped like a send to a dead host.
+    fn deliver(&self, env: Envelope, on_full: OnFull) -> Option<Envelope> {
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.drops_delivery(env.to))
+        {
+            return None;
+        }
+        self.inboxes.deliver(env, on_full)
     }
 
     /// Hold `env` "in the network" for `after`; the pump delivers it.
@@ -386,7 +345,7 @@ impl Router {
             // the queue full goes back into the wheel and is retried
             // shortly — the delayed-link analogue of blocking admission
             // on direct links. No notify: this is the pump thread.
-            if let Some(env) = self.inboxes.deliver(e.env, OnFull::HandBack) {
+            if let Some(env) = self.deliver(e.env, OnFull::HandBack) {
                 self.hold(Duration::from_micros(200), env);
             }
             wheel = self.wheel.lock();
@@ -431,7 +390,7 @@ impl InProcTransport {
     /// from `rdb-simnet`'s Table 1 topology); `None` delivers directly.
     pub fn new(delay: Option<DelayFn>) -> InProcTransport {
         InProcTransport {
-            router: Router::new(delay, Metrics::default()),
+            router: Router::new(delay, None, Metrics::default()),
         }
     }
 }
@@ -449,8 +408,8 @@ pub struct TransportHandle {
 /// runtimes are transport-agnostic: [`TransportHandle`] /
 /// [`TransportSender`] wrap this enum and every call site stays the
 /// same whether messages travel over crossbeam channels or sockets.
-/// Registration, partitions, delays and disconnects are the shared
-/// `Router`'s; only the last hop differs per mesh.
+/// Registration, the fault script and delays are the shared `Router`'s;
+/// only the last hop differs per mesh.
 ///
 /// In-process is the default everywhere — it keeps the repro figures
 /// byte-identical. The socket transport exists to span OS processes
@@ -465,10 +424,15 @@ pub enum Transport {
 }
 
 impl Transport {
-    /// `mode`'s mesh over a fresh router carrying `delay` and counting
-    /// into `metrics` (the deployment's transport).
-    pub(crate) fn new(mode: TransportMode, delay: Option<DelayFn>, metrics: Metrics) -> Transport {
-        let router = Router::new(delay, metrics);
+    /// `mode`'s mesh over a fresh router carrying `delay` and `faults`
+    /// and counting into `metrics` (the deployment's transport).
+    pub(crate) fn new(
+        mode: TransportMode,
+        delay: Option<DelayFn>,
+        faults: Option<FaultClock>,
+        metrics: Metrics,
+    ) -> Transport {
+        let router = Router::new(delay, faults, metrics);
         match mode {
             TransportMode::InProcess => Transport::InProc(InProcTransport { router }),
             TransportMode::Tcp => Transport::Socket(SocketTransport::over(router, fresh_epoch())),
@@ -506,23 +470,6 @@ impl Transport {
         }
     }
 
-    /// Schedule a bidirectional partition between `side_a` and `side_b`:
-    /// messages crossing the cut are dropped from `from` until `until`
-    /// (both relative to now, i.e. to deployment start when called from
-    /// the builder), after which the link heals. Mirrors the simulator's
-    /// `FaultSpec::partition` so one scenario script can inject the same
-    /// fault in both runtimes. Both meshes drop at send time: the cut
-    /// models a WAN failure, not a closed socket.
-    pub fn partition(
-        &self,
-        side_a: Vec<NodeId>,
-        side_b: Vec<NodeId>,
-        from: Duration,
-        until: Duration,
-    ) {
-        self.router().partitions.add(side_a, side_b, from, until);
-    }
-
     /// Send an envelope. On a direct in-process link a full inbox parks
     /// the caller for non-droppable traffic.
     pub fn send(&self, env: Envelope) {
@@ -543,10 +490,13 @@ impl Transport {
     }
 
     /// Route `env` over its link; `Some` hands it back (see
-    /// [`Inboxes::deliver`]).
+    /// [`Inboxes::deliver`]). Both meshes apply the fault script's send
+    /// rule here, before the last hop: a cut link models a WAN failure,
+    /// not a closed socket.
     fn route(&self, env: Envelope, on_full: OnFull) -> Option<Envelope> {
-        if self.router().partitions.is_cut(env.from, env.to) {
-            return None; // dropped at the cut, like a crashed link
+        let faults = self.router().faults.as_ref();
+        if faults.is_some_and(|f| f.drops_send(env.from, env.to)) {
+            return None;
         }
         match self {
             Transport::InProc(t) => t.router.arrive(env, on_full),
@@ -558,12 +508,6 @@ impl Transport {
                 None
             }
         }
-    }
-
-    /// Remove a node (its messages are dropped from now on). Used to
-    /// crash replicas in failure tests.
-    pub fn disconnect(&self, node: NodeId) {
-        self.router().inboxes.disconnect(node);
     }
 
     /// Stop background threads (the delay pump, socket accept loops and
@@ -666,7 +610,7 @@ mod tests {
     fn delayed_delivery_takes_at_least_the_delay() {
         for mode in MESHES {
             let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(30));
-            let t = Transport::new(mode, Some(delay), Metrics::default());
+            let t = Transport::new(mode, Some(delay), None, Metrics::default());
             let a: NodeId = ReplicaId::new(0, 0).into();
             let b: NodeId = ReplicaId::new(1, 0).into();
             let _ha = t.register(a);
@@ -687,7 +631,7 @@ mod tests {
                 NodeId::Replica(r) if r.index == 0 => SimDuration::from_millis(80),
                 _ => SimDuration::from_millis(10),
             });
-            let t = Transport::new(mode, Some(delay), Metrics::default());
+            let t = Transport::new(mode, Some(delay), None, Metrics::default());
             let slow: NodeId = ReplicaId::new(0, 0).into();
             let fast: NodeId = ReplicaId::new(0, 1).into();
             let dst: NodeId = ReplicaId::new(1, 0).into();
@@ -713,7 +657,7 @@ mod tests {
         for mode in MESHES {
             let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(5));
             let metrics = Metrics::default();
-            let t = Transport::new(mode, Some(delay), metrics.clone());
+            let t = Transport::new(mode, Some(delay), None, metrics.clone());
             let client: NodeId = ClientId::new(0, 0).into();
             let b: NodeId = ReplicaId::new(0, 1).into();
             let c: NodeId = ReplicaId::new(0, 2).into();
@@ -758,7 +702,7 @@ mod tests {
     #[test]
     fn delay_pump_has_exited_when_shutdown_returns() {
         let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(50));
-        let router = Router::new(Some(delay.clone()), Metrics::default());
+        let router = Router::new(Some(delay.clone()), None, Metrics::default());
         // The pump thread's closure owns the only weak reference; it is
         // dropped exactly when the thread finishes.
         assert_eq!(Arc::weak_count(&router), 1);
@@ -768,7 +712,7 @@ mod tests {
 
         // A router dropped without `shutdown` is freed, not kept alive
         // by its pump.
-        let router = Router::new(Some(delay), Metrics::default());
+        let router = Router::new(Some(delay), None, Metrics::default());
         let weak = Arc::downgrade(&router);
         drop(router);
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -778,23 +722,28 @@ mod tests {
         }
     }
 
+    /// A transport whose fault script starts now.
+    fn faulty(mode: TransportMode, faults: &[FaultSpec]) -> Transport {
+        let clock = FaultClock::new(faults, Instant::now());
+        Transport::new(mode, None, clock, Metrics::default())
+    }
+
     #[test]
     fn partition_drops_then_heals() {
         for mode in MESHES {
-            let t = Transport::new(mode, None, Metrics::default());
-            let a: NodeId = ReplicaId::new(0, 0).into();
-            let b: NodeId = ReplicaId::new(0, 1).into();
-            let ha = t.register(a);
-            let hb = t.register(b);
-            t.partition(vec![a], vec![b], Duration::ZERO, Duration::from_millis(150));
+            let [a, b] = [ReplicaId::new(0, 0), ReplicaId::new(0, 1)];
+            let heal = SimTime(SimDuration::from_millis(150).as_nanos());
+            let t = faulty(mode, &FaultSpec::partition(&[a], &[b], SimTime::ZERO, heal));
+            let ha = t.register(a.into());
+            let hb = t.register(b.into());
             // During the cut both directions drop.
-            ha.send(b, Message::Noop);
-            hb.send(a, Message::Noop);
+            ha.send(b.into(), Message::Noop);
+            hb.send(a.into(), Message::Noop);
             assert!(hb.inbox.recv_timeout(Duration::from_millis(50)).is_err());
             assert!(ha.inbox.recv_timeout(Duration::from_millis(50)).is_err());
             // After `until` the partition heals.
             std::thread::sleep(Duration::from_millis(120));
-            ha.send(b, Message::Noop);
+            ha.send(b.into(), Message::Noop);
             assert!(
                 hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok(),
                 "{mode:?}"
@@ -804,59 +753,133 @@ mod tests {
     }
 
     #[test]
-    fn healed_partition_restores_the_lock_free_send_path() {
-        // Regression: expired partitions used to linger in the list and
-        // the `active` flag was never cleared, so every send after a
-        // heal still took the partition mutex and scanned stale
-        // windows.
-        let t = Transport::InProc(InProcTransport::new(None));
-        let a: NodeId = ReplicaId::new(0, 0).into();
-        let b: NodeId = ReplicaId::new(0, 1).into();
-        let ha = t.register(a);
-        let hb = t.register(b);
-        assert!(t.router().partitions.fast_path_is_lock_free());
-        t.partition(vec![a], vec![b], Duration::ZERO, Duration::from_millis(40));
-        ha.send(b, Message::Noop);
-        assert!(hb.inbox.recv_timeout(Duration::from_millis(30)).is_err());
-        assert!(
-            !t.router().partitions.fast_path_is_lock_free(),
-            "flag must be set while the cut is scheduled"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-        // The first send after the heal prunes the expired window...
-        ha.send(b, Message::Noop);
-        assert!(hb.inbox.recv_timeout(Duration::from_secs(1)).is_ok());
-        // ...and every later send short-circuits without the lock.
-        assert!(
-            t.router().partitions.fast_path_is_lock_free(),
-            "post-heal sends must be lock-free again"
-        );
+    fn crashed_replica_neither_sends_nor_receives() {
+        // Crash-stop, as in the simulator: the crashed replica's own
+        // sends drop too, not only deliveries to it.
+        for mode in MESHES {
+            let [r, peer, a, b] = [0, 1, 2, 3].map(|i| ReplicaId::new(0, i));
+            let t = faulty(
+                mode,
+                &[FaultSpec::Crash {
+                    replica: r,
+                    at: SimTime::ZERO,
+                }],
+            );
+            let hr = t.register(r.into());
+            let hp = t.register(peer.into());
+            let ha = t.register(a.into());
+            let hb = t.register(b.into());
+            hr.send(peer.into(), Message::Noop);
+            hp.send(r.into(), Message::Noop);
+            // An unrelated link still delivers.
+            ha.send(b.into(), Message::Noop);
+            let env = hb.inbox.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(env.from, a.into(), "{mode:?}");
+            assert!(
+                hp.inbox.recv_timeout(Duration::from_millis(200)).is_err(),
+                "{mode:?}: a crashed replica's message was delivered"
+            );
+            assert!(
+                hr.inbox.recv_timeout(Duration::from_millis(200)).is_err(),
+                "{mode:?}: a crashed replica received a message"
+            );
+            t.shutdown();
+        }
+    }
+
+    /// `ms` milliseconds after the fault script's epoch.
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime(SimDuration::from_millis(ms).as_nanos())
     }
 
     #[test]
-    fn overlapping_partitions_prune_independently() {
-        let set = PartitionSet::new();
-        let a: NodeId = ReplicaId::new(0, 0).into();
-        let b: NodeId = ReplicaId::new(0, 1).into();
-        set.add(vec![a], vec![b], Duration::ZERO, Duration::from_millis(30));
-        set.add(vec![a], vec![b], Duration::ZERO, Duration::from_millis(300));
-        assert!(set.is_cut(a, b));
-        std::thread::sleep(Duration::from_millis(50));
-        // The short window expired but the long one still cuts: the
-        // flag must survive the partial prune.
-        assert!(set.is_cut(a, b));
-        assert!(!set.fast_path_is_lock_free());
+    fn an_empty_fault_script_adds_no_check() {
+        // A fault-free router consults no schedule on the send path.
+        assert!(FaultClock::new(&[], Instant::now()).is_none());
+        for mode in MESHES {
+            let t = faulty(mode, &[]);
+            assert!(t.router().faults.is_none(), "{mode:?}");
+            t.shutdown();
+        }
     }
 
     #[test]
-    fn disconnect_drops_messages() {
-        let t = Transport::InProc(InProcTransport::new(None));
-        let a: NodeId = ReplicaId::new(0, 0).into();
-        let b: NodeId = ReplicaId::new(0, 1).into();
-        let ha = t.register(a);
-        let hb = t.register(b);
-        t.disconnect(b);
-        ha.send(b, Message::Noop);
-        assert!(hb.inbox.recv_timeout(Duration::from_millis(100)).is_err());
+    fn crash_takes_effect_at_its_scheduled_time() {
+        for mode in MESHES {
+            let [r, peer] = [ReplicaId::new(0, 0), ReplicaId::new(0, 1)];
+            let t = faulty(
+                mode,
+                &[FaultSpec::Crash {
+                    replica: r,
+                    at: at_ms(400),
+                }],
+            );
+            // The script's epoch is no later than this.
+            let start = Instant::now();
+            let hr = t.register(r.into());
+            let hp = t.register(peer.into());
+            // Before its crash the replica still sends.
+            hr.send(peer.into(), Message::Noop);
+            assert!(
+                hp.inbox.recv_timeout(Duration::from_secs(5)).is_ok(),
+                "{mode:?}: a send before the crash was dropped"
+            );
+            std::thread::sleep(Duration::from_millis(420).saturating_sub(start.elapsed()));
+            hr.send(peer.into(), Message::Noop);
+            assert!(
+                hp.inbox.recv_timeout(Duration::from_millis(200)).is_err(),
+                "{mode:?}: a send after the crash was delivered"
+            );
+            t.shutdown();
+        }
+    }
+
+    #[test]
+    fn message_in_flight_to_a_replica_that_crashes_is_dropped() {
+        // The delivery-time rule on a delayed link: sent while the
+        // recipient was up, due after it crashed.
+        for mode in MESHES {
+            let [sender, victim, live] = [0, 1, 2].map(|i| ReplicaId::new(0, i));
+            let delay: DelayFn = Arc::new(|_, _| SimDuration::from_millis(200));
+            let crash = [FaultSpec::Crash {
+                replica: victim,
+                at: at_ms(100),
+            }];
+            let clock = FaultClock::new(&crash, Instant::now());
+            let t = Transport::new(mode, Some(delay), clock, Metrics::default());
+            let hs = t.register(sender.into());
+            let hv = t.register(victim.into());
+            let hl = t.register(live.into());
+            hs.send(victim.into(), Message::Noop);
+            hs.send(live.into(), Message::Noop);
+            assert!(
+                hl.inbox.recv_timeout(Duration::from_secs(5)).is_ok(),
+                "{mode:?}: the live recipient's message was lost"
+            );
+            assert!(
+                hv.inbox.recv_timeout(Duration::from_millis(200)).is_err(),
+                "{mode:?}: a message reached a crashed replica"
+            );
+            t.shutdown();
+        }
+    }
+
+    #[test]
+    fn dropped_link_cuts_one_direction_only() {
+        for mode in MESHES {
+            let [a, b] = [ReplicaId::new(0, 0), ReplicaId::new(0, 1)];
+            let t = faulty(mode, &[FaultSpec::drop_link(a, b, SimTime::ZERO)]);
+            let ha = t.register(a.into());
+            let hb = t.register(b.into());
+            ha.send(b.into(), Message::Noop);
+            hb.send(a.into(), Message::Noop);
+            let env = ha.inbox.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(env.from, b.into(), "{mode:?}");
+            assert!(
+                hb.inbox.recv_timeout(Duration::from_millis(200)).is_err(),
+                "{mode:?}: a message crossed the cut direction"
+            );
+            t.shutdown();
+        }
     }
 }

@@ -4,9 +4,11 @@
 //! workload factory, fault script — and can be executed on either
 //! runtime: [`run_simnet`] drives the discrete-event simulator (virtual
 //! time, deterministic), [`run_fabric`] boots the threaded fabric (OS
-//! threads, wall-clock). Both install the *same* source factory and the
-//! *same* adversary/fault script, which is what makes cross-runtime
-//! assertions meaningful.
+//! threads, wall-clock). Both install the *same* source factory, the
+//! *same* adversary wrappers and the *same* [`FaultSpec`] values — the
+//! fabric's transport applies them where the simulator does, timed from
+//! deployment start — which is what makes cross-runtime assertions
+//! meaningful.
 
 use crate::workloads::SourceFactory;
 use rdb_common::ids::ReplicaId;
@@ -42,7 +44,8 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// Program workload; `None` falls back to the YCSB generator.
     pub factory: Option<SourceFactory>,
-    /// Simulator-side fault script (crashes, link drops, partitions).
+    /// Fault script (crashes, link drops, partitions), read by both
+    /// runtimes.
     pub faults: Vec<FaultSpec>,
     /// Byzantine wrappers, installed identically in both runtimes.
     pub adversaries: Vec<(ReplicaId, AdversarySpec)>,
@@ -110,28 +113,19 @@ pub fn run_simnet(spec: &ScenarioSpec) -> (RunMetrics, BTreeMap<ReplicaId, Ledge
 }
 
 /// Run the spec on the threaded fabric for `duration` of wall-clock load
-/// at `lanes` execution lanes. `partition` mirrors the simulator's
-/// `FaultSpec::partition` (two replica groups, cut window relative to
-/// deployment start).
-pub fn run_fabric(
-    spec: &ScenarioSpec,
-    lanes: usize,
-    duration: Duration,
-    partition: Option<(Vec<ReplicaId>, Vec<ReplicaId>, Duration, Duration)>,
-) -> DeploymentReport {
+/// at `lanes` execution lanes.
+pub fn run_fabric(spec: &ScenarioSpec, lanes: usize, duration: Duration) -> DeploymentReport {
     let mut builder = DeploymentBuilder::new(spec.kind, spec.z, spec.n)
         .batch_size(spec.batch)
         .records(spec.records)
         .seed(spec.seed)
-        .exec_lanes(lanes);
+        .exec_lanes(lanes)
+        .faults(spec.faults.clone());
     if spec.fast_timeouts {
         builder = builder.fast_timeouts();
     }
     for (rid, adv) in &spec.adversaries {
         builder = builder.adversary(*rid, adv.clone());
-    }
-    if let Some((a, b, from, until)) = partition {
-        builder = builder.partition(a, b, from, until);
     }
     let fabric = builder.start();
     match &spec.factory {

@@ -12,26 +12,15 @@
 //! match the paper's testbed.
 
 use rdb_consensus::messages::Message;
+use rdb_consensus::stage::input_capacity;
 use serde::{Deserialize, Serialize};
 
-/// Overload policy of the modeled bounded input queue — the virtual twin
-/// of `resilientdb::queue::Overload`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Overload {
-    /// Admission never drops: messages over the bound simply wait for the
-    /// verifier pool, and the wait is accounted as blocked time
-    /// (`NetStats::blocked_wait`). Because the modeled pool is
-    /// work-conserving and FIFO, Block changes *no* delivery schedule —
-    /// it only makes the queueing observable — which is why it is the
-    /// simulator default: figure reproductions are unaffected.
-    Block,
-    /// Mirror the fabric's shed-on-full input stage: droppable messages
-    /// (per `Message::droppable`) arriving while the virtual queue is at
-    /// capacity are dropped and counted (`NetStats::shed_msgs`);
-    /// non-droppable client requests still wait. Opt in for saturation
-    /// studies, as the fabric's overload tests do.
-    Shed,
-}
+/// Overload policy of the modeled bounded input queue. Block (the
+/// simulator default) accounts the wait in `NetStats::blocked_wait` and
+/// changes no schedule, so figure reproductions are unaffected; Shed
+/// drops droppable messages at the bound (`NetStats::shed_msgs`), for
+/// saturation studies.
+pub use rdb_consensus::stage::Overload;
 
 /// The modeled stage layout of a node's pipeline (paper Figure 9): how
 /// many dedicated verifier threads check inbound signatures, whether
@@ -88,13 +77,13 @@ impl Default for PipelineModel {
     /// Two modeled verifiers: what the real fabric's host-sized default
     /// (`cores / 4`, clamped to 1..=4) resolves to on the paper's 8-core
     /// N1 machines. The input bound is derived from the paper's batch
-    /// size (100) and that fan-out via [`PipelineModel::input_capacity_for`],
+    /// size (100) and that fan-out via the fabric's [`input_capacity`],
     /// with the schedule-neutral [`Overload::Block`] policy.
     fn default() -> Self {
         PipelineModel {
             verifier_threads: 2,
             dedicated_execution: true,
-            input_capacity: PipelineModel::input_capacity_for(100, 2),
+            input_capacity: input_capacity(100, 2),
             input_overload: Overload::Block,
             checkpoint_interval: 0,
             exec_lanes: 1,
@@ -124,7 +113,7 @@ impl PipelineModel {
     pub fn with_verifiers(n: usize) -> PipelineModel {
         PipelineModel {
             verifier_threads: n,
-            input_capacity: PipelineModel::input_capacity_for(100, n),
+            input_capacity: input_capacity(100, n),
             ..PipelineModel::default()
         }
     }
@@ -157,13 +146,6 @@ impl PipelineModel {
     pub fn with_exec_queue(mut self, capacity: usize) -> PipelineModel {
         self.exec_queue_capacity = capacity;
         self
-    }
-
-    /// The fabric's input-queue derivation (`StageQueues::derive` in
-    /// `resilientdb`): `32 · fan-out` envelopes of consensus chatter plus
-    /// `4 ·` batch size for request bursts, floor 64.
-    pub fn input_capacity_for(batch_size: usize, verifier_threads: usize) -> usize {
-        (32 * verifier_threads.max(1) + 4 * batch_size.max(1)).max(64)
     }
 }
 
@@ -442,23 +424,5 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: PipelineModel = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
-    }
-
-    #[test]
-    fn input_capacity_mirrors_fabric_derivation() {
-        // Same formula as resilientdb's StageQueues::derive.
-        assert_eq!(PipelineModel::input_capacity_for(1, 1), 64, "floor");
-        assert_eq!(PipelineModel::input_capacity_for(100, 2), 464);
-        assert_eq!(
-            PipelineModel::default().input_capacity,
-            PipelineModel::input_capacity_for(100, 2)
-        );
-        assert!(
-            PipelineModel::with_verifiers(4).input_capacity
-                > PipelineModel::with_verifiers(1).input_capacity
-        );
-        let q = PipelineModel::default().with_input_queue(8, Overload::Shed);
-        assert_eq!(q.input_capacity, 8);
-        assert_eq!(q.input_overload, Overload::Shed);
     }
 }

@@ -10,7 +10,6 @@
 //! `start()` and statistics and break run-to-run reproducibility.
 
 use crate::compute::ComputeModel;
-use crate::faults::FaultState;
 use crate::stats::NetStats;
 use crate::topology::Topology;
 use rdb_common::config::SystemConfig;
@@ -18,6 +17,7 @@ use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::{SimDuration, SimTime};
 use rdb_consensus::api::{Action, ClientProtocol, Outbox, ReplicaProtocol, TimerKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
+use rdb_consensus::faults::FaultState;
 use rdb_consensus::messages::Message;
 use rdb_consensus::stage::VerifiedMessage;
 use rdb_consensus::types::Decision;
@@ -878,7 +878,7 @@ mod tests {
         let topo = Topology::paper(&[Region::Oregon, Region::Sydney]);
         let a = ReplicaId::new(0, 0);
         let b = ReplicaId::new(1, 0);
-        let faults = FaultState::new(&[crate::faults::FaultSpec::crash_at_secs(b, 0.0)]);
+        let faults = FaultState::new(&[rdb_consensus::faults::FaultSpec::crash_at_secs(b, 0.0)]);
         let mut e = engine(
             topo,
             ComputeModel::default(),

@@ -15,7 +15,7 @@
 //!    execution, charged across a modeled Figure-9 stage layout
 //!    ([`compute::PipelineModel`]): inbound signature work lands on a
 //!    verifier-thread pool behind a *bounded* virtual input queue
-//!    (capacity + [`compute::Overload`] policy, mirroring the fabric's
+//!    (capacity + [`Overload`] policy, the fabric's own
 //!    backpressure design — droppable traffic sheds at the bound,
 //!    requests wait), ordering on the worker's busy-until queue, and
 //!    decision execution on a dedicated core — the same pipeline
@@ -23,20 +23,20 @@
 //! 3. **Timers** with generation-based cancellation.
 //!
 //! [`scenario::Scenario`] wires a full deployment (replicas, closed-loop
-//! YCSB clients, faults) and returns [`scenario::RunMetrics`] with
+//! YCSB clients, a [`FaultSpec`] script the threaded fabric reads too) and
+//! returns [`scenario::RunMetrics`] with
 //! client-observed throughput/latency and message statistics — the raw
 //! material for every figure reproduction in `rdb-bench`.
 
 pub mod compute;
 pub mod engine;
-pub mod faults;
 pub mod scenario;
 pub mod stats;
 pub mod topology;
 
 pub use compute::{ComputeModel, Overload, PipelineModel};
 pub use engine::Engine;
-pub use faults::FaultSpec;
+pub use rdb_consensus::faults::{FaultSpec, FaultState};
 pub use scenario::{RunMetrics, Scenario};
 pub use stats::NetStats;
 pub use topology::Topology;

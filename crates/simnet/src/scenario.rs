@@ -12,7 +12,6 @@
 
 use crate::compute::ComputeModel;
 use crate::engine::Engine;
-use crate::faults::{FaultSpec, FaultState};
 use crate::stats::NetStats;
 use crate::topology::Topology;
 use rdb_common::config::SystemConfig;
@@ -22,7 +21,7 @@ use rdb_consensus::adversary::AdversarySpec;
 use rdb_consensus::clients::BatchSource;
 use rdb_consensus::config::{ExecMode, ProtocolConfig, ProtocolKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
-use rdb_consensus::geobft::GeoFaults;
+use rdb_consensus::faults::{FaultSpec, FaultState};
 use rdb_consensus::registry;
 use rdb_crypto::sign::KeyStore;
 use rdb_store::KvStore;
@@ -178,16 +177,6 @@ impl Scenario {
             ..self.compute.clone()
         };
 
-        let suppressors: Vec<ReplicaId> = self
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                FaultSpec::SuppressGlobalShare { replica } => Some(*replica),
-                _ => None,
-            })
-            .collect();
-        let fault_state = FaultState::new(&self.faults);
-
         // Keys are generated but signature checking is modeled: the
         // compute model charges virtual time instead.
         let ks = KeyStore::new(self.seed);
@@ -199,7 +188,7 @@ impl Scenario {
             edge,
             replica_model,
             client_model,
-            fault_state,
+            FaultState::new(&self.faults),
         );
         if self.track_ledgers {
             engine.attach_ledgers();
@@ -219,27 +208,14 @@ impl Scenario {
                 .iter()
                 .find(|(r, _)| *r == rid)
                 .map(|(_, spec)| spec);
-            let replica = if self.kind == ProtocolKind::GeoBft && suppressors.contains(&rid) {
-                registry::build_geobft_with_faults(
-                    self.cfg.clone(),
-                    rid,
-                    crypto,
-                    store,
-                    GeoFaults {
-                        suppress_global_share: true,
-                    },
-                )
-            } else {
-                registry::build_replica_with_adversary(
-                    self.kind,
-                    self.cfg.clone(),
-                    rid,
-                    crypto,
-                    store,
-                    adversary,
-                )
-            };
-            engine.add_replica(replica);
+            engine.add_replica(registry::build_replica_with_adversary(
+                self.kind,
+                self.cfg.clone(),
+                rid,
+                crypto,
+                store,
+                adversary,
+            ));
         }
 
         // Clients, equally distributed across clusters (§4).
@@ -450,9 +426,7 @@ mod tests {
         let mut s = tiny(ProtocolKind::GeoBft, 2, 4);
         s.cfg.remote_timeout = SimDuration::from_millis(200);
         s.cfg.progress_timeout = SimDuration::from_millis(400);
-        s.faults = vec![FaultSpec::SuppressGlobalShare {
-            replica: ReplicaId::new(0, 0),
-        }];
+        s.adversaries = vec![(ReplicaId::new(0, 0), AdversarySpec::SuppressGlobalShare)];
         let m = s.run();
         assert!(
             m.completed_batches > 0,

@@ -56,37 +56,6 @@ pub struct LaneItem {
     pub home: bool,
 }
 
-/// Bitmask of lanes a batch touches. Lane counts are capped at
-/// [`MAX_LANES`] so the footprint always fits a `u64`; the scheduler uses
-/// this for conflict accounting and the metrics layer for per-lane
-/// occupancy.
-pub fn lane_mask(ops: &[Operation], lanes: usize) -> u64 {
-    debug_assert!((1..=MAX_LANES).contains(&lanes));
-    let mut mask = 0u64;
-    for op in ops {
-        match op {
-            Operation::Scan { key, count } => {
-                mask |= 1 << lane_of(*key, lanes);
-                let span = (*count as usize).min(lanes) as u64;
-                for k in *key..key.saturating_add(span) {
-                    mask |= 1 << lane_of(k, lanes);
-                }
-            }
-            Operation::Txn(prog) => {
-                mask |= 1 << home_lane(op, lanes);
-                for key in prog.keys() {
-                    mask |= 1 << lane_of(key, lanes);
-                }
-            }
-            _ => mask |= 1 << home_lane(op, lanes),
-        }
-        if mask == ((1u128 << lanes) - 1) as u64 {
-            break;
-        }
-    }
-    mask
-}
-
 /// The lanes a program's static footprint spans. `None` when the program
 /// fits a single lane (or touches no keys): such programs execute
 /// lane-locally like any other operation.
@@ -226,27 +195,10 @@ pub fn plan_batch<'a>(ops: impl IntoIterator<Item = &'a Operation>, lanes: usize
     plan
 }
 
-/// Reassemble per-lane outcomes into the batch's [`TxnEffect`], in
-/// operation order. Scan partials sum; every other operation takes its
-/// home lane's outcome. `lane_outcomes[l]` must parallel `lane_items[l]`.
-pub fn assemble_effect(
-    ops: &[Operation],
-    lane_items: &[Vec<LaneItem>],
-    lane_outcomes: &[Vec<ExecOutcome>],
-) -> TxnEffect {
-    let mut outcomes: Vec<ExecOutcome> = ops
-        .iter()
-        .map(|op| match op {
-            Operation::Scan { .. } => ExecOutcome::Scanned(0),
-            _ => ExecOutcome::Done,
-        })
-        .collect();
-    fold_outcomes(&mut outcomes, lane_items, lane_outcomes);
-    TxnEffect { outcomes }
-}
-
-/// Merge per-lane outcomes into `outcomes` slots (the body of
-/// [`assemble_effect`], reused for plan segments).
+/// Merge one plan segment's per-lane outcomes into the batch's
+/// `outcomes` slots, in operation order. Scan partials sum; every other
+/// operation takes its home lane's outcome. `lane_outcomes[l]` must
+/// parallel `lane_items[l]`.
 pub fn fold_outcomes(
     outcomes: &mut [ExecOutcome],
     lane_items: &[Vec<LaneItem>],
@@ -477,22 +429,5 @@ mod tests {
         // ...but span lanes at 3 lanes, forcing a program step.
         let plan = plan_batch(&ops, 3);
         assert!(matches!(&plan[0], PlanStep::Program(p) if p.span == 0b011));
-    }
-
-    #[test]
-    fn lane_mask_covers_footprint() {
-        let ops = vec![
-            Operation::Write {
-                key: 5,
-                value: Value::from_u64(0),
-            },
-            Operation::NoOp,
-        ];
-        assert_eq!(lane_mask(&ops, 4), 0b0010 | 0b0001);
-        let scan = vec![Operation::Scan { key: 0, count: 64 }];
-        assert_eq!(lane_mask(&scan, 4), 0b1111);
-        assert_eq!(lane_mask(&[], 4), 0);
-        let one = vec![Operation::Read { key: 9 }];
-        assert_eq!(lane_mask(&one, 1), 0b1);
     }
 }

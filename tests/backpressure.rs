@@ -240,26 +240,6 @@ fn slow_checkpoint_stage_throttles_execution_and_bounds_stable_lag() {
     }
 }
 
-#[test]
-fn simnet_input_derivation_matches_fabric() {
-    // The simulator's modeled input bound must stay the fabric's actual
-    // bound: both formulas live in different crates (the DAG forbids
-    // simnet depending on core), so this cross-crate guard is what
-    // keeps a future retune of StageQueues::derive from silently
-    // skewing saturation studies.
-    use rdb_simnet::PipelineModel;
-    use resilientdb::StageQueues;
-    for batch in [1usize, 5, 10, 50, 100, 400] {
-        for fanout in [1usize, 2, 4, 8] {
-            assert_eq!(
-                PipelineModel::input_capacity_for(batch, fanout),
-                StageQueues::derive(batch, fanout).input.capacity,
-                "derivations diverged at batch={batch} fanout={fanout}"
-            );
-        }
-    }
-}
-
 mod simnet {
     use rdb_consensus::config::ProtocolKind;
     use rdb_simnet::{Overload, PipelineModel, Scenario};

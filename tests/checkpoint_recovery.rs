@@ -11,6 +11,7 @@ use rdb_common::config::SystemConfig;
 use rdb_common::ids::{NodeId, ReplicaId};
 use rdb_consensus::config::ProtocolKind;
 use rdb_consensus::crypto_ctx::CryptoCtx;
+use rdb_consensus::FaultSpec;
 use rdb_crypto::sign::KeyStore;
 use rdb_ledger::{recover_from_checkpoint, AuditError, Ledger};
 use resilientdb::{DeploymentBuilder, DeploymentReport};
@@ -149,7 +150,7 @@ fn crashed_replica_recovers_via_state_transfer_when_its_anchor_is_pruned() {
         .records(300)
         .checkpoint_interval(2)
         .checkpoint_snapshots(true)
-        .crash(crashed, Duration::from_millis(250))
+        .faults(vec![FaultSpec::crash_at_secs(crashed, 0.25)])
         .duration(Duration::from_millis(2_000))
         .run();
     assert!(report.completed_batches > 0, "{}", report.summary());

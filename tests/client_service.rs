@@ -4,8 +4,9 @@
 //! result of execution with f+1 matching attestations"), exercised
 //! against the real threaded pipeline.
 
-use rdb_common::ids::ClusterId;
+use rdb_common::ids::{ClusterId, ReplicaId};
 use rdb_consensus::config::ProtocolKind;
+use rdb_consensus::FaultSpec;
 use rdb_store::{ExecOutcome, Operation, Value};
 use resilientdb::DeploymentBuilder;
 use std::collections::HashMap;
@@ -288,11 +289,9 @@ fn zyzzyva_session_under_replica_fault_commits_through_the_commit_phase() {
         .batch_size(5)
         .records(500)
         .fast_timeouts()
-        .crash(rdb_common::ids::ReplicaId::new(0, 3), Duration::ZERO)
+        // Down from the start: the all-`n` speculative quorum never forms.
+        .faults(vec![FaultSpec::crash_at_secs(ReplicaId::new(0, 3), 0.0)])
         .start();
-    // Let the crash scheduler take the replica down before submitting, so
-    // the all-`n` speculative quorum is impossible from the start.
-    std::thread::sleep(Duration::from_millis(100));
 
     let session = fabric.session(ClusterId(0));
     let value = Value::from_u64(11);
@@ -327,10 +326,12 @@ fn shutdown_aborts_a_ticket_that_cannot_resolve() {
         .batch_size(5)
         .records(500)
         .fast_timeouts()
-        .crash(rdb_common::ids::ReplicaId::new(0, 2), Duration::ZERO)
-        .crash(rdb_common::ids::ReplicaId::new(0, 3), Duration::ZERO)
+        .faults(
+            [2, 3]
+                .map(|i| FaultSpec::crash_at_secs(ReplicaId::new(0, i), 0.0))
+                .into(),
+        )
         .start();
-    std::thread::sleep(Duration::from_millis(100));
 
     let session = fabric.session(ClusterId(0));
     let ticket = session.submit_one(Operation::Write {

@@ -4,6 +4,7 @@
 
 use rdb_common::ids::ReplicaId;
 use rdb_consensus::config::ProtocolKind;
+use rdb_consensus::FaultSpec;
 use resilientdb::DeploymentBuilder;
 use std::time::Duration;
 
@@ -118,7 +119,7 @@ fn fabric_survives_backup_crash_mid_run() {
         .clients(2)
         .records(500)
         .fast_timeouts()
-        .crash(ReplicaId::new(1, 3), Duration::from_millis(300))
+        .faults(vec![FaultSpec::crash_at_secs(ReplicaId::new(1, 3), 0.3)])
         .duration(Duration::from_millis(1_200))
         .run();
     assert!(report.completed_batches > 0, "{}", report.summary());

@@ -1,11 +1,15 @@
 //! Cross-crate integration: GeoBFT's failure handling (§2.3 of the
-//! paper) under the fault injectors of the simulator.
+//! paper) under the simulator's fault script and adversary wrappers, and
+//! the withholding primary of Example 2.4 on the threaded fabric too.
 
 use rdb_common::ids::ReplicaId;
 use rdb_common::time::SimDuration;
 use rdb_consensus::config::{ExecMode, ProtocolKind};
+use rdb_consensus::AdversarySpec;
 use rdb_simnet::{FaultSpec, Scenario};
 use rdb_workload::ycsb::YcsbConfig;
+use resilientdb::DeploymentBuilder;
+use std::time::Duration;
 
 fn geo_scenario(z: usize, n: usize) -> Scenario {
     let mut s = Scenario::paper(ProtocolKind::GeoBft, z, n).quick();
@@ -32,9 +36,7 @@ fn byzantine_primary_withholding_certificates_is_replaced() {
     // (timeouts -> DRVC agreement -> RVC), force Oregon through a local
     // view change, and the new primary must resume sharing.
     let mut s = geo_scenario(2, 4);
-    s.faults = vec![FaultSpec::SuppressGlobalShare {
-        replica: ReplicaId::new(0, 0),
-    }];
+    s.adversaries = vec![(ReplicaId::new(0, 0), AdversarySpec::SuppressGlobalShare)];
     let (metrics, ledgers) = s.run_full();
     assert!(
         metrics.completed_batches > 0,
@@ -54,6 +56,30 @@ fn byzantine_primary_withholding_certificates_is_replaced() {
             );
         }
     }
+}
+
+#[test]
+fn byzantine_primary_withholding_certificates_is_replaced_on_the_fabric() {
+    // The same wrapper on the threaded fabric. Cluster 1 can execute a
+    // round only with cluster 0's certificate, which the wrapped primary
+    // never sends: a common prefix of a full round (z = 2 blocks) on
+    // every replica is reachable only through cluster 0's view change.
+    let report = DeploymentBuilder::new(ProtocolKind::GeoBft, 2, 4)
+        .batch_size(5)
+        .clients(2)
+        .records(500)
+        .fast_timeouts()
+        .adversary(ReplicaId::new(0, 0), AdversarySpec::SuppressGlobalShare)
+        .duration(Duration::from_millis(2_000))
+        .run();
+    let common = report
+        .audit_ledgers()
+        .unwrap_or_else(|e| panic!("ledgers inconsistent: {e}"));
+    assert!(
+        common >= 2,
+        "cluster 1 never executed a round: {}",
+        report.summary()
+    );
 }
 
 #[test]
