@@ -14,6 +14,8 @@
 //! * with fanout `n`, reliability is identical to `f + 1` but the WAN
 //!   bytes per round grow by `n / (f + 1)`.
 
+#![forbid(unsafe_code)]
+
 use rdb_bench::{Report, ReproArgs};
 use rdb_common::ids::ReplicaId;
 use rdb_common::time::SimTime;

@@ -5,6 +5,8 @@
 //! Pass `--quick` for a fast smoke pass (fewer data points, shorter
 //! simulation windows).
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 fn main() {

@@ -11,6 +11,8 @@
 //! HotStuff declines mildly but pays 4-phase latency; Steward stays low.
 //! GeoBFT outperforms PBFT by up to ~3.1x and HotStuff by up to ~1.3x.
 
+#![forbid(unsafe_code)]
+
 use rdb_bench::{ratio, Report, ReproArgs};
 use rdb_consensus::config::ProtocolKind;
 use rdb_simnet::Scenario;

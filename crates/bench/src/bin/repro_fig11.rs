@@ -11,6 +11,8 @@
 //! are functions of f) but stays on top — still ~2.9x PBFT and ~1.2x
 //! HotStuff at n = 15.
 
+#![forbid(unsafe_code)]
+
 use rdb_bench::{ratio, Report, ReproArgs};
 use rdb_consensus::config::ProtocolKind;
 use rdb_simnet::Scenario;

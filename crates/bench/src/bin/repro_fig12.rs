@@ -16,6 +16,8 @@
 //!   this for GeoBFT and PBFT only (Zyzzyva cannot survive it, HotStuff
 //!   has no fixed primary, Steward lacks a view-change implementation).
 
+#![forbid(unsafe_code)]
+
 use rdb_bench::{Report, ReproArgs};
 use rdb_common::ids::ReplicaId;
 use rdb_common::time::SimDuration;

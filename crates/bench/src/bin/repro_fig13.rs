@@ -10,6 +10,8 @@
 //! primaries) keep scaling with the batch size. GeoBFT reaches up to 6x
 //! Pbft and up to 1.6x HotStuff.
 
+#![forbid(unsafe_code)]
+
 use rdb_bench::{ratio, Report, ReproArgs};
 use rdb_consensus::config::ProtocolKind;
 use rdb_simnet::Scenario;

@@ -10,6 +10,8 @@
 //! the fault-free scenarios (at 1 and 4 execution lanes), honest-replica
 //! agreement plus a progress floor for the fault scripts.
 
+#![forbid(unsafe_code)]
+
 use rdb_bench::ReproArgs;
 use rdb_scenario::{run_all, Mode};
 use std::fs::File;

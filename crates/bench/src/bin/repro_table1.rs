@@ -8,6 +8,8 @@
 //! simulator's effective one-way delay and per-flow transfer rate of
 //! every region pair match the configuration.
 
+#![forbid(unsafe_code)]
+
 use rdb_common::region::Region;
 use rdb_common::time::SimDuration;
 use rdb_simnet::topology::{Topology, TABLE1_BW_MBIT, TABLE1_RTT_MS};

@@ -17,6 +17,8 @@
 //! prints them next to the formula's value. GeoBFT rows are per *round*
 //! (`z` decisions), matching the table's framing.
 
+#![forbid(unsafe_code)]
+
 use rdb_bench::{Report, ReproArgs};
 use rdb_consensus::config::ProtocolKind;
 use rdb_simnet::Scenario;

@@ -8,6 +8,8 @@
 //! 1. a human-readable table mirroring the paper's rows/series, and
 //! 2. one JSON line per data point, when `--json <path>` is given.
 
+#![forbid(unsafe_code)]
+
 use rdb_simnet::RunMetrics;
 use std::fs::File;
 use std::io::Write as _;

@@ -14,6 +14,8 @@
 //! common <- crypto <- store <- consensus <- {workload, ledger} <- simnet <- core
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod error;
 pub mod ids;

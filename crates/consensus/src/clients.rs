@@ -239,10 +239,12 @@ impl QuorumClient {
         self.in_flight.len()
     }
 
-    /// Track `signed` until a reply quorum completes it: send it to the
-    /// entry replica and arm its timers.
-    pub fn submit(&mut self, signed: SignedBatch, out: &mut Outbox) {
+    /// Track `signed`, whose batch digest is `digest`, until a reply
+    /// quorum completes it: send it to the entry replica and arm its
+    /// timers.
+    pub fn submit(&mut self, signed: SignedBatch, digest: Digest, out: &mut Outbox) {
         debug_assert_eq!(signed.batch.client, self.id);
+        debug_assert_eq!(digest, signed.digest(), "carried batch digest");
         let seq = signed.batch.batch_seq;
         out.send(self.entry(), Message::Request(signed.clone()));
         if self.commit_quorum.is_some() {
@@ -252,7 +254,7 @@ impl QuorumClient {
         self.in_flight.insert(
             seq,
             InFlight {
-                digest: signed.digest(),
+                digest,
                 signed,
                 tallies: Vec::new(),
                 retry: self.cfg.client_retry,
@@ -344,8 +346,8 @@ impl ClientProtocol for QuorumClient {
         let batch = source(self.next_seq);
         self.next_seq += 1;
         debug_assert_eq!(batch.client, self.id);
-        let signed = self.crypto.sign_batch(batch);
-        self.submit(signed, out);
+        let (signed, digest) = self.crypto.sign_batch(batch);
+        self.submit(signed, digest, out);
         true
     }
 
@@ -983,11 +985,11 @@ mod tests {
         let mut rig = Rig::new(ProtocolKind::Pbft);
         let mut source = synthetic_source(ME, 3, 100);
         let batches: Vec<SignedBatch> = (0..65)
-            .map(|seq| rig.client.crypto.sign_batch(source(seq)))
+            .map(|seq| rig.client.crypto.sign_batch(source(seq)).0)
             .collect();
         for sb in &batches {
             let mut out = Outbox::new();
-            rig.client.submit(sb.clone(), &mut out);
+            rig.client.submit(sb.clone(), sb.digest(), &mut out);
             assert_eq!(out.len(), 2, "one send, one timer");
         }
         assert_eq!(rig.client.in_flight(), 65);
@@ -1017,8 +1019,8 @@ mod tests {
         }
         assert_eq!(delay, cap, "back-off settles at the ceiling");
         // ... which a batch submitted later does not inherit.
-        let late = rig.client.crypto.sign_batch(source(65));
-        rig.client.submit(late, &mut Outbox::new());
+        let (late, digest) = rig.client.crypto.sign_batch(source(65));
+        rig.client.submit(late, digest, &mut Outbox::new());
         let actions = rig.fire(TimerKind::ClientRetry { seq: 65 });
         let rearm = Action::SetTimer {
             kind: TimerKind::ClientRetry { seq: 65 },
@@ -1028,7 +1030,7 @@ mod tests {
         // Timers of completed batches find nothing to do.
         assert!(rig.fire(TimerKind::ClientRetry { seq: 3 }).is_empty());
         assert!(rig.fire(TimerKind::SpecWindow { seq: 3 }).is_empty());
-        for sb in [&batches[64], &rig.client.crypto.sign_batch(source(65))] {
+        for sb in [&batches[64], &rig.client.crypto.sign_batch(source(65)).0] {
             assert!(rig.honest_quorum(&voters, sb).is_some());
         }
         assert_eq!(rig.client.in_flight(), 0);

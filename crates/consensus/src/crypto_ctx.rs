@@ -62,13 +62,16 @@ impl CryptoCtx {
     }
 
     /// Sign `batch` as its client: `⟨T⟩_c`, the signature covering the
-    /// batch digest.
-    pub fn sign_batch(&self, batch: ClientBatch) -> SignedBatch {
-        SignedBatch {
-            sig: self.sign(batch.digest().as_bytes()),
+    /// batch digest, which is returned too so the caller need not hash
+    /// the batch again.
+    pub fn sign_batch(&self, batch: ClientBatch) -> (SignedBatch, Digest) {
+        let digest = batch.digest();
+        let signed = SignedBatch {
+            sig: self.sign(digest.as_bytes()),
             pubkey: self.public_key(),
             batch,
-        }
+        };
+        (signed, digest)
     }
 
     /// `signer`'s signature over `payload`. An unregistered signer fails.

@@ -66,10 +66,6 @@ pub fn digest_under(mode: ExecMode, batch_digest: &Digest, effect: &TxnEffect) -
     }
 }
 
-/// One ordered batch and the cluster whose consensus produced it (`None`
-/// for the single-log protocols): a [`DecisionEntry`] in the making.
-pub type Entry = (Option<ClusterId>, SignedBatch);
-
 /// One client's executed batches and the latest replies sent to it.
 #[derive(Default)]
 struct ClientLog {
@@ -124,36 +120,35 @@ impl CommitTail {
         self.store.state_digest()
     }
 
-    /// Execute `sb` as the next block: the *result digest* clients match
-    /// `f + 1` of (§2.4) and the per-transaction outcomes, deterministic
-    /// across replicas. Under [`ExecMode::Modeled`] the table is untouched
-    /// and the outcomes empty (the simulator charges the cost in virtual
-    /// time); the digest is the historical modeled constant, which keeps
-    /// figure reproductions byte-identical.
-    pub fn execute(&mut self, sb: &SignedBatch) -> (Digest, TxnEffect) {
+    /// Execute `sb`, whose digest the caller already holds (`digest` must
+    /// equal `sb.digest()`), as the next block: the *result digest*
+    /// clients match `f + 1` of (§2.4) and the per-transaction outcomes,
+    /// deterministic across replicas. Under [`ExecMode::Modeled`] the
+    /// table is untouched and the outcomes empty (the simulator charges
+    /// the cost in virtual time); the digest is the historical modeled
+    /// constant, which keeps figure reproductions byte-identical.
+    pub fn execute(&mut self, sb: &SignedBatch, digest: &Digest) -> (Digest, TxnEffect) {
+        debug_assert_eq!(*digest, sb.digest(), "carried batch digest");
         self.blocks += 1;
         let effect = match self.mode {
             ExecMode::Real => self.store.execute_batch(sb.batch.operations()),
             ExecMode::Modeled => TxnEffect::default(),
         };
-        (digest_under(self.mode, &sb.digest(), &effect), effect)
+        (digest_under(self.mode, digest, &effect), effect)
     }
 
-    /// Report the executed `(origin, batch)` entries as the decision at
-    /// `seq`. Returns the state digest to vote on when the decision closes
-    /// a checkpoint interval.
+    /// Report the executed entries as the decision at `seq`. Returns the
+    /// state digest to vote on when the decision closes a checkpoint
+    /// interval.
     pub fn decided(
         &mut self,
         seq: u64,
-        entries: impl IntoIterator<Item = Entry>,
+        entries: impl IntoIterator<Item = DecisionEntry>,
         out: &mut Outbox,
     ) -> Option<Digest> {
         self.decisions += 1;
         let state_digest = self.store.state_digest();
-        let entries = entries
-            .into_iter()
-            .map(|(origin, batch)| DecisionEntry { origin, batch })
-            .collect();
+        let entries = entries.into_iter().collect();
         out.decided(Decision {
             seq,
             entries,
@@ -172,13 +167,16 @@ impl CommitTail {
         &mut self,
         seq: u64,
         view: u64,
-        entries: impl IntoIterator<Item = Entry>,
+        entries: impl IntoIterator<Item = DecisionEntry>,
         local: Option<ClusterId>,
         out: &mut Outbox,
     ) -> Option<Digest> {
-        let entries: Vec<Entry> = entries.into_iter().collect();
-        for (_, sb) in &entries {
-            let (result_digest, results) = self.execute(sb);
+        let entries: Vec<DecisionEntry> = entries.into_iter().collect();
+        for DecisionEntry {
+            batch: sb, digest, ..
+        } in &entries
+        {
+            let (result_digest, results) = self.execute(sb, digest);
             let batch = &sb.batch;
             if sb.is_noop() {
                 continue;
@@ -291,7 +289,8 @@ mod tests {
     fn real_execution_is_deterministic_across_replicas() {
         let mut t1 = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
         let mut t2 = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
-        assert_eq!(t1.execute(&batch()).0, t2.execute(&batch()).0);
+        let b = batch();
+        assert_eq!(t1.execute(&b, &b.digest()).0, t2.execute(&b, &b.digest()).0);
         assert_eq!(t1.state_digest(), t2.state_digest());
         assert_eq!(t1.store.get(3), Some(Value::from_u64(42)));
     }
@@ -306,9 +305,10 @@ mod tests {
             key: 3,
             value: Value::from_u64(9),
         });
+        let d = ro.digest();
         assert_ne!(
-            tail(ExecMode::Real, KvStore::new()).execute(&ro).0,
-            tail(ExecMode::Real, written).execute(&ro).0
+            tail(ExecMode::Real, KvStore::new()).execute(&ro, &d).0,
+            tail(ExecMode::Real, written).execute(&ro, &d).0
         );
     }
 
@@ -316,7 +316,7 @@ mod tests {
     fn reply_results_match_their_digest() {
         let mut t = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
         let b = batch();
-        let (d, effect) = t.execute(&b);
+        let (d, effect) = t.execute(&b, &b.digest());
         assert_eq!(result_digest(&b.digest(), &effect), d);
         // The batch writes 42 then reads it back: the carried outcomes
         // expose the read value end-to-end.
@@ -336,14 +336,16 @@ mod tests {
     #[test]
     fn modeled_execution_carries_no_results() {
         let mut t = tail(ExecMode::Modeled, KvStore::with_ycsb_records(10));
-        assert!(t.execute(&batch()).1.outcomes.is_empty());
+        let b = batch();
+        assert!(t.execute(&b, &b.digest()).1.outcomes.is_empty());
     }
 
     #[test]
     fn modeled_execution_leaves_store_untouched() {
         let mut t = tail(ExecMode::Modeled, KvStore::with_ycsb_records(10));
         let before = t.state_digest();
-        assert_ne!(t.execute(&batch()).0, Digest::ZERO);
+        let b = batch();
+        assert_ne!(t.execute(&b, &b.digest()).0, Digest::ZERO);
         assert_eq!(t.state_digest(), before);
     }
 
@@ -351,7 +353,11 @@ mod tests {
     fn modeled_digest_is_batch_specific() {
         let mut t = tail(ExecMode::Modeled, KvStore::new());
         let noop = SignedBatch::noop(rdb_common::ids::ClusterId(0), 1);
-        assert_ne!(t.execute(&batch()).0, t.execute(&noop).0);
+        let b = batch();
+        assert_ne!(
+            t.execute(&b, &b.digest()).0,
+            t.execute(&noop, &noop.digest()).0
+        );
     }
 
     fn replies(out: &mut Outbox) -> Vec<ReplyData> {
@@ -367,9 +373,9 @@ mod tests {
 
     #[test]
     fn blocks_are_numbered_across_decisions_and_modeled_mode_touches_nothing() {
-        let entry = |client: u32, batch_seq: u64| -> Entry {
+        let entry = |client: u32, batch_seq: u64| {
             let ops = vec![Operation::Rmw { key: 1, delta: 1 }];
-            (None, unsigned(ClientId::new(0, client), batch_seq, ops))
+            DecisionEntry::new(None, unsigned(ClientId::new(0, client), batch_seq, ops))
         };
         for mode in [ExecMode::Real, ExecMode::Modeled] {
             let mut t = tail(mode, KvStore::with_ycsb_records(10));
@@ -384,7 +390,7 @@ mod tests {
             let seqs: Vec<u64> = sent.iter().map(|r| r.seq).collect();
             assert_eq!(seqs, vec![1, 1, 2], "{mode:?}");
             if mode == ExecMode::Modeled {
-                let b = entry(0, 0).1;
+                let b = entry(0, 0).batch;
                 let historical = Digest::of_parts(&[b"exec-modeled", b.digest().as_bytes()]);
                 assert_eq!(sent[0].result_digest, historical);
                 assert!(sent.iter().all(|r| r.results.outcomes.is_empty()));
@@ -404,7 +410,8 @@ mod tests {
         let mut out = Outbox::new();
         // Batch 1 commits before batch 0 (out of submission order).
         for (seq, batch_seq) in [1, 0].into_iter().chain(2..=window).enumerate() {
-            t.commit(seq as u64 + 1, 0, [(None, b(batch_seq))], None, &mut out);
+            let entry = DecisionEntry::new(None, b(batch_seq));
+            t.commit(seq as u64 + 1, 0, [entry], None, &mut out);
         }
         out.take();
         assert_eq!(t.clients[&client].replies.len() as u64, window);

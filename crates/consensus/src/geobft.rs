@@ -29,9 +29,10 @@ use crate::crypto_ctx::CryptoCtx;
 use crate::exec::CommitTail;
 use crate::messages::{Message, Scope};
 use crate::pbft_core::{CoreEvent, PbftCore};
-use crate::types::SignedBatch;
+use crate::types::{DecisionEntry, SignedBatch};
 use rdb_common::ids::{ClusterId, NodeId, ReplicaId};
 use rdb_common::time::{SimDuration, SimTime};
+use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::Signature;
 use rdb_store::KvStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -187,8 +188,9 @@ impl GeoBftReplica {
                 CoreEvent::Committed {
                     seq: round,
                     batch,
+                    digest,
                     commits,
-                } => self.on_local_commit(round, batch, commits, out),
+                } => self.on_local_commit(round, batch, digest, commits, out),
                 CoreEvent::ViewInstalled { .. } => self.on_view_installed(out),
                 CoreEvent::CheckpointStable { .. } => {
                     self.prune_caches();
@@ -197,20 +199,22 @@ impl GeoBftReplica {
         }
     }
 
-    /// Local replication of `round` finished: build the certificate,
-    /// store it, and (as primary) start the optimistic global sharing of
-    /// Figure 5.
+    /// Local replication of `round` finished: build the certificate over
+    /// the digest the pre-prepare bound, store it, and (as primary) start
+    /// the optimistic global sharing of Figure 5.
     fn on_local_commit(
         &mut self,
         round: u64,
         batch: SignedBatch,
+        digest: Digest,
         commits: Vec<CommitSig>,
         out: &mut Outbox,
     ) {
+        debug_assert_eq!(digest, batch.digest(), "carried batch digest");
         let cert = CommitCertificate {
             cluster: self.my_cluster,
             round,
-            digest: batch.digest(),
+            digest,
             batch,
             commits,
         };
@@ -307,10 +311,15 @@ impl GeoBftReplica {
                 break;
             }
             let mut map = self.certs.remove(&round).expect("checked above");
-            // One entry per cluster, in cluster order (§2.4).
+            // One entry per cluster, in cluster order (§2.4), each with
+            // the digest its certificate binds.
             let entries = self.cfg.system.cluster_ids().map(|c| {
                 let cert = map.remove(&c).expect("all certificates present");
-                (Some(c), cert.batch)
+                DecisionEntry {
+                    origin: Some(c),
+                    batch: cert.batch,
+                    digest: cert.digest,
+                }
             });
             self.exec_next += 1;
             // Replicas inform only their local clients (§2.4).

@@ -26,7 +26,7 @@ use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
 use crate::exec::CommitTail;
 use crate::messages::{HsPhase, HsQc, Message};
-use crate::types::SignedBatch;
+use crate::types::{DecisionEntry, SignedBatch};
 use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
@@ -89,7 +89,7 @@ pub struct HotStuffReplica {
     my_next_slot: u64,
     slots: BTreeMap<u64, Slot>,
     /// Decided batches awaiting in-order execution.
-    decided: BTreeMap<u64, SignedBatch>,
+    decided: BTreeMap<u64, DecisionEntry>,
     exec_next: u64,
     /// Slot the no-op/skip timer is armed for.
     stall_timer_slot: Option<u64>,
@@ -253,7 +253,12 @@ impl HotStuffReplica {
                 }
                 slot_state.decided = true;
                 let batch = slot_state.batch.clone().expect("digest implies batch");
-                self.decided.insert(slot, batch);
+                let entry = DecisionEntry {
+                    origin: None,
+                    batch,
+                    digest,
+                };
+                self.decided.insert(slot, entry);
                 self.try_execute(out);
             }
         }
@@ -358,8 +363,8 @@ impl HotStuffReplica {
             if dead_leader != self.id {
                 self.suspected.insert(dead_leader);
             }
-            self.decided
-                .insert(slot, SignedBatch::noop(ClusterId(u16::MAX), slot));
+            let noop = SignedBatch::noop(ClusterId(u16::MAX), slot);
+            self.decided.insert(slot, DecisionEntry::new(None, noop));
             self.try_execute(out);
         }
     }
@@ -442,12 +447,12 @@ impl HotStuffReplica {
     // ------------------------------------------------------------------
 
     fn try_execute(&mut self, out: &mut Outbox) {
-        while let Some(batch) = self.decided.remove(&self.exec_next) {
+        while let Some(entry) = self.decided.remove(&self.exec_next) {
             let slot = self.exec_next;
             self.exec_next += 1;
             // Every replica answers every client; HotStuff as evaluated
             // (§3) takes no checkpoints, so the cadence is ignored.
-            self.tail.commit(slot, 0, [(None, batch)], None, out);
+            self.tail.commit(slot, 0, [entry], None, out);
             self.slots.remove(&slot);
         }
         self.try_propose(out);

@@ -20,6 +20,8 @@
 //! discrete-event simulator (`rdb-simnet`) or the threaded fabric
 //! (`resilientdb`).
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod api;
 pub mod certificate;

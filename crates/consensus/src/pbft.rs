@@ -13,7 +13,7 @@ use crate::crypto_ctx::CryptoCtx;
 use crate::exec::CommitTail;
 use crate::messages::{Message, Scope};
 use crate::pbft_core::{CoreEvent, PbftCore};
-use crate::types::SignedBatch;
+use crate::types::{DecisionEntry, SignedBatch};
 use rdb_common::ids::{NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_store::KvStore;
@@ -26,7 +26,7 @@ pub struct PbftReplica {
     tail: CommitTail,
     /// Committed but not yet executed instances (execution is in sequence
     /// order).
-    committed: BTreeMap<u64, SignedBatch>,
+    committed: BTreeMap<u64, DecisionEntry>,
     /// Next sequence number to execute.
     exec_next: u64,
 }
@@ -65,9 +65,17 @@ impl PbftReplica {
         for e in events {
             // Re-proposing after a view change and pruning below a stable
             // checkpoint both happen inside the core.
-            if let CoreEvent::Committed { seq, batch, .. } = e {
+            if let CoreEvent::Committed {
+                seq, batch, digest, ..
+            } = e
+            {
                 if seq >= self.exec_next {
-                    self.committed.insert(seq, batch);
+                    let entry = DecisionEntry {
+                        origin: None,
+                        batch,
+                        digest,
+                    };
+                    self.committed.insert(seq, entry);
                 }
                 self.try_execute(out);
             }
@@ -75,12 +83,12 @@ impl PbftReplica {
     }
 
     fn try_execute(&mut self, out: &mut Outbox) {
-        while let Some(batch) = self.committed.remove(&self.exec_next) {
+        while let Some(entry) = self.committed.remove(&self.exec_next) {
             let seq = self.exec_next;
             self.exec_next += 1;
             // Every replica answers every client (global F + 1 quorum).
             let view = self.core.view();
-            if let Some(state) = self.tail.commit(seq, view, [(None, batch)], None, out) {
+            if let Some(state) = self.tail.commit(seq, view, [entry], None, out) {
                 self.core.record_checkpoint(seq, state, out);
             }
         }

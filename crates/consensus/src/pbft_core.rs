@@ -44,6 +44,9 @@ pub enum CoreEvent {
         seq: u64,
         /// The replicated batch.
         batch: SignedBatch,
+        /// The batch's digest, as the pre-prepare bound it (checked at the
+        /// input edge, or computed by this primary when it proposed).
+        digest: Digest,
         /// `n - f` commit signatures.
         commits: Vec<CommitSig>,
     },
@@ -459,6 +462,7 @@ impl PbftCore {
             events.push(CoreEvent::Committed {
                 seq,
                 batch,
+                digest,
                 commits,
             });
             // Progress was made: give the remaining work a fresh timeout.
@@ -870,11 +874,13 @@ mod tests {
             if let CoreEvent::Committed {
                 seq,
                 batch: b,
+                digest,
                 commits,
             } = e
             {
                 assert_eq!(*seq, 1);
                 assert_eq!(b.digest(), batch.digest());
+                assert_eq!(*digest, batch.digest());
                 assert_eq!(commits.len(), 3); // n - f = 3
             }
         }
@@ -908,6 +914,7 @@ mod tests {
             CoreEvent::Committed {
                 seq,
                 batch,
+                digest,
                 commits,
             },
         ) = events
@@ -921,7 +928,7 @@ mod tests {
         let cert = crate::certificate::CommitCertificate {
             cluster: rdb_common::ids::ClusterId(0),
             round: *seq,
-            digest: batch.digest(),
+            digest: *digest,
             batch: batch.clone(),
             commits: commits.clone(),
         };

@@ -33,7 +33,7 @@ use crate::crypto_ctx::CryptoCtx;
 use crate::exec::CommitTail;
 use crate::messages::{Message, Scope};
 use crate::pbft_core::{CoreEvent, PbftCore};
-use crate::types::SignedBatch;
+use crate::types::{DecisionEntry, SignedBatch};
 use rdb_common::ids::{ClusterId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
@@ -167,13 +167,15 @@ impl StewardReplica {
             if let CoreEvent::Committed {
                 seq,
                 batch,
+                digest,
                 commits,
             } = e
             {
+                debug_assert_eq!(digest, batch.digest(), "carried batch digest");
                 let cert = CommitCertificate {
                     cluster: PRIMARY_CLUSTER,
                     round: seq,
-                    digest: batch.digest(),
+                    digest,
                     batch,
                     commits,
                 };
@@ -374,7 +376,12 @@ impl StewardReplica {
             }
             let inst = self.insts.remove(&seq).expect("present");
             self.exec_next += 1;
-            let entry = (Some(PRIMARY_CLUSTER), inst.cert.expect("checked").batch);
+            let cert = inst.cert.expect("checked");
+            let entry = DecisionEntry {
+                origin: Some(PRIMARY_CLUSTER),
+                batch: cert.batch,
+                digest: cert.digest,
+            };
             // Replicas of the client's own cluster reply.
             let local = Some(self.my_cluster);
             let checkpoint = self.tail.commit(seq, 0, [entry], local, out);

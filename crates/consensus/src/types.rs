@@ -21,43 +21,55 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Feed the canonical byte representation into a hasher.
+    /// Longest canonical encoding without a program: the 14-byte
+    /// `(cluster, index, seq)` header, the operation tag, a key and a
+    /// 24-byte value.
+    const MAX_FIXED_BYTES: usize = 2 + 4 + 8 + 1 + 8 + 24;
+
+    /// Feed the canonical byte representation into a hasher: everything
+    /// but a program's instructions goes in as one `update` from a stack
+    /// buffer, and a program's canonical bytes as a second.
     fn absorb(&self, h: &mut Sha256) {
-        h.update(&self.client.cluster.0.to_le_bytes());
-        h.update(&self.client.index.to_le_bytes());
-        h.update(&self.seq.to_le_bytes());
+        let mut buf = [0u8; Self::MAX_FIXED_BYTES];
+        let mut len = 0;
+        let mut put = |bytes: &[u8]| {
+            buf[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
+        put(&self.client.cluster.0.to_le_bytes());
+        put(&self.client.index.to_le_bytes());
+        put(&self.seq.to_le_bytes());
         match &self.op {
             Operation::Write { key, value } => {
-                h.update(&[0u8]);
-                h.update(&key.to_le_bytes());
-                h.update(&value.0);
+                put(&[0u8]);
+                put(&key.to_le_bytes());
+                put(&value.0);
             }
             Operation::Read { key } => {
-                h.update(&[1u8]);
-                h.update(&key.to_le_bytes());
+                put(&[1u8]);
+                put(&key.to_le_bytes());
             }
             Operation::Rmw { key, delta } => {
-                h.update(&[2u8]);
-                h.update(&key.to_le_bytes());
-                h.update(&delta.to_le_bytes());
+                put(&[2u8]);
+                put(&key.to_le_bytes());
+                put(&delta.to_le_bytes());
             }
             Operation::Insert { key, value } => {
-                h.update(&[3u8]);
-                h.update(&key.to_le_bytes());
-                h.update(&value.0);
+                put(&[3u8]);
+                put(&key.to_le_bytes());
+                put(&value.0);
             }
             Operation::Scan { key, count } => {
-                h.update(&[4u8]);
-                h.update(&key.to_le_bytes());
-                h.update(&count.to_le_bytes());
+                put(&[4u8]);
+                put(&key.to_le_bytes());
+                put(&count.to_le_bytes());
             }
-            Operation::NoOp => {
-                h.update(&[5u8]);
-            }
-            Operation::Txn(prog) => {
-                h.update(&[6u8]);
-                h.update(&prog.canonical_bytes());
-            }
+            Operation::NoOp => put(&[5u8]),
+            Operation::Txn(_) => put(&[6u8]),
+        }
+        h.update(&buf[..len]);
+        if let Operation::Txn(prog) = &self.op {
+            h.update(&prog.canonical_bytes());
         }
     }
 }
@@ -194,6 +206,23 @@ pub struct DecisionEntry {
     pub origin: Option<ClusterId>,
     /// The batch executed.
     pub batch: SignedBatch,
+    /// `batch.digest()`: the digest the replica's input edge bound the
+    /// batch to, carried from ordering to execution and the ledger so
+    /// that neither hashes the batch again.
+    pub digest: Digest,
+}
+
+impl DecisionEntry {
+    /// An entry for `batch`, hashing it: for callers that hold no bound
+    /// digest (primary-generated no-ops, tests).
+    pub fn new(origin: Option<ClusterId>, batch: SignedBatch) -> DecisionEntry {
+        let digest = batch.digest();
+        DecisionEntry {
+            origin,
+            batch,
+            digest,
+        }
+    }
 }
 
 impl Decision {
@@ -325,18 +354,15 @@ mod tests {
         let d = Decision {
             seq: 1,
             entries: vec![
-                DecisionEntry {
-                    origin: Some(ClusterId(0)),
-                    batch: SignedBatch {
+                DecisionEntry::new(
+                    Some(ClusterId(0)),
+                    SignedBatch {
                         batch: batch(3),
                         pubkey: PublicKey::default(),
                         sig: Signature::default(),
                     },
-                },
-                DecisionEntry {
-                    origin: Some(ClusterId(1)),
-                    batch: SignedBatch::noop(ClusterId(1), 1),
-                },
+                ),
+                DecisionEntry::new(Some(ClusterId(1)), SignedBatch::noop(ClusterId(1), 1)),
             ],
             state_digest: Digest::ZERO,
         };

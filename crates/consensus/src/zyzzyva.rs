@@ -21,7 +21,7 @@ use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
 use crate::exec::CommitTail;
 use crate::messages::Message;
-use crate::types::SignedBatch;
+use crate::types::{DecisionEntry, SignedBatch};
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
@@ -149,7 +149,7 @@ impl ZyzzyvaReplica {
             self.exec_next += 1;
             let digest = batch.digest();
             self.history = Digest::combine(&self.history, &digest);
-            let (result, results) = self.tail.execute(&batch);
+            let (result, results) = self.tail.execute(&batch, &digest);
             let client = batch.batch.client;
             let batch_seq = batch.batch.batch_seq;
             self.executed
@@ -179,7 +179,12 @@ impl ZyzzyvaReplica {
                 },
             );
             // Speculative execution takes no checkpoints.
-            self.tail.decided(seq, [(None, batch)], out);
+            let entry = DecisionEntry {
+                origin: None,
+                batch,
+                digest,
+            };
+            self.tail.decided(seq, [entry], out);
             // Prune the executed log to a window.
             let keep_from = self.exec_next.saturating_sub(4 * self.cfg.window);
             self.executed.retain(|s, _| *s >= keep_from);

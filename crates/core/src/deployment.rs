@@ -15,6 +15,7 @@ use rdb_consensus::config::{ExecMode, ProtocolConfig, ProtocolKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
 use rdb_consensus::faults::FaultSpec;
 use rdb_consensus::registry;
+use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::KeyStore;
 use rdb_ledger::Ledger;
 use rdb_store::KvStore;
@@ -629,18 +630,23 @@ impl DeploymentReport {
                 .verify(None)
                 .map_err(|e| format!("replica {rid} ledger invalid: {e}"))?;
         }
+        // Every ledger verified, so a block's hash is read from its chain
+        // (`Ledger::hash_at`: the successor's parent link, or the cached
+        // head) rather than recomputed once per comparison.
+        let hash_at = |l: &Ledger, h: u64| l.hash_at(h).expect("within retained blocks");
         let uncompacted = live.iter().all(|(_, l)| l.base_height() == 0);
         if uncompacted {
             // Fast path (the default, checkpointing off): everyone
             // shares height 1 up, so first-vs-rest agreement is
             // transitive and costs O(replicas · height).
             if let Some((first_id, first)) = live.first() {
+                let reference: Vec<Digest> = (1..=first.head_height())
+                    .map(|h| hash_at(first, h))
+                    .collect();
                 for (rid, ledger) in &live[1..] {
                     let to = first.head_height().min(ledger.head_height());
                     for h in 1..=to {
-                        let a = first.block(h).expect("within prefix");
-                        let b = ledger.block(h).expect("within prefix");
-                        if a.hash() != b.hash() {
+                        if hash_at(ledger, h) != reference[h as usize - 1] {
                             return Err(format!(
                                 "divergence at height {h} between {first_id} and {rid}"
                             ));
@@ -659,9 +665,7 @@ impl DeploymentReport {
                     let from = a.base_height().max(b.base_height()).max(1);
                     let to = a.head_height().min(b.head_height());
                     for h in from..=to {
-                        let ab = a.block(h).expect("within retained overlap");
-                        let bb = b.block(h).expect("within retained overlap");
-                        if ab.hash() != bb.hash() {
+                        if hash_at(a, h) != hash_at(b, h) {
                             return Err(format!(
                                 "divergence at height {h} between {a_id} and {b_id}"
                             ));

@@ -97,6 +97,8 @@
 //! throughput/latency, per-stage pipeline counters and per-replica
 //! ledgers exactly as before.
 
+#![forbid(unsafe_code)]
+
 pub mod deployment;
 pub mod metrics;
 pub mod node;

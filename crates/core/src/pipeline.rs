@@ -1109,7 +1109,7 @@ pub(crate) fn spawn_checkpointer(
                 while let Some(front) = unresolved.front().copied() {
                     let (anchor_hash, base) = {
                         let l = ledger.lock();
-                        (l.block(front.seq).map(|b| b.hash()), l.base_height())
+                        (l.hash_at(front.seq), l.base_height())
                     };
                     match anchor_hash {
                         Some(hash) => {
@@ -1367,9 +1367,9 @@ mod tests {
             .collect();
         Decision {
             seq,
-            entries: vec![DecisionEntry {
-                origin: Some(ClusterId(0)),
-                batch: SignedBatch {
+            entries: vec![DecisionEntry::new(
+                Some(ClusterId(0)),
+                SignedBatch {
                     batch: ClientBatch {
                         client,
                         batch_seq: seq,
@@ -1378,7 +1378,7 @@ mod tests {
                     pubkey: Default::default(),
                     sig: Default::default(),
                 },
-            }],
+            )],
             state_digest: Digest::of(&seq.to_le_bytes()),
         }
     }

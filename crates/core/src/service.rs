@@ -243,7 +243,7 @@ impl ClientCore {
     fn submit(&self, batch: ClientBatch, cell: Option<Arc<TicketCell>>) {
         let submitted = Instant::now();
         let seq = batch.batch_seq;
-        let signed = self.crypto.sign_batch(batch);
+        let (signed, digest) = self.crypto.sign_batch(batch);
         let mut sends = Vec::new();
         {
             let mut state = self.state.lock();
@@ -262,7 +262,7 @@ impl ClientCore {
             // race past an unregistered submission.
             state.in_flight.insert(seq, (submitted, cell));
             let mut out = Outbox::new();
-            state.client.submit(signed, &mut out);
+            state.client.submit(signed, digest, &mut out);
             dispatch(&mut state, out.take(), &self.metrics, &mut sends);
         }
         for (to, msg) in sends {

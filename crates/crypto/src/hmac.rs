@@ -6,9 +6,10 @@
 //! * as the pairwise message-authentication code standing in for the
 //!   paper's AES-CMAC ([`crate::mac`]).
 //!
-//! Validated against the RFC 4231 test vectors.
+//! Validated against the RFC 4231 test vectors, through the selected
+//! SHA-256 kernel and through each kernel by name.
 
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::{Kernel, Sha256};
 
 const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
@@ -32,9 +33,16 @@ impl HmacSha256 {
     /// Start an HMAC computation under `key` (any length; longer keys are
     /// hashed first per the RFC).
     pub fn new(key: &[u8]) -> Self {
+        Self::with_kernel(Kernel::selected(), key)
+    }
+
+    /// [`HmacSha256::new`], with every hash compressed by `kernel`.
+    pub(crate) fn with_kernel(kernel: Kernel, key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK];
         if key.len() > BLOCK {
-            key_block[..32].copy_from_slice(&sha256(key));
+            let mut h = Sha256::with_kernel(kernel);
+            h.update(key);
+            key_block[..32].copy_from_slice(&h.finalize());
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
@@ -46,7 +54,7 @@ impl HmacSha256 {
             opad_key[i] = key_block[i] ^ OPAD;
         }
 
-        let mut inner = Sha256::new();
+        let mut inner = Sha256::with_kernel(kernel);
         inner.update(&ipad_key);
         HmacSha256 { inner, opad_key }
     }
@@ -59,8 +67,8 @@ impl HmacSha256 {
 
     /// Produce the 32-byte tag.
     pub fn finalize(self) -> [u8; 32] {
+        let mut outer = Sha256::with_kernel(self.inner.kernel());
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
         outer.update(&self.opad_key);
         outer.update(&inner_digest);
         outer.finalize()
@@ -88,61 +96,86 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    // RFC 4231 test case 1.
+    /// RFC 4231 test cases 1, 2, 3, 6 and 7: key, data, HMAC-SHA256.
+    fn rfc4231() -> [(Vec<u8>, &'static [u8], &'static str); 5] {
+        [
+            (
+                vec![0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                vec![0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            // A 131-byte key exceeds the block size and is hashed first.
+            (
+                vec![0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                vec![0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ]
+    }
+
+    fn passes_rfc4231(kernel: Kernel) {
+        for (key, msg, tag) in rfc4231() {
+            let mut hm = HmacSha256::with_kernel(kernel, &key);
+            hm.update(msg);
+            assert_eq!(hex(&hm.finalize()), tag, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn portable_kernel_passes_rfc4231_vectors() {
+        passes_rfc4231(Kernel::Portable);
+    }
+
+    #[test]
+    fn sha_ni_kernel_passes_rfc4231_vectors() {
+        if let Some(kernel) = crate::sha256::sha_ni_or_note() {
+            passes_rfc4231(kernel);
+        }
+    }
+
     #[test]
     fn rfc4231_case1() {
-        let key = [0x0bu8; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            hex(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
+        let (key, msg, tag) = &rfc4231()[0];
+        assert_eq!(hex(&hmac_sha256(key, msg)), *tag);
     }
 
-    // RFC 4231 test case 2: key "Jefe".
     #[test]
     fn rfc4231_case2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+        let (key, msg, tag) = &rfc4231()[1];
+        assert_eq!(hex(&hmac_sha256(key, msg)), *tag);
     }
 
-    // RFC 4231 test case 3: 20x 0xaa key, 50x 0xdd data.
     #[test]
     fn rfc4231_case3() {
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        assert_eq!(
-            hex(&hmac_sha256(&key, &data)),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
+        let (key, msg, tag) = &rfc4231()[2];
+        assert_eq!(hex(&hmac_sha256(key, msg)), *tag);
     }
 
-    // RFC 4231 test case 6: 131-byte key (exceeds the block size).
     #[test]
     fn rfc4231_case6_long_key() {
-        let key = [0xaau8; 131];
-        let tag = hmac_sha256(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            hex(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+        let (key, msg, tag) = &rfc4231()[3];
+        assert_eq!(hex(&hmac_sha256(key, msg)), *tag);
     }
 
-    // RFC 4231 test case 7: long key and long data.
     #[test]
     fn rfc4231_case7_long_key_and_data() {
-        let key = [0xaau8; 131];
-        let msg: &[u8] = b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
-        assert_eq!(
-            hex(&hmac_sha256(&key, msg)),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
-        );
+        let (key, msg, tag) = &rfc4231()[4];
+        assert_eq!(hex(&hmac_sha256(key, msg)), *tag);
     }
 
     #[test]

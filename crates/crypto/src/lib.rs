@@ -6,9 +6,14 @@
 //! ED25519 digital signatures, AES-CMAC message authentication codes, and
 //! SHA-256 message digests. This crate provides:
 //!
-//! * [`sha256`] — a from-scratch FIPS 180-4 SHA-256 implementation,
-//!   validated against the NIST test vectors;
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231;
+//! * [`sha256`] — a from-scratch FIPS 180-4 SHA-256 implementation with
+//!   two compression kernels: the portable reference, and on x86-64 the
+//!   SHA extensions, chosen once per process from CPUID (never by an
+//!   option or feature). Both run the NIST test vectors by name, and a
+//!   property test requires them to agree on random, randomly chunked
+//!   input;
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231
+//!   through each kernel;
 //! * [`digest::Digest`] — a 32-byte digest value type;
 //! * [`merkle`] — Merkle trees over transaction batches and ledger state;
 //! * [`sign`] — the **simulation signature scheme**: an Ed25519-*shaped*
@@ -26,6 +31,16 @@
 //! is modeled explicitly: the discrete-event simulator charges configurable
 //! sign/verify costs, and wire sizes use the Ed25519 sizes (64-byte
 //! signatures, 32-byte keys).
+
+//! ## Unsafe code
+//!
+//! The SHA-NI kernel is the workspace's only `unsafe` code. This crate
+//! denies `unsafe_code` except in that one module, every `unsafe` block
+//! there carries a `// SAFETY:` comment (`clippy::undocumented_unsafe_blocks`
+//! is denied), and every other crate root forbids `unsafe_code`.
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod digest;
 pub mod hmac;

@@ -4,9 +4,34 @@
 //! arbitrary chunks via [`Sha256::update`] and finish with
 //! [`Sha256::finalize`]. One-shot hashing is available via [`sha256`].
 //!
-//! Correctness is pinned by the NIST/FIPS test vectors in the unit tests
-//! (empty string, "abc", the two standard multi-block vectors, and a
-//! million 'a's) plus property tests for chunking invariance.
+//! ## Kernels
+//!
+//! The compression function comes in two kernels behind one hasher: the
+//! portable FIPS 180-4 reference (`compress`, plain Rust, every CPU)
+//! and, on x86-64, the SHA extensions (`sha256rnds2` / `sha256msg1` /
+//! `sha256msg2`, the `shani` module — the only `unsafe` code in the
+//! workspace). The kernel is chosen once per process from CPUID (SHA,
+//! SSE2, SSSE3 and SSE4.1 must all be reported) and never by an option,
+//! environment variable or cargo feature; a hasher feeds it whole 64-byte
+//! blocks straight from the input slice. Both produce identical digests.
+//!
+//! ## Tests
+//!
+//! The NIST/FIPS vectors (empty string, "abc", the two standard
+//! multi-block vectors and a million 'a's) run through the public API
+//! and, by name, through each kernel (`portable_kernel_passes_nist_vectors`,
+//! `sha_ni_kernel_passes_nist_vectors`; the latter prints a note and
+//! checks nothing where CPUID lacks SHA). A property test feeds random
+//! inputs, cut at random points, to both kernels and requires equal
+//! digests; `hmac` does the same with the RFC 4231 vectors, and the
+//! workspace's `pinned_digests` test pins the bytes of every hash the
+//! system stores or signs.
+
+use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani;
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes (FIPS 180-4 §5.3.3).
@@ -27,6 +52,58 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// A SHA-256 compression function: what [`Sha256`] runs over each whole
+/// 64-byte block. Every kernel computes the same function; they differ
+/// only in speed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kernel {
+    /// The FIPS 180-4 reference in plain Rust ([`compress`]); runs
+    /// everywhere.
+    Portable,
+    /// The x86-64 SHA extensions ([`shani`]), present only when CPUID
+    /// reports them.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(shani::Cpu),
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs, chosen once per process from
+    /// CPUID.
+    pub(crate) fn selected() -> Kernel {
+        static SELECTED: OnceLock<Kernel> = OnceLock::new();
+        *SELECTED.get_or_init(|| Kernel::sha_ni().unwrap_or(Kernel::Portable))
+    }
+
+    /// The SHA-NI kernel, or `None` where CPUID does not report the SHA
+    /// extensions.
+    pub(crate) fn sha_ni() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        return shani::Cpu::detect().map(Kernel::ShaNi);
+        #[cfg(not(target_arch = "x86_64"))]
+        None
+    }
+
+    /// Absorb `blocks`, a whole number of 64-byte blocks, into `state`.
+    fn compress(self, state: &mut [u32; 8], blocks: &[u8]) {
+        match self {
+            Kernel::Portable => blocks.chunks_exact(64).for_each(|b| compress(state, b)),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi(cpu) => shani::compress_blocks(cpu, state, blocks),
+        }
+    }
+}
+
+/// For the kernel tests: the SHA-NI kernel, or a printed note where
+/// CPUID lacks SHA.
+#[cfg(test)]
+pub(crate) fn sha_ni_or_note() -> Option<Kernel> {
+    let kernel = Kernel::sha_ni();
+    if kernel.is_none() {
+        println!("note: this CPU lacks the SHA extensions; the SHA-NI half is skipped");
+    }
+    kernel
+}
+
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -36,6 +113,7 @@ pub struct Sha256 {
     /// Partial block buffer.
     buf: [u8; 64],
     buf_len: usize,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -47,49 +125,52 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Create a fresh hasher.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::selected())
+    }
+
+    /// A fresh hasher that compresses with `kernel`.
+    pub(crate) fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
+            kernel,
         }
     }
 
-    /// Absorb `data` into the hash state.
+    /// The kernel this hasher compresses with.
+    pub(crate) fn kernel(&self) -> Kernel {
+        self.kernel
+    }
+
+    /// Absorb `data` into the hash state. Whole blocks are compressed
+    /// straight from `data`; only a partial block is copied.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
         self.len = self.len.wrapping_add(data.len() as u64);
+        let kernel = self.kernel;
         let mut input = data;
 
         // Fill a partial block first.
         if self.buf_len > 0 {
-            let want = 64 - self.buf_len;
-            let take = want.min(input.len());
+            let take = (64 - self.buf_len).min(input.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-            if input.is_empty() {
-                // Everything was absorbed into the partial block; do not
-                // touch the buffer again below.
+            if self.buf_len < 64 {
                 return self;
             }
+            kernel.compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
 
-        // Whole blocks straight from the input.
-        let mut chunks = input.chunks_exact(64);
-        for block in &mut chunks {
-            // chunks_exact guarantees 64 bytes.
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        let whole = input.len() - input.len() % 64;
+        if whole > 0 {
+            kernel.compress(&mut self.state, &input[..whole]);
         }
 
         // Stash the remainder.
-        let rem = chunks.remainder();
+        let rem = &input[whole..];
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
         self
@@ -114,53 +195,49 @@ impl Sha256 {
         }
         out
     }
+}
 
-    /// The FIPS 180-4 compression function over one 64-byte block.
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+/// The portable FIPS 180-4 compression function over one 64-byte block:
+/// the reference every other kernel is tested against.
+fn compress(state: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -179,50 +256,87 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    // NIST / FIPS 180-4 example vectors.
+    /// NIST / FIPS 180-4 example vectors: message and digest.
+    const NIST: [(&[u8], &str); 4] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        ),
+    ];
+    const MILLION_A: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
+    fn hash_with(kernel: Kernel, data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::with_kernel(kernel);
+        h.update(data);
+        h.finalize()
+    }
+
+    fn passes_nist_vectors(kernel: Kernel) {
+        for (msg, digest) in NIST {
+            assert_eq!(hex(&hash_with(kernel, msg)), digest, "{kernel:?}");
+        }
+        let data = vec![b'a'; 1_000_000];
+        assert_eq!(hex(&hash_with(kernel, &data)), MILLION_A, "{kernel:?}");
+    }
+
+    #[test]
+    fn portable_kernel_passes_nist_vectors() {
+        passes_nist_vectors(Kernel::Portable);
+    }
+
+    #[test]
+    fn sha_ni_kernel_passes_nist_vectors() {
+        if let Some(kernel) = sha_ni_or_note() {
+            passes_nist_vectors(kernel);
+        }
+    }
+
+    #[test]
+    fn the_selected_kernel_is_the_fastest_available() {
+        assert_eq!(
+            Kernel::selected(),
+            Kernel::sha_ni().unwrap_or(Kernel::Portable)
+        );
+        assert_eq!(Sha256::new().kernel(), Kernel::selected());
+    }
+
     #[test]
     fn nist_empty() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_eq!(hex(&sha256(NIST[0].0)), NIST[0].1);
     }
 
     #[test]
     fn nist_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_eq!(hex(&sha256(NIST[1].0)), NIST[1].1);
     }
 
     #[test]
     fn nist_two_block() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        assert_eq!(hex(&sha256(NIST[2].0)), NIST[2].1);
     }
 
     #[test]
     fn nist_four_block() {
-        let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
-ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            hex(&sha256(msg)),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
+        assert_eq!(hex(&sha256(NIST[3].0)), NIST[3].1);
     }
 
     #[test]
     fn nist_million_a() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex(&sha256(&data)), MILLION_A);
     }
 
     #[test]
@@ -263,6 +377,29 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
                     cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
                 cuts.sort_unstable();
                 let mut h = Sha256::new();
+                let mut prev = 0;
+                for c in cuts {
+                    h.update(&data[prev..c]);
+                    prev = c;
+                }
+                h.update(&data[prev..]);
+                prop_assert_eq!(h.finalize(), reference);
+            }
+
+            /// The two kernels agree on random inputs under arbitrary
+            /// chunking (where CPUID lacks SHA, the portable kernel is
+            /// checked against itself).
+            #[test]
+            fn kernels_agree_under_arbitrary_chunking(
+                data in proptest::collection::vec(any::<u8>(), 0..1024),
+                cuts in proptest::collection::vec(0usize..1024, 0..8),
+            ) {
+                let hardware = Kernel::sha_ni().unwrap_or(Kernel::Portable);
+                let reference = hash_with(Kernel::Portable, &data);
+                let mut cuts: Vec<usize> =
+                    cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+                cuts.sort_unstable();
+                let mut h = Sha256::with_kernel(hardware);
                 let mut prev = 0;
                 for c in cuts {
                     h.update(&data[prev..c]);

@@ -50,11 +50,18 @@ impl Block {
     /// The block's hash: binds height, parent, batch content, certificate
     /// identity and post-state.
     pub fn hash(&self) -> Digest {
+        self.hash_over(&self.batch.digest())
+    }
+
+    /// [`Block::hash`] for a caller that already holds the batch digest
+    /// (`batch_digest` must equal `self.batch.digest()`), so the batch is
+    /// not hashed again.
+    pub(crate) fn hash_over(&self, batch_digest: &Digest) -> Digest {
         let mut h = Sha256::new();
         h.update(b"rdb-block");
         h.update(&self.height.to_le_bytes());
         h.update(self.parent.as_bytes());
-        h.update(self.batch.digest().as_bytes());
+        h.update(batch_digest.as_bytes());
         match &self.certificate {
             Some(c) => {
                 h.update(&[1u8]);

@@ -27,13 +27,17 @@ pub struct Ledger {
     blocks: Vec<Block>,
     /// Height of `blocks[0]` (0 until the first compaction).
     base: u64,
+    /// Hash of the last block, computed once when it was appended.
+    head: Digest,
 }
 
 impl Ledger {
     /// A fresh ledger containing only the genesis block.
     pub fn new() -> Ledger {
+        let genesis = Block::genesis();
         Ledger {
-            blocks: vec![Block::genesis()],
+            head: genesis.hash(),
+            blocks: vec![genesis],
             base: 0,
         }
     }
@@ -81,9 +85,22 @@ impl Ledger {
         self.blocks.last().expect("genesis always present").height
     }
 
-    /// Hash of the latest block.
+    /// Hash of the latest block (cached: computed once, at append).
     pub fn head_hash(&self) -> Digest {
-        self.blocks.last().expect("genesis always present").hash()
+        self.head
+    }
+
+    /// Hash of the block at `height` (`None` if it is not retained),
+    /// read from the chain rather than recomputed: a block's hash is its
+    /// successor's `parent` link, and the head's is cached. On a chain
+    /// that passes [`Ledger::verify`] this equals
+    /// `self.block(height)?.hash()`.
+    pub fn hash_at(&self, height: u64) -> Option<Digest> {
+        self.block(height)?;
+        if height == self.head_height() {
+            return Some(self.head);
+        }
+        self.block(height + 1).map(|next| next.parent)
     }
 
     /// Get a block by height (`None` for heights compacted away).
@@ -105,40 +122,60 @@ impl Ledger {
         certificate: Option<CommitCertificate>,
         state_digest: Digest,
     ) -> &Block {
-        let parent = self.head_hash();
-        let height = self.head_height() + 1;
-        self.blocks.push(Block {
-            height,
-            parent,
+        let batch_digest = batch.digest();
+        self.push(batch, &batch_digest, certificate, state_digest)
+    }
+
+    /// [`Ledger::append`] with the batch digest already in hand.
+    fn push(
+        &mut self,
+        batch: SignedBatch,
+        batch_digest: &Digest,
+        certificate: Option<CommitCertificate>,
+        state_digest: Digest,
+    ) -> &Block {
+        let block = Block {
+            height: self.head_height() + 1,
+            parent: self.head,
             batch,
             certificate,
             state_digest,
-        });
+        };
+        self.head = block.hash_over(batch_digest);
+        self.blocks.push(block);
         self.blocks.last().expect("just pushed")
     }
 
     /// Append every entry of a consensus decision, in order. GeoBFT
     /// decisions carry `z` batches (one per cluster, §3: "in each round ρ,
     /// each replica creates z blocks in the order of execution of the z
-    /// requests"); single-log protocols carry one.
+    /// requests"); single-log protocols carry one. Each block is hashed
+    /// over the digest the entry carries, so no batch is hashed again.
+    ///
+    /// A [`Decision`] holds batches, not certificates, so these blocks
+    /// carry `certificate: None` — every block the fabric and the
+    /// simulator write. Only a [`Ledger::append`] caller that holds a
+    /// certificate can record one.
     pub fn append_decision(&mut self, decision: &Decision) {
         for entry in &decision.entries {
-            // The driver records the certificate when the protocol
-            // produced one for this entry; GeoBFT entries embed it via the
-            // decision's origin cluster (re-attached by the driver). Here
-            // we only have the batch; certificates are attached by
-            // [`Ledger::append`] callers that hold them.
-            self.append(entry.batch.clone(), None, decision.state_digest);
+            debug_assert_eq!(entry.digest, entry.batch.digest(), "carried batch digest");
+            self.push(
+                entry.batch.clone(),
+                &entry.digest,
+                None,
+                decision.state_digest,
+            );
         }
     }
 
     /// Verify the retained chain: heights, parent links, genesis identity
-    /// (or, after compaction, recovery-anchor consistency), and every
-    /// embedded certificate (when `cfg`/`crypto` are provided). The
-    /// anchor block itself is the trust root: its own parent link points
-    /// into the compacted prefix and cannot be re-checked — which is
-    /// exactly why compaction only ever runs on checkpoint-certified
-    /// heights.
+    /// (or, after compaction, recovery-anchor consistency), the cached
+    /// head hash, and every embedded certificate (when `cfg`/`crypto` are
+    /// provided). A chain that passes has [`Ledger::hash_at`] equal to
+    /// each retained block's recomputed hash. The anchor block itself is
+    /// the trust root: its own parent link points into the compacted
+    /// prefix and cannot be re-checked — which is exactly why compaction
+    /// only ever runs on checkpoint-certified heights.
     pub fn verify(&self, cfg: Option<(&SystemConfig, &CryptoCtx)>) -> RdbResult<()> {
         if self.blocks.is_empty() {
             return Err(RdbError::LedgerCorruption("no anchor block".into()));
@@ -183,6 +220,11 @@ impl Ledger {
             }
             parent = b.hash();
         }
+        if parent != self.head {
+            return Err(RdbError::LedgerCorruption(
+                "head hash does not match the last block".into(),
+            ));
+        }
         Ok(())
     }
 
@@ -200,6 +242,7 @@ impl Ledger {
     /// height.
     pub(crate) fn replace_blocks(&mut self, blocks: Vec<Block>) {
         self.base = blocks.first().map_or(0, |b| b.height);
+        self.head = blocks.last().map_or(Digest::ZERO, Block::hash);
         self.blocks = blocks;
     }
 }
@@ -343,14 +386,8 @@ mod tests {
         let d = Decision {
             seq: 1,
             entries: vec![
-                DecisionEntry {
-                    origin: Some(ClusterId(0)),
-                    batch: noop(1),
-                },
-                DecisionEntry {
-                    origin: Some(ClusterId(1)),
-                    batch: SignedBatch::noop(ClusterId(1), 1),
-                },
+                DecisionEntry::new(Some(ClusterId(0)), noop(1)),
+                DecisionEntry::new(Some(ClusterId(1)), SignedBatch::noop(ClusterId(1), 1)),
             ],
             state_digest: Digest::of(b"post"),
         };

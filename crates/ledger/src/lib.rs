@@ -15,6 +15,8 @@
 //!   "a recovering replica can simply read the ledger of any replica it
 //!   chooses and directly verify whether the ledger can be trusted").
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod chain;
 pub mod recovery;

@@ -62,14 +62,14 @@ fn build_ledger(seed: u64, decisions: u64) -> (Ledger, Vec<KvStore>) {
         };
         let decision = Decision {
             seq,
-            entries: vec![DecisionEntry {
-                origin: None,
-                batch: SignedBatch {
+            entries: vec![DecisionEntry::new(
+                None,
+                SignedBatch {
                     batch,
                     pubkey: Default::default(),
                     sig: Default::default(),
                 },
-            }],
+            )],
             state_digest: rdb_crypto::digest::Digest::ZERO, // patched below
         };
         for entry in &decision.entries {

@@ -40,6 +40,8 @@
 //! from the chain alone, and it is also where program/abort counts for
 //! reports come from.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod scenarios;
 pub mod workloads;

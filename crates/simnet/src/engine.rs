@@ -997,14 +997,14 @@ mod tests {
                 };
                 out.decided(Decision {
                     seq: 1,
-                    entries: vec![DecisionEntry {
-                        origin: None,
-                        batch: SignedBatch {
+                    entries: vec![DecisionEntry::new(
+                        None,
+                        SignedBatch {
                             batch,
                             pubkey: Default::default(),
                             sig: Default::default(),
                         },
-                    }],
+                    )],
                     state_digest: Digest::ZERO,
                 });
             }
@@ -1076,14 +1076,14 @@ mod tests {
             };
             out.decided(Decision {
                 seq: self.seq,
-                entries: vec![DecisionEntry {
-                    origin: None,
-                    batch: SignedBatch {
+                entries: vec![DecisionEntry::new(
+                    None,
+                    SignedBatch {
                         batch,
                         pubkey: Default::default(),
                         sig: Default::default(),
                     },
-                }],
+                )],
                 state_digest: Digest::of(&self.seq.to_le_bytes()),
             });
         }
@@ -1254,14 +1254,14 @@ mod tests {
                 };
                 out.decided(Decision {
                     seq: self.seq,
-                    entries: vec![DecisionEntry {
-                        origin: None,
-                        batch: SignedBatch {
+                    entries: vec![DecisionEntry::new(
+                        None,
+                        SignedBatch {
                             batch,
                             pubkey: Default::default(),
                             sig: Default::default(),
                         },
-                    }],
+                    )],
                     state_digest: Digest::of(&self.seq.to_le_bytes()),
                 });
             }

@@ -28,6 +28,8 @@
 //! client-observed throughput/latency and message statistics — the raw
 //! material for every figure reproduction in `rdb-bench`.
 
+#![forbid(unsafe_code)]
+
 pub mod compute;
 pub mod engine;
 pub mod scenario;

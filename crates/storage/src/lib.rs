@@ -37,6 +37,8 @@
 //! which makes "recovered state digest matches the recovered ledger head"
 //! true by construction.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod log;
 pub mod run;

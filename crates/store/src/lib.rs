@@ -14,6 +14,8 @@
 //! executing the same transaction sequence, and that checkpointing uses to
 //! identify stable states.
 
+#![forbid(unsafe_code)]
+
 pub mod lanes;
 pub mod ops;
 pub mod table;

@@ -13,6 +13,8 @@
 //! * [`ycsb`] — workload configuration (record count, operation mix,
 //!   batch size) and per-client batch sources for the consensus layer.
 
+#![forbid(unsafe_code)]
+
 pub mod ycsb;
 pub mod zipfian;
 

@@ -5,6 +5,8 @@
 //! single dependency. Library users should depend on the individual crates
 //! (most importantly [`resilientdb`] and [`rdb_consensus`]) directly.
 
+#![forbid(unsafe_code)]
+
 pub use rdb_common as common;
 pub use rdb_consensus as consensus;
 pub use rdb_crypto as crypto;
