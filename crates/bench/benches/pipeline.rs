@@ -26,12 +26,6 @@
 //!   shed/blocked counters — instead of the unbounded-queue collapse the
 //!   "Looking Glass" study documents. The simnet variant shows the same
 //!   policy deterministically on single-core CI hosts.
-//! * `pipeline-simnet-lanes` / `pipeline-fabric-lanes` — the key-sharded
-//!   execution-lane sweep (1/2/4 lanes) on the modeled pipeline and on
-//!   the real threaded fabric. The modeled sweep is execution-bound and
-//!   gated by the bounded exec queue, so throughput must scale with the
-//!   lane count deterministically; the fabric sweep reports per-lane
-//!   occupancy from the deployment's lane rows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rdb_common::config::SystemConfig;
@@ -307,89 +301,6 @@ fn bench_simnet_overload(c: &mut Criterion) {
     g.finish();
 }
 
-/// The modeled execution-lane sweep: the same deterministic scenario at
-/// 1/2/4 key-sharded lanes over an execution-bound workload (per-txn
-/// materialization cost raised 100×, exec queue clamped to the reorder
-/// window). YCSB keys spread across `key % lanes` shards, so lanes drain
-/// the materialization backlog in parallel and the worker blocks less at
-/// the bounded exec queue — modeled throughput must rise with the lane
-/// count even on a single-core CI host.
-fn bench_simnet_lanes(c: &mut Criterion) {
-    use rdb_simnet::{PipelineModel, Scenario};
-    let mut g = c.benchmark_group("pipeline-simnet-lanes");
-    g.sample_size(2);
-    let mut baseline = 0.0f64;
-    for lanes in [1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
-            b.iter(|| {
-                let mut s = Scenario::paper(ProtocolKind::Pbft, 1, 4).quick();
-                s.logical_clients = 4_000;
-                s.compute.exec_ns_per_txn = 200_000;
-                s.compute.pipeline = PipelineModel::default()
-                    .with_exec_lanes(lanes)
-                    .with_exec_queue(4);
-                let m = s.with_batch_size(50).run();
-                eprintln!(
-                    "    modeled lanes={lanes}: {:.0} txn/s, gate waits {} ({:?} blocked)",
-                    m.throughput_txn_s, m.stats.exec_gate_waits, m.stats.exec_gate_wait
-                );
-                if lanes == 1 {
-                    baseline = m.throughput_txn_s;
-                } else {
-                    assert!(
-                        m.throughput_txn_s >= baseline,
-                        "modeled throughput must not regress with more lanes: \
-                         {} lanes {:.0} vs 1 lane {:.0}",
-                        lanes,
-                        m.throughput_txn_s,
-                        baseline
-                    );
-                }
-                m.throughput_txn_s as u64
-            })
-        });
-    }
-    g.finish();
-}
-
-/// The threaded fabric across execution-lane counts: the same
-/// closed-loop deployment at 1/2/4 lanes, printing completed
-/// transactions and per-lane occupancy (`DeploymentReport`'s lane rows).
-/// On a many-core host with an execution-heavy table this shows the real
-/// lane pool's scaling; on a starved CI box the value is the invariant —
-/// every lane count stays correct under any interleaving.
-fn bench_fabric_lanes(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pipeline-fabric-lanes");
-    g.sample_size(10);
-    g.measurement_time(Duration::from_secs(12));
-    for lanes in [1usize, 2, 4] {
-        g.throughput(Throughput::Elements(50));
-        g.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
-            b.iter(|| {
-                let report = DeploymentBuilder::new(ProtocolKind::Pbft, 1, 4)
-                    .batch_size(50)
-                    .clients(8)
-                    .records(100_000)
-                    .exec_lanes(lanes)
-                    .duration(Duration::from_millis(300))
-                    .run();
-                let occupancy: Vec<String> = report
-                    .exec_lane_occupancy()
-                    .iter()
-                    .map(|(lane, occ)| format!("L{lane} {:.1}%", 100.0 * occ))
-                    .collect();
-                eprintln!(
-                    "    lanes={lanes}: {} txns, lane occupancy [{}]",
-                    report.completed_txns,
-                    occupancy.join(", ")
-                );
-                report.completed_txns
-            })
-        });
-    }
-    g.finish();
-}
-
 /// Checkpointing cost on the fabric: the same closed-loop deployment
 /// with the checkpoint stage off, on, and on-with-snapshots. The stage
 /// runs off the critical path, so throughput should degrade only by the
@@ -549,8 +460,6 @@ criterion_group!(
     bench_fabric_occupancy,
     bench_overload,
     bench_simnet_overload,
-    bench_simnet_lanes,
-    bench_fabric_lanes,
     bench_checkpoint,
     bench_fabric_batch,
     bench_serialize

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdb_store::{KvStore, Operation, Value};
 
 /// The fingerprint-rebuild cost an unfingerprinted catch-up pays
-/// (recovery replay, lane-pool shutdown): the store tracks which of its
+/// (recovery replay, executor shutdown): the store tracks which of its
 /// internal shards a write dirtied, so `rebuild_fingerprint` rescans
 /// only those — against `rebuild_fingerprint_full`'s whole-table rescan,
 /// the pre-sharding behavior. A touch set that lands in one shard of a

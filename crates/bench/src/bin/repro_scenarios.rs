@@ -7,8 +7,8 @@
 //! output (the CI `scenarios` job diffs exactly that). Without `--quick`
 //! every scenario *additionally* runs on the threaded fabric and the
 //! cross-runtime assertions fire: byte-identical committed ledgers for
-//! the fault-free scenarios (at 1 and 4 execution lanes), honest-replica
-//! agreement plus a progress floor for the fault scripts.
+//! the fault-free scenarios, honest-replica agreement plus a progress
+//! floor for the fault scripts.
 
 #![forbid(unsafe_code)]
 

@@ -70,7 +70,6 @@ pub struct DeploymentBuilder {
     client_retry: SimDuration,
     remote_timeout: SimDuration,
     pipeline: PipelineConfig,
-    exec_lanes: usize,
     input_queue: Option<QueuePolicy>,
     work_queue: Option<QueuePolicy>,
     exec_queue: Option<QueuePolicy>,
@@ -100,7 +99,6 @@ impl DeploymentBuilder {
             client_retry: SimDuration::from_millis(4_000),
             remote_timeout: SimDuration::from_millis(1_500),
             pipeline: PipelineConfig::default(),
-            exec_lanes: 1,
             input_queue: None,
             work_queue: None,
             exec_queue: None,
@@ -164,18 +162,6 @@ impl DeploymentBuilder {
     /// [`PipelineConfig::default`].
     pub fn verifier_threads(mut self, n: usize) -> Self {
         self.pipeline = PipelineConfig::with_verifiers(n);
-        self
-    }
-
-    /// Key-sharded execution lanes per replica (default 1, and what every
-    /// figure reproduction uses). The execute stage is a lane pool — key
-    /// `k` executes on lane `k % n`, decisions touching disjoint lanes
-    /// run in parallel, and a commit-order retirement step (bounded by
-    /// the exec queue's reorder window) keeps the ledger, the WAL and the
-    /// audit byte-identical at any lane count. Clamped to
-    /// `1..=`[`rdb_store::MAX_LANES`].
-    pub fn exec_lanes(mut self, n: usize) -> Self {
-        self.exec_lanes = n.clamp(1, rdb_store::MAX_LANES);
         self
     }
 
@@ -315,7 +301,6 @@ impl DeploymentBuilder {
         }
         self.pipeline.queues = queues;
         self.pipeline.checkpoint = self.checkpoint;
-        self.pipeline.exec_lanes = self.exec_lanes;
 
         let system = SystemConfig::geo(self.z, self.n).expect("valid system");
         let mut cfg = ProtocolConfig::new(system.clone());
@@ -397,7 +382,7 @@ impl DeploymentBuilder {
                             .unwrap_or_else(|e| panic!("initialize replica {rid}: {e}"));
                         (preload, Ledger::new())
                     };
-                    let backend = std::sync::Arc::new(parking_lot::Mutex::new(engine));
+                    let backend = std::sync::Arc::new(std::sync::Mutex::new(engine));
                     backends.push((rid, std::sync::Arc::clone(&backend)));
                     (exec_store, ledger, Some(backend))
                 }
@@ -463,7 +448,7 @@ impl DeploymentBuilder {
             keystore: ks,
             epoch,
             replicas,
-            clients: parking_lot::Mutex::new(Vec::new()),
+            clients: std::sync::Mutex::new(Vec::new()),
             next_ycsb_client: std::sync::atomic::AtomicUsize::new(0),
             next_session: std::sync::atomic::AtomicU32::new(0),
             crashed: self
@@ -583,19 +568,6 @@ impl DeploymentReport {
         self.stages
             .row(rdb_consensus::stage::Stage::Order)
             .occupancy(self.elapsed, replicas)
-    }
-
-    /// Per-lane execution occupancy over the run: `(lane, busy fraction)`
-    /// rows from the lane pool. Busy time is summed across replicas (all
-    /// run the same lane config), so it is normalized by the replica count
-    /// like [`DeploymentReport::worker_occupancy`].
-    pub fn exec_lane_occupancy(&self) -> Vec<(usize, f64)> {
-        let replicas = self.system.z() * self.system.n();
-        self.stages
-            .lanes
-            .iter()
-            .map(|l| (l.lane, l.occupancy(self.elapsed) / replicas as f64))
-            .collect()
     }
 
     /// The common committed prefix length across non-crashed replicas

@@ -107,12 +107,11 @@ pub mod queue;
 pub mod service;
 pub mod socket;
 pub mod storage;
+mod sync;
 pub mod transport;
 
 pub use deployment::{DeploymentBuilder, DeploymentReport, TransportMode};
-pub use metrics::{
-    LaneRow, LinkRow, Metrics, NetSnapshot, StageRow, StageSnapshot, StorageSnapshot,
-};
+pub use metrics::{LinkRow, Metrics, NetSnapshot, StageRow, StageSnapshot, StorageSnapshot};
 pub use node::{ReplicaRuntime, ReplicaStopReport};
 pub use pipeline::{CheckpointConfig, CheckpointReport, PipelineConfig, VerifyCtx};
 pub use queue::{Overload, QueuePolicy, StageQueues};

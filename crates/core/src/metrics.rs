@@ -20,13 +20,13 @@
 //! does not grow with the number of samples, and a percentile is exact
 //! to within one bucket (1/16 of the value).
 
-use parking_lot::Mutex;
+use crate::sync::MutexExt;
 use rdb_common::ids::NodeId;
 use rdb_consensus::stage::Stage;
 use rdb_storage::StorageStats;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Deployment-wide counters. Cheap to clone (all state shared).
@@ -50,26 +50,6 @@ struct StageTable([StageCell; Stage::COUNT]);
 impl Default for StageTable {
     fn default() -> Self {
         StageTable(std::array::from_fn(|_| StageCell::default()))
-    }
-}
-
-/// Per-execution-lane counters (see `resilientdb::pipeline`'s lane pool).
-/// Lane footprints travel as `u64` bitmasks, so the table is fixed at
-/// [`rdb_store::MAX_LANES`] cells; only the first
-/// [`Metrics::exec_lanes`] are live.
-#[derive(Default)]
-struct LaneCell {
-    batches: AtomicU64,
-    ops: AtomicU64,
-    busy_ns: AtomicU64,
-    stall_ns: AtomicU64,
-}
-
-struct LaneTable([LaneCell; rdb_store::MAX_LANES]);
-
-impl Default for LaneTable {
-    fn default() -> Self {
-        LaneTable(std::array::from_fn(|_| LaneCell::default()))
     }
 }
 
@@ -181,8 +161,6 @@ struct Inner {
     messages_sent: AtomicU64,
     latencies: LatencyHistogram,
     stages: StageTable,
-    lanes: LaneTable,
-    exec_lanes: AtomicU64,
     net: Mutex<BTreeMap<(NodeId, NodeId), NetCell>>,
     storage: Mutex<StorageCell>,
 }
@@ -286,52 +264,11 @@ impl Metrics {
         }
     }
 
-    // ------------------------------------------------ execution lanes --
-
-    /// Declare the execution-lane fan-out (the lane pool calls this once
-    /// per replica at spawn; a shared deployment-wide `Metrics` keeps the
-    /// maximum, since every replica runs the same lane config).
-    pub fn set_exec_lanes(&self, lanes: usize) {
-        let lanes = lanes.min(rdb_store::MAX_LANES) as u64;
-        self.inner.exec_lanes.fetch_max(lanes, Ordering::Relaxed);
-    }
-
-    /// Configured execution-lane fan-out (0 before any lane pool spawned).
-    pub fn exec_lanes(&self) -> usize {
-        self.inner.exec_lanes.load(Ordering::Relaxed) as usize
-    }
-
-    /// Lane `lane` applied one lane-job of `ops` operations in `busy`.
-    pub fn lane_batch(&self, lane: usize, ops: u64, busy: Duration) {
-        let cell = &self.inner.lanes.0[lane % rdb_store::MAX_LANES];
-        cell.batches.fetch_add(1, Ordering::Relaxed);
-        cell.ops.fetch_add(ops, Ordering::Relaxed);
-        cell.busy_ns
-            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// The retirement head waited `wait` on every lane in `mask` — the
-    /// conflict-stall cost of batches serialized on the same shard(s).
-    pub fn lane_stalled(&self, mask: u64, wait: Duration) {
-        let ns = wait.as_nanos() as u64;
-        if ns == 0 {
-            return;
-        }
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            self.inner.lanes.0[lane]
-                .stall_ns
-                .fetch_add(ns, Ordering::Relaxed);
-            m &= m - 1;
-        }
-    }
-
     // --------------------------------------------------- wire links --
 
     /// A frame of `bytes` left on the `from -> to` socket link.
     pub fn net_sent(&self, from: NodeId, to: NodeId, bytes: u64) {
-        let mut net = self.inner.net.lock();
+        let mut net = self.inner.net.guard();
         let cell = net.entry((from, to)).or_default();
         cell.bytes_out += bytes;
         cell.frames_out += 1;
@@ -339,7 +276,7 @@ impl Metrics {
 
     /// A frame of `bytes` arrived on the `from -> to` socket link.
     pub fn net_received(&self, from: NodeId, to: NodeId, bytes: u64) {
-        let mut net = self.inner.net.lock();
+        let mut net = self.inner.net.guard();
         let cell = net.entry((from, to)).or_default();
         cell.bytes_in += bytes;
         cell.frames_in += 1;
@@ -349,7 +286,7 @@ impl Metrics {
     pub fn net_reconnect(&self, from: NodeId, to: NodeId) {
         self.inner
             .net
-            .lock()
+            .guard()
             .entry((from, to))
             .or_default()
             .reconnects += 1;
@@ -362,7 +299,7 @@ impl Metrics {
             links: self
                 .inner
                 .net
-                .lock()
+                .guard()
                 .iter()
                 .map(|(&(from, to), cell)| LinkRow {
                     from,
@@ -383,14 +320,14 @@ impl Metrics {
     /// totals (called once per engine at fabric shutdown; memory
     /// deployments never call it, so `storage_snapshot` stays empty).
     pub fn storage_merge(&self, stats: &StorageStats) {
-        let mut cell = self.inner.storage.lock();
+        let mut cell = self.inner.storage.guard();
         cell.engines += 1;
         cell.stats.merge(stats);
     }
 
     /// Point-in-time copy of the accumulated durable-engine counters.
     pub fn storage_snapshot(&self) -> StorageSnapshot {
-        let cell = self.inner.storage.lock();
+        let cell = self.inner.storage.guard();
         StorageSnapshot {
             engines: cell.engines,
             stats: cell.stats,
@@ -431,17 +368,6 @@ impl Metrics {
                         busy: Duration::from_nanos(cell.busy_ns.load(Ordering::Relaxed)),
                         blocked: Duration::from_nanos(cell.blocked_ns.load(Ordering::Relaxed)),
                     }
-                })
-                .collect(),
-            lanes: self.inner.lanes.0[..self.exec_lanes()]
-                .iter()
-                .enumerate()
-                .map(|(lane, cell)| LaneRow {
-                    lane,
-                    batches: cell.batches.load(Ordering::Relaxed),
-                    ops: cell.ops.load(Ordering::Relaxed),
-                    busy: Duration::from_nanos(cell.busy_ns.load(Ordering::Relaxed)),
-                    stalled: Duration::from_nanos(cell.stall_ns.load(Ordering::Relaxed)),
                 })
                 .collect(),
         }
@@ -485,8 +411,6 @@ impl Metrics {
 pub struct StageSnapshot {
     /// One row per [`Stage`], in pipeline order.
     pub rows: Vec<StageRow>,
-    /// One row per execution lane (empty until a lane pool has spawned).
-    pub lanes: Vec<LaneRow>,
 }
 
 impl StageSnapshot {
@@ -512,24 +436,6 @@ impl StageSnapshot {
                 );
                 if !r.blocked.is_zero() {
                     s.push_str(&format!(" blocked={:?}", r.blocked));
-                }
-                s
-            })
-            .collect::<Vec<_>>()
-            .join(" | ")
-    }
-
-    /// One-line per-lane summary (empty string when no lane pool ran).
-    pub fn lane_summary(&self) -> String {
-        self.lanes
-            .iter()
-            .map(|l| {
-                let mut s = format!(
-                    "lane{}: {}b/{}ops busy={:?}",
-                    l.lane, l.batches, l.ops, l.busy
-                );
-                if !l.stalled.is_zero() {
-                    s.push_str(&format!(" stalled={:?}", l.stalled));
                 }
                 s
             })
@@ -664,33 +570,6 @@ impl StageRow {
             return 0.0;
         }
         self.busy.as_secs_f64() / (elapsed.as_secs_f64() * threads as f64)
-    }
-}
-
-/// Counters of one execution lane.
-#[derive(Debug, Clone)]
-pub struct LaneRow {
-    /// Lane index (key `k` executes on lane `k % lanes`).
-    pub lane: usize,
-    /// Lane-jobs (per-decision work lists) this lane applied.
-    pub batches: u64,
-    /// Operations this lane applied.
-    pub ops: u64,
-    /// Accumulated apply time on the lane.
-    pub busy: Duration,
-    /// Accumulated time the commit-order retirement head spent waiting on
-    /// this lane — conflict-stall from batches serialized on its shards.
-    /// Zero for lane 0, which the scheduler runs itself.
-    pub stalled: Duration,
-}
-
-impl LaneRow {
-    /// Fraction of `elapsed` this lane's thread spent applying.
-    pub fn occupancy(&self, elapsed: Duration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / elapsed.as_secs_f64()
     }
 }
 

@@ -15,7 +15,6 @@ use crate::pipeline::{
 use crate::queue::{send_with_policy, StageQueues};
 use crate::transport::TransportHandle;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use rdb_common::ids::NodeId;
 use rdb_common::time::SimTime;
 use rdb_consensus::api::{Action, Outbox, ReplicaProtocol, TimerKind};
@@ -26,7 +25,7 @@ use rdb_ledger::Ledger;
 use rdb_store::KvStore;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -276,8 +275,6 @@ impl ReplicaRuntime {
             ckpt_tx,
             pipeline.checkpoint,
             queues.checkpoint,
-            pipeline.exec_lanes,
-            pipeline.reorder_window(),
             backend,
             metrics.clone(),
         );
@@ -417,7 +414,7 @@ impl ReplicaRuntime {
         let Ok(ledger) = Arc::try_unwrap(self.ledger) else {
             unreachable!("all ledger holders joined");
         };
-        let ledger = ledger.into_inner();
+        let ledger = ledger.into_inner().unwrap_or_else(PoisonError::into_inner);
         ReplicaStopReport {
             ledger,
             exec_digest,

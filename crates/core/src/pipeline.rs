@@ -14,15 +14,12 @@
 //!   Pipeline-level checkpoint votes (reserved scope, see
 //!   [`rdb_consensus::checkpoint`]) are routed straight to the checkpoint
 //!   stage — the worker never sees them.
-//! * **Execute** — a scheduler thread that is also lane 0, plus one
-//!   thread for each further key-sharded lane
-//!   ([`PipelineConfig::exec_lanes`]), applying finalized [`Decision`]s to
-//!   the node's `rdb-store` table; the scheduler retires them strictly in
-//!   commit order, appending to the `rdb-ledger` chain (and, in durable
-//!   mode, writing the decision's WAL batch), so neither store writes nor
-//!   ledger hashing sit on the consensus critical path. Every
-//!   [`CheckpointConfig::interval`] decisions it snapshots the table
-//!   digest into the checkpoint queue.
+//! * **Execute** — one thread applying finalized [`Decision`]s, in commit
+//!   order, to the node's single `rdb-store` table, appending each to the
+//!   `rdb-ledger` chain (and, in durable mode, writing the decision's WAL
+//!   batch), so neither store writes nor ledger hashing sit on the
+//!   consensus critical path. Every [`CheckpointConfig::interval`]
+//!   decisions it snapshots the table digest into the checkpoint queue.
 //! * **Checkpoint** — a dedicated thread that certifies the execution
 //!   stage's snapshots against peers (a
 //!   [`rdb_consensus::checkpoint::CheckpointTracker`] quorum over
@@ -41,9 +38,9 @@
 use crate::metrics::Metrics;
 use crate::queue::{send_with_policy, QueuePolicy, SendOutcome, StageQueues};
 use crate::storage::{self, SharedBackend};
+use crate::sync::MutexExt;
 use crate::transport::{Envelope, TransportSender};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{NodeId, ReplicaId};
 use rdb_consensus::checkpoint::{self, CheckpointTracker, StableCheckpoint};
@@ -53,11 +50,10 @@ use rdb_consensus::stage::{Stage, VerifiedMessage};
 use rdb_consensus::types::Decision;
 use rdb_crypto::digest::Digest;
 use rdb_ledger::Ledger;
-use rdb_store::lanes::{self as store_lanes, LaneItem};
-use rdb_store::{KvStore, Value};
+use rdb_store::KvStore;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -119,13 +115,6 @@ pub struct PipelineConfig {
     pub queues: StageQueues,
     /// Checkpoint stage configuration (disabled by default).
     pub checkpoint: CheckpointConfig,
-    /// Key-sharded execution lanes (default `1`): key `k` executes on lane
-    /// `k % n`, decisions touching disjoint lanes proceed in parallel, and
-    /// a commit-order reorder window derived from the exec queue's
-    /// capacity bounds out-of-order completion (see the lane-pool section
-    /// below). One lane is the degenerate case of the same pool, not a
-    /// separate executor. Clamped to [`rdb_store::MAX_LANES`].
-    pub exec_lanes: usize,
 }
 
 impl Default for PipelineConfig {
@@ -142,7 +131,6 @@ impl Default for PipelineConfig {
             verifier_threads,
             queues: StageQueues::derive(10, verifier_threads),
             checkpoint: CheckpointConfig::default(),
-            exec_lanes: 1,
         }
     }
 }
@@ -157,23 +145,6 @@ impl PipelineConfig {
             queues: StageQueues::derive(10, n),
             ..PipelineConfig::default()
         }
-    }
-
-    /// Set the execution-lane fan-out (clamped to
-    /// `1..=`[`rdb_store::MAX_LANES`]).
-    pub fn with_exec_lanes(mut self, n: usize) -> PipelineConfig {
-        self.exec_lanes = n.clamp(1, rdb_store::MAX_LANES);
-        self
-    }
-
-    /// The commit-order reorder window of the lane pool: how many
-    /// decisions may be in flight (dispatched to lanes, not yet retired)
-    /// at once. Derived jointly with the exec queue's bound — the window
-    /// *is* the exec queue capacity, so out-of-order completion never
-    /// exceeds what the bounded-queue invariant already admits between
-    /// the worker and the execute stage.
-    pub fn reorder_window(&self) -> usize {
-        self.queues.exec.capacity.max(1)
     }
 }
 
@@ -349,23 +320,23 @@ fn verifier_loop(
     }
 }
 
-/// Spawn the execution stage: `exec_rx` → lane apply → commit-order
-/// retirement (ledger append into the shared ledger the checkpoint stage
-/// compacts, plus the decision's WAL batch when `backend` is set). Runs
-/// until the worker drops its sender, so every decision emitted before
-/// shutdown is persisted. Returns the materialized table's state digest
-/// on join — which must equal the last appended block's `state_digest`
-/// (the ordering state machine executed the same decisions against an
-/// identically-preloaded store), making the off-path materialization
-/// independently auditable.
+/// Spawn the execution stage: `exec_rx` → apply on the replica's one
+/// table in commit order → ledger append (into the shared ledger the
+/// checkpoint stage compacts), plus the decision's WAL batch when
+/// `backend` is set. Runs until the worker drops its sender, so every
+/// decision emitted before shutdown is persisted. Returns the
+/// materialized table's state digest on join — which must equal the last
+/// appended block's `state_digest` (the ordering state machine executed
+/// the same decisions against an identically-preloaded store), making
+/// the off-path materialization independently auditable.
 ///
-/// With checkpointing enabled the lanes keep their fingerprints *live*
+/// With checkpointing enabled the table keeps its fingerprint *live*
 /// (per-write hashing instead of the deferred rebuild): checkpoint
 /// snapshots need an O(1) honest table digest at every interval boundary
 /// — that hashing is the execute-side cost of checkpointing. Boundaries
 /// fall every [`CheckpointConfig::interval`] decisions; snapshot jobs go
 /// into the Block-policy checkpoint queue, and when the checkpoint stage
-/// lags, that send parks the scheduler, which is precisely the throttle
+/// lags, that send parks this thread, which is precisely the throttle
 /// that bounds exec-to-stable lag.
 // The parameters mirror the stage wiring one-to-one.
 #[allow(clippy::too_many_arguments)]
@@ -377,567 +348,104 @@ pub(crate) fn spawn_executor(
     ckpt_tx: Option<Sender<CheckpointMsg>>,
     cfg: CheckpointConfig,
     queue: QueuePolicy,
-    lanes: usize,
-    reorder_window: usize,
     backend: Option<SharedBackend>,
     metrics: Metrics,
-) -> JoinHandle<rdb_crypto::digest::Digest> {
-    let lanes = lanes.clamp(1, rdb_store::MAX_LANES);
+) -> JoinHandle<Digest> {
     std::thread::Builder::new()
         .name(format!("{node}-execute"))
         .spawn(move || {
-            run_lane_pool(
-                node,
-                store,
-                exec_rx,
-                ledger,
-                ckpt_tx,
-                cfg,
-                queue,
-                lanes,
-                reorder_window,
-                backend,
-                metrics,
+            execute_loop(
+                store, exec_rx, ledger, ckpt_tx, cfg, queue, backend, metrics,
             )
         })
         .expect("spawn execution thread")
 }
 
-// ------------------------------------------------------------------------
-// The key-sharded lane pool — the only executor; PipelineConfig::exec_lanes
-// == 1 is its degenerate case (lane 0 owns every key, so the whole stage
-// is the one execute thread).
-//
-// The execute thread is a *scheduler*: it analyzes each decision's key
-// footprint (rdb_store::lanes::partition_batch), fans the per-lane work
-// lists out to N lanes that each own the key-disjoint slice of the table
-// with keys ≡ lane (mod N), and retires decisions strictly in commit
-// order once every lane they touched reports completion. Lane 0 is the
-// scheduler itself — it runs that lane's jobs where it would otherwise
-// sit waiting for completions, after handing the other lanes theirs — and
-// lanes 1..N are threads. N lanes are N threads; at N = 1 a decision is
-// planned, applied, appended and persisted without a thread hand-off.
-// Conflict-awareness falls out of the partition: two decisions touching
-// the same shard land on the same lane's FIFO and serialize; decisions
-// with disjoint footprints run on different lanes concurrently.
-//
-// Out-of-order completion is bounded by the reorder window W
-// (PipelineConfig::reorder_window — the exec queue's capacity): at most W
-// decisions are in flight between dispatch and retirement. Lane job
-// queues are bounded too; a full queue parks the *scheduler* only, and
-// lane threads always drain (their completion/reply channels never
-// block), so the scheduler/lane graph stays deadlock-free.
-//
-// Retirement is the one serialization point, so everything that must
-// happen in commit order happens there: the ledger append, Stage::Execute
-// accounting, and — in durable mode — the decision's single atomic WAL
-// batch. Lane stores run with write capture on; every completion carries
-// the (key, value, version) images its job wrote, and retirement
-// concatenates them behind the decision's blocks. Lanes own disjoint keys
-// and each lane's completions arrive in FIFO order, so the concatenation
-// is last-write-wins-correct per key and the on-disk format never learns
-// how many lanes wrote it.
-//
-// Cross-lane transaction programs (rdb_store::txn) are synchronization
-// points within their decision: the scheduler follows the batch's
-// execution plan (rdb_store::lanes::plan_batch), and for each
-// PlanStep::Program it *gathers* the program's static read footprint from
-// the owning lanes (a Gather job rides each lane's FIFO, so it observes
-// exactly the writes of every earlier operation), evaluates the register
-// machine once on the scheduler, and *scatters* the write set back as
-// Program jobs — which again ride the FIFOs, so every later operation
-// observes them. The home lane's Program job also carries the stats
-// note, keeping merged lane statistics identical to in-order execution
-// on one table (KvStore::execute_batch).
-
-/// A captured table write: `(key, value, new version)`.
-type Image = (u64, Value, u64);
-
-/// A lane's answer to a checkpoint barrier: its index, its 40-byte
-/// fingerprint part, and (when snapshots are retained) a clone of its
-/// table slice.
-type LanePart = (usize, ([u8; 32], u64), Option<KvStore>);
-
-/// One unit of work for a lane: run in place on lane 0, queued on a lane
-/// thread's bounded FIFO otherwise.
-enum LaneJob {
-    /// Apply this decision's lane-local items. `id` is the decision's
-    /// dispatch ordinal, echoed in the completion message.
-    Apply {
-        id: u64,
-        items: Vec<LaneItem>,
-        fingerprint: bool,
-    },
-    /// Read the lane-owned keys of a cross-lane program's footprint and
-    /// reply with their current values. The reply channel is the
-    /// completion signal — no `LaneDone` is sent.
-    Gather {
-        keys: Vec<u64>,
-        reply: Sender<Vec<(u64, Option<Value>)>>,
-    },
-    /// Scatter a cross-lane program's lane-owned writes (possibly empty)
-    /// onto this lane; `note` is `Some(aborted)` on the program's home
-    /// lane, which owns the stats bump.
-    Program {
-        id: u64,
-        writes: Vec<(u64, Value)>,
-        note: Option<bool>,
-        fingerprint: bool,
-    },
-    /// Checkpoint barrier (queue already drained): report the lane's
-    /// fingerprint part — and a clone of its table slice when snapshots
-    /// are retained — so the scheduler can certify the combined digest.
-    Checkpoint {
-        reply: Sender<LanePart>,
-        snapshot: bool,
-    },
-}
-
-/// A lane finished an `Apply` or `Program` job of decision `id`.
-struct LaneDone {
-    lane: usize,
-    id: u64,
-    /// Time the lane spent on the job (part of the decision's
-    /// Stage::Execute busy time).
-    busy: Duration,
-    /// The writes the job captured (empty unless durable).
-    images: Vec<Image>,
-}
-
-/// One in-flight decision in the reorder window.
-struct InFlight {
-    decision: Decision,
-    /// Outstanding jobs per lane for this decision (a decision with
-    /// cross-lane programs dispatches several jobs to the same lane:
-    /// its plan's `Items` segments plus program write scatters).
-    waiting: Vec<u16>,
-    /// Total outstanding jobs; the decision is ready to retire at 0.
-    left: u32,
-    /// Scheduler-side partition + dispatch + program-evaluation cost plus
-    /// the lanes' apply time, reported as the decision's Stage::Execute
-    /// busy time at retirement.
-    busy: Duration,
-    /// Captured writes of the completed jobs, for the WAL batch.
-    images: Vec<Image>,
-}
-
-impl InFlight {
-    /// Bitmask of lanes this decision is still waiting on.
-    fn waiting_mask(&self) -> u64 {
-        self.waiting
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .fold(0u64, |m, (lane, _)| m | 1u64 << lane)
-    }
-}
-
-/// Run one job against a lane's table slice. `Apply` and `Program` jobs
-/// yield the completion that counts against their decision; `Gather` and
-/// `Checkpoint` answer on the job's own reply channel.
-fn run_job(lane: usize, store: &mut KvStore, job: LaneJob, metrics: &Metrics) -> Option<LaneDone> {
-    let (id, t0, ops) = match job {
-        LaneJob::Apply {
-            id,
-            items,
-            fingerprint,
-        } => {
-            let t0 = Instant::now();
-            for item in &items {
-                store.execute_partial(&item.op, item.home, fingerprint);
-            }
-            (id, t0, items.len() as u64)
-        }
-        LaneJob::Gather { keys, reply } => {
-            let values = keys.iter().map(|&k| (k, store.get(k))).collect();
-            let _ = reply.send(values);
-            return None;
-        }
-        LaneJob::Program {
-            id,
-            writes,
-            note,
-            fingerprint,
-        } => {
-            let t0 = Instant::now();
-            for (key, value) in &writes {
-                store.apply_program_write(*key, *value, fingerprint);
-            }
-            // The home lane counts the program as one op, like
-            // per-operation accounting on one table.
-            let ops = match note {
-                Some(aborted) => {
-                    store.note_program(aborted);
-                    1
-                }
-                None => 0,
-            };
-            (id, t0, ops)
-        }
-        LaneJob::Checkpoint { reply, snapshot } => {
-            let snap = snapshot.then(|| store.clone());
-            let _ = reply.send((lane, store.fingerprint_part(), snap));
-            return None;
-        }
-    };
-    let busy = t0.elapsed();
-    metrics.lane_batch(lane, ops, busy);
-    Some(LaneDone {
-        lane,
-        id,
-        busy,
-        images: store.take_captured(),
-    })
-}
-
-fn lane_loop(
-    lane: usize,
-    mut store: KvStore,
-    jobs: Receiver<LaneJob>,
-    done: Sender<LaneDone>,
-    metrics: Metrics,
-) -> KvStore {
-    for job in jobs.iter() {
-        if let Some(completion) = run_job(lane, &mut store, job, &metrics) {
-            if done.send(completion).is_err() {
-                break; // scheduler gone: shutting down
-            }
-        }
-    }
-    store
-}
-
 #[allow(clippy::too_many_arguments)]
-fn run_lane_pool(
-    node: NodeId,
+fn execute_loop(
     mut store: KvStore,
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
     ckpt_tx: Option<Sender<CheckpointMsg>>,
     cfg: CheckpointConfig,
     queue: QueuePolicy,
-    lanes: usize,
-    reorder_window: usize,
     backend: Option<SharedBackend>,
     metrics: Metrics,
 ) -> Digest {
     let mut checkpointing = cfg.enabled() && ckpt_tx.is_some();
-    // Checkpoint certification needs honest per-lane fingerprints at
-    // every barrier, so lanes hash incrementally; otherwise the
-    // decision's state digest is authoritative (the ordering state
-    // machine computed it) and lanes defer to one dirty-shard rebuild at
-    // shutdown.
+    // Checkpoint certification needs an honest digest at every boundary,
+    // so the table hashes each write; otherwise the decision's state
+    // digest is authoritative (the ordering state machine computed it)
+    // and the table defers to one dirty-shard rebuild at shutdown.
     let fingerprint = checkpointing;
-    let window = reorder_window.max(1);
-    metrics.set_exec_lanes(lanes);
     if backend.is_some() {
         // Durable mode: capture every table write as an absolute
         // (key, value, version) image so the decision's WAL batch carries
-        // the exact post-state, not a delta to replay. Lane stores
-        // inherit the flag from the table they are split from.
+        // the exact post-state, not a delta to replay.
         store.enable_capture();
     }
-
-    // Lane 0 is the scheduler itself; lanes 1.. get a thread each.
-    let mut lane_stores = store.split_lanes(lanes).into_iter();
-    let mut home = lane_stores.next().expect("at least one lane");
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<LaneDone>();
-    let mut job_txs: Vec<Sender<LaneJob>> = Vec::with_capacity(lanes - 1);
-    let mut lane_handles: Vec<JoinHandle<KvStore>> = Vec::with_capacity(lanes - 1);
-    for (lane, lane_store) in (1..).zip(lane_stores) {
-        // Window-bounded FIFO: at most `window` decisions are in flight;
-        // a plain decision sends this lane at most one job (the +1 covers
-        // the barrier probe), so its dispatch never blocks. Decisions with
-        // cross-lane programs may send several jobs and can park the
-        // scheduler on a full FIFO — safe, because lanes always drain.
-        let (tx, rx) = crossbeam::channel::bounded::<LaneJob>(window + 1);
-        let done = done_tx.clone();
-        let lane_metrics = metrics.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("{node}-exec-lane{lane}"))
-            .spawn(move || lane_loop(lane, lane_store, rx, done, lane_metrics))
-            .expect("spawn lane thread");
-        job_txs.push(tx);
-        lane_handles.push(handle);
-    }
-    drop(done_tx);
-    // Hand `job` to `lane`. A lane-0 job runs here and now, and its
-    // completion (if the job has one) comes back as the return value;
-    // every other lane's arrives on `done_rx` later.
-    let mut dispatch = |lane: usize, job: LaneJob| -> Option<LaneDone> {
-        if lane == 0 {
-            run_job(0, &mut home, job, &metrics)
-        } else {
-            job_txs[lane - 1].send(job).expect("lane thread alive");
-            None
-        }
-    };
-
-    // The reorder window: decisions dispatched but not yet retired, in
-    // commit order. `retired` counts retirements, so in-flight decision
-    // `id` lives at index `id - retired`.
-    let mut window_q: VecDeque<InFlight> = VecDeque::with_capacity(window);
-    let mut next_id = 0u64;
-    let mut retired = 0u64;
     let mut decided = 0u64;
-
-    // Mark a completion against the window.
-    let mark = |window_q: &mut VecDeque<InFlight>, retired: u64, done: LaneDone| {
-        let idx = (done.id - retired) as usize;
-        let f = &mut window_q[idx];
-        f.waiting[done.lane] -= 1;
-        f.left -= 1;
-        f.busy += done.busy;
-        f.images.extend(done.images);
-    };
-    // Retire every ready decision at the window head, in commit order:
-    // append to the shared ledger, persist, account the Execute stage.
-    let retire_ready = |window_q: &mut VecDeque<InFlight>, retired: &mut u64| {
-        while window_q.front().is_some_and(|f| f.left == 0) {
-            let f = window_q.pop_front().expect("checked front");
-            let t0 = Instant::now();
-            let (height, new_blocks) = {
-                let mut l = ledger.lock();
-                let prev = l.head_height();
-                l.append_decision(&f.decision);
-                let head = l.head_height();
-                // Durable mode: clone the block(s) this decision appended
-                // while still under the lock, so the persisted chain
-                // segment is exactly what the ledger linked.
-                let new_blocks: Vec<rdb_ledger::Block> = if backend.is_some() {
-                    (prev + 1..=head)
-                        .map(|h| l.block(h).expect("just appended").clone())
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                (head, new_blocks)
-            };
-            if let Some(be) = &backend {
-                // One decision = one atomic WAL batch: blocks + absolute
-                // table images from every lane + applied watermark. A torn
-                // tail therefore truncates to a decision boundary on
-                // recovery.
-                storage::persist_decision(be, &new_blocks, &f.images, height)
-                    .expect("durable storage write failed");
-            }
-            metrics.stage_processed(Stage::Execute, f.busy + t0.elapsed());
-            *retired += 1;
-        }
-    };
-    // Wait for completions until at most `keep` decisions are in flight,
-    // attributing each wait to the lanes the window head is still missing
-    // (the conflict stall).
-    let drain_to = |window_q: &mut VecDeque<InFlight>, retired: &mut u64, keep: usize| {
-        while window_q.len() > keep {
-            let head_mask = window_q.front().map_or(0, |f| f.waiting_mask());
-            let t0 = Instant::now();
-            let Ok(done) = done_rx.recv() else {
-                break; // every lane thread exited (panic): give up
-            };
-            metrics.lane_stalled(head_mask, t0.elapsed());
-            mark(window_q, *retired, done);
-            retire_ready(window_q, retired);
-        }
-    };
-
-    loop {
-        // With work in flight, take a new decision only if one is already
-        // queued (keeps the lanes fed); otherwise wait for a completion,
-        // so the window head retires — and its WAL batch lands — without
-        // waiting for unrelated later traffic.
-        let decision = if window_q.is_empty() {
-            match exec_rx.recv() {
-                Ok(decision) => decision,
-                Err(_) => break,
-            }
-        } else {
-            match exec_rx.try_recv() {
-                Ok(decision) => decision,
-                Err(TryRecvError::Empty) => {
-                    // Idle, not stalled: nothing is queued behind the
-                    // lanes, so this wait is not booked as conflict stall.
-                    match done_rx.recv() {
-                        Ok(done) => mark(&mut window_q, retired, done),
-                        Err(_) => break, // every lane thread exited
-                    }
-                    retire_ready(&mut window_q, &mut retired);
-                    continue;
-                }
-                Err(TryRecvError::Disconnected) => break,
-            }
-        };
-        // Reorder-window bound: park until the head retires.
-        drain_to(&mut window_q, &mut retired, window - 1);
+    for decision in exec_rx.iter() {
         let t0 = Instant::now();
-        let ops = decision
+        for op in decision
             .entries
             .iter()
-            .flat_map(|e| e.batch.batch.operations());
-        let plan = store_lanes::plan_batch(ops, lanes);
-        let mut waiting = vec![0u16; lanes];
-        let mut left = 0u32;
-        // Lane 0's captured writes; its apply time is inside `t0`.
-        let mut images: Vec<Image> = Vec::new();
-        for step in plan {
-            match step {
-                store_lanes::PlanStep::Items(parts) => {
-                    // Highest lane first, so the threads are already
-                    // working while the scheduler applies lane 0's share.
-                    for (lane, items) in parts.into_iter().enumerate().rev() {
-                        if items.is_empty() {
-                            continue;
-                        }
-                        let job = LaneJob::Apply {
-                            id: next_id,
-                            items,
-                            fingerprint,
-                        };
-                        match dispatch(lane, job) {
-                            Some(done) => images.extend(done.images),
-                            None => {
-                                waiting[lane] += 1;
-                                left += 1;
-                            }
-                        }
-                    }
-                }
-                store_lanes::PlanStep::Program(step) => {
-                    // Gather the static footprint from the owning lanes.
-                    // The Gather job rides each lane's FIFO behind every
-                    // earlier job of this (and prior) decisions, so the
-                    // values it reads are exactly the in-order state.
-                    let mut lane_keys: Vec<Vec<u64>> = vec![Vec::new(); lanes];
-                    for key in step.prog.keys() {
-                        lane_keys[store_lanes::lane_of(key, lanes)].push(key);
-                    }
-                    let (reply_tx, reply_rx) =
-                        crossbeam::channel::bounded::<Vec<(u64, Option<Value>)>>(lanes);
-                    let mut expected = 0;
-                    for (lane, keys) in lane_keys.into_iter().enumerate() {
-                        if keys.is_empty() {
-                            continue;
-                        }
-                        expected += 1;
-                        let reply = reply_tx.clone();
-                        dispatch(lane, LaneJob::Gather { keys, reply });
-                    }
-                    drop(reply_tx);
-                    let mut values: BTreeMap<u64, Option<Value>> = BTreeMap::new();
-                    for _ in 0..expected {
-                        for (key, value) in reply_rx.recv().expect("lane thread alive") {
-                            values.insert(key, value);
-                        }
-                    }
-                    // Evaluate once on the scheduler, then scatter the
-                    // write set back onto the owning lanes; the home lane
-                    // additionally books the program's stats.
-                    let (outcome, writes) =
-                        step.prog.eval_values(|k| values.get(&k).copied().flatten());
-                    let mut lane_writes: Vec<Vec<(u64, Value)>> = vec![Vec::new(); lanes];
-                    for (key, value) in writes {
-                        lane_writes[store_lanes::lane_of(key, lanes)].push((key, value));
-                    }
-                    for (lane, writes) in lane_writes.into_iter().enumerate() {
-                        let note = (lane == step.home).then(|| outcome.is_aborted());
-                        if writes.is_empty() && note.is_none() {
-                            continue;
-                        }
-                        let job = LaneJob::Program {
-                            id: next_id,
-                            writes,
-                            note,
-                            fingerprint,
-                        };
-                        match dispatch(lane, job) {
-                            Some(done) => images.extend(done.images),
-                            None => {
-                                waiting[lane] += 1;
-                                left += 1;
-                            }
-                        }
-                    }
-                }
+            .flat_map(|e| e.batch.batch.operations())
+        {
+            if fingerprint {
+                store.execute(op);
+            } else {
+                store.execute_unfingerprinted(op);
             }
         }
-        window_q.push_back(InFlight {
-            decision,
-            waiting,
-            left,
-            busy: t0.elapsed(),
-            images,
-        });
-        next_id += 1;
+        let (height, new_blocks) = {
+            let mut l = ledger.guard();
+            let prev = l.head_height();
+            l.append_decision(&decision);
+            let head = l.head_height();
+            // Durable mode: clone the block(s) this decision appended
+            // while still under the lock, so the persisted chain segment
+            // is exactly what the ledger linked.
+            let new_blocks: Vec<rdb_ledger::Block> = if backend.is_some() {
+                (prev + 1..=head)
+                    .map(|h| l.block(h).expect("just appended").clone())
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            (head, new_blocks)
+        };
+        if let Some(be) = &backend {
+            // One decision = one atomic WAL batch: blocks + absolute table
+            // images + applied watermark. A torn tail therefore truncates
+            // to a decision boundary on recovery.
+            storage::persist_decision(be, &new_blocks, &store.take_captured(), height)
+                .expect("durable storage write failed");
+        }
+        metrics.stage_processed(Stage::Execute, t0.elapsed());
         decided += 1;
 
-        // Opportunistically drain completions and retire.
-        while let Ok(done) = done_rx.try_recv() {
-            mark(&mut window_q, retired, done);
-        }
-        retire_ready(&mut window_q, &mut retired);
-
-        // Checkpoint interval boundary, counted in decisions: drain the
-        // window so the lanes have materialized exactly the committed
-        // prefix, then certify the combined digest at the boundary height.
+        // Checkpoint interval boundary, counted in decisions: certify the
+        // table digest at the height this decision brought the ledger to.
         if checkpointing && decided.is_multiple_of(cfg.interval) {
-            drain_to(&mut window_q, &mut retired, 0);
-            let height = ledger.lock().head_height();
-            let (reply_tx, reply_rx) = crossbeam::channel::bounded::<LanePart>(lanes);
-            for lane in (0..lanes).rev() {
-                let job = LaneJob::Checkpoint {
-                    reply: reply_tx.clone(),
-                    snapshot: cfg.retain_snapshot,
-                };
-                dispatch(lane, job);
-            }
-            drop(reply_tx);
-            let mut parts: Vec<([u8; 32], u64)> = Vec::with_capacity(lanes);
-            let mut snaps: Vec<KvStore> = Vec::new();
-            for _ in 0..lanes {
-                let (_, part, snap) = reply_rx.recv().expect("lane thread alive");
-                parts.push(part);
-                snaps.extend(snap);
-            }
-            let state = KvStore::digest_from_parts(parts);
-            let snapshot = cfg.retain_snapshot.then(|| KvStore::merge_lanes(snaps));
             let tx = ckpt_tx.as_ref().expect("checkpointing implies sender");
-            match send_with_policy(
-                tx,
-                CheckpointMsg::Snapshot {
-                    height,
-                    state,
-                    snapshot,
-                },
-                queue,
-                false,
-                &metrics,
-                Stage::Checkpoint,
-            ) {
+            let snapshot = CheckpointMsg::Snapshot {
+                height,
+                state: store.state_digest(),
+                snapshot: cfg.retain_snapshot.then(|| store.clone()),
+            };
+            match send_with_policy(tx, snapshot, queue, false, &metrics, Stage::Checkpoint) {
                 SendOutcome::Sent => metrics.stage_enqueued(Stage::Checkpoint),
                 SendOutcome::Shed => unreachable!("snapshots never shed"),
                 SendOutcome::Disconnected => checkpointing = false,
             }
         }
     }
-
-    // Worker gone: drain the window, stop the lanes, reassemble the
-    // combined digest for the execution-stage audit.
-    drain_to(&mut window_q, &mut retired, 0);
-    drop(job_txs);
-    drop(done_rx);
-    let mut stores = vec![home];
-    stores.extend(
-        lane_handles
-            .into_iter()
-            .map(|h| h.join().expect("lane thread panicked")),
-    );
     if !fingerprint {
-        for s in &mut stores {
-            // Dirty-shard rebuild: only the slices this lane wrote.
-            s.rebuild_fingerprint();
-        }
+        // Dirty-shard rebuild: only the slices the run wrote.
+        store.rebuild_fingerprint();
     }
-    KvStore::combined_state_digest(&stores)
+    store.state_digest()
 }
 
 /// What the checkpoint stage knew when its replica stopped.
@@ -1088,7 +596,7 @@ pub(crate) fn spawn_checkpointer(
                 if let Some(stable) = newly_stable {
                     let t0 = Instant::now();
                     {
-                        let mut l = ledger.lock();
+                        let mut l = ledger.guard();
                         // Lag-one compaction: keep the last interval as
                         // the peers' recovery grace window.
                         l.compact(prev_stable);
@@ -1108,7 +616,7 @@ pub(crate) fn spawn_checkpointer(
                 // block exists instead of being lost.
                 while let Some(front) = unresolved.front().copied() {
                     let (anchor_hash, base) = {
-                        let l = ledger.lock();
+                        let l = ledger.guard();
                         (l.hash_at(front.seq), l.base_height())
                     };
                     match anchor_hash {
@@ -1167,6 +675,7 @@ mod tests {
     use rdb_consensus::types::{ClientBatch, DecisionEntry, SignedBatch, Transaction};
     use rdb_crypto::digest::Digest;
     use rdb_crypto::sign::KeyStore;
+    use rdb_storage::{LogBackend, LogConfig, StorageBackend};
     use rdb_store::Operation;
 
     fn verify_ctx() -> (VerifyCtx, KeyStore) {
@@ -1401,19 +910,21 @@ mod tests {
         metrics: Metrics,
     }
 
-    /// Drive `spawn_executor` at `lanes` over `decisions` on `store`.
+    /// Drive `spawn_executor` over `decisions` on `store`. With
+    /// `ckpt_alive` false the checkpoint stage has already exited: its
+    /// queue's receiver is dropped before the first decision arrives.
     fn run_executor(
-        lanes: usize,
-        window: usize,
         store: KvStore,
         decisions: &[Decision],
         cfg: CheckpointConfig,
         backend: Option<SharedBackend>,
+        ckpt_alive: bool,
     ) -> ExecRun {
         let (exec_tx, exec_rx) = unbounded::<Decision>();
         let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(64);
+        let ckpt_rx = ckpt_alive.then_some(ckpt_rx);
         let metrics = Metrics::new();
-        let ledger = Arc::new(parking_lot::Mutex::new(Ledger::new()));
+        let ledger = Arc::new(std::sync::Mutex::new(Ledger::new()));
         let handle = spawn_executor(
             ReplicaId::new(0, 0).into(),
             store,
@@ -1422,8 +933,6 @@ mod tests {
             cfg.enabled().then_some(ckpt_tx),
             cfg,
             QueuePolicy::block(8),
-            lanes,
-            window,
             backend,
             metrics.clone(),
         );
@@ -1432,22 +941,23 @@ mod tests {
         }
         drop(exec_tx); // worker shutdown: executor drains and returns
         let digest = handle.join().unwrap();
-        let jobs: Vec<CheckpointMsg> = ckpt_rx.iter().collect();
+        let jobs: Vec<CheckpointMsg> = ckpt_rx.map_or_else(Vec::new, |rx| rx.iter().collect());
         let Ok(ledger) = Arc::try_unwrap(ledger) else {
             unreachable!("executor joined");
         };
         ExecRun {
             digest,
-            ledger: ledger.into_inner(),
+            ledger: ledger.into_inner().unwrap(),
             jobs,
             metrics,
         }
     }
 
-    /// The reference the pool is pinned to: the same decisions applied
-    /// inline, in order, with [`KvStore::execute_batch`] (the ordering
-    /// state machine's own executor) and appended to a ledger. Returns
-    /// the ledger and the table after each prefix (`[0]` = before any).
+    /// The reference the executor is pinned to: the same decisions
+    /// applied inline, in order, with [`KvStore::execute_batch`] (the
+    /// ordering state machine's own executor) and appended to a ledger.
+    /// Returns the ledger and the table after each prefix (`[0]` =
+    /// before any).
     fn reference(mut store: KvStore, decisions: &[Decision]) -> (Ledger, Vec<KvStore>) {
         let mut ledger = Ledger::new();
         let mut prefixes = vec![store.clone()];
@@ -1461,138 +971,11 @@ mod tests {
         (ledger, prefixes)
     }
 
-    #[test]
-    fn executor_applies_decisions_in_order() {
-        let decisions = write_decisions(5);
-        let run = run_executor(
-            1,
-            8,
-            KvStore::new(),
-            &decisions,
-            CheckpointConfig::default(),
-            None,
-        );
-        // The materialized table matches an inline application of the
-        // same writes (fingerprint rebuilt after the deferred applies).
-        let (_, prefixes) = reference(KvStore::new(), &decisions);
-        assert_eq!(run.digest, prefixes[5].state_digest());
-        assert_eq!(run.ledger.head_height(), 5);
-        // FIFO hand-off preserves decision order in the chain.
-        for h in 1..=5u64 {
-            let block = run.ledger.block(h).expect("block present");
-            assert_eq!(block.batch.batch.batch_seq, h);
-            assert_eq!(block.state_digest, Digest::of(&h.to_le_bytes()));
-        }
-        run.ledger.verify(None).expect("chain linkage intact");
-        let snap = run.metrics.stage_snapshot();
-        assert_eq!(snap.row(Stage::Execute).processed, 5);
-        assert!(
-            snap.row(Stage::Execute).busy >= snap.lanes[0].busy,
-            "Execute busy time includes the lanes' apply time"
-        );
-    }
-
-    #[test]
-    fn lane_pool_is_byte_identical_to_sequential() {
-        let decisions = write_decisions(20);
-        let (ref_ledger, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
-        for lanes in [1usize, 2, 4] {
-            let run = run_executor(
-                lanes,
-                8,
-                KvStore::with_ycsb_records(64),
-                &decisions,
-                CheckpointConfig::default(),
-                None,
-            );
-            assert_eq!(run.digest, prefixes[20].state_digest(), "lanes={lanes}");
-            assert_eq!(run.ledger.head_height(), ref_ledger.head_height());
-            for h in 1..=20u64 {
-                assert_eq!(
-                    run.ledger.block(h).unwrap().hash(),
-                    ref_ledger.block(h).unwrap().hash(),
-                    "block {h} diverged at lanes={lanes}"
-                );
-            }
-            let snap = run.metrics.stage_snapshot();
-            assert_eq!(snap.row(Stage::Execute).processed, 20);
-            assert_eq!(snap.lanes.len(), lanes, "per-lane rows surfaced");
-            let lane_ops: u64 = snap.lanes.iter().map(|l| l.ops).sum();
-            assert_eq!(lane_ops, 20, "one write per decision, counted once");
-        }
-    }
-
-    #[test]
-    fn lane_pool_checkpoints_at_identical_boundaries() {
-        let cfg = CheckpointConfig {
-            interval: 3,
-            retain_snapshot: true,
-            fault_delay: Duration::ZERO,
-        };
-        let decisions = write_decisions(10);
-        let (_, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
-        for lanes in [1usize, 4] {
-            let run = run_executor(
-                lanes,
-                8,
-                KvStore::with_ycsb_records(64),
-                &decisions,
-                cfg,
-                None,
-            );
-            assert_eq!(run.digest, prefixes[10].state_digest(), "lanes={lanes}");
-            // Interval 3 over 10 decisions: snapshot jobs at 3, 6 and 9.
-            assert_eq!(run.jobs.len(), 3, "lanes={lanes}");
-            for (job, expect_h) in run.jobs.iter().zip([3u64, 6, 9]) {
-                let CheckpointMsg::Snapshot {
-                    height,
-                    state,
-                    snapshot,
-                } = job
-                else {
-                    panic!("the executor only emits snapshots");
-                };
-                let expected = &prefixes[expect_h as usize];
-                assert_eq!(*height, expect_h);
-                assert_eq!(*state, expected.state_digest(), "combined lane digest");
-                let snap = snapshot.as_ref().expect("retained");
-                assert_eq!(snap.state_digest(), *state);
-                assert_eq!(snap.stats(), expected.stats(), "merged lane stats match");
-                assert!(snap.verify_fingerprint(), "snapshot digest is live");
-            }
-            let snap = run.metrics.stage_snapshot();
-            assert_eq!(snap.row(Stage::Checkpoint).enqueued, 3);
-        }
-    }
-
-    #[test]
-    fn lane_pool_respects_tiny_reorder_window() {
-        // Window of 1 degenerates to lock-step dispatch; still correct.
-        let decisions = write_decisions(12);
-        let (ref_ledger, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
-        let run = run_executor(
-            4,
-            1,
-            KvStore::with_ycsb_records(64),
-            &decisions,
-            CheckpointConfig::default(),
-            None,
-        );
-        assert_eq!(run.digest, prefixes[12].state_digest());
-        assert_eq!(
-            run.ledger.block(12).unwrap().hash(),
-            ref_ledger.block(12).unwrap().hash()
-        );
-    }
-
-    #[test]
-    fn durable_executor_persists_one_batch_per_decision_at_any_lane_count() {
-        use rdb_storage::{LogBackend, LogConfig, StorageBackend};
+    /// Multi-key decisions: a key written twice in one decision and again
+    /// in the next, a read-modify-write, a transfer program and a read.
+    fn mixed_decisions(n: u64) -> Vec<Decision> {
         use rdb_store::txn::TxnProgram;
-        // Multi-key decisions: keys on every lane, a key written twice in
-        // one decision and again in the next, and a cross-lane program.
-        const N: u64 = 12;
-        let decisions: Vec<Decision> = (1..=N)
+        (1..=n)
             .map(|seq| {
                 let write = |key: u64, v: u64| Operation::Write {
                     key,
@@ -1610,35 +993,176 @@ mod tests {
                     ],
                 )
             })
-            .collect();
-        for lanes in [1usize, 4] {
-            let dir = std::env::temp_dir()
-                .join(format!("rdb-core-exec-wal-{lanes}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let preload = KvStore::with_ycsb_records(64);
-            let mut engine = LogBackend::open(&dir, LogConfig::default()).unwrap();
-            storage::init_replica(&mut engine, &preload).unwrap();
-            let before = engine.stats().wal_records;
-            let backend: SharedBackend = Arc::new(Mutex::new(engine));
-            let run = run_executor(
-                lanes,
-                8,
-                preload,
-                &decisions,
-                CheckpointConfig::default(),
-                Some(Arc::clone(&backend)),
-            );
-            let engine = backend.lock();
-            // One atomic WAL batch per decision, so a torn tail still
-            // truncates to a decision boundary.
-            assert_eq!(engine.stats().wal_records - before, N, "lanes={lanes}");
-            let (table, ledger) = storage::recover_replica(&engine).unwrap();
-            assert_eq!(ledger.head_height(), N);
-            assert_eq!(ledger.head_hash(), run.ledger.head_hash());
-            assert_eq!(table.state_digest(), run.digest, "lanes={lanes}");
-            drop(engine);
-            let _ = std::fs::remove_dir_all(&dir);
+            .collect()
+    }
+
+    /// A fresh durable engine in a per-test directory, initialized with
+    /// `preload` like a first-boot replica; returns the directory, the
+    /// shared engine and its WAL record count before any decision.
+    fn durable_engine(name: &str, preload: &KvStore) -> (std::path::PathBuf, SharedBackend, u64) {
+        let dir = std::env::temp_dir().join(format!("rdb-core-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut engine = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        storage::init_replica(&mut engine, preload).unwrap();
+        let before = engine.stats().wal_records;
+        (dir, Arc::new(Mutex::new(engine)), before)
+    }
+
+    /// Every record of `store`, ordered by key.
+    fn sorted_records(store: &KvStore) -> Vec<(u64, rdb_store::Value, u64)> {
+        let mut records: Vec<_> = store.records().collect();
+        records.sort_unstable_by_key(|r| r.0);
+        records
+    }
+
+    #[test]
+    fn executor_applies_decisions_in_order() {
+        let decisions = write_decisions(5);
+        let run = run_executor(
+            KvStore::new(),
+            &decisions,
+            CheckpointConfig::default(),
+            None,
+            true,
+        );
+        // The materialized table matches an inline application of the
+        // same writes (fingerprint rebuilt after the deferred applies).
+        let (_, prefixes) = reference(KvStore::new(), &decisions);
+        assert_eq!(run.digest, prefixes[5].state_digest());
+        assert_eq!(run.ledger.head_height(), 5);
+        // FIFO hand-off preserves decision order in the chain.
+        for h in 1..=5u64 {
+            let block = run.ledger.block(h).expect("block present");
+            assert_eq!(block.batch.batch.batch_seq, h);
+            assert_eq!(block.state_digest, Digest::of(&h.to_le_bytes()));
         }
+        run.ledger.verify(None).expect("chain linkage intact");
+        let snap = run.metrics.stage_snapshot();
+        assert_eq!(snap.row(Stage::Execute).processed, 5);
+        assert!(
+            snap.row(Stage::Execute).busy > Duration::ZERO,
+            "Execute busy time covers the apply and the append"
+        );
+    }
+
+    #[test]
+    fn executor_checkpoints_at_interval_boundaries() {
+        let cfg = CheckpointConfig {
+            interval: 3,
+            retain_snapshot: true,
+            fault_delay: Duration::ZERO,
+        };
+        let decisions = write_decisions(10);
+        let (_, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
+        let run = run_executor(KvStore::with_ycsb_records(64), &decisions, cfg, None, true);
+        assert_eq!(run.digest, prefixes[10].state_digest());
+        // Interval 3 over 10 decisions: snapshot jobs at 3, 6 and 9.
+        assert_eq!(run.jobs.len(), 3);
+        for (job, expect_h) in run.jobs.iter().zip([3u64, 6, 9]) {
+            let CheckpointMsg::Snapshot {
+                height,
+                state,
+                snapshot,
+            } = job
+            else {
+                panic!("the executor only emits snapshots");
+            };
+            let expected = &prefixes[expect_h as usize];
+            assert_eq!(*height, expect_h);
+            assert_eq!(*state, expected.state_digest(), "table digest");
+            let snap = snapshot.as_ref().expect("retained");
+            assert_eq!(snap.state_digest(), *state);
+            assert_eq!(snap.stats(), expected.stats(), "snapshot stats match");
+            assert!(snap.verify_fingerprint(), "snapshot digest is live");
+        }
+        let snap = run.metrics.stage_snapshot();
+        assert_eq!(snap.row(Stage::Checkpoint).enqueued, 3);
+    }
+
+    /// A checkpoint stage that has exited must not stop execution: the
+    /// first boundary send finds the queue disconnected, the executor
+    /// stops snapshotting and applies the rest. Fails if a disconnected
+    /// checkpoint queue ends the loop or panics the thread.
+    #[test]
+    fn executor_keeps_applying_after_checkpoint_stage_exits() {
+        let decisions = write_decisions(10);
+        let (ref_ledger, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
+        let run = run_executor(
+            KvStore::with_ycsb_records(64),
+            &decisions,
+            CheckpointConfig::every(3),
+            None,
+            false,
+        );
+        assert_eq!(run.digest, prefixes[10].state_digest());
+        assert_eq!(run.ledger.head_hash(), ref_ledger.head_hash());
+        let snap = run.metrics.stage_snapshot();
+        assert_eq!(snap.row(Stage::Execute).processed, 10);
+        assert_eq!(snap.row(Stage::Checkpoint).enqueued, 0);
+    }
+
+    #[test]
+    fn durable_executor_persists_one_batch_per_decision() {
+        const N: u64 = 12;
+        let decisions = mixed_decisions(N);
+        let preload = KvStore::with_ycsb_records(64);
+        let (dir, backend, before) = durable_engine("exec-wal", &preload);
+        let run = run_executor(
+            preload,
+            &decisions,
+            CheckpointConfig::default(),
+            Some(Arc::clone(&backend)),
+            true,
+        );
+        let engine = backend.guard();
+        // One atomic WAL batch per decision, so a torn tail still
+        // truncates to a decision boundary.
+        assert_eq!(engine.stats().wal_records - before, N);
+        let (table, ledger) = storage::recover_replica(&engine).unwrap();
+        assert_eq!(ledger.head_height(), N);
+        assert_eq!(ledger.head_hash(), run.ledger.head_hash());
+        assert_eq!(table.state_digest(), run.digest);
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Durable mode and checkpointing together: the live-fingerprint
+    /// path still captures every write, and the snapshot certified at the
+    /// last boundary is the very state the WAL recovers. Fails if
+    /// fingerprinted execution stops capturing writes, or if a snapshot
+    /// names another height than the one its state belongs to.
+    #[test]
+    fn durable_checkpointed_executor_recovers_the_last_snapshot() {
+        const N: u64 = 12;
+        let decisions = mixed_decisions(N);
+        let preload = KvStore::with_ycsb_records(64);
+        let (dir, backend, before) = durable_engine("exec-wal-ckpt", &preload);
+        let cfg = CheckpointConfig {
+            interval: 4,
+            retain_snapshot: true,
+            fault_delay: Duration::ZERO,
+        };
+        let run = run_executor(preload, &decisions, cfg, Some(Arc::clone(&backend)), true);
+        let engine = backend.guard();
+        assert_eq!(engine.stats().wal_records - before, N);
+        let (table, ledger) = storage::recover_replica(&engine).unwrap();
+        assert_eq!(ledger.head_hash(), run.ledger.head_hash());
+        assert_eq!(table.state_digest(), run.digest);
+        assert_eq!(run.jobs.len(), 3, "boundaries at 4, 8 and 12");
+        let Some(CheckpointMsg::Snapshot {
+            height,
+            state,
+            snapshot: Some(last),
+        }) = run.jobs.last()
+        else {
+            panic!("the last job is a retained snapshot");
+        };
+        assert_eq!(*height, N);
+        assert_eq!(*state, run.digest);
+        assert_eq!(last.state_digest(), table.state_digest());
+        assert_eq!(sorted_records(last), sorted_records(&table));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1654,10 +1178,10 @@ mod tests {
         let (_inbox, sender) = handle.split();
 
         // A ledger of 5 blocks whose state digests we will certify.
-        let ledger = Arc::new(parking_lot::Mutex::new(Ledger::new()));
+        let ledger = Arc::new(std::sync::Mutex::new(Ledger::new()));
         let mut states = vec![Digest::ZERO];
         {
-            let mut l = ledger.lock();
+            let mut l = ledger.guard();
             for i in 1..=5u64 {
                 let d = Digest::of(&i.to_le_bytes());
                 l.append(SignedBatch::noop(ClusterId(0), i), None, d);
@@ -1718,7 +1242,7 @@ mod tests {
         let Ok(l) = Arc::try_unwrap(ledger) else {
             unreachable!("checkpointer joined");
         };
-        let l = l.into_inner();
+        let l = l.into_inner().unwrap();
         assert_eq!(l.base_height(), 2);
         assert_eq!(l.head_height(), 5);
         l.verify(None).expect("compacted chain intact");

@@ -45,9 +45,9 @@
 use crate::metrics::Metrics;
 use crate::node::{ReplicaRuntime, TimerWheel};
 use crate::pipeline::PipelineConfig;
+use crate::sync::MutexExt;
 use crate::transport::{Envelope, Transport, TransportSender};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use parking_lot::{Condvar, Mutex};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
 use rdb_consensus::api::{Action, ClientProtocol, Outbox};
@@ -64,7 +64,7 @@ use rdb_store::Operation;
 use rdb_workload::ycsb::{batch_source, YcsbConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -94,7 +94,7 @@ impl TicketCell {
     }
 
     fn resolve(&self, state: TicketState) {
-        let mut s = self.state.lock();
+        let mut s = self.state.guard();
         if matches!(*s, TicketState::Pending) {
             *s = state;
             self.cv.notify_all();
@@ -124,10 +124,16 @@ impl Ticket {
     /// pending — resolve tickets before calling [`Fabric::shutdown`]
     /// (or use [`Ticket::wait_timeout`] to keep control).
     pub fn wait(self) -> CommitProof {
-        let mut state = self.cell.state.lock();
+        let mut state = self.cell.state.guard();
         loop {
             match &*state {
-                TicketState::Pending => self.cell.cv.wait(&mut state),
+                TicketState::Pending => {
+                    state = self
+                        .cell
+                        .cv
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
                 TicketState::Committed(proof) => return proof.clone(),
                 TicketState::Aborted(reason) => panic!("ticket aborted: {reason}"),
             }
@@ -139,7 +145,7 @@ impl Ticket {
     /// poll [`Ticket::aborted`] to tell the two apart.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<CommitProof> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.cell.state.lock();
+        let mut state = self.cell.state.guard();
         loop {
             match &*state {
                 TicketState::Committed(proof) => return Some(proof.clone()),
@@ -149,7 +155,12 @@ impl Ticket {
                     if left.is_zero() {
                         return None;
                     }
-                    self.cell.cv.wait_for(&mut state, left);
+                    state = self
+                        .cell
+                        .cv
+                        .wait_timeout(state, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
             }
         }
@@ -159,7 +170,7 @@ impl Ticket {
     /// `None` means pending *or* aborted — check [`Ticket::aborted`] in
     /// poll loops so they can terminate when the ticket is dead.
     pub fn try_wait(&self) -> Option<CommitProof> {
-        match &*self.cell.state.lock() {
+        match &*self.cell.state.guard() {
             TicketState::Committed(proof) => Some(proof.clone()),
             _ => None,
         }
@@ -170,7 +181,7 @@ impl Ticket {
     /// the reason. A ticket that is merely still in flight returns
     /// `None`.
     pub fn aborted(&self) -> Option<&'static str> {
-        match &*self.cell.state.lock() {
+        match &*self.cell.state.guard() {
             TicketState::Aborted(reason) => Some(reason),
             _ => None,
         }
@@ -246,7 +257,7 @@ impl ClientCore {
         let (signed, digest) = self.crypto.sign_batch(batch);
         let mut sends = Vec::new();
         {
-            let mut state = self.state.lock();
+            let mut state = self.state.guard();
             // A session outlives its fabric (it is a cheap clonable
             // handle); submitting after shutdown must fail fast, not hang
             // forever on a request nobody will answer. `stop` flips the
@@ -273,7 +284,7 @@ impl ClientCore {
     /// Stop accepting batches and abort every unresolved ticket; the
     /// driver thread exits at its next wake-up.
     fn stop(&self, reason: &'static str) {
-        let mut state = self.state.lock();
+        let mut state = self.state.guard();
         state.stopped = true;
         for (_, (_, cell)) in state.in_flight.drain() {
             if let Some(cell) = cell {
@@ -313,7 +324,7 @@ fn drive(core: &ClientCore, inbox: Receiver<Envelope>, mut source: Option<BatchS
         let mut sends = Vec::new();
         let mut completed = 0;
         {
-            let mut guard = core.state.lock();
+            let mut guard = core.state.guard();
             let state = &mut *guard;
             if state.stopped {
                 return;
@@ -512,7 +523,7 @@ impl Fabric {
             .name(format!("{id}-{role}"))
             .spawn(move || drive(&driver, inbox, source))
             .expect("spawn client driver thread");
-        self.clients.lock().push((Arc::clone(&core), thread));
+        self.clients.guard().push((Arc::clone(&core), thread));
         core
     }
 
@@ -555,7 +566,7 @@ impl Fabric {
     fn stop_all(&mut self) -> Vec<(NodeId, crate::node::ReplicaStopReport)> {
         // Clients first, so no retransmission races the replica teardown
         // and every still-unresolved ticket fails loudly.
-        let clients = std::mem::take(&mut *self.clients.lock());
+        let clients = std::mem::take(&mut *self.clients.guard());
         for (core, _) in &clients {
             core.stop("fabric shut down with the ticket unresolved");
         }
@@ -580,7 +591,7 @@ impl Fabric {
         // joined, so seal each engine — flush the memtables to runs and
         // fold its counters into the metrics for the report.
         for (_, be) in std::mem::take(&mut self.backends) {
-            let mut be = be.lock();
+            let mut be = be.guard();
             be.flush().expect("flush durable engine at shutdown");
             self.metrics.storage_merge(&be.stats());
         }

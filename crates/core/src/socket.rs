@@ -53,15 +53,15 @@
 //! wheel, which retries it until the inbox has room.
 
 use crate::metrics::Metrics;
+use crate::sync::MutexExt;
 use crate::transport::{Envelope, OnFull, Router};
-use parking_lot::Mutex;
 use rdb_common::ids::NodeId;
 use rdb_consensus::codec::{self, WireCodec, MAX_FRAME, NODE_ID_BYTES};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -184,13 +184,13 @@ impl SocketTransport {
     /// listens, so local sends can reach it. Local registrations
     /// advertise themselves automatically.
     pub fn advertise(&self, node: NodeId, addr: SocketAddr) {
-        self.shared.addrs.lock().insert(node, addr);
+        self.shared.addrs.guard().insert(node, addr);
     }
 
     /// Where `node` listens (to hand to another process's
     /// [`SocketTransport::advertise`]).
     pub fn listen_addr(&self, node: NodeId) -> Option<SocketAddr> {
-        self.shared.addrs.lock().get(&node).copied()
+        self.shared.addrs.guard().get(&node).copied()
     }
 
     /// Close outbound connections and join the accept and reader threads
@@ -200,10 +200,10 @@ impl SocketTransport {
     /// transport (see `Fabric::stop_all`).
     pub(crate) fn close(&self) {
         // Drop outbound streams so peer readers see EOF promptly.
-        for link in self.shared.links.lock().values() {
-            link.lock().stream = None;
+        for link in self.shared.links.guard().values() {
+            link.guard().stream = None;
         }
-        let threads: Vec<_> = self.shared.threads.lock().drain(..).collect();
+        let threads: Vec<_> = self.shared.threads.guard().drain(..).collect();
         for t in threads {
             let _ = t.join();
         }
@@ -217,7 +217,7 @@ impl SocketTransport {
             .name(name)
             .spawn(f)
             .expect("spawn socket thread");
-        let mut threads = self.shared.threads.lock();
+        let mut threads = self.shared.threads.guard();
         threads.retain(|t| !t.is_finished());
         threads.push(handle);
     }
@@ -229,7 +229,7 @@ impl SocketTransport {
     fn link(&self, from: NodeId, to: NodeId) -> Arc<Mutex<LinkState>> {
         self.shared
             .links
-            .lock()
+            .guard()
             .entry((from, to))
             .or_insert_with(|| Arc::new(Mutex::new(LinkState::new())))
             .clone()
@@ -239,7 +239,7 @@ impl SocketTransport {
     /// re-opening it as needed. Down links drop (lossy network).
     pub(crate) fn send_frame(&self, env: Envelope) {
         let link = self.link(env.from, env.to);
-        let mut l = link.lock();
+        let mut l = link.guard();
         let now = Instant::now();
         if let Some(until) = l.down_until {
             if now < until {
@@ -297,7 +297,7 @@ impl SocketTransport {
     /// Bind `node`'s loopback listener and start accepting, unless it
     /// already listens (a re-registration keeps its address).
     pub(crate) fn listen(&self, node: NodeId) {
-        if self.shared.addrs.lock().contains_key(&node) {
+        if self.shared.addrs.guard().contains_key(&node) {
             return;
         }
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
@@ -305,7 +305,7 @@ impl SocketTransport {
             .set_nonblocking(true)
             .expect("nonblocking listener");
         let addr = listener.local_addr().expect("listener addr");
-        self.shared.addrs.lock().insert(node, addr);
+        self.shared.addrs.guard().insert(node, addr);
         let me = self.clone();
         self.spawn(format!("rdb-accept-{node:?}"), move || {
             me.accept_loop(listener, node)
@@ -590,14 +590,14 @@ mod tests {
         assert!(hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
         for _ in 0..20 {
             // Kill the outbound connection under the sender's feet.
-            s.shared.links.lock().get(&(a, b)).unwrap().lock().stream = None;
+            s.shared.links.guard().get(&(a, b)).unwrap().guard().stream = None;
             // The next send re-dials; the message must arrive and the
             // reconnect counter must tick.
             ha.send(b, Message::Noop);
             assert!(hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
             // Two accept loops, the live reader, and at most one reader
             // whose EOF is still in flight: finished readers are pruned.
-            let threads = s.shared.threads.lock().len();
+            let threads = s.shared.threads.guard().len();
             assert!(threads <= 4, "{threads} thread handles kept");
         }
         let snap = metrics.net_snapshot();
@@ -625,8 +625,8 @@ mod tests {
                 msg: Message::Noop,
             });
         }
-        let link = s.shared.links.lock().get(&(a, b)).unwrap().clone();
-        let l = link.lock();
+        let link = s.shared.links.guard().get(&(a, b)).unwrap().clone();
+        let l = link.guard();
         assert!(l.down_until.is_some());
         assert!(l.backoff > INITIAL_BACKOFF);
         drop(l);

@@ -6,7 +6,7 @@
 //!
 //! The execution stage persists each decision, as it retires in commit
 //! order, as **one atomic [`WriteBatch`]** (`persist_decision`): every
-//! block the decision appended, every table record its lanes wrote (as
+//! block the decision appended, every table record it wrote (as
 //! absolute `(key, value, version)` images, not deltas), and the advanced
 //! `applied` watermark.
 //! [`rdb_storage::LogBackend`] appends the whole batch as a single
@@ -37,7 +37,7 @@
 //! written once, through the same codec, to `<root>/manifest`
 //! ([`Manifest`]); [`crate::Fabric::restart_from`] reads them back.
 
-use parking_lot::Mutex;
+use crate::sync::MutexExt;
 use rdb_common::ids::ReplicaId;
 use rdb_consensus::codec;
 use rdb_consensus::config::ProtocolKind;
@@ -47,7 +47,7 @@ use rdb_storage::{Keyspace, LogBackend, StorageBackend, WriteBatch};
 use rdb_store::{KvStore, Value};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Where a deployment keeps replica state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -59,9 +59,7 @@ pub enum StorageMode {
     /// Log-structured engines rooted at the given data directory, one
     /// subdirectory per replica (`replica-<cluster>-<index>`). A directory
     /// holding a previous run's state is *recovered from*, not
-    /// reinitialized. The on-disk format is independent of
-    /// `exec_lanes`: a directory written at one lane count restarts at
-    /// any other.
+    /// reinitialized.
     Durable(PathBuf),
 }
 
@@ -238,7 +236,7 @@ pub(crate) fn persist_decision(
         );
     }
     batch.put(Keyspace::Meta, META_APPLIED, applied.to_le_bytes());
-    backend.lock().apply(batch)
+    backend.guard().apply(batch)
 }
 
 /// Persist a quorum-certified checkpoint and flush the engine: the stable
@@ -250,7 +248,7 @@ pub(crate) fn persist_checkpoint(
     state: Digest,
     anchor: Digest,
 ) -> io::Result<()> {
-    let mut be = backend.lock();
+    let mut be = backend.guard();
     let mut batch = WriteBatch::new();
     batch.put(
         Keyspace::Checkpoints,
@@ -441,7 +439,7 @@ mod tests {
         )
         .unwrap();
 
-        let backend = Arc::try_unwrap(shared).ok().unwrap().into_inner();
+        let backend = Arc::try_unwrap(shared).ok().unwrap().into_inner().unwrap();
         let (store, recovered) = recover_replica(&backend).unwrap();
         assert_eq!(store.len(), 50);
         assert_eq!(recovered.head_height(), 1);

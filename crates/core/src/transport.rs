@@ -43,8 +43,8 @@ use crate::deployment::TransportMode;
 use crate::metrics::Metrics;
 use crate::queue::{Overload, QueuePolicy};
 use crate::socket::{fresh_epoch, SocketTransport};
+use crate::sync::MutexExt;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::{Condvar, Mutex};
 use rdb_common::ids::NodeId;
 use rdb_common::time::{SimDuration, SimTime};
 use rdb_consensus::faults::{FaultSpec, FaultState};
@@ -53,7 +53,7 @@ use rdb_consensus::stage::Stage;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -143,7 +143,7 @@ impl Inboxes {
             Some(p) => bounded(p.capacity.max(1)),
             None => unbounded(),
         };
-        self.table.lock().insert(node, Inbox { tx, policy });
+        self.table.guard().insert(node, Inbox { tx, policy });
         rx
     }
 
@@ -157,7 +157,7 @@ impl Inboxes {
         // holds the table lock: other deliveries keep flowing while one
         // producer waits on a full input queue.
         let (tx, policy) = {
-            let table = self.table.lock();
+            let table = self.table.guard();
             let inbox = table.get(&env.to)?; // unregistered: drop
             (inbox.tx.clone(), inbox.policy)
         };
@@ -277,7 +277,7 @@ impl Router {
                 .name("rdb-delay-pump".into())
                 .spawn(move || while weak.upgrade().is_some_and(|r| r.pump_round()) {})
                 .expect("spawn delay pump");
-            *router.pump.lock() = Some(pump);
+            *router.pump.guard() = Some(pump);
         }
         router
     }
@@ -327,14 +327,14 @@ impl Router {
         let due = Instant::now() + after;
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         self.wheel
-            .lock()
+            .guard()
             .push(Reverse(DelayedEntry { due, seq, env }));
     }
 
     /// One pump round: deliver everything due, then wait for the next
     /// due time or a new arrival. `false` once the router is shut down.
     fn pump_round(&self) -> bool {
-        let mut wheel = self.wheel.lock();
+        let mut wheel = self.wheel.guard();
         let now = Instant::now();
         while wheel.peek().is_some_and(|Reverse(e)| e.due <= now) {
             let Reverse(e) = wheel.pop().expect("peeked");
@@ -348,7 +348,7 @@ impl Router {
             if let Some(env) = self.deliver(e.env, OnFull::HandBack) {
                 self.hold(Duration::from_micros(200), env);
             }
-            wheel = self.wheel.lock();
+            wheel = self.wheel.guard();
         }
         // Read under the wheel lock, which `shutdown` takes to clear the
         // flag, so its wake-up cannot slip in before the wait.
@@ -360,7 +360,10 @@ impl Router {
                 .saturating_duration_since(Instant::now())
                 .max(Duration::from_micros(50))
         });
-        self.wheel_cv.wait_for(&mut wheel, wait);
+        let _wheel = self
+            .wheel_cv
+            .wait_timeout(wheel, wait)
+            .unwrap_or_else(PoisonError::into_inner);
         true
     }
 
@@ -368,11 +371,11 @@ impl Router {
     /// no-op.
     pub(crate) fn shutdown(&self) {
         {
-            let _wheel = self.wheel.lock();
+            let _wheel = self.wheel.guard();
             self.running.store(false, Ordering::SeqCst);
         }
         self.wheel_cv.notify_all();
-        if let Some(pump) = self.pump.lock().take() {
+        if let Some(pump) = self.pump.guard().take() {
             let _ = pump.join();
         }
     }

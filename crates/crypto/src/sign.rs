@@ -25,12 +25,29 @@
 //! compute model (`rdb-simnet::compute`).
 
 use crate::hmac::{ct_eq, hmac_sha256, HmacSha256};
-use parking_lot::RwLock;
 use rdb_common::ids::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// [`RwLock`] access that ignores poison: a registry writer that panics
+/// (a node registered twice) leaves the maps it guards whole, so later
+/// readers and writers take the guard out of the poison error.
+trait RwLockExt<T> {
+    fn read_guard(&self) -> RwLockReadGuard<'_, T>;
+    fn write_guard(&self) -> RwLockWriteGuard<'_, T>;
+}
+
+impl<T> RwLockExt<T> for RwLock<T> {
+    fn read_guard(&self) -> RwLockReadGuard<'_, T> {
+        self.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_guard(&self) -> RwLockWriteGuard<'_, T> {
+        self.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// A 32-byte public key / identity handle.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default)]
@@ -121,13 +138,13 @@ impl KeyStore {
         let secret = hmac_sha256(&self.inner.root, &node_bytes);
         let public = PublicKey(hmac_sha256(&secret, b"public-key"));
 
-        let mut by_node = self.inner.by_node.write();
+        let mut by_node = self.inner.by_node.write_guard();
         assert!(
             !by_node.contains_key(&node),
             "node {node:?} registered twice"
         );
         by_node.insert(node, public);
-        self.inner.secrets.write().insert(public, secret);
+        self.inner.secrets.write_guard().insert(public, secret);
 
         Signer {
             node,
@@ -145,7 +162,7 @@ impl KeyStore {
 
     /// Look up a node's public key (if registered).
     pub fn public_key_of(&self, node: NodeId) -> Option<PublicKey> {
-        self.inner.by_node.read().get(&node).copied()
+        self.inner.by_node.read_guard().get(&node).copied()
     }
 }
 
@@ -221,7 +238,7 @@ impl Verifier {
     /// Check `sig` over `msg` against `public`. Returns `false` for
     /// unknown keys and invalid tags alike.
     pub fn verify(&self, public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
-        let secrets = self.inner.secrets.read();
+        let secrets = self.inner.secrets.read_guard();
         match secrets.get(public) {
             Some(secret) => ct_eq(&tag(secret, msg), &sig.0),
             None => false,
@@ -230,7 +247,7 @@ impl Verifier {
 
     /// Look up a node's public key (if registered).
     pub fn public_key_of(&self, node: NodeId) -> Option<PublicKey> {
-        self.inner.by_node.read().get(&node).copied()
+        self.inner.by_node.read_guard().get(&node).copied()
     }
 
     /// Batched verification: check every `(public key, signature)` pair
@@ -239,7 +256,7 @@ impl Verifier {
     /// over one payload — and is what the pipeline's verifier stage calls.
     /// Returns `true` only if *all* pairs verify.
     pub fn verify_many(&self, msg: &[u8], pairs: &[(PublicKey, Signature)]) -> bool {
-        let secrets = self.inner.secrets.read();
+        let secrets = self.inner.secrets.read_guard();
         pairs.iter().all(|(public, sig)| match secrets.get(public) {
             Some(secret) => ct_eq(&tag(secret, msg), &sig.0),
             None => false,
@@ -338,6 +355,38 @@ mod tests {
         let node: NodeId = ReplicaId::new(0, 0).into();
         let _a = ks.register(node);
         let _b = ks.register(node);
+    }
+
+    /// A store whose registry lock a panicking registration (the second
+    /// registration of `node`, on another thread) has poisoned.
+    fn poisoned_store(node: NodeId) -> (KeyStore, Signer) {
+        let ks = store();
+        let signer = ks.register(node);
+        let again = ks.clone();
+        let r = std::thread::spawn(move || again.register(node)).join();
+        assert!(r.is_err(), "the second registration panics");
+        assert!(ks.inner.by_node.is_poisoned());
+        (ks, signer)
+    }
+
+    /// Fails if `read_guard` unwraps the lock result.
+    #[test]
+    fn registry_reads_survive_a_panicking_writer() {
+        let node: NodeId = ReplicaId::new(0, 0).into();
+        let (ks, signer) = poisoned_store(node);
+        assert_eq!(ks.public_key_of(node), Some(signer.public_key()));
+        assert_eq!(ks.verifier().public_key_of(node), Some(signer.public_key()));
+    }
+
+    /// Fails if `write_guard` unwraps the lock result.
+    #[test]
+    fn registry_writes_survive_a_panicking_writer() {
+        let (ks, _) = poisoned_store(ReplicaId::new(0, 0).into());
+        let other = ks.register(ReplicaId::new(0, 1).into());
+        let sig = other.sign(b"after the panic");
+        assert!(ks
+            .verifier()
+            .verify(&other.public_key(), b"after the panic", &sig));
     }
 
     #[test]

@@ -112,14 +112,12 @@ pub fn run_simnet(spec: &ScenarioSpec) -> (RunMetrics, BTreeMap<ReplicaId, Ledge
     (metrics, ledgers.expect("ledgers tracked"))
 }
 
-/// Run the spec on the threaded fabric for `duration` of wall-clock load
-/// at `lanes` execution lanes.
-pub fn run_fabric(spec: &ScenarioSpec, lanes: usize, duration: Duration) -> DeploymentReport {
+/// Run the spec on the threaded fabric for `duration` of wall-clock load.
+pub fn run_fabric(spec: &ScenarioSpec, duration: Duration) -> DeploymentReport {
     let mut builder = DeploymentBuilder::new(spec.kind, spec.z, spec.n)
         .batch_size(spec.batch)
         .records(spec.records)
         .seed(spec.seed)
-        .exec_lanes(lanes)
         .faults(spec.faults.clone());
     if spec.fast_timeouts {
         builder = builder.fast_timeouts();
@@ -155,8 +153,7 @@ pub struct ReplayAudit {
 /// Re-execute a committed ledger, block by block, against a fresh
 /// preloaded store and verify every block's recorded post-execution
 /// state digest. This re-derives the execution result from the chain
-/// alone — independent of which runtime, executor or lane count
-/// produced it — and is where scenario program/abort counts come from.
+/// alone — independent of which runtime produced it — and is where scenario program/abort counts come from.
 pub fn replay_ledger(ledger: &Ledger, records: u64) -> Result<ReplayAudit, String> {
     if ledger.base_height() > 0 {
         return Err(format!(

@@ -16,8 +16,7 @@
 //! assert the strongest possible property: the committed ledgers are
 //! **byte-identical** between the simulator and the fabric — same batches,
 //! same order, same post-execution state digests, hence identical block
-//! hashes — and byte-identical again across execution lane counts (1 vs 4).
-//! Both runtimes drive the same sans-io state machines, so with one
+//! hashes. Both runtimes drive the same sans-io state machines, so with one
 //! closed-loop client the proposal order is fully determined by client
 //! `batch_seq` order and only timing may differ.
 //!
@@ -35,7 +34,7 @@
 //! Every scenario re-executes the observer replica's committed ledger
 //! against a fresh preloaded store ([`harness::replay_ledger`]) and
 //! verifies each block's recorded `state_digest`. This is a
-//! runtime-independent check: whatever the pipeline (execution lanes,
+//! runtime-independent check: whatever the pipeline (fabric executor,
 //! simulator model) claimed about execution is re-derived
 //! from the chain alone, and it is also where program/abort counts for
 //! reports come from.

@@ -10,8 +10,8 @@
 //!
 //! | scenario            | workload            | faults                      | cross-runtime assertion |
 //! |---------------------|---------------------|-----------------------------|-------------------------|
-//! | `smallbank`         | hot-account transfers | none                      | byte-identical ledgers, lanes 1 & 4 |
-//! | `token_rmw`         | multi-key mints/transfers | none                  | byte-identical ledgers, lanes 1 & 4 |
+//! | `smallbank`         | hot-account transfers | none                      | byte-identical ledgers |
+//! | `token_rmw`         | multi-key mints/transfers | none                  | byte-identical ledgers |
 //! | `healing_partition` | hot-account transfers | 2+2 partition, heals      | honest agreement + post-heal progress |
 //! | `byzantine_primary` | hot-account transfers | equivocating primary      | honest agreement + progress |
 
@@ -61,9 +61,8 @@ fn audited_replay(ledger: &Ledger, records: u64, label: &str) -> ReplayAudit {
 /// Asserts in the simulator: progress, all-replica agreement, and — via
 /// the replay audit — that the workload surfaced *both* committed and
 /// aborted transfers (the underflow rule at work). In [`Mode::Full`] the
-/// same spec runs on the fabric at 1 and 4 execution lanes and each
-/// committed chain must be byte-identical to the simulator's over a
-/// non-trivial prefix.
+/// same spec runs on the fabric and its committed chain must be
+/// byte-identical to the simulator's over a non-trivial prefix.
 pub fn smallbank(mode: Mode) -> ScenarioOutcome {
     let mut spec = ScenarioSpec::new(ProtocolKind::Pbft, 1, 4);
     spec.factory = Some(smallbank_factory(spec.records, spec.batch));
@@ -79,36 +78,34 @@ pub fn smallbank(mode: Mode) -> ScenarioOutcome {
     );
 
     if mode == Mode::Full {
-        for lanes in [1usize, 4] {
-            let label = format!("smallbank/fabric lanes={lanes}");
-            let report = run_fabric(&spec, lanes, Duration::from_millis(900));
-            assert!(
-                report.completed_batches > 0,
-                "{label}: {}",
-                report.summary()
-            );
-            report
-                .audit_ledgers()
-                .unwrap_or_else(|e| panic!("{label}: ledgers inconsistent: {e}"));
-            report
-                .audit_execution_stage()
-                .unwrap_or_else(|e| panic!("{label}: execution audit failed: {e}"));
-            let fabric = &report.ledgers[&OBSERVER];
-            assert_identical_prefix(sim, fabric, 3, &label);
-            // The fabric chain independently replays too, aborts and all.
-            let fa = audited_replay(fabric, spec.records, &label);
-            assert!(fa.aborts > 0, "{label}: no aborts reached the chain");
-        }
+        let label = "smallbank/fabric";
+        let report = run_fabric(&spec, Duration::from_millis(900));
+        assert!(
+            report.completed_batches > 0,
+            "{label}: {}",
+            report.summary()
+        );
+        report
+            .audit_ledgers()
+            .unwrap_or_else(|e| panic!("{label}: ledgers inconsistent: {e}"));
+        report
+            .audit_execution_stage()
+            .unwrap_or_else(|e| panic!("{label}: execution audit failed: {e}"));
+        let fabric = &report.ledgers[&OBSERVER];
+        assert_identical_prefix(sim, fabric, 3, label);
+        // The fabric chain independently replays too, aborts and all.
+        let fa = audited_replay(fabric, spec.records, label);
+        assert!(fa.aborts > 0, "{label}: no aborts reached the chain");
     }
     ScenarioOutcome::from_replay("smallbank", spec.kind, sim, &audit)
 }
 
 /// Multi-key token mints and transfers on PBFT (1×4): every mint is a
-/// 5-key read-modify-write spanning all four execution lanes.
+/// 5-key read-modify-write.
 ///
 /// Asserts the token conservation invariant on the replayed final state
 /// (`minted supply == total balance growth`), plus the same byte-identity
-/// matrix as [`smallbank`] in [`Mode::Full`].
+/// check as [`smallbank`] in [`Mode::Full`].
 pub fn token_rmw(mode: Mode) -> ScenarioOutcome {
     const ACCOUNTS: u64 = 64;
     let mut spec = ScenarioSpec::new(ProtocolKind::Pbft, 1, 4);
@@ -121,25 +118,23 @@ pub fn token_rmw(mode: Mode) -> ScenarioOutcome {
     check_conservation(&audit, ACCOUNTS, "token_rmw/simnet");
 
     if mode == Mode::Full {
-        for lanes in [1usize, 4] {
-            let label = format!("token_rmw/fabric lanes={lanes}");
-            let report = run_fabric(&spec, lanes, Duration::from_millis(900));
-            assert!(
-                report.completed_batches > 0,
-                "{label}: {}",
-                report.summary()
-            );
-            report
-                .audit_ledgers()
-                .unwrap_or_else(|e| panic!("{label}: ledgers inconsistent: {e}"));
-            report
-                .audit_execution_stage()
-                .unwrap_or_else(|e| panic!("{label}: execution audit failed: {e}"));
-            let fabric = &report.ledgers[&OBSERVER];
-            assert_identical_prefix(sim, fabric, 3, &label);
-            let fa = audited_replay(fabric, spec.records, &label);
-            check_conservation(&fa, ACCOUNTS, &label);
-        }
+        let label = "token_rmw/fabric";
+        let report = run_fabric(&spec, Duration::from_millis(900));
+        assert!(
+            report.completed_batches > 0,
+            "{label}: {}",
+            report.summary()
+        );
+        report
+            .audit_ledgers()
+            .unwrap_or_else(|e| panic!("{label}: ledgers inconsistent: {e}"));
+        report
+            .audit_execution_stage()
+            .unwrap_or_else(|e| panic!("{label}: execution audit failed: {e}"));
+        let fabric = &report.ledgers[&OBSERVER];
+        assert_identical_prefix(sim, fabric, 3, label);
+        let fa = audited_replay(fabric, spec.records, label);
+        check_conservation(&fa, ACCOUNTS, label);
     }
     ScenarioOutcome::from_replay("token_rmw", spec.kind, sim, &audit)
 }
@@ -194,7 +189,7 @@ pub fn healing_partition(mode: Mode) -> ScenarioOutcome {
 
     if mode == Mode::Full {
         let label = "healing_partition/fabric";
-        let report = run_fabric(&spec, 1, Duration::from_millis(2_400));
+        let report = run_fabric(&spec, Duration::from_millis(2_400));
         assert!(
             report.completed_batches > 0,
             "{label}: nothing committed after the heal: {}",
@@ -284,7 +279,7 @@ pub fn byzantine_primary(kind: ProtocolKind, mode: Mode) -> ScenarioOutcome {
 
     if mode == Mode::Full {
         let label = format!("{name}/fabric");
-        let report = run_fabric(&spec, 1, Duration::from_millis(2_000));
+        let report = run_fabric(&spec, Duration::from_millis(2_000));
         assert!(
             report.completed_batches > 0,
             "{label}: attack killed liveness: {}",

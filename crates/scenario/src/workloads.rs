@@ -106,11 +106,9 @@ pub const TOKEN_SUPPLY_KEY: u64 = 0;
 /// Multi-key token read-modify-write mix over accounts `1..=accounts`.
 ///
 /// Every third slot is a [`TxnProgram::mint`] over a 4-account window
-/// plus the supply record — a 5-key footprint that *always* spans
-/// several execution lanes at `exec_lanes = 4` (consecutive keys hit
-/// distinct `key % lanes` shards), exercising the cross-lane
-/// gather/eval/scatter path. The rest are transfers within the token
-/// account set, so the conservation invariant holds on the final state:
+/// plus the supply record — a 5-key read-modify-write. The rest are
+/// transfers within the token account set, so the conservation
+/// invariant holds on the final state:
 ///
 /// `sum(balances) - sum(preloaded balances) == supply - 0`
 pub fn token_factory(accounts: u64, batch: usize) -> SourceFactory {

@@ -1,8 +1,7 @@
 //! Full-mode scenario runs: each test executes a catalog scenario on
 //! *both* runtimes — the deterministic simulator and the threaded fabric
 //! — letting the scenario's own cross-runtime assertions fire
-//! (byte-identical ledgers at 1 and 4 execution lanes for the
-//! fault-free scenarios, honest-replica agreement plus a progress floor
+//! (byte-identical ledgers for the fault-free scenarios, honest-replica agreement plus a progress floor
 //! for the fault scripts). The Byzantine-primary matrix runs in
 //! `tests/consensus_safety.rs` at the workspace root; the quick
 //! (simulator-only) catalog is exercised by `repro_scenarios --quick`
@@ -11,7 +10,7 @@
 use rdb_scenario::{healing_partition, smallbank, token_rmw, Mode};
 
 /// Hot-account transfers with surfaced underflow aborts: the simulator
-/// and the fabric (at 1 and 4 lanes) must commit byte-identical chains,
+/// and the fabric must commit byte-identical chains,
 /// and the independent replay must find aborts on every one of them.
 #[test]
 fn smallbank_commits_identically_on_both_runtimes() {
@@ -20,9 +19,9 @@ fn smallbank_commits_identically_on_both_runtimes() {
     assert!(outcome.aborts < outcome.programs, "every transfer aborted");
 }
 
-/// Multi-key token mints (5-key RMWs spanning every lane) conserve
+/// Multi-key token mints (5-key RMWs) conserve
 /// supply on the replayed final state of both runtimes, with the same
-/// byte-identity matrix as SmallBank.
+/// byte-identity check as SmallBank.
 #[test]
 fn token_rmw_conserves_supply_on_both_runtimes() {
     let outcome = token_rmw(Mode::Full);

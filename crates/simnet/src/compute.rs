@@ -53,23 +53,12 @@ pub struct PipelineModel {
     /// every pre-checkpoint figure reproduction is unchanged byte for
     /// byte.
     pub checkpoint_interval: u64,
-    /// Key-sharded execution lanes of the modeled execute stage — the
-    /// virtual twin of the fabric's `PipelineConfig::exec_lanes`. Each
-    /// decision's materialization cost is split across the lanes its key
-    /// footprint touches (`lane = key % lanes`, like the fabric), so
-    /// key-disjoint batches advance independent lane horizons in
-    /// parallel while same-key traffic serializes on one lane. `1` (the
-    /// default) models the single execution thread and leaves every
-    /// existing scenario unchanged byte for byte.
-    pub exec_lanes: usize,
-    /// Bound on in-flight materializations awaiting commit-order
-    /// retirement — the virtual twin of the fabric's bounded execute
-    /// queue, whose capacity doubles as the lane pool's reorder window
-    /// `W`. When nonzero (and execution is dedicated), a worker that
-    /// decides while `W` materializations are still in flight blocks
-    /// until the oldest retires, the same backpressure the fabric's
-    /// Block-policy exec queue applies. `0` (the default) leaves the
-    /// stage ungated, preserving every pre-lane scenario byte for byte.
+    /// Bound on in-flight materializations — the virtual twin of the
+    /// fabric's bounded execute queue. When nonzero (and execution is
+    /// dedicated), a worker that decides while this many
+    /// materializations are still in flight blocks until the oldest
+    /// finishes, the same backpressure the fabric's Block-policy exec
+    /// queue applies. `0` (the default) leaves the stage ungated.
     pub exec_queue_capacity: usize,
 }
 
@@ -86,7 +75,6 @@ impl Default for PipelineModel {
             input_capacity: input_capacity(100, 2),
             input_overload: Overload::Block,
             checkpoint_interval: 0,
-            exec_lanes: 1,
             exec_queue_capacity: 0,
         }
     }
@@ -103,7 +91,6 @@ impl PipelineModel {
             input_capacity: 0,
             input_overload: Overload::Block,
             checkpoint_interval: 0,
-            exec_lanes: 1,
             exec_queue_capacity: 0,
         }
     }
@@ -132,17 +119,9 @@ impl PipelineModel {
         self
     }
 
-    /// Model `lanes` key-sharded execution lanes (the fabric's
-    /// `DeploymentBuilder::exec_lanes` twin), clamped to
-    /// `1..=`[`rdb_store::MAX_LANES`] exactly as the fabric clamps.
-    pub fn with_exec_lanes(mut self, lanes: usize) -> PipelineModel {
-        self.exec_lanes = lanes.clamp(1, rdb_store::MAX_LANES);
-        self
-    }
-
     /// Bound the modeled execute stage at `capacity` in-flight
-    /// materializations (the fabric's exec-queue bound, which doubles as
-    /// the lane pool's reorder window). `0` disables the gate.
+    /// materializations (the fabric's exec-queue bound). `0` disables the
+    /// gate.
     pub fn with_exec_queue(mut self, capacity: usize) -> PipelineModel {
         self.exec_queue_capacity = capacity;
         self
@@ -401,26 +380,16 @@ mod tests {
         assert_eq!(wide.verifier_threads, 4);
         assert!(wide.dedicated_execution);
         assert_eq!(ComputeModel::default().pipeline, PipelineModel::default());
-        // Execution lanes default to the single-thread model with no gate.
-        assert_eq!(single.exec_lanes, 1);
-        assert_eq!(wide.exec_lanes, 1);
+        // The execute stage defaults to no gate.
         assert_eq!(wide.exec_queue_capacity, 0);
     }
 
     #[test]
-    fn exec_lane_builders_clamp_like_the_fabric() {
-        let m = PipelineModel::default()
-            .with_exec_lanes(4)
-            .with_exec_queue(8);
-        assert_eq!(m.exec_lanes, 4);
+    fn exec_queue_builder_rides_serde_round_trip() {
+        let m = PipelineModel::default().with_exec_queue(8);
         assert_eq!(m.exec_queue_capacity, 8);
-        assert_eq!(PipelineModel::default().with_exec_lanes(0).exec_lanes, 1);
-        assert_eq!(
-            PipelineModel::default().with_exec_lanes(10_000).exec_lanes,
-            rdb_store::MAX_LANES
-        );
-        // The lane fields ride the model's serde round-trip like every
-        // other stage knob.
+        // The gate rides the model's serde round-trip like every other
+        // stage knob.
         let json = serde_json::to_string(&m).unwrap();
         let back: PipelineModel = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);

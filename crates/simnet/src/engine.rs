@@ -65,16 +65,11 @@ struct NodeState {
     /// held at the sender (the fabric's parked `send`) and never enter,
     /// so the depth respects the configured bound.
     input_queue: BinaryHeap<Reverse<SimTime>>,
-    /// Per-lane horizons of the dedicated execution stage: lane `l` is
-    /// busy until `exec_lane_free[l]` (sized lazily from the compute
-    /// model's [`crate::compute::PipelineModel::exec_lanes`]; one entry —
-    /// the classic single execution thread — unless lanes are modeled).
-    exec_lane_free: Vec<SimTime>,
-    /// Commit-order retirement horizon of the execution stage: the
-    /// instant the most recently decided materialization retires (all
-    /// its lanes done, and no earlier decision still in flight).
-    exec_retired: SimTime,
-    /// Retirement instants of in-flight materializations, maintained
+    /// The dedicated execution thread is busy until this instant: the
+    /// most recently decided materialization finishes then, after every
+    /// earlier one (decisions apply in commit order).
+    exec_free: SimTime,
+    /// Finish instants of in-flight materializations, maintained
     /// only when [`crate::compute::PipelineModel::exec_queue_capacity`]
     /// gates the stage; `len()` is the modeled exec-queue depth.
     exec_inflight: BinaryHeap<Reverse<SimTime>>,
@@ -87,19 +82,6 @@ struct NodeState {
     wan_free: SimTime,
     /// Timer generations for cancellation.
     timer_gens: BTreeMap<TimerKind, u64>,
-}
-
-impl NodeState {
-    /// The instant the whole execution stage drains: the latest lane
-    /// horizon (`SimTime::ZERO` when execution never ran dedicated).
-    #[cfg(test)]
-    fn exec_free(&self) -> SimTime {
-        self.exec_lane_free
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 type HeapEntry = Reverse<(SimTime, u64)>;
@@ -534,19 +516,12 @@ impl Engine {
     /// on the node's modeled execution stage and return the worker's
     /// cursor, advanced past any wait the exec-queue gate imposed.
     ///
-    /// With one lane this is exactly the pre-lane model: the whole cost
-    /// lands on a single horizon and (with no gate configured) the
-    /// cursor comes back untouched, so every existing scenario keeps its
-    /// schedule byte for byte. With `exec_lanes > 1` the cost splits
-    /// across the lanes the decision's keys home on (`key % lanes`, the
-    /// fabric's shard map), so key-disjoint decisions overlap on
-    /// independent horizons while same-key traffic serializes on one.
-    /// The decision retires in commit order — at the latest of its own
-    /// lane finishes and every earlier retirement — and when
-    /// `exec_queue_capacity` is nonzero the worker blocks while that
-    /// many materializations are still unretired: the virtual twin of
-    /// the fabric's bounded Block-policy exec queue, whose capacity is
-    /// also the lane pool's reorder window.
+    /// The whole cost lands on the one execution horizon, after every
+    /// earlier decision's, and (with no gate configured) the cursor
+    /// comes back untouched. When `exec_queue_capacity` is nonzero the
+    /// worker blocks while that many materializations are still
+    /// unfinished: the virtual twin of the fabric's bounded Block-policy
+    /// exec queue.
     fn charge_execution(
         &mut self,
         node: NodeId,
@@ -554,12 +529,8 @@ impl Engine {
         decision: &Decision,
         mut cursor: SimTime,
     ) -> SimTime {
-        let lanes = model.pipeline.exec_lanes.clamp(1, rdb_store::MAX_LANES);
         let window = model.pipeline.exec_queue_capacity;
         let state = self.nodes.entry(node).or_default();
-        if state.exec_lane_free.len() < lanes {
-            state.exec_lane_free.resize(lanes, SimTime::ZERO);
-        }
         if window > 0 {
             // Retire everything already done, then block the worker until
             // the in-flight backlog fits the bound.
@@ -583,44 +554,10 @@ impl Engine {
                 self.stats.exec_gate_wait += waited;
             }
         }
-        let retire = if lanes <= 1 {
-            let exec = model.exec_cost_decision(decision.txn_count(), decision.program_instrs());
-            state.exec_lane_free[0] = state.exec_lane_free[0].max(cursor) + SimDuration(exec);
-            state.exec_lane_free[0]
-        } else {
-            // Per-lane work: each transaction is charged to its home lane;
-            // transaction-program instructions are charged to the program's
-            // home lane (the scheduler serializes cross-lane programs, so
-            // the home lane carries the whole program's cost).
-            let mut lane_txns = vec![0u64; lanes];
-            let mut lane_instrs = vec![0u64; lanes];
-            for e in &decision.entries {
-                for op in e.batch.batch.operations() {
-                    let home = rdb_store::lanes::home_lane(op, lanes);
-                    lane_txns[home] += 1;
-                    if let rdb_store::Operation::Txn(prog) = op {
-                        lane_instrs[home] += prog.cost() as u64;
-                    }
-                }
-            }
-            let mut finish = cursor;
-            for (lane, &txns) in lane_txns.iter().enumerate() {
-                if txns == 0 {
-                    continue;
-                }
-                let f = state.exec_lane_free[lane].max(cursor)
-                    + SimDuration(
-                        model.exec_ns_per_txn * txns + model.exec_ns_per_instr * lane_instrs[lane],
-                    );
-                state.exec_lane_free[lane] = f;
-                finish = finish.max(f);
-            }
-            finish
-        };
-        state.exec_retired = state.exec_retired.max(retire);
+        let exec = model.exec_cost_decision(decision.txn_count(), decision.program_instrs());
+        state.exec_free = state.exec_free.max(cursor) + SimDuration(exec);
         if window > 0 {
-            let retired = state.exec_retired;
-            state.exec_inflight.push(Reverse(retired));
+            state.exec_inflight.push(Reverse(state.exec_free));
         }
         cursor
     }
@@ -1028,7 +965,7 @@ mod tests {
             );
             e.run_until(SimTime::ZERO + SimDuration::from_secs(1));
             let state = &e.nodes[&NodeId::Replica(to)];
-            (state.busy_until, state.exec_free())
+            (state.busy_until, state.exec_free)
         };
         let (staged_busy, staged_exec) = run(PipelineModel::default());
         let (single_busy, single_exec) = run(PipelineModel::single_threaded());
@@ -1043,14 +980,14 @@ mod tests {
 
     /// A replica that answers every inbound message with one decided
     /// batch of `batch` single-key writes; `spread` keys the writes
-    /// `0..batch` (key-disjoint, one per lane) instead of all on key 0.
-    struct LaneDecider {
+    /// `0..batch` (key-disjoint) instead of all on key 0.
+    struct WriteDecider {
         id: ReplicaId,
         seq: u64,
         batch: u64,
         spread: bool,
     }
-    impl ReplicaProtocol for LaneDecider {
+    impl ReplicaProtocol for WriteDecider {
         fn id(&self) -> ReplicaId {
             self.id
         }
@@ -1090,19 +1027,30 @@ mod tests {
         fn on_timer(&mut self, _now: SimTime, _t: TimerKind, _out: &mut Outbox) {}
     }
 
-    fn lane_run(
+    /// Execute cost per transaction that makes the modeled execute stage
+    /// the bottleneck: a 4-write decision costs 8 ms, far above the
+    /// worker's per-message cost.
+    const SLOW_EXEC_NS: u64 = 2_000_000;
+
+    /// Deliver `decisions` messages at once to a [`WriteDecider`] under
+    /// `pipeline` and a per-transaction execute cost of `exec_ns_per_txn`;
+    /// returns the worker's horizon, the execute stage's horizon and the
+    /// run's stats.
+    fn exec_run(
         pipeline: crate::compute::PipelineModel,
+        exec_ns_per_txn: u64,
         spread: bool,
         decisions: u64,
     ) -> (SimTime, SimTime, NetStats) {
         let topo = Topology::paper(&[Region::Oregon]);
         let model = ComputeModel {
             pipeline,
+            exec_ns_per_txn,
             ..ComputeModel::default()
         };
         let mut e = engine(topo, model.clone(), model, FaultState::default());
         let to = ReplicaId::new(0, 0);
-        e.add_replica(Box::new(LaneDecider {
+        e.add_replica(Box::new(WriteDecider {
             id: to,
             seq: 0,
             batch: 4,
@@ -1118,111 +1066,46 @@ mod tests {
         }
         e.run_until(SimTime::ZERO + SimDuration::from_secs(10));
         let state = &e.nodes[&NodeId::Replica(to)];
-        (state.busy_until, state.exec_free(), e.stats.clone())
+        (state.busy_until, state.exec_free, e.stats.clone())
     }
 
+    /// One execute thread: back-to-back decisions queue behind each other
+    /// on the one horizon, so four more decisions push it out by exactly
+    /// four decisions' cost, whatever keys they write. Fails if the
+    /// model overlaps key-disjoint decisions or drops an earlier
+    /// decision's cost from the horizon.
     #[test]
-    fn exec_lanes_overlap_disjoint_keys_and_serialize_conflicts() {
+    fn back_to_back_decisions_serialize_on_the_execute_horizon() {
         use crate::compute::PipelineModel;
-        let one = PipelineModel::default().with_exec_lanes(1);
-        let four = PipelineModel::default().with_exec_lanes(4);
-
-        // Key-disjoint batches: four lanes drain the materialization
-        // backlog in parallel, so the stage's horizon lands earlier.
-        let (busy_1, exec_1, _) = lane_run(one, true, 8);
-        let (busy_4, exec_4, _) = lane_run(four, true, 8);
-        assert!(
-            exec_4 < exec_1,
-            "disjoint keys must parallelize: 4 lanes {exec_4:?} vs 1 lane {exec_1:?}"
-        );
-        // Ungated, the lane count never touches the worker's schedule —
-        // which is why every existing scenario stays byte-identical.
-        assert_eq!(busy_4, busy_1);
-
-        // Same-key batches conflict on one lane and serialize: lanes buy
-        // nothing, exactly like the fabric's per-shard ordering.
-        let (_, conflict_1, _) = lane_run(PipelineModel::default().with_exec_lanes(1), false, 8);
-        let (_, conflict_4, _) = lane_run(PipelineModel::default().with_exec_lanes(4), false, 8);
-        assert_eq!(conflict_4, conflict_1);
+        let cost = ComputeModel {
+            exec_ns_per_txn: SLOW_EXEC_NS,
+            ..ComputeModel::default()
+        }
+        .exec_cost_decision(4, 0);
+        let (_, four, _) = exec_run(PipelineModel::default(), SLOW_EXEC_NS, true, 4);
+        let (_, eight, _) = exec_run(PipelineModel::default(), SLOW_EXEC_NS, true, 8);
+        assert_eq!(eight - four, SimDuration(4 * cost));
+        // Same-key and key-disjoint batches take the same time.
+        let (_, conflict, _) = exec_run(PipelineModel::default(), SLOW_EXEC_NS, false, 8);
+        assert_eq!(conflict, eight);
     }
 
     #[test]
-    fn exec_gate_backpressures_worker_and_lanes_relieve_it() {
+    fn exec_gate_backpressures_worker() {
         use crate::compute::PipelineModel;
         // A tight window over a slow execute stage: the worker outruns
         // materialization and must block at the bound (PR 3's Block
-        // policy). Raise the per-txn cost so the stage is the bottleneck.
-        let slow = |lanes: usize| {
-            let topo = Topology::paper(&[Region::Oregon]);
-            let model = ComputeModel {
-                pipeline: PipelineModel::default()
-                    .with_exec_lanes(lanes)
-                    .with_exec_queue(2),
-                exec_ns_per_txn: 2_000_000,
-                ..ComputeModel::default()
-            };
-            let mut e = engine(topo, model.clone(), model, FaultState::default());
-            let to = ReplicaId::new(0, 0);
-            e.add_replica(Box::new(LaneDecider {
-                id: to,
-                seq: 0,
-                batch: 4,
-                spread: true,
-            }));
-            for _ in 0..12 {
-                e.route(
-                    ReplicaId::new(0, 1).into(),
-                    to.into(),
-                    Message::Noop,
-                    SimTime::ZERO,
-                );
-            }
-            e.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-            let busy = e.nodes[&NodeId::Replica(to)].busy_until;
-            (busy, e.stats.clone())
-        };
-        let (busy_1, stats_1) = slow(1);
-        let (busy_4, stats_4) = slow(4);
+        // policy).
+        let gated = PipelineModel::default().with_exec_queue(2);
+        let (busy_gated, _, stats) = exec_run(gated, SLOW_EXEC_NS, true, 12);
         // The gate actually engaged and its wait is visible.
-        assert!(stats_1.exec_gate_waits > 0);
-        assert!(stats_1.exec_gate_wait > SimDuration::ZERO);
-        // Lanes drain the window faster on disjoint keys, so the worker
-        // blocks less and finishes sooner — modeled throughput scales.
-        assert!(
-            stats_4.exec_gate_wait < stats_1.exec_gate_wait,
-            "4 lanes {:?} must wait less than 1 lane {:?}",
-            stats_4.exec_gate_wait,
-            stats_1.exec_gate_wait
-        );
-        assert!(
-            busy_4 < busy_1,
-            "worker must finish sooner with 4 lanes: {busy_4:?} vs {busy_1:?}"
-        );
-        // Ungated at 1 lane, the same load never blocks the worker.
-        let topo = Topology::paper(&[Region::Oregon]);
-        let model = ComputeModel {
-            exec_ns_per_txn: 2_000_000,
-            ..ComputeModel::default()
-        };
-        let mut e = engine(topo, model.clone(), model, FaultState::default());
-        let to = ReplicaId::new(0, 0);
-        e.add_replica(Box::new(LaneDecider {
-            id: to,
-            seq: 0,
-            batch: 4,
-            spread: true,
-        }));
-        for _ in 0..12 {
-            e.route(
-                ReplicaId::new(0, 1).into(),
-                to.into(),
-                Message::Noop,
-                SimTime::ZERO,
-            );
-        }
-        e.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-        assert_eq!(e.stats.exec_gate_waits, 0);
-        assert!(e.nodes[&NodeId::Replica(to)].busy_until <= busy_4);
+        assert!(stats.exec_gate_waits > 0);
+        assert!(stats.exec_gate_wait > SimDuration::ZERO);
+        // Ungated, the same load never blocks the worker, which finishes
+        // sooner.
+        let (busy, _, stats) = exec_run(PipelineModel::default(), SLOW_EXEC_NS, true, 12);
+        assert_eq!(stats.exec_gate_waits, 0);
+        assert!(busy < busy_gated, "{busy:?} vs gated {busy_gated:?}");
     }
 
     #[test]

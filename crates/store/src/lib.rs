@@ -16,12 +16,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod lanes;
 pub mod ops;
 pub mod table;
 pub mod txn;
 
-pub use lanes::{lane_of, partition_batch, plan_batch, LaneItem, PlanStep, ProgramStep, MAX_LANES};
 pub use ops::{ExecOutcome, Operation, TxnEffect};
 pub use table::{KvStore, StoreStats, Value, STORE_SHARDS};
 pub use txn::{Cmp, TxnAbort, TxnInstr, TxnOutcome, TxnProgram};

@@ -97,8 +97,7 @@ impl Operation {
 
     /// Whether the operation mutates the store. Programs count as writes
     /// whenever their static footprint contains a `Write` (a program
-    /// that aborts at runtime still *may* write, and lane routing must
-    /// plan for it).
+    /// that aborts at runtime still *may* write).
     pub fn is_write(&self) -> bool {
         match self {
             Operation::Write { .. } | Operation::Rmw { .. } | Operation::Insert { .. } => true,

@@ -68,19 +68,6 @@ impl StoreStats {
             + self.noops
             + self.programs
     }
-
-    /// Add another statistics block into this one (used when merging
-    /// per-lane stores back into a single table).
-    pub fn accumulate(&mut self, other: &StoreStats) {
-        self.writes += other.writes;
-        self.reads += other.reads;
-        self.rmws += other.rmws;
-        self.inserts += other.inserts;
-        self.scans += other.scans;
-        self.noops += other.noops;
-        self.programs += other.programs;
-        self.aborts += other.aborts;
-    }
 }
 
 /// Number of internal fingerprint shards per [`KvStore`]. Power of two so
@@ -136,8 +123,7 @@ impl Shard {
 /// same records at the same versions (up to hash collisions, which SHA-256
 /// makes negligible). The shard decomposition additionally makes
 /// [`KvStore::rebuild_fingerprint`] proportional to the *touched* shards
-/// rather than the whole table, and lets a store be split into key-disjoint
-/// lane stores (see [`crate::lanes`]) whose digests recombine exactly.
+/// rather than the whole table.
 #[derive(Debug, Clone)]
 pub struct KvStore {
     shards: Vec<Shard>,
@@ -191,19 +177,6 @@ impl KvStore {
         self.insert_inner(key, value, true);
     }
 
-    /// Install a record at an explicit version, maintaining the shard
-    /// fingerprint. The key must not already be present — used when
-    /// splitting or reassembling lane stores, where each record moves
-    /// exactly once.
-    pub(crate) fn seed_record(&mut self, key: u64, value: Value, version: u64) {
-        let shard = &mut self.shards[shard_of(key)];
-        let d = Self::record_digest(key, &value, version);
-        xor_into(&mut shard.accum, &d);
-        let prev = shard.records.insert(key, (value, version));
-        debug_assert!(prev.is_none(), "seed_record over existing key");
-        self.len += 1;
-    }
-
     fn insert_inner(&mut self, key: u64, value: Value, fingerprint: bool) {
         let shard = &mut self.shards[shard_of(key)];
         let new_ver;
@@ -242,11 +215,6 @@ impl KvStore {
         }
     }
 
-    /// Whether write capture is active.
-    pub fn capturing(&self) -> bool {
-        self.captured.is_some()
-    }
-
     /// Drain the writes captured since the last call (capture stays
     /// enabled). Overwrites of the same key appear once per write, in
     /// application order, so replaying the *last* entry per key restores
@@ -262,7 +230,12 @@ impl KvStore {
     /// version, maintaining the fingerprint. The key must not already be
     /// present: recovery always starts from an empty table.
     pub fn restore_record(&mut self, key: u64, value: Value, version: u64) {
-        self.seed_record(key, value, version);
+        let shard = &mut self.shards[shard_of(key)];
+        let d = Self::record_digest(key, &value, version);
+        xor_into(&mut shard.accum, &d);
+        let prev = shard.records.insert(key, (value, version));
+        debug_assert!(prev.is_none(), "restore_record over existing key");
+        self.len += 1;
     }
 
     /// Every record as `(key, value, version)`, in unspecified order (the
@@ -332,7 +305,7 @@ impl KvStore {
 
     /// Execute one operation, returning its outcome.
     pub fn execute(&mut self, op: &Operation) -> ExecOutcome {
-        self.execute_inner(op, true, true)
+        self.execute_inner(op, true)
     }
 
     /// Execute one operation *without* maintaining the incremental state
@@ -342,21 +315,7 @@ impl KvStore {
     /// fingerprint is stale afterwards until
     /// [`KvStore::rebuild_fingerprint`] runs.
     pub fn execute_unfingerprinted(&mut self, op: &Operation) -> ExecOutcome {
-        self.execute_inner(op, false, true)
-    }
-
-    /// Execute one operation as a lane-local partial (see [`crate::lanes`]).
-    /// When `home` is false the per-class stats and `applied_txns` counter
-    /// are *not* bumped: the operation's home lane owns the counts, so
-    /// merged lane statistics stay identical to sequential execution even
-    /// for operations (scans) that fan out across several lanes.
-    pub fn execute_partial(
-        &mut self,
-        op: &Operation,
-        home: bool,
-        fingerprint: bool,
-    ) -> ExecOutcome {
-        self.execute_inner(op, fingerprint, home)
+        self.execute_inner(op, false)
     }
 
     /// Audit the incremental fingerprint against a from-scratch rebuild:
@@ -399,141 +358,24 @@ impl KvStore {
         self.shards.iter().filter(|s| s.dirty).count()
     }
 
-    /// Split this store into `lanes` key-disjoint stores: record `k` lands
-    /// in lane `k % lanes` (see [`crate::lanes::lane_of`]). Lane 0 inherits
-    /// the stats and applied-transaction counters so that summing over the
-    /// returned stores reproduces this store's totals. The combined digest
-    /// of the parts (via [`KvStore::combined_state_digest`]) equals this
-    /// store's [`KvStore::state_digest`]. Every part inherits this store's
-    /// write-capture flag; pending captures must have been drained
-    /// ([`KvStore::take_captured`]) — they belong to no single part. One
-    /// lane owns every key, so `split_lanes(1)` hands the store back as
-    /// is, without re-hashing a record.
-    pub fn split_lanes(self, lanes: usize) -> Vec<KvStore> {
-        assert!(lanes >= 1, "at least one lane");
-        debug_assert!(
-            self.captured.as_ref().is_none_or(Vec::is_empty),
-            "split_lanes with undrained captured writes"
-        );
-        if lanes == 1 {
-            return vec![self];
-        }
-        let mut out: Vec<KvStore> = (0..lanes)
-            .map(|_| KvStore {
-                captured: self.captured.as_ref().map(|_| Vec::new()),
-                ..KvStore::new()
-            })
-            .collect();
-        out[0].stats = self.stats;
-        out[0].applied_txns = self.applied_txns;
-        for shard in self.shards {
-            for (key, (value, version)) in shard.records {
-                out[crate::lanes::lane_of(key, lanes)].seed_record(key, value, version);
-            }
-        }
-        out
-    }
-
-    /// Reassemble key-disjoint lane stores (from [`KvStore::split_lanes`])
-    /// into one table, summing stats and applied-transaction counts.
-    /// Shard accumulators XOR together directly, so no record is rehashed.
-    pub fn merge_lanes(parts: Vec<KvStore>) -> KvStore {
-        let mut out = KvStore::new();
-        for part in parts {
-            out.stats.accumulate(&part.stats);
-            out.applied_txns += part.applied_txns;
-            out.len += part.len;
-            for (dst, src) in out.shards.iter_mut().zip(part.shards) {
-                xor_into(&mut dst.accum, &src.accum);
-                dst.dirty |= src.dirty;
-                if dst.records.is_empty() {
-                    dst.records = src.records;
-                } else {
-                    dst.records.extend(src.records);
-                }
-            }
-        }
-        out
-    }
-
-    /// The digest the union of key-disjoint lane stores would report as a
-    /// single table: XOR of every shard accumulator across all parts,
-    /// mixed with the summed record count — byte-identical to
-    /// [`KvStore::state_digest`] on the merged store, without merging.
-    pub fn combined_state_digest(parts: &[KvStore]) -> Digest {
-        Self::digest_from_parts(parts.iter().map(|p| p.fingerprint_part()))
-    }
-
-    /// This store's contribution to a combined digest: its folded XOR
-    /// accumulator and record count. Lane threads ship this (32 + 8
-    /// bytes) to the scheduler at checkpoint barriers instead of a table
-    /// clone; recombine with [`KvStore::digest_from_parts`].
-    pub fn fingerprint_part(&self) -> ([u8; 32], u64) {
-        (self.fold_accum(), self.len as u64)
-    }
-
-    /// Fold [`KvStore::fingerprint_part`] contributions from key-disjoint
-    /// stores into the digest their union would report.
-    pub fn digest_from_parts(parts: impl IntoIterator<Item = ([u8; 32], u64)>) -> Digest {
-        let mut acc = [0u8; 32];
-        let mut len = 0u64;
-        for (part_acc, part_len) in parts {
-            xor_into(&mut acc, &part_acc);
-            len += part_len;
-        }
-        let mut h = Sha256::new();
-        h.update(&acc);
-        h.update(&len.to_le_bytes());
-        Digest(h.finalize())
-    }
-
-    /// Apply one staged program write (see [`crate::txn`]): a raw record
-    /// overwrite that bumps the key's version but no per-class stats —
-    /// exactly what sequential [`Operation::Txn`] execution does per
-    /// written key. Used by the lane executors to scatter a cross-lane
-    /// program's write set onto the owning lanes.
-    pub fn apply_program_write(&mut self, key: u64, value: Value, fingerprint: bool) {
-        self.insert_inner(key, value, fingerprint);
-    }
-
-    /// Count one executed program on this store (the program's *home*
-    /// lane), keeping merged lane statistics identical to sequential
-    /// execution: `applied_txns` and `stats.programs` bump once, plus
-    /// `stats.aborts` when the program aborted.
-    pub fn note_program(&mut self, aborted: bool) {
-        self.applied_txns += 1;
-        self.stats.programs += 1;
-        if aborted {
-            self.stats.aborts += 1;
-        }
-    }
-
     fn contains(&self, key: u64) -> bool {
         self.shards[shard_of(key)].records.contains_key(&key)
     }
 
-    fn execute_inner(&mut self, op: &Operation, fingerprint: bool, count: bool) -> ExecOutcome {
-        if count {
-            self.applied_txns += 1;
-        }
+    fn execute_inner(&mut self, op: &Operation, fingerprint: bool) -> ExecOutcome {
+        self.applied_txns += 1;
         match op {
             Operation::Write { key, value } => {
                 self.insert_inner(*key, *value, fingerprint);
-                if count {
-                    self.stats.writes += 1;
-                }
+                self.stats.writes += 1;
                 ExecOutcome::Done
             }
             Operation::Read { key } => {
-                if count {
-                    self.stats.reads += 1;
-                }
+                self.stats.reads += 1;
                 ExecOutcome::ReadValue(self.get(*key))
             }
             Operation::Rmw { key, delta } => {
-                if count {
-                    self.stats.rmws += 1;
-                }
+                self.stats.rmws += 1;
                 let current = self.get(*key).unwrap_or_default();
                 let next = current.counter().wrapping_add(*delta);
                 self.insert_inner(*key, current.with_counter(next), fingerprint);
@@ -541,17 +383,13 @@ impl KvStore {
             }
             Operation::Insert { key, value } => {
                 self.insert_inner(*key, *value, fingerprint);
-                if count {
-                    self.stats.inserts += 1;
-                }
+                self.stats.inserts += 1;
                 ExecOutcome::Done
             }
-            Operation::Scan { key, count: n } => {
-                if count {
-                    self.stats.scans += 1;
-                }
+            Operation::Scan { key, count } => {
+                self.stats.scans += 1;
                 let mut touched = 0u32;
-                for k in *key..key.saturating_add(*n as u64) {
+                for k in *key..key.saturating_add(*count as u64) {
                     if self.contains(k) {
                         touched += 1;
                     }
@@ -559,22 +397,18 @@ impl KvStore {
                 ExecOutcome::Scanned(touched)
             }
             Operation::NoOp => {
-                if count {
-                    self.stats.noops += 1;
-                }
+                self.stats.noops += 1;
                 ExecOutcome::Done
             }
             Operation::Txn(prog) => {
-                if count {
-                    self.stats.programs += 1;
-                }
+                self.stats.programs += 1;
                 let (outcome, writes) = prog.eval_values(|k| self.get(k));
                 // Aborted programs leave the store untouched; `writes` is
                 // empty for them by construction.
                 for (key, value) in writes {
                     self.insert_inner(key, value, fingerprint);
                 }
-                if count && outcome.is_aborted() {
+                if outcome.is_aborted() {
                     self.stats.aborts += 1;
                 }
                 ExecOutcome::Txn(outcome)
@@ -675,49 +509,6 @@ mod tests {
         assert_eq!(s.dirty_shards(), 0);
         assert_eq!(s.state_digest(), full.state_digest());
         assert!(s.verify_fingerprint());
-    }
-
-    #[test]
-    fn split_and_merge_lanes_roundtrip() {
-        let mut s = KvStore::with_ycsb_records(100);
-        s.execute(&Operation::Rmw { key: 13, delta: 4 });
-        s.execute(&Operation::Read { key: 7 });
-        let digest = s.state_digest();
-        let stats = s.stats();
-        let applied = s.applied_txns();
-
-        let parts = s.split_lanes(4);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(KvStore::combined_state_digest(&parts), digest);
-        // Records land on their home lanes only.
-        assert_eq!(parts[1].get(13), Some(Value::from_u64(13).with_counter(17)));
-        assert_eq!(parts[0].get(13), None);
-        assert_eq!(
-            parts.iter().map(|p| p.len()).sum::<usize>(),
-            100,
-            "lanes partition the table"
-        );
-
-        let merged = KvStore::merge_lanes(parts);
-        assert_eq!(merged.state_digest(), digest);
-        assert_eq!(merged.len(), 100);
-        assert_eq!(merged.stats(), stats);
-        assert_eq!(merged.applied_txns(), applied);
-        assert_eq!(merged.version(13), Some(2));
-        assert!(merged.verify_fingerprint());
-    }
-
-    #[test]
-    fn execute_partial_skips_counts_for_non_home() {
-        let mut s = KvStore::with_ycsb_records(10);
-        let out = s.execute_partial(&Operation::Scan { key: 0, count: 10 }, false, true);
-        assert_eq!(out, ExecOutcome::Scanned(10));
-        assert_eq!(s.stats().scans, 0, "non-home partial leaves stats alone");
-        assert_eq!(s.applied_txns(), 0);
-        let out = s.execute_partial(&Operation::Scan { key: 0, count: 10 }, true, true);
-        assert_eq!(out, ExecOutcome::Scanned(10));
-        assert_eq!(s.stats().scans, 1);
-        assert_eq!(s.applied_txns(), 1);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   at most `instrs.len()` steps — no gas metering needed;
 //! * reads and writes name record keys *statically* in the instruction
 //!   stream, so a program's key footprint ([`TxnProgram::keys`]) is known
-//!   before execution. The execution lanes use this to route cross-lane
-//!   programs (see `rdb_store::lanes`).
+//!   before execution.
 //!
 //! Arithmetic aborts — [`TxnAbort::Underflow`] on `Sub` below zero,
 //! [`TxnAbort::Overflow`] on `Add` past `u64::MAX` — model the SmallBank
@@ -243,9 +242,7 @@ impl TxnProgram {
     }
 
     /// The static key footprint: every key any instruction could read or
-    /// write, regardless of branch outcomes, in ascending order. The
-    /// conservative footprint is what makes lane routing sound: a lane
-    /// plan derived from `keys()` covers every execution path.
+    /// write, regardless of branch outcomes, in ascending order.
     pub fn keys(&self) -> Vec<u64> {
         let mut keys: Vec<u64> = self
             .instrs
@@ -284,9 +281,7 @@ impl TxnProgram {
     /// Execute against `read` (current committed counter per key; absent
     /// keys read as 0). Returns the outcome plus the final write set as
     /// `(key, counter)` pairs in ascending key order — empty when
-    /// aborted. Pure: the caller applies the writes, which is what lets
-    /// the sequential store, the in-place sharded executor and the
-    /// threaded lane pool share one interpreter.
+    /// aborted. Pure: the caller applies the writes.
     pub fn eval(&self, mut read: impl FnMut(u64) -> u64) -> (TxnOutcome, Vec<(u64, u64)>) {
         if self.instrs.len() > MAX_INSTRS {
             return (TxnOutcome::Aborted(TxnAbort::Invalid { pc: 0 }), Vec::new());
@@ -530,8 +525,8 @@ impl TxnProgram {
     }
 
     /// Multi-key token mint: atomically add `amount` to every account and
-    /// the same total to a supply record — a cross-lane
-    /// read-modify-write over an arbitrary key set.
+    /// the same total to a supply record — a read-modify-write over an
+    /// arbitrary key set.
     pub fn mint(supply: u64, accounts: &[u64], amount: u64) -> TxnProgram {
         let mut instrs = vec![TxnInstr::Set {
             dst: 1,

@@ -206,25 +206,17 @@ fn socket_transport_commits_identical_ledgers() {
 }
 
 #[test]
-fn exec_lanes_commit_identical_ledgers_at_any_lane_count() {
-    // The key-sharded lane pool must be invisible in the committed
-    // chain: the same deployment at 1, 2 and 4 execution lanes commits
-    // ledgers byte-identical to the (single-lane) simulator — same
-    // batches, same post-execution state digests, same block hashes —
-    // and the materialized tables still audit against the ledger heads
-    // (the commit-order retirement and per-lane fingerprint combination
-    // at work). Lanes may only change timing, never content — and the
-    // same holds with durable storage, whose WAL batches are assembled
-    // at that same retirement step.
+fn executor_commits_simnet_identical_ledgers_in_memory_and_durable() {
+    // The one execute thread must be invisible in the committed chain:
+    // the same deployment commits ledgers byte-identical to the
+    // simulator — same batches, same post-execution state digests, same
+    // block hashes — and the materialized tables still audit against the
+    // ledger heads. The same holds with durable storage, whose WAL batch
+    // is written by that same thread, one per decision.
+    use rdb_consensus::stage::Stage;
     let sim = simnet_ledger();
-    for (lanes, durable) in [
-        (1usize, false),
-        (2, false),
-        (4, false),
-        (1, true),
-        (4, true),
-    ] {
-        let tmp = durable.then(|| support::TempDir::new("equivalence-lanes"));
+    for durable in [false, true] {
+        let tmp = durable.then(|| support::TempDir::new("equivalence-exec"));
         let storage = match &tmp {
             Some(tmp) => StorageMode::Durable(tmp.path().to_path_buf()),
             None => StorageMode::Memory,
@@ -233,25 +225,24 @@ fn exec_lanes_commit_identical_ledgers_at_any_lane_count() {
             .batch_size(BATCH)
             .records(RECORDS)
             .seed(SEED)
-            .exec_lanes(lanes)
             .storage(storage);
         let report = drive(builder, 1, Duration::from_millis(900));
         assert!(
             report.completed_batches > 0,
-            "lanes={lanes} durable={durable}: {}",
+            "durable={durable}: {}",
             report.summary()
         );
-        let common = report.audit_ledgers().unwrap_or_else(|e| {
-            panic!("lanes={lanes} durable={durable}: fabric ledgers inconsistent: {e}")
-        });
-        report.audit_execution_stage().unwrap_or_else(|e| {
-            panic!("lanes={lanes} durable={durable}: execution audit failed: {e}")
-        });
+        let common = report
+            .audit_ledgers()
+            .unwrap_or_else(|e| panic!("durable={durable}: fabric ledgers inconsistent: {e}"));
+        report
+            .audit_execution_stage()
+            .unwrap_or_else(|e| panic!("durable={durable}: execution audit failed: {e}"));
         let fabric = &report.ledgers[&ReplicaId::new(0, 0)];
         let prefix = common.min(sim.head_height());
         assert!(
             prefix >= 3,
-            "lanes={lanes} durable={durable}: need a non-trivial common prefix (fabric {common}, simnet {})",
+            "durable={durable}: need a non-trivial common prefix (fabric {common}, simnet {})",
             sim.head_height()
         );
         for h in 1..=prefix {
@@ -260,34 +251,25 @@ fn exec_lanes_commit_identical_ledgers_at_any_lane_count() {
             assert_eq!(
                 a.batch.digest(),
                 b.batch.digest(),
-                "lanes={lanes} durable={durable}: batch divergence at height {h}"
+                "durable={durable}: batch divergence at height {h}"
             );
             assert_eq!(
                 a.state_digest, b.state_digest,
-                "lanes={lanes} durable={durable}: execution state divergence at height {h}"
+                "durable={durable}: execution state divergence at height {h}"
             );
             assert_eq!(
                 a.hash(),
                 b.hash(),
-                "lanes={lanes} durable={durable}: block hash divergence at height {h}"
+                "durable={durable}: block hash divergence at height {h}"
             );
         }
-        // The lane rows really saw the traffic: the report exposes one
-        // row per configured lane, and every processed decision produced
-        // at least one lane job (a decision touching several shards
-        // produces one per touched lane).
-        use rdb_consensus::stage::Stage;
+        // The execute stage accounted every decision it appended: PBFT
+        // appends one block per decision, on every replica.
+        let appended: u64 = report.ledgers.values().map(|l| l.head_height()).sum();
         assert_eq!(
-            report.stages.lanes.len(),
-            lanes,
-            "lanes={lanes} durable={durable}"
-        );
-        let lane_batches: u64 = report.stages.lanes.iter().map(|l| l.batches).sum();
-        assert!(
-            lane_batches >= report.stages.row(Stage::Execute).processed,
-            "lanes={lanes} durable={durable}: lane accounting lost decisions ({} jobs, {} processed)",
-            lane_batches,
-            report.stages.row(Stage::Execute).processed
+            report.stages.row(Stage::Execute).processed,
+            appended,
+            "durable={durable}: execute stage lost decisions"
         );
     }
 }
