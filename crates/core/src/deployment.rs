@@ -342,19 +342,11 @@ impl DeploymentBuilder {
 
         // Build every replica's state (keys, preloaded stores, protocol)
         // before starting the clock: store preloading is setup, not run.
-        let mut prepared = Vec::new();
+        let mut booted = Vec::new();
         let mut backends: Vec<(ReplicaId, SharedBackend)> = Vec::new();
         for rid in system.all_replicas().collect::<Vec<_>>() {
             let signer = ks.register(rid.into());
             let crypto = CryptoCtx::new(signer, ks.verifier(), true);
-            // The verifier stage runs the one validity check
-            // (`Message::verify`) on every inbound message; the worker's
-            // state machine only signs with the same context. The
-            // execution stage gets its own identically-preloaded table.
-            let verify = VerifyCtx {
-                crypto: crypto.clone(),
-                system: system.clone(),
-            };
             // The protocol and the execution stage each get a copy of one
             // table. Memory mode preloads it. Durable mode opens the
             // replica's engine first: an initialized directory recovers
@@ -387,7 +379,34 @@ impl DeploymentBuilder {
                     (exec_store, ledger, Some(backend))
                 }
             };
-            let store = exec_store.clone();
+            booted.push((rid, crypto, exec_store, ledger, backend));
+        }
+        // Durable mode: the replicas may have stopped at unequal heights,
+        // and consensus restarts fresh over their tables, so every
+        // protocol starts on the highest recovered head's state and every
+        // laggard's executor holds the blocks it lacks.
+        let aligned = if durable_root.is_some() {
+            let heads: Vec<_> = booted.iter().map(|(_, _, s, l, _)| (s, l)).collect();
+            storage::align_heads(&heads, &system, &booted[0].1)
+                .unwrap_or_else(|e| panic!("align recovered replicas: {e}"))
+        } else {
+            booted
+                .iter()
+                .map(|(_, _, s, ..)| (s.clone(), Vec::new()))
+                .collect()
+        };
+        let mut prepared = Vec::new();
+        for ((rid, crypto, exec_store, ledger, backend), (store, gap)) in
+            booted.into_iter().zip(aligned)
+        {
+            // The verifier stage runs the one validity check
+            // (`Message::verify`) on every inbound message; the worker's
+            // state machine only signs with the same context. The
+            // execution stage gets its own identically-preloaded table.
+            let verify = VerifyCtx {
+                crypto: crypto.clone(),
+                system: system.clone(),
+            };
             let spec = self
                 .adversaries
                 .iter()
@@ -401,7 +420,7 @@ impl DeploymentBuilder {
                 store,
                 spec,
             );
-            prepared.push((rid, protocol, verify, exec_store, ledger, backend));
+            prepared.push((rid, protocol, verify, exec_store, ledger, gap, backend));
         }
 
         // The fault script runs on the clock the replicas' timer wheels
@@ -420,7 +439,7 @@ impl DeploymentBuilder {
             .map(|(rid, ..)| transport.register_bounded((*rid).into(), self.pipeline.queues.input))
             .collect();
         let mut replicas = Vec::new();
-        for ((_, protocol, verify, exec_store, ledger, backend), handle) in
+        for ((_, protocol, verify, exec_store, ledger, gap, backend), handle) in
             prepared.into_iter().zip(handles)
         {
             replicas.push(ReplicaRuntime::spawn(
@@ -431,6 +450,7 @@ impl DeploymentBuilder {
                 verify,
                 exec_store,
                 ledger,
+                gap,
                 backend,
                 self.pipeline,
             ));

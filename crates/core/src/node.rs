@@ -194,7 +194,10 @@ impl ReplicaRuntime {
     ///
     /// `initial_ledger` is the chain the execution stage appends onto —
     /// [`Ledger::new`] on a fresh boot, or a ledger recovered from durable
-    /// storage on restart. `backend` is the replica's durable engine
+    /// storage on restart; `gap` holds the blocks a restarted replica
+    /// lacks below the highest recovered head (empty otherwise), which the
+    /// execution stage applies with its first decision. `backend` is the
+    /// replica's durable engine
     /// handle (`None` for memory deployments): the executor WAL-logs every
     /// decision through it as it retires, and the checkpoint stage
     /// persists certified checkpoints and flushes.
@@ -207,6 +210,7 @@ impl ReplicaRuntime {
         verify: VerifyCtx,
         exec_store: KvStore,
         initial_ledger: Ledger,
+        gap: Vec<rdb_ledger::Block>,
         backend: Option<crate::storage::SharedBackend>,
         pipeline: PipelineConfig,
     ) -> ReplicaRuntime {
@@ -272,6 +276,7 @@ impl ReplicaRuntime {
             exec_store,
             exec_rx,
             Arc::clone(&ledger),
+            gap,
             ckpt_tx,
             pipeline.checkpoint,
             queues.checkpoint,

@@ -49,7 +49,7 @@ use rdb_consensus::messages::Message;
 use rdb_consensus::stage::{Stage, VerifiedMessage};
 use rdb_consensus::types::Decision;
 use rdb_crypto::digest::Digest;
-use rdb_ledger::Ledger;
+use rdb_ledger::{Block, Ledger};
 use rdb_store::KvStore;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -328,7 +328,9 @@ fn verifier_loop(
 /// materialized table's state digest on join — which must equal the last
 /// appended block's `state_digest` (the ordering state machine executed
 /// the same decisions against an identically-preloaded store), making
-/// the off-path materialization independently auditable.
+/// the off-path materialization independently auditable. A restarted
+/// replica's `gap`, the blocks it lacks below the highest recovered head
+/// (`storage::align_heads`), goes in with its first decision.
 ///
 /// With checkpointing enabled the table keeps its fingerprint *live*
 /// (per-write hashing instead of the deferred rebuild): checkpoint
@@ -345,6 +347,7 @@ pub(crate) fn spawn_executor(
     store: KvStore,
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
+    gap: Vec<Block>,
     ckpt_tx: Option<Sender<CheckpointMsg>>,
     cfg: CheckpointConfig,
     queue: QueuePolicy,
@@ -355,7 +358,7 @@ pub(crate) fn spawn_executor(
         .name(format!("{node}-execute"))
         .spawn(move || {
             execute_loop(
-                store, exec_rx, ledger, ckpt_tx, cfg, queue, backend, metrics,
+                store, exec_rx, ledger, gap, ckpt_tx, cfg, queue, backend, metrics,
             )
         })
         .expect("spawn execution thread")
@@ -366,6 +369,7 @@ fn execute_loop(
     mut store: KvStore,
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
+    mut gap: Vec<Block>,
     ckpt_tx: Option<Sender<CheckpointMsg>>,
     cfg: CheckpointConfig,
     queue: QueuePolicy,
@@ -387,10 +391,15 @@ fn execute_loop(
     let mut decided = 0u64;
     for decision in exec_rx.iter() {
         let t0 = Instant::now();
-        for op in decision
-            .entries
-            .iter()
-            .flat_map(|e| e.batch.batch.operations())
+        // A restarted replica below the highest recovered head applies
+        // the audited blocks it lacks (`storage::align_heads`) with its
+        // first decision, in the same ledger update and WAL batch, so the
+        // decision lands at the height it lands at on every replica.
+        let filled = std::mem::take(&mut gap);
+        let batches = filled.iter().map(|b| &b.batch);
+        for op in batches
+            .chain(decision.entries.iter().map(|e| &e.batch))
+            .flat_map(|sb| sb.batch.operations())
         {
             if fingerprint {
                 store.execute(op);
@@ -401,12 +410,15 @@ fn execute_loop(
         let (height, new_blocks) = {
             let mut l = ledger.guard();
             let prev = l.head_height();
+            for block in filled {
+                l.append(block.batch, block.certificate, block.state_digest);
+            }
             l.append_decision(&decision);
             let head = l.head_height();
             // Durable mode: clone the block(s) this decision appended
             // while still under the lock, so the persisted chain segment
             // is exactly what the ledger linked.
-            let new_blocks: Vec<rdb_ledger::Block> = if backend.is_some() {
+            let new_blocks: Vec<Block> = if backend.is_some() {
                 (prev + 1..=head)
                     .map(|h| l.block(h).expect("just appended").clone())
                     .collect()
@@ -920,16 +932,33 @@ mod tests {
         backend: Option<SharedBackend>,
         ckpt_alive: bool,
     ) -> ExecRun {
+        let start = (store, Ledger::new(), Vec::new());
+        run_restarted_executor(start, decisions, cfg, backend, ckpt_alive)
+    }
+
+    /// A restarted replica's executor inputs: its recovered table and
+    /// ledger, and the gap of blocks restart alignment handed it.
+    type Restart = (KvStore, Ledger, Vec<Block>);
+
+    /// [`run_executor`] for a restarted replica.
+    fn run_restarted_executor(
+        (store, ledger, gap): Restart,
+        decisions: &[Decision],
+        cfg: CheckpointConfig,
+        backend: Option<SharedBackend>,
+        ckpt_alive: bool,
+    ) -> ExecRun {
         let (exec_tx, exec_rx) = unbounded::<Decision>();
         let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(64);
         let ckpt_rx = ckpt_alive.then_some(ckpt_rx);
         let metrics = Metrics::new();
-        let ledger = Arc::new(std::sync::Mutex::new(Ledger::new()));
+        let ledger = Arc::new(std::sync::Mutex::new(ledger));
         let handle = spawn_executor(
             ReplicaId::new(0, 0).into(),
             store,
             exec_rx,
             Arc::clone(&ledger),
+            gap,
             cfg.enabled().then_some(ckpt_tx),
             cfg,
             QueuePolicy::block(8),
@@ -1161,6 +1190,85 @@ mod tests {
         assert_eq!(*state, run.digest);
         assert_eq!(last.state_digest(), table.state_digest());
         assert_eq!(sorted_records(last), sorted_records(&table));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A restarted replica that stopped at height 1 of a 4-decision
+    /// history, handed blocks 2 and 3 by restart alignment.
+    fn restarted_at_one(preload: &KvStore) -> (Ledger, Vec<KvStore>, Vec<Decision>, Restart) {
+        let decisions = mixed_decisions(4);
+        let (full, prefixes) = reference(preload.clone(), &decisions);
+        let own = Ledger::from_blocks_unchecked(full.blocks()[..2].to_vec());
+        let gap = full.blocks()[2..4].to_vec();
+        let start = (prefixes[1].clone(), own, gap);
+        (full, prefixes, decisions, start)
+    }
+
+    /// The gap goes in with the first decision, so that decision lands at
+    /// the height every other replica gives it. Fails if the executor
+    /// ignores its gap.
+    #[test]
+    fn executor_fills_its_recovered_gap_with_its_first_decision() {
+        let preload = KvStore::with_ycsb_records(64);
+        let (full, prefixes, decisions, start) = restarted_at_one(&preload);
+        let run = run_restarted_executor(
+            start,
+            &decisions[3..],
+            CheckpointConfig::default(),
+            None,
+            true,
+        );
+        assert_eq!(run.ledger.head_height(), 4);
+        assert_eq!(run.ledger.head_hash(), full.head_hash());
+        assert_eq!(run.digest, prefixes[4].state_digest());
+        let snap = run.metrics.stage_snapshot();
+        assert_eq!(snap.row(Stage::Execute).processed, 1);
+    }
+
+    /// A restart that executes nothing recovers the replica exactly as it
+    /// stopped. Fails if the gap is applied before a decision arrives.
+    #[test]
+    fn executor_without_decisions_keeps_its_recovered_head() {
+        let preload = KvStore::with_ycsb_records(64);
+        let (full, prefixes, _, start) = restarted_at_one(&preload);
+        let run = run_restarted_executor(start, &[], CheckpointConfig::default(), None, true);
+        assert_eq!(run.ledger.head_height(), 1);
+        assert_eq!(Some(run.ledger.head_hash()), full.hash_at(1));
+        assert_eq!(run.digest, prefixes[1].state_digest());
+    }
+
+    /// Durable mode writes the gap into the first decision's WAL batch:
+    /// the next boot recovers a contiguous chain through the decision.
+    /// Fails if the gap's blocks or writes stay out of the batch.
+    #[test]
+    fn durable_executor_persists_its_gap_with_its_first_decision() {
+        let preload = KvStore::with_ycsb_records(64);
+        let (full, prefixes, decisions, (_, own, gap)) = restarted_at_one(&preload);
+        let (dir, backend, _) = durable_engine("exec-gap", &preload);
+        // The first incarnation persisted decision 1 and stopped.
+        let first = run_executor(
+            preload,
+            &decisions[..1],
+            CheckpointConfig::default(),
+            Some(Arc::clone(&backend)),
+            true,
+        );
+        assert_eq!(first.ledger.head_hash(), own.head_hash());
+        let before = backend.guard().stats().wal_records;
+        let run = run_restarted_executor(
+            (prefixes[1].clone(), own, gap),
+            &decisions[3..],
+            CheckpointConfig::default(),
+            Some(Arc::clone(&backend)),
+            true,
+        );
+        let engine = backend.guard();
+        assert_eq!(engine.stats().wal_records - before, 1, "one batch");
+        let (table, ledger) = storage::recover_replica(&engine).unwrap();
+        assert_eq!(ledger.head_hash(), full.head_hash());
+        assert_eq!(table.state_digest(), prefixes[4].state_digest());
+        assert_eq!(table.state_digest(), run.digest);
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -447,7 +447,10 @@ impl Fabric {
     /// the restarted fabric's ledger heads and state digests equal
     /// whatever the previous incarnation durably committed (protocol
     /// state machines start fresh; recovered history is served, not
-    /// resumed).
+    /// resumed). Replicas may have stopped at unequal heights: every
+    /// protocol starts on the highest recovered head's state, and a
+    /// replica below it appends the audited blocks it lacks with its first
+    /// new decision, so new decisions land at one height everywhere.
     pub fn restart_from(path: impl AsRef<std::path::Path>) -> std::io::Result<Fabric> {
         let root = path.as_ref();
         let m = crate::storage::read_manifest(root)?;

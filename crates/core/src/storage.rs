@@ -38,9 +38,11 @@
 //! ([`Manifest`]); [`crate::Fabric::restart_from`] reads them back.
 
 use crate::sync::MutexExt;
+use rdb_common::config::SystemConfig;
 use rdb_common::ids::ReplicaId;
 use rdb_consensus::codec;
 use rdb_consensus::config::ProtocolKind;
+use rdb_consensus::crypto_ctx::CryptoCtx;
 use rdb_crypto::digest::Digest;
 use rdb_ledger::{Block, Ledger};
 use rdb_storage::{Keyspace, LogBackend, StorageBackend, WriteBatch};
@@ -317,6 +319,53 @@ pub(crate) fn recover_replica(backend: &LogBackend) -> io::Result<(KvStore, Ledg
     Ok((store, ledger))
 }
 
+/// Restart alignment: a deployment stops with its replicas at unequal
+/// heights (a client returns at f + 1 replies, and shutdown does not wait
+/// for the rest), and the restarted consensus runs fresh over the
+/// recovered tables. So for each recovered `(table, ledger)` this returns
+/// the table its protocol starts on and the blocks its executor lacks:
+/// every replica below the highest recovered head gets that head's state
+/// and the suffix up to it, which [`rdb_ledger::catch_up`] audited against
+/// the replica's own chain and replayed to the state the head records.
+/// The executor applies the suffix with its first decision of the run
+/// (`pipeline::spawn_executor`), so every replica appends that decision
+/// at one height, and a run without decisions recovers each replica
+/// exactly as it stopped.
+///
+/// Every block the highest replica holds was committed, so none is rolled
+/// back; blocks the fabric writes carry no certificate, so the suffix is
+/// trusted on chain linkage and replayed state, the evidence
+/// [`rdb_ledger::recover_from_checkpoint`] also accepts.
+pub(crate) fn align_heads(
+    replicas: &[(&KvStore, &Ledger)],
+    system: &SystemConfig,
+    crypto: &CryptoCtx,
+) -> io::Result<Vec<(KvStore, Vec<Block>)>> {
+    let Some(highest) = replicas
+        .iter()
+        .map(|(_, ledger)| *ledger)
+        .max_by_key(|ledger| ledger.head_height())
+    else {
+        return Ok(Vec::new());
+    };
+    replicas
+        .iter()
+        .map(|&(store, ledger)| {
+            if ledger.head_height() == highest.head_height() {
+                return Ok((store.clone(), Vec::new()));
+            }
+            let (gap, table) = rdb_ledger::catch_up(highest, ledger, store.clone(), system, crypto)
+                .map_err(|e| {
+                    invalid(format!(
+                        "catch up from height {}: {e}",
+                        ledger.head_height()
+                    ))
+                })?;
+            Ok((table, gap))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,5 +499,88 @@ mod tests {
         }
         expected.restore_record(7, Value::from_u64(700), 5);
         assert_eq!(store.state_digest(), expected.state_digest());
+    }
+
+    /// One write decision of a shared history: client 0's `round`-th
+    /// batch, writing `key := value`.
+    fn write(round: u64, key: u64, value: u64) -> rdb_consensus::types::SignedBatch {
+        use rdb_common::ids::ClientId;
+        use rdb_consensus::types::{ClientBatch, SignedBatch, Transaction};
+        let client = ClientId::new(0, 0);
+        SignedBatch {
+            batch: ClientBatch {
+                client,
+                batch_seq: round,
+                txns: vec![Transaction {
+                    client,
+                    seq: round,
+                    op: rdb_store::Operation::Write {
+                        key,
+                        value: Value::from_u64(value),
+                    },
+                }],
+            },
+            pubkey: Default::default(),
+            sig: Default::default(),
+        }
+    }
+
+    /// A replica that executed `history`, one decision per batch, over
+    /// a 20-record preload: its table and ledger.
+    fn replica(history: &[rdb_consensus::types::SignedBatch]) -> (KvStore, Ledger) {
+        let mut store = KvStore::with_ycsb_records(20);
+        let mut ledger = Ledger::new();
+        for batch in history {
+            store.execute_batch(batch.batch.operations());
+            ledger.append(batch.clone(), None, store.state_digest());
+        }
+        (store, ledger)
+    }
+
+    fn audit_ctx() -> (SystemConfig, CryptoCtx) {
+        let ks = rdb_crypto::sign::KeyStore::new(1);
+        let signer = ks.register(ReplicaId::new(0, 0).into());
+        (
+            SystemConfig::geo(1, 4).unwrap(),
+            CryptoCtx::new(signer, ks.verifier(), true),
+        )
+    }
+
+    fn history() -> Vec<rdb_consensus::types::SignedBatch> {
+        (1..=3).map(|r| write(r, r, 100 * r)).collect()
+    }
+
+    #[test]
+    fn align_heads_lifts_every_replica_to_the_highest_head() {
+        let h = history();
+        let replicas: Vec<_> = [1, 3, 0].iter().map(|&head| replica(&h[..head])).collect();
+        let (full_store, full) = &replicas[1];
+        let (system, crypto) = audit_ctx();
+        let view: Vec<_> = replicas.iter().map(|(s, l)| (s, l)).collect();
+        let aligned = align_heads(&view, &system, &crypto).unwrap();
+        for ((table, gap), (_, ledger)) in aligned.into_iter().zip(&replicas) {
+            assert_eq!(table.state_digest(), full_store.state_digest());
+            let mut ledger = ledger.clone();
+            for block in gap {
+                ledger.append(block.batch, block.certificate, block.state_digest);
+            }
+            assert_eq!(ledger.head_hash(), full.head_hash());
+        }
+    }
+
+    #[test]
+    fn align_heads_refuses_a_replica_that_forked() {
+        let h = history();
+        let (fork_store, fork_ledger) = replica(&[h[0].clone(), write(2, 9, 900)]);
+        let (store, ledger) = replica(&h);
+        let (system, crypto) = audit_ctx();
+        let err = align_heads(
+            &[(&fork_store, &fork_ledger), (&store, &ledger)],
+            &system,
+            &crypto,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("forks"), "{err}");
     }
 }

@@ -23,4 +23,4 @@ pub mod recovery;
 
 pub use block::Block;
 pub use chain::Ledger;
-pub use recovery::{audit_chain, recover_from, recover_from_checkpoint, AuditError};
+pub use recovery::{audit_chain, catch_up, recover_from, recover_from_checkpoint, AuditError};

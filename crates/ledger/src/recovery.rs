@@ -6,6 +6,7 @@
 //! any replica it chooses and directly verify whether the ledger can be
 //! trusted (is not tampered with)."
 
+use crate::block::Block;
 use crate::chain::Ledger;
 use rdb_common::config::SystemConfig;
 use rdb_consensus::crypto_ctx::CryptoCtx;
@@ -155,18 +156,49 @@ pub fn recover_from_checkpoint(
             "checkpoint snapshot does not match the anchor block's state at height {anchor_height}"
         )));
     }
-    let mut store = anchor_store;
-    for h in (anchor_height + 1)..=peer.head_height() {
+    replay_suffix(peer, anchor_height, anchor_store)
+}
+
+/// Replay `peer`'s blocks above `from` on `store` (the table as of
+/// `from`) and check the result against the state `peer`'s head records.
+fn replay_suffix(peer: &Ledger, from: u64, mut store: KvStore) -> Result<KvStore, AuditError> {
+    for h in (from + 1)..=peer.head_height() {
         let block = peer.block(h).expect("suffix retained past the anchor");
         store.execute_batch(block.batch.batch.operations());
     }
     let head = peer.block(peer.head_height()).expect("head present");
-    if peer.head_height() > anchor_height && head.state_digest != store.state_digest() {
+    if peer.head_height() > from && head.state_digest != store.state_digest() {
         return Err(AuditError::Corrupt(
             "replayed suffix does not reach the head's recorded state".into(),
         ));
     }
     Ok(store)
+}
+
+/// What a replica that stopped behind a peer lacks: the peer's blocks
+/// above `own`'s head, returned with `store` (the table as of that head)
+/// replayed through them. The peer's chain must extend `own` (audited as
+/// the trusted prefix), and the replay must reach the state the peer's
+/// head records. A peer at our own head returns no blocks and `store`
+/// unchanged.
+pub fn catch_up(
+    peer: &Ledger,
+    own: &Ledger,
+    store: KvStore,
+    cfg: &SystemConfig,
+    crypto: &CryptoCtx,
+) -> Result<(Vec<Block>, KvStore), AuditError> {
+    audit_chain(peer, Some(own), cfg, crypto)?;
+    let from = own.head_height();
+    let store = replay_suffix(peer, from, store)?;
+    let suffix = ((from + 1)..=peer.head_height())
+        .map(|h| {
+            peer.block(h)
+                .expect("suffix retained past our head")
+                .clone()
+        })
+        .collect();
+    Ok((suffix, store))
 }
 
 impl Ledger {
@@ -349,5 +381,75 @@ mod tests {
         old.replace_blocks(full.blocks()[..5].to_vec()); // head 4
         let err = audit_chain(&peer, Some(&old), &cfg, &crypto).unwrap_err();
         assert_eq!(err, AuditError::PrunedGap { base: 7, need: 4 });
+    }
+
+    /// `own` truncated to `head` (a replica that stopped there).
+    fn prefix(full: &Ledger, head: u64) -> Ledger {
+        Ledger::from_blocks_unchecked(full.blocks()[..=head as usize].to_vec())
+    }
+
+    #[test]
+    fn catch_up_hands_a_laggard_the_blocks_and_state_it_lacks() {
+        let (cfg, crypto) = ctx();
+        let (peer, states) = executed_ledger(6);
+        let mut own = prefix(&peer, 3);
+        let (suffix, store) = catch_up(&peer, &own, states[3].clone(), &cfg, &crypto).unwrap();
+        assert_eq!(suffix.len(), 3);
+        assert_eq!(store.state_digest(), states[6].state_digest());
+        for block in suffix {
+            own.append(block.batch, block.certificate, block.state_digest);
+        }
+        assert_eq!(own.head_hash(), peer.head_hash());
+        // A peer at our head has nothing to hand over.
+        let (suffix, store) = catch_up(&peer, &own, store, &cfg, &crypto).unwrap();
+        assert!(suffix.is_empty());
+        assert_eq!(store.state_digest(), states[6].state_digest());
+    }
+
+    #[test]
+    fn catch_up_refuses_a_peer_that_forks_below_our_head() {
+        let (cfg, crypto) = ctx();
+        let (peer, _) = executed_ledger(4);
+        // We committed a different block 2, and executed it.
+        let mut own = prefix(&peer, 1);
+        let mut store = KvStore::new();
+        store.execute_batch(own.block(1).unwrap().batch.batch.operations());
+        let other = write_batch(9);
+        store.execute_batch(other.batch.operations());
+        own.append(other, None, store.state_digest());
+        let err = catch_up(&peer, &own, store, &cfg, &crypto).unwrap_err();
+        assert_eq!(err, AuditError::ForkedAt(2));
+    }
+
+    #[test]
+    fn catch_up_refuses_a_suffix_that_misses_its_recorded_state() {
+        let (cfg, crypto) = ctx();
+        let (full, states) = executed_ledger(4);
+        // A well-linked chain whose head claims a state its batches do not
+        // produce.
+        let mut peer = prefix(&full, 3);
+        peer.append(write_batch(4), None, states[3].state_digest());
+        let err = catch_up(&peer, &prefix(&full, 2), states[2].clone(), &cfg, &crypto).unwrap_err();
+        assert!(matches!(err, AuditError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn catch_up_refuses_a_peer_behind_or_pruned_past_our_head() {
+        let (cfg, crypto) = ctx();
+        let (full, states) = executed_ledger(6);
+        let err = catch_up(
+            &prefix(&full, 2),
+            &prefix(&full, 4),
+            states[4].clone(),
+            &cfg,
+            &crypto,
+        )
+        .unwrap_err();
+        assert_eq!(err, AuditError::TooShort { have: 2, need: 4 });
+        let mut pruned = full.clone();
+        pruned.compact(5);
+        let err =
+            catch_up(&pruned, &prefix(&full, 3), states[3].clone(), &cfg, &crypto).unwrap_err();
+        assert_eq!(err, AuditError::PrunedGap { base: 5, need: 3 });
     }
 }

@@ -58,8 +58,14 @@ fn read_returns_previously_written_value_with_quorum_proof() {
     let report = fabric.shutdown();
     report.audit_ledgers().expect("ledgers consistent");
     // The proofs' heights are real chain positions: the blocks exist and
-    // carry this session's batches.
-    let ledger = report.ledgers.values().next().expect("a replica ledger");
+    // carry this session's batches. Shutdown follows f + 1 replies, so a
+    // replica may stop before executing the read; the audit above tied
+    // every chain to one prefix, and the longest holds both blocks.
+    let ledger = report
+        .ledgers
+        .values()
+        .max_by_key(|l| l.head_height())
+        .expect("a replica ledger");
     for proof in [&write, &read] {
         let block = ledger
             .block(proof.block_height)
