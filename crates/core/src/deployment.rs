@@ -2,7 +2,9 @@
 
 use crate::metrics::{Metrics, NetSnapshot, StageSnapshot, StorageSnapshot};
 use crate::node::ReplicaRuntime;
-use crate::pipeline::{CheckpointConfig, CheckpointReport, PipelineConfig, VerifyCtx};
+use crate::pipeline::{
+    default_verifier_threads, CheckpointConfig, CheckpointReport, PipelineConfig, VerifyCtx,
+};
 use crate::queue::{QueuePolicy, StageQueues};
 use crate::service::Fabric;
 use crate::storage::{self, Manifest, SharedBackend, StorageMode};
@@ -69,12 +71,12 @@ pub struct DeploymentBuilder {
     progress_timeout: SimDuration,
     client_retry: SimDuration,
     remote_timeout: SimDuration,
-    pipeline: PipelineConfig,
+    verifier_threads: usize,
     input_queue: Option<QueuePolicy>,
-    work_queue: Option<QueuePolicy>,
-    exec_queue: Option<QueuePolicy>,
-    checkpoint_queue: Option<QueuePolicy>,
-    output_queue: Option<QueuePolicy>,
+    work_queue: Option<usize>,
+    exec_queue: Option<usize>,
+    checkpoint_queue: Option<usize>,
+    output_queue: Option<usize>,
     checkpoint: CheckpointConfig,
     storage: StorageMode,
 }
@@ -98,7 +100,7 @@ impl DeploymentBuilder {
             progress_timeout: SimDuration::from_millis(2_000),
             client_retry: SimDuration::from_millis(4_000),
             remote_timeout: SimDuration::from_millis(1_500),
-            pipeline: PipelineConfig::default(),
+            verifier_threads: default_verifier_threads(),
             input_queue: None,
             work_queue: None,
             exec_queue: None,
@@ -149,19 +151,18 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Override the execute → checkpoint queue (Block by default —
+    /// Override the execute → checkpoint queue's capacity. It blocks —
     /// checkpoints are not retransmittable and must never shed; the
-    /// bound is what throttles execution when checkpointing lags).
-    pub fn checkpoint_queue(mut self, p: QueuePolicy) -> Self {
-        self.checkpoint_queue = Some(p);
+    /// bound is what throttles execution when checkpointing lags.
+    pub fn checkpoint_queue(mut self, capacity: usize) -> Self {
+        self.checkpoint_queue = Some(capacity);
         self
     }
 
-    /// Verifier-stage fan-out per replica (paper Figure 9). Unset, the
-    /// pool is sized to the host: `(cores / 4).clamp(1, 4)` — see
-    /// [`PipelineConfig::default`].
+    /// Verifier-stage fan-out per replica (paper Figure 9; at least one).
+    /// Unset, the pool is sized to the host: `(cores / 4).clamp(1, 4)`.
     pub fn verifier_threads(mut self, n: usize) -> Self {
-        self.pipeline = PipelineConfig::with_verifiers(n);
+        self.verifier_threads = n.max(1);
         self
     }
 
@@ -175,23 +176,23 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Override the verify → order work queue (derived, blocking by
-    /// default; a full work queue parks the verifier pool).
-    pub fn order_queue(mut self, p: QueuePolicy) -> Self {
-        self.work_queue = Some(p);
+    /// Override the verify → order work queue's capacity (derived
+    /// otherwise; a full work queue parks the verifier pool).
+    pub fn order_queue(mut self, capacity: usize) -> Self {
+        self.work_queue = Some(capacity);
         self
     }
 
-    /// Override the order → execute decision queue (blocking by default;
-    /// decisions are agreed state and are never shed).
-    pub fn exec_queue(mut self, p: QueuePolicy) -> Self {
-        self.exec_queue = Some(p);
+    /// Override the order → execute decision queue's capacity (decisions
+    /// are agreed state: the queue blocks and never sheds).
+    pub fn exec_queue(mut self, capacity: usize) -> Self {
+        self.exec_queue = Some(capacity);
         self
     }
 
-    /// Override the order → output queue (blocking by default).
-    pub fn output_queue(mut self, p: QueuePolicy) -> Self {
-        self.output_queue = Some(p);
+    /// Override the order → output queue's capacity (it blocks).
+    pub fn output_queue(mut self, capacity: usize) -> Self {
+        self.output_queue = Some(capacity);
         self
     }
 
@@ -279,28 +280,21 @@ impl DeploymentBuilder {
     /// [`Fabric::shutdown`]. The builder's `clients` / `duration`
     /// settings only drive the [`DeploymentBuilder::run`] convenience
     /// wrapper — `start` ignores them.
-    pub fn start(mut self) -> Fabric {
-        // Queue defaults are derived from the *actual* batch size and
-        // verifier fan-out of this deployment (not the builder defaults),
-        // then per-stage overrides apply.
-        let mut queues = StageQueues::derive(self.batch_size, self.pipeline.verifier_threads);
-        if let Some(p) = self.input_queue {
-            queues.input = p;
-        }
-        if let Some(p) = self.work_queue {
-            queues.work = p;
-        }
-        if let Some(p) = self.exec_queue {
-            queues.exec = p;
-        }
-        if let Some(p) = self.checkpoint_queue {
-            queues.checkpoint = p;
-        }
-        if let Some(p) = self.output_queue {
-            queues.output = p;
-        }
-        self.pipeline.queues = queues;
-        self.pipeline.checkpoint = self.checkpoint;
+    pub fn start(self) -> Fabric {
+        // Queues are derived from this deployment's batch size and
+        // verifier fan-out, then per-stage overrides apply.
+        let derived = StageQueues::derive(self.batch_size, self.verifier_threads);
+        let pipeline = PipelineConfig {
+            verifier_threads: self.verifier_threads,
+            queues: StageQueues {
+                input: self.input_queue.unwrap_or(derived.input),
+                work: self.work_queue.unwrap_or(derived.work),
+                exec: self.exec_queue.unwrap_or(derived.exec),
+                checkpoint: self.checkpoint_queue.unwrap_or(derived.checkpoint),
+                output: self.output_queue.unwrap_or(derived.output),
+            },
+            checkpoint: self.checkpoint,
+        };
 
         let system = SystemConfig::geo(self.z, self.n).expect("valid system");
         let mut cfg = ProtocolConfig::new(system.clone());
@@ -436,7 +430,7 @@ impl DeploymentBuilder {
         // first replica can send.
         let handles: Vec<_> = prepared
             .iter()
-            .map(|(rid, ..)| transport.register_bounded((*rid).into(), self.pipeline.queues.input))
+            .map(|(rid, ..)| transport.register_bounded((*rid).into(), pipeline.queues.input))
             .collect();
         let mut replicas = Vec::new();
         for ((_, protocol, verify, exec_store, ledger, gap, backend), handle) in
@@ -452,7 +446,7 @@ impl DeploymentBuilder {
                 ledger,
                 gap,
                 backend,
-                self.pipeline,
+                pipeline,
             ));
         }
 
@@ -462,7 +456,7 @@ impl DeploymentBuilder {
             cfg,
             ycsb,
             seed: self.seed,
-            pipeline: self.pipeline,
+            pipeline,
             metrics,
             transport,
             keystore: ks,

@@ -158,7 +158,6 @@ struct Inner {
     completed_batches: AtomicU64,
     completed_txns: AtomicU64,
     decided: AtomicU64,
-    messages_sent: AtomicU64,
     latencies: LatencyHistogram,
     stages: StageTable,
     net: Mutex<BTreeMap<(NodeId, NodeId), NetCell>>,
@@ -191,11 +190,6 @@ impl Metrics {
         self.inner.decided.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record an outgoing message.
-    pub fn record_message(&self) {
-        self.inner.messages_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
     // ------------------------------------------------- pipeline stages --
 
     /// An item entered `stage`'s queue.
@@ -226,14 +220,7 @@ impl Metrics {
     /// One droppable message was shed at `stage`'s full input queue
     /// (never counted as enqueued — the queue rejected it).
     pub fn stage_shed(&self, stage: Stage) {
-        self.stage_shed_many(stage, 1);
-    }
-
-    /// `n` messages were shed at `stage`'s full input queue.
-    pub fn stage_shed_many(&self, stage: Stage, n: u64) {
-        if n > 0 {
-            self.inner.cell(stage).shed.fetch_add(n, Ordering::Relaxed);
-        }
+        self.inner.cell(stage).shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A producer spent `wait` parked on `stage`'s full input queue — the
@@ -388,11 +375,6 @@ impl Metrics {
     /// Replica decisions (across all replicas).
     pub fn decided(&self) -> u64 {
         self.inner.decided.load(Ordering::Relaxed)
-    }
-
-    /// Messages sent through the transport.
-    pub fn messages_sent(&self) -> u64 {
-        self.inner.messages_sent.load(Ordering::Relaxed)
     }
 
     /// Mean completion latency (exact).
@@ -583,11 +565,9 @@ mod tests {
         m.record_completion(100, Duration::from_millis(10));
         m.record_completion(100, Duration::from_millis(30));
         m.record_decision();
-        m.record_message();
         assert_eq!(m.completed_batches(), 2);
         assert_eq!(m.completed_txns(), 200);
         assert_eq!(m.decided(), 1);
-        assert_eq!(m.messages_sent(), 1);
         assert_eq!(m.avg_latency(), Duration::from_millis(20));
         let p100 = m.latency_percentile(1.0);
         assert!(p100.abs_diff(Duration::from_millis(30)) <= Duration::from_millis(30) / 16);
@@ -654,8 +634,9 @@ mod tests {
     #[test]
     fn overload_counters_track_shed_and_blocked() {
         let m = Metrics::new();
-        m.stage_shed(Stage::Input);
-        m.stage_shed_many(Stage::Input, 3);
+        for _ in 0..4 {
+            m.stage_shed(Stage::Input);
+        }
         m.stage_blocked(Stage::Input, Duration::from_micros(40));
         m.stage_blocked(Stage::Input, Duration::from_micros(60));
         let snap = m.stage_snapshot();

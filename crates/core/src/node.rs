@@ -4,17 +4,17 @@
 //! A replica runs the full Figure-9 pipeline (see the crate docs):
 //! input → verifier pool → ordering worker → execution → output, each on
 //! its own OS thread(s), connected by *bounded* MPMC channels sized by
-//! [`PipelineConfig::queues`] (see [`crate::queue`] for the overload
-//! policies) and metered by per-stage counters in [`Metrics`].
+//! [`PipelineConfig::queues`] and fed through [`crate::queue`]'s one
+//! sender, which meters every hand-off in per-stage [`Metrics`] counters.
 
 use crate::metrics::Metrics;
 use crate::pipeline::{
-    spawn_checkpointer, spawn_executor, spawn_verifiers, CheckpointMsg, CheckpointReport,
-    PipelineConfig, VerifyCtx,
+    spawn_checkpointer, spawn_executor, spawn_verifiers, CheckpointReport, PipelineConfig,
+    VerifyCtx,
 };
-use crate::queue::{send_with_policy, StageQueues};
+use crate::queue::{stage_queue, QueuePolicy, StageSender};
 use crate::transport::TransportHandle;
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use crossbeam::channel::RecvTimeoutError;
 use rdb_common::ids::NodeId;
 use rdb_common::time::SimTime;
 use rdb_consensus::api::{Action, Outbox, ReplicaProtocol, TimerKind};
@@ -23,7 +23,7 @@ use rdb_consensus::stage::Stage;
 use rdb_consensus::types::Decision;
 use rdb_ledger::Ledger;
 use rdb_store::KvStore;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -34,19 +34,21 @@ const WHEEL_MIN_WATERMARK: usize = 64;
 
 /// Timer bookkeeping shared by both runtimes.
 ///
-/// Cancellation is generation-based: cancelling (or re-arming) a kind
-/// bumps its generation, orphaning any heap entry carrying the old one.
-/// Per-request kinds (`ClientRetry{seq}`, `SpecWindow{seq}`) mint a fresh
-/// kind per sequence number, so on long runs the orphaned heap entries and
-/// the `gens` slots would otherwise grow without bound; once the
-/// structures outgrow a watermark, [`TimerWheel::compact`] rebuilds them
-/// keeping only live entries.
+/// One rule, the simulator's too: every arming takes a fresh generation
+/// from a per-wheel counter (never reused), `gens` maps each *armed* kind
+/// to its live generation, and an entry leaves `gens` when its timer
+/// fires or is cancelled. A heap entry fires only if its generation is
+/// still the kind's live one, so re-arming supersedes and cancelling
+/// orphans it. `gens` is therefore bounded by the armed timers; the
+/// orphaned heap entries are dropped by [`TimerWheel::compact`] once the
+/// heap outgrows a watermark.
 pub(crate) struct TimerWheel {
     epoch: Instant,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(Instant, u64, TimerKind)>>,
     gens: HashMap<TimerKind, u64>,
-    /// Compact when `heap` or `gens` outgrow this; doubled after each
-    /// compaction so the amortized cost stays O(log n) per operation.
+    next_gen: u64,
+    /// Compact when `heap` outgrows this; doubled after each compaction
+    /// so the amortized cost stays O(log n) per operation.
     watermark: usize,
 }
 
@@ -56,6 +58,7 @@ impl TimerWheel {
             epoch,
             heap: std::collections::BinaryHeap::new(),
             gens: HashMap::new(),
+            next_gen: 0,
             watermark: WHEEL_MIN_WATERMARK,
         }
     }
@@ -71,43 +74,25 @@ impl TimerWheel {
     }
 
     pub(crate) fn set(&mut self, kind: TimerKind, after: rdb_common::time::SimDuration) {
-        let gen = self.gens.entry(kind).or_insert(0);
-        *gen += 1;
+        self.next_gen += 1;
+        self.gens.insert(kind, self.next_gen);
         let due = Instant::now() + Duration::from_nanos(after.as_nanos());
-        self.heap.push(std::cmp::Reverse((due, *gen, kind)));
-        self.maybe_compact();
-    }
-
-    pub(crate) fn cancel(&mut self, kind: TimerKind) {
-        *self.gens.entry(kind).or_insert(0) += 1;
-        self.maybe_compact();
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.heap.len().max(self.gens.len()) > self.watermark {
+        self.heap
+            .push(std::cmp::Reverse((due, self.next_gen, kind)));
+        if self.heap.len() > self.watermark {
             self.compact();
         }
     }
 
-    /// Drop heap entries whose generation is stale, then forget
-    /// generations with no remaining heap entry. The latter is safe
-    /// exactly because the former ran first: a kind re-armed later
-    /// restarts at generation 1 and no orphaned entry that could match it
-    /// survives compaction.
+    pub(crate) fn cancel(&mut self, kind: TimerKind) {
+        self.gens.remove(&kind);
+    }
+
+    /// Drop heap entries whose generation is no longer live.
     fn compact(&mut self) {
         let gens = &self.gens;
-        let live: Vec<_> = std::mem::take(&mut self.heap)
-            .into_vec()
-            .into_iter()
-            .filter(|std::cmp::Reverse((_, gen, kind))| gens.get(kind).copied() == Some(*gen))
-            .collect();
-        self.heap = live.into();
-        let live_kinds: HashSet<TimerKind> = self
-            .heap
-            .iter()
-            .map(|std::cmp::Reverse((_, _, kind))| *kind)
-            .collect();
-        self.gens.retain(|kind, _| live_kinds.contains(kind));
+        self.heap
+            .retain(|std::cmp::Reverse((_, gen, kind))| gens.get(kind) == Some(gen));
         self.watermark = (self.heap.len() * 2).max(WHEEL_MIN_WATERMARK);
     }
 
@@ -120,7 +105,8 @@ impl TimerWheel {
                 break;
             }
             self.heap.pop();
-            if self.gens.get(&kind).copied() == Some(gen) {
+            if self.gens.get(&kind) == Some(&gen) {
+                self.gens.remove(&kind);
                 fired.push(kind);
             }
         }
@@ -216,16 +202,16 @@ impl ReplicaRuntime {
     ) -> ReplicaRuntime {
         let node = handle.node;
         let shutdown = Arc::new(AtomicBool::new(false));
-        // Every inter-stage channel is bounded (the tentpole of the
-        // backpressure design): an overloaded stage parks or sheds its
-        // producers instead of growing memory without bound. Capacities
-        // are clamped to ≥ 1 in case a policy was built by hand instead
-        // of through the QueuePolicy constructors.
+        // Every inter-stage channel is bounded and blocking: an
+        // overloaded stage parks its producers instead of growing memory
+        // without bound.
         let queues = pipeline.queues;
         let (work_tx, work_rx) =
-            bounded::<rdb_consensus::stage::VerifiedMessage>(queues.work.capacity.max(1));
-        let (exec_tx, exec_rx) = bounded::<Decision>(queues.exec.capacity.max(1));
-        let (out_tx, out_rx) = bounded::<(NodeId, Message)>(queues.output.capacity.max(1));
+            stage_queue(QueuePolicy::block(queues.work), Stage::Order, &metrics);
+        let (exec_tx, exec_rx) =
+            stage_queue(QueuePolicy::block(queues.exec), Stage::Execute, &metrics);
+        let (out_tx, out_rx) =
+            stage_queue(QueuePolicy::block(queues.output), Stage::Output, &metrics);
 
         // The verifier pool must be the *sole* owner of the inbox
         // receiver (see `TransportHandle::split`): when the verifiers
@@ -241,7 +227,11 @@ impl ReplicaRuntime {
         // certification -> ledger compaction. Only spawned when enabled.
         let system = verify.system.clone();
         let (ckpt_tx, checkpoint_handle) = if pipeline.checkpoint.enabled() {
-            let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(queues.checkpoint.capacity.max(1));
+            let (ckpt_tx, ckpt_rx) = stage_queue(
+                QueuePolicy::block(queues.checkpoint),
+                Stage::Checkpoint,
+                &metrics,
+            );
             let handle = spawn_checkpointer(
                 node,
                 system,
@@ -261,7 +251,7 @@ impl ReplicaRuntime {
         // inbox with batched signature checks.
         let verifier_handles = spawn_verifiers(
             node,
-            pipeline,
+            pipeline.verifier_threads,
             verify,
             inbox,
             work_tx,
@@ -279,7 +269,6 @@ impl ReplicaRuntime {
             gap,
             ckpt_tx,
             pipeline.checkpoint,
-            queues.checkpoint,
             backend,
             metrics.clone(),
         );
@@ -293,7 +282,6 @@ impl ReplicaRuntime {
                 while !stop.load(Ordering::Relaxed) {
                     match out_rx.recv_timeout(Duration::from_millis(20)) {
                         Ok((to, msg)) => {
-                            out_metrics.record_message();
                             sender.send(to, msg);
                             out_metrics.stage_processed(Stage::Output, Duration::ZERO);
                         }
@@ -321,7 +309,6 @@ impl ReplicaRuntime {
                     &out_tx,
                     &exec_tx,
                     &worker_metrics,
-                    &queues,
                 );
                 while !stop.load(Ordering::Relaxed) {
                     match work_rx.recv_timeout(wheel.next_wait()) {
@@ -341,7 +328,6 @@ impl ReplicaRuntime {
                                 &out_tx,
                                 &exec_tx,
                                 &worker_metrics,
-                                &queues,
                             );
                             worker_metrics.stage_processed(Stage::Order, t0.elapsed());
                         }
@@ -360,7 +346,6 @@ impl ReplicaRuntime {
                             &out_tx,
                             &exec_tx,
                             &worker_metrics,
-                            &queues,
                         );
                         worker_metrics.stage_batch(Stage::Order, 0, 0, t0.elapsed());
                     }
@@ -441,16 +426,14 @@ impl ReplicaRuntime {
 /// inline as ordering work instead, and this is the one delivery path that
 /// skips [`rdb_consensus::stage::VerifiedMessage::check`]: a replica's own
 /// messages are trusted, not verified.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_replica_actions(
     protocol: &mut dyn ReplicaProtocol,
     node: NodeId,
     actions: Vec<Action>,
     wheel: &mut TimerWheel,
-    out_tx: &Sender<(NodeId, Message)>,
-    exec_tx: &Sender<Decision>,
+    out_tx: &StageSender<(NodeId, Message)>,
+    exec_tx: &StageSender<Decision>,
     metrics: &Metrics,
-    queues: &StageQueues,
 ) {
     let mut loopback = VecDeque::new();
     process_replica_actions(
@@ -461,7 +444,6 @@ fn dispatch_replica_actions(
         out_tx,
         exec_tx,
         metrics,
-        queues,
     );
     while let Some(msg) = loopback.pop_front() {
         let mut out = Outbox::new();
@@ -474,67 +456,39 @@ fn dispatch_replica_actions(
             out_tx,
             exec_tx,
             metrics,
-            queues,
         );
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn process_replica_actions(
     actions: Vec<Action>,
     node: NodeId,
     loopback: &mut VecDeque<Message>,
     wheel: &mut TimerWheel,
-    out_tx: &Sender<(NodeId, Message)>,
-    exec_tx: &Sender<Decision>,
+    out_tx: &StageSender<(NodeId, Message)>,
+    exec_tx: &StageSender<Decision>,
     metrics: &Metrics,
-    queues: &StageQueues,
 ) {
-    let (mut sends, mut decisions) = (0u64, 0u64);
     for a in actions {
         match a {
             Action::Send { to, msg } if to == node => loopback.push_back(msg),
+            // The worker parks on a full output queue; its wait is the
+            // Output stage's blocked time.
             Action::Send { to, msg } => {
-                // The worker blocks on a full output queue (its wait is
-                // the Output stage's blocked_ns); a Shed policy may drop
-                // droppable outbound traffic instead.
-                let droppable = msg.droppable();
-                if send_with_policy(
-                    out_tx,
-                    (to, msg),
-                    queues.output,
-                    droppable,
-                    metrics,
-                    Stage::Output,
-                ) == crate::queue::SendOutcome::Sent
-                {
-                    sends += 1;
-                }
+                out_tx.send((to, msg), false);
             }
             Action::SetTimer { kind, after } => wheel.set(kind, after),
             Action::CancelTimer { kind } => wheel.cancel(kind),
             Action::Decided(decision) => {
                 metrics.record_decision();
-                // Decisions are agreed state: never shed, always block
-                // (the executor drains continuously, so this wait is
-                // bounded by execution lag, not by peers).
-                if send_with_policy(
-                    exec_tx,
-                    decision,
-                    queues.exec,
-                    false,
-                    metrics,
-                    Stage::Execute,
-                ) == crate::queue::SendOutcome::Sent
-                {
-                    decisions += 1;
-                }
+                // Decisions are agreed state and always block (the
+                // executor drains continuously, so this wait is bounded
+                // by execution lag, not by peers).
+                exec_tx.send(decision, false);
             }
             Action::RequestComplete { .. } => {}
         }
     }
-    metrics.stage_enqueued_many(Stage::Output, sends);
-    metrics.stage_enqueued_many(Stage::Execute, decisions);
 }
 
 #[cfg(test)]

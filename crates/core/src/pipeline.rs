@@ -29,18 +29,18 @@
 //!   backlogged checkpoint stage parks the executor and throttles the
 //!   replica, bounding exec-to-stable lag (see [`crate::queue`]).
 //!
-//! Every hand-off between stages runs over a *bounded* channel sized by
-//! [`PipelineConfig::queues`] (see [`crate::queue`] for the overload
-//! policies): the verifier pool blocks on a full work queue, which is how
+//! Every hand-off between stages runs over a *bounded* queue sized by
+//! [`PipelineConfig::queues`] and fed through [`crate::queue`]'s one
+//! sender: the verifier pool blocks on a full work queue, which is how
 //! backpressure propagates backwards from the worker to the transport
 //! edge and ultimately to submitting clients.
 
 use crate::metrics::Metrics;
-use crate::queue::{send_with_policy, QueuePolicy, SendOutcome, StageQueues};
+use crate::queue::{SendOutcome, StageQueues, StageSender};
 use crate::storage::{self, SharedBackend};
 use crate::sync::MutexExt;
 use crate::transport::{Envelope, TransportSender};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{NodeId, ReplicaId};
 use rdb_consensus::checkpoint::{self, CheckpointTracker, StableCheckpoint};
@@ -108,44 +108,22 @@ impl CheckpointConfig {
 pub struct PipelineConfig {
     /// Parallel verifier threads between input and worker.
     pub verifier_threads: usize,
-    /// Bounded inter-stage queue layout (capacity + overload policy per
-    /// queue; see [`crate::queue`]). Every channel between stages is
-    /// bounded — an overloaded replica sheds droppable traffic or blocks
-    /// its producers instead of growing memory without bound.
+    /// Bounded inter-stage queue layout (see [`crate::queue`]). Every
+    /// channel between stages is bounded — an overloaded replica sheds
+    /// droppable traffic or blocks its producers instead of growing
+    /// memory without bound.
     pub queues: StageQueues,
     /// Checkpoint stage configuration (disabled by default).
     pub checkpoint: CheckpointConfig,
 }
 
-impl Default for PipelineConfig {
-    /// Sizes the verifier pool to the hardware, like the paper's fabric
-    /// sizes its thread pools to the testbed's cores: one verifier on
-    /// small hosts, two on ~8-core machines, up to four beyond that.
-    /// Extra pool threads on a starved host only add context switches.
-    /// Queues are derived from the default batch size and that fan-out
-    /// ([`StageQueues::derive`]).
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let verifier_threads = (cores / 4).clamp(1, 4);
-        PipelineConfig {
-            verifier_threads,
-            queues: StageQueues::derive(10, verifier_threads),
-            checkpoint: CheckpointConfig::default(),
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// A pipeline with `n` verifier threads (at least one); queues are
-    /// re-derived for that fan-out.
-    pub fn with_verifiers(n: usize) -> PipelineConfig {
-        let n = n.max(1);
-        PipelineConfig {
-            verifier_threads: n,
-            queues: StageQueues::derive(10, n),
-            ..PipelineConfig::default()
-        }
-    }
+/// The verifier pool sized to the hardware, like the paper's fabric
+/// sizes its thread pools to the testbed's cores: one verifier on small
+/// hosts, two on ~8-core machines, up to four beyond that. Extra pool
+/// threads on a starved host only add context switches.
+pub(crate) fn default_verifier_threads() -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (cores / 4).clamp(1, 4)
 }
 
 /// Maximum envelopes one verifier drains per wakeup (batched checking
@@ -188,23 +166,23 @@ pub(crate) enum CheckpointMsg {
     },
 }
 
-/// Spawn the verifier pool: `verify_rx` (the transport inbox — its
-/// delivery is the input stage) → checked → `work_tx` (pipeline-scope
-/// checkpoint votes go to `ckpt_tx` instead — the checkpoint stage, not
-/// the worker, counts them).
+/// Spawn a pool of `threads` verifiers: `verify_rx` (the transport
+/// inbox — its delivery is the input stage) → checked → `work_tx`
+/// (pipeline-scope checkpoint votes go to `ckpt_tx` instead — the
+/// checkpoint stage, not the worker, counts them).
 // The parameters mirror the stage wiring one-to-one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_verifiers(
     node: NodeId,
-    cfg: PipelineConfig,
+    threads: usize,
     verify: VerifyCtx,
     verify_rx: Receiver<Envelope>,
-    work_tx: Sender<VerifiedMessage>,
-    ckpt_tx: Option<Sender<CheckpointMsg>>,
+    work_tx: StageSender<VerifiedMessage>,
+    ckpt_tx: Option<StageSender<CheckpointMsg>>,
     metrics: Metrics,
     stop: Arc<AtomicBool>,
 ) -> Vec<JoinHandle<()>> {
-    (0..cfg.verifier_threads.max(1))
+    (0..threads.max(1))
         .map(|i| {
             let verify = verify.clone();
             let rx = verify_rx.clone();
@@ -214,9 +192,7 @@ pub(crate) fn spawn_verifiers(
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name(format!("{node}-verify{i}"))
-                .spawn(move || {
-                    verifier_loop(&verify, &rx, &tx, ckpt_tx.as_ref(), &metrics, &stop, cfg)
-                })
+                .spawn(move || verifier_loop(&verify, &rx, &tx, ckpt_tx.as_ref(), &metrics, &stop))
                 .expect("spawn verifier thread")
         })
         .collect()
@@ -225,11 +201,10 @@ pub(crate) fn spawn_verifiers(
 fn verifier_loop(
     verify: &VerifyCtx,
     rx: &Receiver<Envelope>,
-    tx: &Sender<VerifiedMessage>,
-    ckpt_tx: Option<&Sender<CheckpointMsg>>,
+    tx: &StageSender<VerifiedMessage>,
+    ckpt_tx: Option<&StageSender<CheckpointMsg>>,
     metrics: &Metrics,
     stop: &AtomicBool,
-    cfg: PipelineConfig,
 ) {
     let mut batch = Vec::with_capacity(VERIFY_BATCH);
     while !stop.load(Ordering::Relaxed) {
@@ -247,17 +222,18 @@ fn verifier_loop(
                 metrics.stage_batch(Stage::Input, batch.len() as u64, 0, Duration::ZERO);
                 metrics.stage_enqueued_many(Stage::Verify, batch.len() as u64);
                 let t0 = Instant::now();
-                let (mut ok, mut dropped, mut forwarded) = (0u64, 0u64, 0u64);
+                let (mut ok, mut dropped) = (0u64, 0u64);
                 for env in batch.drain(..) {
                     match VerifiedMessage::check(&verify.system, &verify.crypto, env.from, env.msg)
                     {
                         Some(vm) => {
                             // Pipeline-scope checkpoint votes feed the
-                            // checkpoint stage, never the worker. They
-                            // are non-droppable, so a full checkpoint
-                            // queue parks this verifier — safe, because
-                            // the checkpoint thread never parks and
-                            // always comes back to drain (crate::queue).
+                            // checkpoint stage, never the worker. A full
+                            // checkpoint queue parks this verifier; the
+                            // checkpoint thread never parks on a peer's
+                            // inbox, so it comes back to drain (over TCP
+                            // its frame write can still park; see
+                            // `crate::socket`).
                             if let (Some(ckpt_tx), Message::Checkpoint { seq, state, .. }) =
                                 (ckpt_tx, vm.message())
                             {
@@ -274,44 +250,21 @@ fn verifier_loop(
                                         height: *seq,
                                         state: *state,
                                     };
-                                    if send_with_policy(
-                                        ckpt_tx,
-                                        vote,
-                                        cfg.queues.checkpoint,
-                                        false,
-                                        metrics,
-                                        Stage::Checkpoint,
-                                    ) == SendOutcome::Sent
-                                    {
-                                        metrics.stage_enqueued(Stage::Checkpoint);
-                                    }
+                                    ckpt_tx.send(vote, false);
                                     continue;
                                 }
                             }
                             ok += 1;
-                            let droppable = vm.message().droppable();
-                            // A full work queue parks this verifier
-                            // (Block) — which stops it draining the inbox
-                            // and pushes the pressure to the transport
-                            // edge — or sheds droppable traffic (Shed),
-                            // counted against the Order stage.
-                            match send_with_policy(
-                                tx,
-                                vm,
-                                cfg.queues.work,
-                                droppable,
-                                metrics,
-                                Stage::Order,
-                            ) {
-                                SendOutcome::Sent => forwarded += 1,
-                                SendOutcome::Shed => {}
-                                SendOutcome::Disconnected => return, // worker gone
+                            // A full work queue parks this verifier, which
+                            // stops it draining the inbox and pushes the
+                            // pressure to the transport edge.
+                            if tx.send(vm, false) == SendOutcome::Disconnected {
+                                return; // worker gone
                             }
                         }
                         None => dropped += 1,
                     }
                 }
-                metrics.stage_enqueued_many(Stage::Order, forwarded);
                 metrics.stage_batch(Stage::Verify, ok, dropped, t0.elapsed());
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -348,19 +301,14 @@ pub(crate) fn spawn_executor(
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
     gap: Vec<Block>,
-    ckpt_tx: Option<Sender<CheckpointMsg>>,
+    ckpt_tx: Option<StageSender<CheckpointMsg>>,
     cfg: CheckpointConfig,
-    queue: QueuePolicy,
     backend: Option<SharedBackend>,
     metrics: Metrics,
 ) -> JoinHandle<Digest> {
     std::thread::Builder::new()
         .name(format!("{node}-execute"))
-        .spawn(move || {
-            execute_loop(
-                store, exec_rx, ledger, gap, ckpt_tx, cfg, queue, backend, metrics,
-            )
-        })
+        .spawn(move || execute_loop(store, exec_rx, ledger, gap, ckpt_tx, cfg, backend, metrics))
         .expect("spawn execution thread")
 }
 
@@ -370,9 +318,8 @@ fn execute_loop(
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
     mut gap: Vec<Block>,
-    ckpt_tx: Option<Sender<CheckpointMsg>>,
+    ckpt_tx: Option<StageSender<CheckpointMsg>>,
     cfg: CheckpointConfig,
-    queue: QueuePolicy,
     backend: Option<SharedBackend>,
     metrics: Metrics,
 ) -> Digest {
@@ -446,10 +393,8 @@ fn execute_loop(
                 state: store.state_digest(),
                 snapshot: cfg.retain_snapshot.then(|| store.clone()),
             };
-            match send_with_policy(tx, snapshot, queue, false, &metrics, Stage::Checkpoint) {
-                SendOutcome::Sent => metrics.stage_enqueued(Stage::Checkpoint),
-                SendOutcome::Shed => unreachable!("snapshots never shed"),
-                SendOutcome::Disconnected => checkpointing = false,
+            if tx.send(snapshot, false) == SendOutcome::Disconnected {
+                checkpointing = false;
             }
         }
     }
@@ -496,9 +441,11 @@ pub struct CheckpointReport {
 /// protocol-independent, so pipeline checkpoints certify across the
 /// whole deployment regardless of how the protocol scopes its consensus
 /// groups). Votes leave through [`TransportSender::try_send`] — held and
-/// retried on a full peer inbox, never parked on — so this thread always
-/// returns to drain its queue, keeping the Block-policy backpressure
-/// chain (executor → checkpoint queue → this thread) deadlock-free.
+/// retried on a full peer inbox, never parked on — so in-process this
+/// thread always returns to drain its queue, keeping the blocking chain
+/// executor → checkpoint queue → this thread deadlock-free. Over TCP the
+/// vote's frame write can park on a full socket buffer, so there the
+/// chain can stall behind a peer that stopped reading.
 ///
 /// Compaction deliberately lags by one checkpoint: when height `H_k`
 /// becomes stable the ledger is compacted to `H_{k-1}`, keeping the last
@@ -680,7 +627,7 @@ pub(crate) fn spawn_checkpointer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::QueuePolicy;
+    use crate::queue::{stage_queue, QueuePolicy};
     use crossbeam::channel::{bounded, unbounded};
     use rdb_common::ids::{ClientId, ClusterId, ReplicaId};
     use rdb_consensus::messages::{Message, Scope};
@@ -731,12 +678,12 @@ mod tests {
     fn verifier_pool_passes_valid_and_drops_forged() {
         let (verify, ks) = verify_ctx();
         let (verify_tx, verify_rx) = unbounded::<Envelope>();
-        let (work_tx, work_rx) = unbounded::<VerifiedMessage>();
         let metrics = Metrics::new();
+        let (work_tx, work_rx) = stage_queue(QueuePolicy::block(16), Stage::Order, &metrics);
         let stop = Arc::new(AtomicBool::new(false));
         let handles = spawn_verifiers(
             ReplicaId::new(0, 0).into(),
-            PipelineConfig::with_verifiers(3),
+            3,
             verify,
             verify_rx,
             work_tx,
@@ -772,21 +719,19 @@ mod tests {
         }
     }
 
+    /// Interior queues never shed: droppable consensus traffic at a full
+    /// work queue parks the verifier like any other item. Fails if the
+    /// work queue sheds.
     #[test]
-    fn verifier_pool_sheds_droppable_traffic_at_full_work_queue() {
+    fn verifier_pool_holds_droppable_traffic_at_full_work_queue() {
         let (verify, _ks) = verify_ctx();
         let (verify_tx, verify_rx) = unbounded::<Envelope>();
-        // A work queue of 2 that nobody drains: the first two verified
-        // messages fill it, the rest must be shed (Prepares are
-        // droppable), never blocking the verifier.
-        let (work_tx, work_rx) = bounded::<VerifiedMessage>(2);
         let metrics = Metrics::new();
+        let (work_tx, work_rx) = stage_queue(QueuePolicy::block(2), Stage::Order, &metrics);
         let stop = Arc::new(AtomicBool::new(false));
-        let mut cfg = PipelineConfig::with_verifiers(1);
-        cfg.queues.work = QueuePolicy::shed(2);
         let handles = spawn_verifiers(
             ReplicaId::new(0, 0).into(),
-            cfg,
+            1,
             verify,
             verify_rx,
             work_tx,
@@ -809,43 +754,42 @@ mod tests {
                 })
                 .unwrap();
         }
-        // The verifier keeps draining (never parks): wait until all six
-        // messages are accounted for as forwarded-or-shed.
+        // Nobody drains yet: the first two fill the queue and the
+        // verifier parks on the third.
         let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let snap = metrics.stage_snapshot();
-            let row = snap.row(Stage::Order);
-            if row.enqueued + row.shed == 6 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "stalled: {}", snap.summary());
+        while work_rx.len() < 2 {
+            assert!(Instant::now() < deadline, "queue never filled");
             std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(work_rx.len(), 2, "queue depth stays at its bound");
+        let mut got = 0;
+        while got < 6 {
+            work_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("every prepare comes through");
+            got += 1;
         }
         stop.store(true, Ordering::SeqCst);
         for h in handles {
             h.join().unwrap();
         }
         let snap = metrics.stage_snapshot();
-        assert_eq!(snap.row(Stage::Order).enqueued, 2);
-        assert_eq!(snap.row(Stage::Order).shed, 4);
+        assert_eq!(snap.row(Stage::Order).shed, 0, "interior queues never shed");
+        assert_eq!(snap.row(Stage::Order).enqueued, 6);
         assert_eq!(snap.row(Stage::Verify).processed, 6, "all were verified");
-        assert_eq!(work_rx.len(), 2, "queue depth stayed at its bound");
     }
 
     #[test]
     fn verifier_pool_blocks_on_undroppable_traffic() {
         let (verify, ks) = verify_ctx();
         let (verify_tx, verify_rx) = unbounded::<Envelope>();
-        let (work_tx, work_rx) = bounded::<VerifiedMessage>(1);
         let metrics = Metrics::new();
+        let (work_tx, work_rx) = stage_queue(QueuePolicy::block(1), Stage::Order, &metrics);
         let stop = Arc::new(AtomicBool::new(false));
-        let mut cfg = PipelineConfig::with_verifiers(1);
-        // Even under Shed, client Requests are non-droppable: the
-        // verifier parks on the full queue instead of losing them.
-        cfg.queues.work = QueuePolicy::shed(1);
         let handles = spawn_verifiers(
             ReplicaId::new(0, 0).into(),
-            cfg,
+            1,
             verify,
             verify_rx,
             work_tx,
@@ -949,9 +893,9 @@ mod tests {
         ckpt_alive: bool,
     ) -> ExecRun {
         let (exec_tx, exec_rx) = unbounded::<Decision>();
-        let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(64);
-        let ckpt_rx = ckpt_alive.then_some(ckpt_rx);
         let metrics = Metrics::new();
+        let (ckpt_tx, ckpt_rx) = stage_queue(QueuePolicy::block(64), Stage::Checkpoint, &metrics);
+        let ckpt_rx = ckpt_alive.then_some(ckpt_rx);
         let ledger = Arc::new(std::sync::Mutex::new(ledger));
         let handle = spawn_executor(
             ReplicaId::new(0, 0).into(),
@@ -961,7 +905,6 @@ mod tests {
             gap,
             cfg.enabled().then_some(ckpt_tx),
             cfg,
-            QueuePolicy::block(8),
             backend,
             metrics.clone(),
         );

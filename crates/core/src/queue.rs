@@ -4,18 +4,19 @@
 //! be overrun: every inter-stage queue is *bounded*, and what happens at
 //! the bound is an explicit, per-queue policy instead of unbounded memory
 //! growth (the queue-collapse failure mode the "Looking Glass" companion
-//! study documents in permissioned fabrics). This module is the shared
-//! vocabulary for that policy:
+//! study documents in permissioned fabrics). This module is the one owner
+//! of that decision:
 //!
-//! * [`QueuePolicy`] — one queue's capacity plus its [`Overload`]
+//! * [`QueuePolicy`] — the input queue's capacity plus its [`Overload`]
 //!   behavior;
 //! * [`StageQueues`] — the full per-replica layout (input → work → exec →
 //!   checkpoint → output), with defaults derived from batch size and
 //!   verifier fan-out via [`StageQueues::derive`];
-//! * [`send_with_policy`] — the one enqueue primitive every producer in
-//!   the fabric uses, which implements Block (measured in the stage's
-//!   `blocked_ns` counter) and Shed (counted in the stage's `shed`
-//!   counter).
+//! * `StageSender` — the producer end of every bounded queue in the
+//!   fabric (the replica inboxes and the four interior queues). It alone
+//!   decides what a full queue does — park, shed, or hand the item back —
+//!   and it alone counts the fed stage's `enqueued`, `shed` and
+//!   `blocked_ns`, so no producer accounts a hand-off itself.
 //!
 //! ## What each policy means
 //!
@@ -25,17 +26,24 @@
 //! queue, which blocks the transport — until the pressure reaches the
 //! *client thread* submitting new requests. That is admission control:
 //! an overloaded deployment slows its clients instead of growing queues.
+//! Every interior queue blocks: admitted traffic is never lost.
 //!
-//! **Shed** drops the item at the full queue and counts it, but only for
-//! messages that are [`droppable`](rdb_consensus::messages::Message::droppable)
-//! — replica-to-replica consensus traffic that some retransmission path
+//! **Shed** (input queue only) drops the item at the full queue and
+//! counts it, but only for messages that are
+//! [`droppable`](rdb_consensus::messages::Message::droppable) —
+//! replica-to-replica consensus traffic that some retransmission path
 //! (client retry timers, progress/view-change timers) will re-drive. A
 //! non-droppable item (a client's original `Request`) blocks even on a
 //! queue whose policy is Shed. Shedding replica-to-replica traffic is
-//! also what makes the deployment deadlock-free: no replica's output
-//! thread can ever park forever on another replica's full inbox, so the
-//! only threads that block across nodes are client submission threads —
-//! leaves of the flow graph.
+//! also what keeps the in-process deployment deadlock-free: no replica's
+//! output thread can ever park forever on another replica's full inbox,
+//! so the only threads that block across nodes are client submission
+//! threads — leaves of the flow graph.
+//!
+//! **Hand-back** is for threads that must not park on one peer's inbox
+//! (the delay pump, the checkpoint thread, the client driver): a
+//! non-droppable item at a full queue comes back to the caller to hold
+//! and retry, and counts nothing until an attempt succeeds.
 //!
 //! `rdb-simnet` applies the same [`Overload`] and the same input bound
 //! ([`rdb_consensus::stage::input_capacity`]) to its modeled input
@@ -43,7 +51,7 @@
 //! delayed admission for requests — in virtual time.
 
 use crate::metrics::Metrics;
-use crossbeam::channel::{Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use rdb_consensus::stage::{input_capacity, Stage};
 use std::time::Instant;
 
@@ -90,37 +98,39 @@ impl QueuePolicy {
 ///                  └────────▶ verify ─▶ [checkpoint] ◀─────────────────┘
 ///                                            └─▶ checkpoint thread
 /// ```
+///
+/// Only the input queue has a policy; the four interior queues always
+/// block, so they are plain capacities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageQueues {
     /// Transport → verifier pool (the replica's inbox). Default policy is
     /// [`Overload::Shed`]: droppable consensus traffic is shed at the
     /// bound, client `Request`s block their submitter.
     pub input: QueuePolicy,
-    /// Verifier pool → ordering worker (verified messages). Blocking: a
-    /// full work queue parks the verifiers, which lets the inbox fill and
-    /// pushes the pressure to the transport edge.
-    pub work: QueuePolicy,
-    /// Ordering worker → execution thread (finalized decisions). Blocking:
-    /// decisions are agreed state and must never be shed.
-    pub exec: QueuePolicy,
+    /// Verifier pool → ordering worker (verified messages). A full work
+    /// queue parks the verifiers, which lets the inbox fill and pushes the
+    /// pressure to the transport edge.
+    pub work: usize,
+    /// Ordering worker → execution thread (finalized decisions), which
+    /// are agreed state and must never be shed.
+    pub exec: usize,
     /// Execute stage → checkpoint thread (snapshot jobs), and verifier
-    /// pool → checkpoint thread (peer checkpoint votes). **Must block**:
-    /// checkpoints are not retransmittable state — no timer re-drives a
-    /// lost snapshot or vote, so shedding here could stall stability (and
-    /// the garbage collection it gates) forever. The bound doubles as the
-    /// overload signal the ROADMAP called for: a backlogged checkpoint
-    /// queue parks the *executor*, which fills the exec queue, parks the
-    /// worker, and throttles the whole replica — bounding exec-to-stable
-    /// lag instead of letting stable-state lag grow without bound. The
-    /// chain is deadlock-free because the checkpoint thread itself never
-    /// parks: it delivers its votes to peers with a non-blocking
-    /// hold-and-retry send (`TransportSender::try_send`), so it always
-    /// returns to drain its queue.
-    pub checkpoint: QueuePolicy,
-    /// Ordering worker → output thread (outbound messages). Blocking
-    /// locally; the output thread itself sheds droppable traffic at *peer*
-    /// inboxes, so this never deadlocks across replicas.
-    pub output: QueuePolicy,
+    /// pool → checkpoint thread (peer checkpoint votes). Checkpoints are
+    /// not retransmittable state — no timer re-drives a lost snapshot or
+    /// vote, so shedding here could stall stability (and the garbage
+    /// collection it gates) forever. The bound doubles as the overload
+    /// signal: a backlogged checkpoint queue parks the *executor*, which
+    /// fills the exec queue, parks the worker, and throttles the whole
+    /// replica — bounding exec-to-stable lag instead of letting
+    /// stable-state lag grow without bound. The checkpoint thread never
+    /// parks on a peer's *inbox*: it delivers its votes with a hand-back
+    /// send (`TransportSender::try_send`) and retries what comes back.
+    /// Over TCP its frame write can still park on a full socket buffer
+    /// (see `crate::socket`).
+    pub checkpoint: usize,
+    /// Ordering worker → output thread (outbound messages). The output
+    /// thread itself sheds droppable traffic at *peer* inboxes.
+    pub output: usize,
 }
 
 impl StageQueues {
@@ -133,34 +143,27 @@ impl StageQueues {
     ///   worker — half the input bound, floor 32;
     /// * the *exec* queue holds a handful of in-flight decisions (each is
     ///   a whole batch; a deep queue here just hides execution lag);
-    /// * the *checkpoint* queue is deliberately shallow (Block policy,
-    ///   see the field docs): one interval's snapshot job plus a burst of
-    ///   peer votes fit, and anything deeper would only delay the
-    ///   execution throttle that bounds exec-to-stable lag;
+    /// * the *checkpoint* queue is deliberately shallow: one interval's
+    ///   snapshot job plus a burst of peer votes fit, and anything deeper
+    ///   would only delay the execution throttle that bounds
+    ///   exec-to-stable lag;
     /// * the *output* queue covers the fan-out burst a single decision
     ///   emits (one message per peer replica and client), floor 64.
     pub fn derive(batch_size: usize, verifier_threads: usize) -> StageQueues {
         let input = input_capacity(batch_size, verifier_threads);
         StageQueues {
             input: QueuePolicy::shed(input),
-            work: QueuePolicy::block((input / 2).max(32)),
-            exec: QueuePolicy::block(16),
-            checkpoint: QueuePolicy::block(8),
-            output: QueuePolicy::block((input / 2).max(64)),
+            work: (input / 2).max(32),
+            exec: 16,
+            checkpoint: 8,
+            output: (input / 2).max(64),
         }
     }
 }
 
-impl Default for StageQueues {
-    /// The derivation at the default batch size (10) and one verifier.
-    fn default() -> StageQueues {
-        StageQueues::derive(10, 1)
-    }
-}
-
-/// What [`send_with_policy`] did with the item.
+/// What a [`StageSender`] did with the item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
+pub(crate) enum SendOutcome {
     /// Enqueued (possibly after blocking).
     Sent,
     /// Dropped at a full queue under [`Overload::Shed`].
@@ -169,38 +172,77 @@ pub enum SendOutcome {
     Disconnected,
 }
 
-/// Enqueue `item` according to `policy`, recording overload behavior in
-/// `metrics` against `stage` (the stage *fed by* this queue): a shed
-/// increments the stage's `shed` counter, a blocking wait accumulates in
-/// its `blocked_ns`. `droppable` is the item's own classification — only
-/// droppable items are ever shed.
-///
-/// The fast path is one `try_send`; the clock is read only when the queue
-/// is actually full.
-pub fn send_with_policy<T>(
-    tx: &Sender<T>,
-    item: T,
-    policy: QueuePolicy,
-    droppable: bool,
-    metrics: &Metrics,
+/// The producer end of one bounded stage queue: the channel, its
+/// [`Overload`] rule, and the stage it feeds, whose `enqueued`, `shed`
+/// and `blocked_ns` counters it keeps. Cloning shares the queue.
+pub(crate) struct StageSender<T> {
+    tx: Sender<T>,
+    overload: Overload,
     stage: Stage,
-) -> SendOutcome {
-    match tx.try_send(item) {
-        Ok(()) => SendOutcome::Sent,
-        Err(TrySendError::Disconnected(_)) => SendOutcome::Disconnected,
-        Err(TrySendError::Full(item)) => {
-            if droppable && policy.overload == Overload::Shed {
-                metrics.stage_shed(stage);
-                return SendOutcome::Shed;
-            }
+    metrics: Metrics,
+}
+
+impl<T> Clone for StageSender<T> {
+    fn clone(&self) -> Self {
+        StageSender {
+            tx: self.tx.clone(),
+            overload: self.overload,
+            stage: self.stage,
+            metrics: self.metrics.clone(),
+        }
+    }
+}
+
+/// A bounded queue of `policy.capacity` (at least 1) items feeding
+/// `stage`, accounted in `metrics`.
+pub(crate) fn stage_queue<T>(
+    policy: QueuePolicy,
+    stage: Stage,
+    metrics: &Metrics,
+) -> (StageSender<T>, Receiver<T>) {
+    let (tx, rx) = bounded(policy.capacity.max(1));
+    let sender = StageSender {
+        tx,
+        overload: policy.overload,
+        stage,
+        metrics: metrics.clone(),
+    };
+    (sender, rx)
+}
+
+impl<T> StageSender<T> {
+    /// Enqueue `item`, parking while the queue is full unless the item is
+    /// `droppable` and the queue sheds. The park is charged to the stage's
+    /// blocked time; the fast path is one `try_send` and reads no clock.
+    pub(crate) fn send(&self, item: T, droppable: bool) -> SendOutcome {
+        self.try_send(item, droppable).unwrap_or_else(|item| {
             let t0 = Instant::now();
-            let sent = tx.send(item).is_ok();
-            metrics.stage_blocked(stage, t0.elapsed());
+            let sent = self.tx.send(item).is_ok();
+            self.metrics.stage_blocked(self.stage, t0.elapsed());
             if sent {
+                self.metrics.stage_enqueued(self.stage);
                 SendOutcome::Sent
             } else {
                 SendOutcome::Disconnected
             }
+        })
+    }
+
+    /// Enqueue `item` without ever parking: `Err` hands an item that
+    /// found the queue full (and could not be shed) back to the caller,
+    /// counting nothing.
+    pub(crate) fn try_send(&self, item: T, droppable: bool) -> Result<SendOutcome, T> {
+        match self.tx.try_send(item) {
+            Ok(()) => {
+                self.metrics.stage_enqueued(self.stage);
+                Ok(SendOutcome::Sent)
+            }
+            Err(TrySendError::Disconnected(_)) => Ok(SendOutcome::Disconnected),
+            Err(TrySendError::Full(_)) if droppable && self.overload == Overload::Shed => {
+                self.metrics.stage_shed(self.stage);
+                Ok(SendOutcome::Shed)
+            }
+            Err(TrySendError::Full(item)) => Err(item),
         }
     }
 }
@@ -208,8 +250,12 @@ pub fn send_with_policy<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
+    use crate::metrics::StageRow;
     use std::time::Duration;
+
+    fn row(m: &Metrics, stage: Stage) -> StageRow {
+        m.stage_snapshot().row(stage).clone()
+    }
 
     #[test]
     fn derive_scales_with_batch_and_fanout() {
@@ -218,13 +264,8 @@ mod tests {
         assert_eq!(small.input.overload, Overload::Shed);
         let large = StageQueues::derive(100, 4);
         assert!(large.input.capacity > small.input.capacity);
-        assert!(large.work.capacity > small.work.capacity);
-        // Interior queues always block: admitted traffic is never lost —
-        // and the checkpoint queue in particular (non-retransmittable).
-        for q in [large.work, large.exec, large.checkpoint, large.output] {
-            assert_eq!(q.overload, Overload::Block);
-        }
-        assert_eq!(StageQueues::default(), StageQueues::derive(10, 1));
+        assert!(large.work > small.work);
+        assert!(large.output > small.output);
     }
 
     #[test]
@@ -233,63 +274,112 @@ mod tests {
         assert_eq!(QueuePolicy::shed(0).capacity, 1);
     }
 
+    /// Fails if a successful hand-off is counted zero times or twice.
     #[test]
-    fn shed_policy_drops_droppable_and_counts() {
-        let (tx, rx) = bounded::<u32>(1);
+    fn sent_counts_enqueued_exactly_once() {
         let m = Metrics::new();
-        let p = QueuePolicy::shed(1);
-        assert_eq!(
-            send_with_policy(&tx, 1, p, true, &m, Stage::Input),
-            SendOutcome::Sent
-        );
-        assert_eq!(
-            send_with_policy(&tx, 2, p, true, &m, Stage::Input),
-            SendOutcome::Shed
-        );
-        assert_eq!(m.stage_snapshot().row(Stage::Input).shed, 1);
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert!(rx.try_recv().is_err(), "shed item must not arrive");
+        let (tx, rx) = stage_queue::<u32>(QueuePolicy::block(2), Stage::Order, &m);
+        assert_eq!(tx.send(1, false), SendOutcome::Sent);
+        assert_eq!(tx.try_send(2, true), Ok(SendOutcome::Sent));
+        let r = row(&m, Stage::Order);
+        assert_eq!((r.enqueued, r.shed, r.blocked), (2, 0, Duration::ZERO));
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), [1, 2]);
     }
 
+    /// Fails if a shed item is counted as enqueued, or not counted shed.
     #[test]
-    fn non_droppable_blocks_even_under_shed_policy() {
-        let (tx, rx) = bounded::<u32>(1);
+    fn shed_counts_shed_and_never_enqueued() {
         let m = Metrics::new();
-        let p = QueuePolicy::shed(1);
-        send_with_policy(&tx, 1, p, true, &m, Stage::Input);
-        let m2 = m.clone();
-        let t = std::thread::spawn(move || send_with_policy(&tx, 2, p, false, &m2, Stage::Input));
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv().unwrap(), 1); // make room
-        assert_eq!(t.join().unwrap(), SendOutcome::Sent);
-        assert_eq!(rx.recv().unwrap(), 2);
-        let row = m.stage_snapshot().row(Stage::Input).clone();
-        assert_eq!(row.shed, 0);
-        assert!(row.blocked > Duration::ZERO, "wait must be accounted");
+        let (tx, rx) = stage_queue::<u32>(QueuePolicy::shed(1), Stage::Input, &m);
+        assert_eq!(tx.send(1, true), SendOutcome::Sent);
+        assert_eq!(tx.send(2, true), SendOutcome::Shed);
+        assert_eq!(tx.try_send(3, true), Ok(SendOutcome::Shed));
+        let r = row(&m, Stage::Input);
+        assert_eq!((r.enqueued, r.shed), (1, 2));
+        assert_eq!(
+            rx.try_iter().collect::<Vec<_>>(),
+            [1],
+            "shed items never arrive"
+        );
     }
 
+    /// A parked send, on a Block queue and for a non-droppable item on a
+    /// Shed queue. Fails if the wait is not charged to the stage or the
+    /// item it delivers is not counted enqueued.
     #[test]
-    fn block_policy_waits_and_accounts_time() {
-        let (tx, rx) = bounded::<u32>(1);
+    fn parked_send_counts_blocked_time_then_enqueued() {
+        for policy in [QueuePolicy::block(1), QueuePolicy::shed(1)] {
+            let m = Metrics::new();
+            let (tx, rx) = stage_queue::<u32>(policy, Stage::Order, &m);
+            tx.send(1, false);
+            let t = std::thread::spawn(move || tx.send(2, false));
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(
+                row(&m, Stage::Order).enqueued,
+                1,
+                "{policy:?}: still parked"
+            );
+            assert_eq!(rx.recv().unwrap(), 1); // make room
+            assert_eq!(t.join().unwrap(), SendOutcome::Sent);
+            assert_eq!(rx.recv().unwrap(), 2);
+            let r = row(&m, Stage::Order);
+            assert_eq!((r.enqueued, r.shed), (2, 0), "{policy:?}");
+            assert!(
+                r.blocked >= Duration::from_millis(10),
+                "{policy:?}: wait unaccounted"
+            );
+        }
+    }
+
+    /// Fails if a handed-back item is counted (enqueued, shed or blocked)
+    /// before the attempt that enqueues it.
+    #[test]
+    fn handed_back_item_counts_nothing_until_a_later_attempt_succeeds() {
         let m = Metrics::new();
-        let p = QueuePolicy::block(1);
-        send_with_policy(&tx, 1, p, true, &m, Stage::Order);
-        let m2 = m.clone();
-        let t = std::thread::spawn(move || send_with_policy(&tx, 2, p, true, &m2, Stage::Order));
-        std::thread::sleep(Duration::from_millis(20));
+        let (tx, rx) = stage_queue::<u32>(QueuePolicy::shed(1), Stage::Input, &m);
+        tx.send(1, false);
+        assert_eq!(tx.try_send(2, false), Err(2), "non-droppable comes back");
+        let r = row(&m, Stage::Input);
+        assert_eq!((r.enqueued, r.shed, r.blocked), (1, 0, Duration::ZERO));
         assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(t.join().unwrap(), SendOutcome::Sent);
-        assert!(m.stage_snapshot().row(Stage::Order).blocked >= Duration::from_millis(10));
+        assert_eq!(tx.try_send(2, false), Ok(SendOutcome::Sent));
+        let r = row(&m, Stage::Input);
+        assert_eq!((r.enqueued, r.shed, r.blocked), (2, 0, Duration::ZERO));
+    }
+
+    /// Client inboxes are unbounded and outside the pipeline. Fails if a
+    /// delivery to one is counted in the Input row.
+    #[test]
+    fn client_inbox_delivery_counts_no_input() {
+        use crate::transport::{Envelope, Inboxes, OnFull};
+        use rdb_common::ids::{ClientId, NodeId, ReplicaId};
+        use rdb_consensus::messages::Message;
+
+        let m = Metrics::new();
+        let inboxes = Inboxes::new(m.clone());
+        let client: NodeId = ClientId::new(0, 0).into();
+        let replica: NodeId = ReplicaId::new(0, 0).into();
+        let client_rx = inboxes.register(client, None);
+        let replica_rx = inboxes.register(replica, Some(QueuePolicy::shed(4)));
+        for to in [client, replica] {
+            let env = Envelope {
+                from: ReplicaId::new(0, 1).into(),
+                to,
+                msg: Message::Noop,
+            };
+            assert!(inboxes.deliver(env, OnFull::Park).is_none());
+        }
+        assert_eq!(client_rx.len() + replica_rx.len(), 2);
+        assert_eq!(row(&m, Stage::Input).enqueued, 1, "only the replica's");
     }
 
     #[test]
     fn disconnected_consumer_reports_shutdown() {
-        let (tx, rx) = bounded::<u32>(1);
-        drop(rx);
         let m = Metrics::new();
-        assert_eq!(
-            send_with_policy(&tx, 1, QueuePolicy::block(1), false, &m, Stage::Order),
-            SendOutcome::Disconnected
-        );
+        let (tx, rx) = stage_queue::<u32>(QueuePolicy::block(1), Stage::Order, &m);
+        drop(rx);
+        assert_eq!(tx.send(1, false), SendOutcome::Disconnected);
+        assert_eq!(tx.try_send(1, false), Ok(SendOutcome::Disconnected));
+        assert_eq!(row(&m, Stage::Order).enqueued, 0);
     }
 }

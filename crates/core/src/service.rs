@@ -56,7 +56,7 @@ use rdb_consensus::config::{ProtocolConfig, ProtocolKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
 use rdb_consensus::messages::Message;
 use rdb_consensus::registry;
-use rdb_consensus::stage::VerifiedMessage;
+use rdb_consensus::stage::{Stage, VerifiedMessage};
 use rdb_consensus::types::{ClientBatch, Transaction};
 use rdb_crypto::sign::KeyStore;
 use rdb_storage::StorageBackend;
@@ -298,7 +298,8 @@ impl ClientCore {
 /// each through [`VerifiedMessage::check`] first, outside the lock — and
 /// its due timers until stopped. Whatever those make it send (a
 /// retransmission, a commit certificate) goes out best-effort by
-/// `try_send` — this thread must never park on a replica's full inbox,
+/// `try_send`, so this thread does not park on a replica's full inbox
+/// (over TCP the frame write can still park on a full socket buffer),
 /// and the next back-off re-drives what a saturated replica missed. With
 /// a `source` the client is closed-loop: the driver submits one batch at
 /// start and one per completion, parking at the admission edge like any
@@ -621,17 +622,20 @@ impl Fabric {
 
         let elapsed = self.epoch.elapsed();
         let metrics = &self.metrics;
+        let stages = metrics.stage_snapshot();
+        // Every message the output threads handed to the transport.
+        let messages_sent = stages.row(Stage::Output).processed;
         crate::DeploymentReport {
             kind: self.kind,
             system: self.system.clone(),
             pipeline: self.pipeline,
-            stages: metrics.stage_snapshot(),
+            stages,
             elapsed,
             throughput_txn_s: metrics.completed_txns() as f64 / elapsed.as_secs_f64(),
             completed_batches: metrics.completed_batches(),
             completed_txns: metrics.completed_txns(),
             decided: metrics.decided(),
-            messages_sent: metrics.messages_sent(),
+            messages_sent,
             avg_latency: metrics.avg_latency(),
             p50_latency: metrics.latency_percentile(0.5),
             p99_latency: metrics.latency_percentile(0.99),

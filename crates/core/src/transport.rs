@@ -19,13 +19,15 @@
 //! it sends leaves and nothing reaches it.
 //!
 //! Replica inboxes registered via [`Transport::register_bounded`]
-//! are the pipeline's *input stage queue*: delivery applies the queue's
-//! [`QueuePolicy`] — droppable consensus traffic is shed at the bound
-//! (counted per stage), while client `Request`s block the delivering
-//! thread, which is exactly how admission control propagates from an
-//! overloaded replica back to the submitting client. Client inboxes stay
-//! unbounded ([`Transport::register`]): clients are closed-loop and
-//! drain their own replies, so they are leaves of the blocking graph.
+//! are the pipeline's *input stage queue*: delivery hands the envelope
+//! to the inbox's `queue::StageSender`, which applies the
+//! [`QueuePolicy`] and counts the input stage — droppable consensus
+//! traffic is shed at the bound, while client `Request`s block the
+//! delivering thread, which is exactly how admission control propagates
+//! from an overloaded replica back to the submitting client. Client
+//! inboxes stay unbounded and uncounted ([`Transport::register`]):
+//! clients are closed-loop and drain their own replies, so they are
+//! leaves of the blocking graph.
 //!
 //! Delayed links (a [`DelayFn`] topology, emulating a geo-distributed
 //! deployment on one machine) relax admission. The delay sits in front
@@ -41,10 +43,10 @@
 
 use crate::deployment::TransportMode;
 use crate::metrics::Metrics;
-use crate::queue::{Overload, QueuePolicy};
+use crate::queue::{stage_queue, QueuePolicy, StageSender};
 use crate::socket::{fresh_epoch, SocketTransport};
 use crate::sync::MutexExt;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use rdb_common::ids::NodeId;
 use rdb_common::time::{SimDuration, SimTime};
 use rdb_consensus::faults::{FaultSpec, FaultState};
@@ -108,22 +110,21 @@ pub(crate) enum OnFull {
     HandBack,
 }
 
-/// One registered node's inbox: its sender plus the input-stage queue
-/// policy (None for unbounded client/test inboxes).
-struct Inbox {
-    tx: Sender<Envelope>,
-    policy: Option<QueuePolicy>,
+/// One registered node's inbox: a replica's bounded input-stage queue,
+/// or a client's (or test node's) unbounded, unaccounted inbox.
+enum Inbox {
+    Bounded(StageSender<Envelope>),
+    Unbounded(Sender<Envelope>),
 }
 
 /// The inbox table of one `Router` and the single inbox-delivery
-/// routine both meshes use: look the inbox up, apply its
-/// [`QueuePolicy`], account the input stage.
+/// routine both meshes use: look the inbox up and hand the envelope to
+/// it; a bounded inbox's [`StageSender`] applies its policy and counts
+/// the input stage.
 pub(crate) struct Inboxes {
-    table: Mutex<HashMap<NodeId, Inbox>>,
-    /// Replica-bound deliveries count as input-stage enqueues (so
-    /// `queue_depth(Stage::Input)` is the live inbox backlog) and overload
-    /// behavior lands in the input stage's `shed`/`blocked_ns`. A
-    /// transport built without metrics counts into a private sink.
+    table: Mutex<HashMap<NodeId, Arc<Inbox>>>,
+    /// The counters bounded inboxes account into (a transport built
+    /// without metrics counts into a private sink).
     metrics: Metrics,
 }
 
@@ -135,62 +136,48 @@ impl Inboxes {
         }
     }
 
-    /// Register `node`: a bounded inbox under `policy` (a hand-built
-    /// policy with `capacity: 0` is clamped to 1; the [`QueuePolicy`]
-    /// constructors already guarantee ≥ 1), unbounded without one.
+    /// Register `node`: a bounded input-stage inbox under `policy`,
+    /// unbounded without one.
     pub(crate) fn register(&self, node: NodeId, policy: Option<QueuePolicy>) -> Receiver<Envelope> {
-        let (tx, rx) = match policy {
-            Some(p) => bounded(p.capacity.max(1)),
-            None => unbounded(),
+        let (inbox, rx) = match policy {
+            Some(p) => {
+                let (tx, rx) = stage_queue(p, Stage::Input, &self.metrics);
+                (Inbox::Bounded(tx), rx)
+            }
+            None => {
+                let (tx, rx) = unbounded();
+                (Inbox::Unbounded(tx), rx)
+            }
         };
-        self.table.guard().insert(node, Inbox { tx, policy });
+        self.table.guard().insert(node, Arc::new(inbox));
         rx
     }
 
     /// Deliver `env` into its recipient's inbox. `None` means the message
-    /// is accounted for: enqueued, shed (droppable traffic at a full Shed
-    /// inbox), or dropped because the recipient is unregistered or shut
-    /// down. A non-droppable message at a full inbox parks the caller or
-    /// comes back as `Some`, per `on_full`.
+    /// is accounted for: enqueued, shed, or dropped because the recipient
+    /// is unregistered or shut down. A message a full inbox neither takes
+    /// nor sheds parks the caller or comes back as `Some`, per `on_full`.
     pub(crate) fn deliver(&self, env: Envelope, on_full: OnFull) -> Option<Envelope> {
-        // Clone the sender out of the table so a parked delivery never
-        // holds the table lock: other deliveries keep flowing while one
-        // producer waits on a full input queue.
-        let (tx, policy) = {
-            let table = self.table.guard();
-            let inbox = table.get(&env.to)?; // unregistered: drop
-            (inbox.tx.clone(), inbox.policy)
-        };
-        // Input-stage accounting covers replica inboxes only.
-        let metrics = matches!(env.to, NodeId::Replica(_)).then_some(&self.metrics);
-        match tx.try_send(env) {
-            Ok(()) => {
-                if let Some(m) = metrics {
-                    m.stage_enqueued(Stage::Input);
-                }
+        // Take the inbox out of the table so a parked delivery never holds
+        // the table lock: other deliveries keep flowing while one producer
+        // waits on a full input queue.
+        let inbox = Arc::clone(self.table.guard().get(&env.to)?); // unregistered: drop
+        match &*inbox {
+            Inbox::Unbounded(tx) => {
+                let _ = tx.send(env);
+                None
             }
-            Err(TrySendError::Disconnected(_)) => {}
-            // Only bounded inboxes are ever full, so a policy exists.
-            Err(TrySendError::Full(env)) => {
-                if env.msg.droppable() && policy.is_some_and(|p| p.overload == Overload::Shed) {
-                    if let Some(m) = metrics {
-                        m.stage_shed(Stage::Input);
+            Inbox::Bounded(tx) => {
+                let droppable = env.msg.droppable();
+                match on_full {
+                    OnFull::Park => {
+                        tx.send(env, droppable);
+                        None
                     }
-                } else if on_full == OnFull::HandBack {
-                    return Some(env);
-                } else {
-                    let t0 = Instant::now();
-                    let sent = tx.send(env).is_ok();
-                    if let Some(m) = metrics {
-                        m.stage_blocked(Stage::Input, t0.elapsed());
-                        if sent {
-                            m.stage_enqueued(Stage::Input);
-                        }
-                    }
+                    OnFull::HandBack => tx.try_send(env, droppable).err(),
                 }
             }
         }
-        None
     }
 }
 
@@ -479,15 +466,20 @@ impl Transport {
         self.route(env, OnFull::Park);
     }
 
-    /// Non-blocking send for producer stages that must never park on a
-    /// peer's full inbox (the checkpoint thread delivering its
-    /// non-droppable votes). Delayed links accept unconditionally (the
-    /// message parks in the wheel, "in the network"). On a direct link a
-    /// full inbox sheds droppable traffic per the inbox policy (returns
-    /// `true`: the message is accounted for) but hands a non-droppable
-    /// message **back to the caller** (`false`) to hold and retry —
-    /// blocking here is exactly the cross-replica cycle the queue design
-    /// forbids (see [`crate::queue`]).
+    /// Send for threads that must not park on a peer's full inbox (the
+    /// checkpoint thread delivering its non-droppable votes, the client
+    /// driver). In-process, delayed links accept unconditionally (the
+    /// message parks in the wheel, "in the network"), and on a direct
+    /// link a full inbox sheds droppable traffic per the inbox policy
+    /// (returns `true`: the message is accounted for) but hands a
+    /// non-droppable message **back to the caller** (`false`) to hold and
+    /// retry (see [`crate::queue`]).
+    ///
+    /// Over TCP nothing comes back, and this call *can* park: the frame
+    /// goes out with a blocking write on a socket that has no write
+    /// timeout, and a peer whose reader is parked on its full inbox
+    /// stops draining that socket, so the write waits for kernel buffer
+    /// space.
     pub fn try_send(&self, env: Envelope) -> bool {
         self.route(env, OnFull::HandBack).is_none()
     }
@@ -504,9 +496,9 @@ impl Transport {
         match self {
             Transport::InProc(t) => t.router.arrive(env, on_full),
             Transport::Socket(t) => {
-                // On sockets the kernel buffer plays the delay wheel's
-                // role — a written frame is "in the network" — so the
-                // message is always accounted for.
+                // A written frame is "in the network", so nothing is
+                // handed back; the write itself blocks while the link's
+                // kernel buffer is full, whatever `on_full` says.
                 t.send_frame(env);
                 None
             }
@@ -573,8 +565,9 @@ impl TransportSender {
         });
     }
 
-    /// Non-blocking send: `false` means the target inbox is full and the
-    /// (non-droppable) message was handed back — hold it and retry. See
+    /// Hand-back send: `false` means the target inbox is full and the
+    /// (non-droppable) message was handed back — hold it and retry. Over
+    /// TCP it can still park on the socket write; see
     /// [`Transport::try_send`].
     pub fn try_send(&self, to: NodeId, msg: Message) -> bool {
         self.transport.try_send(Envelope {

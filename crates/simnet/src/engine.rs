@@ -80,8 +80,12 @@ struct NodeState {
     nic_free: SimTime,
     /// WAN egress aggregate is busy until this instant.
     wan_free: SimTime,
-    /// Timer generations for cancellation.
+    /// The live generation of each armed timer, the fabric's
+    /// `TimerWheel` rule: generations come from `last_timer_gen` and are
+    /// never reused, and an entry leaves when its timer fires or is
+    /// cancelled, so the table is bounded by the armed timers.
     timer_gens: BTreeMap<TimerKind, u64>,
+    last_timer_gen: u64,
 }
 
 type HeapEntry = Reverse<(SimTime, u64)>;
@@ -361,15 +365,11 @@ impl Engine {
                         return;
                     }
                 }
-                let current = self
-                    .nodes
-                    .get(&node)
-                    .and_then(|s| s.timer_gens.get(&kind))
-                    .copied();
-                if current != Some(generation) {
+                let state = self.nodes.entry(node).or_default();
+                if state.timer_gens.get(&kind) != Some(&generation) {
                     return; // cancelled or superseded
                 }
-                let state = self.nodes.entry(node).or_default();
+                state.timer_gens.remove(&kind);
                 let start = t.max(state.busy_until);
                 let done = start + SimDuration(2_000); // timer dispatch cost
                 state.busy_until = done;
@@ -434,9 +434,9 @@ impl Engine {
                 }
                 Action::SetTimer { kind, after } => {
                     let state = self.nodes.entry(node).or_default();
-                    let gen = state.timer_gens.entry(kind).or_insert(0);
-                    *gen += 1;
-                    let generation = *gen;
+                    state.last_timer_gen += 1;
+                    let generation = state.last_timer_gen;
+                    state.timer_gens.insert(kind, generation);
                     self.push(
                         cursor + after,
                         Ev::Timer {
@@ -447,8 +447,9 @@ impl Engine {
                     );
                 }
                 Action::CancelTimer { kind } => {
-                    let state = self.nodes.entry(node).or_default();
-                    *state.timer_gens.entry(kind).or_insert(0) += 1;
+                    if let Some(state) = self.nodes.get_mut(&node) {
+                        state.timer_gens.remove(&kind);
+                    }
                 }
                 Action::Decided(decision) => {
                     // The worker always pays transaction execution: the
@@ -808,6 +809,57 @@ mod tests {
         e.start();
         e.run_until(SimTime::ZERO + SimDuration::from_millis(100));
         assert_eq!(fired.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    /// A long run arming a fresh timer kind per batch — one window timer
+    /// that fires and one retry timer that is cancelled, like
+    /// `SpecWindow{seq}` and `ClientRetry{seq}` — leaves a node's timer
+    /// table no larger than its armed timers. Fails if fired or
+    /// cancelled kinds stay in the table.
+    #[test]
+    fn timer_table_stays_bounded_by_armed_timers() {
+        const BATCHES: u64 = 1_000;
+        struct PerBatch {
+            id: ReplicaId,
+        }
+        impl ReplicaProtocol for PerBatch {
+            fn id(&self) -> ReplicaId {
+                self.id
+            }
+            fn on_start(&mut self, _now: SimTime, out: &mut Outbox) {
+                out.set_timer(
+                    TimerKind::SpecWindow { seq: 0 },
+                    SimDuration::from_millis(1),
+                );
+            }
+            fn on_message(&mut self, _n: SimTime, _f: NodeId, _m: Message, _o: &mut Outbox) {}
+            fn on_timer(&mut self, _now: SimTime, kind: TimerKind, out: &mut Outbox) {
+                let TimerKind::SpecWindow { seq } = kind else {
+                    panic!("only window timers are left armed");
+                };
+                out.set_timer(TimerKind::ClientRetry { seq }, SimDuration::from_secs(60));
+                out.cancel_timer(TimerKind::ClientRetry { seq });
+                if seq + 1 < BATCHES {
+                    let next = TimerKind::SpecWindow { seq: seq + 1 };
+                    out.set_timer(next, SimDuration::from_millis(1));
+                }
+            }
+        }
+        let topo = Topology::paper(&[Region::Oregon]);
+        let mut e = engine(
+            topo,
+            ComputeModel::default(),
+            ComputeModel::default(),
+            FaultState::default(),
+        );
+        let id = ReplicaId::new(0, 0);
+        e.add_replica(Box::new(PerBatch { id }));
+        e.start();
+        e.run_until(SimTime::ZERO + SimDuration::from_millis(BATCHES / 2));
+        let armed = 1; // the next window timer
+        assert!(e.nodes[&id.into()].timer_gens.len() <= armed);
+        e.run_until(SimTime::ZERO + SimDuration::from_secs(2 * BATCHES));
+        assert!(e.nodes[&id.into()].timer_gens.is_empty(), "nothing armed");
     }
 
     #[test]

@@ -170,9 +170,9 @@ fn slow_checkpoint_stage_throttles_execution_and_bounds_stable_lag() {
         .clients(4)
         .records(300)
         .checkpoint_interval(K)
-        .checkpoint_queue(QueuePolicy::block(CKPT_CAP))
-        .order_queue(QueuePolicy::block(ORDER_CAP as usize))
-        .exec_queue(QueuePolicy::block(EXEC_CAP as usize))
+        .checkpoint_queue(CKPT_CAP)
+        .order_queue(ORDER_CAP as usize)
+        .exec_queue(EXEC_CAP as usize)
         .checkpoint_fault_delay(Duration::from_millis(5))
         .duration(Duration::from_millis(1_500))
         .run();

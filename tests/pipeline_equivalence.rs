@@ -325,11 +325,21 @@ fn saturated_bounded_queues_commit_identical_ledgers() {
         // itself inline on the worker (see `dispatch_replica_actions`),
         // so no self-loop cycle through these queues exists.
         .input_queue(QueuePolicy::block(6))
-        .order_queue(QueuePolicy::block(8))
-        .exec_queue(QueuePolicy::block(2))
-        .output_queue(QueuePolicy::block(8));
+        .order_queue(8)
+        .exec_queue(2)
+        .output_queue(8);
     let report = drive(builder, 1, Duration::from_millis(1_200));
     assert!(report.completed_batches > 0, "{}", report.summary());
+    // Under saturation every stage's books still balance: nothing leaves
+    // a queue that was not counted into it.
+    for stage in rdb_consensus::stage::Stage::ALL {
+        let row = report.stages.row(stage);
+        assert!(
+            row.processed + row.dropped <= row.enqueued,
+            "{stage:?}: {}",
+            report.stages.summary()
+        );
+    }
     let common = report.audit_ledgers().expect("fabric ledgers consistent");
     report
         .audit_execution_stage()
@@ -415,10 +425,10 @@ fn checkpoint_compaction_preserves_ledger_equivalence_under_saturation() {
         .seed(SEED)
         .checkpoint_interval(K)
         .input_queue(QueuePolicy::block(6))
-        .order_queue(QueuePolicy::block(8))
-        .exec_queue(QueuePolicy::block(2))
-        .checkpoint_queue(QueuePolicy::block(2))
-        .output_queue(QueuePolicy::block(8));
+        .order_queue(8)
+        .exec_queue(2)
+        .checkpoint_queue(2)
+        .output_queue(8);
     let report = drive(builder, 1, Duration::from_millis(1_500));
     assert!(report.completed_batches > 0, "{}", report.summary());
     report.audit_ledgers().expect("fabric ledgers consistent");
