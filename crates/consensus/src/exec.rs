@@ -1,14 +1,19 @@
 //! The commit tail shared by all replica implementations (§2.4, Figure 9).
-//! The five protocols only *order*; what happens to a batch once its
-//! position is final — execution, the [`ReplyData`] and its retransmission
-//! cache, the reported [`Decision`], the checkpoint cadence — is decided
-//! here, in [`CommitTail`], and nowhere else.
+//! The five protocols only *order*. Whether a client batch is new to this
+//! replica ([`CommitTail::admit`], before anything proposes or forwards
+//! it) and what happens to it once its position is final — execution,
+//! exactly once per `(client, batch_seq)`, the [`ReplyData`] and its
+//! retransmission cache, the reported [`Decision`], the checkpoint cadence
+//! — is decided here, in [`CommitTail`], and nowhere else. A decided entry
+//! naming a batch that already executed is committed as the no-op block
+//! of its position, so every honest replica's ledger, execute stage and
+//! replay agree on what ran.
 
 use crate::api::Outbox;
 use crate::config::{ExecMode, ProtocolConfig};
 use crate::messages::Message;
 use crate::types::{Decision, DecisionEntry, ReplyData, SignedBatch};
-use rdb_common::ids::{ClientId, ClusterId};
+use rdb_common::ids::{ClientId, ClusterId, NodeId};
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sha256::Sha256;
 use rdb_store::{KvStore, TxnEffect};
@@ -66,7 +71,8 @@ pub fn digest_under(mode: ExecMode, batch_digest: &Digest, effect: &TxnEffect) -
     }
 }
 
-/// One client's executed batches and the latest replies sent to it.
+/// One client's batches as this replica knows them: the admission state
+/// and the latest replies sent to it.
 #[derive(Default)]
 struct ClientLog {
     /// Every batch numbered below this has executed ...
@@ -74,13 +80,22 @@ struct ClientLog {
     /// ... and so have these above it: an open-loop client keeps many
     /// batches in flight, and they may commit out of order.
     executed_ahead: BTreeSet<u64>,
+    /// Admitted for ordering by this replica and not executed yet.
+    ordered: BTreeSet<u64>,
     /// Oldest first, at most `CommitTail::reply_window`.
     replies: VecDeque<ReplyData>,
 }
 
-/// A replica's commit tail: owns the table, executes ordered batches on it
-/// (or models that, see [`ExecMode`]), numbers the blocks, answers and
-/// remembers the clients, and reports decisions.
+impl ClientLog {
+    fn executed(&self, batch_seq: u64) -> bool {
+        batch_seq < self.executed_below || self.executed_ahead.contains(&batch_seq)
+    }
+}
+
+/// A replica's commit tail: decides which client batches are new, owns
+/// the table, executes ordered batches on it (or models that, see
+/// [`ExecMode`]), numbers the blocks, answers and remembers the clients,
+/// and reports decisions.
 pub struct CommitTail {
     store: KvStore,
     mode: ExecMode,
@@ -88,8 +103,8 @@ pub struct CommitTail {
     /// Replies remembered per client (`cfg.window`, the depth the
     /// protocols themselves pipeline to).
     reply_window: usize,
-    /// Batches executed so far; each becomes one ledger block, so this is
-    /// also the height of the latest one.
+    /// Blocks so far (one per executed entry), so this is also the height
+    /// of the latest one.
     blocks: u64,
     decisions: u64,
     clients: HashMap<ClientId, ClientLog>,
@@ -120,21 +135,68 @@ impl CommitTail {
         self.store.state_digest()
     }
 
-    /// Execute `sb`, whose digest the caller already holds (`digest` must
-    /// equal `sb.digest()`), as the next block: the *result digest*
-    /// clients match `f + 1` of (§2.4) and the per-transaction outcomes,
-    /// deterministic across replicas. Under [`ExecMode::Modeled`] the
-    /// table is untouched and the outcomes empty (the simulator charges
-    /// the cost in virtual time); the digest is the historical modeled
-    /// constant, which keeps figure reproductions byte-identical.
-    pub fn execute(&mut self, sb: &SignedBatch, digest: &Digest) -> (Digest, TxnEffect) {
-        debug_assert_eq!(*digest, sb.digest(), "carried batch digest");
+    /// Whether this replica acts on the client batch `sb`, which reached
+    /// it from `from` — the one admission check of every protocol. A
+    /// batch that executed here is never ordered, forwarded or tracked
+    /// again; its reply, if still remembered, is re-sent (stamped `view`)
+    /// when the client itself asked. An orderer (`order`: the primary, or
+    /// a HotStuff leader) admits a batch once until it executes. A
+    /// forwarder admits every retransmission, so a lost forward is sent
+    /// again.
+    pub fn admit(
+        &mut self,
+        from: NodeId,
+        sb: &SignedBatch,
+        view: u64,
+        order: bool,
+        out: &mut Outbox,
+    ) -> bool {
+        let (client, batch_seq) = (sb.batch.client, sb.batch.batch_seq);
+        let log = self.clients.entry(client).or_default();
+        if log.executed(batch_seq) {
+            let reply = log.replies.iter().find(|r| r.batch_seq == batch_seq);
+            if let Some(data) = reply.filter(|_| from == NodeId::Client(client)) {
+                let data = data.clone();
+                out.send(client, Message::Reply { data, view });
+            }
+            return false;
+        }
+        !order || log.ordered.insert(batch_seq)
+    }
+
+    /// Execute `entry`, decided at `seq`, as the next block: the *result
+    /// digest* clients match `f + 1` of (§2.4) and the per-transaction
+    /// outcomes, deterministic across replicas. A client batch executes
+    /// once: an entry naming one that already executed becomes the
+    /// no-op block of its position instead, with no table write, and
+    /// `None` is returned. Under [`ExecMode::Modeled`] the table is
+    /// untouched and the outcomes empty (the simulator charges the cost
+    /// in virtual time); the digest is the historical modeled constant,
+    /// which keeps figure reproductions byte-identical.
+    pub fn execute(&mut self, seq: u64, entry: &mut DecisionEntry) -> Option<(Digest, TxnEffect)> {
+        debug_assert_eq!(entry.digest, entry.batch.digest(), "carried batch digest");
         self.blocks += 1;
+        let batch = &entry.batch.batch;
+        if !entry.batch.is_noop() {
+            let log = self.clients.entry(batch.client).or_default();
+            if log.executed(batch.batch_seq) {
+                let cluster = entry.origin.unwrap_or(ClusterId(u16::MAX));
+                *entry = DecisionEntry::new(entry.origin, SignedBatch::noop(cluster, seq));
+                return None;
+            }
+            log.ordered.remove(&batch.batch_seq);
+            if batch.batch_seq >= log.executed_below {
+                log.executed_ahead.insert(batch.batch_seq);
+            }
+            while log.executed_ahead.remove(&log.executed_below) {
+                log.executed_below += 1;
+            }
+        }
         let effect = match self.mode {
-            ExecMode::Real => self.store.execute_batch(sb.batch.operations()),
+            ExecMode::Real => self.store.execute_batch(batch.operations()),
             ExecMode::Modeled => TxnEffect::default(),
         };
-        (digest_under(self.mode, digest, &effect), effect)
+        Some((digest_under(self.mode, &entry.digest, &effect), effect))
     }
 
     /// Report the executed entries as the decision at `seq`. Returns the
@@ -171,24 +233,13 @@ impl CommitTail {
         local: Option<ClusterId>,
         out: &mut Outbox,
     ) -> Option<Digest> {
-        let entries: Vec<DecisionEntry> = entries.into_iter().collect();
-        for DecisionEntry {
-            batch: sb, digest, ..
-        } in &entries
-        {
-            let (result_digest, results) = self.execute(sb, digest);
-            let batch = &sb.batch;
-            if sb.is_noop() {
+        let mut entries: Vec<DecisionEntry> = entries.into_iter().collect();
+        for entry in &mut entries {
+            let Some((result_digest, results)) = self.execute(seq, entry) else {
                 continue;
-            }
-            let log = self.clients.entry(batch.client).or_default();
-            if batch.batch_seq >= log.executed_below {
-                log.executed_ahead.insert(batch.batch_seq);
-            }
-            while log.executed_ahead.remove(&log.executed_below) {
-                log.executed_below += 1;
-            }
-            if local.is_some_and(|c| c != batch.client.cluster) {
+            };
+            let batch = &entry.batch.batch;
+            if entry.batch.is_noop() || local.is_some_and(|c| c != batch.client.cluster) {
                 continue;
             }
             let data = ReplyData {
@@ -200,6 +251,7 @@ impl CommitTail {
                 results,
                 txns: batch.len() as u32,
             };
+            let log = self.clients.entry(batch.client).or_default();
             if log.replies.len() >= self.reply_window {
                 log.replies.pop_front();
             }
@@ -208,40 +260,75 @@ impl CommitTail {
         }
         self.decided(seq, entries, out)
     }
-
-    /// Whether `sb` already executed here, in which case the caller must
-    /// not order, forward or track it again: its reply is re-sent if still
-    /// remembered, and the retransmission is dropped otherwise.
-    pub fn cached_reply(&self, sb: &SignedBatch, view: u64, out: &mut Outbox) -> bool {
-        let (client, batch_seq) = (sb.batch.client, sb.batch.batch_seq);
-        let Some(log) = self.clients.get(&client) else {
-            return false;
-        };
-        if batch_seq >= log.executed_below && !log.executed_ahead.contains(&batch_seq) {
-            return false;
-        }
-        if let Some(data) = log.replies.iter().find(|r| r.batch_seq == batch_seq) {
-            let data = data.clone();
-            out.send(client, Message::Reply { data, view });
-        }
-        true
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::api::{Action, ReplicaProtocol, TimerKind};
     use crate::config::ProtocolKind;
     use crate::crypto_ctx::CryptoCtx;
     use crate::registry::build_replica;
-    use crate::testkit::Edge;
+    use crate::testkit::{self, Edge};
     use crate::types::{ClientBatch, Transaction};
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::{NodeId, ReplicaId};
     use rdb_common::time::SimTime;
-    use rdb_crypto::sign::KeyStore;
+    use rdb_crypto::sign::{KeyStore, Signer};
     use rdb_store::{ExecOutcome, Operation, Value};
+
+    impl CommitTail {
+        /// Entries of the admission state: batches executed ahead of
+        /// their client's watermark, and batches ordered here but not
+        /// executed.
+        pub(crate) fn resident_entries(&self) -> usize {
+            let logs = self.clients.values();
+            logs.map(|l| l.executed_ahead.len() + l.ordered.len()).sum()
+        }
+    }
+
+    /// Route more than `2 · cfg.window` client batches, whole checkpoint
+    /// intervals of them, one at a time: one increment each from clients
+    /// 1..=3 of cluster 0, whose batches arrive in swapped pairs (1, 0, 3, 2,
+    /// ...), so some execute ahead of their predecessor; batch `i` enters at
+    /// `entry(i)`. Each must be decided, and afterwards every replica's
+    /// admission state (`resident`: its tail's `resident_entries()`) must be
+    /// at most `cfg.window` entries.
+    pub(crate) fn assert_admission_bounded<R: ReplicaProtocol>(
+        cfg: &ProtocolConfig,
+        edge: &Edge,
+        ks: &KeyStore,
+        replicas: &mut [R],
+        entry: impl Fn(u64) -> ReplicaId,
+        resident: impl Fn(&R) -> usize,
+    ) {
+        let signers: Vec<Signer> = (1..=3)
+            .map(|i| ks.register(ClientId::new(0, i).into()))
+            .collect();
+        let k = cfg.checkpoint_interval;
+        for i in 0..(2 * cfg.window / k + 1) * k {
+            let client = ClientId::new(0, 1 + (i % 3) as u32);
+            let (signer, batch_seq) = (&signers[(i % 3) as usize], (i / 3) ^ 1);
+            let op = Operation::Rmw {
+                key: i % 8,
+                delta: 1,
+            };
+            let mut sb = unsigned(client, batch_seq, vec![op]);
+            sb.sig = signer.sign(sb.batch.digest().as_bytes());
+            sb.pubkey = signer.public_key();
+            let request = (client.into(), entry(i).into(), Message::Request(sb));
+            let (_, decisions) = testkit::route(edge, replicas, vec![request]);
+            let decided = decisions
+                .iter()
+                .flat_map(|(_, d)| &d.entries)
+                .any(|e| (e.batch.batch.client, e.batch.batch.batch_seq) == (client, batch_seq));
+            assert!(decided, "batch {batch_seq} of {client:?} was not decided");
+            for r in replicas.iter() {
+                let entries = resident(r);
+                assert!(entries <= cfg.window as usize, "{:?}: {entries}", r.id());
+            }
+        }
+    }
 
     fn cfg(z: usize, mode: ExecMode) -> ProtocolConfig {
         let mut cfg = ProtocolConfig::new(SystemConfig::geo(z, 4).unwrap());
@@ -251,6 +338,12 @@ mod tests {
 
     fn tail(mode: ExecMode, store: KvStore) -> CommitTail {
         CommitTail::new(&cfg(1, mode), store)
+    }
+
+    /// `sb`'s first execution on `t`.
+    fn run(t: &mut CommitTail, sb: &SignedBatch) -> (Digest, TxnEffect) {
+        let mut entry = DecisionEntry::new(None, sb.clone());
+        t.execute(1, &mut entry).expect("first execution")
     }
 
     fn unsigned(client: ClientId, batch_seq: u64, ops: Vec<Operation>) -> SignedBatch {
@@ -290,7 +383,7 @@ mod tests {
         let mut t1 = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
         let mut t2 = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
         let b = batch();
-        assert_eq!(t1.execute(&b, &b.digest()).0, t2.execute(&b, &b.digest()).0);
+        assert_eq!(run(&mut t1, &b).0, run(&mut t2, &b).0);
         assert_eq!(t1.state_digest(), t2.state_digest());
         assert_eq!(t1.store.get(3), Some(Value::from_u64(42)));
     }
@@ -305,10 +398,9 @@ mod tests {
             key: 3,
             value: Value::from_u64(9),
         });
-        let d = ro.digest();
         assert_ne!(
-            tail(ExecMode::Real, KvStore::new()).execute(&ro, &d).0,
-            tail(ExecMode::Real, written).execute(&ro, &d).0
+            run(&mut tail(ExecMode::Real, KvStore::new()), &ro).0,
+            run(&mut tail(ExecMode::Real, written), &ro).0
         );
     }
 
@@ -316,7 +408,7 @@ mod tests {
     fn reply_results_match_their_digest() {
         let mut t = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
         let b = batch();
-        let (d, effect) = t.execute(&b, &b.digest());
+        let (d, effect) = run(&mut t, &b);
         assert_eq!(result_digest(&b.digest(), &effect), d);
         // The batch writes 42 then reads it back: the carried outcomes
         // expose the read value end-to-end.
@@ -337,7 +429,7 @@ mod tests {
     fn modeled_execution_carries_no_results() {
         let mut t = tail(ExecMode::Modeled, KvStore::with_ycsb_records(10));
         let b = batch();
-        assert!(t.execute(&b, &b.digest()).1.outcomes.is_empty());
+        assert!(run(&mut t, &b).1.outcomes.is_empty());
     }
 
     #[test]
@@ -345,7 +437,7 @@ mod tests {
         let mut t = tail(ExecMode::Modeled, KvStore::with_ycsb_records(10));
         let before = t.state_digest();
         let b = batch();
-        assert_ne!(t.execute(&b, &b.digest()).0, Digest::ZERO);
+        assert_ne!(run(&mut t, &b).0, Digest::ZERO);
         assert_eq!(t.state_digest(), before);
     }
 
@@ -354,10 +446,7 @@ mod tests {
         let mut t = tail(ExecMode::Modeled, KvStore::new());
         let noop = SignedBatch::noop(rdb_common::ids::ClusterId(0), 1);
         let b = batch();
-        assert_ne!(
-            t.execute(&b, &b.digest()).0,
-            t.execute(&noop, &noop.digest()).0
-        );
+        assert_ne!(run(&mut t, &b).0, run(&mut t, &noop).0);
     }
 
     fn replies(out: &mut Outbox) -> Vec<ReplyData> {
@@ -415,16 +504,62 @@ mod tests {
         }
         out.take();
         assert_eq!(t.clients[&client].replies.len() as u64, window);
+        let from = NodeId::Client(client);
         // Evicted: executed, so the caller drops it, but nothing to re-send.
-        assert!(t.cached_reply(&b(1), 0, &mut out));
+        assert!(!t.admit(from, &b(1), 0, true, &mut out));
         assert!(out.is_empty());
-        // Still cached.
-        assert!(t.cached_reply(&b(0), 0, &mut out));
+        // Still cached, and re-sent only to the client that asked.
+        let forwarder = NodeId::Replica(ReplicaId::new(0, 1));
+        assert!(!t.admit(forwarder, &b(0), 0, true, &mut out));
+        assert!(out.is_empty());
+        assert!(!t.admit(from, &b(0), 0, true, &mut out));
         assert_eq!(replies(&mut out)[0].batch_seq, 0);
-        // Never seen: the caller orders it.
-        assert!(!t.cached_reply(&b(window + 1), 0, &mut out));
-        assert!(!t.cached_reply(&unsigned(ClientId::new(0, 9), 0, vec![]), 0, &mut out));
+        // Never seen: the caller orders it, once; a forwarder passes it on
+        // every time.
+        let fresh = b(window + 1);
+        assert!(t.admit(from, &fresh, 0, true, &mut out));
+        assert!(!t.admit(from, &fresh, 0, true, &mut out));
+        assert!(t.admit(from, &fresh, 0, false, &mut out));
+        let other = unsigned(ClientId::new(0, 9), 0, vec![]);
+        assert!(t.admit(
+            NodeId::Client(other.batch.client),
+            &other,
+            0,
+            true,
+            &mut out
+        ));
         assert!(out.is_empty());
+        assert_eq!(t.resident_entries(), 2);
+    }
+
+    #[test]
+    fn a_decided_duplicate_commits_as_the_noop_block_of_its_position() {
+        let mut t = tail(ExecMode::Real, KvStore::with_ycsb_records(10));
+        let client = ClientId::new(0, 0);
+        let b = unsigned(client, 0, vec![Operation::Rmw { key: 1, delta: 1 }]);
+        let entry = || DecisionEntry::new(Some(ClusterId(1)), b.clone());
+        let mut out = Outbox::new();
+        t.commit(1, 0, [entry()], None, &mut out);
+        let once = t.state_digest();
+        t.commit(2, 0, [entry()], None, &mut out);
+        assert_eq!(t.state_digest(), once, "no table write");
+        assert_eq!(t.blocks, 2);
+        let actions = out.take();
+        let decisions: Vec<&Decision> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Decided(d) => Some(d),
+                _ => None,
+            })
+            .collect();
+        let noop = SignedBatch::noop(ClusterId(1), 2);
+        assert_eq!(decisions[0].entries, vec![entry()]);
+        assert_eq!(
+            decisions[1].entries,
+            vec![DecisionEntry::new(Some(ClusterId(1)), noop)]
+        );
+        let replied = actions.iter().filter(|a| matches!(a, Action::Send { .. }));
+        assert_eq!(replied.count(), 1, "no reply for the duplicate");
     }
 
     /// Deliver `initial` and everything it triggers until quiescence

@@ -167,10 +167,11 @@ impl GeoBftReplica {
         if sb.batch.client.cluster != self.my_cluster {
             return;
         }
-        if self.tail.cached_reply(&sb, self.core.view(), out) {
+        let primary = self.core.is_primary();
+        if !self.tail.admit(from, &sb, self.core.view(), primary, out) {
             return;
         }
-        if self.core.is_primary() {
+        if primary {
             self.core.enqueue_request(sb, out);
         } else if from.is_replica() {
             // Already a forward; just track.
@@ -571,7 +572,7 @@ impl ReplicaProtocol for GeoBftReplica {
             Message::Request(sb) => self.handle_request(from, sb, out),
             Message::Forward(sb) => {
                 if from.cluster() == self.my_cluster && self.core.is_primary() {
-                    self.core.enqueue_request(sb, out);
+                    self.handle_request(from, sb, out);
                 }
             }
             Message::GlobalShare { cert } => self.handle_global_share(from, cert, out),
@@ -621,6 +622,7 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
+    use crate::exec::tests::assert_admission_bounded;
     use crate::testkit::{Edge, RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::ClientId;
@@ -1019,5 +1021,67 @@ mod tests {
             .map(|r| r.tail.decisions())
             .collect();
         assert_eq!(c1_exec, vec![0, 0, 0, 0]);
+    }
+    /// Every replica of `cluster` votes to replace its primary; routed to
+    /// quiescence.
+    fn change_view(net: &mut GeoNet, cluster: ClusterId) {
+        let mut votes = Vec::new();
+        for r in net.replicas.iter_mut().filter(|r| r.my_cluster == cluster) {
+            let mut out = Outbox::new();
+            r.core.force_view_change(&mut out);
+            for a in out.take() {
+                if let Action::Send { to, msg } = a {
+                    votes.push((r.id.into(), to, msg));
+                }
+            }
+        }
+        net.route(votes);
+    }
+
+    /// A backup's `Forward` of a batch that executed in view 0 reaches the
+    /// primary of view 1, which never proposed it: it is not ordered again.
+    #[test]
+    fn forward_of_an_executed_batch_is_not_ordered_after_a_view_change() {
+        let (mut net, ks, _cfg) = GeoNet::new(2, 4);
+        let client = ClientId::new(0, 0);
+        let sb = signed_batch(&ks, client, 0);
+        let r = |i| ReplicaId::new(0, i);
+        let request = Message::Request(sb.clone());
+        let (_, decisions) = net.route(vec![(client.into(), r(0).into(), request)]);
+        assert_eq!(decisions.len(), 8);
+        change_view(&mut net, ClusterId(0));
+        assert!(net.replicas[..4].iter().all(|x| x.core.view() == 1));
+        let (_, decisions) = net.route(vec![(r(2).into(), r(1).into(), Message::Forward(sb))]);
+        assert!(
+            decisions.is_empty(),
+            "ordered again: {} decisions",
+            decisions.len()
+        );
+        assert!(net.replicas.iter().all(|x| x.tail.decisions() == 1));
+    }
+
+    /// A cluster orders only its own clients' batches (§2): a local
+    /// replica's `Forward` of another cluster's client's batch is not
+    /// proposed, just as that client's `Request` would not be.
+    #[test]
+    fn forward_of_another_clusters_client_is_not_proposed() {
+        let (mut net, ks, _cfg) = GeoNet::new(2, 4);
+        let client = ClientId::new(1, 0);
+        let forward = Message::Forward(signed_batch(&ks, client, 0));
+        let from = ReplicaId::new(0, 2).into();
+        let actions = net.deliver(ReplicaId::new(0, 0), from, forward);
+        assert!(actions.is_empty(), "proposed: {} sends", actions.len());
+    }
+
+    #[test]
+    fn admission_state_stays_bounded() {
+        let (mut net, ks, cfg) = GeoNet::new(2, 4);
+        let resident = |r: &GeoBftReplica| r.tail.resident_entries();
+        let primary = |_| ReplicaId::new(0, 0);
+        assert_admission_bounded(&cfg, &net.edge, &ks, &mut net.replicas, primary, resident);
+        assert!(net
+            .replicas
+            .iter()
+            .all(|r| r.core.stable_seq() > 2 * cfg.window));
     }
 }

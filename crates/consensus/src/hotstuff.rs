@@ -27,7 +27,7 @@ use crate::crypto_ctx::CryptoCtx;
 use crate::exec::CommitTail;
 use crate::messages::{HsPhase, HsQc, Message};
 use crate::types::{DecisionEntry, SignedBatch};
-use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
+use rdb_common::ids::{ClusterId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::Signature;
@@ -83,8 +83,6 @@ pub struct HotStuffReplica {
     my_idx: usize,
     /// Client batches queued for this replica's owned slots.
     queue: VecDeque<SignedBatch>,
-    /// Dedupe of queued/proposed client batches.
-    seen: HashSet<(ClientId, u64)>,
     /// Next owned slot to propose into.
     my_next_slot: u64,
     slots: BTreeMap<u64, Slot>,
@@ -116,7 +114,6 @@ impl HotStuffReplica {
             members,
             my_idx,
             queue: VecDeque::new(),
-            seen: HashSet::new(),
             my_next_slot,
             slots: BTreeMap::new(),
             decided: BTreeMap::new(),
@@ -146,12 +143,11 @@ impl HotStuffReplica {
     // Proposing
     // ------------------------------------------------------------------
 
-    fn handle_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        if self.tail.cached_reply(&sb, 0, out) {
-            return;
-        }
-        let key = (sb.batch.client, sb.batch.batch_seq);
-        if !self.seen.insert(key) {
+    /// Every replica leads its own slots, so each one admits a client
+    /// batch for ordering; a batch that two leaders order (a broadcast
+    /// retransmission) executes once, in the earlier slot.
+    fn handle_request(&mut self, from: NodeId, sb: SignedBatch, out: &mut Outbox) {
+        if !self.tail.admit(from, &sb, 0, true, out) {
             return;
         }
         self.queue.push_back(sb);
@@ -471,7 +467,7 @@ impl ReplicaProtocol for HotStuffReplica {
 
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut Outbox) {
         match msg {
-            Message::Request(sb) | Message::Forward(sb) => self.handle_request(sb, out),
+            Message::Request(sb) | Message::Forward(sb) => self.handle_request(from, sb, out),
             Message::HsProposal {
                 slot,
                 phase,
@@ -508,9 +504,11 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
-    use crate::testkit::Edge;
+    use crate::exec::tests::assert_admission_bounded;
+    use crate::testkit::{self, Edge};
     use crate::types::Decision;
     use rdb_common::config::SystemConfig;
+    use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
     use std::collections::VecDeque as Q;
 
@@ -731,5 +729,57 @@ mod tests {
         let decisions = route(&edge, &mut replicas, msgs, None);
         assert_eq!(decisions.len(), 4, "no-op decided everywhere");
         assert!(decisions.iter().all(|(_, d)| d.entries[0].batch.is_noop()));
+    }
+
+    /// A client's broadcast retransmission reaches two leaders, and each
+    /// orders it in its own slot. It executes once, in slot 1; slot 2
+    /// commits as the same no-op block on every replica.
+    #[test]
+    fn batch_ordered_by_two_leaders_executes_once() {
+        let (mut replicas, ks, edge) = setup(4);
+        let client = ClientId::new(0, 0);
+        let signer = ks.register(client.into());
+        let op = rdb_store::Operation::Rmw { key: 1, delta: 1 };
+        let txns = vec![crate::types::Transaction { client, seq: 0, op }];
+        let batch = crate::types::ClientBatch {
+            client,
+            batch_seq: 0,
+            txns,
+        };
+        let sig = signer.sign(batch.digest().as_bytes());
+        let pubkey = signer.public_key();
+        let sb = SignedBatch { batch, pubkey, sig };
+        let initial = [1, 2].map(|i| {
+            let leader = ReplicaId::new(0, i).into();
+            (client.into(), leader, Message::Request(sb.clone()))
+        });
+        let (replies, decisions) = testkit::route(&edge, &mut replicas, initial.to_vec());
+        let noop = SignedBatch::noop(ClusterId(u16::MAX), 2);
+        for r in &replicas {
+            let mine: Vec<&Decision> = decisions
+                .iter()
+                .filter(|(id, _)| *id == r.id)
+                .map(|(_, d)| d)
+                .collect();
+            assert_eq!(mine.len(), 2, "{:?}", r.id);
+            assert_eq!(mine[0].entries, vec![DecisionEntry::new(None, sb.clone())]);
+            assert_eq!(
+                mine[1].entries,
+                vec![DecisionEntry::new(None, noop.clone())]
+            );
+            assert_eq!(mine[1].state_digest, mine[0].state_digest, "no table write");
+        }
+        assert_eq!(replies.len(), 4, "one reply per replica: {replies:?}");
+        assert!(replies.iter().all(|(_, data)| data.seq == 1));
+    }
+
+    #[test]
+    fn admission_state_stays_bounded() {
+        let (mut replicas, ks, edge) = setup(4);
+        let cfg = replicas[0].cfg.clone();
+        let resident = |r: &HotStuffReplica| r.tail.resident_entries();
+        // Batch i goes to the leader of slot i + 1, so slots fill in order.
+        let leader = |i: u64| ReplicaId::new(0, ((i + 1) % 4) as u16);
+        assert_admission_bounded(&cfg, &edge, &ks, &mut replicas, leader, resident);
     }
 }

@@ -45,11 +45,12 @@ impl PbftReplica {
         }
     }
 
-    fn handle_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        if self.tail.cached_reply(&sb, self.core.view(), out) {
+    fn handle_request(&mut self, from: NodeId, sb: SignedBatch, out: &mut Outbox) {
+        let primary = self.core.is_primary();
+        if !self.tail.admit(from, &sb, self.core.view(), primary, out) {
             return;
         }
-        if self.core.is_primary() {
+        if primary {
             self.core.enqueue_request(sb, out);
         } else {
             // Forward to the current primary and watch for progress; a
@@ -104,10 +105,10 @@ impl ReplicaProtocol for PbftReplica {
 
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut Outbox) {
         match msg {
-            Message::Request(sb) => self.handle_request(sb, out),
+            Message::Request(sb) => self.handle_request(from, sb, out),
             Message::Forward(sb) => {
                 if self.core.is_primary() {
-                    self.core.enqueue_request(sb, out);
+                    self.handle_request(from, sb, out);
                 }
             }
             other => {
@@ -133,11 +134,11 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
-    use crate::testkit::{Edge, RoutedDecisions, RoutedReplies};
+    use crate::exec::tests::assert_admission_bounded;
+    use crate::testkit::{self, Edge, RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
-    use std::collections::VecDeque;
 
     /// Build a full global-PBFT deployment (replicas only) and a router.
     struct Net {
@@ -195,31 +196,7 @@ mod tests {
             &mut self,
             initial: Vec<(NodeId, NodeId, Message)>,
         ) -> (RoutedReplies, RoutedDecisions) {
-            let mut queue: VecDeque<(NodeId, NodeId, Message)> = initial.into();
-            let mut replies = Vec::new();
-            let mut decisions = Vec::new();
-            let mut steps = 0;
-            while let Some((from, to, msg)) = queue.pop_front() {
-                steps += 1;
-                assert!(steps < 3_000_000, "no quiescence");
-                let NodeId::Replica(rid) = to else {
-                    // Message to a client: record replies.
-                    if let Message::Reply { data, .. } = msg {
-                        if let NodeId::Replica(sender) = from {
-                            replies.push((sender, data));
-                        }
-                    }
-                    continue;
-                };
-                for a in self.deliver(rid, from, msg) {
-                    match a {
-                        Action::Send { to: t, msg: m } => queue.push_back((to, t, m)),
-                        Action::Decided(d) => decisions.push((rid, d)),
-                        _ => {}
-                    }
-                }
-            }
-            (replies, decisions)
+            testkit::route(&self.edge, &mut self.replicas, initial)
         }
     }
 
@@ -308,5 +285,74 @@ mod tests {
         for r in &net.replicas {
             assert_eq!(r.core.stable_seq(), k);
         }
+    }
+    #[test]
+    fn duplicate_requests_propose_once() {
+        let (mut net, ks, _cfg) = Net::new(1, 4, ExecMode::Real);
+        let client = ClientId::new(0, 0);
+        let sb = signed_batch(&ks, client, 0);
+        let primary = ReplicaId::new(0, 0);
+        let mut proposed = Vec::new();
+        for _ in 0..2 {
+            let actions = net.deliver(primary, client.into(), Message::Request(sb.clone()));
+            proposed.extend(actions.into_iter().filter_map(|a| match a {
+                Action::Send {
+                    msg: Message::PrePrepare { seq, .. },
+                    ..
+                } => Some(seq),
+                _ => None,
+            }));
+        }
+        assert_eq!(proposed, vec![1; 4], "one pre-prepare to each member");
+        assert_eq!(net.replicas[0].core.next_propose(), 2);
+    }
+
+    /// Every replica votes to replace its primary; routed to quiescence.
+    fn change_view(net: &mut Net) {
+        let mut votes = Vec::new();
+        for r in &mut net.replicas {
+            let mut out = Outbox::new();
+            r.core.force_view_change(&mut out);
+            for a in out.take() {
+                if let Action::Send { to, msg } = a {
+                    votes.push((r.id.into(), to, msg));
+                }
+            }
+        }
+        net.route(votes);
+    }
+
+    /// A backup's `Forward` of a batch that executed in view 0 reaches the
+    /// primary of view 1, which never proposed it: it is not ordered again.
+    #[test]
+    fn forward_of_an_executed_batch_is_not_ordered_after_a_view_change() {
+        let (mut net, ks, _cfg) = Net::new(1, 4, ExecMode::Real);
+        let client = ClientId::new(0, 0);
+        let sb = signed_batch(&ks, client, 0);
+        let r = |i| ReplicaId::new(0, i);
+        let request = Message::Request(sb.clone());
+        let (_, decisions) = net.route(vec![(client.into(), r(0).into(), request)]);
+        assert_eq!(decisions.len(), 4);
+        change_view(&mut net);
+        assert!(net.replicas.iter().all(|x| x.core.view() == 1));
+        let (_, decisions) = net.route(vec![(r(2).into(), r(1).into(), Message::Forward(sb))]);
+        assert!(
+            decisions.is_empty(),
+            "ordered again: {} decisions",
+            decisions.len()
+        );
+        assert!(net.replicas.iter().all(|x| x.tail.decisions() == 1));
+    }
+
+    #[test]
+    fn admission_state_stays_bounded() {
+        let (mut net, ks, cfg) = Net::new(1, 4, ExecMode::Modeled);
+        let resident = |r: &PbftReplica| r.tail.resident_entries();
+        let primary = |_| ReplicaId::new(0, 0);
+        assert_admission_bounded(&cfg, &net.edge, &ks, &mut net.replicas, primary, resident);
+        assert!(net
+            .replicas
+            .iter()
+            .all(|r| r.core.stable_seq() > 2 * cfg.window));
     }
 }

@@ -26,7 +26,7 @@ use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
 use crate::messages::{Message, PreparedProof, Scope};
 use crate::types::SignedBatch;
-use rdb_common::ids::{ClientId, ClusterId, ReplicaId};
+use rdb_common::ids::{ClusterId, ReplicaId};
 use rdb_common::time::SimDuration;
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::Signature;
@@ -120,9 +120,6 @@ pub struct PbftCore {
     next_propose: u64,
     /// Primary: queued client batches awaiting proposal.
     pending: VecDeque<SignedBatch>,
-    /// Primary: (client, batch_seq) pairs already proposed (dedupe for
-    /// retransmissions).
-    proposed: HashSet<(ClientId, u64)>,
     /// Backup: requests we forwarded to the primary and still await, by
     /// digest. Non-empty => progress timer armed.
     awaiting: HashMap<Digest, SignedBatch>,
@@ -163,7 +160,6 @@ impl PbftCore {
             ckpt,
             next_propose: 1,
             pending: VecDeque::new(),
-            proposed: HashSet::new(),
             awaiting: HashMap::new(),
             vc_votes: BTreeMap::new(),
             timer_armed: false,
@@ -211,11 +207,6 @@ impl PbftCore {
         self.next_propose
     }
 
-    /// Number of queued-but-unproposed batches at the primary.
-    pub fn backlog(&self) -> usize {
-        self.pending.len()
-    }
-
     fn scope_matches(&self, scope: Scope) -> bool {
         scope == self.scope
     }
@@ -237,14 +228,10 @@ impl PbftCore {
 
     /// Queue a client batch at the primary and propose as the window
     /// allows. Called by the embedder for `Request`/`Forward` messages
-    /// that reach the current primary. Non-primaries should use
-    /// [`PbftCore::track_forwarded`] instead.
+    /// that reach the current primary and that its
+    /// [`crate::exec::CommitTail::admit`] admitted. Non-primaries should
+    /// use [`PbftCore::track_forwarded`] instead.
     pub fn enqueue_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        let key = (sb.batch.client, sb.batch.batch_seq);
-        if self.proposed.contains(&key) {
-            return;
-        }
-        self.proposed.insert(key);
         self.pending.push_back(sb);
         self.try_propose(out);
     }
@@ -771,18 +758,6 @@ impl PbftCore {
         events
     }
 
-    /// Expose whether an instance is committed (tests / embedders).
-    pub fn is_committed(&self, seq: u64) -> bool {
-        self.insts
-            .get(&seq)
-            .map_or(seq <= self.stable_seq(), |i| i.committed)
-    }
-
-    /// This replica's identity.
-    pub fn id(&self) -> ReplicaId {
-        self.id
-    }
-
     /// Dispatch any PBFT-core message to the right handler. Non-core
     /// messages (client path, GeoBFT global messages, ...) are ignored —
     /// embedders handle those themselves. Like every handler here, it
@@ -854,6 +829,15 @@ mod tests {
     use crate::testkit::{route_core_messages, TestCluster};
     use rdb_common::config::SystemConfig;
 
+    impl PbftCore {
+        /// Whether the instance at `seq` committed.
+        fn is_committed(&self, seq: u64) -> bool {
+            self.insts
+                .get(&seq)
+                .map_or(seq <= self.stable_seq(), |i| i.committed)
+        }
+    }
+
     fn cluster() -> TestCluster {
         TestCluster::new(4)
     }
@@ -884,22 +868,6 @@ mod tests {
                 assert_eq!(commits.len(), 3); // n - f = 3
             }
         }
-    }
-
-    #[test]
-    fn duplicate_requests_propose_once() {
-        let mut tc = cluster();
-        let batch = tc.signed_batch(0, 0, 2);
-        let mut out = Outbox::new();
-        tc.cores[0].enqueue_request(batch.clone(), &mut out);
-        tc.cores[0].enqueue_request(batch, &mut out);
-        let events = route_core_messages(&mut tc, out);
-        let commits_at_r0 = events
-            .iter()
-            .filter(|(idx, e)| *idx == 0 && matches!(e, CoreEvent::Committed { .. }))
-            .count();
-        assert_eq!(commits_at_r0, 1);
-        assert_eq!(tc.cores[0].next_propose(), 2);
     }
 
     #[test]

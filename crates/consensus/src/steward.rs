@@ -129,8 +129,9 @@ impl StewardReplica {
     // Request routing
     // ------------------------------------------------------------------
 
-    fn handle_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
-        if self.tail.cached_reply(&sb, 0, out) {
+    fn handle_request(&mut self, from: NodeId, sb: SignedBatch, out: &mut Outbox) {
+        let primary = self.core.as_ref().is_some_and(|c| c.is_primary());
+        if !self.tail.admit(from, &sb, 0, primary, out) {
             return;
         }
         match &mut self.core {
@@ -402,7 +403,7 @@ impl ReplicaProtocol for StewardReplica {
 
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut Outbox) {
         match msg {
-            Message::Request(sb) | Message::Forward(sb) => self.handle_request(sb, out),
+            Message::Request(sb) | Message::Forward(sb) => self.handle_request(from, sb, out),
             Message::StewardProposal { seq, cert } => self.handle_proposal(from, seq, cert, out),
             // The input edge checked that `replica` sent and signed it.
             Message::StewardLocalAccept {
@@ -445,11 +446,11 @@ mod tests {
     use crate::api::Action;
     use crate::clients::synthetic_source;
     use crate::config::ExecMode;
-    use crate::testkit::{Edge, RoutedDecisions, RoutedReplies};
+    use crate::exec::tests::assert_admission_bounded;
+    use crate::testkit::{self, Edge, RoutedDecisions, RoutedReplies};
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::ClientId;
     use rdb_crypto::sign::KeyStore;
-    use std::collections::VecDeque;
 
     struct Net {
         replicas: Vec<StewardReplica>,
@@ -492,30 +493,7 @@ mod tests {
             &mut self,
             initial: Vec<(NodeId, NodeId, Message)>,
         ) -> (RoutedReplies, RoutedDecisions) {
-            let mut queue: VecDeque<(NodeId, NodeId, Message)> = initial.into();
-            let mut replies = Vec::new();
-            let mut decisions = Vec::new();
-            let mut steps = 0;
-            while let Some((from, to, msg)) = queue.pop_front() {
-                steps += 1;
-                assert!(steps < 3_000_000);
-                let NodeId::Replica(rid) = to else {
-                    if let Message::Reply { data, .. } = msg {
-                        if let NodeId::Replica(s) = from {
-                            replies.push((s, data));
-                        }
-                    }
-                    continue;
-                };
-                for a in self.deliver(rid, from, msg) {
-                    match a {
-                        Action::Send { to: t, msg: m } => queue.push_back((to, t, m)),
-                        Action::Decided(d) => decisions.push((rid, d)),
-                        _ => {}
-                    }
-                }
-            }
-            (replies, decisions)
+            testkit::route(&self.edge, &mut self.replicas, initial)
         }
     }
 
@@ -637,5 +615,16 @@ mod tests {
                 .collect();
             assert_eq!(seqs, vec![1, 2, 3, 4]);
         }
+    }
+
+    #[test]
+    fn admission_state_stays_bounded() {
+        let (mut net, ks, cfg) = Net::new(2, 4);
+        let resident = |r: &StewardReplica| r.tail.resident_entries();
+        let representative = |_| ReplicaId::new(0, 0);
+        let replicas = &mut net.replicas;
+        assert_admission_bounded(&cfg, &net.edge, &ks, replicas, representative, resident);
+        let mut primary_cluster = net.replicas[..4].iter().filter_map(|r| r.core.as_ref());
+        assert!(primary_cluster.all(|c| c.stable_seq() > 2 * cfg.window));
     }
 }

@@ -7,8 +7,7 @@
 //! Every router delivers through an [`Edge`], the same
 //! [`VerifiedMessage::check`] both runtimes run before `on_message`.
 
-use crate::api::{Action, Outbox};
-use crate::certificate::CommitSig;
+use crate::api::{Action, Outbox, ReplicaProtocol};
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
 use crate::messages::{Message, Scope};
@@ -17,6 +16,7 @@ use crate::stage::VerifiedMessage;
 use crate::types::{ClientBatch, SignedBatch, Transaction};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
+use rdb_common::time::SimTime;
 use rdb_crypto::sign::{KeyStore, Signer};
 use rdb_store::{Operation, Value};
 use std::collections::{HashMap, VecDeque};
@@ -187,19 +187,38 @@ pub(crate) fn route_core_messages(tc: &mut TestCluster, out: Outbox) -> Vec<(usi
     route_batches(tc, vec![(0, out)], |_| true)
 }
 
-/// Build a commit-certificate fixture from core `Committed` output.
-#[allow(dead_code)]
-pub(crate) fn cert_from_commit(
-    cluster: rdb_common::ids::ClusterId,
-    seq: u64,
-    batch: &SignedBatch,
-    commits: &[CommitSig],
-) -> crate::certificate::CommitCertificate {
-    crate::certificate::CommitCertificate {
-        cluster,
-        round: seq,
-        digest: batch.digest(),
-        batch: batch.clone(),
-        commits: commits.to_vec(),
+/// Deliver `initial` (from, to, message) triples and everything they
+/// trigger among `replicas`, through `edge`, until quiescence. Returns
+/// the replies sent to clients and the decisions.
+pub(crate) fn route<R: ReplicaProtocol>(
+    edge: &Edge,
+    replicas: &mut [R],
+    initial: Vec<(NodeId, NodeId, Message)>,
+) -> (RoutedReplies, RoutedDecisions) {
+    let mut queue: VecDeque<(NodeId, NodeId, Message)> = initial.into();
+    let (mut replies, mut decisions) = (Vec::new(), Vec::new());
+    let mut steps = 0usize;
+    while let Some((from, to, msg)) = queue.pop_front() {
+        steps += 1;
+        assert!(steps < 5_000_000, "routing did not quiesce");
+        let NodeId::Replica(rid) = to else {
+            if let (NodeId::Replica(sender), Message::Reply { data, .. }) = (from, msg) {
+                replies.push((sender, data));
+            }
+            continue;
+        };
+        let replica = replicas.iter_mut().find(|r| r.id() == rid);
+        let replica = replica.expect("known replica");
+        let actions = edge.deliver(from, msg, |from, msg, out| {
+            replica.on_message(SimTime::ZERO, from, msg, out)
+        });
+        for a in actions {
+            match a {
+                Action::Send { to: next, msg } => queue.push_back((to, next, msg)),
+                Action::Decided(d) => decisions.push((rid, d)),
+                _ => {}
+            }
+        }
     }
+    (replies, decisions)
 }

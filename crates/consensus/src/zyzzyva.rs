@@ -26,7 +26,7 @@ use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::SimTime;
 use rdb_crypto::digest::Digest;
 use rdb_store::KvStore;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Canonical bytes a replica signs in a speculative response.
 pub fn spec_response_payload(
@@ -67,8 +67,6 @@ pub struct ZyzzyvaReplica {
     /// Executed requests (for commit-phase acknowledgements):
     /// seq -> (digest, history after execution, client, batch_seq).
     executed: BTreeMap<u64, (Digest, Digest, ClientId, u64)>,
-    /// Primary-side dedupe of proposed client batches.
-    proposed: HashMap<(ClientId, u64), u64>,
 }
 
 impl ZyzzyvaReplica {
@@ -88,7 +86,6 @@ impl ZyzzyvaReplica {
             exec_next: 1,
             history: Digest::ZERO,
             executed: BTreeMap::new(),
-            proposed: HashMap::new(),
         }
     }
 
@@ -100,22 +97,20 @@ impl ZyzzyvaReplica {
         self.primary() == self.id
     }
 
-    fn handle_request(&mut self, sb: SignedBatch, out: &mut Outbox) {
+    fn handle_request(&mut self, from: NodeId, sb: SignedBatch, out: &mut Outbox) {
         if !self.is_primary() {
             out.send(self.primary(), Message::Forward(sb));
             return;
-        }
-        let key = (sb.batch.client, sb.batch.batch_seq);
-        if self.proposed.contains_key(&key) {
-            return; // duplicate; the speculative response was already sent
         }
         // Window control: don't run unboundedly ahead of execution.
         if self.next_seq >= self.exec_next + self.cfg.window {
             return; // dropped; the client will retransmit
         }
+        if !self.tail.admit(from, &sb, self.view, true, out) {
+            return; // ordered or executed here already
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.proposed.insert(key, seq);
         let digest = sb.digest();
         let msg = Message::OrderReq {
             view: self.view,
@@ -147,11 +142,16 @@ impl ZyzzyvaReplica {
         while let Some(batch) = self.ordered.remove(&self.exec_next) {
             let seq = self.exec_next;
             self.exec_next += 1;
-            let digest = batch.digest();
+            let mut entry = DecisionEntry::new(None, batch);
+            let digest = entry.digest;
             self.history = Digest::combine(&self.history, &digest);
-            let (result, results) = self.tail.execute(&batch, &digest);
-            let client = batch.batch.client;
-            let batch_seq = batch.batch.batch_seq;
+            let Some((result, results)) = self.tail.execute(seq, &mut entry) else {
+                // A batch that already executed: its no-op takes the slot.
+                self.tail.decided(seq, [entry], out);
+                continue;
+            };
+            let client = entry.batch.batch.client;
+            let batch_seq = entry.batch.batch.batch_seq;
             self.executed
                 .insert(seq, (digest, self.history, client, batch_seq));
             // Speculative response straight to the client, signed. The
@@ -179,11 +179,6 @@ impl ZyzzyvaReplica {
                 },
             );
             // Speculative execution takes no checkpoints.
-            let entry = DecisionEntry {
-                origin: None,
-                batch,
-                digest,
-            };
             self.tail.decided(seq, [entry], out);
             // Prune the executed log to a window.
             let keep_from = self.exec_next.saturating_sub(4 * self.cfg.window);
@@ -228,7 +223,7 @@ impl ReplicaProtocol for ZyzzyvaReplica {
 
     fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut Outbox) {
         match msg {
-            Message::Request(sb) | Message::Forward(sb) => self.handle_request(sb, out),
+            Message::Request(sb) | Message::Forward(sb) => self.handle_request(from, sb, out),
             Message::OrderReq { seq, batch, .. } => {
                 if let NodeId::Replica(from) = from {
                     self.handle_order_req(from, seq, batch, out);
@@ -254,6 +249,7 @@ mod tests {
     use crate::api::{Action, ClientProtocol};
     use crate::clients::{synthetic_source, QuorumClient};
     use crate::config::{ExecMode, ProtocolKind};
+    use crate::exec::tests::assert_admission_bounded;
     use crate::testkit::Edge;
     use rdb_common::config::SystemConfig;
     use rdb_crypto::sign::{KeyStore, Signature};
@@ -474,5 +470,14 @@ mod tests {
         assert!(deliver(&edge, &mut replicas[1], from, cert(2)).is_empty());
         let full = deliver(&edge, &mut replicas[1], from, cert(3));
         assert_eq!(full.len(), 1, "a full certificate is acknowledged");
+    }
+
+    #[test]
+    fn admission_state_stays_bounded() {
+        let (mut replicas, _client, ks, edge) = setup(4);
+        let cfg = replicas[0].cfg.clone();
+        let resident = |r: &ZyzzyvaReplica| r.tail.resident_entries();
+        let primary = |_| ReplicaId::new(0, 0);
+        assert_admission_bounded(&cfg, &edge, &ks, &mut replicas, primary, resident);
     }
 }

@@ -23,20 +23,16 @@ use serde::{Deserialize, Serialize};
 pub use rdb_consensus::stage::Overload;
 
 /// The modeled stage layout of a node's pipeline (paper Figure 9): how
-/// many dedicated verifier threads check inbound signatures, whether
-/// decisions execute on their own core instead of the ordering worker,
-/// and the bound + overload policy of the virtual input queue.
+/// many dedicated verifier threads check inbound signatures, and the
+/// bound + overload policy of the virtual input queue. Decisions always
+/// materialize on their own execute core, as in the fabric.
 /// Mirrors the real fabric's `resilientdb::pipeline::PipelineConfig`
 /// (including its `queues.input` bound).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineModel {
-    /// Parallel verifier threads (fan-out of the Verify stage).
+    /// Parallel verifier threads (fan-out of the Verify stage), at least
+    /// one, like the fabric's.
     pub verifier_threads: usize,
-    /// Model the execution stage's materialization (table apply + ledger
-    /// append) on a dedicated core. Inline transaction execution stays on
-    /// the worker either way — the state machines execute inside
-    /// `on_message` to produce reply digests, in the real fabric too.
-    pub dedicated_execution: bool,
     /// Capacity of the virtual input queue (messages admitted but whose
     /// verification has not yet started). `0` disables the bound — the
     /// pre-backpressure strawman whose unbounded growth the "Looking
@@ -54,8 +50,7 @@ pub struct PipelineModel {
     /// byte.
     pub checkpoint_interval: u64,
     /// Bound on in-flight materializations — the virtual twin of the
-    /// fabric's bounded execute queue. When nonzero (and execution is
-    /// dedicated), a worker that decides while this many
+    /// fabric's bounded execute queue. When nonzero, a worker that decides while this many
     /// materializations are still in flight blocks until the oldest
     /// finishes, the same backpressure the fabric's Block-policy exec
     /// queue applies. `0` (the default) leaves the stage ungated.
@@ -71,7 +66,6 @@ impl Default for PipelineModel {
     fn default() -> Self {
         PipelineModel {
             verifier_threads: 2,
-            dedicated_execution: true,
             input_capacity: input_capacity(100, 2),
             input_overload: Overload::Block,
             checkpoint_interval: 0,
@@ -81,22 +75,8 @@ impl Default for PipelineModel {
 }
 
 impl PipelineModel {
-    /// A single-threaded pipeline: everything on the worker and an
-    /// unbounded inbox (the paper's "Looking Glass" strawman, and the
-    /// pre-staging behavior).
-    pub fn single_threaded() -> PipelineModel {
-        PipelineModel {
-            verifier_threads: 0,
-            dedicated_execution: false,
-            input_capacity: 0,
-            input_overload: Overload::Block,
-            checkpoint_interval: 0,
-            exec_queue_capacity: 0,
-        }
-    }
-
-    /// A pipeline with `n` verifier threads and dedicated execution; the
-    /// input bound is re-derived for that fan-out.
+    /// A pipeline with `n` verifier threads; the input bound is
+    /// re-derived for that fan-out.
     pub fn with_verifiers(n: usize) -> PipelineModel {
         PipelineModel {
             verifier_threads: n,
@@ -218,13 +198,6 @@ impl ComputeModel {
         self.recv_ns + self.bytes_cost(msg.wire_size())
     }
 
-    /// Total single-core cost of receiving and validating one copy of
-    /// `msg` — the sum of the Verify and worker portions; what a
-    /// single-threaded (unstaged) node would pay.
-    pub fn receive_cost(&self, msg: &Message) -> u64 {
-        self.dispatch_cost(msg) + self.verify_cost(msg)
-    }
-
     /// Single-core cost of emitting one copy of `msg` (serialization +
     /// session MAC). Signing is charged once per *logical* message by the
     /// engine, not per copy.
@@ -293,8 +266,8 @@ mod tests {
                 },
             }
         };
-        let small = m.receive_cost(&cert(3));
-        let large = m.receive_cost(&cert(11));
+        let small = m.verify_cost(&cert(3));
+        let large = m.verify_cost(&cert(11));
         assert!(large > small + 7 * m.verify_ns);
     }
 
@@ -316,7 +289,7 @@ mod tests {
         };
         // A commit costs one signature verification more than a prepare.
         assert_eq!(
-            m.receive_cost(&commit) - m.receive_cost(&prepare),
+            m.verify_cost(&commit) - m.verify_cost(&prepare),
             m.verify_ns
         );
     }
@@ -353,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn receive_cost_is_verify_plus_dispatch() {
+    fn verify_cost_follows_the_declared_cost() {
         let m = model();
         let commit = Message::Commit {
             scope: rdb_consensus::messages::Scope::Global,
@@ -362,23 +335,14 @@ mod tests {
             digest: Digest::ZERO,
             sig: Signature::default(),
         };
-        assert_eq!(
-            m.receive_cost(&commit),
-            m.verify_cost(&commit) + m.dispatch_cost(&commit)
-        );
-        // The verify portion follows the message's declared cost exactly.
         assert_eq!(m.verify_cost(&commit), m.verify_ns + m.mac_ns);
     }
 
     #[test]
     fn pipeline_model_presets() {
-        let single = PipelineModel::single_threaded();
-        assert_eq!(single.verifier_threads, 0);
-        assert!(!single.dedicated_execution);
-        assert_eq!(single.input_capacity, 0, "strawman is unbounded");
         let wide = PipelineModel::with_verifiers(4);
         assert_eq!(wide.verifier_threads, 4);
-        assert!(wide.dedicated_execution);
+        assert_eq!(wide.input_capacity, input_capacity(100, 4));
         assert_eq!(ComputeModel::default().pipeline, PipelineModel::default());
         // The execute stage defaults to no gate.
         assert_eq!(wide.exec_queue_capacity, 0);

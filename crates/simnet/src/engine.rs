@@ -255,7 +255,7 @@ impl Engine {
                     }
                 }
                 let model = self.model_for(to).clone();
-                let verifiers = model.pipeline.verifier_threads;
+                let verifiers = model.pipeline.verifier_threads.max(1);
                 // Bounded virtual input queue (replica inboxes only —
                 // the twin of the fabric's bounded input stage): depth is
                 // the number of admitted messages whose service has not
@@ -285,28 +285,19 @@ impl Engine {
                 let state = self.nodes.entry(to).or_default();
                 // Verify stage: the declared signature/MAC work runs on the
                 // earliest-free modeled verifier thread, in parallel with
-                // the worker. With an empty pool (single-threaded layout)
-                // the worker pays for verification itself.
-                let (service_start, verified_at, worker_cost) = if verifiers == 0 {
-                    (
-                        t.max(state.busy_until),
-                        t,
-                        model.wall(model.receive_cost(&msg)),
-                    )
-                } else {
-                    if state.verifier_free.len() < verifiers {
-                        state.verifier_free.resize(verifiers, SimTime::ZERO);
-                    }
-                    let slot = state
-                        .verifier_free
-                        .iter_mut()
-                        .min()
-                        .expect("pool is non-empty");
-                    let vstart = t.max(*slot);
-                    let vdone = vstart + SimDuration(model.verify_cost(&msg));
-                    *slot = vdone;
-                    (vstart, vdone, model.wall(model.dispatch_cost(&msg)))
-                };
+                // the worker.
+                if state.verifier_free.len() < verifiers {
+                    state.verifier_free.resize(verifiers, SimTime::ZERO);
+                }
+                let slot = state
+                    .verifier_free
+                    .iter_mut()
+                    .min()
+                    .expect("pool is non-empty");
+                let service_start = t.max(*slot);
+                let verified_at = service_start + SimDuration(model.verify_cost(&msg));
+                *slot = verified_at;
+                let worker_cost = model.wall(model.dispatch_cost(&msg));
                 // Order stage: the worker picks the message up once both
                 // it and the verifier are free.
                 let start = verified_at.max(state.busy_until);
@@ -462,9 +453,7 @@ impl Engine {
                     let exec =
                         model.exec_cost_decision(decision.txn_count(), decision.program_instrs());
                     cursor += SimDuration(model.wall(exec));
-                    if model.pipeline.dedicated_execution {
-                        cursor = self.charge_execution(node, &model, &decision, cursor);
-                    }
+                    cursor = self.charge_execution(node, &model, &decision, cursor);
                     if let NodeId::Replica(rid) = node {
                         let decided = {
                             let e = self.decided_counts.entry(rid).or_insert(0);
@@ -949,17 +938,16 @@ mod tests {
             e.run_until(SimTime::ZERO + SimDuration::from_secs(1));
             e.nodes[&NodeId::Replica(to)].busy_until
         };
-        let staged = worker_busy_after(PipelineModel::with_verifiers(2));
-        let single = worker_busy_after(PipelineModel::single_threaded());
+        let narrow = worker_busy_after(PipelineModel::with_verifiers(1));
+        let wide = worker_busy_after(PipelineModel::with_verifiers(2));
         assert!(
-            staged < single,
-            "parallel verification must relieve the worker: staged {staged:?} vs single {single:?}"
+            wide < narrow,
+            "a second verifier must relieve the worker: 2 {wide:?} vs 1 {narrow:?}"
         );
     }
 
     #[test]
     fn dedicated_execution_runs_off_the_worker_path() {
-        use crate::compute::PipelineModel;
         use rdb_consensus::types::{ClientBatch, DecisionEntry, SignedBatch, Transaction};
         use rdb_crypto::digest::Digest;
 
@@ -1000,34 +988,26 @@ mod tests {
             fn on_timer(&mut self, _now: SimTime, _t: TimerKind, _out: &mut Outbox) {}
         }
 
-        let run = |pipeline: PipelineModel| {
-            let topo = Topology::paper(&[Region::Oregon]);
-            let model = ComputeModel {
-                pipeline,
-                ..ComputeModel::default()
-            };
-            let mut e = engine(topo, model.clone(), model, FaultState::default());
-            let to = ReplicaId::new(0, 0);
-            e.add_replica(Box::new(Decider { id: to }));
-            e.route(
-                ReplicaId::new(0, 1).into(),
-                to.into(),
-                Message::Noop,
-                SimTime::ZERO,
-            );
-            e.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-            let state = &e.nodes[&NodeId::Replica(to)];
-            (state.busy_until, state.exec_free)
-        };
-        let (staged_busy, staged_exec) = run(PipelineModel::default());
-        let (single_busy, single_exec) = run(PipelineModel::single_threaded());
-        // Inline execution is worker work in both layouts (the state
-        // machine computes reply digests there).
-        assert_eq!(staged_busy, single_busy);
-        // Staged: the 1000-txn materialization additionally occupies the
-        // dedicated core, past the worker's own busy horizon.
-        assert!(staged_exec > staged_busy);
-        assert_eq!(single_exec, SimTime::ZERO);
+        let topo = Topology::paper(&[Region::Oregon]);
+        let model = ComputeModel::default();
+        let inline = SimDuration(model.wall(model.exec_cost(1_000)));
+        let mut e = engine(topo, model.clone(), model, FaultState::default());
+        let to = ReplicaId::new(0, 0);
+        e.add_replica(Box::new(Decider { id: to }));
+        e.route(
+            ReplicaId::new(0, 1).into(),
+            to.into(),
+            Message::Noop,
+            SimTime::ZERO,
+        );
+        e.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        let state = &e.nodes[&NodeId::Replica(to)];
+        // Inline execution is worker work (the state machine computes
+        // reply digests there) ...
+        assert!(state.busy_until >= SimTime::ZERO + inline);
+        // ... and the 1000-txn materialization additionally occupies the
+        // execute core, past the worker's own busy horizon.
+        assert!(state.exec_free > state.busy_until);
     }
 
     /// A replica that answers every inbound message with one decided
