@@ -17,7 +17,6 @@ use rdb_consensus::config::{ExecMode, ProtocolConfig, ProtocolKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
 use rdb_consensus::faults::FaultSpec;
 use rdb_consensus::registry;
-use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::KeyStore;
 use rdb_ledger::Ledger;
 use rdb_store::KvStore;
@@ -595,72 +594,18 @@ impl DeploymentReport {
             .unwrap_or(0)
     }
 
-    /// Check that all (non-crashed) replica ledgers agree and are
-    /// internally consistent. Returns the common prefix height. With the
-    /// checkpoint stage active, ledgers are compacted behind their
-    /// recovery anchors; agreement is then checked *pairwise* over every
-    /// height both replicas of a pair still retain — the maximal
-    /// comparable evidence (a global lower bound would silently compare
-    /// nothing whenever one laggard's head sits below another's anchor).
-    /// A pair with no retained overlap at all has no comparable blocks
-    /// left; its agreement rests on the quorum certification that gated
-    /// the compaction.
+    /// Check that all (non-crashed) replica ledgers are internally
+    /// consistent and agree pairwise over every height both replicas of
+    /// a pair retain ([`rdb_ledger::agreement`]), compacted or not.
+    /// Returns the common prefix height.
     pub fn audit_ledgers(&self) -> Result<u64, String> {
-        let live: Vec<(&ReplicaId, &Ledger)> = self
+        let mut live: Vec<(&ReplicaId, &Ledger)> = self
             .ledgers
             .iter()
             .filter(|(rid, _)| !self.crashed.contains(rid))
             .collect();
-        for (rid, ledger) in &live {
-            ledger
-                .verify(None)
-                .map_err(|e| format!("replica {rid} ledger invalid: {e}"))?;
-        }
-        // Every ledger verified, so a block's hash is read from its chain
-        // (`Ledger::hash_at`: the successor's parent link, or the cached
-        // head) rather than recomputed once per comparison.
-        let hash_at = |l: &Ledger, h: u64| l.hash_at(h).expect("within retained blocks");
-        let uncompacted = live.iter().all(|(_, l)| l.base_height() == 0);
-        if uncompacted {
-            // Fast path (the default, checkpointing off): everyone
-            // shares height 1 up, so first-vs-rest agreement is
-            // transitive and costs O(replicas · height).
-            if let Some((first_id, first)) = live.first() {
-                let reference: Vec<Digest> = (1..=first.head_height())
-                    .map(|h| hash_at(first, h))
-                    .collect();
-                for (rid, ledger) in &live[1..] {
-                    let to = first.head_height().min(ledger.head_height());
-                    for h in 1..=to {
-                        if hash_at(ledger, h) != reference[h as usize - 1] {
-                            return Err(format!(
-                                "divergence at height {h} between {first_id} and {rid}"
-                            ));
-                        }
-                    }
-                }
-            }
-        } else {
-            // Compacted ledgers retain different windows; compare every
-            // pair over its own overlap (transitivity through one
-            // reference would skip pairs whose overlap the reference
-            // pruned). Quadratic in replicas, but only on the
-            // checkpointed audit path.
-            for (i, (a_id, a)) in live.iter().enumerate() {
-                for (b_id, b) in &live[i + 1..] {
-                    let from = a.base_height().max(b.base_height()).max(1);
-                    let to = a.head_height().min(b.head_height());
-                    for h in from..=to {
-                        if hash_at(a, h) != hash_at(b, h) {
-                            return Err(format!(
-                                "divergence at height {h} between {a_id} and {b_id}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(self.common_prefix_blocks())
+        live.sort_by_key(|(rid, _)| **rid);
+        rdb_ledger::agreement(live).map_err(|e| e.to_string())
     }
 
     /// One-line summary. Durable runs append the storage counters.

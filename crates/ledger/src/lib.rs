@@ -11,9 +11,10 @@
 //! * [`block`] — blocks embedding batches and commit certificates, hash
 //!   chained;
 //! * [`chain`] — the append-only ledger with full verification;
-//! * [`recovery`] — replica recovery by auditing a peer's ledger (§3:
-//!   "a recovering replica can simply read the ledger of any replica it
-//!   chooses and directly verify whether the ledger can be trusted").
+//! * [`recovery`] — the one ledger agreement check ([`agreement`]), the
+//!   one block replay ([`replay`]), and replica recovery built on them
+//!   (§3: "a recovering replica can simply read the ledger of any replica
+//!   it chooses and directly verify whether the ledger can be trusted").
 
 #![forbid(unsafe_code)]
 
@@ -23,4 +24,7 @@ pub mod recovery;
 
 pub use block::Block;
 pub use chain::Ledger;
-pub use recovery::{audit_chain, catch_up, recover_from, recover_from_checkpoint, AuditError};
+pub use recovery::{
+    agreement, audit_chain, catch_up, recover_from, recover_from_checkpoint, replay, AuditError,
+    Divergence,
+};

@@ -16,7 +16,8 @@ use std::fmt;
 /// Why an audited ledger was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditError {
-    /// Structural verification failed (hash chain, heights, genesis).
+    /// Structural verification failed (hash chain, heights, genesis), or
+    /// replaying the blocks did not reach the state they record.
     Corrupt(String),
     /// The ledger is shorter than the prefix the auditor already trusts.
     TooShort {
@@ -25,8 +26,8 @@ pub enum AuditError {
         /// The height the auditor requires.
         need: u64,
     },
-    /// The peer's chain disagrees with a block the auditor already trusts.
-    ForkedAt(u64),
+    /// Two ledgers hold different blocks at a height both retain.
+    Diverged(Divergence),
     /// The peer compacted its ledger past the height the recovering
     /// replica needs — the audit cannot link the chains, and recovery
     /// requires a newer state snapshot (a full state transfer) instead
@@ -46,7 +47,7 @@ impl fmt::Display for AuditError {
             AuditError::TooShort { have, need } => {
                 write!(f, "ledger too short: have {have}, need {need}")
             }
-            AuditError::ForkedAt(h) => write!(f, "ledger forks from trusted prefix at {h}"),
+            AuditError::Diverged(d) => write!(f, "ledger forks: {d}"),
             AuditError::PrunedGap { base, need } => {
                 write!(f, "ledger compacted to {base}, need height {need} retained")
             }
@@ -56,13 +57,137 @@ impl fmt::Display for AuditError {
 
 impl std::error::Error for AuditError {}
 
+/// The first height at which two ledgers hold different blocks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Divergence {
+    /// The lowest height both ledgers retain where their blocks differ.
+    pub height: u64,
+    /// The labels of the two ledgers, in the order they were given.
+    pub ledgers: [String; 2],
+    /// The parts of the two blocks that differ, among "batch", "parent",
+    /// "certificate" and "state digest" (never empty).
+    pub fields: Vec<&'static str>,
+}
+
+impl fmt::Display for Divergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let [a, b] = &self.ledgers;
+        let fields = self.fields.join(", ");
+        write!(
+            f,
+            "{a} and {b} diverge at height {} ({fields})",
+            self.height
+        )
+    }
+}
+
+/// The one ledger agreement check: verify every labelled chain, then
+/// compare every pair over the heights both retain, compacted or not.
+/// Returns the common head (the lowest head height; 0 for no ledgers),
+/// or the first [`Divergence`] of the first disagreeing pair. A pair
+/// whose retained windows do not overlap has nothing left to compare;
+/// its agreement rests on the checkpoint certificate that gated the
+/// compaction.
+pub fn agreement<'a, L: fmt::Display>(
+    ledgers: impl IntoIterator<Item = (L, &'a Ledger)>,
+) -> Result<u64, AuditError> {
+    let ledgers: Vec<(String, &Ledger)> = ledgers
+        .into_iter()
+        .map(|(label, ledger)| (label.to_string(), ledger))
+        .collect();
+    for (label, ledger) in &ledgers {
+        ledger
+            .verify(None)
+            .map_err(|e| AuditError::Corrupt(format!("{label}: {e}")))?;
+    }
+    for (i, a) in ledgers.iter().enumerate() {
+        for b in &ledgers[i + 1..] {
+            if let Some(d) = first_difference(a, b) {
+                return Err(AuditError::Diverged(d));
+            }
+        }
+    }
+    Ok(ledgers
+        .iter()
+        .map(|(_, l)| l.head_height())
+        .min()
+        .unwrap_or(0))
+}
+
+/// The lowest height two labelled, *verified* chains both retain where
+/// they hold different blocks.
+fn first_difference(
+    (a_label, a): &(String, &Ledger),
+    (b_label, b): &(String, &Ledger),
+) -> Option<Divergence> {
+    let from = a.base_height().max(b.base_height());
+    let to = a.head_height().min(b.head_height());
+    let hash = |l: &Ledger, h: u64| l.hash_at(h).expect("within retained blocks");
+    // A verified chain's block hash binds every retained block below it,
+    // so equal hashes at the top of the overlap mean equal blocks all the
+    // way down to its bottom.
+    if from > to || hash(a, to) == hash(b, to) {
+        return None;
+    }
+    let height = (from..=to).find(|&h| hash(a, h) != hash(b, h))?;
+    let (x, y) = (a.block(height)?, b.block(height)?);
+    let fields = [
+        ("batch", x.batch.digest() != y.batch.digest()),
+        ("parent", x.parent != y.parent),
+        ("certificate", x.certificate != y.certificate),
+        ("state digest", x.state_digest != y.state_digest),
+    ];
+    Some(Divergence {
+        height,
+        ledgers: [a_label.clone(), b_label.clone()],
+        fields: fields
+            .into_iter()
+            .filter_map(|(f, differs)| differs.then_some(f))
+            .collect(),
+    })
+}
+
+/// The one block replay: apply `ledger`'s blocks above `from` to `store`
+/// (the table as of height `from`) and check the replayed state against
+/// the `state_digest` recorded at every round end. A multi-cluster round
+/// (GeoBFT's z blocks) stamps all its blocks with the round-final digest,
+/// so a round ends where the recorded digest changes or the chain does;
+/// deferring past a block that left the state unchanged re-checks the
+/// same digest one height later, so nothing is skipped. Returns the table
+/// as of the head. `from` must be retained ([`AuditError::PrunedGap`]).
+pub fn replay(ledger: &Ledger, from: u64, mut store: KvStore) -> Result<KvStore, AuditError> {
+    let base = ledger.base_height();
+    if from < base {
+        return Err(AuditError::PrunedGap { base, need: from });
+    }
+    let blocks = ledger
+        .blocks()
+        .get((from + 1 - base) as usize..)
+        .unwrap_or(&[]);
+    for (i, block) in blocks.iter().enumerate() {
+        for op in block.batch.batch.operations() {
+            store.execute(op);
+        }
+        let round_end = blocks
+            .get(i + 1)
+            .is_none_or(|next| next.state_digest != block.state_digest);
+        if round_end && store.state_digest() != block.state_digest {
+            return Err(AuditError::Corrupt(format!(
+                "replay state divergence at height {}",
+                block.height
+            )));
+        }
+    }
+    Ok(store)
+}
+
 /// Audit a peer's ledger against an optionally-known trusted prefix.
 ///
 /// Returns `Ok(())` when the chain is internally consistent, all
 /// certificates verify, and the chain extends `trusted` over every
-/// height *both* ledgers retain. Compacted ledgers (on either side)
-/// audit from the later of the two recovery anchors; a peer that pruned
-/// past everything the auditor trusts is rejected with
+/// height *both* ledgers retain ([`agreement`]). Compacted ledgers (on
+/// either side) audit from the later of the two recovery anchors; a
+/// peer that pruned past everything the auditor trusts is rejected with
 /// [`AuditError::PrunedGap`] — nothing links the chains.
 pub fn audit_chain(
     peer: &Ledger,
@@ -85,24 +210,16 @@ pub fn audit_chain(
                 need: trusted.head_height(),
             });
         }
-        let from = peer.base_height().max(trusted.base_height());
-        for h in from..=trusted.head_height() {
-            let a = trusted.block(h).expect("within retained range");
-            let b = peer.block(h).expect("within retained range");
-            if a.hash() != b.hash() {
-                return Err(AuditError::ForkedAt(h));
-            }
-        }
+        agreement([("trusted", trusted), ("peer", peer)])?;
     }
     Ok(())
 }
 
-/// Rebuild replica state from an audited *uncompacted* ledger: replay
-/// every block's batch against a fresh store. Returns the recovered
-/// store; the caller should verify the final state digest against
-/// `peer`'s recorded one (which this function asserts when the ledger
-/// records real-execution state digests). A compacted peer cannot be
-/// replayed from genesis — use [`recover_from_checkpoint`].
+/// Rebuild replica state from an audited *uncompacted* ledger: [`replay`]
+/// every block on `initial_store` (the table before the first block),
+/// rejecting a ledger whose blocks do not reach the state digests it
+/// records. A compacted peer cannot be replayed from genesis
+/// ([`AuditError::PrunedGap`]) — use [`recover_from_checkpoint`].
 pub fn recover_from(
     peer: &Ledger,
     trusted: Option<&Ledger>,
@@ -110,27 +227,16 @@ pub fn recover_from(
     crypto: &CryptoCtx,
     initial_store: KvStore,
 ) -> Result<KvStore, AuditError> {
-    if peer.base_height() > 0 {
-        return Err(AuditError::PrunedGap {
-            base: peer.base_height(),
-            need: 0,
-        });
-    }
     audit_chain(peer, trusted, cfg, crypto)?;
-    let mut store = initial_store;
-    for block in peer.blocks().iter().skip(1) {
-        store.execute_batch(block.batch.batch.operations());
-    }
-    Ok(store)
+    replay(peer, 0, initial_store)
 }
 
 /// Restart a replica from a stable checkpoint: pair the checkpointed
 /// state snapshot (`anchor_store`, the table as of `anchor_height`) with
 /// a peer's audited ledger, validate the snapshot against the anchor
-/// block's recorded `state_digest`, and replay only the suffix above the
-/// anchor. Returns the caught-up store, whose digest is checked against
-/// the peer's head block — the recovering replica rejoins with the exact
-/// state the quorum certified.
+/// block's recorded `state_digest`, and [`replay`] only the suffix above
+/// the anchor. Returns the caught-up store — the recovering replica
+/// rejoins with the exact state the quorum certified.
 ///
 /// `trusted` is the restarting replica's own retained ledger (fork
 /// detection over the overlap); the peer must still retain the anchor
@@ -156,31 +262,15 @@ pub fn recover_from_checkpoint(
             "checkpoint snapshot does not match the anchor block's state at height {anchor_height}"
         )));
     }
-    replay_suffix(peer, anchor_height, anchor_store)
-}
-
-/// Replay `peer`'s blocks above `from` on `store` (the table as of
-/// `from`) and check the result against the state `peer`'s head records.
-fn replay_suffix(peer: &Ledger, from: u64, mut store: KvStore) -> Result<KvStore, AuditError> {
-    for h in (from + 1)..=peer.head_height() {
-        let block = peer.block(h).expect("suffix retained past the anchor");
-        store.execute_batch(block.batch.batch.operations());
-    }
-    let head = peer.block(peer.head_height()).expect("head present");
-    if peer.head_height() > from && head.state_digest != store.state_digest() {
-        return Err(AuditError::Corrupt(
-            "replayed suffix does not reach the head's recorded state".into(),
-        ));
-    }
-    Ok(store)
+    replay(peer, anchor_height, anchor_store)
 }
 
 /// What a replica that stopped behind a peer lacks: the peer's blocks
 /// above `own`'s head, returned with `store` (the table as of that head)
-/// replayed through them. The peer's chain must extend `own` (audited as
-/// the trusted prefix), and the replay must reach the state the peer's
-/// head records. A peer at our own head returns no blocks and `store`
-/// unchanged.
+/// [`replay`]ed through them. The peer's chain must extend `own` (audited
+/// as the trusted prefix), and the replay must reach the state the peer
+/// records at every round end. A peer at our own head returns no blocks
+/// and `store` unchanged.
 pub fn catch_up(
     peer: &Ledger,
     own: &Ledger,
@@ -190,14 +280,8 @@ pub fn catch_up(
 ) -> Result<(Vec<Block>, KvStore), AuditError> {
     audit_chain(peer, Some(own), cfg, crypto)?;
     let from = own.head_height();
-    let store = replay_suffix(peer, from, store)?;
-    let suffix = ((from + 1)..=peer.head_height())
-        .map(|h| {
-            peer.block(h)
-                .expect("suffix retained past our head")
-                .clone()
-        })
-        .collect();
+    let store = replay(peer, from, store)?;
+    let suffix = peer.blocks()[(from + 1 - peer.base_height()) as usize..].to_vec();
     Ok((suffix, store))
 }
 
@@ -283,7 +367,10 @@ mod tests {
         peer.append(write_batch(9), None, Digest::ZERO);
         peer.append(write_batch(2), None, Digest::ZERO);
         let err = audit_chain(&peer, Some(&trusted), &cfg, &crypto).unwrap_err();
-        assert_eq!(err, AuditError::ForkedAt(1));
+        assert!(
+            matches!(&err, AuditError::Diverged(d) if d.height == 1),
+            "{err}"
+        );
     }
 
     #[test]
@@ -299,14 +386,114 @@ mod tests {
     #[test]
     fn recovery_replays_state() {
         let (cfg, crypto) = ctx();
-        let mut l = Ledger::new();
-        for i in 1..=3 {
-            l.append(write_batch(i), None, Digest::ZERO);
-        }
+        let (l, _) = executed_ledger(3);
         let store = recover_from(&l, None, &cfg, &crypto, KvStore::new()).unwrap();
         assert_eq!(store.get(1), Some(Value::from_u64(10)));
         assert_eq!(store.get(2), Some(Value::from_u64(20)));
         assert_eq!(store.get(3), Some(Value::from_u64(30)));
+    }
+
+    #[test]
+    fn replay_checks_every_round_end() {
+        // Two blocks per round, both stamped with the round-final state,
+        // the way GeoBFT appends a decision.
+        let rounds = |forge: u64| {
+            let mut l = Ledger::new();
+            let mut store = KvStore::new();
+            for round in 1..=3 {
+                let batches = [write_batch(2 * round - 1), write_batch(2 * round)];
+                for sb in &batches {
+                    store.execute_batch(sb.batch.operations());
+                }
+                let state = match round == forge {
+                    true => Digest::of(b"forged"),
+                    false => store.state_digest(),
+                };
+                for sb in batches {
+                    l.append(sb, None, state);
+                }
+            }
+            l
+        };
+        let head = replay(&rounds(0), 0, KvStore::new()).expect("honest rounds replay");
+        assert_eq!(head.get(6), Some(Value::from_u64(60)));
+        // A forged middle round is caught at its end, though the head's
+        // recorded state is the true one.
+        let err = replay(&rounds(2), 0, KvStore::new()).unwrap_err();
+        assert_eq!(
+            err,
+            AuditError::Corrupt("replay state divergence at height 4".into())
+        );
+    }
+
+    /// A ledger of `n` blocks, each passed through `edit` before it is
+    /// appended (heights and parents are set by the append).
+    fn chain(n: u64, edit: impl Fn(&mut Block)) -> Ledger {
+        let mut l = Ledger::new();
+        for i in 1..=n {
+            let mut b = Block {
+                height: i,
+                parent: Digest::ZERO,
+                batch: write_batch(i),
+                certificate: None,
+                state_digest: Digest::of(&i.to_le_bytes()),
+            };
+            edit(&mut b);
+            l.append(b.batch, b.certificate, b.state_digest);
+        }
+        l
+    }
+
+    #[test]
+    fn agreement_names_the_first_differing_height_and_field() {
+        use rdb_common::ids::ClusterId;
+        use rdb_consensus::certificate::CommitCertificate;
+        let base = chain(6, |_| {});
+        assert_eq!(agreement([("a", &base), ("b", &base.clone())]), Ok(6));
+        for field in ["batch", "certificate", "state digest"] {
+            let variant = chain(6, |b| match (b.height, field) {
+                (3, "batch") => b.batch = write_batch(99),
+                (3, "certificate") => {
+                    b.certificate = Some(CommitCertificate {
+                        cluster: ClusterId(0),
+                        round: b.height,
+                        digest: b.batch.digest(),
+                        batch: b.batch.clone(),
+                        commits: Vec::new(),
+                    })
+                }
+                (3, _) => b.state_digest = Digest::of(b"other"),
+                _ => {}
+            });
+            let err = agreement([("base", &base), ("variant", &variant)]).unwrap_err();
+            let expected = Divergence {
+                height: 3,
+                ledgers: ["base".into(), "variant".into()],
+                fields: vec![field],
+            };
+            assert_eq!(err, AuditError::Diverged(expected), "{field}");
+        }
+        // Compacted ledgers whose first shared block (height 4) links to
+        // different histories.
+        let mut a = base.clone();
+        a.compact(3);
+        let mut b = chain(6, |b| {
+            if b.height == 3 {
+                b.batch = write_batch(99)
+            }
+        });
+        b.compact(4);
+        let err = agreement([("a", &a), ("b", &b)]).unwrap_err();
+        let expected = Divergence {
+            height: 4,
+            ledgers: ["a".into(), "b".into()],
+            fields: vec!["parent"],
+        };
+        assert_eq!(err, AuditError::Diverged(expected));
+        assert_eq!(
+            err.to_string(),
+            "ledger forks: a and b diverge at height 4 (parent)"
+        );
     }
 
     /// Rebuild a ledger from raw blocks (test helper emulating a malicious
@@ -418,7 +605,10 @@ mod tests {
         store.execute_batch(other.batch.operations());
         own.append(other, None, store.state_digest());
         let err = catch_up(&peer, &own, store, &cfg, &crypto).unwrap_err();
-        assert_eq!(err, AuditError::ForkedAt(2));
+        assert!(
+            matches!(&err, AuditError::Diverged(d) if d.height == 2),
+            "{err}"
+        );
     }
 
     #[test]

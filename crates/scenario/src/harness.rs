@@ -150,38 +150,14 @@ pub struct ReplayAudit {
     pub store: KvStore,
 }
 
-/// Re-execute a committed ledger, block by block, against a fresh
-/// preloaded store and verify every block's recorded post-execution
-/// state digest. This re-derives the execution result from the chain
-/// alone — independent of which runtime produced it — and is where scenario program/abort counts come from.
+/// Re-execute a committed ledger against a fresh preloaded store with
+/// [`rdb_ledger::replay`], which checks the recorded post-execution state
+/// digest at every round end. This re-derives the execution result from
+/// the chain alone — independent of which runtime produced it — and is
+/// where scenario program/abort counts come from.
 pub fn replay_ledger(ledger: &Ledger, records: u64) -> Result<ReplayAudit, String> {
-    if ledger.base_height() > 0 {
-        return Err(format!(
-            "cannot replay a compacted ledger (base height {})",
-            ledger.base_height()
-        ));
-    }
-    let mut store = KvStore::with_ycsb_records(records);
-    for h in 1..=ledger.head_height() {
-        let block = ledger
-            .block(h)
-            .ok_or_else(|| format!("missing block {h}"))?;
-        for txn in &block.batch.batch.txns {
-            store.execute(&txn.op);
-        }
-        // GeoBFT (and any multi-cluster round) appends several blocks per
-        // decision, all stamped with the *round-final* digest; only the
-        // last block of the round is checkable. Detect that boundary from
-        // the chain alone: the recorded digest changes (or the chain
-        // ends). Deferring past a state-preserving block re-checks the
-        // same digest value one height later, so nothing is lost.
-        let round_end = ledger
-            .block(h + 1)
-            .is_none_or(|next| next.state_digest != block.state_digest);
-        if round_end && store.state_digest() != block.state_digest {
-            return Err(format!("replay state divergence at height {h}"));
-        }
-    }
+    let store = rdb_ledger::replay(ledger, 0, KvStore::with_ycsb_records(records))
+        .map_err(|e| e.to_string())?;
     let stats = store.stats();
     Ok(ReplayAudit {
         blocks: ledger.head_height(),
@@ -191,42 +167,18 @@ pub fn replay_ledger(ledger: &Ledger, records: u64) -> Result<ReplayAudit, Strin
     })
 }
 
-/// Assert two ledgers are byte-identical over their common prefix —
-/// same batch digests, same state digests, same block hashes — and that
-/// the prefix is at least `min_blocks` long. Returns the prefix length.
+/// Assert two ledgers verify and are byte-identical over the heights
+/// both retain ([`rdb_ledger::agreement`]), and that their common prefix
+/// is at least `min_blocks` long. Returns the prefix length.
 pub fn assert_identical_prefix(a: &Ledger, b: &Ledger, min_blocks: u64, label: &str) -> u64 {
-    let common = a.head_height().min(b.head_height());
-    assert!(
-        common >= min_blocks,
-        "{label}: common prefix too short ({} vs {}, need {min_blocks})",
-        a.head_height(),
-        b.head_height()
-    );
-    for h in 1..=common {
-        let x = a.block(h).expect("height in range");
-        let y = b.block(h).expect("height in range");
-        assert_eq!(
-            x.batch.batch.digest(),
-            y.batch.batch.digest(),
-            "{label}: batch divergence at height {h}"
-        );
-        assert_eq!(
-            x.state_digest, y.state_digest,
-            "{label}: execution state divergence at height {h}"
-        );
-        assert_eq!(
-            x.hash(),
-            y.hash(),
-            "{label}: block hash divergence at height {h}"
-        );
-    }
-    common
+    assert_agreed([("a", a), ("b", b)], min_blocks, label)
 }
 
 /// Assert the paper's non-divergence property across a replica set:
-/// every ledger not in `exclude` verifies internally and agrees (block
-/// hashes and state digests) with the others over their common prefix,
-/// which must be at least `min_blocks`. Returns the prefix length.
+/// every ledger not in `exclude` verifies internally and agrees with the
+/// others over the heights both retain ([`rdb_ledger::agreement`]), and
+/// their common prefix is at least `min_blocks`. Returns the prefix
+/// length.
 pub fn assert_agreement<'a>(
     ledgers: impl IntoIterator<Item = (&'a ReplicaId, &'a Ledger)>,
     exclude: &[ReplicaId],
@@ -239,34 +191,19 @@ pub fn assert_agreement<'a>(
         .collect();
     honest.sort_by_key(|(rid, _)| **rid);
     assert!(!honest.is_empty(), "{label}: no honest replicas to audit");
-    let common = honest
-        .iter()
-        .map(|(_, l)| l.head_height())
-        .min()
-        .expect("non-empty");
+    assert_agreed(honest, min_blocks, label)
+}
+
+fn assert_agreed<'a, L: std::fmt::Display>(
+    ledgers: impl IntoIterator<Item = (L, &'a Ledger)>,
+    min_blocks: u64,
+    label: &str,
+) -> u64 {
+    let common = rdb_ledger::agreement(ledgers).unwrap_or_else(|e| panic!("{label}: {e}"));
     assert!(
         common >= min_blocks,
         "{label}: common prefix too short ({common} < {min_blocks})"
     );
-    let (_, reference) = honest[0];
-    for (rid, ledger) in &honest {
-        ledger
-            .verify(None)
-            .unwrap_or_else(|e| panic!("{label}: replica {rid} chain invalid: {e:?}"));
-        for h in 1..=common {
-            let a = reference.block(h).expect("height in range");
-            let b = ledger.block(h).expect("height in range");
-            assert_eq!(
-                a.hash(),
-                b.hash(),
-                "{label}: divergence at height {h} on replica {rid}"
-            );
-            assert_eq!(
-                a.state_digest, b.state_digest,
-                "{label}: state fork at height {h} on replica {rid}"
-            );
-        }
-    }
     common
 }
 
@@ -312,5 +249,51 @@ impl ScenarioOutcome {
                 .map(|b| b.state_digest.to_hex())
                 .unwrap_or_default(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdb_common::ids::ClusterId;
+    use rdb_consensus::types::SignedBatch;
+    use rdb_crypto::digest::Digest;
+
+    /// Ten blocks; the one at `fork` (if any) carries another batch.
+    fn history(fork: Option<u64>) -> Ledger {
+        let mut l = Ledger::new();
+        for h in 1..=10 {
+            let round = if Some(h) == fork { 99 } else { h };
+            l.append(
+                SignedBatch::noop(ClusterId(0), round),
+                None,
+                Digest::of(&h.to_le_bytes()),
+            );
+        }
+        l
+    }
+
+    fn compacted(mut l: Ledger, base: u64) -> Ledger {
+        l.compact(base);
+        l
+    }
+
+    #[test]
+    fn ledgers_compacted_to_different_bases_agree_over_their_overlap() {
+        let a = compacted(history(None), 3);
+        let b = compacted(history(None), 6);
+        let ids = [ReplicaId::new(0, 0), ReplicaId::new(0, 1)];
+        let common = assert_agreement([(&ids[0], &a), (&ids[1], &b)], &[], 10, "compacted");
+        assert_eq!(common, 10);
+        assert_eq!(assert_identical_prefix(&a, &b, 10, "compacted"), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "R1.1 and R1.2 diverge at height 8 (batch)")]
+    fn a_fork_inside_the_compacted_overlap_is_reported_at_its_height() {
+        let a = compacted(history(None), 3);
+        let b = compacted(history(Some(8)), 6);
+        let ids = [ReplicaId::new(0, 0), ReplicaId::new(0, 1)];
+        assert_agreement([(&ids[0], &a), (&ids[1], &b)], &[], 1, "compacted");
     }
 }

@@ -32,8 +32,9 @@
 //! # Independent replay audit
 //!
 //! Every scenario re-executes the observer replica's committed ledger
-//! against a fresh preloaded store ([`harness::replay_ledger`]) and
-//! verifies each block's recorded `state_digest`. This is a
+//! against a fresh preloaded store ([`harness::replay_ledger`], a caller
+//! of [`rdb_ledger::replay`]) and verifies the `state_digest` recorded at
+//! every round end. This is a
 //! runtime-independent check: whatever the pipeline (fabric executor,
 //! simulator model) claimed about execution is re-derived
 //! from the chain alone, and it is also where program/abort counts for

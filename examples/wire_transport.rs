@@ -55,17 +55,13 @@ fn main() {
 
     // Same workload, same seed => byte-identical chains over the common
     // prefix. The transport may only change timing, never content.
-    let a = &inproc.ledgers[&ReplicaId::new(0, 0)];
-    let b = &socket.ledgers[&ReplicaId::new(0, 0)];
-    let prefix = a.head_height().min(b.head_height());
-    assert!(prefix >= 1, "no common prefix to compare");
-    for h in 1..=prefix {
-        assert_eq!(
-            a.block(h).unwrap().hash(),
-            b.block(h).unwrap().hash(),
-            "divergence at height {h}"
-        );
-    }
+    let observer = ReplicaId::new(0, 0);
+    let prefix = rdb_scenario::harness::assert_identical_prefix(
+        &inproc.ledgers[&observer],
+        &socket.ledgers[&observer],
+        1,
+        "in-process vs tcp",
+    );
     println!("\nchains byte-identical over {prefix} blocks");
 
     // Only the socket run moved real bytes, and every loaded link

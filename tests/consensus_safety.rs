@@ -10,6 +10,7 @@
 
 use rdb_consensus::config::{ExecMode, ProtocolKind};
 use rdb_ledger::Ledger;
+use rdb_scenario::harness::assert_agreement;
 use rdb_simnet::Scenario;
 use rdb_workload::ycsb::YcsbConfig;
 use std::collections::BTreeMap;
@@ -34,74 +35,46 @@ fn run_with_ledgers(
     (metrics.throughput_txn_s, ledgers.expect("tracked"))
 }
 
-/// Shared safety check: common prefix equality across all replicas.
-fn assert_common_prefix(ledgers: &BTreeMap<rdb_common::ids::ReplicaId, Ledger>, min_blocks: u64) {
-    let common = ledgers
-        .values()
-        .map(|l| l.head_height())
-        .min()
-        .expect("non-empty");
-    assert!(
-        common >= min_blocks,
-        "common prefix too short: {common} < {min_blocks}"
-    );
-    let reference = ledgers.values().next().expect("non-empty");
-    for (rid, ledger) in ledgers {
-        ledger.verify(None).expect("internally consistent chain");
-        for h in 1..=common {
-            let a = reference.block(h).expect("height in range");
-            let b = ledger.block(h).expect("height in range");
-            assert_eq!(
-                a.hash(),
-                b.hash(),
-                "divergence at height {h} on replica {rid}"
-            );
-            // Determinism of execution: equal post-state digests.
-            assert_eq!(a.state_digest, b.state_digest, "state fork at {h}");
-        }
-    }
-}
-
 #[test]
 fn geobft_terminates_and_does_not_diverge() {
     let (tps, ledgers) = run_with_ledgers(ProtocolKind::GeoBft, 2, 4);
     assert!(tps > 0.0, "no progress");
     // Each round appends z = 2 blocks; expect several rounds.
-    assert_common_prefix(&ledgers, 4);
+    assert_agreement(&ledgers, &[], 4, "geobft");
 }
 
 #[test]
 fn pbft_terminates_and_does_not_diverge() {
     let (tps, ledgers) = run_with_ledgers(ProtocolKind::Pbft, 2, 4);
     assert!(tps > 0.0, "no progress");
-    assert_common_prefix(&ledgers, 4);
+    assert_agreement(&ledgers, &[], 4, "pbft");
 }
 
 #[test]
 fn zyzzyva_terminates_and_does_not_diverge() {
     let (tps, ledgers) = run_with_ledgers(ProtocolKind::Zyzzyva, 1, 4);
     assert!(tps > 0.0, "no progress");
-    assert_common_prefix(&ledgers, 4);
+    assert_agreement(&ledgers, &[], 4, "zyzzyva");
 }
 
 #[test]
 fn hotstuff_terminates_and_does_not_diverge() {
     let (tps, ledgers) = run_with_ledgers(ProtocolKind::HotStuff, 2, 4);
     assert!(tps > 0.0, "no progress");
-    assert_common_prefix(&ledgers, 4);
+    assert_agreement(&ledgers, &[], 4, "hotstuff");
 }
 
 #[test]
 fn steward_terminates_and_does_not_diverge() {
     let (tps, ledgers) = run_with_ledgers(ProtocolKind::Steward, 2, 4);
     assert!(tps > 0.0, "no progress");
-    assert_common_prefix(&ledgers, 4);
+    assert_agreement(&ledgers, &[], 4, "steward");
 }
 
 #[test]
 fn geobft_three_clusters_orders_rounds_identically() {
     let (_, ledgers) = run_with_ledgers(ProtocolKind::GeoBft, 3, 4);
-    assert_common_prefix(&ledgers, 6);
+    assert_agreement(&ledgers, &[], 6, "geobft z=3");
     // GeoBFT block order within a round follows cluster ids (§2.4): the
     // i-th block of a round originates from cluster (i mod z) — verify on
     // one ledger via the batch's client cluster (no-ops carry synthetic

@@ -6,6 +6,7 @@ use rdb_common::ids::ReplicaId;
 use rdb_common::time::SimDuration;
 use rdb_consensus::config::{ExecMode, ProtocolKind};
 use rdb_consensus::AdversarySpec;
+use rdb_scenario::harness::assert_agreement;
 use rdb_simnet::{FaultSpec, Scenario};
 use rdb_workload::ycsb::YcsbConfig;
 use resilientdb::DeploymentBuilder;
@@ -43,19 +44,10 @@ fn byzantine_primary_withholding_certificates_is_replaced() {
         "no recovery from withholding primary: {}",
         metrics.summary()
     );
-    // All replicas (including cluster 1, which was starved) agree.
+    // All replicas (including cluster 1, which was starved) agree, over
+    // at least one full round.
     let ledgers = ledgers.expect("tracked");
-    let common = ledgers.values().map(|l| l.head_height()).min().unwrap();
-    assert!(common >= 2, "cluster 1 never executed a round");
-    let reference = ledgers.values().next().unwrap();
-    for ledger in ledgers.values() {
-        for h in 1..=common {
-            assert_eq!(
-                reference.block(h).unwrap().hash(),
-                ledger.block(h).unwrap().hash()
-            );
-        }
-    }
+    assert_agreement(&ledgers, &[], 2, "withholding primary");
 }
 
 #[test]
@@ -108,21 +100,8 @@ fn f_crashed_backups_per_cluster_do_not_block_rounds() {
     assert!(metrics.completed_batches > 0);
     // Live replicas agree.
     let ledgers = ledgers.expect("tracked");
-    let live: Vec<_> = ledgers
-        .iter()
-        .filter(|(rid, _)| rid.index != 3)
-        .map(|(_, l)| l)
-        .collect();
-    let common = live.iter().map(|l| l.head_height()).min().unwrap();
-    assert!(common >= 2);
-    for ledger in &live {
-        for h in 1..=common {
-            assert_eq!(
-                live[0].block(h).unwrap().hash(),
-                ledger.block(h).unwrap().hash()
-            );
-        }
-    }
+    let crashed = [ReplicaId::new(0, 3), ReplicaId::new(1, 3)];
+    assert_agreement(&ledgers, &crashed, 2, "f crashed backups");
 }
 
 #[test]

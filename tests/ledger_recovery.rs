@@ -5,6 +5,7 @@ use rdb_common::config::SystemConfig;
 use rdb_common::ids::{NodeId, ReplicaId};
 use rdb_consensus::config::ProtocolKind;
 use rdb_consensus::crypto_ctx::CryptoCtx;
+use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::KeyStore;
 use rdb_ledger::{audit_chain, recover_from, AuditError, Ledger};
 use rdb_store::KvStore;
@@ -42,7 +43,10 @@ fn recovering_replica_replays_real_history_to_matching_state() {
         KvStore::with_ycsb_records(300),
     )
     .expect("audit passes");
-    // The replayed transaction count equals the chain's content.
+    // The replay reaches the state the head records...
+    let head = ledger.block(ledger.head_height()).unwrap();
+    assert_eq!(recovered.state_digest(), head.state_digest);
+    // ...and the replayed transaction count equals the chain's content.
     let expected: u64 = ledger
         .blocks()
         .iter()
@@ -50,6 +54,28 @@ fn recovering_replica_replays_real_history_to_matching_state() {
         .map(|b| b.batch.batch.len() as u64)
         .sum();
     assert_eq!(recovered.applied_txns(), expected);
+}
+
+#[test]
+fn well_linked_history_with_forged_state_is_rejected() {
+    let (ledger, cfg) = deployment_history();
+    let crypto = fresh_crypto();
+    // The same batches, rechained with one constant state digest: every
+    // hash link holds, but no replay reaches the recorded state.
+    let mut forged = Ledger::new();
+    for block in &ledger.blocks()[1..] {
+        forged.append(block.batch.clone(), None, Digest::of(b"forged"));
+    }
+    audit_chain(&forged, None, &cfg, &crypto).expect("the chain itself is consistent");
+    let err = recover_from(
+        &forged,
+        None,
+        &cfg,
+        &crypto,
+        KvStore::with_ycsb_records(300),
+    )
+    .unwrap_err();
+    assert!(matches!(err, AuditError::Corrupt(_)), "{err}");
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use rdb_common::ids::ReplicaId;
 use rdb_consensus::config::{ExecMode, ProtocolKind};
-use rdb_ledger::Ledger;
+use rdb_ledger::{agreement, Ledger};
 use rdb_simnet::Scenario;
 use rdb_workload::ycsb::YcsbConfig;
 use resilientdb::{DeploymentBuilder, DeploymentReport, StorageMode};
@@ -80,26 +80,13 @@ fn simnet_and_fabric_commit_identical_ledgers() {
         .expect("materialized tables match ledger heads");
     let fabric = &report.ledgers[&ReplicaId::new(0, 0)];
 
-    let prefix = common.min(sim.head_height());
+    let prefix =
+        agreement([("simnet", &sim), ("fabric", fabric)]).unwrap_or_else(|e| panic!("{e}"));
     assert!(
-        prefix >= 3,
+        prefix.min(common) >= 3,
         "need a non-trivial common prefix (fabric {common}, simnet {})",
         sim.head_height()
     );
-    for h in 1..=prefix {
-        let a = sim.block(h).expect("simnet block");
-        let b = fabric.block(h).expect("fabric block");
-        assert_eq!(
-            a.batch.digest(),
-            b.batch.digest(),
-            "batch divergence at height {h}"
-        );
-        assert_eq!(
-            a.state_digest, b.state_digest,
-            "execution state divergence at height {h}"
-        );
-        assert_eq!(a.hash(), b.hash(), "block hash divergence at height {h}");
-    }
 }
 
 #[test]
@@ -130,30 +117,18 @@ fn socket_transport_commits_identical_ledgers() {
 
     let socket = &report.ledgers[&ReplicaId::new(0, 0)];
     let inproc_ledger = &inproc.ledgers[&ReplicaId::new(0, 0)];
-    let prefix = common
-        .min(sim.head_height())
-        .min(inproc_ledger.head_height());
+    let prefix = agreement([
+        ("simnet", &sim),
+        ("in-proc", inproc_ledger),
+        ("socket", socket),
+    ])
+    .unwrap_or_else(|e| panic!("{e}"));
     assert!(
-        prefix >= 3,
+        prefix.min(common) >= 3,
         "need a non-trivial common prefix (socket {common}, in-proc {}, simnet {})",
         inproc_ledger.head_height(),
         sim.head_height()
     );
-    for h in 1..=prefix {
-        let a = sim.block(h).expect("simnet block");
-        let b = inproc_ledger.block(h).expect("in-proc block");
-        let c = socket.block(h).expect("socket block");
-        assert_eq!(
-            a.hash(),
-            c.hash(),
-            "socket vs simnet block divergence at height {h}"
-        );
-        assert_eq!(
-            b.hash(),
-            c.hash(),
-            "socket vs in-proc block divergence at height {h}"
-        );
-    }
 
     // Real bytes moved: the in-process run reports no links, the socket
     // run reports every loaded link with frame counts behind the bytes.
@@ -239,30 +214,13 @@ fn executor_commits_simnet_identical_ledgers_in_memory_and_durable() {
             .audit_execution_stage()
             .unwrap_or_else(|e| panic!("durable={durable}: execution audit failed: {e}"));
         let fabric = &report.ledgers[&ReplicaId::new(0, 0)];
-        let prefix = common.min(sim.head_height());
+        let prefix = agreement([("simnet", &sim), ("fabric", fabric)])
+            .unwrap_or_else(|e| panic!("durable={durable}: {e}"));
         assert!(
-            prefix >= 3,
+            prefix.min(common) >= 3,
             "durable={durable}: need a non-trivial common prefix (fabric {common}, simnet {})",
             sim.head_height()
         );
-        for h in 1..=prefix {
-            let a = sim.block(h).expect("simnet block");
-            let b = fabric.block(h).expect("fabric block");
-            assert_eq!(
-                a.batch.digest(),
-                b.batch.digest(),
-                "durable={durable}: batch divergence at height {h}"
-            );
-            assert_eq!(
-                a.state_digest, b.state_digest,
-                "durable={durable}: execution state divergence at height {h}"
-            );
-            assert_eq!(
-                a.hash(),
-                b.hash(),
-                "durable={durable}: block hash divergence at height {h}"
-            );
-        }
         // The execute stage accounted every decision it appended: PBFT
         // appends one block per decision, on every replica.
         let appended: u64 = report.ledgers.values().map(|l| l.head_height()).sum();
@@ -346,17 +304,13 @@ fn saturated_bounded_queues_commit_identical_ledgers() {
         .expect("materialized tables match ledger heads");
     let fabric = &report.ledgers[&ReplicaId::new(0, 0)];
 
-    let prefix = common.min(sim.head_height());
+    let prefix =
+        agreement([("simnet", &sim), ("fabric", fabric)]).unwrap_or_else(|e| panic!("{e}"));
     assert!(
-        prefix >= 3,
+        prefix.min(common) >= 3,
         "need a non-trivial common prefix under saturation (fabric {common}, simnet {})",
         sim.head_height()
     );
-    for h in 1..=prefix {
-        let a = sim.block(h).expect("simnet block");
-        let b = fabric.block(h).expect("fabric block");
-        assert_eq!(a.hash(), b.hash(), "block hash divergence at height {h}");
-    }
 }
 
 #[test]
@@ -411,13 +365,7 @@ fn checkpoint_compaction_preserves_ledger_equivalence_under_saturation() {
         sim_full.head_hash(),
         "checkpointing changed the schedule"
     );
-    for h in sim.base_height()..=sim.head_height() {
-        assert_eq!(
-            sim.block(h).unwrap().hash(),
-            sim_full.block(h).unwrap().hash(),
-            "compacted suffix diverged at {h}"
-        );
-    }
+    agreement([("compacted", &sim), ("full", &sim_full)]).unwrap_or_else(|e| panic!("{e}"));
 
     let builder = DeploymentBuilder::new(ProtocolKind::Pbft, 1, 4)
         .batch_size(BATCH)
