@@ -9,7 +9,7 @@
 //! * the PBFT engine ([`crate::pbft_core::PbftCore`]) uses it to prune
 //!   its instance log and advance the proposal window, and
 //! * the fabric's **checkpoint pipeline stage** (`resilientdb`) uses it
-//!   to certify the execution stage's materialized state against peers
+//!   to certify the state the execution stage persisted against peers
 //!   before compacting the ledger prefix.
 //!
 //! [`CheckpointTracker`] is that rule, factored out once: it counts
@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 pub const PIPELINE_CHECKPOINT_SCOPE: Scope = Scope::Cluster(ClusterId(u16::MAX));
 
 /// Build a pipeline-stage checkpoint vote for `seq` (a ledger height)
-/// with the voter's materialized state digest.
+/// with the voter's state digest at that height.
 pub fn pipeline_vote(seq: u64, state: Digest) -> Message {
     Message::Checkpoint {
         scope: PIPELINE_CHECKPOINT_SCOPE,

@@ -199,9 +199,11 @@ impl CommitTail {
         Some((digest_under(self.mode, &entry.digest, &effect), effect))
     }
 
-    /// Report the executed entries as the decision at `seq`. Returns the
-    /// state digest to vote on when the decision closes a checkpoint
-    /// interval.
+    /// Report the executed entries as the decision at `seq`, with the
+    /// record images their execution wrote (drained from the table, so
+    /// every protocol calls this right after [`CommitTail::execute`]).
+    /// Returns the state digest to vote on when the decision closes a
+    /// checkpoint interval.
     pub fn decided(
         &mut self,
         seq: u64,
@@ -215,6 +217,7 @@ impl CommitTail {
             seq,
             entries,
             state_digest,
+            writes: self.store.take_captured(),
         });
         let boundary = self.decisions.is_multiple_of(self.checkpoint_interval);
         boundary.then_some(state_digest)
@@ -268,9 +271,14 @@ pub(crate) mod tests {
     use crate::api::{Action, ReplicaProtocol, TimerKind};
     use crate::config::ProtocolKind;
     use crate::crypto_ctx::CryptoCtx;
+    use crate::geobft::GeoBftReplica;
+    use crate::hotstuff::HotStuffReplica;
+    use crate::pbft::PbftReplica;
     use crate::registry::build_replica;
+    use crate::steward::StewardReplica;
     use crate::testkit::{self, Edge};
     use crate::types::{ClientBatch, Transaction};
+    use crate::zyzzyva::ZyzzyvaReplica;
     use rdb_common::config::SystemConfig;
     use rdb_common::ids::{NodeId, ReplicaId};
     use rdb_common::time::SimTime;
@@ -328,6 +336,106 @@ pub(crate) mod tests {
                 assert!(entries <= cfg.window as usize, "{:?}: {entries}", r.id());
             }
         }
+    }
+
+    /// Route six client batches, one at a time, through a deployment of
+    /// `z` clusters of `new` replicas (batch `i` enters at `entry(i)`), twice:
+    /// over tails whose tables capture writes and over tails whose do not.
+    /// With capture, every replica's `Decision.writes`, applied in order
+    /// onto a copy of the preload, reproduce that decision's
+    /// `state_digest` (the execute stage's snapshot mirror); without, each
+    /// decision's `writes` is empty.
+    fn assert_decision_writes_replay<R: ReplicaProtocol>(
+        z: usize,
+        new: fn(ProtocolConfig, ReplicaId, CryptoCtx, KvStore) -> R,
+        entry: impl Fn(u64) -> ReplicaId,
+    ) {
+        for capture in [true, false] {
+            let cfg = cfg(z, ExecMode::Real);
+            let ks = KeyStore::new(7);
+            let preload = KvStore::with_ycsb_records(50);
+            let mut replicas: Vec<R> = cfg
+                .system
+                .all_replicas()
+                .map(|id| {
+                    let crypto =
+                        CryptoCtx::new(ks.register(NodeId::Replica(id)), ks.verifier(), true);
+                    let mut store = preload.clone();
+                    if capture {
+                        store.enable_capture();
+                    }
+                    new(cfg.clone(), id, crypto, store)
+                })
+                .collect();
+            let edge = Edge::new(&cfg.system, &ks);
+            let client = ClientId::new(0, 0);
+            let signer = ks.register(NodeId::Client(client));
+            let mut mirrors: HashMap<ReplicaId, KvStore> = HashMap::new();
+            for i in 0..6u64 {
+                let write = Operation::Write {
+                    key: 60 + i,
+                    value: Value::from_u64(i),
+                };
+                let ops = vec![
+                    Operation::Rmw {
+                        key: i % 3,
+                        delta: 1,
+                    },
+                    write,
+                ];
+                let mut sb = unsigned(client, i, ops);
+                sb.sig = signer.sign(sb.batch.digest().as_bytes());
+                sb.pubkey = signer.public_key();
+                let request = (client.into(), entry(i).into(), Message::Request(sb));
+                let (_, decisions) = testkit::route(&edge, &mut replicas, vec![request]);
+                assert!(!decisions.is_empty(), "batch {i} was not decided");
+                for (rid, d) in decisions {
+                    if !capture {
+                        assert!(d.writes.is_empty(), "{rid} captured");
+                        continue;
+                    }
+                    let mirror = mirrors.entry(rid).or_insert_with(|| preload.clone());
+                    for (key, value, version) in d.writes {
+                        mirror.restore_record(key, value, version);
+                    }
+                    assert_eq!(mirror.state_digest(), d.state_digest, "{rid}");
+                }
+            }
+            if capture {
+                assert_eq!(mirrors.len(), replicas.len(), "a replica decided nothing");
+                let moved = mirrors
+                    .values()
+                    .all(|m| m.state_digest() != preload.state_digest());
+                assert!(moved, "no writes reached a mirror");
+            }
+        }
+    }
+
+    #[test]
+    fn pbft_decision_writes_replay_to_its_state_digest() {
+        assert_decision_writes_replay(1, PbftReplica::new, |_| ReplicaId::new(0, 0));
+    }
+
+    #[test]
+    fn geobft_decision_writes_replay_to_its_state_digest() {
+        assert_decision_writes_replay(2, GeoBftReplica::new, |_| ReplicaId::new(0, 0));
+    }
+
+    #[test]
+    fn steward_decision_writes_replay_to_its_state_digest() {
+        assert_decision_writes_replay(2, StewardReplica::new, |_| ReplicaId::new(0, 0));
+    }
+
+    #[test]
+    fn zyzzyva_decision_writes_replay_to_its_state_digest() {
+        assert_decision_writes_replay(1, ZyzzyvaReplica::new, |_| ReplicaId::new(0, 0));
+    }
+
+    /// Batch `i` goes to the leader of slot `i + 1`, so slots fill in order.
+    #[test]
+    fn hotstuff_decision_writes_replay_to_its_state_digest() {
+        let leader = |i: u64| ReplicaId::new(0, ((i + 1) % 4) as u16);
+        assert_decision_writes_replay(1, HotStuffReplica::new, leader);
     }
 
     fn cfg(z: usize, mode: ExecMode) -> ProtocolConfig {

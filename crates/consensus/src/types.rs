@@ -6,7 +6,7 @@ use rdb_common::wire;
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sha256::Sha256;
 use rdb_crypto::sign::{PublicKey, Signature};
-use rdb_store::Operation;
+use rdb_store::{Operation, Value};
 use serde::{Deserialize, Serialize};
 
 /// One client transaction `T` (a YCSB query in the evaluation).
@@ -196,6 +196,11 @@ pub struct Decision {
     /// Digest of the replica's store state after execution (equal across
     /// non-faulty replicas by determinism).
     pub state_digest: Digest,
+    /// The absolute `(key, value, version)` record images the commit tail's
+    /// table wrote while executing `entries`, in write order. Empty unless
+    /// the table captures writes (`KvStore::enable_capture`), as the
+    /// fabric's does when it persists or retains snapshots.
+    pub writes: Vec<(u64, Value, u64)>,
 }
 
 /// One ordered batch within a decision.
@@ -365,6 +370,7 @@ mod tests {
                 DecisionEntry::new(Some(ClusterId(1)), SignedBatch::noop(ClusterId(1), 1)),
             ],
             state_digest: Digest::ZERO,
+            writes: Vec::new(),
         };
         assert_eq!(d.txn_count(), 4);
     }

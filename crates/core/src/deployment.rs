@@ -3,7 +3,8 @@
 use crate::metrics::{Metrics, NetSnapshot, StageSnapshot, StorageSnapshot};
 use crate::node::ReplicaRuntime;
 use crate::pipeline::{
-    default_verifier_threads, CheckpointConfig, CheckpointReport, PipelineConfig, VerifyCtx,
+    default_verifier_threads, CheckpointConfig, CheckpointReport, ExecStart, PipelineConfig,
+    VerifyCtx,
 };
 use crate::queue::{QueuePolicy, StageQueues};
 use crate::service::Fabric;
@@ -123,8 +124,8 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Enable the checkpoint stage: certify the execution stage's table
-    /// digest against peers and compact the ledger prefix every `k`
+    /// Enable the checkpoint stage: certify the replica's state digest
+    /// against peers and compact the ledger prefix every `k`
     /// decisions (`0`, the default, disables the stage — ledgers stay
     /// full, matching pre-checkpoint reproductions byte for byte).
     pub fn checkpoint_interval(mut self, k: u64) -> Self {
@@ -134,8 +135,9 @@ impl DeploymentBuilder {
 
     /// Retain a full store snapshot of the last stable checkpoint on
     /// every replica (the state a restarting replica recovers from; see
-    /// `rdb_ledger::recover_from_checkpoint`). Costs one table clone per
-    /// checkpoint.
+    /// `rdb_ledger::recover_from_checkpoint`). Costs a mirror table per
+    /// replica, moved forward by each decision's record images, and one
+    /// clone of it per checkpoint.
     pub fn checkpoint_snapshots(mut self, retain: bool) -> Self {
         self.checkpoint.retain_snapshot = retain;
         self
@@ -333,24 +335,26 @@ impl DeploymentBuilder {
                 .unwrap_or_else(|e| panic!("write manifest under {}: {e}", root.display()));
         }
 
-        // Build every replica's state (keys, preloaded stores, protocol)
+        // Build every replica's state (keys, its one table, protocol)
         // before starting the clock: store preloading is setup, not run.
+        // The preload is built once and each replica gets a copy.
+        let records = self.records;
+        let mut preload: Option<KvStore> = None;
+        let mut preloaded = || {
+            let table = preload.get_or_insert_with(|| KvStore::with_ycsb_records(records));
+            table.clone()
+        };
         let mut booted = Vec::new();
         let mut backends: Vec<(ReplicaId, SharedBackend)> = Vec::new();
         for rid in system.all_replicas().collect::<Vec<_>>() {
             let signer = ks.register(rid.into());
             let crypto = CryptoCtx::new(signer, ks.verifier(), true);
-            // The protocol and the execution stage each get a copy of one
-            // table. Memory mode preloads it. Durable mode opens the
+            // Memory mode preloads the table. Durable mode opens the
             // replica's engine first: an initialized directory recovers
             // table and ledger from disk; a fresh one bulk-dumps the
             // preload before serving.
-            let (exec_store, ledger, backend) = match &durable_root {
-                None => (
-                    KvStore::with_ycsb_records(self.records),
-                    Ledger::new(),
-                    None,
-                ),
+            let (table, ledger, backend) = match &durable_root {
+                None => (preloaded(), Ledger::new(), None),
                 Some(root) => {
                     let dir = storage::replica_dir(root, rid);
                     let mut engine =
@@ -358,44 +362,50 @@ impl DeploymentBuilder {
                             .unwrap_or_else(|e| {
                                 panic!("open durable engine {}: {e}", dir.display())
                             });
-                    let (exec_store, ledger) = if storage::is_initialized(&engine) {
+                    let (table, ledger) = if storage::is_initialized(&engine) {
                         storage::recover_replica(&engine)
                             .unwrap_or_else(|e| panic!("recover replica {rid}: {e}"))
                     } else {
-                        let preload = KvStore::with_ycsb_records(self.records);
-                        storage::init_replica(&mut engine, &preload)
+                        let table = preloaded();
+                        storage::init_replica(&mut engine, &table)
                             .unwrap_or_else(|e| panic!("initialize replica {rid}: {e}"));
-                        (preload, Ledger::new())
+                        (table, Ledger::new())
                     };
                     let backend = std::sync::Arc::new(std::sync::Mutex::new(engine));
                     backends.push((rid, std::sync::Arc::clone(&backend)));
-                    (exec_store, ledger, Some(backend))
+                    (table, ledger, Some(backend))
                 }
             };
-            booted.push((rid, crypto, exec_store, ledger, backend));
+            booted.push((rid, crypto, table, ledger, backend));
         }
+        drop(preload);
+        // The execute stage starts from each replica's own boot table.
         // Durable mode: the replicas may have stopped at unequal heights,
         // and consensus restarts fresh over their tables, so every
         // protocol starts on the highest recovered head's state and every
-        // laggard's executor holds the blocks it lacks.
-        let aligned = if durable_root.is_some() {
-            let heads: Vec<_> = booted.iter().map(|(_, _, s, l, _)| (s, l)).collect();
-            storage::align_heads(&heads, &system, &booted[0].1)
-                .unwrap_or_else(|e| panic!("align recovered replicas: {e}"))
-        } else {
-            booted
-                .iter()
-                .map(|(_, _, s, ..)| (s.clone(), Vec::new()))
-                .collect()
-        };
+        // laggard's executor holds the gap it lacks.
+        let mut starts: Vec<_> = booted
+            .iter()
+            .map(|(_, _, table, ..)| ExecStart::new(table, pipeline.checkpoint))
+            .collect();
+        if durable_root.is_some() {
+            let crypto = booted[0].1.clone();
+            let heads = booted.iter_mut().map(|(_, _, t, l, _)| (t, &*l)).collect();
+            let gaps = storage::align_heads(heads, &system, &crypto)
+                .unwrap_or_else(|e| panic!("align recovered replicas: {e}"));
+            for (start, gap) in starts.iter_mut().zip(gaps) {
+                start.gap = gap;
+            }
+        }
+        // The commit tail hands the execute stage the record images it
+        // writes when the stage persists them or retains snapshots.
+        let capture = durable_root.is_some() || pipeline.checkpoint.retains_snapshots();
         let mut prepared = Vec::new();
-        for ((rid, crypto, exec_store, ledger, backend), (store, gap)) in
-            booted.into_iter().zip(aligned)
-        {
+        for ((rid, crypto, mut table, ledger, backend), exec) in booted.into_iter().zip(starts) {
             // The verifier stage runs the one validity check
             // (`Message::verify`) on every inbound message; the worker's
             // state machine only signs with the same context. The
-            // execution stage gets its own identically-preloaded table.
+            // protocol's commit tail owns the replica's one table.
             let verify = VerifyCtx {
                 crypto: crypto.clone(),
                 system: system.clone(),
@@ -405,15 +415,18 @@ impl DeploymentBuilder {
                 .iter()
                 .find(|(r, _)| *r == rid)
                 .map(|(_, s)| s);
+            if capture {
+                table.enable_capture();
+            }
             let protocol = registry::build_replica_with_adversary(
                 self.kind,
                 cfg.clone(),
                 rid,
                 crypto,
-                store,
+                table,
                 spec,
             );
-            prepared.push((rid, protocol, verify, exec_store, ledger, gap, backend));
+            prepared.push((rid, protocol, verify, exec, ledger, backend));
         }
 
         // The fault script runs on the clock the replicas' timer wheels
@@ -432,7 +445,7 @@ impl DeploymentBuilder {
             .map(|(rid, ..)| transport.register_bounded((*rid).into(), pipeline.queues.input))
             .collect();
         let mut replicas = Vec::new();
-        for ((_, protocol, verify, exec_store, ledger, gap, backend), handle) in
+        for ((_, protocol, verify, exec, ledger, backend), handle) in
             prepared.into_iter().zip(handles)
         {
             replicas.push(ReplicaRuntime::spawn(
@@ -441,9 +454,8 @@ impl DeploymentBuilder {
                 metrics.clone(),
                 epoch,
                 verify,
-                exec_store,
+                exec,
                 ledger,
-                gap,
                 backend,
                 pipeline,
             ));
@@ -524,10 +536,10 @@ pub struct DeploymentReport {
     pub p999_latency: Duration,
     /// Final ledger of every replica.
     pub ledgers: HashMap<ReplicaId, Ledger>,
-    /// State digest of each replica's execution-stage table after the run
-    /// — equals the last appended block's `state_digest` (the ordering
-    /// state machine executed the same decisions against an identically
-    /// preloaded store); see [`DeploymentReport::audit_execution_stage`].
+    /// Per replica, the state digest of the last decision its execution
+    /// stage persisted, or of its own boot table (before restart
+    /// alignment) when it persisted none; see
+    /// [`DeploymentReport::audit_execution_stage`].
     pub exec_state_digests: HashMap<ReplicaId, rdb_crypto::digest::Digest>,
     /// Per-replica checkpoint stage state (empty unless
     /// [`DeploymentBuilder::checkpoint_interval`] enabled the stage):
@@ -546,11 +558,10 @@ pub struct DeploymentReport {
 }
 
 impl DeploymentReport {
-    /// Check that every non-crashed replica's execution-stage table ended
-    /// at exactly the state its ledger head claims: the off-critical-path
-    /// materialization replayed the same decisions to the same result.
-    /// Replicas that committed nothing are skipped (their table is still
-    /// the preload).
+    /// Check that every non-crashed replica's execution stage persisted
+    /// every decision its commit tail executed: the state digest of the
+    /// last decision it appended is the one its ledger head records.
+    /// Replicas that committed nothing are skipped.
     pub fn audit_execution_stage(&self) -> Result<(), String> {
         for (rid, ledger) in &self.ledgers {
             if self.crashed.contains(rid) || ledger.head_height() == 0 {
@@ -667,6 +678,21 @@ mod tests {
         let common = report.audit_ledgers().expect("ledgers consistent");
         // Every GeoBFT round appends z = 2 blocks.
         assert!(common >= 2);
+    }
+
+    /// The output thread times each hand-off to the transport. Fails if
+    /// it records its sends with no duration.
+    #[test]
+    fn output_stage_reports_its_busy_time() {
+        let report = DeploymentBuilder::new(ProtocolKind::Pbft, 1, 4)
+            .batch_size(5)
+            .clients(1)
+            .records(100)
+            .duration(Duration::from_millis(300))
+            .run();
+        let output = report.stages.row(rdb_consensus::stage::Stage::Output);
+        assert!(output.processed > 0, "{}", report.summary());
+        assert!(output.busy > Duration::ZERO, "{}", report.stages.summary());
     }
 
     #[test]

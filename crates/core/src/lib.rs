@@ -32,13 +32,15 @@
 //! * the **worker thread** owns the protocol state machine and timers —
 //!   ordering only. No state machine checks a signature, so it spends no
 //!   cycles re-checking what the pool proved (Figure 9 "worker/certify");
-//! * the **execution thread** applies finalized decisions to the
-//!   replica's `rdb-store` table and appends them to the `rdb-ledger`
-//!   chain, off the consensus critical path (Figure 9 "execute");
+//! * the **execution thread** appends finalized decisions to the
+//!   `rdb-ledger` chain and, in durable mode, persists each one's record
+//!   images, off the consensus critical path (Figure 9 "execute"). The
+//!   worker's commit tail already executed each decision once, on the
+//!   replica's one `rdb-store` table;
 //! * the **checkpoint thread** (when enabled via
 //!   [`pipeline::CheckpointConfig`] /
 //!   [`deployment::DeploymentBuilder::checkpoint_interval`]) certifies
-//!   the execution stage's table digest against peers every interval of
+//!   the replica's state digest against peers every interval of
 //!   decisions and compacts the stable ledger prefix behind a recovery
 //!   anchor (§2.2 checkpoints as their own pipeline stage). Its queue is
 //!   Block-policy by design: a backlogged checkpoint stage throttles

@@ -9,8 +9,8 @@
 
 use crate::metrics::Metrics;
 use crate::pipeline::{
-    spawn_checkpointer, spawn_executor, spawn_verifiers, CheckpointReport, PipelineConfig,
-    VerifyCtx,
+    spawn_checkpointer, spawn_executor, spawn_verifiers, CheckpointReport, ExecStart,
+    PipelineConfig, VerifyCtx,
 };
 use crate::queue::{stage_queue, QueuePolicy, StageSender};
 use crate::transport::TransportHandle;
@@ -22,7 +22,6 @@ use rdb_consensus::messages::Message;
 use rdb_consensus::stage::Stage;
 use rdb_consensus::types::Decision;
 use rdb_ledger::Ledger;
-use rdb_store::KvStore;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -162,7 +161,8 @@ pub struct ReplicaStopReport {
     /// The replica's ledger (compacted behind its recovery anchor when
     /// the checkpoint stage ran).
     pub ledger: Ledger,
-    /// State digest of the execution stage's materialized table.
+    /// State digest of the last decision the execution stage persisted
+    /// (of the replica's boot table before any).
     pub exec_digest: rdb_crypto::digest::Digest,
     /// The checkpoint stage's final state (None when disabled).
     pub checkpoint: Option<CheckpointReport>,
@@ -175,28 +175,27 @@ impl ReplicaRuntime {
     /// (with `verify`) on every inbound message, so the worker hands
     /// `protocol` only checked traffic — the precondition of
     /// [`ReplicaProtocol::on_message`] — plus its own loopback messages
-    /// (see `dispatch_replica_actions`). `exec_store` is the execution stage's state table (preloaded like
-    /// the protocol's own store so state digests line up).
+    /// (see `dispatch_replica_actions`). `protocol` holds the replica's
+    /// one table; the execution stage executes nothing and starts from
+    /// `exec` (the boot table's digest, the snapshot mirror when
+    /// snapshots are retained, and a restarted replica's gap, which it
+    /// writes with its first decision).
     ///
     /// `initial_ledger` is the chain the execution stage appends onto —
     /// [`Ledger::new`] on a fresh boot, or a ledger recovered from durable
-    /// storage on restart; `gap` holds the blocks a restarted replica
-    /// lacks below the highest recovered head (empty otherwise), which the
-    /// execution stage applies with its first decision. `backend` is the
-    /// replica's durable engine
+    /// storage on restart. `backend` is the replica's durable engine
     /// handle (`None` for memory deployments): the executor WAL-logs every
     /// decision through it as it retires, and the checkpoint stage
     /// persists certified checkpoints and flushes.
     #[allow(clippy::too_many_arguments)]
-    pub fn spawn(
+    pub(crate) fn spawn(
         mut protocol: Box<dyn ReplicaProtocol>,
         handle: TransportHandle,
         metrics: Metrics,
         epoch: Instant,
         verify: VerifyCtx,
-        exec_store: KvStore,
+        exec: ExecStart,
         initial_ledger: Ledger,
-        gap: Vec<rdb_ledger::Block>,
         backend: Option<crate::storage::SharedBackend>,
         pipeline: PipelineConfig,
     ) -> ReplicaRuntime {
@@ -260,13 +259,12 @@ impl ReplicaRuntime {
             Arc::clone(&shutdown),
         );
 
-        // Execute stage: decisions -> store + ledger, off the worker path.
+        // Execute stage: decisions -> ledger (+ WAL), off the worker path.
         let exec_handle = spawn_executor(
             node,
-            exec_store,
+            exec,
             exec_rx,
             Arc::clone(&ledger),
-            gap,
             ckpt_tx,
             pipeline.checkpoint,
             backend,
@@ -282,8 +280,9 @@ impl ReplicaRuntime {
                 while !stop.load(Ordering::Relaxed) {
                     match out_rx.recv_timeout(Duration::from_millis(20)) {
                         Ok((to, msg)) => {
+                            let t0 = Instant::now();
                             sender.send(to, msg);
-                            out_metrics.stage_processed(Stage::Output, Duration::ZERO);
+                            out_metrics.stage_processed(Stage::Output, t0.elapsed());
                         }
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
@@ -382,10 +381,10 @@ impl ReplicaRuntime {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Stop the pipeline and return the replica's ledger, the execution
-    /// stage's materialized-table state digest and the checkpoint stage's
-    /// final state. The execution stage drains every decision the worker
-    /// emitted before exiting.
+    /// Stop the pipeline and return the replica's ledger, the state digest
+    /// of the last decision the execution stage persisted and the
+    /// checkpoint stage's final state. The execution stage drains every
+    /// decision the worker emitted before exiting.
     pub fn stop(self) -> ReplicaStopReport {
         self.shutdown.store(true, Ordering::SeqCst);
         // Join order follows sender ownership: verifiers (hold work_tx +

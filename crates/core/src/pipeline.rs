@@ -14,12 +14,15 @@
 //!   Pipeline-level checkpoint votes (reserved scope, see
 //!   [`rdb_consensus::checkpoint`]) are routed straight to the checkpoint
 //!   stage — the worker never sees them.
-//! * **Execute** — one thread applying finalized [`Decision`]s, in commit
-//!   order, to the node's single `rdb-store` table, appending each to the
-//!   `rdb-ledger` chain (and, in durable mode, writing the decision's WAL
-//!   batch), so neither store writes nor ledger hashing sit on the
-//!   consensus critical path. Every [`CheckpointConfig::interval`]
-//!   decisions it snapshots the table digest into the checkpoint queue.
+//! * **Execute** — one thread taking finalized [`Decision`]s in commit
+//!   order and appending each to the `rdb-ledger` chain (and, in durable
+//!   mode, writing the decision's WAL batch), so ledger hashing and disk
+//!   writes do not sit on the consensus critical path. It executes
+//!   nothing: the commit tail executed each decision once, on the
+//!   replica's one table, and the decision carries the state digest and
+//!   the record images this stage persists. Every
+//!   [`CheckpointConfig::interval`] decisions it sends that digest to the
+//!   checkpoint queue.
 //! * **Checkpoint** — a dedicated thread that certifies the execution
 //!   stage's snapshots against peers (a
 //!   [`rdb_consensus::checkpoint::CheckpointTracker`] quorum over
@@ -37,7 +40,7 @@
 
 use crate::metrics::Metrics;
 use crate::queue::{SendOutcome, StageQueues, StageSender};
-use crate::storage::{self, SharedBackend};
+use crate::storage::{self, Gap, SharedBackend};
 use crate::sync::MutexExt;
 use crate::transport::{Envelope, TransportSender};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
@@ -101,6 +104,11 @@ impl CheckpointConfig {
     pub fn enabled(&self) -> bool {
         self.interval > 0
     }
+
+    /// Whether the checkpoint stage runs and keeps table snapshots.
+    pub(crate) fn retains_snapshots(&self) -> bool {
+        self.enabled() && self.retain_snapshot
+    }
 }
 
 /// Thread and queue layout of one replica's pipeline.
@@ -146,11 +154,11 @@ pub struct VerifyCtx {
 #[derive(Debug)]
 pub(crate) enum CheckpointMsg {
     /// The execute stage crossed an interval boundary: certify this
-    /// ledger height with the materialized table's digest.
+    /// ledger height with the state digest its decision carried.
     Snapshot {
         /// Ledger height the snapshot covers.
         height: u64,
-        /// Digest of the materialized table at that height.
+        /// The replica's state digest at that height.
         state: Digest,
         /// A full table clone ([`CheckpointConfig::retain_snapshot`]).
         snapshot: Option<KvStore>,
@@ -273,34 +281,58 @@ fn verifier_loop(
     }
 }
 
-/// Spawn the execution stage: `exec_rx` → apply on the replica's one
-/// table in commit order → ledger append (into the shared ledger the
-/// checkpoint stage compacts), plus the decision's WAL batch when
-/// `backend` is set. Runs until the worker drops its sender, so every
-/// decision emitted before shutdown is persisted. Returns the
-/// materialized table's state digest on join — which must equal the last
-/// appended block's `state_digest` (the ordering state machine executed
-/// the same decisions against an identically-preloaded store), making
-/// the off-path materialization independently auditable. A restarted
-/// replica's `gap`, the blocks it lacks below the highest recovered head
-/// (`storage::align_heads`), goes in with its first decision.
+/// Where a replica's execute stage starts, besides its ledger.
+pub(crate) struct ExecStart {
+    /// Digest of the replica's own boot table, taken before restart
+    /// alignment: the stage's state until its first decision.
+    state: Digest,
+    /// A copy of that table, kept only when checkpoints retain snapshots
+    /// ([`CheckpointConfig::retain_snapshot`]): the mirror each
+    /// decision's record images move forward.
+    mirror: Option<KvStore>,
+    /// What restart alignment handed a laggard, written with the first
+    /// decision ([`storage::align_heads`]).
+    pub(crate) gap: Gap,
+}
+
+impl ExecStart {
+    /// The start of a replica that booted on `table`, with no gap.
+    pub(crate) fn new(table: &KvStore, cfg: CheckpointConfig) -> ExecStart {
+        ExecStart {
+            state: table.state_digest(),
+            mirror: cfg.retains_snapshots().then(|| table.clone()),
+            gap: Gap::default(),
+        }
+    }
+}
+
+/// Spawn the execution stage: `exec_rx` → ledger append (into the shared
+/// ledger the checkpoint stage compacts), plus the decision's WAL batch
+/// when `backend` is set, in commit order. It executes nothing: the
+/// commit tail already did, on the replica's one table, and each
+/// [`Decision`] carries the resulting state digest and, when that table
+/// captures writes, the record images persisted here. Runs until the
+/// worker drops its sender, so every decision emitted before shutdown is
+/// persisted. Returns on join the state digest of the last decision it
+/// appended (the boot table's before any), which must equal the ledger
+/// head's, making the stage auditable. A restarted replica's gap, the
+/// blocks it lacks below the highest recovered head and the images their
+/// replay wrote (`storage::align_heads`), goes in with its first
+/// decision.
 ///
-/// With checkpointing enabled the table keeps its fingerprint *live*
-/// (per-write hashing instead of the deferred rebuild): checkpoint
-/// snapshots need an O(1) honest table digest at every interval boundary
-/// — that hashing is the execute-side cost of checkpointing. Boundaries
-/// fall every [`CheckpointConfig::interval`] decisions; snapshot jobs go
-/// into the Block-policy checkpoint queue, and when the checkpoint stage
-/// lags, that send parks this thread, which is precisely the throttle
-/// that bounds exec-to-stable lag.
+/// Boundaries fall every [`CheckpointConfig::interval`] decisions and
+/// certify the decision's state digest, with a clone of the mirror when
+/// snapshots are retained; snapshot jobs go into the Block-policy
+/// checkpoint queue, and when the checkpoint stage lags, that send parks
+/// this thread, which is precisely the throttle that bounds
+/// exec-to-stable lag.
 // The parameters mirror the stage wiring one-to-one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_executor(
     node: NodeId,
-    store: KvStore,
+    start: ExecStart,
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
-    gap: Vec<Block>,
     ckpt_tx: Option<StageSender<CheckpointMsg>>,
     cfg: CheckpointConfig,
     backend: Option<SharedBackend>,
@@ -308,52 +340,37 @@ pub(crate) fn spawn_executor(
 ) -> JoinHandle<Digest> {
     std::thread::Builder::new()
         .name(format!("{node}-execute"))
-        .spawn(move || execute_loop(store, exec_rx, ledger, gap, ckpt_tx, cfg, backend, metrics))
+        .spawn(move || execute_loop(start, exec_rx, ledger, ckpt_tx, cfg, backend, metrics))
         .expect("spawn execution thread")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn execute_loop(
-    mut store: KvStore,
+    start: ExecStart,
     exec_rx: Receiver<Decision>,
     ledger: Arc<Mutex<Ledger>>,
-    mut gap: Vec<Block>,
     ckpt_tx: Option<StageSender<CheckpointMsg>>,
     cfg: CheckpointConfig,
     backend: Option<SharedBackend>,
     metrics: Metrics,
 ) -> Digest {
+    let ExecStart {
+        mut state,
+        mut mirror,
+        mut gap,
+    } = start;
     let mut checkpointing = cfg.enabled() && ckpt_tx.is_some();
-    // Checkpoint certification needs an honest digest at every boundary,
-    // so the table hashes each write; otherwise the decision's state
-    // digest is authoritative (the ordering state machine computed it)
-    // and the table defers to one dirty-shard rebuild at shutdown.
-    let fingerprint = checkpointing;
-    if backend.is_some() {
-        // Durable mode: capture every table write as an absolute
-        // (key, value, version) image so the decision's WAL batch carries
-        // the exact post-state, not a delta to replay.
-        store.enable_capture();
-    }
     let mut decided = 0u64;
     for decision in exec_rx.iter() {
         let t0 = Instant::now();
-        // A restarted replica below the highest recovered head applies
+        // A restarted replica below the highest recovered head appends
         // the audited blocks it lacks (`storage::align_heads`) with its
         // first decision, in the same ledger update and WAL batch, so the
         // decision lands at the height it lands at on every replica.
-        let filled = std::mem::take(&mut gap);
-        let batches = filled.iter().map(|b| &b.batch);
-        for op in batches
-            .chain(decision.entries.iter().map(|e| &e.batch))
-            .flat_map(|sb| sb.batch.operations())
-        {
-            if fingerprint {
-                store.execute(op);
-            } else {
-                store.execute_unfingerprinted(op);
-            }
-        }
+        let Gap {
+            blocks: filled,
+            writes: filled_writes,
+        } = std::mem::take(&mut gap);
+        let writes = || filled_writes.iter().chain(&decision.writes);
         let (height, new_blocks) = {
             let mut l = ledger.guard();
             let prev = l.head_height();
@@ -378,31 +395,33 @@ fn execute_loop(
             // One decision = one atomic WAL batch: blocks + absolute table
             // images + applied watermark. A torn tail therefore truncates
             // to a decision boundary on recovery.
-            storage::persist_decision(be, &new_blocks, &store.take_captured(), height)
+            storage::persist_decision(be, &new_blocks, writes(), height)
                 .expect("durable storage write failed");
         }
+        if let Some(mirror) = &mut mirror {
+            for &(key, value, version) in writes() {
+                mirror.restore_record(key, value, version);
+            }
+        }
+        state = decision.state_digest;
         metrics.stage_processed(Stage::Execute, t0.elapsed());
         decided += 1;
 
         // Checkpoint interval boundary, counted in decisions: certify the
-        // table digest at the height this decision brought the ledger to.
+        // state at the height this decision brought the ledger to.
         if checkpointing && decided.is_multiple_of(cfg.interval) {
             let tx = ckpt_tx.as_ref().expect("checkpointing implies sender");
             let snapshot = CheckpointMsg::Snapshot {
                 height,
-                state: store.state_digest(),
-                snapshot: cfg.retain_snapshot.then(|| store.clone()),
+                state,
+                snapshot: mirror.clone(),
             };
             if tx.send(snapshot, false) == SendOutcome::Disconnected {
                 checkpointing = false;
             }
         }
     }
-    if !fingerprint {
-        // Dirty-shard rebuild: only the slices the run wrote.
-        store.rebuild_fingerprint();
-    }
-    store.state_digest()
+    state
 }
 
 /// What the checkpoint stage knew when its replica stopped.
@@ -630,6 +649,9 @@ mod tests {
     use crate::queue::{stage_queue, QueuePolicy};
     use crossbeam::channel::{bounded, unbounded};
     use rdb_common::ids::{ClientId, ClusterId, ReplicaId};
+    use rdb_consensus::api::{Action, Outbox};
+    use rdb_consensus::config::{ExecMode, ProtocolConfig};
+    use rdb_consensus::exec::CommitTail;
     use rdb_consensus::messages::{Message, Scope};
     use rdb_consensus::types::{ClientBatch, DecisionEntry, SignedBatch, Transaction};
     use rdb_crypto::digest::Digest;
@@ -823,37 +845,53 @@ mod tests {
         );
     }
 
-    /// A decision carrying one client batch of `ops`.
-    fn decision(seq: u64, ops: Vec<Operation>) -> Decision {
+    /// Entry `seq`: client 0's batch `seq`, of `ops`.
+    fn entry(seq: u64, ops: Vec<Operation>) -> DecisionEntry {
         let client = ClientId::new(0, 0);
         let txns = ops
             .into_iter()
             .map(|op| Transaction { client, seq, op })
             .collect();
-        Decision {
-            seq,
-            entries: vec![DecisionEntry::new(
-                Some(ClusterId(0)),
-                SignedBatch {
-                    batch: ClientBatch {
-                        client,
-                        batch_seq: seq,
-                        txns,
-                    },
-                    pubkey: Default::default(),
-                    sig: Default::default(),
-                },
-            )],
-            state_digest: Digest::of(&seq.to_le_bytes()),
-        }
+        let batch = ClientBatch {
+            client,
+            batch_seq: seq,
+            txns,
+        };
+        let signed = SignedBatch {
+            batch,
+            pubkey: Default::default(),
+            sig: Default::default(),
+        };
+        DecisionEntry::new(Some(ClusterId(0)), signed)
     }
 
-    /// `n` decisions of one write each (key = value = seq).
-    fn write_decisions(n: u64) -> Vec<Decision> {
+    /// The decisions a real commit tail over `preload`, its table
+    /// capturing writes as the fabric's does, reports for `batches`, one
+    /// decision each: real state digests and record images.
+    fn tail_decisions(preload: &KvStore, batches: Vec<Vec<Operation>>) -> Vec<Decision> {
+        let mut cfg = ProtocolConfig::new(SystemConfig::geo(1, 4).unwrap());
+        cfg.exec_mode = ExecMode::Real;
+        let mut table = preload.clone();
+        table.enable_capture();
+        let mut tail = CommitTail::new(&cfg, table);
+        let mut out = Outbox::new();
+        for (seq, ops) in (1..).zip(batches) {
+            tail.commit(seq, 0, [entry(seq, ops)], None, &mut out);
+        }
+        let actions = out.take().into_iter();
+        let decided = actions.filter_map(|a| match a {
+            Action::Decided(d) => Some(d),
+            _ => None,
+        });
+        decided.collect()
+    }
+
+    /// `n` batches of one write each (key = value = seq).
+    fn write_batches(n: u64) -> Vec<Vec<Operation>> {
         (1..=n)
             .map(|seq| {
                 let value = rdb_store::Value::from_u64(seq);
-                decision(seq, vec![Operation::Write { key: seq, value }])
+                vec![Operation::Write { key: seq, value }]
             })
             .collect()
     }
@@ -866,9 +904,10 @@ mod tests {
         metrics: Metrics,
     }
 
-    /// Drive `spawn_executor` over `decisions` on `store`. With
-    /// `ckpt_alive` false the checkpoint stage has already exited: its
-    /// queue's receiver is dropped before the first decision arrives.
+    /// Drive `spawn_executor` over `decisions` for a replica that booted
+    /// on `store`. With `ckpt_alive` false the checkpoint stage has
+    /// already exited: its queue's receiver is dropped before the first
+    /// decision arrives.
     fn run_executor(
         store: KvStore,
         decisions: &[Decision],
@@ -876,13 +915,13 @@ mod tests {
         backend: Option<SharedBackend>,
         ckpt_alive: bool,
     ) -> ExecRun {
-        let start = (store, Ledger::new(), Vec::new());
+        let start = (store, Ledger::new(), Gap::default());
         run_restarted_executor(start, decisions, cfg, backend, ckpt_alive)
     }
 
     /// A restarted replica's executor inputs: its recovered table and
-    /// ledger, and the gap of blocks restart alignment handed it.
-    type Restart = (KvStore, Ledger, Vec<Block>);
+    /// ledger, and the gap restart alignment handed it.
+    type Restart = (KvStore, Ledger, Gap);
 
     /// [`run_executor`] for a restarted replica.
     fn run_restarted_executor(
@@ -897,12 +936,13 @@ mod tests {
         let (ckpt_tx, ckpt_rx) = stage_queue(QueuePolicy::block(64), Stage::Checkpoint, &metrics);
         let ckpt_rx = ckpt_alive.then_some(ckpt_rx);
         let ledger = Arc::new(std::sync::Mutex::new(ledger));
+        let mut start = ExecStart::new(&store, cfg);
+        start.gap = gap;
         let handle = spawn_executor(
             ReplicaId::new(0, 0).into(),
-            store,
+            start,
             exec_rx,
             Arc::clone(&ledger),
-            gap,
             cfg.enabled().then_some(ckpt_tx),
             cfg,
             backend,
@@ -926,8 +966,8 @@ mod tests {
     }
 
     /// The reference the executor is pinned to: the same decisions
-    /// applied inline, in order, with [`KvStore::execute_batch`] (the
-    /// ordering state machine's own executor) and appended to a ledger.
+    /// executed again, independently of the tail that reported them, in
+    /// order, with [`KvStore::execute_batch`], and appended to a ledger.
     /// Returns the ledger and the table after each prefix (`[0]` =
     /// before any).
     fn reference(mut store: KvStore, decisions: &[Decision]) -> (Ledger, Vec<KvStore>) {
@@ -943,9 +983,9 @@ mod tests {
         (ledger, prefixes)
     }
 
-    /// Multi-key decisions: a key written twice in one decision and again
-    /// in the next, a read-modify-write, a transfer program and a read.
-    fn mixed_decisions(n: u64) -> Vec<Decision> {
+    /// Multi-key batches: a key written twice in one batch and again in
+    /// the next, a read-modify-write, a transfer program and a read.
+    fn mixed_batches(n: u64) -> Vec<Vec<Operation>> {
         use rdb_store::txn::TxnProgram;
         (1..=n)
             .map(|seq| {
@@ -953,17 +993,14 @@ mod tests {
                     key,
                     value: rdb_store::Value::from_u64(v),
                 };
-                decision(
-                    seq,
-                    vec![
-                        write(seq, seq),
-                        write(seq + 1, 7 * seq),
-                        Operation::Rmw { key: 5, delta: seq },
-                        write(seq, 100 + seq),
-                        Operation::Txn(TxnProgram::transfer(40 + seq, 21 + seq, 3)),
-                        Operation::Read { key: 2 },
-                    ],
-                )
+                vec![
+                    write(seq, seq),
+                    write(seq + 1, 7 * seq),
+                    Operation::Rmw { key: 5, delta: seq },
+                    write(seq, 100 + seq),
+                    Operation::Txn(TxnProgram::transfer(40 + seq, 21 + seq, 3)),
+                    Operation::Read { key: 2 },
+                ]
             })
             .collect()
     }
@@ -989,7 +1026,7 @@ mod tests {
 
     #[test]
     fn executor_applies_decisions_in_order() {
-        let decisions = write_decisions(5);
+        let decisions = tail_decisions(&KvStore::new(), write_batches(5));
         let run = run_executor(
             KvStore::new(),
             &decisions,
@@ -997,23 +1034,24 @@ mod tests {
             None,
             true,
         );
-        // The materialized table matches an inline application of the
-        // same writes (fingerprint rebuilt after the deferred applies).
-        let (_, prefixes) = reference(KvStore::new(), &decisions);
+        // The stage reports the state an inline application of the same
+        // writes reaches.
+        let (ref_ledger, prefixes) = reference(KvStore::new(), &decisions);
         assert_eq!(run.digest, prefixes[5].state_digest());
         assert_eq!(run.ledger.head_height(), 5);
+        assert_eq!(run.ledger.head_hash(), ref_ledger.head_hash());
         // FIFO hand-off preserves decision order in the chain.
         for h in 1..=5u64 {
             let block = run.ledger.block(h).expect("block present");
             assert_eq!(block.batch.batch.batch_seq, h);
-            assert_eq!(block.state_digest, Digest::of(&h.to_le_bytes()));
+            assert_eq!(block.state_digest, prefixes[h as usize].state_digest());
         }
         run.ledger.verify(None).expect("chain linkage intact");
         let snap = run.metrics.stage_snapshot();
         assert_eq!(snap.row(Stage::Execute).processed, 5);
         assert!(
             snap.row(Stage::Execute).busy > Duration::ZERO,
-            "Execute busy time covers the apply and the append"
+            "Execute busy time covers the append"
         );
     }
 
@@ -1024,10 +1062,12 @@ mod tests {
             retain_snapshot: true,
             fault_delay: Duration::ZERO,
         };
-        let decisions = write_decisions(10);
-        let (_, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
-        let run = run_executor(KvStore::with_ycsb_records(64), &decisions, cfg, None, true);
+        let preload = KvStore::with_ycsb_records(64);
+        let decisions = tail_decisions(&preload, write_batches(10));
+        let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
+        let run = run_executor(preload, &decisions, cfg, None, true);
         assert_eq!(run.digest, prefixes[10].state_digest());
+        assert_eq!(run.ledger.head_hash(), ref_ledger.head_hash());
         // Interval 3 over 10 decisions: snapshot jobs at 3, 6 and 9.
         assert_eq!(run.jobs.len(), 3);
         for (job, expect_h) in run.jobs.iter().zip([3u64, 6, 9]) {
@@ -1044,7 +1084,7 @@ mod tests {
             assert_eq!(*state, expected.state_digest(), "table digest");
             let snap = snapshot.as_ref().expect("retained");
             assert_eq!(snap.state_digest(), *state);
-            assert_eq!(snap.stats(), expected.stats(), "snapshot stats match");
+            assert_eq!(sorted_records(snap), sorted_records(expected));
             assert!(snap.verify_fingerprint(), "snapshot digest is live");
         }
         let snap = run.metrics.stage_snapshot();
@@ -1057,15 +1097,10 @@ mod tests {
     /// checkpoint queue ends the loop or panics the thread.
     #[test]
     fn executor_keeps_applying_after_checkpoint_stage_exits() {
-        let decisions = write_decisions(10);
-        let (ref_ledger, prefixes) = reference(KvStore::with_ycsb_records(64), &decisions);
-        let run = run_executor(
-            KvStore::with_ycsb_records(64),
-            &decisions,
-            CheckpointConfig::every(3),
-            None,
-            false,
-        );
+        let preload = KvStore::with_ycsb_records(64);
+        let decisions = tail_decisions(&preload, write_batches(10));
+        let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
+        let run = run_executor(preload, &decisions, CheckpointConfig::every(3), None, false);
         assert_eq!(run.digest, prefixes[10].state_digest());
         assert_eq!(run.ledger.head_hash(), ref_ledger.head_hash());
         let snap = run.metrics.stage_snapshot();
@@ -1076,8 +1111,9 @@ mod tests {
     #[test]
     fn durable_executor_persists_one_batch_per_decision() {
         const N: u64 = 12;
-        let decisions = mixed_decisions(N);
         let preload = KvStore::with_ycsb_records(64);
+        let decisions = tail_decisions(&preload, mixed_batches(N));
+        let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
         let (dir, backend, before) = durable_engine("exec-wal", &preload);
         let run = run_executor(
             preload,
@@ -1093,21 +1129,24 @@ mod tests {
         let (table, ledger) = storage::recover_replica(&engine).unwrap();
         assert_eq!(ledger.head_height(), N);
         assert_eq!(ledger.head_hash(), run.ledger.head_hash());
+        assert_eq!(ledger.head_hash(), ref_ledger.head_hash());
         assert_eq!(table.state_digest(), run.digest);
+        assert_eq!(table.state_digest(), prefixes[N as usize].state_digest());
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Durable mode and checkpointing together: the live-fingerprint
-    /// path still captures every write, and the snapshot certified at the
-    /// last boundary is the very state the WAL recovers. Fails if
-    /// fingerprinted execution stops capturing writes, or if a snapshot
-    /// names another height than the one its state belongs to.
+    /// Durable mode and checkpointing together: the WAL and the snapshot
+    /// mirror take the same record images, and the snapshot certified at
+    /// the last boundary is the very state the WAL recovers. Fails if
+    /// either drops a decision's writes, or if a snapshot names another
+    /// height than the one its state belongs to.
     #[test]
     fn durable_checkpointed_executor_recovers_the_last_snapshot() {
         const N: u64 = 12;
-        let decisions = mixed_decisions(N);
         let preload = KvStore::with_ycsb_records(64);
+        let decisions = tail_decisions(&preload, mixed_batches(N));
+        let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
         let (dir, backend, before) = durable_engine("exec-wal-ckpt", &preload);
         let cfg = CheckpointConfig {
             interval: 4,
@@ -1119,7 +1158,9 @@ mod tests {
         assert_eq!(engine.stats().wal_records - before, N);
         let (table, ledger) = storage::recover_replica(&engine).unwrap();
         assert_eq!(ledger.head_hash(), run.ledger.head_hash());
+        assert_eq!(ledger.head_hash(), ref_ledger.head_hash());
         assert_eq!(table.state_digest(), run.digest);
+        assert_eq!(table.state_digest(), prefixes[N as usize].state_digest());
         assert_eq!(run.jobs.len(), 3, "boundaries at 4, 8 and 12");
         let Some(CheckpointMsg::Snapshot {
             height,
@@ -1133,17 +1174,28 @@ mod tests {
         assert_eq!(*state, run.digest);
         assert_eq!(last.state_digest(), table.state_digest());
         assert_eq!(sorted_records(last), sorted_records(&table));
+        assert!(last.verify_fingerprint(), "snapshot digest is live");
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A restarted replica that stopped at height 1 of a 4-decision
-    /// history, handed blocks 2 and 3 by restart alignment.
+    /// history, handed blocks 2 and 3 and the images their replay wrote
+    /// by restart alignment.
     fn restarted_at_one(preload: &KvStore) -> (Ledger, Vec<KvStore>, Vec<Decision>, Restart) {
-        let decisions = mixed_decisions(4);
+        let decisions = tail_decisions(preload, mixed_batches(4));
         let (full, prefixes) = reference(preload.clone(), &decisions);
         let own = Ledger::from_blocks_unchecked(full.blocks()[..2].to_vec());
-        let gap = full.blocks()[2..4].to_vec();
+        let mut table = prefixes[1].clone();
+        table.enable_capture();
+        let blocks = full.blocks()[2..4].to_vec();
+        for block in &blocks {
+            table.execute_batch(block.batch.batch.operations());
+        }
+        let gap = Gap {
+            blocks,
+            writes: table.take_captured(),
+        };
         let start = (prefixes[1].clone(), own, gap);
         (full, prefixes, decisions, start)
     }
@@ -1182,8 +1234,9 @@ mod tests {
     }
 
     /// Durable mode writes the gap into the first decision's WAL batch:
-    /// the next boot recovers a contiguous chain through the decision.
-    /// Fails if the gap's blocks or writes stay out of the batch.
+    /// the next boot recovers a contiguous chain through the decision, at
+    /// the reference state. Fails if the gap's blocks or images stay out
+    /// of the batch.
     #[test]
     fn durable_executor_persists_its_gap_with_its_first_decision() {
         let preload = KvStore::with_ycsb_records(64);

@@ -220,10 +220,10 @@ pub(crate) fn init_replica(backend: &mut LogBackend, store: &KvStore) -> io::Res
 /// executor just appended, the absolute images of the table records it
 /// wrote, and the advanced `applied` watermark. See the module docs for
 /// why this makes torn tails land on decision boundaries.
-pub(crate) fn persist_decision(
+pub(crate) fn persist_decision<'a>(
     backend: &SharedBackend,
     blocks: &[Block],
-    writes: &[(u64, Value, u64)],
+    writes: impl IntoIterator<Item = &'a (u64, Value, u64)>,
     applied: u64,
 ) -> io::Result<()> {
     let mut batch = WriteBatch::new();
@@ -319,15 +319,27 @@ pub(crate) fn recover_replica(backend: &LogBackend) -> io::Result<(KvStore, Ledg
     Ok((store, ledger))
 }
 
+/// What a restarted replica lacks below the highest recovered head: the
+/// audited blocks, and the record images their replay wrote onto its
+/// table. Empty for every other replica.
+#[derive(Debug, Default)]
+pub(crate) struct Gap {
+    /// The blocks above the replica's own head, in height order.
+    pub(crate) blocks: Vec<Block>,
+    /// The absolute `(key, value, version)` images replaying them wrote.
+    pub(crate) writes: Vec<(u64, Value, u64)>,
+}
+
 /// Restart alignment: a deployment stops with its replicas at unequal
 /// heights (a client returns at f + 1 replies, and shutdown does not wait
 /// for the rest), and the restarted consensus runs fresh over the
-/// recovered tables. So for each recovered `(table, ledger)` this returns
-/// the table its protocol starts on and the blocks its executor lacks:
-/// every replica below the highest recovered head gets that head's state
-/// and the suffix up to it, which [`rdb_ledger::catch_up`] audited against
-/// the replica's own chain and replayed to the state the head records.
-/// The executor applies the suffix with its first decision of the run
+/// recovered tables. So every recovered `(table, ledger)` below the
+/// highest recovered head has its table lifted, in place, to that head's
+/// state, and gets back the [`Gap`] its executor lacks: the suffix up to
+/// the head, which [`rdb_ledger::catch_up`] audited against the
+/// replica's own chain and replayed to the state the head records, and
+/// the record images that replay wrote (captured, so capture stays on).
+/// The executor persists the gap with its first decision of the run
 /// (`pipeline::spawn_executor`), so every replica appends that decision
 /// at one height, and a run without decisions recovers each replica
 /// exactly as it stopped.
@@ -337,10 +349,10 @@ pub(crate) fn recover_replica(backend: &LogBackend) -> io::Result<(KvStore, Ledg
 /// trusted on chain linkage and replayed state, the evidence
 /// [`rdb_ledger::recover_from_checkpoint`] also accepts.
 pub(crate) fn align_heads(
-    replicas: &[(&KvStore, &Ledger)],
+    replicas: Vec<(&mut KvStore, &Ledger)>,
     system: &SystemConfig,
     crypto: &CryptoCtx,
-) -> io::Result<Vec<(KvStore, Vec<Block>)>> {
+) -> io::Result<Vec<Gap>> {
     let Some(highest) = replicas
         .iter()
         .map(|(_, ledger)| *ledger)
@@ -349,19 +361,23 @@ pub(crate) fn align_heads(
         return Ok(Vec::new());
     };
     replicas
-        .iter()
-        .map(|&(store, ledger)| {
+        .into_iter()
+        .map(|(store, ledger)| {
             if ledger.head_height() == highest.head_height() {
-                return Ok((store.clone(), Vec::new()));
+                return Ok(Gap::default());
             }
-            let (gap, table) = rdb_ledger::catch_up(highest, ledger, store.clone(), system, crypto)
+            let mut table = std::mem::take(store);
+            table.enable_capture();
+            let (blocks, table) = rdb_ledger::catch_up(highest, ledger, table, system, crypto)
                 .map_err(|e| {
                     invalid(format!(
                         "catch up from height {}: {e}",
                         ledger.head_height()
                     ))
                 })?;
-            Ok((table, gap))
+            *store = table;
+            let writes = store.take_captured();
+            Ok(Gap { blocks, writes })
         })
         .collect()
 }
@@ -554,14 +570,21 @@ mod tests {
     fn align_heads_lifts_every_replica_to_the_highest_head() {
         let h = history();
         let replicas: Vec<_> = [1, 3, 0].iter().map(|&head| replica(&h[..head])).collect();
-        let (full_store, full) = &replicas[1];
+        let (full_store, full) = replicas[1].clone();
+        let mut tables: Vec<_> = replicas.iter().map(|(s, _)| s.clone()).collect();
         let (system, crypto) = audit_ctx();
-        let view: Vec<_> = replicas.iter().map(|(s, l)| (s, l)).collect();
-        let aligned = align_heads(&view, &system, &crypto).unwrap();
-        for ((table, gap), (_, ledger)) in aligned.into_iter().zip(&replicas) {
+        let view = tables.iter_mut().zip(replicas.iter().map(|(_, l)| l));
+        let gaps = align_heads(view.collect(), &system, &crypto).unwrap();
+        for ((gap, table), (own, ledger)) in gaps.into_iter().zip(&tables).zip(&replicas) {
             assert_eq!(table.state_digest(), full_store.state_digest());
+            // The gap's images carry the replica's own table to the head.
+            let mut moved = own.clone();
+            for (key, value, version) in gap.writes {
+                moved.restore_record(key, value, version);
+            }
+            assert_eq!(moved.state_digest(), full_store.state_digest());
             let mut ledger = ledger.clone();
-            for block in gap {
+            for block in gap.blocks {
                 ledger.append(block.batch, block.certificate, block.state_digest);
             }
             assert_eq!(ledger.head_hash(), full.head_hash());
@@ -571,15 +594,11 @@ mod tests {
     #[test]
     fn align_heads_refuses_a_replica_that_forked() {
         let h = history();
-        let (fork_store, fork_ledger) = replica(&[h[0].clone(), write(2, 9, 900)]);
-        let (store, ledger) = replica(&h);
+        let (mut fork_store, fork_ledger) = replica(&[h[0].clone(), write(2, 9, 900)]);
+        let (mut store, ledger) = replica(&h);
         let (system, crypto) = audit_ctx();
-        let err = align_heads(
-            &[(&fork_store, &fork_ledger), (&store, &ledger)],
-            &system,
-            &crypto,
-        )
-        .unwrap_err();
+        let view = vec![(&mut fork_store, &fork_ledger), (&mut store, &ledger)];
+        let err = align_heads(view, &system, &crypto).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("forks"), "{err}");
     }

@@ -390,6 +390,7 @@ mod tests {
                 DecisionEntry::new(Some(ClusterId(1)), SignedBatch::noop(ClusterId(1), 1)),
             ],
             state_digest: Digest::of(b"post"),
+            writes: Vec::new(),
         };
         l.append_decision(&d);
         assert_eq!(l.len(), 3, "z = 2 blocks per GeoBFT round");

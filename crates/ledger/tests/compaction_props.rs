@@ -71,6 +71,7 @@ fn build_ledger(seed: u64, decisions: u64) -> (Ledger, Vec<KvStore>) {
                 },
             )],
             state_digest: rdb_crypto::digest::Digest::ZERO, // patched below
+            writes: Vec::new(),
         };
         for entry in &decision.entries {
             for op in entry.batch.batch.operations() {

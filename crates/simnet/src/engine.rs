@@ -983,6 +983,7 @@ mod tests {
                         },
                     )],
                     state_digest: Digest::ZERO,
+                    writes: Vec::new(),
                 });
             }
             fn on_timer(&mut self, _now: SimTime, _t: TimerKind, _out: &mut Outbox) {}
@@ -1054,6 +1055,7 @@ mod tests {
                     },
                 )],
                 state_digest: Digest::of(&self.seq.to_le_bytes()),
+                writes: Vec::new(),
             });
         }
         fn on_timer(&mut self, _now: SimTime, _t: TimerKind, _out: &mut Outbox) {}
@@ -1178,6 +1180,7 @@ mod tests {
                         },
                     )],
                     state_digest: Digest::of(&self.seq.to_le_bytes()),
+                    writes: Vec::new(),
                 });
             }
             fn on_timer(&mut self, _now: SimTime, _t: TimerKind, _out: &mut Outbox) {}

@@ -71,10 +71,8 @@ impl StoreStats {
 }
 
 /// Number of internal fingerprint shards per [`KvStore`]. Power of two so
-/// shard selection is a mask. Each shard keeps its own XOR accumulator and
-/// a dirty bit, so [`KvStore::rebuild_fingerprint`] after a run of
-/// unfingerprinted execution only rescans the shards that were touched
-/// instead of the whole table.
+/// shard selection is a mask. Each shard keeps its own XOR accumulator,
+/// so [`KvStore::verify_fingerprint`] can audit the table shard by shard.
 pub const STORE_SHARDS: usize = 16;
 const SHARD_MASK: u64 = STORE_SHARDS as u64 - 1;
 
@@ -98,8 +96,6 @@ fn xor_into(acc: &mut [u8; 32], d: &[u8; 32]) {
 struct Shard {
     records: HashMap<u64, (Value, u64)>,
     accum: [u8; 32],
-    /// Set when an unfingerprinted write lands here; cleared by rebuild.
-    dirty: bool,
 }
 
 impl Shard {
@@ -121,9 +117,7 @@ impl Shard {
 /// XOR-accumulation makes `state_digest` O(1) while still changing whenever
 /// any record differs — two stores have equal digests iff they hold the
 /// same records at the same versions (up to hash collisions, which SHA-256
-/// makes negligible). The shard decomposition additionally makes
-/// [`KvStore::rebuild_fingerprint`] proportional to the *touched* shards
-/// rather than the whole table.
+/// makes negligible).
 #[derive(Debug, Clone)]
 pub struct KvStore {
     shards: Vec<Shard>,
@@ -133,8 +127,9 @@ pub struct KvStore {
     /// Number of transactions applied (batch items), used for checkpoints.
     applied_txns: u64,
     /// When present, every record write is appended here as
-    /// `(key, value, new_version)` — the durable-storage hook: the executor
-    /// drains this buffer into one WAL batch per committed decision.
+    /// `(key, value, new_version)`: the commit tail drains this buffer into
+    /// each decision's `writes`, which the execute stage persists as one
+    /// WAL batch and applies to its retained-snapshot mirror.
     captured: Option<Vec<(u64, Value, u64)>>,
 }
 
@@ -174,34 +169,8 @@ impl KvStore {
     }
 
     fn insert_raw(&mut self, key: u64, value: Value) {
-        self.insert_inner(key, value, true);
-    }
-
-    fn insert_inner(&mut self, key: u64, value: Value, fingerprint: bool) {
-        let shard = &mut self.shards[shard_of(key)];
-        let new_ver;
-        if let Some((old_v, old_ver)) = shard.records.get(&key).copied() {
-            new_ver = old_ver + 1;
-            if fingerprint {
-                let old_d = Self::record_digest(key, &old_v, old_ver);
-                xor_into(&mut shard.accum, &old_d);
-                let new_d = Self::record_digest(key, &value, new_ver);
-                xor_into(&mut shard.accum, &new_d);
-            } else {
-                shard.dirty = true;
-            }
-            shard.records.insert(key, (value, new_ver));
-        } else {
-            new_ver = 1;
-            if fingerprint {
-                let new_d = Self::record_digest(key, &value, 1);
-                xor_into(&mut shard.accum, &new_d);
-            } else {
-                shard.dirty = true;
-            }
-            shard.records.insert(key, (value, 1));
-            self.len += 1;
-        }
+        let new_ver = self.version(key).map_or(1, |v| v + 1);
+        self.restore_record(key, value, new_ver);
         if let Some(buf) = &mut self.captured {
             buf.push((key, value, new_ver));
         }
@@ -226,16 +195,22 @@ impl KvStore {
             .unwrap_or_default()
     }
 
-    /// Install a record recovered from durable storage at its persisted
-    /// version, maintaining the fingerprint. The key must not already be
-    /// present: recovery always starts from an empty table.
+    /// Set `key` to the absolute image `(value, version)`, present or
+    /// not, maintaining the fingerprint: the one write primitive. Durable
+    /// recovery installs persisted records with it, and the execute
+    /// stage's snapshot mirror applies each decision's captured images
+    /// with it, executing nothing. Not captured.
     pub fn restore_record(&mut self, key: u64, value: Value, version: u64) {
         let shard = &mut self.shards[shard_of(key)];
-        let d = Self::record_digest(key, &value, version);
-        xor_into(&mut shard.accum, &d);
-        let prev = shard.records.insert(key, (value, version));
-        debug_assert!(prev.is_none(), "restore_record over existing key");
-        self.len += 1;
+        let new_d = Self::record_digest(key, &value, version);
+        xor_into(&mut shard.accum, &new_d);
+        match shard.records.insert(key, (value, version)) {
+            Some((old_v, old_ver)) => {
+                let old_d = Self::record_digest(key, &old_v, old_ver);
+                xor_into(&mut shard.accum, &old_d);
+            }
+            None => self.len += 1,
+        }
     }
 
     /// Every record as `(key, value, version)`, in unspecified order (the
@@ -303,70 +278,24 @@ impl KvStore {
         acc
     }
 
-    /// Execute one operation, returning its outcome.
-    pub fn execute(&mut self, op: &Operation) -> ExecOutcome {
-        self.execute_inner(op, true)
-    }
-
-    /// Execute one operation *without* maintaining the incremental state
-    /// fingerprint — two SHA-256 invocations saved per write. For bulk or
-    /// off-critical-path appliers (the fabric's execution stage, whose
-    /// authoritative digest already arrived inside the `Decision`); the
-    /// fingerprint is stale afterwards until
-    /// [`KvStore::rebuild_fingerprint`] runs.
-    pub fn execute_unfingerprinted(&mut self, op: &Operation) -> ExecOutcome {
-        self.execute_inner(op, false)
-    }
-
     /// Audit the incremental fingerprint against a from-scratch rebuild:
     /// `true` iff [`KvStore::state_digest`] currently reflects the full
     /// table. O(records); used to validate checkpoint snapshots before
-    /// they become recovery anchors (a snapshot taken after
-    /// [`KvStore::execute_unfingerprinted`] without a rebuild would
-    /// certify a stale digest).
+    /// they become recovery anchors.
     pub fn verify_fingerprint(&self) -> bool {
         self.shards.iter().all(|s| s.compute_accum() == s.accum)
-    }
-
-    /// Recompute the state fingerprint, restoring
-    /// [`KvStore::state_digest`] correctness after a run of
-    /// [`KvStore::execute_unfingerprinted`]. Only shards marked dirty by a
-    /// deferred write are rescanned, so the cost is proportional to the
-    /// touched fraction of the table, not its full size (compare
-    /// [`KvStore::rebuild_fingerprint_full`]).
-    pub fn rebuild_fingerprint(&mut self) {
-        for shard in &mut self.shards {
-            if shard.dirty {
-                shard.accum = shard.compute_accum();
-                shard.dirty = false;
-            }
-        }
-    }
-
-    /// Recompute every shard's fingerprint unconditionally — the
-    /// pre-sharding O(records) behaviour, kept as the baseline for the
-    /// `store-exec` bench and as a belt-and-braces repair path.
-    pub fn rebuild_fingerprint_full(&mut self) {
-        for shard in &mut self.shards {
-            shard.accum = shard.compute_accum();
-            shard.dirty = false;
-        }
-    }
-
-    /// Number of shards whose fingerprint is currently stale.
-    pub fn dirty_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.dirty).count()
     }
 
     fn contains(&self, key: u64) -> bool {
         self.shards[shard_of(key)].records.contains_key(&key)
     }
 
-    fn execute_inner(&mut self, op: &Operation, fingerprint: bool) -> ExecOutcome {
+    /// Execute one operation, returning its outcome.
+    pub fn execute(&mut self, op: &Operation) -> ExecOutcome {
         self.applied_txns += 1;
         match op {
             Operation::Write { key, value } => {
-                self.insert_inner(*key, *value, fingerprint);
+                self.insert_raw(*key, *value);
                 self.stats.writes += 1;
                 ExecOutcome::Done
             }
@@ -378,11 +307,11 @@ impl KvStore {
                 self.stats.rmws += 1;
                 let current = self.get(*key).unwrap_or_default();
                 let next = current.counter().wrapping_add(*delta);
-                self.insert_inner(*key, current.with_counter(next), fingerprint);
+                self.insert_raw(*key, current.with_counter(next));
                 ExecOutcome::Counter(next)
             }
             Operation::Insert { key, value } => {
-                self.insert_inner(*key, *value, fingerprint);
+                self.insert_raw(*key, *value);
                 self.stats.inserts += 1;
                 ExecOutcome::Done
             }
@@ -406,7 +335,7 @@ impl KvStore {
                 // Aborted programs leave the store untouched; `writes` is
                 // empty for them by construction.
                 for (key, value) in writes {
-                    self.insert_inner(key, value, fingerprint);
+                    self.insert_raw(key, value);
                 }
                 if outcome.is_aborted() {
                     self.stats.aborts += 1;
@@ -435,37 +364,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unfingerprinted_execution_matches_after_rebuild() {
-        let mut a = KvStore::with_ycsb_records(100);
-        let mut b = KvStore::with_ycsb_records(100);
-        let ops = [
-            Operation::Write {
-                key: 3,
-                value: Value::from_u64(99),
-            },
-            Operation::Rmw { key: 4, delta: 7 },
-            Operation::Insert {
-                key: 200,
-                value: Value::from_u64(1),
-            },
-            Operation::Write {
-                key: 3,
-                value: Value::from_u64(42),
-            },
-        ];
-        for op in &ops {
-            assert_eq!(a.execute(op), b.execute_unfingerprinted(op));
-        }
-        // Fingerprint is stale until rebuilt, then identical.
-        assert_ne!(a.state_digest(), b.state_digest());
-        b.rebuild_fingerprint();
-        assert_eq!(a.state_digest(), b.state_digest());
-        assert_eq!(a.get(3), b.get(3));
-        assert_eq!(a.version(3), b.version(3));
-        assert_eq!(a.applied_txns(), b.applied_txns());
-    }
-
-    #[test]
     fn fingerprint_audit_detects_staleness() {
         let mut s = KvStore::with_ycsb_records(50);
         assert!(s.verify_fingerprint(), "fresh preload is live");
@@ -474,41 +372,30 @@ mod tests {
             value: Value::from_u64(7),
         });
         assert!(s.verify_fingerprint(), "fingerprinted writes stay live");
-        s.execute_unfingerprinted(&Operation::Write {
-            key: 2,
-            value: Value::from_u64(8),
-        });
-        assert!(!s.verify_fingerprint(), "deferred write left it stale");
-        s.rebuild_fingerprint();
-        assert!(s.verify_fingerprint());
+        // A record changed behind the fingerprint's back.
+        s.shards[shard_of(2)]
+            .records
+            .insert(2, (Value::from_u64(8), 2));
+        assert!(!s.verify_fingerprint(), "unhashed write left it stale");
     }
 
     #[test]
-    fn dirty_rebuild_only_rescans_touched_shards() {
-        let mut s = KvStore::with_ycsb_records(64);
-        assert_eq!(s.dirty_shards(), 0);
-        // Touch two keys in the same shard and one in another.
-        s.execute_unfingerprinted(&Operation::Write {
-            key: 0,
-            value: Value::from_u64(1),
+    fn restore_record_overwrites_a_present_key_keeping_the_fingerprint() {
+        let mut executed = KvStore::with_ycsb_records(8);
+        let mut mirror = executed.clone();
+        executed.enable_capture();
+        executed.execute(&Operation::Rmw { key: 3, delta: 5 });
+        executed.execute(&Operation::Insert {
+            key: 9,
+            value: Value::from_u64(9),
         });
-        s.execute_unfingerprinted(&Operation::Write {
-            key: STORE_SHARDS as u64,
-            value: Value::from_u64(2),
-        });
-        s.execute_unfingerprinted(&Operation::Write {
-            key: 1,
-            value: Value::from_u64(3),
-        });
-        assert_eq!(s.dirty_shards(), 2);
-        // Amortized rebuild restores exactly the digest a full rebuild
-        // (and a fully fingerprinted twin) would produce.
-        let mut full = s.clone();
-        full.rebuild_fingerprint_full();
-        s.rebuild_fingerprint();
-        assert_eq!(s.dirty_shards(), 0);
-        assert_eq!(s.state_digest(), full.state_digest());
-        assert!(s.verify_fingerprint());
+        for (key, value, version) in executed.take_captured() {
+            mirror.restore_record(key, value, version);
+        }
+        assert_eq!(mirror.len(), 9);
+        assert_eq!(mirror.version(3), Some(2));
+        assert_eq!(mirror.state_digest(), executed.state_digest());
+        assert!(mirror.verify_fingerprint());
     }
 
     #[test]
@@ -671,21 +558,6 @@ mod tests {
                 let before = s.state_digest();
                 s.execute(&Operation::Write { key, value: Value::from_u64(v) });
                 prop_assert_ne!(s.state_digest(), before);
-            }
-
-            /// Amortized dirty-shard rebuild always lands on the digest a
-            /// fully fingerprinted execution would have produced.
-            #[test]
-            fn dirty_rebuild_matches_live_fingerprint(ops in proptest::collection::vec(arb_op(), 0..100)) {
-                let mut live = KvStore::with_ycsb_records(64);
-                let mut deferred = KvStore::with_ycsb_records(64);
-                for op in &ops {
-                    live.execute(op);
-                    deferred.execute_unfingerprinted(op);
-                }
-                deferred.rebuild_fingerprint();
-                prop_assert_eq!(live.state_digest(), deferred.state_digest());
-                prop_assert!(deferred.verify_fingerprint());
             }
         }
     }

@@ -1,14 +1,11 @@
-//! Property tests: the two one-table contracts the fabric's execute stage
+//! Property test: the write-capture contract the fabric's execute stage
 //! rests on, for random YCSB-style batches and SmallBank-shaped
-//! transaction programs.
-//!
-//! * Deferred fingerprinting is invisible: `execute_unfingerprinted`
-//!   followed by `rebuild_fingerprint` yields the outcomes and the
-//!   `state_digest` that fingerprinted `execute` yields.
-//! * Write capture is the WAL recovery contract: the captured
-//!   `(key, value, version)` images of each batch, laid last-write-wins
-//!   over the preload and installed with `restore_record` into an empty
-//!   table, reproduce the executed table's records and digest.
+//! transaction programs. The captured `(key, value, version)` images of
+//! each batch reproduce the executed table's records and digest two ways:
+//! laid last-write-wins over the preload and installed with
+//! `restore_record` into an empty table (WAL recovery), and applied in
+//! order with `restore_record` onto the preloaded table itself (the
+//! execute stage's snapshot mirror).
 
 use proptest::prelude::*;
 use rdb_store::txn::TxnProgram;
@@ -77,38 +74,16 @@ fn sorted_records(store: &KvStore) -> BTreeMap<u64, (Value, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The execute stage's fast path when checkpointing is off: applying
-    /// every batch unfingerprinted and rebuilding the dirty shards once
-    /// at the end gives the per-operation outcomes, statistics and state
-    /// digest of fingerprinted execution — program writes included.
-    /// Fails if a program write does not mark its shard dirty (the
-    /// rebuild then skips it and the digest goes stale).
-    #[test]
-    fn unfingerprinted_execution_rebuilds_to_live_digest(
-        plain in arb_batches(),
-        programs in arb_program_batches(),
-    ) {
-        let mut live = KvStore::with_ycsb_records(RECORDS);
-        let mut deferred = KvStore::with_ycsb_records(RECORDS);
-        for (i, batch) in plain.iter().chain(&programs).enumerate() {
-            let expect = live.execute_batch(batch);
-            let got: Vec<_> = batch.iter().map(|op| deferred.execute_unfingerprinted(op)).collect();
-            prop_assert_eq!(&expect.outcomes, &got, "batch {} diverged", i);
-        }
-        deferred.rebuild_fingerprint();
-        prop_assert_eq!(deferred.state_digest(), live.state_digest());
-        prop_assert!(deferred.verify_fingerprint());
-        prop_assert_eq!(deferred.stats(), live.stats());
-        prop_assert_eq!(deferred.applied_txns(), live.applied_txns());
-    }
-
     /// The WAL recovery contract: the preload's records, overlaid batch
     /// by batch with the captured `(key, value, version)` images (last
     /// write wins per key, as the storage engine keeps them), restore
     /// into an empty table that holds exactly the executed table's
-    /// records at their versions and reports its digest. Fails if a
+    /// records at their versions and reports its digest. The mirror
+    /// contract: the same images, applied in order onto a copy of the
+    /// preloaded, non-empty table, reach that digest too. Fails if a
     /// capture drops the version bump (records the old version) or
-    /// misses a program's writes.
+    /// misses a program's writes, or if `restore_record` over a present
+    /// key loses the old record's fingerprint.
     #[test]
     fn captured_images_restore_the_table(
         plain in arb_batches(),
@@ -116,11 +91,13 @@ proptest! {
     ) {
         let mut table = KvStore::with_ycsb_records(RECORDS);
         let mut on_disk = sorted_records(&table);
+        let mut mirror = table.clone();
         table.enable_capture();
         for batch in plain.iter().chain(&programs) {
             table.execute_batch(batch);
             for (key, value, version) in table.take_captured() {
                 on_disk.insert(key, (value, version));
+                mirror.restore_record(key, value, version);
             }
         }
         let mut recovered = KvStore::new();
@@ -131,5 +108,8 @@ proptest! {
         prop_assert_eq!(recovered.len(), table.len());
         prop_assert_eq!(recovered.state_digest(), table.state_digest());
         prop_assert!(recovered.verify_fingerprint());
+        prop_assert_eq!(sorted_records(&mirror), sorted_records(&table));
+        prop_assert_eq!(mirror.state_digest(), table.state_digest());
+        prop_assert!(mirror.verify_fingerprint());
     }
 }

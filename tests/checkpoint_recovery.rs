@@ -81,6 +81,11 @@ fn replica_restarts_from_its_last_stable_checkpoint() {
         let (h, snapshot) = ckpt.snapshot.as_ref().expect("snapshot retained");
         assert!(*h > 0 && *h <= ckpt.stable_height);
         assert!(snapshot.verify_fingerprint(), "snapshot digest stale");
+        // The snapshot is the state its quorum certified at that height:
+        // the execute stage's mirror followed the tail's writes exactly.
+        let certified = ckpt.certified.iter().find(|(at, ..)| at == h);
+        let (_, state, _) = certified.expect("the snapshot's height was certified");
+        assert_eq!(snapshot.state_digest(), *state, "replica {rid}");
         if let Some(block) = ledger.block(*h) {
             assert_eq!(snapshot.state_digest(), block.state_digest);
         }
