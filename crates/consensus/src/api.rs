@@ -118,7 +118,9 @@ impl Outbox {
         self.actions.push(Action::Send { to: to.into(), msg });
     }
 
-    /// Queue the same message to every target (clones per target).
+    /// Queue the same message to every target. Each target gets a clone,
+    /// which shares the message's batch transactions ([`crate::types::Txns`])
+    /// rather than copying them.
     pub fn multicast<I, T>(&mut self, targets: I, msg: &Message)
     where
         I: IntoIterator<Item = T>,
@@ -228,7 +230,8 @@ pub trait ClientProtocol: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::Message;
+    use crate::messages::{Message, Scope};
+    use crate::types::{SignedBatch, Txns};
     use rdb_common::ids::ReplicaId;
 
     #[test]
@@ -243,14 +246,32 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// Every target of a multicast pre-prepare reads the transactions
+    /// the proposer holds: one allocation, not one copy per target.
     #[test]
-    fn multicast_clones_to_each_target() {
+    fn multicast_targets_share_one_batch() {
         let mut out = Outbox::new();
-        let targets: Vec<ReplicaId> = (0..3).map(|i| ReplicaId::new(0, i)).collect();
-        out.multicast(targets, &Message::Noop);
+        let batch = SignedBatch::noop(ClusterId(0), 1);
+        let msg = Message::PrePrepare {
+            scope: Scope::Cluster(ClusterId(0)),
+            view: 0,
+            seq: 1,
+            digest: batch.digest(),
+            batch: batch.clone(),
+        };
+        let targets: Vec<ReplicaId> = (1..4).map(|i| ReplicaId::new(0, i)).collect();
+        out.multicast(targets.clone(), &msg);
         assert_eq!(out.len(), 3);
-        for a in out.actions() {
-            assert!(matches!(a, Action::Send { .. }));
+        for (a, target) in out.actions().iter().zip(targets) {
+            let Action::Send {
+                to,
+                msg: Message::PrePrepare { batch: sent, .. },
+            } = a
+            else {
+                panic!("not a pre-prepare send: {a:?}");
+            };
+            assert_eq!(*to, NodeId::from(target));
+            assert!(Txns::ptr_eq(&sent.batch.txns, &batch.batch.txns));
         }
     }
 }

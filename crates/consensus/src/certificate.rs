@@ -137,7 +137,8 @@ mod tests {
                     key: 1,
                     value: Value::from_u64(9),
                 },
-            }],
+            }]
+            .into(),
         };
         let digest = batch.digest();
         let sb = SignedBatch {
@@ -200,7 +201,7 @@ mod tests {
     fn tampered_batch_rejected() {
         let fx = fixture();
         let mut cert = make_cert(&fx, 3);
-        cert.batch.batch.txns[0].op = Operation::NoOp;
+        cert.batch.batch.txns.make_mut()[0].op = Operation::NoOp;
         assert!(!cert.verify(&fx.cfg, &fx.crypto));
     }
 

@@ -62,7 +62,7 @@
 use crate::certificate::{CommitCertificate, CommitSig};
 use crate::config::ProtocolKind;
 use crate::messages::{HsPhase, HsQc, Message, PreparedProof, Scope};
-use crate::types::{ClientBatch, ReplyData, SignedBatch, Transaction};
+use crate::types::{ClientBatch, ReplyData, SignedBatch, Transaction, Txns};
 use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::{PublicKey, Signature};
@@ -278,10 +278,7 @@ impl<T: Wire> Wire for Option<T> {
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = 4;
     fn put(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).put(out);
-        for v in self {
-            v.put(out);
-        }
+        put_slice(self, out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self> {
         // Validate the count against the bytes actually left, so a
@@ -298,6 +295,28 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::get(r)?);
         }
         Ok(out)
+    }
+}
+
+/// The `Vec<T>` encoding of `items`.
+fn put_slice<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u32).put(out);
+    for v in items {
+        v.put(out);
+    }
+}
+
+/// Exactly the `Vec<Transaction>` encoding: a shared handle changes no
+/// byte, and a decoded batch is one allocation its clones share.
+impl Wire for Txns {
+    const MIN_BYTES: usize = <Vec<Transaction> as Wire>::MIN_BYTES;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(self, out);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Vec::<Transaction>::get(r).map(Txns::from)
     }
 }
 
@@ -485,7 +504,7 @@ wire_enum! { Operation, "operation" {
 } }
 
 wire_struct! { Transaction { client: ClientId, seq: u64, op: Operation } }
-wire_struct! { ClientBatch { client: ClientId, batch_seq: u64, txns: Vec<Transaction> } }
+wire_struct! { ClientBatch { client: ClientId, batch_seq: u64, txns: Txns } }
 wire_struct! { SignedBatch { batch: ClientBatch, pubkey: PublicKey, sig: Signature } }
 
 // The same bytes as `TxnOutcome::canonical_bytes` (tag + LE payload).
@@ -732,6 +751,7 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rdb_common::wire;
+    use serde::Serialize;
 
     fn roundtrip(msg: &Message) {
         let mut out = Vec::new();
@@ -1041,7 +1061,7 @@ pub(crate) mod tests {
                     batch: ClientBatch {
                         client,
                         batch_seq: i as u64,
-                        txns: vec![Transaction { client, seq: 1, op }],
+                        txns: vec![Transaction { client, seq: 1, op }].into(),
                     },
                     pubkey: PublicKey::default(),
                     sig: Signature::default(),
@@ -1438,6 +1458,86 @@ pub(crate) mod tests {
                 }
                 other => prop_assert!(false, "arb_message grew {}", other.label()),
             }
+        }
+
+        /// A shared handle changes no byte: `Txns` encodes exactly as the
+        /// `Vec<Transaction>` it replaced, and decodes back to equal content.
+        #[test]
+        fn txns_encode_as_the_vec_they_replace(sb in arb_batch()) {
+            let txns = &sb.batch.txns;
+            let bytes = encode(txns);
+            prop_assert_eq!(&bytes, &encode(&txns.to_vec()));
+            prop_assert_eq!(&decode::<Txns>(&bytes).unwrap(), txns);
+        }
+
+        /// A count the remaining bytes cannot hold fails before any
+        /// allocation, with the `Vec<Transaction>` error.
+        #[test]
+        fn corrupt_txn_counts_fail_with_bad_length(sb in arb_batch(), over in any::<u32>()) {
+            let mut bytes = encode(&sb.batch.txns);
+            let room = (bytes.len() - 4) / Transaction::MIN_BYTES;
+            let claimed = (room as u32 + 1).saturating_add(over % 1_000);
+            bytes[..4].copy_from_slice(&claimed.to_le_bytes());
+            let got = decode::<Txns>(&bytes);
+            prop_assert!(
+                matches!(
+                    &got,
+                    Err(CodecError::BadLength { what, claimed: c })
+                        if what.ends_with("Transaction") && *c == u64::from(claimed)
+                ),
+                "{:?}", got
+            );
+        }
+
+        /// serde sees the content too: the JSON of a batch is the JSON of
+        /// the same fields with a plain `Vec`, and parses back.
+        #[test]
+        fn txns_json_is_the_vec_json(sb in arb_batch()) {
+            #[derive(Serialize)]
+            struct VecBatch {
+                client: ClientId,
+                batch_seq: u64,
+                txns: Vec<Transaction>,
+            }
+            let b = &sb.batch;
+            let plain = VecBatch { client: b.client, batch_seq: b.batch_seq, txns: b.txns.to_vec() };
+            let json = serde_json::to_string(b).unwrap();
+            prop_assert_eq!(&json, &serde_json::to_string(&plain).unwrap());
+            prop_assert_eq!(&serde_json::from_str::<ClientBatch>(&json).unwrap(), b);
+        }
+
+        /// Changing a clone copies it first: the original keeps its
+        /// transactions and its digest.
+        #[test]
+        fn make_mut_leaves_the_shared_original(sb in arb_batch()) {
+            let (digest, bytes) = (sb.digest(), encode(&sb));
+            let mut forged = sb.clone();
+            prop_assert!(Txns::ptr_eq(&forged.batch.txns, &sb.batch.txns));
+            forged.batch.txns.make_mut().push(Transaction {
+                client: sb.batch.client,
+                seq: u64::MAX,
+                op: Operation::NoOp,
+            });
+            prop_assert!(!Txns::ptr_eq(&forged.batch.txns, &sb.batch.txns));
+            prop_assert_ne!(forged.digest(), digest);
+            prop_assert_eq!(sb.digest(), digest);
+            prop_assert_eq!(encode(&sb), bytes);
+        }
+
+        /// Owned iteration yields the transactions whether the handle is
+        /// shared (a copy) or the last one (moved out, no copy).
+        #[test]
+        fn owned_iteration_over_shared_and_unique_handles(sb in arb_batch()) {
+            let txns = sb.batch.txns;
+            let expected = txns.to_vec();
+            let shared = txns.clone();
+            let from_shared: Vec<Transaction> = txns.into_iter().collect();
+            prop_assert_eq!(&from_shared, &expected);
+            prop_assert_eq!(&shared[..], &expected[..]);
+            let buffer = shared.as_ptr();
+            let unique = shared.into_iter();
+            prop_assert!(expected.is_empty() || unique.as_slice().as_ptr() == buffer);
+            prop_assert_eq!(unique.collect::<Vec<_>>(), expected);
         }
 
         #[test]

@@ -100,6 +100,8 @@ impl CryptoCtx {
     /// A client's signature on a batch whose digest is `digest`. No-op
     /// batches are primary products and carry no client signature (§2.5);
     /// they validate through the surrounding commit certificate instead.
+    /// Only the canonical no-op shape skips the check
+    /// ([`SignedBatch::is_noop`]), so no operation executes unsigned.
     pub fn verify_batch(&self, sb: &SignedBatch, digest: &Digest) -> bool {
         !self.real || sb.is_noop() || self.verifier.verify(&sb.pubkey, digest.as_bytes(), &sb.sig)
     }
@@ -137,7 +139,8 @@ mod tests {
                 client,
                 seq: 0,
                 op: Operation::NoOp,
-            }],
+            }]
+            .into(),
         };
         let digest = batch.digest();
         let sig = if valid {
@@ -211,5 +214,9 @@ mod tests {
         let (ctx, _ks) = make_ctx(true);
         let noop = SignedBatch::noop(rdb_common::ids::ClusterId(0), 3);
         assert!(ctx.verify_batch(&noop, &noop.digest()));
+        // The reserved client index alone does not make a no-op.
+        let mut forged = noop;
+        forged.batch.txns.make_mut()[0].op = Operation::Read { key: 1 };
+        assert!(!ctx.verify_batch(&forged, &forged.digest()));
     }
 }

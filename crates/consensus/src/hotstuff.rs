@@ -744,7 +744,7 @@ mod tests {
         let batch = crate::types::ClientBatch {
             client,
             batch_seq: 0,
-            txns,
+            txns: txns.into(),
         };
         let sig = signer.sign(batch.digest().as_bytes());
         let pubkey = signer.public_key();

@@ -56,4 +56,4 @@ pub use crypto_ctx::CryptoCtx;
 pub use faults::{FaultSpec, FaultState};
 pub use messages::{Message, Scope};
 pub use stage::{Stage, VerificationCost, VerifiedMessage};
-pub use types::{ClientBatch, Decision, DecisionEntry, ReplyData, SignedBatch, Transaction};
+pub use types::{ClientBatch, Decision, DecisionEntry, ReplyData, SignedBatch, Transaction, Txns};

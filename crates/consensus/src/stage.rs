@@ -434,7 +434,8 @@ mod tests {
                 client,
                 seq: 0,
                 op: Operation::NoOp,
-            }],
+            }]
+            .into(),
         };
         let digest = batch.digest();
         let sig = if valid {
@@ -1031,6 +1032,73 @@ mod tests {
         // PrePrepare, both HsProposals, ViewChange, GlobalShare and
         // StewardProposal.
         assert_eq!(bindings, 6);
+    }
+
+    /// Only the canonical no-op (`SignedBatch::noop`) travels without a
+    /// client signature. A batch under the reserved no-op client index
+    /// that carries a real operation is an unsigned client batch, and
+    /// every message that carries a batch drops it under a real context.
+    #[test]
+    fn noop_shaped_batches_with_operations_are_rejected() {
+        let keys = Keys::new();
+        let genuine = SignedBatch::noop(PRIMARY_CLUSTER, 4);
+        let mut forged = genuine.clone();
+        forged.batch.txns.make_mut()[0].op = Operation::Write {
+            key: 1,
+            value: rdb_store::Value::from_u64(9),
+        };
+        let carriers = |sb: SignedBatch| {
+            let digest = sb.digest();
+            let payload = commit_payload(PRIMARY_CLUSTER, 4, &digest);
+            let votes = keys.votes(Some(0), keys.system.quorum(), &payload);
+            let cert = CommitCertificate {
+                cluster: PRIMARY_CLUSTER,
+                round: 4,
+                digest,
+                batch: sb.clone(),
+                commits: votes
+                    .into_iter()
+                    .map(|(replica, sig)| CommitSig { replica, sig })
+                    .collect(),
+            };
+            [
+                Message::Request(sb.clone()),
+                Message::Forward(sb.clone()),
+                Message::OrderReq {
+                    view: 0,
+                    seq: 4,
+                    batch: sb.clone(),
+                    history: digest,
+                },
+                Message::PrePrepare {
+                    scope: Scope::Cluster(PRIMARY_CLUSTER),
+                    view: 0,
+                    seq: 4,
+                    batch: sb.clone(),
+                    digest,
+                },
+                Message::HsProposal {
+                    slot: 4,
+                    phase: HsPhase::Prepare,
+                    batch: Some(sb),
+                    digest,
+                    justify: None,
+                },
+                Message::GlobalShare { cert: cert.clone() },
+                Message::StewardProposal { seq: 4, cert },
+            ]
+        };
+        let from = NodeId::from(ReplicaId::new(0, 0));
+        for (sb, ok) in [(genuine, true), (forged, false)] {
+            for msg in carriers(sb) {
+                let label = msg.label();
+                assert_eq!(msg.verify(from, &keys.system, &keys.real), ok, "{label}");
+                assert!(
+                    msg.verify(from, &keys.system, &keys.modeled),
+                    "{label}, modeled"
+                );
+            }
+        }
     }
 
     /// What a message's shape must satisfy holds under any context.

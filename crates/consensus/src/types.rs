@@ -8,6 +8,7 @@ use rdb_crypto::sha256::Sha256;
 use rdb_crypto::sign::{PublicKey, Signature};
 use rdb_store::{Operation, Value};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One client transaction `T` (a YCSB query in the evaluation).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,6 +75,74 @@ impl Transaction {
     }
 }
 
+/// The transactions of one client batch, in one shared allocation.
+///
+/// Cloning a batch — into every target of a multicast, a certificate, a
+/// decision, a ledger block — bumps a reference count instead of copying
+/// the transactions, so in one process every copy of a batch reads the
+/// allocation its client built. The handle is copy-on-write: equality,
+/// `Debug`, the batch digest and both encodings (the wire codec and
+/// serde) see only the content, exactly as a `Vec<Transaction>` would,
+/// and [`Txns::make_mut`] gives a private copy to whoever changes one.
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Txns(Arc<Vec<Transaction>>);
+
+impl Txns {
+    /// Mutable access to the transactions, copying them first if any
+    /// other handle shares them; the other handles are left untouched.
+    pub fn make_mut(&mut self) -> &mut Vec<Transaction> {
+        Arc::make_mut(&mut self.0)
+    }
+
+    /// True when `a` and `b` share one allocation.
+    pub fn ptr_eq(a: &Txns, b: &Txns) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl std::ops::Deref for Txns {
+    type Target = [Transaction];
+    fn deref(&self) -> &[Transaction] {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for Txns {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl From<Vec<Transaction>> for Txns {
+    fn from(txns: Vec<Transaction>) -> Txns {
+        Txns(Arc::new(txns))
+    }
+}
+
+impl FromIterator<Transaction> for Txns {
+    fn from_iter<I: IntoIterator<Item = Transaction>>(iter: I) -> Txns {
+        Txns::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+/// Owned iteration moves the transactions out when this is the last
+/// handle and clones them otherwise.
+impl IntoIterator for Txns {
+    type Item = Transaction;
+    type IntoIter = std::vec::IntoIter<Transaction>;
+    fn into_iter(self) -> Self::IntoIter {
+        Arc::unwrap_or_clone(self.0).into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Txns {
+    type Item = &'a Transaction;
+    type IntoIter = std::slice::Iter<'a, Transaction>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// A batch of transactions from one client — the unit the protocols order
 /// (§3 "Request batching": clients group their requests in batches; the
 /// batch is processed by the consensus protocol as a single request).
@@ -83,8 +152,8 @@ pub struct ClientBatch {
     pub client: ClientId,
     /// Client-local batch sequence number.
     pub batch_seq: u64,
-    /// The transactions, in execution order.
-    pub txns: Vec<Transaction>,
+    /// The transactions, in execution order, shared by every clone.
+    pub txns: Txns,
 }
 
 impl ClientBatch {
@@ -99,11 +168,11 @@ impl ClientBatch {
         ClientBatch {
             client,
             batch_seq: round,
-            txns: vec![Transaction {
+            txns: Txns::from(vec![Transaction {
                 client,
                 seq: round,
                 op: Operation::NoOp,
-            }],
+            }]),
         }
     }
 
@@ -175,9 +244,19 @@ impl SignedBatch {
         }
     }
 
-    /// True when this is a primary-generated no-op batch.
+    /// True when this is a primary-generated no-op batch: exactly
+    /// `SignedBatch::noop(cluster, batch_seq)` — one `NoOp` transaction and
+    /// a default key and signature. Anything else under the reserved
+    /// client index is an ordinary batch, which must carry its client's
+    /// signature.
     pub fn is_noop(&self) -> bool {
-        self.batch.client.index == u32::MAX
+        let b = &self.batch;
+        b.client.index == u32::MAX
+            && self.pubkey == PublicKey::default()
+            && self.sig == Signature::default()
+            && matches!(&b.txns[..], [t] if t.client == b.client
+                && t.seq == b.batch_seq
+                && t.op == Operation::NoOp)
     }
 }
 
@@ -325,7 +404,7 @@ mod tests {
         let a = batch(3);
         let mut b = batch(3);
         assert_eq!(a.digest(), b.digest());
-        b.txns[1].op = Operation::NoOp;
+        b.txns.make_mut()[1].op = Operation::NoOp;
         assert_ne!(a.digest(), b.digest());
         let mut c = batch(3);
         c.batch_seq = 8;
@@ -336,7 +415,7 @@ mod tests {
     fn digest_differs_on_txn_order() {
         let a = batch(2);
         let mut b = batch(2);
-        b.txns.swap(0, 1);
+        b.txns.make_mut().swap(0, 1);
         assert_ne!(a.digest(), b.digest());
     }
 
@@ -352,6 +431,25 @@ mod tests {
             sig: Signature::default(),
         };
         assert!(!real.is_noop());
+        // Under the reserved index, anything but the canonical shape is
+        // an ordinary (signature-carrying) batch.
+        let forgeries: [fn(&mut SignedBatch); 6] = [
+            |sb| sb.batch.txns.make_mut()[0].op = Operation::Read { key: 3 },
+            |sb| sb.batch.txns.make_mut()[0].seq += 1,
+            |sb| sb.batch.txns.make_mut()[0].client.index = 0,
+            |sb| {
+                let t = sb.batch.txns[0].clone();
+                sb.batch.txns.make_mut().push(t)
+            },
+            |sb| sb.pubkey = PublicKey([1; 32]),
+            |sb| sb.sig = Signature([1; 64]),
+        ];
+        for forge in forgeries {
+            let mut sb = nb.clone();
+            forge(&mut sb);
+            assert!(!sb.is_noop(), "{sb:?}");
+        }
+        assert!(nb.is_noop(), "forging a clone leaves the original");
     }
 
     #[test]

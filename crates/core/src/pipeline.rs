@@ -677,7 +677,8 @@ mod tests {
                 client,
                 seq: 0,
                 op: Operation::NoOp,
-            }],
+            }]
+            .into(),
         };
         let digest = batch.digest();
         let sig = if valid {

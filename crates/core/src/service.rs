@@ -395,7 +395,7 @@ impl ClientSession {
         let batch = ClientBatch {
             client: core.id,
             batch_seq,
-            txns,
+            txns: txns.into(),
         };
         let cell = Arc::new(TicketCell::new());
         core.submit(batch, Some(Arc::clone(&cell)));

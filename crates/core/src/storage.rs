@@ -534,7 +534,8 @@ mod tests {
                         key,
                         value: Value::from_u64(value),
                     },
-                }],
+                }]
+                .into(),
             },
             pubkey: Default::default(),
             sig: Default::default(),

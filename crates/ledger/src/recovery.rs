@@ -327,7 +327,8 @@ mod tests {
                         key: round,
                         value: Value::from_u64(round * 10),
                     },
-                }],
+                }]
+                .into(),
             },
             pubkey: Default::default(),
             sig: Default::default(),

@@ -58,7 +58,7 @@ fn build_ledger(seed: u64, decisions: u64) -> (Ledger, Vec<KvStore>) {
         let batch = ClientBatch {
             client,
             batch_seq: seq,
-            txns,
+            txns: txns.into(),
         };
         let decision = Decision {
             seq,

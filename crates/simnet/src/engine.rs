@@ -1167,7 +1167,8 @@ mod tests {
                         client,
                         seq: self.seq,
                         op: rdb_store::Operation::NoOp,
-                    }],
+                    }]
+                    .into(),
                 };
                 out.decided(Decision {
                     seq: self.seq,

@@ -4,9 +4,27 @@
 
 use rdb_common::ids::ReplicaId;
 use rdb_consensus::config::ProtocolKind;
-use rdb_consensus::FaultSpec;
-use resilientdb::DeploymentBuilder;
+use rdb_consensus::{FaultSpec, Txns};
+use resilientdb::{DeploymentBuilder, DeploymentReport};
 use std::time::Duration;
+
+/// Over the heights every replica's ledger holds past genesis: how many
+/// there are, and at how many all replicas' blocks share one transaction
+/// allocation ([`Txns::ptr_eq`]) rather than holding copies.
+fn shared_batches(report: &DeploymentReport) -> (u64, u64) {
+    let ledgers: Vec<_> = report.ledgers.values().collect();
+    let common = ledgers.iter().map(|l| l.head_height()).min().unwrap_or(0);
+    let shared = (1..=common)
+        .filter(|&h| {
+            let mut txns = ledgers
+                .iter()
+                .map(|l| &l.block(h).expect("retained").batch.batch.txns);
+            let first = txns.next().expect("a replica");
+            txns.all(|t| Txns::ptr_eq(t, first))
+        })
+        .count();
+    (common, shared as u64)
+}
 
 #[test]
 fn geobft_fabric_deployment_reaches_consensus() {
@@ -19,6 +37,9 @@ fn geobft_fabric_deployment_reaches_consensus() {
     assert!(report.completed_batches > 0, "{}", report.summary());
     let blocks = report.audit_ledgers().expect("consistent ledgers");
     assert!(blocks >= 2, "expected at least one full GeoBFT round");
+    // In one process, all eight ledgers hold each batch once.
+    let (heights, shared) = shared_batches(&report);
+    assert_eq!(shared, heights, "blocks holding private copies");
 }
 
 #[test]
@@ -31,6 +52,9 @@ fn pbft_fabric_deployment_reaches_consensus() {
         .run();
     assert!(report.completed_batches > 0, "{}", report.summary());
     report.audit_ledgers().expect("consistent ledgers");
+    let (heights, shared) = shared_batches(&report);
+    assert!(heights > 0, "no common height");
+    assert_eq!(shared, heights, "blocks holding private copies");
 }
 
 #[test]
@@ -109,6 +133,17 @@ fn fabric_with_emulated_wan_delays_still_commits() {
             "{mode:?}: {}",
             report.net.summary()
         );
+        // In one process the replicas share each batch; over TCP each
+        // decodes its own copy, and the audit above found the ledgers
+        // byte-identical all the same.
+        let (heights, shared) = shared_batches(&report);
+        assert!(heights > 0, "{mode:?}: no common height");
+        let expected = if mode == TransportMode::InProcess {
+            heights
+        } else {
+            0
+        };
+        assert_eq!(shared, expected, "{mode:?}: {heights} common heights");
     }
 }
 
