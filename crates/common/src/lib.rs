@@ -20,6 +20,7 @@ pub mod config;
 pub mod error;
 pub mod ids;
 pub mod region;
+pub mod shared;
 pub mod time;
 pub mod wire;
 
@@ -27,4 +28,5 @@ pub use config::SystemConfig;
 pub use error::{RdbError, RdbResult};
 pub use ids::{ClientId, ClusterId, NodeId, ReplicaId};
 pub use region::Region;
+pub use shared::Shared;
 pub use time::{SimDuration, SimTime};

@@ -593,7 +593,7 @@ mod tests {
         /// What every honest replica reports for `sb` (three writes).
         fn honest(&self, sb: &SignedBatch) -> Claim {
             let results = TxnEffect {
-                outcomes: vec![ExecOutcome::Done; 3],
+                outcomes: vec![ExecOutcome::Done; 3].into(),
             };
             let seq = sb.batch.batch_seq + 7;
             Claim {
@@ -725,7 +725,7 @@ mod tests {
             type Lie = fn(&mut Claim, &Digest);
             let lies: [(&str, Lie); 3] = [
                 ("self-consistent forged results", |c, batch| {
-                    c.results.outcomes[1] = ExecOutcome::Counter(666);
+                    c.results.outcomes.make_mut()[1] = ExecOutcome::Counter(666);
                     c.digest = result_digest(batch, &c.results);
                 }),
                 ("forged seq", |c, _| {
@@ -774,7 +774,7 @@ mod tests {
             let (_, sb) = rig.next_request();
             let honest = rig.honest(&sb);
             let mut forged = honest.clone();
-            forged.results.outcomes[1] = ExecOutcome::Counter(666);
+            forged.results.outcomes.make_mut()[1] = ExecOutcome::Counter(666);
             let everyone = rig.everyone();
             assert!(rig.vote(everyone[0], &sb, &forged).is_none());
             let proof = rig.honest_quorum(&everyone, &sb).expect("honest quorum");

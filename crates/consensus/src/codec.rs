@@ -64,10 +64,12 @@ use crate::config::ProtocolKind;
 use crate::messages::{HsPhase, HsQc, Message, PreparedProof, Scope};
 use crate::types::{ClientBatch, ReplyData, SignedBatch, Transaction, Txns};
 use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
+use rdb_common::Shared;
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sign::{PublicKey, Signature};
 use rdb_store::{
-    Cmp, ExecOutcome, Operation, TxnAbort, TxnEffect, TxnInstr, TxnOutcome, TxnProgram, Value,
+    Cmp, ExecOutcome, Operation, Outcomes, TxnAbort, TxnEffect, TxnInstr, TxnOutcome, TxnProgram,
+    Value,
 };
 
 /// Encoded bytes of a [`NodeId`]: tag + cluster + 32-bit index.
@@ -306,17 +308,18 @@ fn put_slice<T: Wire>(items: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Exactly the `Vec<Transaction>` encoding: a shared handle changes no
-/// byte, and a decoded batch is one allocation its clones share.
-impl Wire for Txns {
-    const MIN_BYTES: usize = <Vec<Transaction> as Wire>::MIN_BYTES;
+/// Exactly the `Vec<T>` encoding: a shared handle ([`Txns`],
+/// [`Outcomes`]) changes no byte, and a decoded one is one allocation its
+/// clones share.
+impl<T: Wire> Wire for Shared<T> {
+    const MIN_BYTES: usize = <Vec<T> as Wire>::MIN_BYTES;
     #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         put_slice(self, out);
     }
     #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Vec::<Transaction>::get(r).map(Txns::from)
+        Vec::<T>::get(r).map(Shared::from)
     }
 }
 
@@ -563,7 +566,7 @@ impl Wire for ExecOutcome {
     }
 }
 
-wire_struct! { TxnEffect { outcomes: Vec<ExecOutcome> } }
+wire_struct! { TxnEffect { outcomes: Outcomes } }
 wire_struct! { ReplyData {
     client: ClientId,
     batch_seq: u64,
@@ -845,7 +848,8 @@ pub(crate) mod tests {
                                 pc: 1,
                             })),
                             ExecOutcome::Txn(TxnOutcome::Aborted(TxnAbort::Invalid { pc: 0 })),
-                        ],
+                        ]
+                        .into(),
                     },
                     txns: 10,
                 },
@@ -1024,6 +1028,39 @@ pub(crate) mod tests {
         );
     }
 
+    /// A reply's shared outcomes change no byte and no JSON: they encode
+    /// exactly as the `Vec<ExecOutcome>` they replaced, decode back to
+    /// equal content, and a cloned reply shares them.
+    #[test]
+    fn outcomes_encode_as_the_vec_they_replace() {
+        let reply = exemplars()
+            .into_iter()
+            .find_map(|m| match m {
+                Message::Reply { data, .. } if !data.results.outcomes.is_empty() => Some(data),
+                _ => None,
+            })
+            .expect("an exemplar reply with outcomes");
+        let outcomes = &reply.results.outcomes;
+        let bytes = encode(outcomes);
+        assert_eq!(bytes, encode(&outcomes.to_vec()));
+        assert_eq!(&decode::<Outcomes>(&bytes).unwrap(), outcomes);
+        assert!(Outcomes::ptr_eq(&reply.clone().results.outcomes, outcomes));
+
+        #[derive(Serialize)]
+        struct VecEffect {
+            outcomes: Vec<ExecOutcome>,
+        }
+        let plain = VecEffect {
+            outcomes: outcomes.to_vec(),
+        };
+        let json = serde_json::to_string(&reply.results).unwrap();
+        assert_eq!(json, serde_json::to_string(&plain).unwrap());
+        assert_eq!(
+            serde_json::from_str::<TxnEffect>(&json).unwrap(),
+            reply.results
+        );
+    }
+
     /// Requests covering every [`Operation`], [`TxnInstr`] and [`Cmp`]
     /// variant (the exemplars' batches are all writes).
     fn op_exemplars() -> Vec<Message> {
@@ -1108,7 +1145,7 @@ pub(crate) mod tests {
                 block_height: 1,
                 result_digest: digest(0),
                 results: TxnEffect {
-                    outcomes: vec![ExecOutcome::Done; 100],
+                    outcomes: vec![ExecOutcome::Done; 100].into(),
                 },
                 txns: 100,
             },
@@ -1366,7 +1403,9 @@ pub(crate) mod tests {
                             seq: view.wrapping_add(1),
                             block_height: view.wrapping_add(2),
                             result_digest: b.digest(),
-                            results: TxnEffect { outcomes },
+                            results: TxnEffect {
+                                outcomes: outcomes.into(),
+                            },
                             txns: b.batch.len() as u32,
                         },
                         view,

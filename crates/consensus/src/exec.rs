@@ -283,7 +283,7 @@ pub(crate) mod tests {
     use rdb_common::ids::{NodeId, ReplicaId};
     use rdb_common::time::SimTime;
     use rdb_crypto::sign::{KeyStore, Signer};
-    use rdb_store::{ExecOutcome, Operation, Value};
+    use rdb_store::{ExecOutcome, Operation, Outcomes, Value};
 
     impl CommitTail {
         /// Entries of the admission state: batches executed ahead of
@@ -529,7 +529,7 @@ pub(crate) mod tests {
         );
         // Tampered results no longer hash to the claimed digest.
         let mut forged = effect.clone();
-        forged.outcomes[1] = ExecOutcome::ReadValue(Some(Value::from_u64(7)));
+        forged.outcomes.make_mut()[1] = ExecOutcome::ReadValue(Some(Value::from_u64(7)));
         assert_ne!(result_digest(&b.digest(), &forged), d);
     }
 
@@ -594,6 +594,17 @@ pub(crate) mod tests {
                 assert_eq!(t.state_digest(), before);
             } else {
                 assert_ne!(t.state_digest(), before);
+                // The reply sent and the reply remembered share outcomes.
+                let logged = &t.clients[&ClientId::new(0, 0)].replies;
+                let shared = |r: &ReplyData| {
+                    let sent = sent
+                        .iter()
+                        .find(|s| (s.client, s.batch_seq) == (r.client, r.batch_seq));
+                    Outcomes::ptr_eq(&sent.unwrap().results.outcomes, &r.results.outcomes)
+                };
+                assert_eq!(logged.len(), 2);
+                assert!(logged.iter().all(shared));
+                assert!(logged.iter().all(|r| r.results.outcomes.len() == 1));
             }
         }
     }

@@ -3,12 +3,12 @@
 
 use rdb_common::ids::{ClientId, ClusterId};
 use rdb_common::wire;
+use rdb_common::Shared;
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sha256::Sha256;
 use rdb_crypto::sign::{PublicKey, Signature};
 use rdb_store::{Operation, Value};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One client transaction `T` (a YCSB query in the evaluation).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,68 +80,10 @@ impl Transaction {
 /// Cloning a batch — into every target of a multicast, a certificate, a
 /// decision, a ledger block — bumps a reference count instead of copying
 /// the transactions, so in one process every copy of a batch reads the
-/// allocation its client built. The handle is copy-on-write: equality,
-/// `Debug`, the batch digest and both encodings (the wire codec and
-/// serde) see only the content, exactly as a `Vec<Transaction>` would,
-/// and [`Txns::make_mut`] gives a private copy to whoever changes one.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Txns(Arc<Vec<Transaction>>);
-
-impl Txns {
-    /// Mutable access to the transactions, copying them first if any
-    /// other handle shares them; the other handles are left untouched.
-    pub fn make_mut(&mut self) -> &mut Vec<Transaction> {
-        Arc::make_mut(&mut self.0)
-    }
-
-    /// True when `a` and `b` share one allocation.
-    pub fn ptr_eq(a: &Txns, b: &Txns) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-}
-
-impl std::ops::Deref for Txns {
-    type Target = [Transaction];
-    fn deref(&self) -> &[Transaction] {
-        &self.0
-    }
-}
-
-impl std::fmt::Debug for Txns {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl From<Vec<Transaction>> for Txns {
-    fn from(txns: Vec<Transaction>) -> Txns {
-        Txns(Arc::new(txns))
-    }
-}
-
-impl FromIterator<Transaction> for Txns {
-    fn from_iter<I: IntoIterator<Item = Transaction>>(iter: I) -> Txns {
-        Txns::from(iter.into_iter().collect::<Vec<_>>())
-    }
-}
-
-/// Owned iteration moves the transactions out when this is the last
-/// handle and clones them otherwise.
-impl IntoIterator for Txns {
-    type Item = Transaction;
-    type IntoIter = std::vec::IntoIter<Transaction>;
-    fn into_iter(self) -> Self::IntoIter {
-        Arc::unwrap_or_clone(self.0).into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Txns {
-    type Item = &'a Transaction;
-    type IntoIter = std::slice::Iter<'a, Transaction>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
-    }
-}
+/// allocation its client built. The batch digest and both encodings (the
+/// wire codec and serde) see only the content, exactly as a
+/// `Vec<Transaction>` would; see [`Shared`].
+pub type Txns = Shared<Transaction>;
 
 /// A batch of transactions from one client — the unit the protocols order
 /// (§3 "Request batching": clients group their requests in batches; the

@@ -337,7 +337,8 @@ impl DeploymentBuilder {
 
         // Build every replica's state (keys, its one table, protocol)
         // before starting the clock: store preloading is setup, not run.
-        // The preload is built once and each replica gets a copy.
+        // The preload is built once and every replica's table is a clone
+        // of it: one shared preload, one private overlay per replica.
         let records = self.records;
         let mut preload: Option<KvStore> = None;
         let mut preloaded = || {
@@ -349,10 +350,10 @@ impl DeploymentBuilder {
         for rid in system.all_replicas().collect::<Vec<_>>() {
             let signer = ks.register(rid.into());
             let crypto = CryptoCtx::new(signer, ks.verifier(), true);
-            // Memory mode preloads the table. Durable mode opens the
-            // replica's engine first: an initialized directory recovers
-            // table and ledger from disk; a fresh one bulk-dumps the
-            // preload before serving.
+            // Memory mode takes the shared preload. Durable mode opens
+            // the replica's engine first: an initialized directory
+            // recovers table and ledger from disk; a fresh one takes the
+            // shared preload and writes it to one run before serving.
             let (table, ledger, backend) = match &durable_root {
                 None => (preloaded(), Ledger::new(), None),
                 Some(root) => {

@@ -68,11 +68,11 @@ pub struct CheckpointConfig {
     /// behavior, and the default: figure reproductions and equivalence
     /// tests compare full ledgers unless they opt in).
     pub interval: u64,
-    /// Keep a full [`KvStore`] clone of the last *stable* checkpoint —
-    /// the state a restarting replica recovers from
-    /// (`rdb_ledger::recover_from_checkpoint`). Costs one table copy per
-    /// checkpoint; recovery tests and snapshot-shipping deployments
-    /// enable it.
+    /// Keep a [`KvStore`] clone of the last *stable* checkpoint — the
+    /// state a restarting replica recovers from
+    /// (`rdb_ledger::recover_from_checkpoint`). Costs one copy of the
+    /// table's private overlay per checkpoint (the preload is shared);
+    /// recovery tests and snapshot-shipping deployments enable it.
     pub retain_snapshot: bool,
     /// Fault injection for the test harness: sleep this long inside the
     /// checkpoint thread per snapshot job, emulating slow snapshot I/O.
@@ -160,7 +160,7 @@ pub(crate) enum CheckpointMsg {
         height: u64,
         /// The replica's state digest at that height.
         state: Digest,
-        /// A full table clone ([`CheckpointConfig::retain_snapshot`]).
+        /// A table clone ([`CheckpointConfig::retain_snapshot`]).
         snapshot: Option<KvStore>,
     },
     /// A verified pipeline-scope checkpoint vote from a peer.

@@ -15,6 +15,13 @@
 //! recovered ledger head's `state_digest` by construction, with no replay
 //! or version-bump reasoning required.
 //!
+//! First boot is ordered the other way round: the preload goes straight
+//! to one sorted `table` run (no WAL record), and only after that run is
+//! renamed into place does the `init` marker go into the WAL, as a batch
+//! of its own (`init_replica`). Until the marker's record is whole the
+//! directory counts as uninitialized and the next boot loads the preload
+//! again; the run it writes replaces any run the crashed boot left.
+//!
 //! ## Keyspace encodings
 //!
 //! | keyspace      | key                      | value                                  |
@@ -72,7 +79,7 @@ pub enum StorageMode {
 /// records interleave at batch granularity.
 pub type SharedBackend = Arc<Mutex<LogBackend>>;
 
-/// Meta-keyspace marker: set once the preload bulk-dump finished, so a
+/// Meta-keyspace marker: set once the preload's run is in place, so a
 /// half-initialized directory is re-initialized rather than recovered.
 const META_INIT: &[u8] = b"init";
 /// Meta-keyspace watermark: the highest ledger height applied (and
@@ -192,28 +199,30 @@ pub(crate) fn replica_dir(root: &Path, rid: ReplicaId) -> PathBuf {
     root.join(format!("replica-{}-{}", rid.cluster.0, rid.index))
 }
 
-/// Whether this engine finished a preload bulk-dump (i.e. holds a
+/// Whether this engine finished loading the preload (i.e. holds a
 /// recoverable replica rather than an empty or half-initialized one).
 pub(crate) fn is_initialized(backend: &LogBackend) -> bool {
     backend.get(Keyspace::Meta, META_INIT).is_some()
 }
 
-/// First durable boot: bulk-dump the preloaded table and set the init
-/// marker, all before the replica starts serving. The marker rides the
-/// same atomic batch as the records, so a crash mid-preload leaves the
-/// directory uninitialized and the next boot redoes the dump.
+/// First durable boot: write the preloaded table straight to one sorted
+/// `table` run ([`LogBackend::load`]: no WAL record, no memtable), then
+/// set the init marker in a WAL batch of its own — only once the run is
+/// in place. A crash anywhere before the marker's record is whole (before
+/// the run's rename, after it, or tearing the marker's append) leaves the
+/// directory uninitialized, and the next boot loads the preload again:
+/// the new run replaces whatever run the crash left, so no stale run can
+/// shadow it.
 pub(crate) fn init_replica(backend: &mut LogBackend, store: &KvStore) -> io::Result<()> {
-    let mut batch = WriteBatch::new();
-    for (key, value, version) in store.records() {
-        batch.put(
-            Keyspace::Table,
-            be_key(key),
-            encode_table_value(value, version),
-        );
-    }
-    batch.put(Keyspace::Meta, META_INIT, [1u8]);
-    backend.apply(batch)?;
-    backend.flush()
+    let mut records: Vec<_> = store.records().collect();
+    records.sort_unstable_by_key(|&(key, ..)| key);
+    let entries = records
+        .into_iter()
+        .map(|(key, value, version)| (be_key(key), encode_table_value(value, version)));
+    backend.load(Keyspace::Table, entries)?;
+    let mut marker = WriteBatch::new();
+    marker.put(Keyspace::Meta, META_INIT, [1u8]);
+    backend.apply(marker)
 }
 
 /// Persist one applied decision as a single atomic batch: the blocks the
@@ -515,6 +524,113 @@ mod tests {
         }
         expected.restore_record(7, Value::from_u64(700), 5);
         assert_eq!(store.state_digest(), expected.state_digest());
+    }
+
+    /// Boot the engine in `dir` the way `DeploymentBuilder::start` does
+    /// (load `preload` unless the directory is initialized, then
+    /// recover): the recovered table, and the `table` run files left.
+    fn boot(dir: &Path, preload: &KvStore) -> (KvStore, usize) {
+        let mut backend = LogBackend::open(dir, LogConfig::default()).unwrap();
+        if !is_initialized(&backend) {
+            init_replica(&mut backend, preload).unwrap();
+        }
+        let (table, _) = recover_replica(&backend).unwrap();
+        let runs = std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("table-")
+            })
+            .count();
+        (table, runs)
+    }
+
+    /// The kill points of a first boot. Killed before the preload run's
+    /// rename, after it (before the marker), or inside the marker's WAL
+    /// append, a replica reboots to the table of a clean first boot, and
+    /// only the rebooted run is left — no stale run to shadow it.
+    #[test]
+    fn a_first_boot_killed_before_its_marker_reboots_clean() {
+        let preload = KvStore::with_ycsb_records(300);
+        let (clean, runs) = boot(&tempdir("boot-clean"), &preload);
+        assert_eq!(clean.state_digest(), preload.state_digest());
+        assert_eq!(runs, 1);
+        let rebooted = |dir: &Path| {
+            let (table, runs) = boot(dir, &preload);
+            assert_eq!(table.state_digest(), clean.state_digest());
+            assert_eq!(table.len(), 300);
+            assert_eq!(runs, 1, "a stale table run survived");
+        };
+
+        // Before the rename: the run is still its `.tmp` sibling.
+        let dir = tempdir("kill-before-rename");
+        let path = dir.join("table-00000001.run");
+        let mut torn = rdb_storage::run::RunWriter::create(&path, Keyspace::Table, 1).unwrap();
+        let image = encode_table_value(Value::from_u64(9), 9);
+        torn.push(&be_key(0), Some(&image)).unwrap();
+        drop(torn);
+        assert!(path.with_extension("tmp").exists());
+        rebooted(&dir);
+
+        // After the rename, before the marker: a whole run is in place. It
+        // holds other records here, so a stale run that is read shows.
+        let dir = tempdir("kill-after-rename");
+        let mut backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        let stale = [(be_key(0), image), (be_key(400), image)];
+        backend.load(Keyspace::Table, stale).unwrap();
+        assert!(!is_initialized(&backend));
+        drop(backend);
+        rebooted(&dir);
+
+        // Inside the marker's WAL append: every cut of its record.
+        let dir = tempdir("kill-in-marker");
+        let mut backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        let header = std::fs::metadata(dir.join("wal")).unwrap().len() as usize;
+        init_replica(&mut backend, &preload).unwrap();
+        drop(backend);
+        let wal = std::fs::read(dir.join("wal")).unwrap();
+        assert!(wal.len() > header, "the marker is a WAL record");
+        for cut in header..wal.len() {
+            let dir = tempdir(&format!("kill-in-marker-{cut}"));
+            init_replica(
+                &mut LogBackend::open(&dir, LogConfig::default()).unwrap(),
+                &preload,
+            )
+            .unwrap();
+            std::fs::write(dir.join("wal"), &wal[..cut]).unwrap();
+            assert!(!is_initialized(
+                &LogBackend::open(&dir, LogConfig::default()).unwrap()
+            ));
+            rebooted(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The preload run reads back like the records went through the WAL
+    /// and a flush: every `get` and the whole scan agree.
+    #[test]
+    fn the_loaded_preload_reads_like_a_flushed_one() {
+        let preload = KvStore::with_ycsb_records(300);
+        let mut loaded = LogBackend::open(&tempdir("preload-run"), LogConfig::default()).unwrap();
+        init_replica(&mut loaded, &preload).unwrap();
+        let mut flushed = LogBackend::open(&tempdir("preload-wal"), LogConfig::default()).unwrap();
+        let mut batch = WriteBatch::new();
+        for (key, value, version) in preload.records() {
+            batch.put(
+                Keyspace::Table,
+                be_key(key),
+                encode_table_value(value, version),
+            );
+        }
+        flushed.apply(batch).unwrap();
+        flushed.flush().unwrap();
+        assert_eq!(loaded.scan(Keyspace::Table), flushed.scan(Keyspace::Table));
+        for key in 0..310 {
+            assert_eq!(
+                loaded.get(Keyspace::Table, &be_key(key)),
+                flushed.get(Keyspace::Table, &be_key(key))
+            );
+        }
     }
 
     /// One write decision of a shared history: client 0's `round`-th

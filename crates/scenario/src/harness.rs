@@ -150,14 +150,20 @@ pub struct ReplayAudit {
     pub store: KvStore,
 }
 
-/// Re-execute a committed ledger against a fresh preloaded store with
-/// [`rdb_ledger::replay`], which checks the recorded post-execution state
-/// digest at every round end. This re-derives the execution result from
-/// the chain alone — independent of which runtime produced it — and is
-/// where scenario program/abort counts come from.
+/// Re-execute a committed ledger against a fresh preloaded store of
+/// `records` records; see [`replay_over`].
 pub fn replay_ledger(ledger: &Ledger, records: u64) -> Result<ReplayAudit, String> {
-    let store = rdb_ledger::replay(ledger, 0, KvStore::with_ycsb_records(records))
-        .map_err(|e| e.to_string())?;
+    replay_over(ledger, &KvStore::with_ycsb_records(records))
+}
+
+/// Re-execute a committed ledger against a clone of the untouched
+/// `preload` (build it once and audit every ledger over it; the clones
+/// share it) with [`rdb_ledger::replay`], which checks the recorded
+/// post-execution state digest at every round end. This re-derives the
+/// execution result from the chain alone — independent of which runtime
+/// produced it — and is where scenario program/abort counts come from.
+pub fn replay_over(ledger: &Ledger, preload: &KvStore) -> Result<ReplayAudit, String> {
+    let store = rdb_ledger::replay(ledger, 0, preload.clone()).map_err(|e| e.to_string())?;
     let stats = store.stats();
     Ok(ReplayAudit {
         blocks: ledger.head_height(),

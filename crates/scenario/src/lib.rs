@@ -32,7 +32,7 @@
 //! # Independent replay audit
 //!
 //! Every scenario re-executes the observer replica's committed ledger
-//! against a fresh preloaded store ([`harness::replay_ledger`], a caller
+//! against a clone of one preloaded store ([`harness::replay_over`], a caller
 //! of [`rdb_ledger::replay`]) and verifies the `state_digest` recorded at
 //! every round end. This is a
 //! runtime-independent check: whatever the pipeline (fabric executor,
@@ -46,7 +46,7 @@ pub mod harness;
 pub mod scenarios;
 pub mod workloads;
 
-pub use harness::{replay_ledger, ReplayAudit, ScenarioOutcome};
+pub use harness::{replay_ledger, replay_over, ReplayAudit, ScenarioOutcome};
 pub use scenarios::{
     byzantine_primary, healing_partition, quick_all, run_all, smallbank, token_rmw, Mode,
 };

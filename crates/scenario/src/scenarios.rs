@@ -16,7 +16,7 @@
 //! | `byzantine_primary` | hot-account transfers | equivocating primary      | honest agreement + progress |
 
 use crate::harness::{
-    assert_agreement, assert_identical_prefix, replay_ledger, run_fabric, run_simnet, ReplayAudit,
+    assert_agreement, assert_identical_prefix, replay_over, run_fabric, run_simnet, ReplayAudit,
     ScenarioOutcome, ScenarioSpec,
 };
 use crate::workloads::{smallbank_factory, token_factory, TOKEN_SUPPLY_KEY};
@@ -26,6 +26,7 @@ use rdb_consensus::adversary::AdversarySpec;
 use rdb_consensus::config::ProtocolKind;
 use rdb_ledger::Ledger;
 use rdb_simnet::FaultSpec;
+use rdb_store::KvStore;
 use std::time::Duration;
 
 /// How much of a scenario to run.
@@ -48,9 +49,10 @@ fn r(cluster: u16, index: u16) -> ReplicaId {
     ReplicaId::new(cluster, index)
 }
 
-/// Replay `ledger` and require program traffic to have actually flowed.
-fn audited_replay(ledger: &Ledger, records: u64, label: &str) -> ReplayAudit {
-    let audit = replay_ledger(ledger, records)
+/// Replay `ledger` over `preload` and require program traffic to have
+/// actually flowed.
+fn audited_replay(ledger: &Ledger, preload: &KvStore, label: &str) -> ReplayAudit {
+    let audit = replay_over(ledger, preload)
         .unwrap_or_else(|e| panic!("{label}: replay audit failed: {e}"));
     assert!(audit.programs > 0, "{label}: no programs committed");
     audit
@@ -70,7 +72,8 @@ pub fn smallbank(mode: Mode) -> ScenarioOutcome {
     assert!(metrics.completed_batches > 0, "smallbank: no progress");
     assert_agreement(&ledgers, &[], 3, "smallbank/simnet");
     let sim = &ledgers[&OBSERVER];
-    let audit = audited_replay(sim, spec.records, "smallbank/simnet");
+    let preload = KvStore::with_ycsb_records(spec.records);
+    let audit = audited_replay(sim, &preload, "smallbank/simnet");
     assert!(audit.aborts > 0, "smallbank: no transfer ever aborted");
     assert!(
         audit.aborts < audit.programs,
@@ -94,7 +97,7 @@ pub fn smallbank(mode: Mode) -> ScenarioOutcome {
         let fabric = &report.ledgers[&OBSERVER];
         assert_identical_prefix(sim, fabric, 3, label);
         // The fabric chain independently replays too, aborts and all.
-        let fa = audited_replay(fabric, spec.records, label);
+        let fa = audited_replay(fabric, &preload, label);
         assert!(fa.aborts > 0, "{label}: no aborts reached the chain");
     }
     ScenarioOutcome::from_replay("smallbank", spec.kind, sim, &audit)
@@ -114,7 +117,8 @@ pub fn token_rmw(mode: Mode) -> ScenarioOutcome {
     assert!(metrics.completed_batches > 0, "token_rmw: no progress");
     assert_agreement(&ledgers, &[], 3, "token_rmw/simnet");
     let sim = &ledgers[&OBSERVER];
-    let audit = audited_replay(sim, spec.records, "token_rmw/simnet");
+    let preload = KvStore::with_ycsb_records(spec.records);
+    let audit = audited_replay(sim, &preload, "token_rmw/simnet");
     check_conservation(&audit, ACCOUNTS, "token_rmw/simnet");
 
     if mode == Mode::Full {
@@ -133,7 +137,7 @@ pub fn token_rmw(mode: Mode) -> ScenarioOutcome {
             .unwrap_or_else(|e| panic!("{label}: execution audit failed: {e}"));
         let fabric = &report.ledgers[&OBSERVER];
         assert_identical_prefix(sim, fabric, 3, label);
-        let fa = audited_replay(fabric, spec.records, label);
+        let fa = audited_replay(fabric, &preload, label);
         check_conservation(&fa, ACCOUNTS, label);
     }
     ScenarioOutcome::from_replay("token_rmw", spec.kind, sim, &audit)
@@ -185,7 +189,8 @@ pub fn healing_partition(mode: Mode) -> ScenarioOutcome {
     );
     assert_agreement(&ledgers, &[], 2, "healing_partition/simnet");
     let sim = &ledgers[&OBSERVER];
-    let audit = audited_replay(sim, spec.records, "healing_partition/simnet");
+    let preload = KvStore::with_ycsb_records(spec.records);
+    let audit = audited_replay(sim, &preload, "healing_partition/simnet");
 
     if mode == Mode::Full {
         let label = "healing_partition/fabric";
@@ -199,7 +204,7 @@ pub fn healing_partition(mode: Mode) -> ScenarioOutcome {
             .audit_ledgers()
             .unwrap_or_else(|e| panic!("{label}: ledgers inconsistent: {e}"));
         let fabric = &report.ledgers[&OBSERVER];
-        audited_replay(fabric, spec.records, label);
+        audited_replay(fabric, &preload, label);
         assert!(
             fabric.head_height() >= 2,
             "{label}: too little post-heal progress"
@@ -275,7 +280,8 @@ pub fn byzantine_primary(kind: ProtocolKind, mode: Mode) -> ScenarioOutcome {
     );
     assert_agreement(&ledgers, &exclude, 1, &format!("{name}/simnet"));
     let sim = &ledgers[&observer];
-    let audit = audited_replay(sim, spec.records, &format!("{name}/simnet"));
+    let preload = KvStore::with_ycsb_records(spec.records);
+    let audit = audited_replay(sim, &preload, &format!("{name}/simnet"));
 
     if mode == Mode::Full {
         let label = format!("{name}/fabric");
@@ -288,7 +294,7 @@ pub fn byzantine_primary(kind: ProtocolKind, mode: Mode) -> ScenarioOutcome {
         // `audit_ledgers` insists *all* replicas agree; under Zyzzyva the
         // victim is allowed to diverge, so audit the honest set directly.
         assert_agreement(report.ledgers.iter(), &exclude, 1, &label);
-        audited_replay(&report.ledgers[&observer], spec.records, &label);
+        audited_replay(&report.ledgers[&observer], &preload, &label);
     }
     ScenarioOutcome::from_replay(&name, kind, sim, &audit)
 }

@@ -194,15 +194,16 @@ impl Scenario {
             engine.attach_ledgers();
         }
 
-        let real_exec = self.cfg.exec_mode == ExecMode::Real;
+        // One preload per run; every replica's table is a clone of it.
+        // Modeled execution leaves the state untouched.
+        let preload = match self.cfg.exec_mode {
+            ExecMode::Real => KvStore::with_ycsb_records(self.real_exec_records),
+            ExecMode::Modeled => KvStore::new(),
+        };
         for rid in self.cfg.system.all_replicas().collect::<Vec<_>>() {
             let signer = ks.register(rid.into());
             let crypto = CryptoCtx::new(signer, ks.verifier(), false);
-            let store = if real_exec {
-                KvStore::with_ycsb_records(self.real_exec_records)
-            } else {
-                KvStore::new() // Modeled execution: state untouched.
-            };
+            let store = preload.clone();
             let adversary = self
                 .adversaries
                 .iter()

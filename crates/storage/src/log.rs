@@ -45,6 +45,11 @@
 //!   sequence number it covers; inputs a crash left behind fall inside that
 //!   range and are removed at open instead of being read.
 //!
+//! [`LogBackend::load`] (a keyspace's contents replaced by one sorted run,
+//! the durable first boot's preload) rests on the same rule: its run
+//! covers every older run of the keyspace, so a crash that leaves them
+//! behind leaves nothing that is read.
+//!
 //! ## Recovery state machine (at [`LogBackend::open`])
 //!
 //! 1. remove orphaned `*.tmp` files; validate and index every
@@ -245,6 +250,39 @@ impl LogBackend {
         )
     }
 
+    /// Replace everything `ks` holds with `entries` (ascending keys),
+    /// written straight to one run: no WAL record, no memtable. A durable
+    /// replica's first boot bulk-loads its preload this way.
+    ///
+    /// The new run covers every older run of `ks` (it records the oldest
+    /// sequence number they cover, as a merged run does), so once it is
+    /// renamed into place they are garbage: they are deleted here, and
+    /// [`LogBackend::open`] removes any that a crash leaves behind. A
+    /// crash before the rename leaves only a `.tmp` file, which `open`
+    /// removes too. Writes to `ks` still in the memtable are flushed
+    /// first, so that no WAL replay can lay them over the new run.
+    pub fn load<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &mut self,
+        ks: Keyspace,
+        entries: impl IntoIterator<Item = (K, V)>,
+    ) -> io::Result<()> {
+        if !self.spaces[ks.index()].memtable.is_empty() {
+            self.flush_memtables()?;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let space = &mut self.spaces[ks.index()];
+        let covers_from = space.runs.first().map_or(seq, |(_, run)| run.covers_from());
+        let entries = entries.into_iter().map(|(k, v)| Ok((k, Some(v))));
+        let run = write_run(&self.dir, self.cfg.fsync, ks, seq, covers_from, entries)?;
+        for (_, old) in space.runs.drain(..) {
+            let _ = fs::remove_file(old.path());
+        }
+        self.stats.run_bytes += run.bytes();
+        space.runs.push((seq, run));
+        Ok(())
+    }
+
     fn apply_to_memtables(&mut self, batch: WriteBatch) {
         for op in batch.ops {
             match op {
@@ -273,11 +311,8 @@ impl LogBackend {
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            let mut writer = RunWriter::create(&self.dir.join(run_name(ks, seq)), ks, seq)?;
-            for (key, value) in &space.memtable {
-                writer.push(key, value.as_deref())?;
-            }
-            let run = writer.finish(self.cfg.fsync)?;
+            let entries = space.memtable.iter().map(|(k, v)| Ok((k, v.as_ref())));
+            let run = write_run(&self.dir, self.cfg.fsync, ks, seq, seq, entries)?;
             space.memtable.clear();
             self.stats.flushes += 1;
             self.stats.run_bytes += run.bytes();
@@ -319,17 +354,19 @@ impl LogBackend {
         // Below the keyspace's oldest run there is nothing for a tombstone
         // to shadow; anywhere else it still hides older runs' entries.
         let keep_tombstones = window.start > 0;
-        let path = self.dir.join(run_name(ks, newest_seq));
-        let mut writer = RunWriter::create(&path, ks, inputs[0].1.covers_from())?;
-        for entry in Merge::new(inputs.iter().map(|(_, run)| run), None) {
-            let (key, value) = entry?;
-            if value.is_some() || keep_tombstones {
-                writer.push(&key, value.as_deref())?;
-            }
-        }
+        let entries = Merge::new(inputs.iter().map(|(_, run)| run), None)
+            .filter(|entry| keep_tombstones || !matches!(entry, Ok((_, None))));
         // The rename replaces the newest input; the older ones are garbage
         // from here on, and `open` removes any a crash leaves behind.
-        let merged = writer.finish(self.cfg.fsync)?;
+        let covers_from = inputs[0].1.covers_from();
+        let merged = write_run(
+            &self.dir,
+            self.cfg.fsync,
+            ks,
+            newest_seq,
+            covers_from,
+            entries,
+        )?;
         for (_, input) in &inputs[..inputs.len() - 1] {
             let _ = fs::remove_file(input.path());
         }
@@ -338,6 +375,26 @@ impl LogBackend {
         space.runs.splice(window, [(newest_seq, merged)]);
         Ok(())
     }
+}
+
+/// Stream `entries`, in ascending key order (`None` is a tombstone), out
+/// as the run `seq` of `ks` covering sequence numbers from `covers_from`,
+/// and rename it into place: the one run-writing loop of flushes, merges
+/// and [`LogBackend::load`].
+fn write_run<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    dir: &Path,
+    fsync: bool,
+    ks: Keyspace,
+    seq: u64,
+    covers_from: u64,
+    entries: impl IntoIterator<Item = io::Result<(K, Option<V>)>>,
+) -> io::Result<Run> {
+    let mut writer = RunWriter::create(&dir.join(run_name(ks, seq)), ks, covers_from)?;
+    for entry in entries {
+        let (key, value) = entry?;
+        writer.push(key.as_ref(), value.as_ref().map(AsRef::as_ref))?;
+    }
+    writer.finish(fsync)
 }
 
 /// The trait leaves `get`, `scan` and `len` no way to report an I/O error.
@@ -697,6 +754,65 @@ mod tests {
         assert!(b.run_count(Keyspace::Blocks) >= 30);
         assert_eq!(b.len(Keyspace::Blocks), 512);
         assert_eq!(b.len(Keyspace::Table), 5000);
+    }
+
+    #[test]
+    fn a_loaded_run_reads_like_the_wal_and_flush_path() {
+        let entries: Vec<([u8; 8], Vec<u8>)> = (0..500u64)
+            .map(|k| (k.to_be_bytes(), vec![k as u8; 32]))
+            .collect();
+        let wal_dir = tmp("load-wal");
+        let mut flushed = LogBackend::open(&wal_dir, LogConfig::default()).unwrap();
+        let mut batch = WriteBatch::new();
+        for (k, v) in &entries {
+            batch.put(Keyspace::Table, k.to_vec(), v.clone());
+        }
+        flushed.apply(batch).unwrap();
+        flushed.flush().unwrap();
+        let run_dir = tmp("load-run");
+        let mut loaded = LogBackend::open(&run_dir, LogConfig::default()).unwrap();
+        loaded.load(Keyspace::Table, entries.clone()).unwrap();
+        assert_eq!(loaded.stats().wal_records, 0, "no WAL record");
+        assert_eq!(loaded.run_count(Keyspace::Table), 1);
+        let same = |a: &LogBackend, b: &LogBackend| {
+            assert_eq!(a.scan(Keyspace::Table), b.scan(Keyspace::Table));
+            for k in 0..520u64 {
+                let key = k.to_be_bytes();
+                assert_eq!(a.get(Keyspace::Table, &key), b.get(Keyspace::Table, &key));
+            }
+        };
+        same(&flushed, &loaded);
+        drop(loaded);
+        let loaded = LogBackend::open(&run_dir, LogConfig::default()).unwrap();
+        same(&flushed, &loaded);
+    }
+
+    #[test]
+    fn a_load_replaces_older_runs_and_the_memtable_across_a_crash() {
+        let dir = tmp("load-replace");
+        let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        for k in 0..20u64 {
+            put(&mut b, Keyspace::Table, k, b"stale");
+        }
+        b.flush().unwrap();
+        let stale = fs::read(dir.join("table-00000001.run")).unwrap();
+        put(&mut b, Keyspace::Table, 30, b"unflushed");
+        let fresh: Vec<_> = (0..10u64).map(|k| (k.to_be_bytes(), *b"fresh")).collect();
+        b.load(Keyspace::Table, fresh.clone()).unwrap();
+        let expect: Vec<_> = fresh
+            .iter()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect();
+        assert_eq!(b.scan(Keyspace::Table), expect);
+        assert_eq!(run_files(&dir), ["table-00000003.run"]);
+        drop(b);
+
+        // The crash window: the new run renamed in, a replaced one not yet
+        // deleted. It must not be read, and `open` removes it.
+        fs::write(dir.join("table-00000001.run"), stale).unwrap();
+        let b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        assert_eq!(b.scan(Keyspace::Table), expect);
+        assert_eq!(run_files(&dir), ["table-00000003.run"]);
     }
 
     #[test]

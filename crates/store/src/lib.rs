@@ -20,6 +20,6 @@ pub mod ops;
 pub mod table;
 pub mod txn;
 
-pub use ops::{ExecOutcome, Operation, TxnEffect};
+pub use ops::{ExecOutcome, Operation, Outcomes, TxnEffect};
 pub use table::{KvStore, StoreStats, Value, STORE_SHARDS};
 pub use txn::{Cmp, TxnAbort, TxnInstr, TxnOutcome, TxnProgram};

@@ -71,13 +71,17 @@ pub enum ExecOutcome {
     Txn(crate::txn::TxnOutcome),
 }
 
+/// One batch's outcomes in one shared allocation: the reply a replica
+/// sends and the copy it remembers for retransmission hold the same one.
+pub type Outcomes = rdb_common::Shared<ExecOutcome>;
+
 /// The effect of executing a whole transaction batch: one outcome per
 /// operation. Replicas include a digest of this in client replies so that
 /// clients can match the `f + 1` identical responses required by §2.4.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct TxnEffect {
     /// Per-operation outcomes, in execution order.
-    pub outcomes: Vec<ExecOutcome>,
+    pub outcomes: Outcomes,
 }
 
 impl Operation {

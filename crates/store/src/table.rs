@@ -5,6 +5,7 @@ use rdb_crypto::digest::Digest;
 use rdb_crypto::sha256::Sha256;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A fixed-size record value. YCSB records carry ten 100-byte fields; the
 /// paper batches 100 transactions into 5.4 kB pre-prepares, implying ~52 B
@@ -76,6 +77,9 @@ impl StoreStats {
 pub const STORE_SHARDS: usize = 16;
 const SHARD_MASK: u64 = STORE_SHARDS as u64 - 1;
 
+/// Version of every preloaded record.
+const BASE_VERSION: u64 = 1;
+
 #[inline]
 fn shard_of(key: u64) -> usize {
     (key & SHARD_MASK) as usize
@@ -88,40 +92,62 @@ fn xor_into(acc: &mut [u8; 32], d: &[u8; 32]) {
     }
 }
 
-/// One fingerprint shard: a slice of the record map plus the XOR fold of
-/// its records' digests. The table-wide accumulator is the XOR of every
-/// shard's `accum` (XOR is associative and commutative, so the partition
-/// is digest-preserving).
+/// The preload every clone of a [`KvStore::with_ycsb_records`] table
+/// shares, immutable: record `k` of `0..n` is `values[k]` at version 1
+/// (a dense array, since the preload's keys are exactly `0..n`), plus
+/// each shard's XOR fold of those records' digests.
+#[derive(Debug, Default)]
+struct Base {
+    values: Vec<Value>,
+    accums: [[u8; 32]; STORE_SHARDS],
+}
+
+impl Base {
+    fn get(&self, key: u64) -> Option<Value> {
+        self.values.get(usize::try_from(key).ok()?).copied()
+    }
+
+    /// The keys of shard `shard`, ascending.
+    fn shard_keys(&self, shard: usize) -> impl Iterator<Item = u64> {
+        (shard as u64..self.values.len() as u64).step_by(STORE_SHARDS)
+    }
+}
+
+/// One fingerprint shard of a replica's private overlay: the records
+/// written since boot whose key falls in the shard, plus the XOR fold of
+/// the digests of *every* record the shard holds, base and overlay — so
+/// it starts from the base's accumulator. The table-wide accumulator is
+/// the XOR of every shard's `accum` (XOR is associative and commutative,
+/// so the partition is digest-preserving).
 #[derive(Debug, Clone, Default)]
 struct Shard {
     records: HashMap<u64, (Value, u64)>,
     accum: [u8; 32],
 }
 
-impl Shard {
-    fn compute_accum(&self) -> [u8; 32] {
-        let mut acc = [0u8; 32];
-        for (key, (value, version)) in &self.records {
-            let d = KvStore::record_digest(*key, value, *version);
-            xor_into(&mut acc, &d);
-        }
-        acc
-    }
-}
-
-/// The in-memory YCSB table: a map from `u64` record keys to [`Value`]s
-/// plus a monotone version counter per record.
+/// The YCSB table: a map from `u64` record keys to [`Value`]s plus a
+/// monotone version counter per record.
+///
+/// A table is an immutable preload shared behind one `Arc` — built once
+/// by [`KvStore::with_ycsb_records`], shared by every clone — and a
+/// private overlay holding only the records this table wrote since: reads
+/// look in the overlay first, then in the preload. Every replica of a
+/// deployment (and every snapshot a replica retains) therefore holds the
+/// preload once between them and pays memory only for what it wrote
+/// ([`KvStore::private_records`]). [`KvStore::new`] has an empty preload.
 ///
 /// The store maintains an *incremental* state fingerprint: a running XOR of
 /// per-record digests, decomposed over [`STORE_SHARDS`] internal shards.
 /// XOR-accumulation makes `state_digest` O(1) while still changing whenever
 /// any record differs — two stores have equal digests iff they hold the
 /// same records at the same versions (up to hash collisions, which SHA-256
-/// makes negligible).
+/// makes negligible), however their records divide between preload and
+/// overlay.
 #[derive(Debug, Clone)]
 pub struct KvStore {
+    base: Arc<Base>,
     shards: Vec<Shard>,
-    /// Cached total record count across shards.
+    /// Cached total record count, preload and overlay.
     len: usize,
     stats: StoreStats,
     /// Number of transactions applied (batch items), used for checkpoints.
@@ -136,9 +162,21 @@ pub struct KvStore {
 impl KvStore {
     /// Create an empty store.
     pub fn new() -> KvStore {
+        KvStore::over(Arc::default())
+    }
+
+    fn over(base: Arc<Base>) -> KvStore {
         KvStore {
-            shards: (0..STORE_SHARDS).map(|_| Shard::default()).collect(),
-            len: 0,
+            shards: base
+                .accums
+                .iter()
+                .map(|&accum| Shard {
+                    records: HashMap::new(),
+                    accum,
+                })
+                .collect(),
+            len: base.values.len(),
+            base,
             stats: StoreStats::default(),
             applied_txns: 0,
             captured: None,
@@ -147,17 +185,31 @@ impl KvStore {
 
     /// Create a store preloaded with `record_count` records, mirroring the
     /// paper's initialization ("each replica is initialized with an
-    /// identical copy of the YCSB table" with 600 k active records).
+    /// identical copy of the YCSB table" with 600 k active records). Build
+    /// it once and clone it: the clones share the preload.
     pub fn with_ycsb_records(record_count: u64) -> KvStore {
-        let mut store = KvStore::new();
-        let per_shard = (record_count as usize / STORE_SHARDS) + 1;
-        for shard in &mut store.shards {
-            shard.records.reserve(per_shard);
+        let mut base = Base {
+            values: (0..record_count).map(Value::from_u64).collect(),
+            accums: [[0u8; 32]; STORE_SHARDS],
+        };
+        for (key, value) in (0..record_count).zip(&base.values) {
+            let d = Self::record_digest(key, value, BASE_VERSION);
+            xor_into(&mut base.accums[shard_of(key)], &d);
         }
-        for key in 0..record_count {
-            store.insert_raw(key, Value::from_u64(key));
-        }
-        store
+        KvStore::over(Arc::new(base))
+    }
+
+    /// True when `a` and `b` share one preload allocation (clones of one
+    /// table do).
+    pub fn shares_base(a: &KvStore, b: &KvStore) -> bool {
+        Arc::ptr_eq(&a.base, &b.base)
+    }
+
+    /// Number of records in this table's private overlay: those written
+    /// since it was built (a preloaded record counts once it is
+    /// rewritten). What the table holds beyond its shared preload.
+    pub fn private_records(&self) -> usize {
+        self.shards.iter().map(|s| s.records.len()).sum()
     }
 
     pub(crate) fn record_digest(key: u64, value: &Value, version: u64) -> [u8; 32] {
@@ -168,11 +220,34 @@ impl KvStore {
         h.finalize()
     }
 
+    /// The record at `key`, overlay first, then the preload.
+    fn record(&self, key: u64) -> Option<(Value, u64)> {
+        match self.shards[shard_of(key)].records.get(&key) {
+            Some(&record) => Some(record),
+            None => self.base.get(key).map(|v| (v, BASE_VERSION)),
+        }
+    }
+
     fn insert_raw(&mut self, key: u64, value: Value) {
-        let new_ver = self.version(key).map_or(1, |v| v + 1);
-        self.restore_record(key, value, new_ver);
+        let old = self.record(key);
+        let new_ver = old.map_or(1, |(_, ver)| ver + 1);
+        self.set(key, value, new_ver, old);
         if let Some(buf) = &mut self.captured {
             buf.push((key, value, new_ver));
+        }
+    }
+
+    /// Overwrite `old`, the record at `key`, with `(value, version)` in
+    /// the overlay, maintaining the fingerprint and the length.
+    fn set(&mut self, key: u64, value: Value, version: u64, old: Option<(Value, u64)>) {
+        let shard = &mut self.shards[shard_of(key)];
+        xor_into(&mut shard.accum, &Self::record_digest(key, &value, version));
+        shard.records.insert(key, (value, version));
+        match old {
+            Some((old_v, old_ver)) => {
+                xor_into(&mut shard.accum, &Self::record_digest(key, &old_v, old_ver));
+            }
+            None => self.len += 1,
         }
     }
 
@@ -201,24 +276,22 @@ impl KvStore {
     /// stage's snapshot mirror applies each decision's captured images
     /// with it, executing nothing. Not captured.
     pub fn restore_record(&mut self, key: u64, value: Value, version: u64) {
-        let shard = &mut self.shards[shard_of(key)];
-        let new_d = Self::record_digest(key, &value, version);
-        xor_into(&mut shard.accum, &new_d);
-        match shard.records.insert(key, (value, version)) {
-            Some((old_v, old_ver)) => {
-                let old_d = Self::record_digest(key, &old_v, old_ver);
-                xor_into(&mut shard.accum, &old_d);
-            }
-            None => self.len += 1,
-        }
+        let old = self.record(key);
+        self.set(key, value, version, old);
     }
 
     /// Every record as `(key, value, version)`, in unspecified order (the
-    /// durable bulk-dump path; the storage engine sorts by key itself).
+    /// durable first boot sorts them into one run).
     pub fn records(&self) -> impl Iterator<Item = (u64, Value, u64)> + '_ {
-        self.shards
+        let overlay = self
+            .shards
             .iter()
-            .flat_map(|s| s.records.iter().map(|(k, (v, ver))| (*k, *v, *ver)))
+            .flat_map(|s| s.records.iter().map(|(k, (v, ver))| (*k, *v, *ver)));
+        let base = (0u64..)
+            .zip(&self.base.values)
+            .filter(|(k, _)| !self.shards[shard_of(*k)].records.contains_key(k))
+            .map(|(k, v)| (k, *v, BASE_VERSION));
+        overlay.chain(base)
     }
 
     /// Number of records currently stored.
@@ -233,18 +306,12 @@ impl KvStore {
 
     /// Read a record.
     pub fn get(&self, key: u64) -> Option<Value> {
-        self.shards[shard_of(key)]
-            .records
-            .get(&key)
-            .map(|(v, _)| *v)
+        self.record(key).map(|(v, _)| v)
     }
 
     /// Version of a record (1 on first write; None if absent).
     pub fn version(&self, key: u64) -> Option<u64> {
-        self.shards[shard_of(key)]
-            .records
-            .get(&key)
-            .map(|(_, ver)| *ver)
+        self.record(key).map(|(_, ver)| ver)
     }
 
     /// Execution statistics so far.
@@ -283,11 +350,23 @@ impl KvStore {
     /// table. O(records); used to validate checkpoint snapshots before
     /// they become recovery anchors.
     pub fn verify_fingerprint(&self) -> bool {
-        self.shards.iter().all(|s| s.compute_accum() == s.accum)
+        self.shards.iter().enumerate().all(|(i, shard)| {
+            let mut acc = [0u8; 32];
+            for (key, (value, version)) in &shard.records {
+                xor_into(&mut acc, &Self::record_digest(*key, value, *version));
+            }
+            for key in self.base.shard_keys(i) {
+                if !shard.records.contains_key(&key) {
+                    let value = self.base.values[key as usize];
+                    xor_into(&mut acc, &Self::record_digest(key, &value, BASE_VERSION));
+                }
+            }
+            acc == shard.accum
+        })
     }
 
     fn contains(&self, key: u64) -> bool {
-        self.shards[shard_of(key)].records.contains_key(&key)
+        self.record(key).is_some()
     }
 
     /// Execute one operation, returning its outcome.

@@ -5,7 +5,9 @@
 //! laid last-write-wins over the preload and installed with
 //! `restore_record` into an empty table (WAL recovery), and applied in
 //! order with `restore_record` onto the preloaded table itself (the
-//! execute stage's snapshot mirror).
+//! execute stage's snapshot mirror). And the overlay contract: a table
+//! over the shared preload behaves, write for write, like a flat table
+//! holding the same records.
 
 use proptest::prelude::*;
 use rdb_store::txn::TxnProgram;
@@ -71,8 +73,71 @@ fn sorted_records(store: &KvStore) -> BTreeMap<u64, (Value, u64)> {
     store.records().map(|(k, v, ver)| (k, (v, ver))).collect()
 }
 
+/// `a` and `b` hold the same records and say so through every reader:
+/// `get`, `version`, `len`, sorted `records()`, `state_digest`, and a
+/// live fingerprint.
+fn same_table(a: &KvStore, b: &KvStore) {
+    for key in 0..170 {
+        prop_assert_eq!(a.get(key), b.get(key), "get({})", key);
+        prop_assert_eq!(a.version(key), b.version(key), "version({})", key);
+    }
+    prop_assert_eq!(a.len(), b.len());
+    prop_assert_eq!(sorted_records(a), sorted_records(b));
+    prop_assert_eq!(a.state_digest(), b.state_digest());
+    prop_assert!(a.verify_fingerprint() && b.verify_fingerprint());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The overlay contract: a clone of the shared preload, run through
+    /// writes, reads, read-modify-writes, inserts past the preload, scans
+    /// across its edge and programs, agrees on every outcome and every
+    /// reader with a flat table — the preload's records installed with
+    /// `restore_record` into `KvStore::new()` — and keeps in its overlay
+    /// exactly the records that differ from the preload. A write through
+    /// one clone never shows in another, and a clone taken mid-stream
+    /// (the checkpoint snapshot path) equals its source and stays as it
+    /// was.
+    #[test]
+    fn an_overlaid_table_matches_a_flat_one(
+        ops in proptest::collection::vec(prop_oneof![arb_op(), arb_program()], 0..160),
+        snap_at in 0usize..160,
+    ) {
+        let preload = KvStore::with_ycsb_records(RECORDS);
+        let mut flat = KvStore::new();
+        for (key, value, version) in preload.records() {
+            flat.restore_record(key, value, version);
+        }
+        same_table(&preload, &flat);
+        let untouched = flat.clone();
+        let mut table = preload.clone();
+        let sibling = preload.clone();
+        let mut snapshot = None;
+        for (i, op) in ops.iter().enumerate() {
+            if i == snap_at {
+                let snap = table.clone();
+                same_table(&snap, &table);
+                prop_assert!(KvStore::shares_base(&snap, &table));
+                snapshot = Some((snap, flat.clone()));
+            }
+            prop_assert_eq!(table.execute(op), flat.execute(op));
+        }
+        same_table(&table, &flat);
+        let written = sorted_records(&table)
+            .iter()
+            .filter(|(&key, &(_, version))| key >= RECORDS || version > 1)
+            .count();
+        prop_assert_eq!(table.private_records(), written);
+
+        prop_assert!(KvStore::shares_base(&table, &sibling));
+        prop_assert_eq!(sibling.private_records(), 0);
+        same_table(&sibling, &untouched);
+        same_table(&preload, &untouched);
+        if let Some((snap, flat_then)) = snapshot {
+            same_table(&snap, &flat_then);
+        }
+    }
 
     /// The WAL recovery contract: the preload's records, overlaid batch
     /// by batch with the captured `(key, value, version)` images (last

@@ -5,7 +5,9 @@
 use rdb_common::ids::ReplicaId;
 use rdb_consensus::config::ProtocolKind;
 use rdb_consensus::{FaultSpec, Txns};
+use rdb_store::KvStore;
 use resilientdb::{DeploymentBuilder, DeploymentReport};
+use std::collections::HashSet;
 use std::time::Duration;
 
 /// Over the heights every replica's ledger holds past genesis: how many
@@ -40,6 +42,55 @@ fn geobft_fabric_deployment_reaches_consensus() {
     // In one process, all eight ledgers hold each batch once.
     let (heights, shared) = shared_batches(&report);
     assert_eq!(shared, heights, "blocks holding private copies");
+}
+
+/// All eight replicas hold one preload between them and privately only
+/// what they wrote. Each replica's retained checkpoint snapshot is a
+/// clone of its table: every snapshot shares one base with every other
+/// ([`KvStore::shares_base`]), and its private records are exactly the
+/// distinct keys the replica executed writes to up to that checkpoint —
+/// the records whose version moved off the preload's 1, which include
+/// every key written by the blocks its ledger still holds below it.
+#[test]
+fn geobft_replicas_share_one_preload() {
+    const RECORDS: u64 = 500;
+    let report = DeploymentBuilder::new(ProtocolKind::GeoBft, 2, 4)
+        .batch_size(5)
+        .clients(2)
+        .records(RECORDS)
+        .checkpoint_interval(2)
+        .checkpoint_snapshots(true)
+        .duration(Duration::from_millis(1_200))
+        .run();
+    assert!(report.completed_batches > 0, "{}", report.summary());
+    let snapshots: Vec<_> = report
+        .checkpoints
+        .iter()
+        .filter_map(|(rid, c)| c.snapshot.as_ref().map(|(h, table)| (rid, *h, table)))
+        .collect();
+    assert_eq!(snapshots.len(), 8, "a replica retained no snapshot");
+    let (_, _, first) = snapshots[0];
+    for (rid, height, table) in snapshots {
+        assert!(
+            KvStore::shares_base(table, first),
+            "{rid} copied the preload"
+        );
+        let written: HashSet<u64> = table
+            .records()
+            .filter(|&(key, _, version)| key >= RECORDS || version > 1)
+            .map(|(key, ..)| key)
+            .collect();
+        assert!(!written.is_empty(), "{rid} executed no write by {height}");
+        assert_eq!(table.private_records(), written.len(), "{rid}");
+        let ledger = &report.ledgers[rid];
+        for h in ledger.base_height() + 1..=height {
+            let block = ledger.block(h).expect("retained");
+            let keys = block.batch.batch.operations().filter(|op| op.is_write());
+            for key in keys.filter_map(|op| op.primary_key()) {
+                assert!(written.contains(&key), "{rid}: key {key} of block {h}");
+            }
+        }
+    }
 }
 
 #[test]
