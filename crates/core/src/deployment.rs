@@ -117,7 +117,9 @@ impl DeploymentBuilder {
     /// per replica under the given directory: the execution stage
     /// WAL-logs every applied decision, the checkpoint stage persists
     /// certified checkpoints, and a directory holding a previous run's
-    /// state is *recovered from* (table, ledger) instead of re-preloaded.
+    /// state is *recovered from*: its ledger is read back and the table
+    /// records it persisted are laid over the shared preload, which no
+    /// boot writes.
     /// See [`crate::Fabric::restart_from`] for the full restart path.
     pub fn storage(mut self, mode: StorageMode) -> Self {
         self.storage = mode;
@@ -339,23 +341,19 @@ impl DeploymentBuilder {
         // before starting the clock: store preloading is setup, not run.
         // The preload is built once and every replica's table is a clone
         // of it: one shared preload, one private overlay per replica.
-        let records = self.records;
-        let mut preload: Option<KvStore> = None;
-        let mut preloaded = || {
-            let table = preload.get_or_insert_with(|| KvStore::with_ycsb_records(records));
-            table.clone()
-        };
+        let preload = KvStore::with_ycsb_records(self.records);
         let mut booted = Vec::new();
         let mut backends: Vec<(ReplicaId, SharedBackend)> = Vec::new();
         for rid in system.all_replicas().collect::<Vec<_>>() {
             let signer = ks.register(rid.into());
             let crypto = CryptoCtx::new(signer, ks.verifier(), true);
             // Memory mode takes the shared preload. Durable mode opens
-            // the replica's engine first: an initialized directory
-            // recovers table and ledger from disk; a fresh one takes the
-            // shared preload and writes it to one run before serving.
+            // the replica's engine first: an initialized directory lays
+            // the records it persisted over the shared preload and
+            // recovers its ledger; a fresh one takes the preload as it is
+            // and writes only its init marker.
             let (table, ledger, backend) = match &durable_root {
-                None => (preloaded(), Ledger::new(), None),
+                None => (preload.clone(), Ledger::new(), None),
                 Some(root) => {
                     let dir = storage::replica_dir(root, rid);
                     let mut engine =
@@ -364,13 +362,12 @@ impl DeploymentBuilder {
                                 panic!("open durable engine {}: {e}", dir.display())
                             });
                     let (table, ledger) = if storage::is_initialized(&engine) {
-                        storage::recover_replica(&engine)
+                        storage::recover_replica(&engine, &preload)
                             .unwrap_or_else(|e| panic!("recover replica {rid}: {e}"))
                     } else {
-                        let table = preloaded();
-                        storage::init_replica(&mut engine, &table)
+                        storage::init_replica(&mut engine)
                             .unwrap_or_else(|e| panic!("initialize replica {rid}: {e}"));
-                        (table, Ledger::new())
+                        (preload.clone(), Ledger::new())
                     };
                     let backend = std::sync::Arc::new(std::sync::Mutex::new(engine));
                     backends.push((rid, std::sync::Arc::clone(&backend)));

@@ -1006,14 +1006,14 @@ mod tests {
             .collect()
     }
 
-    /// A fresh durable engine in a per-test directory, initialized with
-    /// `preload` like a first-boot replica; returns the directory, the
-    /// shared engine and its WAL record count before any decision.
-    fn durable_engine(name: &str, preload: &KvStore) -> (std::path::PathBuf, SharedBackend, u64) {
+    /// A fresh durable engine in a per-test directory, initialized like a
+    /// first-boot replica; returns the directory, the shared engine and
+    /// its WAL record count before any decision.
+    fn durable_engine(name: &str) -> (std::path::PathBuf, SharedBackend, u64) {
         let dir = std::env::temp_dir().join(format!("rdb-core-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut engine = LogBackend::open(&dir, LogConfig::default()).unwrap();
-        storage::init_replica(&mut engine, preload).unwrap();
+        storage::init_replica(&mut engine).unwrap();
         let before = engine.stats().wal_records;
         (dir, Arc::new(Mutex::new(engine)), before)
     }
@@ -1115,9 +1115,9 @@ mod tests {
         let preload = KvStore::with_ycsb_records(64);
         let decisions = tail_decisions(&preload, mixed_batches(N));
         let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
-        let (dir, backend, before) = durable_engine("exec-wal", &preload);
+        let (dir, backend, before) = durable_engine("exec-wal");
         let run = run_executor(
-            preload,
+            preload.clone(),
             &decisions,
             CheckpointConfig::default(),
             Some(Arc::clone(&backend)),
@@ -1127,7 +1127,7 @@ mod tests {
         // One atomic WAL batch per decision, so a torn tail still
         // truncates to a decision boundary.
         assert_eq!(engine.stats().wal_records - before, N);
-        let (table, ledger) = storage::recover_replica(&engine).unwrap();
+        let (table, ledger) = storage::recover_replica(&engine, &preload).unwrap();
         assert_eq!(ledger.head_height(), N);
         assert_eq!(ledger.head_hash(), run.ledger.head_hash());
         assert_eq!(ledger.head_hash(), ref_ledger.head_hash());
@@ -1148,16 +1148,22 @@ mod tests {
         let preload = KvStore::with_ycsb_records(64);
         let decisions = tail_decisions(&preload, mixed_batches(N));
         let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
-        let (dir, backend, before) = durable_engine("exec-wal-ckpt", &preload);
+        let (dir, backend, before) = durable_engine("exec-wal-ckpt");
         let cfg = CheckpointConfig {
             interval: 4,
             retain_snapshot: true,
             fault_delay: Duration::ZERO,
         };
-        let run = run_executor(preload, &decisions, cfg, Some(Arc::clone(&backend)), true);
+        let run = run_executor(
+            preload.clone(),
+            &decisions,
+            cfg,
+            Some(Arc::clone(&backend)),
+            true,
+        );
         let engine = backend.guard();
         assert_eq!(engine.stats().wal_records - before, N);
-        let (table, ledger) = storage::recover_replica(&engine).unwrap();
+        let (table, ledger) = storage::recover_replica(&engine, &preload).unwrap();
         assert_eq!(ledger.head_hash(), run.ledger.head_hash());
         assert_eq!(ledger.head_hash(), ref_ledger.head_hash());
         assert_eq!(table.state_digest(), run.digest);
@@ -1242,10 +1248,10 @@ mod tests {
     fn durable_executor_persists_its_gap_with_its_first_decision() {
         let preload = KvStore::with_ycsb_records(64);
         let (full, prefixes, decisions, (_, own, gap)) = restarted_at_one(&preload);
-        let (dir, backend, _) = durable_engine("exec-gap", &preload);
+        let (dir, backend, _) = durable_engine("exec-gap");
         // The first incarnation persisted decision 1 and stopped.
         let first = run_executor(
-            preload,
+            preload.clone(),
             &decisions[..1],
             CheckpointConfig::default(),
             Some(Arc::clone(&backend)),
@@ -1262,7 +1268,7 @@ mod tests {
         );
         let engine = backend.guard();
         assert_eq!(engine.stats().wal_records - before, 1, "one batch");
-        let (table, ledger) = storage::recover_replica(&engine).unwrap();
+        let (table, ledger) = storage::recover_replica(&engine, &preload).unwrap();
         assert_eq!(ledger.head_hash(), full.head_hash());
         assert_eq!(table.state_digest(), prefixes[4].state_digest());
         assert_eq!(table.state_digest(), run.digest);

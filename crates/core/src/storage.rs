@@ -15,12 +15,17 @@
 //! recovered ledger head's `state_digest` by construction, with no replay
 //! or version-bump reasoning required.
 //!
-//! First boot is ordered the other way round: the preload goes straight
-//! to one sorted `table` run (no WAL record), and only after that run is
-//! renamed into place does the `init` marker go into the WAL, as a batch
-//! of its own (`init_replica`). Until the marker's record is whole the
-//! directory counts as uninitialized and the next boot loads the preload
-//! again; the run it writes replaces any run the crashed boot left.
+//! The preload is genesis, not data. It is a deterministic function of
+//! the manifest's [`Manifest::records`], rebuilt at every boot and shared
+//! by every replica, and it is never written: the `table` keyspace holds
+//! only the records a replica wrote since, the on-disk twin of the
+//! [`KvStore`] overlay. First boot appends only the `init` marker, as a
+//! WAL batch of its own (`init_replica`); until that record is whole the
+//! directory counts as uninitialized and the next boot appends it again.
+//! Recovery lays the persisted records over a clone of the preload and
+//! checks the result against the recovered head's `state_digest`
+//! (`recover_replica`), so a preload other than the one the replica
+//! started from refuses to boot instead of diverging.
 //!
 //! ## Keyspace encodings
 //!
@@ -79,8 +84,8 @@ pub enum StorageMode {
 /// records interleave at batch granularity.
 pub type SharedBackend = Arc<Mutex<LogBackend>>;
 
-/// Meta-keyspace marker: set once the preload's run is in place, so a
-/// half-initialized directory is re-initialized rather than recovered.
+/// Meta-keyspace marker: set by the first boot's only write, so a
+/// directory without it is initialized rather than recovered.
 const META_INIT: &[u8] = b"init";
 /// Meta-keyspace watermark: the highest ledger height applied (and
 /// persisted) by the execution stage.
@@ -156,7 +161,9 @@ pub struct Manifest {
     pub n: usize,
     /// Transactions per client batch.
     pub batch_size: usize,
-    /// Records preloaded into every replica's table on first boot.
+    /// Records of the preload (the genesis table) every replica's table
+    /// is laid over at every boot. Never persisted: recovery rebuilds it
+    /// from this count and checks it against the recovered head.
     pub records: u64,
     /// Deployment seed (keys, workload).
     pub seed: u64,
@@ -199,27 +206,17 @@ pub(crate) fn replica_dir(root: &Path, rid: ReplicaId) -> PathBuf {
     root.join(format!("replica-{}-{}", rid.cluster.0, rid.index))
 }
 
-/// Whether this engine finished loading the preload (i.e. holds a
-/// recoverable replica rather than an empty or half-initialized one).
+/// Whether this engine holds a replica (its first boot's marker is
+/// whole) rather than an empty or half-initialized directory.
 pub(crate) fn is_initialized(backend: &LogBackend) -> bool {
     backend.get(Keyspace::Meta, META_INIT).is_some()
 }
 
-/// First durable boot: write the preloaded table straight to one sorted
-/// `table` run ([`LogBackend::load`]: no WAL record, no memtable), then
-/// set the init marker in a WAL batch of its own — only once the run is
-/// in place. A crash anywhere before the marker's record is whole (before
-/// the run's rename, after it, or tearing the marker's append) leaves the
-/// directory uninitialized, and the next boot loads the preload again:
-/// the new run replaces whatever run the crash left, so no stale run can
-/// shadow it.
-pub(crate) fn init_replica(backend: &mut LogBackend, store: &KvStore) -> io::Result<()> {
-    let mut records: Vec<_> = store.records().collect();
-    records.sort_unstable_by_key(|&(key, ..)| key);
-    let entries = records
-        .into_iter()
-        .map(|(key, value, version)| (be_key(key), encode_table_value(value, version)));
-    backend.load(Keyspace::Table, entries)?;
+/// First durable boot: append the init marker as a WAL batch of its own,
+/// and nothing else — the preload is rebuilt, not read, at every boot. A
+/// crash that tears the marker's append leaves the directory
+/// uninitialized, and the next boot appends it again.
+pub(crate) fn init_replica(backend: &mut LogBackend) -> io::Result<()> {
     let mut marker = WriteBatch::new();
     marker.put(Keyspace::Meta, META_INIT, [1u8]);
     backend.apply(marker)
@@ -271,19 +268,30 @@ pub(crate) fn persist_checkpoint(
     be.flush()
 }
 
-/// Rebuild a replica's in-memory state from its engine: stream the `table`
-/// keyspace into a fresh store (restoring persisted versions, fingerprint
-/// maintained) and the `blocks` keyspace into a ledger rooted at genesis.
-/// Each entry goes from the engine's run files straight into the store or
-/// the block vector, so recovery never holds a second copy of either. The
-/// recovered ledger is uncompacted — every persisted block is retained, so
-/// its head hash and heights are identical to the ledger that wrote it.
-pub(crate) fn recover_replica(backend: &LogBackend) -> io::Result<(KvStore, Ledger)> {
-    let mut store = KvStore::new();
+/// Rebuild a replica's in-memory state from its engine: lay the `table`
+/// keyspace (the records the replica wrote, with their persisted
+/// versions) over a clone of the shared `preload`, and stream the
+/// `blocks` keyspace into a ledger rooted at genesis. A streamed record
+/// the preload already holds (a directory whose first boot wrote the
+/// whole preload) is skipped, so every recovered table shares the
+/// preload's base and keeps only what differs from it. The recovered
+/// ledger is uncompacted — every persisted block is retained, so its head
+/// hash and heights are identical to the ledger that wrote it.
+///
+/// The table must then reach the state its head block records (the
+/// preload's own digest at height 0); anything else — a wrong preload, a
+/// changed generator, a record rewritten on disk — is `InvalidData`.
+pub(crate) fn recover_replica(
+    backend: &LogBackend,
+    preload: &KvStore,
+) -> io::Result<(KvStore, Ledger)> {
+    let mut store = preload.clone();
     for entry in backend.stream(Keyspace::Table) {
         let (key, raw) = entry?;
         let (k, v, version) = decode_table_entry(&key, &raw)?;
-        store.restore_record(k, v, version);
+        if preload.version(k) != Some(version) || preload.get(k) != Some(v) {
+            store.restore_record(k, v, version);
+        }
     }
 
     let mut blocks = vec![Block::genesis()];
@@ -324,6 +332,18 @@ pub(crate) fn recover_replica(backend: &LogBackend) -> io::Result<(KvStore, Ledg
                 ledger.head_height()
             )));
         }
+    }
+    let expected = match ledger.blocks().last() {
+        Some(head) if head.height > 0 => head.state_digest,
+        _ => preload.state_digest(),
+    };
+    if store.state_digest() != expected {
+        return Err(invalid(format!(
+            "recovered table digest {} != {} recorded at height {}",
+            store.state_digest(),
+            expected,
+            ledger.head_height()
+        )));
     }
     Ok((store, ledger))
 }
@@ -435,15 +455,16 @@ mod tests {
     fn json_blocks_of_an_older_build_are_refused() {
         let dir = tempdir("old-json");
         let mut backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
-        init_replica(&mut backend, &KvStore::with_ycsb_records(5)).unwrap();
-        // Block 1 of `init_then_recover_round_trips_store_and_ledger`, as
-        // the parent build's `serde_json::to_string` wrote it.
+        init_replica(&mut backend).unwrap();
+        // A block 1 as builds that stored blocks through
+        // `serde_json::to_string` wrote it.
         let old = br#"{"height":1,"parent":[25,52,10,135,35,237,144,114,138,202,86,60,157,143,202,201,229,252,85,234,63,34,228,237,61,117,69,137,34,125,214,176],"batch":{"batch":{"client":{"cluster":0,"index":4294967295},"batch_seq":1,"txns":[{"client":{"cluster":0,"index":4294967295},"seq":1,"op":"NoOp"}]},"pubkey":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"sig":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},"certificate":null,"state_digest":[114,35,16,67,188,24,7,230,247,64,178,53,235,117,17,236,179,50,85,166,163,117,67,86,49,25,109,232,169,117,13,75]}"#;
         let mut batch = WriteBatch::new();
         batch.put(Keyspace::Blocks, be_key(1), old.to_vec());
         batch.put(Keyspace::Meta, META_APPLIED, 1u64.to_le_bytes());
         backend.apply(batch).unwrap();
-        let err = recover_replica(&backend).map(|_| ()).unwrap_err();
+        let preload = KvStore::with_ycsb_records(5);
+        let err = recover_replica(&backend, &preload).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -487,150 +508,220 @@ mod tests {
         }
     }
 
+    /// A block at height 1 recording the state `writes` leave on
+    /// `preload`, and those writes: one persisted decision.
+    fn decision(preload: &KvStore, writes: &[(u64, Value, u64)]) -> (Block, KvStore) {
+        let mut table = preload.clone();
+        for &(key, value, version) in writes {
+            table.restore_record(key, value, version);
+        }
+        let mut ledger = Ledger::new();
+        ledger.append(
+            rdb_consensus::types::SignedBatch::noop(rdb_common::ids::ClusterId(0), 1),
+            None,
+            table.state_digest(),
+        );
+        (ledger.block(1).unwrap().clone(), table)
+    }
+
+    /// Persist `head` and `writes` into `backend` as one decision.
+    fn persist(backend: LogBackend, head: &Block, writes: &[(u64, Value, u64)]) -> LogBackend {
+        let shared: SharedBackend = Arc::new(Mutex::new(backend));
+        persist_decision(&shared, std::slice::from_ref(head), writes, head.height).unwrap();
+        Arc::try_unwrap(shared).ok().unwrap().into_inner().unwrap()
+    }
+
+    /// Boot the engine in `dir` the way `DeploymentBuilder::start` does:
+    /// write the marker unless the directory is initialized, then recover
+    /// onto `preload`.
+    fn boot(dir: &Path, preload: &KvStore) -> (KvStore, Ledger) {
+        let mut backend = LogBackend::open(dir, LogConfig::default()).unwrap();
+        if !is_initialized(&backend) {
+            init_replica(&mut backend).unwrap();
+        }
+        recover_replica(&backend, preload).unwrap()
+    }
+
     #[test]
     fn init_then_recover_round_trips_store_and_ledger() {
         let dir = tempdir("recover");
         let preload = KvStore::with_ycsb_records(50);
         let mut backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
         assert!(!is_initialized(&backend));
-        init_replica(&mut backend, &preload).unwrap();
+        init_replica(&mut backend).unwrap();
         assert!(is_initialized(&backend));
 
-        let shared: SharedBackend = Arc::new(Mutex::new(backend));
-        // Persist one "decision": a block plus an absolute record image.
-        let mut ledger = Ledger::new();
-        ledger.append(
-            rdb_consensus::types::SignedBatch::noop(rdb_common::ids::ClusterId(0), 1),
-            None,
-            Digest::of(b"post"),
-        );
-        let head = ledger.block(1).unwrap().clone();
-        persist_decision(
-            &shared,
-            std::slice::from_ref(&head),
-            &[(7, Value::from_u64(700), 5)],
-            1,
-        )
-        .unwrap();
-
-        let backend = Arc::try_unwrap(shared).ok().unwrap().into_inner().unwrap();
-        let (store, recovered) = recover_replica(&backend).unwrap();
+        let writes = [(7, Value::from_u64(700), 5)];
+        let (head, expected) = decision(&preload, &writes);
+        let backend = persist(backend, &head, &writes);
+        let (store, recovered) = recover_replica(&backend, &preload).unwrap();
         assert_eq!(store.len(), 50);
         assert_eq!(recovered.head_height(), 1);
         assert_eq!(recovered.head_hash(), head.hash());
-        let mut expected = KvStore::new();
-        for (k, v, ver) in preload.records().filter(|(k, _, _)| *k != 7) {
-            expected.restore_record(k, v, ver);
-        }
-        expected.restore_record(7, Value::from_u64(700), 5);
         assert_eq!(store.state_digest(), expected.state_digest());
+        assert_eq!(store.get(7), Some(Value::from_u64(700)));
+        assert_eq!(store.version(7), Some(5));
+        assert_eq!(store.private_records(), 1);
     }
 
-    /// Boot the engine in `dir` the way `DeploymentBuilder::start` does
-    /// (load `preload` unless the directory is initialized, then
-    /// recover): the recovered table, and the `table` run files left.
-    fn boot(dir: &Path, preload: &KvStore) -> (KvStore, usize) {
-        let mut backend = LogBackend::open(dir, LogConfig::default()).unwrap();
-        if !is_initialized(&backend) {
-            init_replica(&mut backend, preload).unwrap();
-        }
-        let (table, _) = recover_replica(&backend).unwrap();
-        let runs = std::fs::read_dir(dir)
-            .unwrap()
-            .filter(|e| {
-                let name = e.as_ref().unwrap().file_name();
-                name.to_string_lossy().starts_with("table-")
-            })
-            .count();
-        (table, runs)
-    }
-
-    /// The kill points of a first boot. Killed before the preload run's
-    /// rename, after it (before the marker), or inside the marker's WAL
-    /// append, a replica reboots to the table of a clean first boot, and
-    /// only the rebooted run is left — no stale run to shadow it.
+    /// First boot writes the init marker and nothing else: no `table`
+    /// run, and one WAL record holding one key.
     #[test]
-    fn a_first_boot_killed_before_its_marker_reboots_clean() {
+    fn first_boot_writes_only_its_marker() {
+        let dir = tempdir("first-boot");
+        let mut backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        init_replica(&mut backend).unwrap();
+        assert_eq!(backend.stats().wal_records, 1);
+        drop(backend);
+        let backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        assert_eq!(backend.run_count(Keyspace::Table), 0);
+        assert_eq!(
+            backend.stats().keys_recovered,
+            1,
+            "the WAL holds the marker only"
+        );
+        for ks in Keyspace::ALL {
+            let expected = match ks {
+                Keyspace::Meta => vec![(META_INIT.to_vec(), vec![1])],
+                _ => Vec::new(),
+            };
+            assert_eq!(backend.scan(ks), expected, "{ks:?}");
+        }
+    }
+
+    /// A directory whose first boot wrote the whole preload (through the
+    /// WAL, then flushed to a run, as builds that persisted the preload
+    /// left it) recovers like one whose first boot wrote only the marker:
+    /// the same digest, on the shared preload, and an overlay of exactly
+    /// the records the replica wrote.
+    #[test]
+    fn a_directory_holding_the_whole_preload_recovers_onto_the_shared_one() {
         let preload = KvStore::with_ycsb_records(300);
-        let (clean, runs) = boot(&tempdir("boot-clean"), &preload);
-        assert_eq!(clean.state_digest(), preload.state_digest());
-        assert_eq!(runs, 1);
-        let rebooted = |dir: &Path| {
-            let (table, runs) = boot(dir, &preload);
-            assert_eq!(table.state_digest(), clean.state_digest());
-            assert_eq!(table.len(), 300);
-            assert_eq!(runs, 1, "a stale table run survived");
+        let writes = [
+            (3, Value::from_u64(33), 2),
+            (150, Value::from_u64(1500), 2),
+            (299, Value::from_u64(2990), 3),
+            (400, Value::from_u64(4000), 1),
+        ];
+        let (head, expected) = decision(&preload, &writes);
+        let recovered = |tag: &str, whole_preload: bool| {
+            let mut backend = LogBackend::open(&tempdir(tag), LogConfig::default()).unwrap();
+            if whole_preload {
+                let mut batch = WriteBatch::new();
+                for (key, value, version) in preload.records() {
+                    let image = encode_table_value(value, version);
+                    batch.put(Keyspace::Table, be_key(key), image);
+                }
+                backend.apply(batch).unwrap();
+                backend.flush().unwrap();
+                assert_eq!(backend.run_count(Keyspace::Table), 1);
+            }
+            init_replica(&mut backend).unwrap();
+            let backend = persist(backend, &head, &writes);
+            recover_replica(&backend, &preload).unwrap().0
+        };
+        for table in [
+            recovered("layout-old", true),
+            recovered("layout-new", false),
+        ] {
+            assert_eq!(table.state_digest(), expected.state_digest());
+            assert!(KvStore::shares_base(&table, &preload));
+            assert_eq!(table.private_records(), writes.len());
+            assert_eq!(table.len(), 301);
+        }
+    }
+
+    /// Recovery checks the table it rebuilt against the recovered head: a
+    /// persisted record rewritten behind the ledger's back (one bit of its
+    /// value flipped, in a checksummed batch the engine reads back whole)
+    /// is `InvalidData`, at height 0 and above it, and so is a preload
+    /// other than the one the replica started from once a block records
+    /// the state (at height 0 nothing does).
+    #[test]
+    fn a_table_that_misses_its_head_digest_is_refused() {
+        let preload = KvStore::with_ycsb_records(50);
+        let refused = |backend: &LogBackend, preload: &KvStore| {
+            let err = recover_replica(backend, preload).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("digest"), "{err}");
+        };
+        let flip = |backend: &mut LogBackend, key: u64, value: Value, version: u64| {
+            let mut flipped = value;
+            flipped.0[5] ^= 0x10;
+            let mut batch = WriteBatch::new();
+            let image = encode_table_value(flipped, version);
+            batch.put(Keyspace::Table, be_key(key), image);
+            backend.apply(batch).unwrap();
         };
 
-        // Before the rename: the run is still its `.tmp` sibling.
-        let dir = tempdir("kill-before-rename");
-        let path = dir.join("table-00000001.run");
-        let mut torn = rdb_storage::run::RunWriter::create(&path, Keyspace::Table, 1).unwrap();
-        let image = encode_table_value(Value::from_u64(9), 9);
-        torn.push(&be_key(0), Some(&image)).unwrap();
-        drop(torn);
-        assert!(path.with_extension("tmp").exists());
-        rebooted(&dir);
+        let mut backend = LogBackend::open(&tempdir("flip-0"), LogConfig::default()).unwrap();
+        init_replica(&mut backend).unwrap();
+        recover_replica(&backend, &preload).unwrap();
+        flip(&mut backend, 9, preload.get(9).unwrap(), 1);
+        refused(&backend, &preload);
 
-        // After the rename, before the marker: a whole run is in place. It
-        // holds other records here, so a stale run that is read shows.
-        let dir = tempdir("kill-after-rename");
-        let mut backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
-        let stale = [(be_key(0), image), (be_key(400), image)];
-        backend.load(Keyspace::Table, stale).unwrap();
-        assert!(!is_initialized(&backend));
-        drop(backend);
-        rebooted(&dir);
+        let writes = [(9, Value::from_u64(90), 2), (60, Value::from_u64(600), 1)];
+        let (head, _) = decision(&preload, &writes);
+        let mut backend = LogBackend::open(&tempdir("flip-1"), LogConfig::default()).unwrap();
+        init_replica(&mut backend).unwrap();
+        let mut backend = persist(backend, &head, &writes);
+        recover_replica(&backend, &preload).unwrap();
+        refused(&backend, &KvStore::with_ycsb_records(51));
+        flip(&mut backend, 60, Value::from_u64(600), 1);
+        refused(&backend, &preload);
+    }
 
-        // Inside the marker's WAL append: every cut of its record.
-        let dir = tempdir("kill-in-marker");
+    /// The one kill point of a first boot: inside the marker's WAL
+    /// append. Cut at every byte, the directory reboots uninitialized,
+    /// and the reboot recovers the preload at height 0 and stays
+    /// initialized.
+    #[test]
+    fn a_first_boot_torn_inside_its_marker_reboots_clean() {
+        let preload = KvStore::with_ycsb_records(30);
+        let dir = tempdir("marker");
         let mut backend = LogBackend::open(&dir, LogConfig::default()).unwrap();
         let header = std::fs::metadata(dir.join("wal")).unwrap().len() as usize;
-        init_replica(&mut backend, &preload).unwrap();
+        init_replica(&mut backend).unwrap();
         drop(backend);
         let wal = std::fs::read(dir.join("wal")).unwrap();
         assert!(wal.len() > header, "the marker is a WAL record");
         for cut in header..wal.len() {
-            let dir = tempdir(&format!("kill-in-marker-{cut}"));
-            init_replica(
-                &mut LogBackend::open(&dir, LogConfig::default()).unwrap(),
-                &preload,
-            )
-            .unwrap();
+            let dir = tempdir(&format!("marker-{cut}"));
+            drop(LogBackend::open(&dir, LogConfig::default()).unwrap());
             std::fs::write(dir.join("wal"), &wal[..cut]).unwrap();
             assert!(!is_initialized(
                 &LogBackend::open(&dir, LogConfig::default()).unwrap()
             ));
-            rebooted(&dir);
+            let (table, ledger) = boot(&dir, &preload);
+            assert_eq!(table.state_digest(), preload.state_digest());
+            assert_eq!(ledger.head_height(), 0);
+            assert!(is_initialized(
+                &LogBackend::open(&dir, LogConfig::default()).unwrap()
+            ));
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
-    /// The preload run reads back like the records went through the WAL
-    /// and a flush: every `get` and the whole scan agree.
+    /// Replicas recovered from one preload share its base, whatever they
+    /// wrote: one at its first boot's height 0, one past a decision.
     #[test]
-    fn the_loaded_preload_reads_like_a_flushed_one() {
-        let preload = KvStore::with_ycsb_records(300);
-        let mut loaded = LogBackend::open(&tempdir("preload-run"), LogConfig::default()).unwrap();
-        init_replica(&mut loaded, &preload).unwrap();
-        let mut flushed = LogBackend::open(&tempdir("preload-wal"), LogConfig::default()).unwrap();
-        let mut batch = WriteBatch::new();
-        for (key, value, version) in preload.records() {
-            batch.put(
-                Keyspace::Table,
-                be_key(key),
-                encode_table_value(value, version),
-            );
-        }
-        flushed.apply(batch).unwrap();
-        flushed.flush().unwrap();
-        assert_eq!(loaded.scan(Keyspace::Table), flushed.scan(Keyspace::Table));
-        for key in 0..310 {
-            assert_eq!(
-                loaded.get(Keyspace::Table, &be_key(key)),
-                flushed.get(Keyspace::Table, &be_key(key))
-            );
-        }
+    fn replicas_recovered_from_one_preload_share_it() {
+        let preload = KvStore::with_ycsb_records(40);
+        let idle = tempdir("share-idle");
+        boot(&idle, &preload);
+        let busy = tempdir("share-busy");
+        let mut backend = LogBackend::open(&busy, LogConfig::default()).unwrap();
+        init_replica(&mut backend).unwrap();
+        let writes = [(1, Value::from_u64(11), 2)];
+        let (head, _) = decision(&preload, &writes);
+        drop(persist(backend, &head, &writes));
+
+        let (idle, _) = boot(&idle, &preload);
+        let (busy, ledger) = boot(&busy, &preload);
+        assert_eq!(ledger.head_height(), 1);
+        assert!(KvStore::shares_base(&idle, &busy));
+        assert!(KvStore::shares_base(&idle, &preload));
+        assert_eq!((idle.private_records(), busy.private_records()), (0, 1));
     }
 
     /// One write decision of a shared history: client 0's `round`-th

@@ -29,8 +29,8 @@
 //!   [`LogConfig::compact_runs`] as the fan-out `T`: whenever the oldest of
 //!   the newest `T` runs is no bigger than the `T − 1` above it combined,
 //!   those `T` age-contiguous runs are merged into one. Small runs merge
-//!   among themselves, and a big old run (the preloaded base) is rewritten
-//!   only once the tier above it rivals it in size.
+//!   among themselves, and a big old run is rewritten only once the tier
+//!   above it rivals it in size.
 //!
 //! A merge is one streaming pass ([`Merge`]) from run files to a run file.
 //! Two invariants keep it invisible to readers:
@@ -44,11 +44,6 @@
 //!   number would make it shadow newer runs. Its header records the oldest
 //!   sequence number it covers; inputs a crash left behind fall inside that
 //!   range and are removed at open instead of being read.
-//!
-//! [`LogBackend::load`] (a keyspace's contents replaced by one sorted run,
-//! the durable first boot's preload) rests on the same rule: its run
-//! covers every older run of the keyspace, so a crash that leaves them
-//! behind leaves nothing that is read.
 //!
 //! ## Recovery state machine (at [`LogBackend::open`])
 //!
@@ -250,39 +245,6 @@ impl LogBackend {
         )
     }
 
-    /// Replace everything `ks` holds with `entries` (ascending keys),
-    /// written straight to one run: no WAL record, no memtable. A durable
-    /// replica's first boot bulk-loads its preload this way.
-    ///
-    /// The new run covers every older run of `ks` (it records the oldest
-    /// sequence number they cover, as a merged run does), so once it is
-    /// renamed into place they are garbage: they are deleted here, and
-    /// [`LogBackend::open`] removes any that a crash leaves behind. A
-    /// crash before the rename leaves only a `.tmp` file, which `open`
-    /// removes too. Writes to `ks` still in the memtable are flushed
-    /// first, so that no WAL replay can lay them over the new run.
-    pub fn load<K: AsRef<[u8]>, V: AsRef<[u8]>>(
-        &mut self,
-        ks: Keyspace,
-        entries: impl IntoIterator<Item = (K, V)>,
-    ) -> io::Result<()> {
-        if !self.spaces[ks.index()].memtable.is_empty() {
-            self.flush_memtables()?;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let space = &mut self.spaces[ks.index()];
-        let covers_from = space.runs.first().map_or(seq, |(_, run)| run.covers_from());
-        let entries = entries.into_iter().map(|(k, v)| Ok((k, Some(v))));
-        let run = write_run(&self.dir, self.cfg.fsync, ks, seq, covers_from, entries)?;
-        for (_, old) in space.runs.drain(..) {
-            let _ = fs::remove_file(old.path());
-        }
-        self.stats.run_bytes += run.bytes();
-        space.runs.push((seq, run));
-        Ok(())
-    }
-
     fn apply_to_memtables(&mut self, batch: WriteBatch) {
         for op in batch.ops {
             match op {
@@ -379,8 +341,8 @@ impl LogBackend {
 
 /// Stream `entries`, in ascending key order (`None` is a tombstone), out
 /// as the run `seq` of `ks` covering sequence numbers from `covers_from`,
-/// and rename it into place: the one run-writing loop of flushes, merges
-/// and [`LogBackend::load`].
+/// and rename it into place: the one run-writing loop of flushes and
+/// merges.
 fn write_run<K: AsRef<[u8]>, V: AsRef<[u8]>>(
     dir: &Path,
     fsync: bool,
@@ -754,65 +716,6 @@ mod tests {
         assert!(b.run_count(Keyspace::Blocks) >= 30);
         assert_eq!(b.len(Keyspace::Blocks), 512);
         assert_eq!(b.len(Keyspace::Table), 5000);
-    }
-
-    #[test]
-    fn a_loaded_run_reads_like_the_wal_and_flush_path() {
-        let entries: Vec<([u8; 8], Vec<u8>)> = (0..500u64)
-            .map(|k| (k.to_be_bytes(), vec![k as u8; 32]))
-            .collect();
-        let wal_dir = tmp("load-wal");
-        let mut flushed = LogBackend::open(&wal_dir, LogConfig::default()).unwrap();
-        let mut batch = WriteBatch::new();
-        for (k, v) in &entries {
-            batch.put(Keyspace::Table, k.to_vec(), v.clone());
-        }
-        flushed.apply(batch).unwrap();
-        flushed.flush().unwrap();
-        let run_dir = tmp("load-run");
-        let mut loaded = LogBackend::open(&run_dir, LogConfig::default()).unwrap();
-        loaded.load(Keyspace::Table, entries.clone()).unwrap();
-        assert_eq!(loaded.stats().wal_records, 0, "no WAL record");
-        assert_eq!(loaded.run_count(Keyspace::Table), 1);
-        let same = |a: &LogBackend, b: &LogBackend| {
-            assert_eq!(a.scan(Keyspace::Table), b.scan(Keyspace::Table));
-            for k in 0..520u64 {
-                let key = k.to_be_bytes();
-                assert_eq!(a.get(Keyspace::Table, &key), b.get(Keyspace::Table, &key));
-            }
-        };
-        same(&flushed, &loaded);
-        drop(loaded);
-        let loaded = LogBackend::open(&run_dir, LogConfig::default()).unwrap();
-        same(&flushed, &loaded);
-    }
-
-    #[test]
-    fn a_load_replaces_older_runs_and_the_memtable_across_a_crash() {
-        let dir = tmp("load-replace");
-        let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
-        for k in 0..20u64 {
-            put(&mut b, Keyspace::Table, k, b"stale");
-        }
-        b.flush().unwrap();
-        let stale = fs::read(dir.join("table-00000001.run")).unwrap();
-        put(&mut b, Keyspace::Table, 30, b"unflushed");
-        let fresh: Vec<_> = (0..10u64).map(|k| (k.to_be_bytes(), *b"fresh")).collect();
-        b.load(Keyspace::Table, fresh.clone()).unwrap();
-        let expect: Vec<_> = fresh
-            .iter()
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-            .collect();
-        assert_eq!(b.scan(Keyspace::Table), expect);
-        assert_eq!(run_files(&dir), ["table-00000003.run"]);
-        drop(b);
-
-        // The crash window: the new run renamed in, a replaced one not yet
-        // deleted. It must not be read, and `open` removes it.
-        fs::write(dir.join("table-00000001.run"), stale).unwrap();
-        let b = LogBackend::open(&dir, LogConfig::default()).unwrap();
-        assert_eq!(b.scan(Keyspace::Table), expect);
-        assert_eq!(run_files(&dir), ["table-00000003.run"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::ops::{ExecOutcome, Operation, TxnEffect};
 use rdb_crypto::digest::Digest;
 use rdb_crypto::sha256::Sha256;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// A fixed-size record value. YCSB records carry ten 100-byte fields; the
@@ -134,7 +134,10 @@ struct Shard {
 /// look in the overlay first, then in the preload. Every replica of a
 /// deployment (and every snapshot a replica retains) therefore holds the
 /// preload once between them and pays memory only for what it wrote
-/// ([`KvStore::private_records`]). [`KvStore::new`] has an empty preload.
+/// ([`KvStore::private_records`]). A durable replica persists only its
+/// overlay, and recovery lays it back over a clone of the same preload,
+/// so restarted replicas share it too. [`KvStore::new`] has an empty
+/// preload.
 ///
 /// The store maintains an *incremental* state fingerprint: a running XOR of
 /// per-record digests, decomposed over [`STORE_SHARDS`] internal shards.
@@ -229,26 +232,34 @@ impl KvStore {
     }
 
     fn insert_raw(&mut self, key: u64, value: Value) {
-        let old = self.record(key);
-        let new_ver = old.map_or(1, |(_, ver)| ver + 1);
-        self.set(key, value, new_ver, old);
+        let new_ver = self.set(key, value, |old| old.map_or(1, |ver| ver + 1));
         if let Some(buf) = &mut self.captured {
             buf.push((key, value, new_ver));
         }
     }
 
-    /// Overwrite `old`, the record at `key`, with `(value, version)` in
-    /// the overlay, maintaining the fingerprint and the length.
-    fn set(&mut self, key: u64, value: Value, version: u64, old: Option<(Value, u64)>) {
+    /// Write `value` at `key` in the overlay, at the version `version`
+    /// gives the record it replaces (`None` if absent), maintaining the
+    /// fingerprint and the length; returns the version written. One
+    /// lookup in the shard's map: the preload is read only when the
+    /// overlay does not hold the key yet.
+    fn set(&mut self, key: u64, value: Value, version: impl FnOnce(Option<u64>) -> u64) -> u64 {
         let shard = &mut self.shards[shard_of(key)];
+        let slot = shard.records.entry(key);
+        let old = match &slot {
+            Entry::Occupied(record) => Some(*record.get()),
+            Entry::Vacant(_) => self.base.get(key).map(|v| (v, BASE_VERSION)),
+        };
+        let version = version(old.map(|(_, ver)| ver));
+        slot.insert_entry((value, version));
         xor_into(&mut shard.accum, &Self::record_digest(key, &value, version));
-        shard.records.insert(key, (value, version));
         match old {
             Some((old_v, old_ver)) => {
                 xor_into(&mut shard.accum, &Self::record_digest(key, &old_v, old_ver));
             }
             None => self.len += 1,
         }
+        version
     }
 
     /// Start recording every record write (key, value, new version) for
@@ -276,12 +287,10 @@ impl KvStore {
     /// stage's snapshot mirror applies each decision's captured images
     /// with it, executing nothing. Not captured.
     pub fn restore_record(&mut self, key: u64, value: Value, version: u64) {
-        let old = self.record(key);
-        self.set(key, value, version, old);
+        self.set(key, value, |_| version);
     }
 
-    /// Every record as `(key, value, version)`, in unspecified order (the
-    /// durable first boot sorts them into one run).
+    /// Every record as `(key, value, version)`, in unspecified order.
     pub fn records(&self) -> impl Iterator<Item = (u64, Value, u64)> + '_ {
         let overlay = self
             .shards
