@@ -24,9 +24,6 @@ pub const SIG_BYTES: usize = 64;
 /// Bytes of a public key / signer identifier accompanying a signature.
 pub const PUBKEY_BYTES: usize = 32;
 
-/// Bytes of an AES-CMAC style message authentication code.
-pub const MAC_BYTES: usize = 16;
-
 /// Fixed per-message envelope: type tag, sender, destination, view/round
 /// numbers, lengths, and the session MAC. Chosen so that small protocol
 /// messages (prepare/commit/drvc/rvc) come out at the paper's ~250 B.

@@ -120,8 +120,8 @@ pub enum Message {
         /// Digest of `batch` (recomputed and checked by receivers).
         digest: Digest,
     },
-    /// First-phase agreement vote (MAC-authenticated, not signed — §2.2:
-    /// only client requests and commit messages carry signatures).
+    /// First-phase agreement vote, unsigned (§2.2: only client requests and
+    /// commit messages carry signatures; its session MAC is a modeled cost).
     Prepare {
         /// Replica group.
         scope: Scope,

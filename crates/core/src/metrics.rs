@@ -433,7 +433,7 @@ impl StageSnapshot {
 pub struct StorageSnapshot {
     /// Number of durable engines whose counters were folded in.
     pub engines: u64,
-    /// Summed [`StorageStats`] over those engines: puts/deletes, WAL
+    /// Summed [`StorageStats`] over those engines: puts, WAL
     /// records and bytes, flushes, run bytes, compactions, and the
     /// recovery counters (keys recovered, torn WAL bytes truncated).
     pub stats: StorageStats,

@@ -470,7 +470,8 @@ pub struct CheckpointReport {
 /// becomes stable the ledger is compacted to `H_{k-1}`, keeping the last
 /// full interval as a grace window so that a peer restarting from *its*
 /// latest stable checkpoint (at most one interval behind ours) still
-/// finds its recovery anchor retained here.
+/// finds its recovery anchor retained here. Nor does it pass a retained
+/// snapshot (0 before the first): a state transfer starts from there.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_checkpointer(
     node: NodeId,
@@ -577,7 +578,11 @@ pub(crate) fn spawn_checkpointer(
                         let mut l = ledger.guard();
                         // Lag-one compaction: keep the last interval as
                         // the peers' recovery grace window.
-                        l.compact(prev_stable);
+                        let mut floor = prev_stable;
+                        if cfg.retains_snapshots() {
+                            floor = floor.min(stable_snapshot.as_ref().map_or(0, |(h, _)| *h));
+                        }
+                        l.compact(floor);
                     }
                     prev_stable = stable.seq;
                     unresolved.push_back(stable);
@@ -1276,8 +1281,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn checkpointer_certifies_quorum_and_compacts_with_lag() {
+    /// Run replica (0, 0)'s checkpoint stage of a 1×4 deployment over a
+    /// ledger of `blocks` blocks until its queue closes, feeding it
+    /// `msgs(&states)`, where `states[h]` is height `h`'s state digest: its
+    /// report, its ledger, and the three peers' transport handles.
+    fn run_checkpointer(
+        cfg: CheckpointConfig,
+        blocks: u64,
+        msgs: impl FnOnce(&[Digest]) -> Vec<CheckpointMsg>,
+    ) -> (
+        CheckpointReport,
+        Ledger,
+        Vec<crate::transport::TransportHandle>,
+    ) {
         use crate::transport::{InProcTransport, Transport};
         let system = SystemConfig::geo(1, 4).unwrap();
         let transport = Transport::InProc(InProcTransport::new(None));
@@ -1288,12 +1304,11 @@ mod tests {
             .collect();
         let (_inbox, sender) = handle.split();
 
-        // A ledger of 5 blocks whose state digests we will certify.
         let ledger = Arc::new(std::sync::Mutex::new(Ledger::new()));
         let mut states = vec![Digest::ZERO];
         {
             let mut l = ledger.guard();
-            for i in 1..=5u64 {
+            for i in 1..=blocks {
                 let d = Digest::of(&i.to_le_bytes());
                 l.append(SignedBatch::noop(ClusterId(0), i), None, d);
                 states.push(d);
@@ -1301,8 +1316,6 @@ mod tests {
         }
 
         let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(8);
-        let metrics = Metrics::new();
-        let cfg = CheckpointConfig::every(2);
         let h = spawn_checkpointer(
             me,
             system,
@@ -1311,49 +1324,58 @@ mod tests {
             sender,
             Arc::clone(&ledger),
             None,
-            metrics.clone(),
+            Metrics::new(),
         );
+        for msg in msgs(&states) {
+            ckpt_tx.send(msg).unwrap();
+        }
+        drop(ckpt_tx);
+        let report = h.join().unwrap();
+        let Ok(l) = Arc::try_unwrap(ledger) else {
+            unreachable!("checkpointer joined");
+        };
+        (report, l.into_inner().unwrap(), peer_handles)
+    }
 
-        let vote = |from: u16, height: u64| CheckpointMsg::Vote {
+    fn vote(states: &[Digest], from: u16, height: u64) -> CheckpointMsg {
+        CheckpointMsg::Vote {
             from: ReplicaId::new(0, from),
             height,
             state: states[height as usize],
-        };
-        // Own snapshot at 2 + two peer votes = quorum 3 of 4.
-        ckpt_tx
-            .send(CheckpointMsg::Snapshot {
-                height: 2,
-                state: states[2],
-                snapshot: None,
-            })
-            .unwrap();
-        ckpt_tx.send(vote(1, 2)).unwrap();
-        ckpt_tx.send(vote(2, 2)).unwrap();
-        // Second checkpoint at 4.
-        ckpt_tx
-            .send(CheckpointMsg::Snapshot {
-                height: 4,
-                state: states[4],
-                snapshot: None,
-            })
-            .unwrap();
-        ckpt_tx.send(vote(1, 4)).unwrap();
-        ckpt_tx.send(vote(3, 4)).unwrap();
-        drop(ckpt_tx);
-        let report = h.join().unwrap();
+        }
+    }
+
+    fn own(states: &[Digest], height: u64, snapshot: Option<KvStore>) -> CheckpointMsg {
+        CheckpointMsg::Snapshot {
+            height,
+            state: states[height as usize],
+            snapshot,
+        }
+    }
+
+    #[test]
+    fn checkpointer_certifies_quorum_and_compacts_with_lag() {
+        let (report, l, peer_handles) = run_checkpointer(CheckpointConfig::every(2), 5, |s| {
+            vec![
+                // Own snapshot at 2 + two peer votes = quorum 3 of 4.
+                own(s, 2, None),
+                vote(s, 1, 2),
+                vote(s, 2, 2),
+                // Second checkpoint at 4.
+                own(s, 4, None),
+                vote(s, 1, 4),
+                vote(s, 3, 4),
+            ]
+        });
 
         assert_eq!(report.stable_height, 4);
-        assert_eq!(report.stable_state, states[4]);
+        assert_eq!(report.stable_state, Digest::of(&4u64.to_le_bytes()));
         assert_eq!(report.certified.len(), 2);
         assert_eq!(report.certified[0].0, 2);
         assert_eq!(report.certified[1].0, 4);
         assert_eq!(report.tracked, 0, "stability pruned the tracker");
         // Lag-one compaction: stabilizing 4 compacts to 2 (the grace
         // window for peers restarting from *their* last checkpoint).
-        let Ok(l) = Arc::try_unwrap(ledger) else {
-            unreachable!("checkpointer joined");
-        };
-        let l = l.into_inner().unwrap();
         assert_eq!(l.base_height(), 2);
         assert_eq!(l.head_height(), 5);
         l.verify(None).expect("compacted chain intact");
@@ -1371,5 +1393,39 @@ mod tests {
             }
             assert_eq!(got.len(), 2, "peer missed a checkpoint vote");
         }
+    }
+
+    /// With retained snapshots, compaction stops at the retained
+    /// snapshot's height: peers make 2 and 4 stable before this replica's
+    /// own snapshot jobs arrive, the job at 2 then arrives alone, and a
+    /// third stability at 6 would compact to 4 under the lag-one rule
+    /// alone. The ledger keeps every block above the reported snapshot, so
+    /// a state transfer from that snapshot can start.
+    #[test]
+    fn compaction_never_passes_the_retained_snapshot() {
+        let cfg = CheckpointConfig {
+            retain_snapshot: true,
+            ..CheckpointConfig::every(2)
+        };
+        let table = KvStore::with_ycsb_records(4);
+        let (report, l, _peers) = run_checkpointer(cfg, 7, |s| {
+            let stable = |h| (1..4).map(move |from| vote(s, from, h));
+            let mut msgs: Vec<_> = stable(2).chain(stable(4)).collect();
+            msgs.push(own(s, 2, Some(table)));
+            msgs.extend(stable(6));
+            msgs
+        });
+        assert_eq!(report.stable_height, 6);
+        let (snapshot, _) = report
+            .snapshot
+            .expect("the late job's snapshot is retained");
+        assert_eq!(snapshot, 2);
+        assert!(
+            l.base_height() <= snapshot,
+            "ledger base {} passed the retained snapshot at {snapshot}",
+            l.base_height()
+        );
+        assert_eq!(l.base_height(), 2, "compaction still follows the snapshot");
+        l.verify(None).expect("compacted chain intact");
     }
 }

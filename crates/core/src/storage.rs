@@ -42,8 +42,8 @@
 //! anchor instead of dropping. A block goes to disk in the encoding it
 //! travels in: [`rdb_consensus::codec`]'s [`codec::Wire`] table for [`Block`],
 //! whose batch and certificate are the bytes of the frames that carried
-//! them. Decoding is strict (a short, long or foreign value — such as the
-//! JSON an older build wrote — is `InvalidData`, never a misread block).
+//! them. Decoding is strict — a short, long or foreign value is `InvalidData`,
+//! never a misread block — and so is an older build's JSON block or engine file.
 //!
 //! The deployment parameters needed to reboot an equivalent fabric are
 //! written once, through the same codec, to `<root>/manifest`
@@ -271,10 +271,7 @@ pub(crate) fn persist_checkpoint(
 /// Rebuild a replica's in-memory state from its engine: lay the `table`
 /// keyspace (the records the replica wrote, with their persisted
 /// versions) over a clone of the shared `preload`, and stream the
-/// `blocks` keyspace into a ledger rooted at genesis. A streamed record
-/// the preload already holds (a directory whose first boot wrote the
-/// whole preload) is skipped, so every recovered table shares the
-/// preload's base and keeps only what differs from it. The recovered
+/// `blocks` keyspace into a ledger rooted at genesis. The recovered
 /// ledger is uncompacted — every persisted block is retained, so its head
 /// hash and heights are identical to the ledger that wrote it.
 ///
@@ -289,9 +286,7 @@ pub(crate) fn recover_replica(
     for entry in backend.stream(Keyspace::Table) {
         let (key, raw) = entry?;
         let (k, v, version) = decode_table_entry(&key, &raw)?;
-        if preload.version(k) != Some(version) || preload.get(k) != Some(v) {
-            store.restore_record(k, v, version);
-        }
+        store.restore_record(k, v, version);
     }
 
     let mut blocks = vec![Block::genesis()];
@@ -589,45 +584,38 @@ mod tests {
         }
     }
 
-    /// A directory whose first boot wrote the whole preload (through the
-    /// WAL, then flushed to a run, as builds that persisted the preload
-    /// left it) recovers like one whose first boot wrote only the marker:
-    /// the same digest, on the shared preload, and an overlay of exactly
-    /// the records the replica wrote.
+    /// A directory written before the engine's formats dropped their
+    /// per-entry kind byte holds runs and a WAL under the older magics:
+    /// the open refuses each with `InvalidData` and leaves its bytes as
+    /// they were, rather than misreading or rewriting them.
     #[test]
-    fn a_directory_holding_the_whole_preload_recovers_onto_the_shared_one() {
-        let preload = KvStore::with_ycsb_records(300);
-        let writes = [
-            (3, Value::from_u64(33), 2),
-            (150, Value::from_u64(1500), 2),
-            (299, Value::from_u64(2990), 3),
-            (400, Value::from_u64(4000), 1),
-        ];
-        let (head, expected) = decision(&preload, &writes);
-        let recovered = |tag: &str, whole_preload: bool| {
-            let mut backend = LogBackend::open(&tempdir(tag), LogConfig::default()).unwrap();
-            if whole_preload {
-                let mut batch = WriteBatch::new();
-                for (key, value, version) in preload.records() {
-                    let image = encode_table_value(value, version);
-                    batch.put(Keyspace::Table, be_key(key), image);
-                }
-                backend.apply(batch).unwrap();
-                backend.flush().unwrap();
-                assert_eq!(backend.run_count(Keyspace::Table), 1);
-            }
-            init_replica(&mut backend).unwrap();
-            let backend = persist(backend, &head, &writes);
-            recover_replica(&backend, &preload).unwrap().0
-        };
-        for table in [
-            recovered("layout-old", true),
-            recovered("layout-new", false),
-        ] {
-            assert_eq!(table.state_digest(), expected.state_digest());
-            assert!(KvStore::shares_base(&table, &preload));
-            assert_eq!(table.private_records(), writes.len());
-            assert_eq!(table.len(), 301);
+    fn a_directory_of_an_older_format_is_refused() {
+        // The `init` marker as those builds wrote it: the entry is
+        // `[kind = 0 (put)] [key_len] [key] [val_len] [val]`, and a WAL
+        // record carries an op count and a keyspace tag before it.
+        let entry = [&[0, 4, 0, 0, 0][..], META_INIT, &[1, 0, 0, 0, 1]].concat();
+        let check = |bytes: &[u8]| rdb_crypto::sha256::sha256(bytes)[..8].to_vec();
+        let payload = [&[1, 0, 0, 0, Keyspace::Meta as u8][..], &entry].concat();
+        let len = (payload.len() as u32).to_le_bytes();
+        let wal = [&b"RDBWAL01"[..], &len, &check(&payload), &payload].concat();
+        // A `meta` run of that entry: `[ks] [covers_from]`, the entry,
+        // `[count]`, then the checksum over all of it.
+        let body = [
+            &[Keyspace::Meta as u8][..],
+            &1u64.to_le_bytes(),
+            &entry,
+            &1u64.to_le_bytes(),
+        ]
+        .concat();
+        let run = [&b"RDBRUN02"[..], &body, &check(&body)].concat();
+
+        for (name, bytes) in [("wal", &wal), ("meta-00000001.run", &run)] {
+            let dir = tempdir(&format!("older-{name}"));
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let err = LogBackend::open(&dir, LogConfig::default()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+            assert_eq!(&std::fs::read(&path).unwrap(), bytes, "{name} rewritten");
         }
     }
 

@@ -29,7 +29,7 @@ impl Digest {
         Digest(h.finalize())
     }
 
-    /// Combine two digests (used by Merkle trees and chain hashes).
+    /// Combine two digests (Zyzzyva's running history digest).
     pub fn combine(a: &Digest, b: &Digest) -> Digest {
         let mut h = Sha256::new();
         h.update(&a.0);

@@ -1,10 +1,9 @@
 //! HMAC-SHA256 per RFC 2104 / FIPS 198-1.
 //!
-//! Used in two places:
-//! * as the tag function behind the simulation signature scheme
-//!   ([`crate::sign`]), and
-//! * as the pairwise message-authentication code standing in for the
-//!   paper's AES-CMAC ([`crate::mac`]).
+//! The tag function behind the simulation signature scheme
+//! ([`crate::sign`]). The paper's AES-CMAC session MACs are not computed:
+//! they are a modeled cost (`VerificationCost.macs`, the simulator's
+//! `mac_ns`) and 16 modeled bytes of every message header.
 //!
 //! Validated against the RFC 4231 test vectors, through the selected
 //! SHA-256 kernel and through each kernel by name.

@@ -15,7 +15,6 @@
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231
 //!   through each kernel;
 //! * [`digest::Digest`] — a 32-byte digest value type;
-//! * [`merkle`] — Merkle trees over transaction batches and ledger state;
 //! * [`sign`] — the **simulation signature scheme**: an Ed25519-*shaped*
 //!   API (32-byte public keys, 64-byte signatures) implemented with
 //!   HMAC-SHA256 under per-identity keys held by a [`sign::KeyStore`].
@@ -44,11 +43,8 @@
 
 pub mod digest;
 pub mod hmac;
-pub mod mac;
-pub mod merkle;
 pub mod sha256;
 pub mod sign;
 
 pub use digest::Digest;
-pub use mac::{Mac, MacKey};
 pub use sign::{KeyStore, PublicKey, Signature, Signer, Verifier};

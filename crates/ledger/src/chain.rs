@@ -7,7 +7,6 @@ use rdb_consensus::certificate::CommitCertificate;
 use rdb_consensus::crypto_ctx::CryptoCtx;
 use rdb_consensus::types::{Decision, SignedBatch};
 use rdb_crypto::digest::Digest;
-use rdb_crypto::merkle::MerkleTree;
 
 /// A replica's copy of the blockchain (ResilientDB is fully replicated:
 /// "each replica independently maintains a full copy of the ledger", §3).
@@ -228,14 +227,6 @@ impl Ledger {
         Ok(())
     }
 
-    /// Merkle root over the *retained* block hashes — a compact
-    /// commitment to the ledger (from the recovery anchor onward, once
-    /// compacted) used by recovery audits.
-    pub fn merkle_root(&self) -> Digest {
-        let leaves: Vec<Digest> = self.blocks.iter().map(|b| b.hash()).collect();
-        MerkleTree::build(&leaves).root()
-    }
-
     /// Replace the block vector wholesale (used by
     /// [`Ledger::from_blocks_unchecked`]; invariants must be re-checked
     /// with [`Ledger::verify`]). The base is taken from the first block's
@@ -302,17 +293,6 @@ mod tests {
         l.append(noop(1), None, Digest::ZERO);
         l.blocks[0].state_digest = Digest::of(b"evil");
         assert!(l.verify(None).is_err());
-    }
-
-    #[test]
-    fn merkle_root_changes_with_content() {
-        let mut a = Ledger::new();
-        let mut b = Ledger::new();
-        a.append(noop(1), None, Digest::ZERO);
-        b.append(noop(1), None, Digest::ZERO);
-        assert_eq!(a.merkle_root(), b.merkle_root());
-        b.append(noop(2), None, Digest::ZERO);
-        assert_ne!(a.merkle_root(), b.merkle_root());
     }
 
     #[test]

@@ -61,25 +61,17 @@ impl Keyspace {
     }
 }
 
-/// One write in a [`WriteBatch`].
+/// One write in a [`WriteBatch`]: insert or overwrite `key` in `ks` with
+/// `value`. Puts are the only write: the fabric overwrites what it stores
+/// and never removes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteOp {
-    /// Insert or overwrite `key` with `value`.
-    Put {
-        /// Target keyspace.
-        ks: Keyspace,
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Value bytes.
-        value: Vec<u8>,
-    },
-    /// Remove `key` if present.
-    Delete {
-        /// Target keyspace.
-        ks: Keyspace,
-        /// Key bytes.
-        key: Vec<u8>,
-    },
+pub struct WriteOp {
+    /// Target keyspace.
+    pub ks: Keyspace,
+    /// Key bytes.
+    pub key: Vec<u8>,
+    /// Value bytes.
+    pub value: Vec<u8>,
 }
 
 /// An ordered group of writes applied atomically across keyspaces.
@@ -101,18 +93,10 @@ impl WriteBatch {
 
     /// Queue an insert/overwrite of `key` in `ks`.
     pub fn put(&mut self, ks: Keyspace, key: impl Into<Vec<u8>>, value: impl Into<Vec<u8>>) {
-        self.ops.push(WriteOp::Put {
+        self.ops.push(WriteOp {
             ks,
             key: key.into(),
             value: value.into(),
-        });
-    }
-
-    /// Queue a delete of `key` in `ks`.
-    pub fn delete(&mut self, ks: Keyspace, key: impl Into<Vec<u8>>) {
-        self.ops.push(WriteOp::Delete {
-            ks,
-            key: key.into(),
         });
     }
 
@@ -136,8 +120,6 @@ impl WriteBatch {
 pub struct StorageStats {
     /// Keys put (including overwrites).
     pub puts: u64,
-    /// Keys deleted.
-    pub deletes: u64,
     /// Batches appended to the WAL.
     pub wal_records: u64,
     /// Bytes appended to the WAL (record framing included).
@@ -159,7 +141,6 @@ impl StorageStats {
     /// engines).
     pub fn merge(&mut self, other: &StorageStats) {
         self.puts += other.puts;
-        self.deletes += other.deletes;
         self.wal_records += other.wal_records;
         self.wal_bytes += other.wal_bytes;
         self.flushes += other.flushes;

@@ -33,27 +33,25 @@
 //!   above it rivals it in size.
 //!
 //! A merge is one streaming pass ([`Merge`]) from run files to a run file.
-//! Two invariants keep it invisible to readers:
-//!
-//! * **Tombstones survive unless the merge includes the keyspace's oldest
-//!   run.** An upper-tier merge keeps them, or a key deleted above a base
-//!   run that still holds it would come back.
-//! * **The merged run takes the newest input's sequence number** (tmp +
-//!   rename over that input; the older inputs are deleted afterwards), so
-//!   on reopen it still sorts between its un-merged neighbours — a fresh
-//!   number would make it shadow newer runs. Its header records the oldest
-//!   sequence number it covers; inputs a crash left behind fall inside that
-//!   range and are removed at open instead of being read.
+//! One invariant keeps it invisible to readers: **the merged run takes the
+//! newest input's sequence number** (tmp + rename over that input; the
+//! older inputs are deleted afterwards), so on reopen it still sorts
+//! between its un-merged neighbours — a fresh number would make it shadow
+//! newer runs. Its header records the oldest sequence number it covers;
+//! inputs a crash left behind fall inside that range and are removed at
+//! open. They only duplicate what the merged run holds, so reading them
+//! would be waste and merging them again write amplification.
 //!
 //! ## Recovery state machine (at [`LogBackend::open`])
 //!
 //! 1. remove orphaned `*.tmp` files; validate and index every
-//!    `<ks>-<seq>.run` ([`Run::open`]: checksum, framing, key order — any
-//!    failure fails the open), order them by sequence number (older seq =
-//!    older data), and drop the inputs of a merge that crashed before
-//!    deleting them;
-//! 2. replay the WAL: every checksummed record re-applies one whole batch
-//!    to the memtables; the first torn/corrupt frame truncates the file;
+//!    `<ks>-<seq>.run` ([`Run::open`]: magic, checksum, framing, key order
+//!    — any failure fails the open, so a run of an older format is
+//!    refused), order them by sequence number (older seq = older data),
+//!    and drop the inputs of a merge that crashed before deleting them;
+//! 2. replay the WAL (a WAL of an older format is refused too): every
+//!    checksummed record re-applies one whole batch to the memtables; the
+//!    first torn/corrupt frame truncates the file;
 //! 3. serve reads newest-first: memtable, then runs from newest to oldest.
 
 use crate::backend::{Keyspace, StorageBackend, StorageStats, WriteBatch, WriteOp};
@@ -164,8 +162,7 @@ impl LogBackend {
             space.runs.sort_by_key(|(seq, _)| *seq);
             // Newest → oldest: a run numbered inside the range a newer run
             // covers is an input of a merge that crashed before deleting
-            // it. The merged run holds all it held (and may have dropped
-            // tombstones on the strength of that), so it must not be read.
+            // it. The merged run holds all it held, so it is not read.
             let mut covered_from = u64::MAX;
             let mut kept = Vec::new();
             for (seq, run) in space.runs.drain(..).rev() {
@@ -200,16 +197,6 @@ impl LogBackend {
         Ok(backend)
     }
 
-    /// Directory this engine persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> LogConfig {
-        self.cfg
-    }
-
     /// Number of on-disk runs currently serving `ks`.
     pub fn run_count(&self, ks: Keyspace) -> usize {
         self.spaces[ks.index()].runs.len()
@@ -236,29 +223,14 @@ impl LogBackend {
         ks: Keyspace,
     ) -> impl Iterator<Item = io::Result<(Vec<u8>, Vec<u8>)>> + '_ {
         let space = &self.spaces[ks.index()];
-        Merge::new(space.runs.iter().map(|(_, run)| run), Some(&space.memtable)).filter_map(
-            |entry| match entry {
-                Ok((key, Some(value))) => Some(Ok((key, value))),
-                Ok((_, None)) => None,
-                Err(e) => Some(Err(e)),
-            },
-        )
+        Merge::new(space.runs.iter().map(|(_, run)| run), Some(&space.memtable))
     }
 
     fn apply_to_memtables(&mut self, batch: WriteBatch) {
-        for op in batch.ops {
-            match op {
-                WriteOp::Put { ks, key, value } => {
-                    self.memtable_bytes += key.len() + value.len();
-                    self.spaces[ks.index()].memtable.insert(key, Some(value));
-                    self.stats.puts += 1;
-                }
-                WriteOp::Delete { ks, key } => {
-                    self.memtable_bytes += key.len();
-                    self.spaces[ks.index()].memtable.insert(key, None);
-                    self.stats.deletes += 1;
-                }
-            }
+        for WriteOp { ks, key, value } in batch.ops {
+            self.memtable_bytes += key.len() + value.len();
+            self.spaces[ks.index()].memtable.insert(key, value);
+            self.stats.puts += 1;
         }
     }
 
@@ -273,7 +245,7 @@ impl LogBackend {
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            let entries = space.memtable.iter().map(|(k, v)| Ok((k, v.as_ref())));
+            let entries = space.memtable.iter().map(Ok);
             let run = write_run(&self.dir, self.cfg.fsync, ks, seq, seq, entries)?;
             space.memtable.clear();
             self.stats.flushes += 1;
@@ -308,16 +280,12 @@ impl LogBackend {
     }
 
     /// Merge the age-contiguous runs `window` of `ks` into one, holding
-    /// the two invariants of the module docs.
+    /// the invariant of the module docs.
     fn merge(&mut self, ks: Keyspace, window: Range<usize>) -> io::Result<()> {
         let space = &mut self.spaces[ks.index()];
         let inputs = &space.runs[window.clone()];
         let (newest_seq, _) = inputs[inputs.len() - 1];
-        // Below the keyspace's oldest run there is nothing for a tombstone
-        // to shadow; anywhere else it still hides older runs' entries.
-        let keep_tombstones = window.start > 0;
-        let entries = Merge::new(inputs.iter().map(|(_, run)| run), None)
-            .filter(|entry| keep_tombstones || !matches!(entry, Ok((_, None))));
+        let entries = Merge::new(inputs.iter().map(|(_, run)| run), None);
         // The rename replaces the newest input; the older ones are garbage
         // from here on, and `open` removes any a crash leaves behind.
         let covers_from = inputs[0].1.covers_from();
@@ -339,22 +307,21 @@ impl LogBackend {
     }
 }
 
-/// Stream `entries`, in ascending key order (`None` is a tombstone), out
-/// as the run `seq` of `ks` covering sequence numbers from `covers_from`,
-/// and rename it into place: the one run-writing loop of flushes and
-/// merges.
+/// Stream `entries`, in ascending key order, out as the run `seq` of `ks`
+/// covering sequence numbers from `covers_from`, and rename it into place:
+/// the one run-writing loop of flushes and merges.
 fn write_run<K: AsRef<[u8]>, V: AsRef<[u8]>>(
     dir: &Path,
     fsync: bool,
     ks: Keyspace,
     seq: u64,
     covers_from: u64,
-    entries: impl IntoIterator<Item = io::Result<(K, Option<V>)>>,
+    entries: impl IntoIterator<Item = io::Result<(K, V)>>,
 ) -> io::Result<Run> {
     let mut writer = RunWriter::create(&dir.join(run_name(ks, seq)), ks, covers_from)?;
     for entry in entries {
         let (key, value) = entry?;
-        writer.push(key.as_ref(), value.as_ref().map(AsRef::as_ref))?;
+        writer.push(key.as_ref(), value.as_ref())?;
     }
     writer.finish(fsync)
 }
@@ -386,15 +353,14 @@ impl StorageBackend for LogBackend {
     fn get(&self, ks: Keyspace, key: &[u8]) -> Option<Vec<u8>> {
         let space = &self.spaces[ks.index()];
         if let Some(v) = space.memtable.get(key) {
-            return v.clone();
+            return Some(v.clone());
         }
-        // The newest run that knows the key decides, tombstone or not.
+        // The newest run that knows the key decides.
         space
             .runs
             .iter()
             .rev()
             .find_map(|(_, run)| readable(run.get(key)))
-            .flatten()
     }
 
     fn scan(&self, ks: Keyspace) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -505,41 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn deletes_survive_flush_compaction_and_reopen() {
-        let dir = tmp("deletes");
-        let cfg = LogConfig {
-            memtable_bytes: 128,
-            compact_runs: 2,
-            fsync: false,
-        };
-        let mut b = LogBackend::open(&dir, cfg).unwrap();
-        for k in 0..20u64 {
-            put(&mut b, Keyspace::Table, k, b"live");
-        }
-        b.flush().unwrap();
-        for k in 0..20u64 {
-            if k.is_multiple_of(2) {
-                let mut batch = WriteBatch::new();
-                batch.delete(Keyspace::Table, k.to_be_bytes());
-                b.apply(batch).unwrap();
-            }
-        }
-        b.flush().unwrap();
-        drop(b);
-
-        let b = LogBackend::open(&dir, cfg).unwrap();
-        for k in 0..20u64 {
-            let got = b.get(Keyspace::Table, &k.to_be_bytes());
-            if k.is_multiple_of(2) {
-                assert_eq!(got, None, "key {k} should be deleted");
-            } else {
-                assert_eq!(got, Some(b"live".to_vec()), "key {k} should live");
-            }
-        }
-        assert_eq!(b.len(Keyspace::Table), 10);
-    }
-
-    #[test]
     fn scan_merges_runs_and_memtable_in_key_order() {
         let dir = tmp("scan");
         let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
@@ -596,7 +527,7 @@ mod tests {
         drop(b);
         // What a crash mid-flush leaves: a partial run under its tmp name.
         let orphan = dir.join("table-00000009.tmp");
-        fs::write(&orphan, b"RDBRUN02 torn").unwrap();
+        fs::write(&orphan, b"RDBRUN03 torn").unwrap();
 
         let b = LogBackend::open(&dir, LogConfig::default()).unwrap();
         assert!(!orphan.exists());
@@ -653,34 +584,35 @@ mod tests {
     }
 
     #[test]
-    fn base_merge_drops_tombstones_and_leftover_inputs_are_pruned_at_open() {
+    fn leftover_merge_inputs_are_pruned_at_open() {
         let dir = tmp("leftover");
         let cfg = LogConfig {
             compact_runs: 2,
             ..LogConfig::default()
         };
         let mut b = LogBackend::open(&dir, cfg).unwrap();
-        put(&mut b, Keyspace::Table, 1, b"doomed");
+        put(&mut b, Keyspace::Table, 1, b"old");
         put(&mut b, Keyspace::Table, 2, b"kept");
         b.flush().unwrap();
         let base = fs::read(dir.join("table-00000001.run")).unwrap();
-        // A second run as big as the first, deleting key 1: both merge into
-        // a new base, which has nothing left to say about key 1.
-        let mut batch = WriteBatch::new();
-        batch.delete(Keyspace::Table, 1u64.to_be_bytes());
-        batch.put(Keyspace::Table, 3u64.to_be_bytes(), &b"a longer value"[..]);
-        b.apply(batch).unwrap();
+        // A second run as big as the first, overwriting key 1: both merge
+        // into a new base.
+        put(&mut b, Keyspace::Table, 1, b"new");
+        put(&mut b, Keyspace::Table, 3, b"a longer value");
         b.flush().unwrap();
         assert_eq!(run_files(&dir), ["table-00000002.run"]);
         let expect = b.scan(Keyspace::Table);
-        assert_eq!(expect.len(), 2);
+        assert_eq!(expect.len(), 3);
         drop(b);
 
         // The crash window: merged run installed, old base not yet deleted.
         fs::write(dir.join("table-00000001.run"), base).unwrap();
         let b = LogBackend::open(&dir, cfg).unwrap();
         assert_eq!(b.scan(Keyspace::Table), expect);
-        assert_eq!(b.get(Keyspace::Table, &1u64.to_be_bytes()), None);
+        assert_eq!(
+            b.get(Keyspace::Table, &1u64.to_be_bytes()),
+            Some(b"new".to_vec())
+        );
         assert_eq!(run_files(&dir), ["table-00000002.run"]);
     }
 

@@ -5,14 +5,14 @@
 //! ## File format
 //!
 //! ```text
-//! header:  "RDBRUN02" [ks: u8] [covers_from: u64 LE]          (17 bytes)
-//! entry:   [kind: u8] [key_len: u32 LE] [key] [val_len: u32 LE] [val]
+//! header:  "RDBRUN03" [ks: u8] [covers_from: u64 LE]          (17 bytes)
+//! entry:   [key_len: u32 LE] [key] [val_len: u32 LE] [val]
 //! footer:  [count: u64 LE] [check: 8 bytes]                    (16 bytes)
 //! ```
 //!
-//! Entries are strictly ascending by key; `kind` 1 marks a tombstone (no
-//! value fields). `count` is the number of entries and `check` the first 8
-//! bytes of SHA-256 over everything between the magic and `check` itself.
+//! Entries are strictly ascending by key. `count` is the number of entries
+//! and `check` the first 8 bytes of SHA-256 over everything between the
+//! magic and `check` itself.
 //! `covers_from` is the oldest run sequence number whose data this file
 //! holds: its own number for a flushed memtable, the oldest input's for a
 //! merge — [`LogBackend::open`](crate::LogBackend::open) uses it to discard
@@ -30,7 +30,8 @@
 //! offset of the first entry and of one more entry every [`INDEX_STRIDE`]
 //! bytes. [`Run::open`] streams the file once, holding one entry at a time,
 //! and refuses it unless magic, framing, strict key order, count and
-//! checksum all hold; the index is built during that pass. After that check
+//! checksum all hold (a run of an older format, such as `RDBRUN02`, fails
+//! on its magic); the index is built during that pass. After that check
 //! the bytes are trusted: [`Run::get`] seeks to the indexed offset at or
 //! before the key and reads at most one stride, and [`Merge`] reads entries
 //! front to back without re-hashing.
@@ -43,7 +44,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every run file.
-pub const RUN_MAGIC: &[u8; 8] = b"RDBRUN02";
+pub const RUN_MAGIC: &[u8; 8] = b"RDBRUN03";
 
 /// The sparse index holds one entry per this many bytes of run file.
 pub const INDEX_STRIDE: u64 = 4096;
@@ -51,11 +52,11 @@ pub const INDEX_STRIDE: u64 = 4096;
 const HEADER_LEN: u64 = RUN_MAGIC.len() as u64 + 1 + 8;
 const FOOTER_LEN: u64 = 8 + 8;
 
-/// One key with its value; `None` marks a deletion.
-pub type Entry = (Vec<u8>, Option<Vec<u8>>);
+/// One key with its value.
+pub type Entry = (Vec<u8>, Vec<u8>);
 
-/// A keyspace's resident writes; `None` value = tombstone awaiting flush.
-pub type Memtable = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
+/// A keyspace's resident writes, awaiting flush.
+pub type Memtable = BTreeMap<Vec<u8>, Vec<u8>>;
 
 fn invalid(msg: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -174,7 +175,7 @@ impl Run {
         self.covers_from
     }
 
-    /// Entries in the run, tombstones included.
+    /// Entries in the run.
     pub fn count(&self) -> u64 {
         self.summary.count
     }
@@ -201,8 +202,8 @@ impl Run {
         Ok(Cursor::new(BufReader::new(file), from, to))
     }
 
-    /// Look `key` up. `None` = key absent; `Some(None)` = tombstone.
-    pub fn get(&self, key: &[u8]) -> io::Result<Option<Option<Vec<u8>>>> {
+    /// Look `key` up; `None` if the run does not hold it.
+    pub fn get(&self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
         let index = &self.summary.index;
         // Entries of the index at or before `key`; none of them means the
         // key sorts before the whole run.
@@ -273,9 +274,8 @@ struct Cursor<R> {
     key: Vec<u8>,
     /// File offset where the current entry starts.
     entry_pos: u64,
-    /// Value bytes of the current entry still in the file; `None` for a
-    /// tombstone or once taken.
-    unread: Option<u64>,
+    /// Value bytes of the current entry still in the file; 0 once taken.
+    unread: u64,
 }
 
 impl<R: BufRead> Cursor<R> {
@@ -286,7 +286,7 @@ impl<R: BufRead> Cursor<R> {
             end,
             key: Vec::new(),
             entry_pos: pos,
-            unread: None,
+            unread: 0,
         }
     }
 
@@ -310,45 +310,36 @@ impl<R: BufRead> Cursor<R> {
     /// Move to the next entry, passing over the current value if it was
     /// not taken. `false` at the end of the span.
     fn advance(&mut self) -> io::Result<bool> {
-        if let Some(mut n) = self.unread.take() {
-            self.claim(n)?;
-            while n > 0 {
-                let step = (self.reader.fill_buf()?.len() as u64).min(n);
-                if step == 0 {
-                    return Err(io::ErrorKind::UnexpectedEof.into());
-                }
-                self.reader.consume(step as usize);
-                n -= step;
+        let mut n = std::mem::take(&mut self.unread);
+        self.claim(n)?;
+        while n > 0 {
+            let step = (self.reader.fill_buf()?.len() as u64).min(n);
+            if step == 0 {
+                return Err(io::ErrorKind::UnexpectedEof.into());
             }
+            self.reader.consume(step as usize);
+            n -= step;
         }
         if self.pos == self.end {
             return Ok(false);
         }
         self.entry_pos = self.pos;
-        let [kind] = self.take()?;
         let key_len = u32::from_le_bytes(self.take()?);
         self.claim(u64::from(key_len))?;
         self.key.resize(key_len as usize, 0);
         self.reader.read_exact(&mut self.key)?;
         // The value's length is claimed when the value is read or skipped.
-        self.unread = match kind {
-            0 => Some(u64::from(u32::from_le_bytes(self.take()?))),
-            1 => None,
-            _ => return Err(invalid("bad entry kind")),
-        };
+        self.unread = u64::from(u32::from_le_bytes(self.take()?));
         Ok(true)
     }
 
-    /// The current entry's value, `None` for a tombstone. Call at most
-    /// once per entry.
-    fn value(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let Some(n) = self.unread.take() else {
-            return Ok(None);
-        };
+    /// The current entry's value. Call at most once per entry.
+    fn value(&mut self) -> io::Result<Vec<u8>> {
+        let n = std::mem::take(&mut self.unread);
         self.claim(n)?;
         let mut value = vec![0; n as usize];
         self.reader.read_exact(&mut value)?;
-        Ok(Some(value))
+        Ok(value)
     }
 }
 
@@ -396,24 +387,20 @@ impl RunWriter {
         self.put(&len.to_le_bytes())
     }
 
-    /// Append one entry; `None` writes a tombstone.
+    /// Append one entry.
     ///
     /// # Panics
     /// If `key` does not sort strictly after the previous one: the callers
     /// feed a `BTreeMap` or a [`Merge`], both ordered by construction.
-    pub fn push(&mut self, key: &[u8], value: Option<&[u8]>) -> io::Result<()> {
+    pub fn push(&mut self, key: &[u8], value: &[u8]) -> io::Result<()> {
         assert!(
             self.run.summary.note(key, self.run.bytes),
             "run entries pushed out of order"
         );
-        self.put(&[u8::from(value.is_none())])?;
         self.put_len(key.len())?;
         self.put(key)?;
-        if let Some(value) = value {
-            self.put_len(value.len())?;
-            self.put(value)?;
-        }
-        Ok(())
+        self.put_len(value.len())?;
+        self.put(value)
     }
 
     /// Seal the file, rename it into place (replacing whatever was there)
@@ -464,8 +451,8 @@ enum Source<'a> {
     Open(Cursor<BufReader<File>>),
     /// The memtable, with its head entry.
     Mem {
-        head: (&'a Vec<u8>, &'a Option<Vec<u8>>),
-        rest: btree_map::Iter<'a, Vec<u8>, Option<Vec<u8>>>,
+        head: (&'a Vec<u8>, &'a Vec<u8>),
+        rest: btree_map::Iter<'a, Vec<u8>, Vec<u8>>,
     },
     Done,
 }
@@ -494,12 +481,13 @@ impl Source<'_> {
     }
 
     /// The head entry's value.
-    fn value(&mut self) -> io::Result<Option<Vec<u8>>> {
+    fn value(&mut self) -> io::Result<Vec<u8>> {
         self.open()?;
         match self {
             Source::Open(cursor) => cursor.value(),
             Source::Mem { head, .. } => Ok(head.1.clone()),
-            Source::Pending(_) | Source::Done => Ok(None),
+            // The run ended before the first key its index promised.
+            Source::Pending(_) | Source::Done => Err(io::ErrorKind::UnexpectedEof.into()),
         }
     }
 
@@ -519,9 +507,8 @@ impl Source<'_> {
 }
 
 /// Streaming k-way merge: yields every key of its inputs once, ascending,
-/// with the entry of the *newest* input that holds it. Tombstones are
-/// yielded like any entry; the caller decides whether they still shadow
-/// anything. Memory is one key per input plus the entry being yielded.
+/// with the value of the *newest* input that holds it. Memory is one key
+/// per input plus the entry being yielded.
 pub struct Merge<'a> {
     /// Oldest → newest; the memtable, when present, is last.
     sources: Vec<Source<'a>>,
@@ -582,7 +569,7 @@ impl Iterator for Merge<'_> {
 mod tests {
     use super::*;
 
-    type Lit<'a> = (&'a [u8], Option<&'a [u8]>);
+    type Lit<'a> = (&'a [u8], &'a [u8]);
 
     fn dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rdb-run-{}-{name}", std::process::id()));
@@ -594,7 +581,7 @@ mod tests {
     fn write(path: &Path, entries: &[Lit]) -> Run {
         let mut w = RunWriter::create(path, Keyspace::Table, 1).unwrap();
         for (k, v) in entries {
-            w.push(k, *v).unwrap();
+            w.push(k, v).unwrap();
         }
         w.finish(false).unwrap()
     }
@@ -602,7 +589,7 @@ mod tests {
     fn owned(entries: &[Lit]) -> Vec<Entry> {
         entries
             .iter()
-            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect()
     }
 
@@ -615,11 +602,7 @@ mod tests {
     #[test]
     fn run_file_round_trips() {
         let path = dir("roundtrip").join("table-00000001.run");
-        let entries: &[Lit] = &[
-            (b"a", Some(b"1")),
-            (b"b", None),
-            (b"c", Some(b"3333333333")),
-        ];
+        let entries: &[Lit] = &[(b"a", b"1"), (b"b", b""), (b"c", b"3333333333")];
         let written = write(&path, entries);
         assert!(!path.with_extension("tmp").exists());
         let back = Run::open(&path).unwrap();
@@ -629,8 +612,8 @@ mod tests {
             assert_eq!(run.count(), 3);
             assert_eq!(run.bytes(), fs::metadata(&path).unwrap().len());
             assert_eq!(merged(&[run], None), owned(entries));
-            assert_eq!(run.get(b"a").unwrap(), Some(Some(b"1".to_vec())));
-            assert_eq!(run.get(b"b").unwrap(), Some(None));
+            assert_eq!(run.get(b"a").unwrap(), Some(b"1".to_vec()));
+            assert_eq!(run.get(b"b").unwrap(), Some(Vec::new()));
             assert_eq!(run.get(b"bb").unwrap(), None);
             assert_eq!(run.get(b"0").unwrap(), None);
             assert_eq!(run.get(b"z").unwrap(), None);
@@ -649,7 +632,7 @@ mod tests {
         let path = dir("index").join("table-00000001.run");
         let mut w = RunWriter::create(&path, Keyspace::Table, 1).unwrap();
         for k in 0..2000u32 {
-            w.push(&k.to_be_bytes(), Some(&[k as u8; 40])).unwrap();
+            w.push(&k.to_be_bytes(), &[k as u8; 40]).unwrap();
         }
         w.finish(false).unwrap();
         let run = Run::open(&path).unwrap();
@@ -660,7 +643,7 @@ mod tests {
         for k in 0..2000u32 {
             assert_eq!(
                 run.get(&k.to_be_bytes()).unwrap(),
-                Some(Some(vec![k as u8; 40])),
+                Some(vec![k as u8; 40]),
                 "key {k}"
             );
         }
@@ -671,7 +654,7 @@ mod tests {
     fn open_refuses_misordered_miscounted_and_truncated_runs() {
         let d = dir("refuse");
         let good = d.join("table-00000001.run");
-        write(&good, &[(b"a", Some(b"1")), (b"b", Some(b"2"))]);
+        write(&good, &[(b"a", b"1"), (b"b", b"2")]);
         let bytes = fs::read(&good).unwrap();
         let body_end = bytes.len() - FOOTER_LEN as usize;
         // Re-seal `body` (header fields + entries) with a chosen count, so
@@ -694,13 +677,13 @@ mod tests {
         assert!(Run::open(&path).is_ok(), "the re-sealed original is valid");
 
         assert!(refused(seal(body, 3)).contains("count"));
-        // Swap the two 11-byte entries: same bytes, wrong order.
+        // Swap the two 10-byte entries: same bytes, wrong order.
         let (head, entries) = body.split_at(9);
-        let swapped = [head, &entries[11..], &entries[..11]].concat();
+        let swapped = [head, &entries[10..], &entries[..10]].concat();
         assert!(refused(seal(&swapped, 2)).contains("order"));
         // A key length pointing past the file.
         let mut long = body.to_vec();
-        long[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        long[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(refused(seal(&long, 2)).contains("bounds"));
         // Flip the count and leave the old checksum in place.
         let mut stale = bytes.clone();
@@ -716,42 +699,37 @@ mod tests {
     }
 
     #[test]
-    fn merge_newest_wins_and_yields_tombstones() {
+    fn merge_newest_wins_with_the_memtable_on_top() {
         let d = dir("merge");
         let old = write(
             &d.join("table-00000001.run"),
-            &[
-                (b"a", Some(b"old")),
-                (b"b", Some(b"old")),
-                (b"d", Some(b"old")),
-            ],
+            &[(b"a", b"old"), (b"b", b"old"), (b"d", b"old")],
         );
         let new = write(
             &d.join("table-00000002.run"),
-            &[(b"a", Some(b"new")), (b"b", None), (b"c", Some(b"new"))],
+            &[(b"a", b"new"), (b"c", b"new")],
         );
         assert_eq!(
             merged(&[&old, &new], None),
             owned(&[
-                (b"a", Some(b"new")),
-                (b"b", None),
-                (b"c", Some(b"new")),
-                (b"d", Some(b"old")),
+                (b"a", b"new"),
+                (b"b", b"old"),
+                (b"c", b"new"),
+                (b"d", b"old")
             ])
         );
 
         let mut memtable = Memtable::new();
-        memtable.insert(b"b".to_vec(), Some(b"mem".to_vec()));
-        memtable.insert(b"d".to_vec(), None);
-        memtable.insert(b"e".to_vec(), Some(b"mem".to_vec()));
+        memtable.insert(b"b".to_vec(), b"mem".to_vec());
+        memtable.insert(b"e".to_vec(), b"mem".to_vec());
         assert_eq!(
             merged(&[&old, &new], Some(&memtable)),
             owned(&[
-                (b"a", Some(b"new")),
-                (b"b", Some(b"mem")),
-                (b"c", Some(b"new")),
-                (b"d", None),
-                (b"e", Some(b"mem")),
+                (b"a", b"new"),
+                (b"b", b"mem"),
+                (b"c", b"new"),
+                (b"d", b"old"),
+                (b"e", b"mem"),
             ])
         );
     }
@@ -764,7 +742,7 @@ mod tests {
                 let keys = [[2 * i], [2 * i + 1]];
                 write(
                     &d.join(format!("table-0000000{i}.run")),
-                    &[(&keys[0], Some(b"v")), (&keys[1], Some(b"v"))],
+                    &[(&keys[0], b"v"), (&keys[1], b"v")],
                 )
             })
             .collect();

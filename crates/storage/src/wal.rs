@@ -3,7 +3,7 @@
 //! ## File format
 //!
 //! ```text
-//! header:  "RDBWAL01"                                  (8 bytes)
+//! header:  "RDBWAL02"                                  (8 bytes)
 //! record:  [len: u32 LE] [check: 8 bytes] [payload: len bytes]
 //! ```
 //!
@@ -11,7 +11,9 @@
 //! valid only if the full frame is present *and* the checksum matches; the
 //! first invalid frame ends replay and the file is truncated there, so a
 //! torn tail (partial `write` at crash) silently disappears and the log
-//! always ends on a whole-record boundary.
+//! always ends on a whole-record boundary. A file under any other magic —
+//! a foreign file, or a WAL of an older format such as `RDBWAL01` — is
+//! refused with `InvalidData`, neither replayed nor rewritten.
 //!
 //! One record carries one [`WriteBatch`] serialized by
 //! [`encode_batch`]; atomicity of the batch is therefore exactly the
@@ -24,7 +26,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every WAL file.
-pub const WAL_MAGIC: &[u8; 8] = b"RDBWAL01";
+pub const WAL_MAGIC: &[u8; 8] = b"RDBWAL02";
 
 /// Bytes of record framing per record (length + checksum).
 pub const RECORD_OVERHEAD: u64 = 12;
@@ -194,28 +196,16 @@ fn read_frame(bytes: &[u8], pos: usize) -> Option<Frame<'_>> {
 
 /// Serialize a batch:
 /// `[op_count: u32 LE]` then per op
-/// `[ks: u8] [kind: u8] [key_len: u32 LE] [key] [val_len: u32 LE] [val]`
-/// (kind 0 = put, 1 = delete; deletes omit the value fields).
+/// `[ks: u8] [key_len: u32 LE] [key] [val_len: u32 LE] [val]`.
 pub fn encode_batch(batch: &WriteBatch) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(batch.ops.len() as u32).to_le_bytes());
-    for op in &batch.ops {
-        match op {
-            WriteOp::Put { ks, key, value } => {
-                out.push(*ks as u8);
-                out.push(0);
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(value);
-            }
-            WriteOp::Delete { ks, key } => {
-                out.push(*ks as u8);
-                out.push(1);
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-            }
-        }
+    for WriteOp { ks, key, value } in &batch.ops {
+        out.push(*ks as u8);
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(key);
+        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        out.extend_from_slice(value);
     }
     out
 }
@@ -223,20 +213,13 @@ pub fn encode_batch(batch: &WriteBatch) -> Vec<u8> {
 /// Inverse of [`encode_batch`].
 pub fn decode_batch(payload: &[u8]) -> Result<WriteBatch, &'static str> {
     let mut pos = 0usize;
-    let count = read_u32(payload, &mut pos)? as usize;
-    let mut ops = Vec::with_capacity(count);
+    let count = read_u32(payload, &mut pos)?;
+    let mut ops = Vec::new();
     for _ in 0..count {
         let ks = Keyspace::from_tag(read_u8(payload, &mut pos)?).ok_or("bad keyspace tag")?;
-        let kind = read_u8(payload, &mut pos)?;
         let key = read_bytes(payload, &mut pos)?.to_vec();
-        match kind {
-            0 => {
-                let value = read_bytes(payload, &mut pos)?.to_vec();
-                ops.push(WriteOp::Put { ks, key, value });
-            }
-            1 => ops.push(WriteOp::Delete { ks, key }),
-            _ => return Err("bad op kind"),
-        }
+        let value = read_bytes(payload, &mut pos)?.to_vec();
+        ops.push(WriteOp { ks, key, value });
     }
     if pos != payload.len() {
         return Err("trailing bytes in record");
@@ -280,9 +263,6 @@ mod tests {
         let mut b = WriteBatch::new();
         b.put(Keyspace::Table, i.to_be_bytes(), vec![i as u8; 24]);
         b.put(Keyspace::Meta, *b"applied", i.to_le_bytes());
-        if i.is_multiple_of(3) {
-            b.delete(Keyspace::Table, (i / 3).to_be_bytes());
-        }
         b
     }
 

@@ -4,9 +4,9 @@
 //! a partial batch), flushed runs must survive any WAL damage, and
 //! flush/compaction must never change the observable key-value state —
 //! not across a crash between a merge's rename and the deletion of its
-//! inputs, not for a key deleted above a run that still holds it. A run
-//! file with any byte changed fails the open, and the append-only `blocks`
-//! keyspace is written once, never rewritten.
+//! inputs, not for a key overwritten above a run that still holds an older
+//! value. A run file with any byte changed fails the open, and the
+//! append-only `blocks` keyspace is written once, never rewritten.
 
 mod support;
 
@@ -15,8 +15,7 @@ use rdb_storage::{Keyspace, LogBackend, LogConfig, StorageBackend, WriteBatch};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// One generated write: (keyspace tag 0..4, single-byte key, payload).
-/// A payload divisible by 5 encodes a delete; anything else a put.
+/// One generated put: (keyspace tag 0..4, single-byte key, payload).
 type Op = (u8, u8, u64);
 
 /// Reference state: (keyspace tag, key) -> value.
@@ -25,23 +24,18 @@ type Model = BTreeMap<(u8, Vec<u8>), Vec<u8>>;
 fn build_batch(ops: &[Op]) -> WriteBatch {
     let mut b = WriteBatch::new();
     for &(tag, key, val) in ops {
-        let ks = Keyspace::ALL[tag as usize];
-        if val.is_multiple_of(5) {
-            b.delete(ks, vec![key]);
-        } else {
-            b.put(ks, vec![key], val.to_le_bytes().to_vec());
-        }
+        b.put(
+            Keyspace::ALL[tag as usize],
+            vec![key],
+            val.to_le_bytes().to_vec(),
+        );
     }
     b
 }
 
 fn apply_model(model: &mut Model, ops: &[Op]) {
     for &(tag, key, val) in ops {
-        if val.is_multiple_of(5) {
-            model.remove(&(tag, vec![key]));
-        } else {
-            model.insert((tag, vec![key]), val.to_le_bytes().to_vec());
-        }
+        model.insert((tag, vec![key]), val.to_le_bytes().to_vec());
     }
 }
 
@@ -232,60 +226,6 @@ fn put_one(be: &mut LogBackend, ks: Keyspace, key: u64, value: &[u8]) {
     be.apply(batch).expect("apply");
 }
 
-/// A delete flushed above a base run that still holds the key must keep
-/// shadowing it through a merge of the runs above the base: such a merge
-/// keeps its tombstones. Checked before and after reopen.
-#[test]
-fn upper_tier_merge_never_resurrects_a_deleted_key() {
-    let tmp = support::TempDir::new("crash-tombstone");
-    let cfg = LogConfig::default();
-    let mut be = LogBackend::open(tmp.path(), cfg).expect("open");
-    // The base: 200 records, far bigger than everything flushed after it.
-    for k in 0..200u64 {
-        put_one(&mut be, Keyspace::Table, k, &[k as u8; 32]);
-    }
-    be.flush().expect("flush base");
-    // Four small runs above it, the first deleting keys the base holds.
-    let mut batch = WriteBatch::new();
-    for k in (0..200u64).step_by(10) {
-        batch.delete(Keyspace::Table, k.to_be_bytes());
-    }
-    be.apply(batch).expect("apply deletes");
-    be.flush().expect("flush deletes");
-    for k in 200..203u64 {
-        for j in 0..8u64 {
-            put_one(
-                &mut be,
-                Keyspace::Table,
-                1000 * k + j,
-                b"filler so the four runs are of a size",
-            );
-        }
-        be.flush().expect("flush filler");
-    }
-    assert_eq!(be.stats().compactions, 1, "the four small runs merged");
-    assert_eq!(
-        be.run_count(Keyspace::Table),
-        2,
-        "above the base, not into it"
-    );
-
-    let check = |be: &LogBackend| {
-        for k in 0..200u64 {
-            let got = be.get(Keyspace::Table, &k.to_be_bytes());
-            if k % 10 == 0 {
-                assert_eq!(got, None, "key {k} came back");
-            } else {
-                assert_eq!(got, Some(vec![k as u8; 32]), "key {k}");
-            }
-        }
-        assert_eq!(be.len(Keyspace::Table), 180 + 24);
-    };
-    check(&be);
-    drop(be);
-    check(&LogBackend::open(tmp.path(), cfg).expect("reopen"));
-}
-
 /// Runs are trusted after the open-time check, so that check must see
 /// everything: one changed byte at any offset of any run file, and
 /// `LogBackend::open` refuses the directory.
@@ -299,9 +239,6 @@ fn any_flipped_byte_in_any_run_file_fails_the_open() {
             put_one(&mut be, ks, round, b"value");
             put_one(&mut be, ks, 10 + round, b"another");
         }
-        let mut batch = WriteBatch::new();
-        batch.delete(Keyspace::Table, 99u64.to_be_bytes());
-        be.apply(batch).expect("apply delete");
         be.flush().expect("flush");
     }
     put_one(&mut be, Keyspace::Table, 7, b"in the wal only");
