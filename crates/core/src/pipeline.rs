@@ -1428,4 +1428,26 @@ mod tests {
         assert_eq!(l.base_height(), 2, "compaction still follows the snapshot");
         l.verify(None).expect("compacted chain intact");
     }
+
+    /// With retained snapshots and none of this replica's own yet, peers
+    /// making 2 and 4 stable compact nothing: the ledger keeps its genesis
+    /// until a snapshot exists to transfer from.
+    #[test]
+    fn compaction_waits_for_the_first_retained_snapshot() {
+        let cfg = CheckpointConfig {
+            retain_snapshot: true,
+            ..CheckpointConfig::every(2)
+        };
+        let (report, l, _peers) = run_checkpointer(cfg, 5, |s| {
+            [2, 4]
+                .into_iter()
+                .flat_map(|h| (1..4).map(move |from| vote(s, from, h)))
+                .collect()
+        });
+        assert_eq!(report.stable_height, 4);
+        assert!(report.snapshot.is_none());
+        assert_eq!(l.base_height(), 0);
+        assert_eq!(l.head_height(), 5);
+        l.verify(None).expect("uncompacted chain intact");
+    }
 }

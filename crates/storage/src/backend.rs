@@ -192,4 +192,36 @@ mod tests {
         }
         assert_eq!(Keyspace::from_tag(4), None);
     }
+
+    #[test]
+    fn stats_merge_sums_every_counter() {
+        let one = StorageStats {
+            puts: 1,
+            wal_records: 2,
+            wal_bytes: 3,
+            flushes: 4,
+            run_bytes: 5,
+            compactions: 6,
+            keys_recovered: 7,
+            wal_truncated_bytes: 8,
+        };
+        let mut sum = one;
+        sum.merge(&one);
+        assert_eq!(
+            sum,
+            StorageStats {
+                puts: 2,
+                wal_records: 4,
+                wal_bytes: 6,
+                flushes: 8,
+                run_bytes: 10,
+                compactions: 12,
+                keys_recovered: 14,
+                wal_truncated_bytes: 16,
+            }
+        );
+        let before = sum;
+        sum.merge(&StorageStats::default());
+        assert_eq!(sum, before);
+    }
 }

@@ -657,4 +657,124 @@ mod tests {
         b.apply(WriteBatch::new()).unwrap();
         assert_eq!(b.stats().wal_records, 0);
     }
+
+    #[test]
+    fn the_newest_put_wins_across_runs_the_wal_and_reopen() {
+        let dir = tmp("newest");
+        let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        for k in 1..=3 {
+            put(&mut b, Keyspace::Table, k, b"run 1");
+        }
+        b.flush().unwrap();
+        for k in 2..=3 {
+            put(&mut b, Keyspace::Table, k, b"run 2");
+        }
+        b.flush().unwrap();
+        put(&mut b, Keyspace::Table, 3, b"wal");
+        assert_eq!(b.run_count(Keyspace::Table), 2);
+
+        let newest: [&[u8]; 3] = [b"run 1", b"run 2", b"wal"];
+        let check = |b: &LogBackend| {
+            for (k, v) in (1..=3u64).zip(newest) {
+                let got = b.get(Keyspace::Table, &k.to_be_bytes());
+                assert_eq!(got.as_deref(), Some(v), "key {k}");
+            }
+            let scan = b.scan(Keyspace::Table);
+            let values: Vec<&[u8]> = scan.iter().map(|(_, v)| v.as_slice()).collect();
+            assert_eq!(values, newest);
+        };
+        check(&b);
+        drop(b);
+        let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        check(&b);
+        // The replayed put moves into a third run, still the newest.
+        b.flush().unwrap();
+        assert_eq!(b.run_count(Keyspace::Table), 3);
+        check(&b);
+    }
+
+    #[test]
+    fn a_run_whose_header_disagrees_with_its_name_is_refused() {
+        let dir = tmp("misnamed");
+        let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        put(&mut b, Keyspace::Table, 1, b"one");
+        b.flush().unwrap();
+        drop(b);
+        // Another keyspace's name, then a sequence number below the one
+        // the header says the run covers from.
+        let mut from = dir.join("table-00000001.run");
+        for name in ["meta-00000001.run", "table-00000000.run"] {
+            let to = dir.join(name);
+            fs::rename(&from, &to).unwrap();
+            let err = LogBackend::open(&dir, LogConfig::default()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert!(err.to_string().contains("header"), "{name}: {err}");
+            from = to;
+        }
+    }
+
+    #[test]
+    fn stats_count_puts_records_and_bytes_written() {
+        use crate::wal::{encode_batch, RECORD_OVERHEAD};
+        let dir = tmp("stats");
+        let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        let mut batch = WriteBatch::new();
+        batch.put(Keyspace::Table, *b"k", *b"v");
+        batch.put(Keyspace::Meta, *b"m", *b"w");
+        let framed = encode_batch(&batch).len() as u64 + RECORD_OVERHEAD;
+        b.apply(batch.clone()).unwrap();
+        b.apply(batch).unwrap();
+        b.flush().unwrap();
+        let stats = b.stats();
+        assert_eq!(stats.puts, 4);
+        assert_eq!((stats.wal_records, stats.wal_bytes), (2, 2 * framed));
+        assert_eq!(stats.flushes, 2, "one run per dirty keyspace");
+        assert_eq!(stats.compactions, 0);
+        let on_disk: u64 = run_files(&dir)
+            .iter()
+            .map(|name| fs::metadata(dir.join(name)).unwrap().len())
+            .sum();
+        assert_eq!(stats.run_bytes, on_disk);
+        drop(b);
+
+        // A reopen counts what it recovered and nothing it wrote before.
+        let b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        let stats = b.stats();
+        assert_eq!(stats.keys_recovered, 2);
+        assert_eq!((stats.puts, stats.wal_bytes, stats.run_bytes), (0, 0, 0));
+    }
+
+    #[test]
+    fn run_names_round_trip_and_other_files_are_left_alone() {
+        for ks in Keyspace::ALL {
+            for seq in [0, 1, 12_345_678, 123_456_789] {
+                assert_eq!(parse_run_name(&run_name(ks, seq)), Some((ks, seq)));
+            }
+        }
+        for name in [
+            "wal",
+            "table-1.tmp",
+            "table.run",
+            "bogus-1.run",
+            "table-x.run",
+        ] {
+            assert_eq!(parse_run_name(name), None, "{name}");
+        }
+
+        let dir = tmp("foreign");
+        fs::create_dir_all(&dir).unwrap();
+        for name in ["notes.txt", "bogus-00000001.run"] {
+            fs::write(dir.join(name), b"not a run").unwrap();
+        }
+        let mut b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        put(&mut b, Keyspace::Table, 1, b"one");
+        b.flush().unwrap();
+        drop(b);
+        let b = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        assert_eq!(b.len(Keyspace::Table), 1);
+        assert_eq!(
+            run_files(&dir),
+            ["bogus-00000001.run", "notes.txt", "table-00000001.run"]
+        );
+    }
 }

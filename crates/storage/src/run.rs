@@ -599,6 +599,23 @@ mod tests {
             .unwrap()
     }
 
+    /// Re-seal `body` (header fields + entries) with a chosen count, so
+    /// only the property under test is wrong, never the checksum.
+    fn seal(body: &[u8], count: u64) -> Vec<u8> {
+        let mut out = RUN_MAGIC.to_vec();
+        out.extend_from_slice(body);
+        out.extend_from_slice(&count.to_le_bytes());
+        let check = rdb_crypto::sha256::sha256(&out[RUN_MAGIC.len()..]);
+        out.extend_from_slice(&check[..8]);
+        out
+    }
+
+    /// The header fields and entries of the run file at `path`.
+    fn body(path: &Path) -> Vec<u8> {
+        let bytes = fs::read(path).unwrap();
+        bytes[RUN_MAGIC.len()..bytes.len() - FOOTER_LEN as usize].to_vec()
+    }
+
     #[test]
     fn run_file_round_trips() {
         let path = dir("roundtrip").join("table-00000001.run");
@@ -657,16 +674,6 @@ mod tests {
         write(&good, &[(b"a", b"1"), (b"b", b"2")]);
         let bytes = fs::read(&good).unwrap();
         let body_end = bytes.len() - FOOTER_LEN as usize;
-        // Re-seal `body` (header fields + entries) with a chosen count, so
-        // only the property under test is wrong, never the checksum.
-        let seal = |body: &[u8], count: u64| {
-            let mut out = RUN_MAGIC.to_vec();
-            out.extend_from_slice(body);
-            out.extend_from_slice(&count.to_le_bytes());
-            let check = rdb_crypto::sha256::sha256(&out[RUN_MAGIC.len()..]);
-            out.extend_from_slice(&check[..8]);
-            out
-        };
         let path = d.join("table-00000002.run");
         let refused = |bytes: Vec<u8>| {
             fs::write(&path, bytes).unwrap();
@@ -767,5 +774,98 @@ mod tests {
         assert_eq!(Run::open(&path).unwrap().count(), 0);
         assert_eq!(run.get(b"a").unwrap(), None);
         assert!(merged(&[&run], None).is_empty());
+    }
+
+    #[test]
+    fn a_run_of_the_previous_format_is_refused() {
+        let path = dir("older").join("table-00000001.run");
+        write(&path, &[(b"a", b"1")]);
+        // The checksum does not cover the magic: only the magic is wrong.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[..RUN_MAGIC.len()].copy_from_slice(b"RDBRUN02");
+        fs::write(&path, &bytes).unwrap();
+        let err = Run::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("magic"), "{err}");
+    }
+
+    #[test]
+    fn an_entry_is_its_key_and_value_with_two_lengths() {
+        let path = dir("layout").join("meta-00000007.run");
+        let mut w = RunWriter::create(&path, Keyspace::Meta, 5).unwrap();
+        w.push(b"k", b"vv").unwrap();
+        w.push(b"kk", b"").unwrap();
+        let run = w.finish(false).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let expect = [
+            &RUN_MAGIC[..],
+            &[Keyspace::Meta as u8],
+            &5u64.to_le_bytes(),
+            &1u32.to_le_bytes(),
+            b"k",
+            &2u32.to_le_bytes(),
+            b"vv",
+            &2u32.to_le_bytes(),
+            b"kk",
+            &0u32.to_le_bytes(),
+            &2u64.to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(bytes[..bytes.len() - 8], expect[..]);
+        assert_eq!(run.bytes(), HEADER_LEN + (8 + 3) + (8 + 2) + FOOTER_LEN);
+    }
+
+    #[test]
+    fn open_refuses_a_bad_keyspace_tag() {
+        let path = dir("tag").join("table-00000001.run");
+        write(&path, &[(b"a", b"1")]);
+        let mut body = body(&path);
+        body[0] = 9;
+        fs::write(&path, seal(&body, 1)).unwrap();
+        let err = Run::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("keyspace"), "{err}");
+    }
+
+    #[test]
+    fn open_refuses_a_value_length_past_the_entries() {
+        let path = dir("value").join("table-00000001.run");
+        write(&path, &[(b"a", b"1"), (b"b", b"2")]);
+        let good = body(&path);
+        // The first value's length follows the header (9 bytes), the key's
+        // length and the key. The value and the second entry leave 11
+        // bytes before the footer.
+        for len in [12, u32::MAX] {
+            let mut body = good.clone();
+            body[14..18].copy_from_slice(&len.to_le_bytes());
+            fs::write(&path, seal(&body, 2)).unwrap();
+            let err = Run::open(&path).unwrap_err();
+            assert!(err.to_string().contains("bounds"), "{len}: {err}");
+        }
+        fs::write(&path, seal(&good, 2)).unwrap();
+        assert_eq!(Run::open(&path).unwrap().count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn pushing_a_key_out_of_order_panics() {
+        let path = dir("unordered").join("table-00000001.run");
+        let mut w = RunWriter::create(&path, Keyspace::Table, 1).unwrap();
+        w.push(b"b", b"1").unwrap();
+        w.push(b"a", b"2").unwrap();
+    }
+
+    #[test]
+    fn merge_of_a_lone_memtable_yields_it_in_key_order() {
+        let mut memtable = Memtable::new();
+        for k in [b"c", b"a", b"b"] {
+            memtable.insert(k.to_vec(), k.to_vec());
+        }
+        assert_eq!(
+            merged(&[], Some(&memtable)),
+            owned(&[(b"a", b"a"), (b"b", b"b"), (b"c", b"c")])
+        );
+        assert!(merged(&[], Some(&Memtable::new())).is_empty());
+        assert!(merged(&[], None).is_empty());
     }
 }

@@ -359,4 +359,101 @@ mod tests {
         fs::write(&path, b"definitely not a wal").unwrap();
         assert!(Wal::open(&path, false).is_err());
     }
+
+    #[test]
+    fn a_wal_of_the_previous_format_is_refused() {
+        let path = tmp("older");
+        // A whole, checksummed record under the `RDBWAL01` magic.
+        let payload = encode_batch(&sample(1));
+        let bytes = [
+            &b"RDBWAL01"[..],
+            &(payload.len() as u32).to_le_bytes(),
+            &sha256(&payload)[..8],
+            &payload,
+        ]
+        .concat();
+        // And a magic cut short.
+        for bytes in [bytes, b"RDBWAL0".to_vec()] {
+            fs::write(&path, &bytes).unwrap();
+            let err = Wal::open(&path, false).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(fs::read(&path).unwrap(), bytes, "refused, not rewritten");
+        }
+    }
+
+    #[test]
+    fn an_op_is_its_tag_and_two_length_prefixed_fields() {
+        let mut b = WriteBatch::new();
+        b.put(Keyspace::Meta, *b"k", *b"vv");
+        let expect = [
+            &1u32.to_le_bytes()[..],
+            &[Keyspace::Meta as u8],
+            &1u32.to_le_bytes(),
+            b"k",
+            &2u32.to_le_bytes(),
+            b"vv",
+        ]
+        .concat();
+        assert_eq!(encode_batch(&b), expect);
+        // Nine bytes of framing per op, whatever its key and value.
+        for (k, v) in [(0, 0), (8, 40), (3, 1000)] {
+            let mut b = WriteBatch::new();
+            b.put(Keyspace::Table, vec![1; k], vec![2; v]);
+            b.put(Keyspace::Blocks, vec![3; k], vec![4; v]);
+            assert_eq!(encode_batch(&b).len(), 4 + 2 * (9 + k + v));
+        }
+    }
+
+    #[test]
+    fn decode_refuses_a_bad_keyspace_tag() {
+        let mut bytes = encode_batch(&sample(3));
+        // The first op's tag follows the op count.
+        bytes[4] = 9;
+        assert_eq!(decode_batch(&bytes), Err("bad keyspace tag"));
+    }
+
+    #[test]
+    fn decode_refuses_a_record_cut_short() {
+        let bytes = encode_batch(&sample(3));
+        for len in 0..bytes.len() {
+            assert_eq!(
+                decode_batch(&bytes[..len]),
+                Err("record too short"),
+                "cut at {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_refuses_trailing_bytes() {
+        let mut bytes = encode_batch(&sample(3));
+        bytes.push(0);
+        assert_eq!(decode_batch(&bytes), Err("trailing bytes in record"));
+        assert_eq!(
+            decode_batch(&[0, 0, 0, 0, 1]),
+            Err("trailing bytes in record")
+        );
+    }
+
+    #[test]
+    fn appends_after_a_reopen_extend_the_replayed_log() {
+        let path = tmp("extend");
+        let (mut wal, _) = Wal::open(&path, false).unwrap();
+        let framed = wal.append(&sample(0)).unwrap();
+        assert_eq!(
+            framed,
+            encode_batch(&sample(0)).len() as u64 + RECORD_OVERHEAD
+        );
+        assert_eq!(wal.len(), WAL_MAGIC.len() as u64 + framed);
+        drop(wal);
+
+        let (mut wal, replay) = Wal::open(&path, false).unwrap();
+        assert_eq!(replay.batches, vec![sample(0)]);
+        assert_eq!(wal.len(), WAL_MAGIC.len() as u64 + framed);
+        wal.append(&sample(1)).unwrap();
+        assert_eq!(wal.len(), fs::metadata(&path).unwrap().len());
+        drop(wal);
+        let (_, replay) = Wal::open(&path, false).unwrap();
+        assert_eq!(replay.batches, vec![sample(0), sample(1)]);
+    }
 }
