@@ -37,7 +37,10 @@
 //! protocol timers recover, exactly as they do for shed traffic — so no
 //! send-side queue can grow without bound. Successful re-establishment
 //! after a drop increments the per-link reconnect counter in
-//! [`Metrics`].
+//! [`Metrics`]. A reader that drops its connection (EOF, a bad or
+//! misnamed frame) shuts it down for both directions, so the sender's
+//! writes soon fail and the link re-dials instead of filling a socket
+//! nobody reads.
 //!
 //! # Backpressure
 //!
@@ -50,7 +53,31 @@
 //! rather than a parked thread, coarser than in-process blocking but the
 //! same end state (see the decision table in `docs/ARCHITECTURE.md`). On
 //! a delayed link the reader never parks: the frame waits in the delay
-//! wheel, which retries it until the inbox has room.
+//! wheel, which retries it until the inbox has room. A reader parked in a
+//! delivery is released by the inbox, not by the socket: when the
+//! replica pipelines drop their receivers (see [`SocketTransport::close`]).
+//!
+//! # Threads and shutdown
+//!
+//! Every mesh thread blocks until it has work; none polls a flag on a
+//! timer. Each registered node's accept loop blocks in `accept`, and each
+//! accepted connection gets a reader thread that blocks in `read`. A
+//! lazy connect therefore costs one handshake round trip: the peer's
+//! accept returns at once and its reader answers the hello. The handshake
+//! is the only read under a timeout ([`HANDSHAKE_TIMEOUT`], both sides);
+//! once it is through, the timeout is cleared and a reader waits for its
+//! next frame for as long as the link lives. The one timed wait left is
+//! [`ACCEPT_ERROR_BACKOFF`] after a failed `accept`.
+//!
+//! [`SocketTransport::close`] runs after the router's running flag is
+//! clear. It dials each listener of this transport's own nodes once, so
+//! the accept loop returns from `accept`, sees the flag and exits (an
+//! advertised remote listener is never dialed); and it shuts down every
+//! reader's connection for both directions, which ends the blocked
+//! `read` whether the peer lives in this process, in another one, or
+//! never sent its hello. A wake-up dial that fails (out of file
+//! descriptors, say) leaves that accept loop detached rather than
+//! joining it forever: it exits at the next connection it accepts.
 
 use crate::metrics::Metrics;
 use crate::sync::MutexExt;
@@ -59,7 +86,7 @@ use rdb_common::ids::NodeId;
 use rdb_consensus::codec::{self, WireCodec, MAX_FRAME, NODE_ID_BYTES};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -77,9 +104,13 @@ pub const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 /// Backoff ceiling.
 pub const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
-/// Poll interval of the non-blocking accept loops and the read-timeout
-/// of reader threads: the worst-case latency for noticing shutdown.
-const POLL: Duration = Duration::from_millis(5);
+/// How long an accept loop sleeps after a failed `accept` (out of file
+/// descriptors, say) before it tries again: the mesh's only timed wait.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// How long either side waits for the peer's hello: the only read
+/// timeout a mesh socket carries, cleared once the handshake is through.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 static EPOCH_COUNTER: AtomicU64 = AtomicU64::new(1);
 
@@ -132,13 +163,49 @@ impl LinkState {
 /// [`LinkState`]), so the outer map lock is only held to look one up.
 type LinkTable = Mutex<HashMap<(NodeId, NodeId), Arc<Mutex<LinkState>>>>;
 
+/// A mesh thread and what ends it at [`SocketTransport::close`].
+struct MeshThread {
+    handle: JoinHandle<()>,
+    wake: Wake,
+}
+
+/// How `close` wakes a mesh thread blocked in a system call.
+enum Wake {
+    /// An accept loop on the listener this transport bound at this
+    /// address: one dial returns its `accept`.
+    Dial(SocketAddr),
+    /// A reader: shutting down this clone of its connection ends its
+    /// `read`.
+    Shutdown(TcpStream),
+}
+
+impl MeshThread {
+    /// Wake the thread; `None` when it could not be woken, so joining it
+    /// might never return.
+    fn wake(self) -> Option<JoinHandle<()>> {
+        match &self.wake {
+            Wake::Dial(addr) => {
+                // Bounded, so a full accept backlog cannot hold `close`.
+                TcpStream::connect_timeout(addr, HANDSHAKE_TIMEOUT).ok()?;
+            }
+            Wake::Shutdown(stream) => {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+        Some(self.handle)
+    }
+}
+
 struct SockShared {
     epoch: u64,
+    /// Where every node this transport can reach listens: its own nodes
+    /// and `advertise`d remote ones. `close` dials only the former, which
+    /// it finds in `threads`.
     addrs: Mutex<HashMap<NodeId, SocketAddr>>,
     links: LinkTable,
-    /// Accept loops and reader threads; finished readers are pruned
-    /// whenever a thread is added.
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Accept loops and reader threads; finished readers are pruned,
+    /// with their connection clones, whenever a thread is added.
+    threads: Mutex<Vec<MeshThread>>,
 }
 
 /// The socket transport. Cloneable handle, like
@@ -193,33 +260,43 @@ impl SocketTransport {
         self.shared.addrs.guard().get(&node).copied()
     }
 
-    /// Close outbound connections and join the accept and reader threads
-    /// (the router's running flag is already clear, so they stop).
-    /// Blocked reader deliveries release when the replica pipelines drop
-    /// their inbox receivers, so deployments stop replicas before the
+    /// Close outbound connections, then wake and join the accept and
+    /// reader threads (the router's running flag is already clear, so
+    /// they stop; see the module docs on threads and shutdown). Blocked
+    /// reader deliveries release when the replica pipelines drop their
+    /// inbox receivers, so deployments stop replicas before the
     /// transport (see `Fabric::stop_all`).
     pub(crate) fn close(&self) {
         // Drop outbound streams so peer readers see EOF promptly.
         for link in self.shared.links.guard().values() {
             link.guard().stream = None;
         }
-        let threads: Vec<_> = self.shared.threads.guard().drain(..).collect();
-        for t in threads {
-            let _ = t.join();
+        // In rounds: an accept loop that saw the flag still set just
+        // before it cleared may add one last reader after a drain.
+        loop {
+            let threads: Vec<_> = self.shared.threads.guard().drain(..).collect();
+            if threads.is_empty() {
+                return;
+            }
+            let woken: Vec<_> = threads.into_iter().filter_map(MeshThread::wake).collect();
+            for t in woken {
+                let _ = t.join();
+            }
         }
     }
 
-    /// Run `f` on a named mesh thread. Handles of finished threads are
-    /// dropped first, so a peer that keeps reconnecting cannot grow the
-    /// list for the transport's lifetime.
-    fn spawn(&self, name: String, f: impl FnOnce() + Send + 'static) {
+    /// Run `f` on a named mesh thread that `wake` ends at `close`.
+    /// Handles of finished threads are dropped first, so a peer that
+    /// keeps reconnecting cannot grow the list for the transport's
+    /// lifetime.
+    fn spawn(&self, name: String, wake: Wake, f: impl FnOnce() + Send + 'static) {
         let handle = std::thread::Builder::new()
             .name(name)
             .spawn(f)
             .expect("spawn socket thread");
         let mut threads = self.shared.threads.guard();
-        threads.retain(|t| !t.is_finished());
-        threads.push(handle);
+        threads.retain(|t| !t.handle.is_finished());
+        threads.push(MeshThread { handle, wake });
     }
 
     // ------------------------------------------------------------------
@@ -278,7 +355,6 @@ impl SocketTransport {
             .listen_addr(to)
             .ok_or_else(|| std::io::Error::new(ErrorKind::NotFound, "peer not registered"))?;
         let mut stream = dial(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(2)))?;
         stream.write_all(&handshake(from, self.shared.epoch))?;
         let peer = read_handshake(&mut stream, self.shared.epoch)?;
         if peer != to {
@@ -301,70 +377,75 @@ impl SocketTransport {
             return;
         }
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
         let addr = listener.local_addr().expect("listener addr");
         self.shared.addrs.guard().insert(node, addr);
         let me = self.clone();
-        self.spawn(format!("rdb-accept-{node:?}"), move || {
-            me.accept_loop(listener, node)
-        });
+        self.spawn(
+            format!("rdb-accept-{node:?}"),
+            Wake::Dial(addr),
+            move || me.accept_loop(listener, node),
+        );
     }
 
+    /// Accept connections until one arrives after shutdown (`close`'s
+    /// wake-up dial, or a late peer), each served by a reader thread.
     fn accept_loop(&self, listener: TcpListener, node: NodeId) {
         while self.router.running() {
             match listener.accept() {
-                Ok((stream, _)) => {
+                Ok((stream, _)) if self.router.running() => {
                     let _ = stream.set_nodelay(true);
+                    // Out of descriptors for the clone `close` needs:
+                    // refuse the connection; the peer re-dials.
+                    let Ok(clone) = stream.try_clone() else {
+                        continue;
+                    };
                     let me = self.clone();
-                    self.spawn(format!("rdb-read-{node:?}"), move || {
-                        me.serve_conn(stream, node)
-                    });
+                    self.spawn(
+                        format!("rdb-read-{node:?}"),
+                        Wake::Shutdown(clone),
+                        move || me.serve_conn(stream, node),
+                    );
                 }
-                // Nothing pending (or a transient accept error): poll.
-                Err(_) => std::thread::sleep(POLL),
+                Ok(_) => {}
+                // A failed accept is retried, after a back-off so that a
+                // persistent error (no descriptors left) does not spin.
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
     }
 
-    /// One inbound connection: handshake, then decode frames until EOF,
-    /// error, or shutdown. A corrupt frame closes the connection — the
-    /// peer reconnects with fresh framing, so one bad frame can never
-    /// desync a long-lived stream — and so does a frame that is not from
-    /// the handshake peer to this listener's node.
+    /// One inbound connection, shut down for both directions when its
+    /// reader stops — the clone `close` keeps would otherwise hold it
+    /// open towards the peer.
     fn serve_conn(&self, mut stream: TcpStream, node: NodeId) {
-        if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
-            return;
-        }
-        let Ok(peer) = read_handshake(&mut stream, self.shared.epoch) else {
-            return; // wrong magic/version/epoch: refuse stale peers
-        };
-        let reply = handshake(node, self.shared.epoch);
-        if stream.write_all(&reply).is_err() {
-            return;
-        }
+        let _ = self.serve(&mut stream, node);
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+
+    /// Handshake, then decode frames until EOF (the peer closed, or
+    /// `close` shut the connection down) or error. A corrupt frame closes
+    /// the connection — the peer reconnects with fresh framing, so one
+    /// bad frame can never desync a long-lived stream — and so does a
+    /// frame that is not from the handshake peer to this listener's node.
+    fn serve(&self, stream: &mut TcpStream, node: NodeId) -> std::io::Result<()> {
+        // Wrong magic/version/epoch: refuse stale peers.
+        let peer = read_handshake(stream, self.shared.epoch)?;
+        stream.write_all(&handshake(node, self.shared.epoch))?;
         let mut len_buf = [0u8; 4];
         let mut body = Vec::new();
         loop {
-            match self.read_full(&mut stream, &mut len_buf) {
-                Ok(true) => {}
-                _ => return,
-            }
+            stream.read_exact(&mut len_buf)?;
             let len = u32::from_le_bytes(len_buf) as usize;
             if !(codec::FRAME_OVERHEAD - 4..=MAX_FRAME).contains(&len) {
-                return; // desynced or hostile length: drop connection
+                return Ok(()); // desynced or hostile length: drop connection
             }
             body.resize(len, 0);
-            match self.read_full(&mut stream, &mut body) {
-                Ok(true) => {}
-                _ => return,
-            }
+            stream.read_exact(&mut body)?;
             match codec::decode_frame_body(&body) {
                 // A connection carries one directed link: a frame under
                 // any other name is a peer voting as somebody else, or
                 // reaching into an inbox it did not dial.
-                Ok((from, to, _)) if from != peer || to != node => return,
+                Ok((from, to, _)) if from != peer || to != node => return Ok(()),
                 Ok((from, to, msg)) => {
                     self.router
                         .metrics()
@@ -376,30 +457,9 @@ impl SocketTransport {
                     // wheel instead.
                     self.router.arrive(Envelope { from, to, msg }, OnFull::Park);
                 }
-                Err(_) => return,
+                Err(_) => return Ok(()),
             }
         }
-    }
-
-    /// Fill `buf` completely, retrying across read timeouts while the
-    /// transport runs. `Ok(false)` = clean stop (EOF or shutdown).
-    fn read_full(&self, stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<bool> {
-        let mut pos = 0;
-        while pos < buf.len() {
-            if !self.router.running() {
-                return Ok(false);
-            }
-            match stream.read(&mut buf[pos..]) {
-                Ok(0) => return Ok(false),
-                Ok(n) => pos += n,
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock
-                        || e.kind() == ErrorKind::TimedOut
-                        || e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
     }
 }
 
@@ -420,27 +480,13 @@ fn handshake(node: NodeId, epoch: u64) -> Vec<u8> {
     hello
 }
 
-/// Read and validate one handshake, returning the peer's node id.
+/// Read and validate one handshake, returning the peer's node id. The
+/// read runs under [`HANDSHAKE_TIMEOUT`], which is cleared again after.
 fn read_handshake(stream: &mut TcpStream, epoch: u64) -> std::io::Result<NodeId> {
     let mut buf = [0u8; HANDSHAKE_BYTES];
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let mut pos = 0;
-    while pos < buf.len() {
-        match stream.read(&mut buf[pos..]) {
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-            Ok(n) => pos += n,
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock
-                    || e.kind() == ErrorKind::TimedOut
-                    || e.kind() == ErrorKind::Interrupted =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(ErrorKind::TimedOut.into());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    stream.read_exact(&mut buf)?;
+    stream.set_read_timeout(None)?;
     if buf[..4] != MAGIC || buf[4] != VERSION {
         return Err(std::io::Error::new(
             ErrorKind::InvalidData,
@@ -608,6 +654,36 @@ mod tests {
             .unwrap();
         assert_eq!(link.reconnects, 20);
         t.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_not_held_by_silent_or_open_connections() {
+        let epoch = fresh_epoch();
+        let (s, t) = tcp(epoch, None);
+        let (s2, t2) = tcp(epoch, None);
+        let a: NodeId = ReplicaId::new(0, 0).into();
+        let b: NodeId = ReplicaId::new(0, 1).into();
+        let hb = t.register(b);
+        let addr = s.listen_addr(b).unwrap();
+        // A peer that connects and never sends its hello.
+        let _silent = TcpStream::connect(addr).unwrap();
+        // A peer of the same deployment in another transport, whose link
+        // stays open. It connects after the silent one, so once its frame
+        // arrives both connections have a reader.
+        let ha = t2.register(a);
+        s2.advertise(b, addr);
+        ha.send(b, Message::Noop);
+        assert!(hb.inbox.recv_timeout(Duration::from_secs(5)).is_ok());
+        let started = Instant::now();
+        t.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
+        assert!(s.shared.threads.guard().is_empty());
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "the closed listener still accepts"
+        );
+        t2.shutdown();
     }
 
     #[test]

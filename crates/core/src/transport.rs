@@ -224,7 +224,7 @@ impl FaultClock {
 
 /// What both meshes share, once: inbox registration and delivery, the
 /// fault script, the optional delay wheel with its pump thread, and the
-/// running flag the mesh threads poll.
+/// running flag the mesh threads check whenever they wake.
 pub(crate) struct Router {
     inboxes: Inboxes,
     faults: Option<FaultClock>,
@@ -274,7 +274,9 @@ impl Router {
         &self.inboxes.metrics
     }
 
-    /// False once [`Router::shutdown`] ran; mesh threads poll it.
+    /// False once [`Router::shutdown`] ran. The delay pump checks it each
+    /// round; socket accept loops check it after each accepted
+    /// connection, which is how `SocketTransport::close` ends them.
     pub(crate) fn running(&self) -> bool {
         self.running.load(Ordering::SeqCst)
     }
@@ -506,7 +508,10 @@ impl Transport {
     }
 
     /// Stop background threads (the delay pump, socket accept loops and
-    /// readers) and join them.
+    /// readers) and join them. None of them polls: the flag is cleared
+    /// first, then the pump's condition variable is notified, each accept
+    /// loop is woken by one dial to its own listener, and each reader's
+    /// connection is shut down under its blocked `read`.
     pub fn shutdown(&self) {
         self.router().shutdown();
         if let Transport::Socket(t) = self {
