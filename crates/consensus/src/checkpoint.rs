@@ -12,9 +12,9 @@
 //!   to certify the state the execution stage persisted against peers
 //!   before compacting the ledger prefix.
 //!
-//! [`CheckpointTracker`] is that rule, factored out once: it counts
-//! decisions toward the next checkpoint, records this replica's own
-//! snapshot digests, tallies peer votes per `(seq, digest)`, and emits a
+//! [`CheckpointTracker`] is that rule, factored out once: it records this
+//! replica's own snapshot digests (its embedder counts the decisions
+//! between them), tallies peer votes per `(seq, digest)`, and emits a
 //! [`StableCheckpoint`] the moment a quorum agrees. Everything below the
 //! stable point is pruned from the tracker itself, so its memory is
 //! bounded by the in-flight (unstable) checkpoint count — never by run
@@ -29,7 +29,7 @@
 //! format but can never be mixed up. Pipeline votes are **non-droppable**
 //! ([`Message::droppable`]): no retransmission path re-drives a
 //! checkpoint, so shedding one at a full queue could permanently delay
-//! stability. Their sender (the fabric's checkpoint thread) compensates
+//! stability. Their sender (the fabric's execute thread) compensates
 //! by never *parking* on a peer's full inbox — it holds the vote and
 //! retries — which keeps the cross-replica blocking graph cycle-free
 //! (see `resilientdb::queue`).
@@ -77,12 +77,8 @@ pub struct StableCheckpoint {
 /// engine and the fabric's checkpoint pipeline stage.
 #[derive(Debug, Clone)]
 pub struct CheckpointTracker {
-    /// Decisions between checkpoints (0 = caller drives intervals).
-    interval: u64,
     /// Matching votes required for stability (`n - f` of the group).
     quorum: usize,
-    /// Decisions counted so far (drives [`CheckpointTracker::on_decision`]).
-    decisions: u64,
     stable: u64,
     stable_state: Digest,
     /// Votes per unstable checkpoint: seq -> digest -> voters.
@@ -101,32 +97,15 @@ impl CheckpointTracker {
     /// constant instead of by attacker persistence.
     pub const MAX_TRACKED: usize = 1024;
 
-    /// A tracker requiring `quorum` matching votes, proposing every
-    /// `interval` decisions (`interval == 0`: the embedder counts
-    /// decisions itself and only uses the vote/quorum machinery).
-    pub fn new(interval: u64, quorum: usize) -> CheckpointTracker {
+    /// A tracker requiring `quorum` matching votes.
+    pub fn new(quorum: usize) -> CheckpointTracker {
         CheckpointTracker {
-            interval,
             quorum: quorum.max(1),
-            decisions: 0,
             stable: 0,
             stable_state: Digest::ZERO,
             votes: BTreeMap::new(),
             own: BTreeMap::new(),
         }
-    }
-
-    /// Decisions between checkpoints.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// Count one executed decision; every `interval`-th returns the
-    /// checkpoint `(seq, state)` the embedder should record and
-    /// broadcast. Never fires with `interval == 0`.
-    pub fn on_decision(&mut self, seq: u64, state: Digest) -> Option<(u64, Digest)> {
-        self.decisions += 1;
-        (self.interval > 0 && self.decisions.is_multiple_of(self.interval)).then_some((seq, state))
     }
 
     /// Record this replica's own snapshot at `seq`. Returns `false` when
@@ -210,7 +189,7 @@ mod tests {
 
     #[test]
     fn quorum_of_matching_votes_stabilizes() {
-        let mut t = CheckpointTracker::new(0, 3);
+        let mut t = CheckpointTracker::new(3);
         let d = Digest::of(b"state@6");
         assert!(t.on_vote(rid(0), 6, d).is_none());
         assert!(t.on_vote(rid(1), 6, d).is_none());
@@ -224,7 +203,7 @@ mod tests {
 
     #[test]
     fn conflicting_digests_never_pool_votes() {
-        let mut t = CheckpointTracker::new(0, 3);
+        let mut t = CheckpointTracker::new(3);
         let a = Digest::of(b"a");
         let b = Digest::of(b"b");
         assert!(t.on_vote(rid(0), 4, a).is_none());
@@ -236,7 +215,7 @@ mod tests {
 
     #[test]
     fn duplicate_votes_count_once() {
-        let mut t = CheckpointTracker::new(0, 2);
+        let mut t = CheckpointTracker::new(2);
         let d = Digest::of(b"s");
         assert!(t.on_vote(rid(0), 2, d).is_none());
         assert!(t.on_vote(rid(0), 2, d).is_none(), "same voter re-voting");
@@ -245,7 +224,7 @@ mod tests {
 
     #[test]
     fn stability_prunes_tracker_memory() {
-        let mut t = CheckpointTracker::new(0, 3);
+        let mut t = CheckpointTracker::new(3);
         for seq in 1..=50u64 {
             t.record_own(seq, Digest::of(&seq.to_le_bytes()));
             t.on_vote(rid(0), seq, Digest::of(&seq.to_le_bytes()));
@@ -261,7 +240,7 @@ mod tests {
 
     #[test]
     fn far_future_votes_cannot_grow_the_tracker() {
-        let mut t = CheckpointTracker::new(0, 3);
+        let mut t = CheckpointTracker::new(3);
         // A Byzantine member floods votes for never-stabilizing heights.
         for i in 0..5_000u64 {
             t.on_vote(rid(0), u64::MAX - i, Digest::of(&i.to_le_bytes()));
@@ -274,20 +253,6 @@ mod tests {
         assert!(t.on_vote(rid(2), 6, d).is_none());
         assert!(t.on_vote(rid(3), 6, d).is_some(), "honest quorum blocked");
         assert_eq!(t.stable_seq(), 6);
-    }
-
-    #[test]
-    fn on_decision_fires_every_interval() {
-        let mut t = CheckpointTracker::new(3, 3);
-        let mut fired = Vec::new();
-        for seq in 1..=9u64 {
-            if let Some((s, _)) = t.on_decision(seq, Digest::ZERO) {
-                fired.push(s);
-            }
-        }
-        assert_eq!(fired, vec![3, 6, 9]);
-        let mut off = CheckpointTracker::new(0, 3);
-        assert!(off.on_decision(1, Digest::ZERO).is_none());
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl PbftCore {
         };
         debug_assert!(members.contains(&id));
         let timeout = cfg.progress_timeout;
-        let ckpt = CheckpointTracker::new(cfg.checkpoint_interval, n - f);
+        let ckpt = CheckpointTracker::new(n - f);
         PbftCore {
             scope,
             cfg,

@@ -8,7 +8,7 @@ use crate::pipeline::{
 };
 use crate::queue::{QueuePolicy, StageQueues};
 use crate::service::Fabric;
-use crate::storage::{self, Manifest, SharedBackend, StorageMode};
+use crate::storage::{self, Manifest, StorageMode};
 use crate::transport::{DelayFn, FaultClock, Transport};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::ReplicaId;
@@ -75,7 +75,6 @@ pub struct DeploymentBuilder {
     input_queue: Option<QueuePolicy>,
     work_queue: Option<usize>,
     exec_queue: Option<usize>,
-    checkpoint_queue: Option<usize>,
     output_queue: Option<usize>,
     checkpoint: CheckpointConfig,
     storage: StorageMode,
@@ -104,7 +103,6 @@ impl DeploymentBuilder {
             input_queue: None,
             work_queue: None,
             exec_queue: None,
-            checkpoint_queue: None,
             output_queue: None,
             checkpoint: CheckpointConfig::default(),
             storage: StorageMode::Memory,
@@ -114,22 +112,23 @@ impl DeploymentBuilder {
     /// Where replica state lives ([`StorageMode::Memory`] by default —
     /// the pre-durability behavior, and what every figure reproduction
     /// uses). [`StorageMode::Durable`] roots one log-structured engine
-    /// per replica under the given directory: the execution stage
-    /// WAL-logs every applied decision, the checkpoint stage persists
-    /// certified checkpoints, and a directory holding a previous run's
-    /// state is *recovered from*: its ledger is read back and the table
-    /// records it persisted are laid over the shared preload, which no
-    /// boot writes.
+    /// per replica under the given directory, owned by the replica's
+    /// execute thread: it WAL-logs every applied decision, persists each
+    /// certified checkpoint and flushes the engine on exit. A directory
+    /// holding a previous run's state is *recovered from*: its ledger is
+    /// read back and the table records it persisted are laid over the
+    /// shared preload, which no boot writes.
     /// See [`crate::Fabric::restart_from`] for the full restart path.
     pub fn storage(mut self, mode: StorageMode) -> Self {
         self.storage = mode;
         self
     }
 
-    /// Enable the checkpoint stage: certify the replica's state digest
-    /// against peers and compact the ledger prefix every `k`
-    /// decisions (`0`, the default, disables the stage — ledgers stay
-    /// full, matching pre-checkpoint reproductions byte for byte).
+    /// Enable the checkpoint stage on every replica's execute thread:
+    /// certify the replica's state digest against peers and compact the
+    /// ledger prefix every `k` decisions (`0`, the default, disables the
+    /// stage — ledgers stay full, matching pre-checkpoint reproductions
+    /// byte for byte).
     pub fn checkpoint_interval(mut self, k: u64) -> Self {
         self.checkpoint.interval = k;
         self
@@ -145,20 +144,12 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Fault injection: slow every checkpoint snapshot by `d` inside the
-    /// checkpoint thread. With the Block-policy checkpoint queue this
-    /// throttles execution — the designed overload behavior the
+    /// Fault injection: slow every checkpoint boundary by `d` on the
+    /// execute thread. The bounded exec queue then fills and parks the
+    /// worker, throttling execution — the designed overload behavior the
     /// backpressure tests assert.
     pub fn checkpoint_fault_delay(mut self, d: Duration) -> Self {
         self.checkpoint.fault_delay = d;
-        self
-    }
-
-    /// Override the execute → checkpoint queue's capacity. It blocks —
-    /// checkpoints are not retransmittable and must never shed; the
-    /// bound is what throttles execution when checkpointing lags.
-    pub fn checkpoint_queue(mut self, capacity: usize) -> Self {
-        self.checkpoint_queue = Some(capacity);
         self
     }
 
@@ -186,8 +177,11 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Override the order → execute decision queue's capacity (decisions
-    /// are agreed state: the queue blocks and never sheds).
+    /// Override the capacity of the execute thread's queue: order →
+    /// execute decisions and verify → checkpoint votes. It blocks and
+    /// never sheds — decisions are agreed state and votes are not
+    /// retransmittable — and its bound is what throttles the replica
+    /// when execution or checkpointing lags.
     pub fn exec_queue(mut self, capacity: usize) -> Self {
         self.exec_queue = Some(capacity);
         self
@@ -293,7 +287,6 @@ impl DeploymentBuilder {
                 input: self.input_queue.unwrap_or(derived.input),
                 work: self.work_queue.unwrap_or(derived.work),
                 exec: self.exec_queue.unwrap_or(derived.exec),
-                checkpoint: self.checkpoint_queue.unwrap_or(derived.checkpoint),
                 output: self.output_queue.unwrap_or(derived.output),
             },
             checkpoint: self.checkpoint,
@@ -343,7 +336,6 @@ impl DeploymentBuilder {
         // of it: one shared preload, one private overlay per replica.
         let preload = KvStore::with_ycsb_records(self.records);
         let mut booted = Vec::new();
-        let mut backends: Vec<(ReplicaId, SharedBackend)> = Vec::new();
         for rid in system.all_replicas().collect::<Vec<_>>() {
             let signer = ks.register(rid.into());
             let crypto = CryptoCtx::new(signer, ks.verifier(), true);
@@ -369,9 +361,7 @@ impl DeploymentBuilder {
                             .unwrap_or_else(|e| panic!("initialize replica {rid}: {e}"));
                         (preload.clone(), Ledger::new())
                     };
-                    let backend = std::sync::Arc::new(std::sync::Mutex::new(engine));
-                    backends.push((rid, std::sync::Arc::clone(&backend)));
-                    (table, ledger, Some(backend))
+                    (table, ledger, Some(engine))
                 }
             };
             booted.push((rid, crypto, table, ledger, backend));
@@ -482,7 +472,6 @@ impl DeploymentBuilder {
                     FaultSpec::DropLink { .. } => None,
                 })
                 .collect(),
-            backends,
         }
     }
 

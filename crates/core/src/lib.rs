@@ -37,14 +37,16 @@
 //!   images, off the consensus critical path (Figure 9 "execute"). The
 //!   worker's commit tail already executed each decision once, on the
 //!   replica's one `rdb-store` table;
-//! * the **checkpoint thread** (when enabled via
+//! * the **checkpoint stage** (when enabled via
 //!   [`pipeline::CheckpointConfig`] /
-//!   [`deployment::DeploymentBuilder::checkpoint_interval`]) certifies
-//!   the replica's state digest against peers every interval of
-//!   decisions and compacts the stable ledger prefix behind a recovery
-//!   anchor (§2.2 checkpoints as their own pipeline stage). Its queue is
-//!   Block-policy by design: a backlogged checkpoint stage throttles
-//!   execution, bounding exec-to-stable lag — see [`queue`];
+//!   [`deployment::DeploymentBuilder::checkpoint_interval`]) runs on the
+//!   execution thread, the one owner of the ledger and the engine: it
+//!   certifies the replica's state digest against peers every interval
+//!   of decisions and compacts the stable ledger prefix behind a recovery
+//!   anchor (§2.2 checkpoints). Peer votes arrive on the execution
+//!   thread's bounded queue; slow checkpoint work lets that queue fill
+//!   and throttles the worker, bounding exec-to-stable lag — see
+//!   [`queue`];
 //! * the **output thread** drains outgoing messages to the transport, so
 //!   network pressure never stalls consensus processing (Figure 9
 //!   "output").
@@ -119,5 +121,5 @@ pub use pipeline::{CheckpointConfig, CheckpointReport, PipelineConfig, VerifyCtx
 pub use queue::{Overload, QueuePolicy, StageQueues};
 pub use service::{ClientSession, CommitProof, Fabric, Ticket};
 pub use socket::{SocketKind, SocketTransport};
-pub use storage::{Manifest, SharedBackend, StorageMode};
+pub use storage::{Manifest, StorageMode};
 pub use transport::{Envelope, InProcTransport, Transport, TransportHandle, TransportSender};

@@ -9,7 +9,7 @@
 
 use crate::metrics::Metrics;
 use crate::pipeline::{
-    spawn_checkpointer, spawn_executor, spawn_verifiers, CheckpointReport, ExecStart,
+    spawn_executor, spawn_verifiers, CheckpointReport, Checkpointer, ExecInput, ExecStart,
     PipelineConfig, VerifyCtx,
 };
 use crate::queue::{stage_queue, QueuePolicy, StageSender};
@@ -20,11 +20,11 @@ use rdb_common::time::SimTime;
 use rdb_consensus::api::{Action, Outbox, ReplicaProtocol, TimerKind};
 use rdb_consensus::messages::Message;
 use rdb_consensus::stage::Stage;
-use rdb_consensus::types::Decision;
 use rdb_ledger::Ledger;
+use rdb_storage::LogBackend;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -128,32 +128,30 @@ impl TimerWheel {
     }
 }
 
-/// A running replica: the staged pipeline of paper Figure 9, plus the
-/// checkpoint stage off execution (§2.2 checkpoints).
+/// A running replica: the staged pipeline of paper Figure 9, with §2.2's
+/// checkpoints on the execute thread.
 ///
 /// ```text
-/// transport ─▶ inbox ─▶ [verify ×N] ─▶ worker ─▶ execute ─▶ ledger
-///   (input)       │                      │           │
-///                 │ (ckpt votes)         │           ▼
-///                 └──────────▶ checkpoint ◀── snapshot jobs
-///                                        │
+/// transport ─▶ inbox ─▶ [verify ×N] ─▶ worker ─▶ execute + checkpoint ─▶ ledger (+ engine)
+///   (input)               │              │          ▲
+///                         └ (votes) ─────┼──────────┘
 ///                                        └────▶ output ─▶ transport
 /// ```
 ///
 /// The transport's delivery into the node's inbox *is* the input stage
 /// (in-process there is no socket to drain, so a dedicated forwarding
 /// thread would only add a hand-off); the verifier pool consumes the
-/// inbox directly. The checkpoint thread exists only when
-/// [`crate::pipeline::CheckpointConfig::interval`] is nonzero.
+/// inbox directly. The execute thread owns the ledger and, in durable
+/// mode, the engine; when [`crate::pipeline::CheckpointConfig::interval`]
+/// is nonzero it also certifies and compacts them, so a checkpointed
+/// replica runs no more threads than any other.
 pub struct ReplicaRuntime {
     node: NodeId,
     shutdown: Arc<AtomicBool>,
     verifier_handles: Vec<JoinHandle<()>>,
     worker_handle: JoinHandle<()>,
-    exec_handle: JoinHandle<rdb_crypto::digest::Digest>,
-    checkpoint_handle: Option<JoinHandle<CheckpointReport>>,
+    exec_handle: JoinHandle<ReplicaStopReport>,
     output_handle: JoinHandle<()>,
-    ledger: Arc<Mutex<Ledger>>,
 }
 
 /// Everything a stopped replica hands back.
@@ -184,9 +182,9 @@ impl ReplicaRuntime {
     /// `initial_ledger` is the chain the execution stage appends onto —
     /// [`Ledger::new`] on a fresh boot, or a ledger recovered from durable
     /// storage on restart. `backend` is the replica's durable engine
-    /// handle (`None` for memory deployments): the executor WAL-logs every
-    /// decision through it as it retires, and the checkpoint stage
-    /// persists certified checkpoints and flushes.
+    /// (`None` for memory deployments): the execute thread owns it, WAL-logs
+    /// every decision through it as it retires, persists certified
+    /// checkpoints, and flushes it on exit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
         mut protocol: Box<dyn ReplicaProtocol>,
@@ -196,7 +194,7 @@ impl ReplicaRuntime {
         verify: VerifyCtx,
         exec: ExecStart,
         initial_ledger: Ledger,
-        backend: Option<crate::storage::SharedBackend>,
+        backend: Option<LogBackend>,
         pipeline: PipelineConfig,
     ) -> ReplicaRuntime {
         let node = handle.node;
@@ -218,32 +216,21 @@ impl ReplicaRuntime {
         // peer parked in a blocking delivery to this replica.
         let (inbox, sender) = handle.split();
 
-        // The ledger is shared between its writer (the execution stage
-        // appends) and the checkpoint stage (compacts the stable prefix).
-        let ledger = Arc::new(Mutex::new(initial_ledger));
-
-        // Checkpoint stage: snapshot jobs + peer votes -> quorum
-        // certification -> ledger compaction. Only spawned when enabled.
-        let system = verify.system.clone();
-        let (ckpt_tx, checkpoint_handle) = if pipeline.checkpoint.enabled() {
-            let (ckpt_tx, ckpt_rx) = stage_queue(
-                QueuePolicy::block(queues.checkpoint),
-                Stage::Checkpoint,
-                &metrics,
-            );
-            let handle = spawn_checkpointer(
-                node,
-                system,
-                pipeline.checkpoint,
-                ckpt_rx,
-                sender.clone(),
-                Arc::clone(&ledger),
-                backend.clone(),
-                metrics.clone(),
-            );
-            (Some(ckpt_tx), Some(handle))
-        } else {
-            (None, None)
+        // Checkpoint stage: own boundaries + peer votes -> quorum
+        // certification -> ledger compaction, on the execute thread. The
+        // verifiers' votes ride the exec queue beside the worker's
+        // decisions, counted as Checkpoint traffic.
+        let (vote_tx, checkpointer) = match node {
+            NodeId::Replica(me) if pipeline.checkpoint.enabled() => (
+                Some(exec_tx.for_stage(Stage::Checkpoint)),
+                Some(Checkpointer::new(
+                    me,
+                    &verify.system,
+                    pipeline.checkpoint,
+                    sender.clone(),
+                )),
+            ),
+            _ => (None, None),
         };
 
         // Input + verify stages: N parallel threads draining the transport
@@ -254,20 +241,20 @@ impl ReplicaRuntime {
             verify,
             inbox,
             work_tx,
-            ckpt_tx.clone(),
+            vote_tx,
             metrics.clone(),
             Arc::clone(&shutdown),
         );
 
-        // Execute stage: decisions -> ledger (+ WAL), off the worker path.
+        // Execute stage: decisions -> ledger (+ WAL), off the worker path,
+        // plus the checkpoint stage.
         let exec_handle = spawn_executor(
             node,
             exec,
-            exec_rx,
-            Arc::clone(&ledger),
-            ckpt_tx,
-            pipeline.checkpoint,
+            initial_ledger,
             backend,
+            checkpointer,
+            exec_rx,
             metrics.clone(),
         );
 
@@ -359,9 +346,7 @@ impl ReplicaRuntime {
             verifier_handles,
             worker_handle,
             exec_handle,
-            checkpoint_handle,
             output_handle,
-            ledger,
         }
     }
 
@@ -387,28 +372,17 @@ impl ReplicaRuntime {
     /// decision the worker emitted before exiting.
     pub fn stop(self) -> ReplicaStopReport {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Join order follows sender ownership: verifiers (hold work_tx +
-        // ckpt_tx) first, then the worker (exec_tx), then the executor
-        // (ckpt_tx) — at which point the checkpoint queue disconnects and
-        // its never-parking thread drains out.
+        // Join order follows sender ownership: verifiers (hold work_tx
+        // and the vote sender) first, then the worker (exec_tx) — at which
+        // point the exec queue disconnects and the execute thread drains
+        // it, flushes its engine and returns what it owns.
         for v in self.verifier_handles {
             v.join().expect("verifier thread");
         }
         self.worker_handle.join().expect("worker thread");
-        let exec_digest = self.exec_handle.join().expect("execution thread");
-        let checkpoint = self
-            .checkpoint_handle
-            .map(|h| h.join().expect("checkpoint thread"));
+        let report = self.exec_handle.join().expect("execution thread");
         self.output_handle.join().expect("output thread");
-        let Ok(ledger) = Arc::try_unwrap(self.ledger) else {
-            unreachable!("all ledger holders joined");
-        };
-        let ledger = ledger.into_inner().unwrap_or_else(PoisonError::into_inner);
-        ReplicaStopReport {
-            ledger,
-            exec_digest,
-            checkpoint,
-        }
+        report
     }
 }
 
@@ -431,7 +405,7 @@ fn dispatch_replica_actions(
     actions: Vec<Action>,
     wheel: &mut TimerWheel,
     out_tx: &StageSender<(NodeId, Message)>,
-    exec_tx: &StageSender<Decision>,
+    exec_tx: &StageSender<ExecInput>,
     metrics: &Metrics,
 ) {
     let mut loopback = VecDeque::new();
@@ -465,7 +439,7 @@ fn process_replica_actions(
     loopback: &mut VecDeque<Message>,
     wheel: &mut TimerWheel,
     out_tx: &StageSender<(NodeId, Message)>,
-    exec_tx: &StageSender<Decision>,
+    exec_tx: &StageSender<ExecInput>,
     metrics: &Metrics,
 ) {
     for a in actions {
@@ -483,7 +457,7 @@ fn process_replica_actions(
                 // Decisions are agreed state and always block (the
                 // executor drains continuously, so this wait is bounded
                 // by execution lag, not by peers).
-                exec_tx.send(decision, false);
+                exec_tx.send(ExecInput::Decision(decision), false);
             }
             Action::RequestComplete { .. } => {}
         }

@@ -1,8 +1,8 @@
-//! The verifier, execution and checkpoint stages of the replica pipeline
-//! (paper Figure 9, plus §2.2's checkpoints as their own stage).
+//! The verifier and execution stages of the replica pipeline (paper
+//! Figure 9), and §2.2's checkpoints, which run on the execute thread.
 //!
 //! [`crate::node::ReplicaRuntime`] wires these into the full
-//! input → verify ×N → order → execute → checkpoint/output thread chain.
+//! input → verify ×N → order → execute → output thread chain.
 //! The stages here are the ones that moved *off* the ordering worker in
 //! the staged refactor:
 //!
@@ -12,25 +12,29 @@
 //!   valid traffic to the worker, whose state machine checks nothing
 //!   again.
 //!   Pipeline-level checkpoint votes (reserved scope, see
-//!   [`rdb_consensus::checkpoint`]) are routed straight to the checkpoint
-//!   stage — the worker never sees them.
+//!   [`rdb_consensus::checkpoint`]) are routed straight to the execute
+//!   thread's queue, counted as Checkpoint traffic — the worker never
+//!   sees them.
 //! * **Execute** — one thread taking finalized [`Decision`]s in commit
 //!   order and appending each to the `rdb-ledger` chain (and, in durable
 //!   mode, writing the decision's WAL batch), so ledger hashing and disk
 //!   writes do not sit on the consensus critical path. It executes
 //!   nothing: the commit tail executed each decision once, on the
 //!   replica's one table, and the decision carries the state digest and
-//!   the record images this stage persists. Every
-//!   [`CheckpointConfig::interval`] decisions it sends that digest to the
-//!   checkpoint queue.
-//! * **Checkpoint** — a dedicated thread that certifies the execution
-//!   stage's snapshots against peers (a
+//!   the record images this stage persists. It is the one owner of the
+//!   replica's ledger, its durable engine and its snapshot mirror, so
+//!   none of them sits behind a lock.
+//! * **Checkpoint** — a `Checkpointer` the execute thread owns and calls,
+//!   with no thread or queue of its own. Every
+//!   [`CheckpointConfig::interval`] decisions it certifies the decision's
+//!   state digest against peers (a
 //!   [`rdb_consensus::checkpoint::CheckpointTracker`] quorum over
-//!   non-droppable `Message::Checkpoint` votes) and, as checkpoints
-//!   become stable, compacts the ledger prefix behind a recovery anchor
-//!   (`Ledger::compact`). Its queue is Block-policy by design: a
-//!   backlogged checkpoint stage parks the executor and throttles the
-//!   replica, bounding exec-to-stable lag (see [`crate::queue`]).
+//!   non-droppable `Message::Checkpoint` votes, which arrive on the
+//!   execute thread's queue) and, as checkpoints become stable, compacts
+//!   the ledger prefix behind a recovery anchor (`Ledger::compact`). Slow
+//!   checkpoint work slows the execute thread, whose bounded queue then
+//!   fills and parks the worker: the throttle that bounds exec-to-stable
+//!   lag (see [`crate::queue`]).
 //!
 //! Every hand-off between stages runs over a *bounded* queue sized by
 //! [`PipelineConfig::queues`] and fed through [`crate::queue`]'s one
@@ -39,9 +43,9 @@
 //! edge and ultimately to submitting clients.
 
 use crate::metrics::Metrics;
+use crate::node::ReplicaStopReport;
 use crate::queue::{SendOutcome, StageQueues, StageSender};
-use crate::storage::{self, Gap, SharedBackend};
-use crate::sync::MutexExt;
+use crate::storage::{self, Gap};
 use crate::transport::{Envelope, TransportSender};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use rdb_common::config::SystemConfig;
@@ -52,11 +56,12 @@ use rdb_consensus::messages::Message;
 use rdb_consensus::stage::{Stage, VerifiedMessage};
 use rdb_consensus::types::Decision;
 use rdb_crypto::digest::Digest;
-use rdb_ledger::{Block, Ledger};
+use rdb_ledger::Ledger;
+use rdb_storage::{LogBackend, StorageBackend};
 use rdb_store::KvStore;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -64,7 +69,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Decisions between checkpoints; `0` disables the stage entirely
-    /// (no snapshot jobs, no votes, no ledger compaction — the pre-PR
+    /// (no snapshots, no votes, no ledger compaction — the pre-PR
     /// behavior, and the default: figure reproductions and equivalence
     /// tests compare full ledgers unless they opt in).
     pub interval: u64,
@@ -74,10 +79,11 @@ pub struct CheckpointConfig {
     /// table's private overlay per checkpoint (the preload is shared);
     /// recovery tests and snapshot-shipping deployments enable it.
     pub retain_snapshot: bool,
-    /// Fault injection for the test harness: sleep this long inside the
-    /// checkpoint thread per snapshot job, emulating slow snapshot I/O.
-    /// With a Block checkpoint queue this visibly throttles execution —
-    /// which is exactly the designed overload behavior under test.
+    /// Fault injection for the test harness: sleep this long on the
+    /// execute thread at each of its checkpoint boundaries, emulating
+    /// slow snapshot I/O. The execute queue then fills and parks the
+    /// worker, which visibly throttles the replica — exactly the designed
+    /// overload behavior under test.
     pub fault_delay: Duration,
 }
 
@@ -149,35 +155,25 @@ pub struct VerifyCtx {
     pub system: SystemConfig,
 }
 
-/// One item on the checkpoint stage's queue: the execute stage's local
-/// snapshot jobs and the peer votes the verifier pool routes here.
-#[derive(Debug)]
-pub(crate) enum CheckpointMsg {
-    /// The execute stage crossed an interval boundary: certify this
-    /// ledger height with the state digest its decision carried.
-    Snapshot {
-        /// Ledger height the snapshot covers.
-        height: u64,
-        /// The replica's state digest at that height.
-        state: Digest,
-        /// A table clone ([`CheckpointConfig::retain_snapshot`]).
-        snapshot: Option<KvStore>,
-    },
-    /// A verified pipeline-scope checkpoint vote from a peer.
+/// One item on the execute thread's queue: the worker's decisions and
+/// the peer checkpoint votes the verifier pool routes here.
+pub(crate) enum ExecInput {
+    /// A finalized decision, in commit order.
+    Decision(Decision),
+    /// A verified pipeline-scope checkpoint vote: `from` voted for ledger
+    /// height `height` at `state`.
     Vote {
-        /// The voting replica.
         from: ReplicaId,
-        /// Ledger height voted for.
         height: u64,
-        /// State digest voted for.
         state: Digest,
     },
 }
 
 /// Spawn a pool of `threads` verifiers: `verify_rx` (the transport
 /// inbox — its delivery is the input stage) → checked → `work_tx`
-/// (pipeline-scope checkpoint votes go to `ckpt_tx` instead — the
-/// checkpoint stage, not the worker, counts them).
+/// (pipeline-scope checkpoint votes go to `vote_tx` instead, the execute
+/// thread's queue counted as Checkpoint traffic — the checkpoint stage,
+/// not the worker, counts them).
 // The parameters mirror the stage wiring one-to-one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_verifiers(
@@ -186,7 +182,7 @@ pub(crate) fn spawn_verifiers(
     verify: VerifyCtx,
     verify_rx: Receiver<Envelope>,
     work_tx: StageSender<VerifiedMessage>,
-    ckpt_tx: Option<StageSender<CheckpointMsg>>,
+    vote_tx: Option<StageSender<ExecInput>>,
     metrics: Metrics,
     stop: Arc<AtomicBool>,
 ) -> Vec<JoinHandle<()>> {
@@ -195,12 +191,12 @@ pub(crate) fn spawn_verifiers(
             let verify = verify.clone();
             let rx = verify_rx.clone();
             let tx = work_tx.clone();
-            let ckpt_tx = ckpt_tx.clone();
+            let vote_tx = vote_tx.clone();
             let metrics = metrics.clone();
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name(format!("{node}-verify{i}"))
-                .spawn(move || verifier_loop(&verify, &rx, &tx, ckpt_tx.as_ref(), &metrics, &stop))
+                .spawn(move || verifier_loop(&verify, &rx, &tx, vote_tx.as_ref(), &metrics, &stop))
                 .expect("spawn verifier thread")
         })
         .collect()
@@ -210,7 +206,7 @@ fn verifier_loop(
     verify: &VerifyCtx,
     rx: &Receiver<Envelope>,
     tx: &StageSender<VerifiedMessage>,
-    ckpt_tx: Option<&StageSender<CheckpointMsg>>,
+    vote_tx: Option<&StageSender<ExecInput>>,
     metrics: &Metrics,
     stop: &AtomicBool,
 ) {
@@ -236,14 +232,14 @@ fn verifier_loop(
                     {
                         Some(vm) => {
                             // Pipeline-scope checkpoint votes feed the
-                            // checkpoint stage, never the worker. A full
-                            // checkpoint queue parks this verifier; the
-                            // checkpoint thread never parks on a peer's
-                            // inbox, so it comes back to drain (over TCP
-                            // its frame write can still park; see
-                            // `crate::socket`).
-                            if let (Some(ckpt_tx), Message::Checkpoint { seq, state, .. }) =
-                                (ckpt_tx, vm.message())
+                            // checkpoint stage on the execute thread,
+                            // never the worker. A full exec queue parks
+                            // this verifier; the execute thread never
+                            // parks on a peer's inbox, so it comes back to
+                            // drain (over TCP its frame write can still
+                            // park; see `crate::socket`).
+                            if let (Some(vote_tx), Message::Checkpoint { seq, state, .. }) =
+                                (vote_tx, vm.message())
                             {
                                 if checkpoint::is_pipeline_vote(vm.message()) {
                                     let NodeId::Replica(from) = vm.from() else {
@@ -253,12 +249,12 @@ fn verifier_loop(
                                         continue;
                                     };
                                     ok += 1;
-                                    let vote = CheckpointMsg::Vote {
+                                    let vote = ExecInput::Vote {
                                         from,
                                         height: *seq,
                                         state: *state,
                                     };
-                                    ckpt_tx.send(vote, false);
+                                    vote_tx.send(vote, false);
                                     continue;
                                 }
                             }
@@ -306,122 +302,146 @@ impl ExecStart {
     }
 }
 
-/// Spawn the execution stage: `exec_rx` → ledger append (into the shared
-/// ledger the checkpoint stage compacts), plus the decision's WAL batch
-/// when `backend` is set, in commit order. It executes nothing: the
-/// commit tail already did, on the replica's one table, and each
-/// [`Decision`] carries the resulting state digest and, when that table
-/// captures writes, the record images persisted here. Runs until the
-/// worker drops its sender, so every decision emitted before shutdown is
-/// persisted. Returns on join the state digest of the last decision it
-/// appended (the boot table's before any), which must equal the ledger
-/// head's, making the stage auditable. A restarted replica's gap, the
-/// blocks it lacks below the highest recovered head and the images their
-/// replay wrote (`storage::align_heads`), goes in with its first
-/// decision.
+/// How long the execute thread waits for input while it holds votes a
+/// full peer inbox handed back, before it retries them.
+const VOTE_RETRY: Duration = Duration::from_millis(5);
+
+/// Spawn the execute thread, the one owner of the replica's `ledger`,
+/// its durable engine (`backend`), its snapshot mirror and its
+/// `checkpointer` (when checkpointing is on). It appends `exec_rx`'s
+/// decisions to the ledger in commit order, plus each one's WAL batch
+/// when `backend` is set, and hands peer checkpoint votes to the
+/// checkpointer. It executes nothing: the commit tail already did, on the
+/// replica's one table, and each [`Decision`] carries the resulting state
+/// digest and, when that table captures writes, the record images
+/// persisted here. A restarted replica's gap (`storage::align_heads`)
+/// goes in with its first decision.
 ///
-/// Boundaries fall every [`CheckpointConfig::interval`] decisions and
-/// certify the decision's state digest, with a clone of the mirror when
-/// snapshots are retained; snapshot jobs go into the Block-policy
-/// checkpoint queue, and when the checkpoint stage lags, that send parks
-/// this thread, which is precisely the throttle that bounds
-/// exec-to-stable lag.
-// The parameters mirror the stage wiring one-to-one.
-#[allow(clippy::too_many_arguments)]
+/// Every [`CheckpointConfig::interval`] decisions, right after the
+/// append, the checkpointer certifies the decision's state digest (with a
+/// clone of the mirror when snapshots are retained). Slow checkpoint work
+/// slows this thread, and its bounded queue then parks the worker: the
+/// throttle that bounds exec-to-stable lag.
+///
+/// The thread blocks in `recv`, with a timeout only while it holds
+/// handed-back votes, until the worker and the verifiers drop their
+/// senders, so every decision emitted before shutdown is persisted. Then
+/// it flushes the engine, folds the engine's counters into `metrics` and
+/// returns the ledger, the checkpoint report and the state digest of the
+/// last decision it appended (the boot table's before any), which must
+/// equal the ledger head's, making the stage auditable.
 pub(crate) fn spawn_executor(
     node: NodeId,
     start: ExecStart,
-    exec_rx: Receiver<Decision>,
-    ledger: Arc<Mutex<Ledger>>,
-    ckpt_tx: Option<StageSender<CheckpointMsg>>,
-    cfg: CheckpointConfig,
-    backend: Option<SharedBackend>,
+    ledger: Ledger,
+    backend: Option<LogBackend>,
+    checkpointer: Option<Checkpointer>,
+    exec_rx: Receiver<ExecInput>,
     metrics: Metrics,
-) -> JoinHandle<Digest> {
+) -> JoinHandle<ReplicaStopReport> {
     std::thread::Builder::new()
         .name(format!("{node}-execute"))
-        .spawn(move || execute_loop(start, exec_rx, ledger, ckpt_tx, cfg, backend, metrics))
+        .spawn(move || execute_loop(start, ledger, backend, checkpointer, exec_rx, metrics))
         .expect("spawn execution thread")
 }
 
 fn execute_loop(
     start: ExecStart,
-    exec_rx: Receiver<Decision>,
-    ledger: Arc<Mutex<Ledger>>,
-    ckpt_tx: Option<StageSender<CheckpointMsg>>,
-    cfg: CheckpointConfig,
-    backend: Option<SharedBackend>,
+    mut ledger: Ledger,
+    mut backend: Option<LogBackend>,
+    mut checkpointer: Option<Checkpointer>,
+    exec_rx: Receiver<ExecInput>,
     metrics: Metrics,
-) -> Digest {
+) -> ReplicaStopReport {
     let ExecStart {
         mut state,
         mut mirror,
         mut gap,
     } = start;
-    let mut checkpointing = cfg.enabled() && ckpt_tx.is_some();
     let mut decided = 0u64;
-    for decision in exec_rx.iter() {
-        let t0 = Instant::now();
-        // A restarted replica below the highest recovered head appends
-        // the audited blocks it lacks (`storage::align_heads`) with its
-        // first decision, in the same ledger update and WAL batch, so the
-        // decision lands at the height it lands at on every replica.
-        let Gap {
-            blocks: filled,
-            writes: filled_writes,
-        } = std::mem::take(&mut gap);
-        let writes = || filled_writes.iter().chain(&decision.writes);
-        let (height, new_blocks) = {
-            let mut l = ledger.guard();
-            let prev = l.head_height();
-            for block in filled {
-                l.append(block.batch, block.certificate, block.state_digest);
-            }
-            l.append_decision(&decision);
-            let head = l.head_height();
-            // Durable mode: clone the block(s) this decision appended
-            // while still under the lock, so the persisted chain segment
-            // is exactly what the ledger linked.
-            let new_blocks: Vec<Block> = if backend.is_some() {
-                (prev + 1..=head)
-                    .map(|h| l.block(h).expect("just appended").clone())
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            (head, new_blocks)
+    loop {
+        let next = if checkpointer.as_ref().is_some_and(|c| !c.held.is_empty()) {
+            exec_rx.recv_timeout(VOTE_RETRY)
+        } else {
+            exec_rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
         };
-        if let Some(be) = &backend {
-            // One decision = one atomic WAL batch: blocks + absolute table
-            // images + applied watermark. A torn tail therefore truncates
-            // to a decision boundary on recovery.
-            storage::persist_decision(be, &new_blocks, writes(), height)
-                .expect("durable storage write failed");
-        }
-        if let Some(mirror) = &mut mirror {
-            for &(key, value, version) in writes() {
-                mirror.restore_record(key, value, version);
+        match next {
+            Ok(ExecInput::Decision(decision)) => {
+                let t0 = Instant::now();
+                // A restarted replica below the highest recovered head
+                // appends the audited blocks it lacks with its first
+                // decision, in the same WAL batch, so the decision lands at
+                // the height it lands at on every replica.
+                let Gap {
+                    blocks: filled,
+                    writes: filled_writes,
+                } = std::mem::take(&mut gap);
+                let writes = || filled_writes.iter().chain(&decision.writes);
+                let prev = ledger.head_height();
+                for block in filled {
+                    ledger.append(block.batch, block.certificate, block.state_digest);
+                }
+                ledger.append_decision(&decision);
+                let height = ledger.head_height();
+                if let Some(be) = &mut backend {
+                    // One decision = one atomic WAL batch: the blocks it
+                    // appended + absolute table images + applied
+                    // watermark. A torn tail therefore truncates to a
+                    // decision boundary on recovery.
+                    let blocks = (prev + 1..=height).map(|h| ledger.block(h).expect("appended"));
+                    storage::persist_decision(be, blocks, writes(), height)
+                        .expect("durable storage write failed");
+                }
+                if let Some(mirror) = &mut mirror {
+                    for &(key, value, version) in writes() {
+                        mirror.restore_record(key, value, version);
+                    }
+                }
+                state = decision.state_digest;
+                metrics.stage_processed(Stage::Execute, t0.elapsed());
+                decided += 1;
+                if let Some(c) = &mut checkpointer {
+                    let t0 = Instant::now();
+                    c.resolve(&ledger, backend.as_mut());
+                    // Checkpoint interval boundary, counted in decisions:
+                    // certify the state at the height this decision
+                    // brought the ledger to.
+                    if decided.is_multiple_of(c.cfg.interval) {
+                        let snapshot = mirror.clone();
+                        c.on_boundary(height, state, snapshot, &mut ledger, backend.as_mut());
+                    }
+                    metrics.stage_batch(Stage::Checkpoint, 0, 0, t0.elapsed());
+                }
             }
-        }
-        state = decision.state_digest;
-        metrics.stage_processed(Stage::Execute, t0.elapsed());
-        decided += 1;
-
-        // Checkpoint interval boundary, counted in decisions: certify the
-        // state at the height this decision brought the ledger to.
-        if checkpointing && decided.is_multiple_of(cfg.interval) {
-            let tx = ckpt_tx.as_ref().expect("checkpointing implies sender");
-            let snapshot = CheckpointMsg::Snapshot {
+            Ok(ExecInput::Vote {
+                from,
                 height,
-                state,
-                snapshot: mirror.clone(),
-            };
-            if tx.send(snapshot, false) == SendOutcome::Disconnected {
-                checkpointing = false;
+                state: voted,
+            }) => {
+                if let Some(c) = &mut checkpointer {
+                    let t0 = Instant::now();
+                    c.on_vote(from, height, voted, &mut ledger, backend.as_mut());
+                    metrics.stage_processed(Stage::Checkpoint, t0.elapsed());
+                }
             }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+        if let Some(c) = &mut checkpointer {
+            c.retry_held();
         }
     }
-    state
+    // Seal the engine: flush the memtables to runs and fold its counters
+    // into the deployment's metrics.
+    if let Some(be) = &mut backend {
+        be.flush().expect("flush durable engine at shutdown");
+        metrics.storage_merge(&be.stats());
+    }
+    ReplicaStopReport {
+        ledger,
+        exec_digest: state,
+        checkpoint: checkpointer.map(Checkpointer::report),
+    }
 }
 
 /// What the checkpoint stage knew when its replica stopped.
@@ -445,26 +465,27 @@ pub struct CheckpointReport {
     /// memory watermark — bounded by in-flight checkpoints, not by run
     /// length).
     pub tracked: usize,
-    /// Highest snapshot height this replica's *own* checkpoint thread
-    /// pulled off its queue (0 before any). This is the local throttle
-    /// watermark: the Block-policy checkpoint queue bounds how far the
-    /// executor's head can run past it, independent of whether a quorum
-    /// of peers kept pace to certify those heights.
+    /// Highest own checkpoint boundary the execute thread processed (0
+    /// before any): the local throttle watermark. Each boundary is handled
+    /// right after the append that reaches it, so the head stays within
+    /// one interval of it whether or not a peer quorum kept pace.
     pub processed_height: u64,
 }
 
-/// Spawn the checkpoint stage: snapshot jobs and peer votes →
-/// quorum certification → ledger compaction.
+/// The checkpoint stage, with no thread or queue of its own: the execute
+/// thread calls it at each own interval boundary, for each peer vote,
+/// after each append and to retry held votes, passing in the ledger and
+/// the engine it owns.
 ///
 /// The quorum is `N - F` over *all* `z·n` replicas (ledger heights are
 /// protocol-independent, so pipeline checkpoints certify across the
 /// whole deployment regardless of how the protocol scopes its consensus
 /// groups). Votes leave through [`TransportSender::try_send`] — held and
-/// retried on a full peer inbox, never parked on — so in-process this
-/// thread always returns to drain its queue, keeping the blocking chain
-/// executor → checkpoint queue → this thread deadlock-free. Over TCP the
-/// vote's frame write can park on a full socket buffer, so there the
-/// chain can stall behind a peer that stopped reading.
+/// retried on a full peer inbox, never parked on — so in-process the
+/// execute thread always returns to drain its queue, keeping the
+/// blocking chain verifiers → exec queue → execute thread deadlock-free.
+/// Over TCP the vote's frame write can park on a full socket buffer, so
+/// there the chain can stall behind a peer that stopped reading.
 ///
 /// Compaction deliberately lags by one checkpoint: when height `H_k`
 /// becomes stable the ledger is compacted to `H_{k-1}`, keeping the last
@@ -472,187 +493,192 @@ pub struct CheckpointReport {
 /// latest stable checkpoint (at most one interval behind ours) still
 /// finds its recovery anchor retained here. Nor does it pass a retained
 /// snapshot (0 before the first): a state transfer starts from there.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn_checkpointer(
-    node: NodeId,
-    system: SystemConfig,
+pub(crate) struct Checkpointer {
     cfg: CheckpointConfig,
-    ckpt_rx: Receiver<CheckpointMsg>,
+    me: ReplicaId,
+    /// Every replica: the voters, and (but `me`) this replica's audience.
+    members: Vec<ReplicaId>,
     sender: TransportSender,
-    ledger: Arc<Mutex<Ledger>>,
-    backend: Option<SharedBackend>,
-    metrics: Metrics,
-) -> JoinHandle<CheckpointReport> {
-    std::thread::Builder::new()
-        .name(format!("{node}-checkpoint"))
-        .spawn(move || {
-            let NodeId::Replica(me) = node else {
-                panic!("checkpoint stage runs on replicas only");
-            };
-            let peers: Vec<NodeId> = system
-                .all_replicas()
-                .map(NodeId::from)
-                .filter(|p| *p != node)
-                .collect();
-            let members: Vec<ReplicaId> = system.all_replicas().collect();
-            let mut tracker = CheckpointTracker::new(cfg.interval, system.global_quorum());
-            let mut pending_snapshots: BTreeMap<u64, KvStore> = BTreeMap::new();
-            let mut stable_snapshot: Option<(u64, KvStore)> = None;
-            let mut certified: Vec<(u64, Digest, Digest)> = Vec::new();
-            // Stable checkpoints whose anchor block the (lagging) local
-            // ledger has not materialized yet; resolved in height order
-            // once the executor catches up.
-            let mut unresolved: VecDeque<StableCheckpoint> = VecDeque::new();
-            let mut prev_stable = 0u64;
-            let mut processed_height = 0u64;
-            // Votes a full peer inbox handed back; retried every loop
-            // iteration (the checkpoint stage's own "retransmission").
-            let mut held: VecDeque<(NodeId, Message)> = VecDeque::new();
-            loop {
-                let msg = match ckpt_rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(msg) => Some(msg),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                let mut newly_stable = None;
-                match msg {
-                    Some(CheckpointMsg::Snapshot {
-                        height,
-                        state,
-                        snapshot,
-                    }) => {
-                        let t0 = Instant::now();
-                        if !cfg.fault_delay.is_zero() {
-                            std::thread::sleep(cfg.fault_delay); // injected fault
-                        }
-                        processed_height = processed_height.max(height);
-                        if tracker.record_own(height, state) {
-                            if let Some(s) = snapshot {
-                                pending_snapshots.insert(height, s);
-                                // Stability lag keeps snapshots pending;
-                                // bound them by keeping only the freshest
-                                // few full-table clones (a dropped height
-                                // only means stable_snapshot does not
-                                // advance when that height stabilizes).
-                                while pending_snapshots.len() > 8 {
-                                    let oldest =
-                                        *pending_snapshots.keys().next().expect("non-empty");
-                                    pending_snapshots.remove(&oldest);
-                                }
-                            }
-                            newly_stable = tracker.on_vote(me, height, state);
-                            let vote = checkpoint::pipeline_vote(height, state);
-                            for p in &peers {
-                                if !sender.try_send(*p, vote.clone()) {
-                                    held.push_back((*p, vote.clone()));
-                                }
-                            }
-                        } else if let Some(s) = snapshot {
-                            // A peer quorum certified this height before
-                            // our own snapshot job drained (we are the
-                            // laggard). The height is already stable, so
-                            // the snapshot is immediately a valid — and
-                            // fresher — recovery anchor.
-                            if stable_snapshot.as_ref().is_none_or(|(h, _)| *h < height) {
-                                stable_snapshot = Some((height, s));
-                            }
-                        }
-                        metrics.stage_processed(Stage::Checkpoint, t0.elapsed());
-                    }
-                    Some(CheckpointMsg::Vote {
-                        from,
-                        height,
-                        state,
-                    }) => {
-                        let t0 = Instant::now();
-                        if members.contains(&from) {
-                            newly_stable = tracker.on_vote(from, height, state);
-                        }
-                        metrics.stage_processed(Stage::Checkpoint, t0.elapsed());
-                    }
-                    None => {}
-                }
-                if let Some(stable) = newly_stable {
-                    let t0 = Instant::now();
-                    {
-                        let mut l = ledger.guard();
-                        // Lag-one compaction: keep the last interval as
-                        // the peers' recovery grace window.
-                        let mut floor = prev_stable;
-                        if cfg.retains_snapshots() {
-                            floor = floor.min(stable_snapshot.as_ref().map_or(0, |(h, _)| *h));
-                        }
-                        l.compact(floor);
-                    }
-                    prev_stable = stable.seq;
-                    unresolved.push_back(stable);
-                    if let Some(s) = pending_snapshots.remove(&stable.seq) {
-                        stable_snapshot = Some((stable.seq, s));
-                    }
-                    pending_snapshots.retain(|h, _| *h > stable.seq);
-                    metrics.stage_batch(Stage::Checkpoint, 0, 0, t0.elapsed());
-                }
-                // Record certified anchors whose block the local ledger
-                // has materialized. A quorum can stabilize a height this
-                // replica's executor has not reached yet (quorum without
-                // us); the anchor hash is then recorded as soon as the
-                // block exists instead of being lost.
-                while let Some(front) = unresolved.front().copied() {
-                    let (anchor_hash, base) = {
-                        let l = ledger.guard();
-                        (l.hash_at(front.seq), l.base_height())
-                    };
-                    match anchor_hash {
-                        Some(hash) => {
-                            if let Some(be) = &backend {
-                                // Durable mode: record the certified
-                                // checkpoint and flush the engine — the
-                                // stable prefix moves into run files and
-                                // the WAL resets. The ledger blocks this
-                                // stability compacts out of memory stay
-                                // archived in the blocks keyspace (the
-                                // executor persisted them at append).
-                                storage::persist_checkpoint(be, front.seq, front.state, hash)
-                                    .expect("durable checkpoint write failed");
-                            }
-                            certified.push((front.seq, front.state, hash));
-                            unresolved.pop_front();
-                        }
-                        // A later stability compacted past this anchor
-                        // before the executor ever materialized it — its
-                        // hash is unrecordable; skip it instead of
-                        // head-of-line blocking every later entry.
-                        None if front.seq < base => {
-                            unresolved.pop_front();
-                        }
-                        None => break, // executor not there yet
-                    }
-                }
-                // Retry held votes without ever parking.
-                for _ in 0..held.len() {
-                    let (to, msg) = held.pop_front().expect("counted");
-                    if !sender.try_send(to, msg.clone()) {
-                        held.push_back((to, msg));
-                    }
+    tracker: CheckpointTracker,
+    /// Own snapshots awaiting stability, the freshest few only.
+    pending_snapshots: BTreeMap<u64, KvStore>,
+    stable_snapshot: Option<(u64, KvStore)>,
+    certified: Vec<(u64, Digest, Digest)>,
+    /// Stable checkpoints whose anchor block the (lagging) local ledger
+    /// has not reached yet, in height order.
+    unresolved: VecDeque<StableCheckpoint>,
+    prev_stable: u64,
+    processed_height: u64,
+    /// Votes a full peer inbox handed back, retried on every turn of the
+    /// execute loop (the checkpoint stage's own "retransmission").
+    held: VecDeque<(NodeId, Message)>,
+}
+
+impl Checkpointer {
+    /// Replica `me`'s checkpoint stage in `system`, voting through
+    /// `sender`.
+    pub(crate) fn new(
+        me: ReplicaId,
+        system: &SystemConfig,
+        cfg: CheckpointConfig,
+        sender: TransportSender,
+    ) -> Checkpointer {
+        Checkpointer {
+            cfg,
+            me,
+            members: system.all_replicas().collect(),
+            sender,
+            tracker: CheckpointTracker::new(system.global_quorum()),
+            pending_snapshots: BTreeMap::new(),
+            stable_snapshot: None,
+            certified: Vec::new(),
+            unresolved: VecDeque::new(),
+            prev_stable: 0,
+            processed_height: 0,
+            held: VecDeque::new(),
+        }
+    }
+
+    /// An own interval boundary: the ledger reached `height` at `state`
+    /// (`snapshot`: a clone of the mirror when snapshots are retained).
+    fn on_boundary(
+        &mut self,
+        height: u64,
+        state: Digest,
+        snapshot: Option<KvStore>,
+        ledger: &mut Ledger,
+        backend: Option<&mut LogBackend>,
+    ) {
+        if !self.cfg.fault_delay.is_zero() {
+            std::thread::sleep(self.cfg.fault_delay); // injected fault
+        }
+        self.processed_height = self.processed_height.max(height);
+        if self.tracker.record_own(height, state) {
+            if let Some(s) = snapshot {
+                self.pending_snapshots.insert(height, s);
+                // Stability lag keeps snapshots pending; bound them by
+                // keeping only the freshest few full-table clones (a
+                // dropped height only means stable_snapshot does not
+                // advance when that height stabilizes).
+                while self.pending_snapshots.len() > 8 {
+                    self.pending_snapshots.pop_first();
                 }
             }
-            CheckpointReport {
-                stable_height: tracker.stable_seq(),
-                stable_state: tracker.stable_state(),
-                certified,
-                snapshot: stable_snapshot,
-                tracked: tracker.tracked().max(pending_snapshots.len()),
-                processed_height,
+            let vote = checkpoint::pipeline_vote(height, state);
+            for &peer in self.members.iter().filter(|&&r| r != self.me) {
+                if !self.sender.try_send(peer.into(), vote.clone()) {
+                    self.held.push_back((peer.into(), vote.clone()));
+                }
             }
-        })
-        .expect("spawn checkpoint thread")
+            let stable = self.tracker.on_vote(self.me, height, state);
+            self.settle(stable, ledger, backend);
+        } else if let Some(s) = snapshot {
+            // A peer quorum certified this height before this replica
+            // reached it (we are the laggard). The height is already
+            // stable, so the snapshot is immediately a valid — and
+            // fresher — recovery anchor.
+            if self.stable_snapshot.as_ref().is_none_or(|s| s.0 < height) {
+                self.stable_snapshot = Some((height, s));
+            }
+        }
+    }
+
+    /// A verified vote from a peer.
+    fn on_vote(
+        &mut self,
+        from: ReplicaId,
+        height: u64,
+        state: Digest,
+        ledger: &mut Ledger,
+        backend: Option<&mut LogBackend>,
+    ) {
+        if self.members.contains(&from) {
+            let stable = self.tracker.on_vote(from, height, state);
+            self.settle(stable, ledger, backend);
+        }
+    }
+
+    /// Retry the votes a full peer inbox handed back, without parking.
+    fn retry_held(&mut self) {
+        for _ in 0..self.held.len() {
+            let (to, msg) = self.held.pop_front().expect("counted");
+            if !self.sender.try_send(to, msg.clone()) {
+                self.held.push_back((to, msg));
+            }
+        }
+    }
+
+    /// Act on a newly stable checkpoint, if any: lag-one compaction
+    /// (floored at the retained snapshot), then record its anchor once
+    /// its block exists.
+    fn settle(
+        &mut self,
+        stable: Option<StableCheckpoint>,
+        ledger: &mut Ledger,
+        backend: Option<&mut LogBackend>,
+    ) {
+        let Some(stable) = stable else {
+            return;
+        };
+        let mut floor = self.prev_stable;
+        if self.cfg.retains_snapshots() {
+            floor = floor.min(self.stable_snapshot.as_ref().map_or(0, |(h, _)| *h));
+        }
+        ledger.compact(floor);
+        self.prev_stable = stable.seq;
+        self.unresolved.push_back(stable);
+        if let Some(s) = self.pending_snapshots.remove(&stable.seq) {
+            self.stable_snapshot = Some((stable.seq, s));
+        }
+        self.pending_snapshots.retain(|h, _| *h > stable.seq);
+        self.resolve(ledger, backend);
+    }
+
+    /// Record, in height order, every certified anchor whose block the
+    /// ledger holds; the execute thread calls this after each append, so
+    /// an anchor a peer quorum stabilized ahead of this replica is
+    /// recorded as soon as its block exists. In durable mode each is
+    /// persisted and the engine flushed: the stable prefix moves into run
+    /// files and the WAL resets (the blocks a stability compacts out of
+    /// memory stay archived in the blocks keyspace).
+    fn resolve(&mut self, ledger: &Ledger, mut backend: Option<&mut LogBackend>) {
+        while let Some(&front) = self.unresolved.front() {
+            match ledger.hash_at(front.seq) {
+                Some(hash) => {
+                    if let Some(be) = backend.as_deref_mut() {
+                        storage::persist_checkpoint(be, front.seq, front.state, hash)
+                            .expect("durable checkpoint write failed");
+                    }
+                    self.certified.push((front.seq, front.state, hash));
+                }
+                // A later stability compacted past this anchor before it
+                // was recorded: its hash is unrecordable, so skip it
+                // instead of head-of-line blocking every later entry.
+                None if front.seq < ledger.base_height() => {}
+                None => break, // the ledger is not there yet
+            }
+            self.unresolved.pop_front();
+        }
+    }
+
+    fn report(self) -> CheckpointReport {
+        CheckpointReport {
+            stable_height: self.tracker.stable_seq(),
+            stable_state: self.tracker.stable_state(),
+            certified: self.certified,
+            snapshot: self.stable_snapshot,
+            tracked: self.tracker.tracked().max(self.pending_snapshots.len()),
+            processed_height: self.processed_height,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::queue::{stage_queue, QueuePolicy};
-    use crossbeam::channel::{bounded, unbounded};
+    use crate::transport::{InProcTransport, Transport, TransportHandle};
+    use crossbeam::channel::unbounded;
     use rdb_common::ids::{ClientId, ClusterId, ReplicaId};
     use rdb_consensus::api::{Action, Outbox};
     use rdb_consensus::config::{ExecMode, ProtocolConfig};
@@ -661,7 +687,7 @@ mod tests {
     use rdb_consensus::types::{ClientBatch, DecisionEntry, SignedBatch, Transaction};
     use rdb_crypto::digest::Digest;
     use rdb_crypto::sign::KeyStore;
-    use rdb_storage::{LogBackend, LogConfig, StorageBackend};
+    use rdb_storage::{Keyspace, LogConfig};
     use rdb_store::Operation;
 
     fn verify_ctx() -> (VerifyCtx, KeyStore) {
@@ -902,27 +928,64 @@ mod tests {
             .collect()
     }
 
+    /// Replica (0, 0)'s checkpoint stage in a 1×4 deployment on an
+    /// in-process mesh, and the three peers' handles, whose inboxes take
+    /// `peer_inbox`'s bound (unbounded when `None`).
+    fn checkpointer(
+        cfg: CheckpointConfig,
+        peer_inbox: Option<QueuePolicy>,
+    ) -> (Checkpointer, Vec<TransportHandle>) {
+        let transport = Transport::InProc(InProcTransport::new(None));
+        let me = ReplicaId::new(0, 0);
+        let (_inbox, sender) = transport.register(me.into()).split();
+        let peers = (1..4u16)
+            .map(|i| {
+                let peer = ReplicaId::new(0, i).into();
+                match peer_inbox {
+                    Some(policy) => transport.register_bounded(peer, policy),
+                    None => transport.register(peer),
+                }
+            })
+            .collect();
+        let system = SystemConfig::geo(1, 4).unwrap();
+        (Checkpointer::new(me, &system, cfg, sender), peers)
+    }
+
     /// What a finished `spawn_executor` run left behind.
     struct ExecRun {
         digest: Digest,
         ledger: Ledger,
-        jobs: Vec<CheckpointMsg>,
+        checkpoint: Option<CheckpointReport>,
         metrics: Metrics,
+        /// The peers the checkpoint stage voted to.
+        peers: Vec<TransportHandle>,
     }
 
-    /// Drive `spawn_executor` over `decisions` for a replica that booted
-    /// on `store`. With `ckpt_alive` false the checkpoint stage has
-    /// already exited: its queue's receiver is dropped before the first
-    /// decision arrives.
+    /// Each decision as the worker hands it over.
+    fn decided(decisions: &[Decision]) -> Vec<ExecInput> {
+        decisions.iter().cloned().map(ExecInput::Decision).collect()
+    }
+
+    /// A peer's vote for `height` at `state`, as the verifiers hand it
+    /// over.
+    fn peer_vote(from: u16, height: u64, state: Digest) -> ExecInput {
+        ExecInput::Vote {
+            from: ReplicaId::new(0, from),
+            height,
+            state,
+        }
+    }
+
+    /// Drive `spawn_executor` over `inputs` for a replica that booted on
+    /// `store`: decisions on the worker's sender, votes on the verifiers'.
     fn run_executor(
         store: KvStore,
-        decisions: &[Decision],
+        inputs: Vec<ExecInput>,
         cfg: CheckpointConfig,
-        backend: Option<SharedBackend>,
-        ckpt_alive: bool,
+        backend: Option<LogBackend>,
     ) -> ExecRun {
         let start = (store, Ledger::new(), Gap::default());
-        run_restarted_executor(start, decisions, cfg, backend, ckpt_alive)
+        run_restarted_executor(start, inputs, cfg, backend)
     }
 
     /// A restarted replica's executor inputs: its recovered table and
@@ -932,42 +995,39 @@ mod tests {
     /// [`run_executor`] for a restarted replica.
     fn run_restarted_executor(
         (store, ledger, gap): Restart,
-        decisions: &[Decision],
+        inputs: Vec<ExecInput>,
         cfg: CheckpointConfig,
-        backend: Option<SharedBackend>,
-        ckpt_alive: bool,
+        backend: Option<LogBackend>,
     ) -> ExecRun {
-        let (exec_tx, exec_rx) = unbounded::<Decision>();
         let metrics = Metrics::new();
-        let (ckpt_tx, ckpt_rx) = stage_queue(QueuePolicy::block(64), Stage::Checkpoint, &metrics);
-        let ckpt_rx = ckpt_alive.then_some(ckpt_rx);
-        let ledger = Arc::new(std::sync::Mutex::new(ledger));
+        let (exec_tx, exec_rx) = stage_queue(QueuePolicy::block(64), Stage::Execute, &metrics);
+        let vote_tx = exec_tx.for_stage(Stage::Checkpoint);
+        let (checkpointer, peers) = checkpointer(cfg, None);
         let mut start = ExecStart::new(&store, cfg);
         start.gap = gap;
         let handle = spawn_executor(
             ReplicaId::new(0, 0).into(),
             start,
-            exec_rx,
-            Arc::clone(&ledger),
-            cfg.enabled().then_some(ckpt_tx),
-            cfg,
+            ledger,
             backend,
+            cfg.enabled().then_some(checkpointer),
+            exec_rx,
             metrics.clone(),
         );
-        for d in decisions {
-            exec_tx.send(d.clone()).unwrap();
+        for input in inputs {
+            match input {
+                ExecInput::Decision(_) => exec_tx.send(input, false),
+                ExecInput::Vote { .. } => vote_tx.send(input, false),
+            };
         }
-        drop(exec_tx); // worker shutdown: executor drains and returns
-        let digest = handle.join().unwrap();
-        let jobs: Vec<CheckpointMsg> = ckpt_rx.map_or_else(Vec::new, |rx| rx.iter().collect());
-        let Ok(ledger) = Arc::try_unwrap(ledger) else {
-            unreachable!("executor joined");
-        };
+        drop((exec_tx, vote_tx)); // shutdown: the executor drains and returns
+        let report = handle.join().unwrap();
         ExecRun {
-            digest,
-            ledger: ledger.into_inner().unwrap(),
-            jobs,
+            digest: report.exec_digest,
+            ledger: report.ledger,
+            checkpoint: report.checkpoint,
             metrics,
+            peers,
         }
     }
 
@@ -1012,15 +1072,25 @@ mod tests {
     }
 
     /// A fresh durable engine in a per-test directory, initialized like a
-    /// first-boot replica; returns the directory, the shared engine and
-    /// its WAL record count before any decision.
-    fn durable_engine(name: &str) -> (std::path::PathBuf, SharedBackend, u64) {
+    /// first-boot replica; returns the directory, the engine and its WAL
+    /// record count before any decision.
+    fn durable_engine(name: &str) -> (std::path::PathBuf, LogBackend, u64) {
         let dir = std::env::temp_dir().join(format!("rdb-core-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut engine = LogBackend::open(&dir, LogConfig::default()).unwrap();
+        let mut engine = open(&dir);
         storage::init_replica(&mut engine).unwrap();
         let before = engine.stats().wal_records;
-        (dir, Arc::new(Mutex::new(engine)), before)
+        (dir, engine, before)
+    }
+
+    fn open(dir: &std::path::Path) -> LogBackend {
+        LogBackend::open(dir, LogConfig::default()).unwrap()
+    }
+
+    /// WAL batches the run's engine appended, as its execute thread
+    /// reported them at exit.
+    fn wal_records(run: &ExecRun) -> u64 {
+        run.metrics.storage_snapshot().stats.wal_records
     }
 
     /// Every record of `store`, ordered by key.
@@ -1035,10 +1105,9 @@ mod tests {
         let decisions = tail_decisions(&KvStore::new(), write_batches(5));
         let run = run_executor(
             KvStore::new(),
-            &decisions,
+            decided(&decisions),
             CheckpointConfig::default(),
             None,
-            true,
         );
         // The stage reports the state an inline application of the same
         // writes reaches.
@@ -1053,6 +1122,7 @@ mod tests {
             assert_eq!(block.state_digest, prefixes[h as usize].state_digest());
         }
         run.ledger.verify(None).expect("chain linkage intact");
+        assert!(run.checkpoint.is_none(), "checkpointing is off");
         let snap = run.metrics.stage_snapshot();
         assert_eq!(snap.row(Stage::Execute).processed, 5);
         assert!(
@@ -1061,6 +1131,12 @@ mod tests {
         );
     }
 
+    /// Boundaries are certified on the execute thread, right after the
+    /// append that reaches them: with two peers voting for each, every
+    /// boundary becomes stable with the reference anchor, the ledger
+    /// compacts one interval behind, and the retained snapshot is the
+    /// table at the last boundary. Fails if a boundary is missed, votes
+    /// for the wrong state, or snapshots another height's table.
     #[test]
     fn executor_checkpoints_at_interval_boundaries() {
         let cfg = CheckpointConfig {
@@ -1071,47 +1147,88 @@ mod tests {
         let preload = KvStore::with_ycsb_records(64);
         let decisions = tail_decisions(&preload, write_batches(10));
         let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
-        let run = run_executor(preload, &decisions, cfg, None, true);
+        let state = |h: u64| prefixes[h as usize].state_digest();
+        let mut inputs = Vec::new();
+        for (h, d) in (1u64..).zip(&decisions) {
+            inputs.push(ExecInput::Decision(d.clone()));
+            if h % 3 == 0 {
+                // With this replica's own vote, a quorum of 3 of 4.
+                inputs.extend((1..3).map(|from| peer_vote(from, h, state(h))));
+            }
+        }
+        let run = run_executor(preload, inputs, cfg, None);
         assert_eq!(run.digest, prefixes[10].state_digest());
         assert_eq!(run.ledger.head_hash(), ref_ledger.head_hash());
-        // Interval 3 over 10 decisions: snapshot jobs at 3, 6 and 9.
-        assert_eq!(run.jobs.len(), 3);
-        for (job, expect_h) in run.jobs.iter().zip([3u64, 6, 9]) {
-            let CheckpointMsg::Snapshot {
-                height,
-                state,
-                snapshot,
-            } = job
-            else {
-                panic!("the executor only emits snapshots");
-            };
-            let expected = &prefixes[expect_h as usize];
-            assert_eq!(*height, expect_h);
-            assert_eq!(*state, expected.state_digest(), "table digest");
-            let snap = snapshot.as_ref().expect("retained");
-            assert_eq!(snap.state_digest(), *state);
-            assert_eq!(sorted_records(snap), sorted_records(expected));
-            assert!(snap.verify_fingerprint(), "snapshot digest is live");
+        // Interval 3 over 10 decisions: boundaries at 3, 6 and 9.
+        let ckpt = run.checkpoint.expect("checkpointing is on");
+        let anchor = |h: u64| (h, state(h), ref_ledger.hash_at(h).expect("reference"));
+        assert_eq!(ckpt.certified, [3, 6, 9].map(anchor));
+        assert_eq!((ckpt.stable_height, ckpt.processed_height), (9, 9));
+        assert_eq!(run.ledger.base_height(), 6, "lag-one compaction");
+        let (height, snap) = ckpt.snapshot.as_ref().expect("retained");
+        assert_eq!(*height, 9);
+        assert_eq!(snap.state_digest(), state(9), "table digest");
+        assert_eq!(sorted_records(snap), sorted_records(&prefixes[9]));
+        assert!(snap.verify_fingerprint(), "snapshot digest is live");
+        // Every peer got this replica's vote for each boundary.
+        let own_votes = [3, 6, 9].map(|h| checkpoint::pipeline_vote(h, state(h)));
+        for peer in &run.peers {
+            let got: Vec<Message> = peer.inbox.try_iter().map(|env| env.msg).collect();
+            assert_eq!(got, own_votes);
         }
+        // The Checkpoint row counts the peer votes through the queue; the
+        // boundaries are busy time on the execute thread.
         let snap = run.metrics.stage_snapshot();
-        assert_eq!(snap.row(Stage::Checkpoint).enqueued, 3);
+        let row = snap.row(Stage::Checkpoint);
+        assert_eq!((row.enqueued, row.processed, row.queue_depth), (6, 6, 0));
+        assert!(row.busy > Duration::ZERO);
+        assert_eq!(snap.row(Stage::Execute).processed, 10);
     }
 
-    /// A checkpoint stage that has exited must not stop execution: the
-    /// first boundary send finds the queue disconnected, the executor
-    /// stops snapshotting and applies the rest. Fails if a disconnected
-    /// checkpoint queue ends the loop or panics the thread.
+    /// A vote a full peer inbox handed back is held and retried while no
+    /// other input arrives: the execute thread wakes on its retry timeout
+    /// only while it holds votes. Fails if held votes wait for the next
+    /// decision or are lost.
     #[test]
-    fn executor_keeps_applying_after_checkpoint_stage_exits() {
+    fn executor_retries_votes_a_full_peer_inbox_handed_back() {
         let preload = KvStore::with_ycsb_records(64);
-        let decisions = tail_decisions(&preload, write_batches(10));
-        let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
-        let run = run_executor(preload, &decisions, CheckpointConfig::every(3), None, false);
-        assert_eq!(run.digest, prefixes[10].state_digest());
-        assert_eq!(run.ledger.head_hash(), ref_ledger.head_hash());
-        let snap = run.metrics.stage_snapshot();
-        assert_eq!(snap.row(Stage::Execute).processed, 10);
-        assert_eq!(snap.row(Stage::Checkpoint).enqueued, 0);
+        let decisions = tail_decisions(&preload, write_batches(4));
+        let metrics = Metrics::new();
+        let (exec_tx, exec_rx) = stage_queue(QueuePolicy::block(8), Stage::Execute, &metrics);
+        let cfg = CheckpointConfig::every(2);
+        let (c, peers) = checkpointer(cfg, Some(QueuePolicy::block(1)));
+        let handle = spawn_executor(
+            ReplicaId::new(0, 0).into(),
+            ExecStart::new(&preload, cfg),
+            Ledger::new(),
+            None,
+            Some(c),
+            exec_rx,
+            metrics.clone(),
+        );
+        for d in decided(&decisions) {
+            exec_tx.send(d, false);
+        }
+        // Boundaries at 2 and 4: each one-slot peer inbox takes the vote
+        // at 2 and hands the vote at 4 back.
+        let heights = |peer: &TransportHandle| {
+            let vote = peer.inbox.recv_timeout(Duration::from_secs(5));
+            match vote.expect("a vote arrives").msg {
+                Message::Checkpoint { seq, .. } => seq,
+                other => panic!("not a vote: {other:?}"),
+            }
+        };
+        for peer in &peers {
+            assert_eq!(heights(peer), 2);
+        }
+        // Nothing else is sent, and the queue stays open.
+        for peer in &peers {
+            assert_eq!(heights(peer), 4, "the held vote is retried");
+        }
+        drop(exec_tx);
+        let report = handle.join().unwrap();
+        assert_eq!(report.ledger.head_height(), 4);
+        assert_eq!(report.checkpoint.expect("on").processed_height, 4);
     }
 
     #[test]
@@ -1120,74 +1237,74 @@ mod tests {
         let preload = KvStore::with_ycsb_records(64);
         let decisions = tail_decisions(&preload, mixed_batches(N));
         let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
-        let (dir, backend, before) = durable_engine("exec-wal");
+        let (dir, engine, before) = durable_engine("exec-wal");
         let run = run_executor(
             preload.clone(),
-            &decisions,
+            decided(&decisions),
             CheckpointConfig::default(),
-            Some(Arc::clone(&backend)),
-            true,
+            Some(engine),
         );
-        let engine = backend.guard();
         // One atomic WAL batch per decision, so a torn tail still
         // truncates to a decision boundary.
-        assert_eq!(engine.stats().wal_records - before, N);
-        let (table, ledger) = storage::recover_replica(&engine, &preload).unwrap();
+        assert_eq!(wal_records(&run) - before, N);
+        let (table, ledger) = storage::recover_replica(&open(&dir), &preload).unwrap();
         assert_eq!(ledger.head_height(), N);
         assert_eq!(ledger.head_hash(), run.ledger.head_hash());
         assert_eq!(ledger.head_hash(), ref_ledger.head_hash());
         assert_eq!(table.state_digest(), run.digest);
         assert_eq!(table.state_digest(), prefixes[N as usize].state_digest());
-        drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Durable mode and checkpointing together: the WAL and the snapshot
     /// mirror take the same record images, and the snapshot certified at
-    /// the last boundary is the very state the WAL recovers. Fails if
-    /// either drops a decision's writes, or if a snapshot names another
-    /// height than the one its state belongs to.
+    /// the last boundary is the very state the engine recovers, with that
+    /// checkpoint persisted beside it. Fails if either drops a decision's
+    /// writes, if a snapshot names another height than the one its state
+    /// belongs to, or if the certified checkpoint is not persisted.
     #[test]
     fn durable_checkpointed_executor_recovers_the_last_snapshot() {
         const N: u64 = 12;
         let preload = KvStore::with_ycsb_records(64);
         let decisions = tail_decisions(&preload, mixed_batches(N));
         let (ref_ledger, prefixes) = reference(preload.clone(), &decisions);
-        let (dir, backend, before) = durable_engine("exec-wal-ckpt");
+        let (dir, engine, before) = durable_engine("exec-wal-ckpt");
         let cfg = CheckpointConfig {
             interval: 4,
             retain_snapshot: true,
             fault_delay: Duration::ZERO,
         };
-        let run = run_executor(
-            preload.clone(),
-            &decisions,
-            cfg,
-            Some(Arc::clone(&backend)),
-            true,
-        );
-        let engine = backend.guard();
-        assert_eq!(engine.stats().wal_records - before, N);
+        // Two peers certify the last boundary with this replica.
+        let last = prefixes[N as usize].state_digest();
+        let mut inputs = decided(&decisions);
+        inputs.extend((1..3).map(|from| peer_vote(from, N, last)));
+        let run = run_executor(preload.clone(), inputs, cfg, Some(engine));
+        // One batch per decision, plus the certified checkpoint's.
+        assert_eq!(wal_records(&run) - before, N + 1);
+        let engine = open(&dir);
         let (table, ledger) = storage::recover_replica(&engine, &preload).unwrap();
         assert_eq!(ledger.head_hash(), run.ledger.head_hash());
         assert_eq!(ledger.head_hash(), ref_ledger.head_hash());
         assert_eq!(table.state_digest(), run.digest);
-        assert_eq!(table.state_digest(), prefixes[N as usize].state_digest());
-        assert_eq!(run.jobs.len(), 3, "boundaries at 4, 8 and 12");
-        let Some(CheckpointMsg::Snapshot {
-            height,
-            state,
-            snapshot: Some(last),
-        }) = run.jobs.last()
-        else {
-            panic!("the last job is a retained snapshot");
+        assert_eq!(table.state_digest(), last);
+        let ckpt = run.checkpoint.expect("checkpointing is on");
+        assert_eq!(ckpt.processed_height, N, "boundaries at 4, 8 and 12");
+        assert_eq!(ckpt.certified, [(N, last, ref_ledger.head_hash())]);
+        let Some((height, snapshot)) = &ckpt.snapshot else {
+            panic!("the last boundary's snapshot is retained");
         };
         assert_eq!(*height, N);
-        assert_eq!(*state, run.digest);
-        assert_eq!(last.state_digest(), table.state_digest());
-        assert_eq!(sorted_records(last), sorted_records(&table));
-        assert!(last.verify_fingerprint(), "snapshot digest is live");
-        drop(engine);
+        assert_eq!(snapshot.state_digest(), table.state_digest());
+        assert_eq!(sorted_records(snapshot), sorted_records(&table));
+        assert!(snapshot.verify_fingerprint(), "snapshot digest is live");
+        assert_eq!(
+            engine.get(Keyspace::Checkpoints, &N.to_be_bytes()),
+            Some([*last.as_bytes(), *ref_ledger.head_hash().as_bytes()].concat())
+        );
+        assert_eq!(
+            engine.get(Keyspace::Meta, b"stable"),
+            Some(N.to_le_bytes().to_vec())
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1221,10 +1338,9 @@ mod tests {
         let (full, prefixes, decisions, start) = restarted_at_one(&preload);
         let run = run_restarted_executor(
             start,
-            &decisions[3..],
+            decided(&decisions[3..]),
             CheckpointConfig::default(),
             None,
-            true,
         );
         assert_eq!(run.ledger.head_height(), 4);
         assert_eq!(run.ledger.head_hash(), full.head_hash());
@@ -1239,7 +1355,7 @@ mod tests {
     fn executor_without_decisions_keeps_its_recovered_head() {
         let preload = KvStore::with_ycsb_records(64);
         let (full, prefixes, _, start) = restarted_at_one(&preload);
-        let run = run_restarted_executor(start, &[], CheckpointConfig::default(), None, true);
+        let run = run_restarted_executor(start, Vec::new(), CheckpointConfig::default(), None);
         assert_eq!(run.ledger.head_height(), 1);
         assert_eq!(Some(run.ledger.head_hash()), full.hash_at(1));
         assert_eq!(run.digest, prefixes[1].state_digest());
@@ -1253,123 +1369,99 @@ mod tests {
     fn durable_executor_persists_its_gap_with_its_first_decision() {
         let preload = KvStore::with_ycsb_records(64);
         let (full, prefixes, decisions, (_, own, gap)) = restarted_at_one(&preload);
-        let (dir, backend, _) = durable_engine("exec-gap");
+        let (dir, engine, _) = durable_engine("exec-gap");
         // The first incarnation persisted decision 1 and stopped.
         let first = run_executor(
             preload.clone(),
-            &decisions[..1],
+            decided(&decisions[..1]),
             CheckpointConfig::default(),
-            Some(Arc::clone(&backend)),
-            true,
+            Some(engine),
         );
         assert_eq!(first.ledger.head_hash(), own.head_hash());
-        let before = backend.guard().stats().wal_records;
+        let engine = open(&dir);
+        let before = engine.stats().wal_records;
         let run = run_restarted_executor(
             (prefixes[1].clone(), own, gap),
-            &decisions[3..],
+            decided(&decisions[3..]),
             CheckpointConfig::default(),
-            Some(Arc::clone(&backend)),
-            true,
+            Some(engine),
         );
-        let engine = backend.guard();
-        assert_eq!(engine.stats().wal_records - before, 1, "one batch");
-        let (table, ledger) = storage::recover_replica(&engine, &preload).unwrap();
+        assert_eq!(wal_records(&run) - before, 1, "one batch");
+        let (table, ledger) = storage::recover_replica(&open(&dir), &preload).unwrap();
         assert_eq!(ledger.head_hash(), full.head_hash());
         assert_eq!(table.state_digest(), prefixes[4].state_digest());
         assert_eq!(table.state_digest(), run.digest);
-        drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Height `h`'s state digest in the checkpoint stage tests.
+    fn state(h: u64) -> Digest {
+        Digest::of(&h.to_le_bytes())
+    }
+
+    /// Append no-op blocks at [`state`] until `ledger` stands at `head`.
+    fn grow(ledger: &mut Ledger, head: u64) {
+        for h in ledger.head_height() + 1..=head {
+            ledger.append(SignedBatch::noop(ClusterId(0), h), None, state(h));
+        }
+    }
+
+    /// One call into the checkpoint stage: an own boundary, or a peer's
+    /// vote.
+    enum Step {
+        Own(u64, Option<KvStore>),
+        Vote(u16, u64),
+    }
+
+    fn own(height: u64, snapshot: Option<KvStore>) -> Step {
+        Step::Own(height, snapshot)
+    }
+
+    fn vote(from: u16, height: u64) -> Step {
+        Step::Vote(from, height)
+    }
+
     /// Run replica (0, 0)'s checkpoint stage of a 1×4 deployment over a
-    /// ledger of `blocks` blocks until its queue closes, feeding it
-    /// `msgs(&states)`, where `states[h]` is height `h`'s state digest: its
-    /// report, its ledger, and the three peers' transport handles.
+    /// ledger of `blocks` blocks through `steps`: its report, its ledger,
+    /// and the three peers' transport handles.
     fn run_checkpointer(
         cfg: CheckpointConfig,
         blocks: u64,
-        msgs: impl FnOnce(&[Digest]) -> Vec<CheckpointMsg>,
-    ) -> (
-        CheckpointReport,
-        Ledger,
-        Vec<crate::transport::TransportHandle>,
-    ) {
-        use crate::transport::{InProcTransport, Transport};
-        let system = SystemConfig::geo(1, 4).unwrap();
-        let transport = Transport::InProc(InProcTransport::new(None));
-        let me: NodeId = ReplicaId::new(0, 0).into();
-        let handle = transport.register(me);
-        let peer_handles: Vec<_> = (1..4u16)
-            .map(|i| transport.register(ReplicaId::new(0, i).into()))
-            .collect();
-        let (_inbox, sender) = handle.split();
-
-        let ledger = Arc::new(std::sync::Mutex::new(Ledger::new()));
-        let mut states = vec![Digest::ZERO];
-        {
-            let mut l = ledger.guard();
-            for i in 1..=blocks {
-                let d = Digest::of(&i.to_le_bytes());
-                l.append(SignedBatch::noop(ClusterId(0), i), None, d);
-                states.push(d);
+        steps: Vec<Step>,
+    ) -> (CheckpointReport, Ledger, Vec<TransportHandle>) {
+        let (mut c, peers) = checkpointer(cfg, None);
+        let mut ledger = Ledger::new();
+        grow(&mut ledger, blocks);
+        for step in steps {
+            match step {
+                Step::Own(h, snapshot) => c.on_boundary(h, state(h), snapshot, &mut ledger, None),
+                Step::Vote(from, h) => {
+                    c.on_vote(ReplicaId::new(0, from), h, state(h), &mut ledger, None)
+                }
             }
         }
-
-        let (ckpt_tx, ckpt_rx) = bounded::<CheckpointMsg>(8);
-        let h = spawn_checkpointer(
-            me,
-            system,
-            cfg,
-            ckpt_rx,
-            sender,
-            Arc::clone(&ledger),
-            None,
-            Metrics::new(),
-        );
-        for msg in msgs(&states) {
-            ckpt_tx.send(msg).unwrap();
-        }
-        drop(ckpt_tx);
-        let report = h.join().unwrap();
-        let Ok(l) = Arc::try_unwrap(ledger) else {
-            unreachable!("checkpointer joined");
-        };
-        (report, l.into_inner().unwrap(), peer_handles)
-    }
-
-    fn vote(states: &[Digest], from: u16, height: u64) -> CheckpointMsg {
-        CheckpointMsg::Vote {
-            from: ReplicaId::new(0, from),
-            height,
-            state: states[height as usize],
-        }
-    }
-
-    fn own(states: &[Digest], height: u64, snapshot: Option<KvStore>) -> CheckpointMsg {
-        CheckpointMsg::Snapshot {
-            height,
-            state: states[height as usize],
-            snapshot,
-        }
+        (c.report(), ledger, peers)
     }
 
     #[test]
     fn checkpointer_certifies_quorum_and_compacts_with_lag() {
-        let (report, l, peer_handles) = run_checkpointer(CheckpointConfig::every(2), 5, |s| {
+        let (report, l, peer_handles) = run_checkpointer(
+            CheckpointConfig::every(2),
+            5,
             vec![
                 // Own snapshot at 2 + two peer votes = quorum 3 of 4.
-                own(s, 2, None),
-                vote(s, 1, 2),
-                vote(s, 2, 2),
+                own(2, None),
+                vote(1, 2),
+                vote(2, 2),
                 // Second checkpoint at 4.
-                own(s, 4, None),
-                vote(s, 1, 4),
-                vote(s, 3, 4),
-            ]
-        });
+                own(4, None),
+                vote(1, 4),
+                vote(3, 4),
+            ],
+        );
 
         assert_eq!(report.stable_height, 4);
-        assert_eq!(report.stable_state, Digest::of(&4u64.to_le_bytes()));
+        assert_eq!(report.stable_state, state(4));
         assert_eq!(report.certified.len(), 2);
         assert_eq!(report.certified[0].0, 2);
         assert_eq!(report.certified[1].0, 4);
@@ -1396,9 +1488,9 @@ mod tests {
     }
 
     /// With retained snapshots, compaction stops at the retained
-    /// snapshot's height: peers make 2 and 4 stable before this replica's
-    /// own snapshot jobs arrive, the job at 2 then arrives alone, and a
-    /// third stability at 6 would compact to 4 under the lag-one rule
+    /// snapshot's height: peers make 2 and 4 stable before this replica
+    /// reaches its own boundary at 2, that boundary then comes alone, and
+    /// a third stability at 6 would compact to 4 under the lag-one rule
     /// alone. The ledger keeps every block above the reported snapshot, so
     /// a state transfer from that snapshot can start.
     #[test]
@@ -1408,17 +1500,15 @@ mod tests {
             ..CheckpointConfig::every(2)
         };
         let table = KvStore::with_ycsb_records(4);
-        let (report, l, _peers) = run_checkpointer(cfg, 7, |s| {
-            let stable = |h| (1..4).map(move |from| vote(s, from, h));
-            let mut msgs: Vec<_> = stable(2).chain(stable(4)).collect();
-            msgs.push(own(s, 2, Some(table)));
-            msgs.extend(stable(6));
-            msgs
-        });
+        let stable = |h| (1..4).map(move |from| vote(from, h));
+        let mut steps: Vec<_> = stable(2).chain(stable(4)).collect();
+        steps.push(own(2, Some(table)));
+        steps.extend(stable(6));
+        let (report, l, _peers) = run_checkpointer(cfg, 7, steps);
         assert_eq!(report.stable_height, 6);
         let (snapshot, _) = report
             .snapshot
-            .expect("the late job's snapshot is retained");
+            .expect("the late boundary's snapshot is retained");
         assert_eq!(snapshot, 2);
         assert!(
             l.base_height() <= snapshot,
@@ -1438,16 +1528,86 @@ mod tests {
             retain_snapshot: true,
             ..CheckpointConfig::every(2)
         };
-        let (report, l, _peers) = run_checkpointer(cfg, 5, |s| {
-            [2, 4]
-                .into_iter()
-                .flat_map(|h| (1..4).map(move |from| vote(s, from, h)))
-                .collect()
-        });
+        let steps = [2, 4]
+            .into_iter()
+            .flat_map(|h| (1..4).map(move |from| vote(from, h)))
+            .collect();
+        let (report, l, _peers) = run_checkpointer(cfg, 5, steps);
         assert_eq!(report.stable_height, 4);
         assert!(report.snapshot.is_none());
         assert_eq!(l.base_height(), 0);
         assert_eq!(l.head_height(), 5);
         l.verify(None).expect("uncompacted chain intact");
+    }
+
+    /// A peer quorum can make a height stable before this replica's
+    /// ledger reaches it: the anchor is recorded, and in durable mode
+    /// persisted, right after the append that materializes its block, and
+    /// not before. Fails if an anchor is dropped because its block came
+    /// late, or recorded before the block exists.
+    #[test]
+    fn an_anchor_ahead_of_the_ledger_is_recorded_once_its_block_exists() {
+        for durable in [false, true] {
+            let (mut c, _peers) = checkpointer(CheckpointConfig::every(2), None);
+            let engine = durable.then(|| durable_engine("anchor-ahead"));
+            let (dir, mut engine) = engine.map(|(dir, e, _)| (dir, e)).unzip();
+            let mut ledger = Ledger::new();
+            grow(&mut ledger, 2);
+            for from in 1..4 {
+                let from = ReplicaId::new(0, from);
+                c.on_vote(from, 4, state(4), &mut ledger, engine.as_mut());
+            }
+            assert_eq!(c.tracker.stable_seq(), 4, "a peer quorum without us");
+            assert!(c.certified.is_empty(), "block 4 does not exist yet");
+            grow(&mut ledger, 3);
+            c.resolve(&ledger, engine.as_mut());
+            assert!(c.certified.is_empty(), "block 4 does not exist yet");
+            grow(&mut ledger, 4);
+            c.resolve(&ledger, engine.as_mut());
+            let hash = ledger.hash_at(4).expect("appended");
+            assert_eq!(c.certified, [(4, state(4), hash)]);
+            if let Some(engine) = &engine {
+                assert_eq!(
+                    engine.get(Keyspace::Checkpoints, &4u64.to_be_bytes()),
+                    Some([*state(4).as_bytes(), *hash.as_bytes()].concat())
+                );
+                let stable = engine.get(Keyspace::Meta, b"stable");
+                assert_eq!(stable, Some(4u64.to_le_bytes().to_vec()));
+            }
+            if let Some(dir) = dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    /// An anchor that a later stability compacted past before it was
+    /// recorded is skipped, and does not hold back the anchors after it.
+    /// The execute loop records anchors after every append, so here the
+    /// ledger grows without telling the stage, the one way left to reach
+    /// this. Fails if the unrecordable anchor head-of-line blocks the
+    /// queue.
+    #[test]
+    fn an_anchor_compacted_past_before_it_was_recorded_is_skipped() {
+        let (mut c, _peers) = checkpointer(CheckpointConfig::every(2), None);
+        let mut ledger = Ledger::new();
+        grow(&mut ledger, 1);
+        let stabilize = |c: &mut Checkpointer, ledger: &mut Ledger, h| {
+            for from in 1..4 {
+                c.on_vote(ReplicaId::new(0, from), h, state(h), ledger, None);
+            }
+        };
+        stabilize(&mut c, &mut ledger, 2);
+        stabilize(&mut c, &mut ledger, 4);
+        assert!(c.certified.is_empty(), "neither block exists");
+        grow(&mut ledger, 5);
+        // Stability at 6 compacts to 4, past the anchor at 2.
+        stabilize(&mut c, &mut ledger, 6);
+        assert_eq!(ledger.base_height(), 4);
+        let heights = |c: &Checkpointer| c.certified.iter().map(|a| a.0).collect::<Vec<_>>();
+        assert_eq!(heights(&c), [4], "2 is skipped, 4 is recorded");
+        grow(&mut ledger, 6);
+        c.resolve(&ledger, None);
+        assert_eq!(heights(&c), [4, 6]);
+        assert!(c.unresolved.is_empty());
     }
 }

@@ -10,10 +10,10 @@
 //! * [`QueuePolicy`] — the input queue's capacity plus its [`Overload`]
 //!   behavior;
 //! * [`StageQueues`] — the full per-replica layout (input → work → exec →
-//!   checkpoint → output), with defaults derived from batch size and
-//!   verifier fan-out via [`StageQueues::derive`];
+//!   output), with defaults derived from batch size and verifier fan-out
+//!   via [`StageQueues::derive`];
 //! * `StageSender` — the producer end of every bounded queue in the
-//!   fabric (the replica inboxes and the four interior queues). It alone
+//!   fabric (the replica inboxes and the three interior queues). It alone
 //!   decides what a full queue does — park, shed, or hand the item back —
 //!   and it alone counts the fed stage's `enqueued`, `shed` and
 //!   `blocked_ns`, so no producer accounts a hand-off itself.
@@ -41,7 +41,8 @@
 //! threads — leaves of the flow graph.
 //!
 //! **Hand-back** is for threads that must not park on one peer's inbox
-//! (the delay pump, the checkpoint thread, the client driver): a
+//! (the delay pump, the execute thread's checkpoint votes, the client
+//! driver): a
 //! non-droppable item at a full queue comes back to the caller to hold
 //! and retry, and counts nothing until an attempt succeeds.
 //!
@@ -87,19 +88,19 @@ impl QueuePolicy {
 
 /// The bounded-queue layout of one replica's pipeline, in flow order.
 ///
-/// Five queues connect the six pipeline stages (the transport's delivery
-/// *is* the input stage, so the inbox doubles as the verify stage's feed;
-/// the checkpoint queue hangs off the execute stage):
+/// Four queues connect the pipeline stages (the transport's delivery *is*
+/// the input stage, so the inbox doubles as the verify stage's feed; the
+/// exec queue carries the peers' checkpoint votes beside the decisions,
+/// because the execute thread is the checkpoint stage too):
 ///
 /// ```text
-/// transport ─▶ [input] ─▶ verify ×N ─▶ [work] ─▶ order ─▶ [exec] ─▶ execute
-///                  │                               │                   │
-///                  │ (pipeline ckpt votes)         └─▶ [output] ─▶ output thread
-///                  └────────▶ verify ─▶ [checkpoint] ◀─────────────────┘
-///                                            └─▶ checkpoint thread
+/// transport ─▶ [input] ─▶ verify ×N ─▶ [work] ─▶ order ─▶ [exec] ─▶ execute + checkpoint
+///                           │                      │         ▲
+///                           │                      └─▶ [output] ─▶ output thread
+///                           └─ (pipeline ckpt votes) ────────┘
 /// ```
 ///
-/// Only the input queue has a policy; the four interior queues always
+/// Only the input queue has a policy; the three interior queues always
 /// block, so they are plain capacities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageQueues {
@@ -111,23 +112,20 @@ pub struct StageQueues {
     /// queue parks the verifiers, which lets the inbox fill and pushes the
     /// pressure to the transport edge.
     pub work: usize,
-    /// Ordering worker → execution thread (finalized decisions), which
-    /// are agreed state and must never be shed.
+    /// Ordering worker → execute thread (finalized decisions), and
+    /// verifier pool → execute thread (peer checkpoint votes). Decisions
+    /// are agreed state and votes are not retransmittable — no timer
+    /// re-drives a lost vote, so shedding one could stall stability (and
+    /// the garbage collection it gates) forever — so nothing here is ever
+    /// shed. The bound doubles as the overload signal: an execute thread
+    /// slowed by its checkpoint work lets this queue fill, which parks the
+    /// worker and throttles the whole replica, bounding exec-to-stable
+    /// lag. The execute thread never parks on a peer's *inbox*: it
+    /// delivers its votes with a hand-back send
+    /// (`TransportSender::try_send`) and retries what comes back. Over
+    /// TCP its frame write can still park on a full socket buffer (see
+    /// `crate::socket`).
     pub exec: usize,
-    /// Execute stage → checkpoint thread (snapshot jobs), and verifier
-    /// pool → checkpoint thread (peer checkpoint votes). Checkpoints are
-    /// not retransmittable state — no timer re-drives a lost snapshot or
-    /// vote, so shedding here could stall stability (and the garbage
-    /// collection it gates) forever. The bound doubles as the overload
-    /// signal: a backlogged checkpoint queue parks the *executor*, which
-    /// fills the exec queue, parks the worker, and throttles the whole
-    /// replica — bounding exec-to-stable lag instead of letting
-    /// stable-state lag grow without bound. The checkpoint thread never
-    /// parks on a peer's *inbox*: it delivers its votes with a hand-back
-    /// send (`TransportSender::try_send`) and retries what comes back.
-    /// Over TCP its frame write can still park on a full socket buffer
-    /// (see `crate::socket`).
-    pub checkpoint: usize,
     /// Ordering worker → output thread (outbound messages). The output
     /// thread itself sheds droppable traffic at *peer* inboxes.
     pub output: usize,
@@ -143,10 +141,6 @@ impl StageQueues {
     ///   worker — half the input bound, floor 32;
     /// * the *exec* queue holds a handful of in-flight decisions (each is
     ///   a whole batch; a deep queue here just hides execution lag);
-    /// * the *checkpoint* queue is deliberately shallow: one interval's
-    ///   snapshot job plus a burst of peer votes fit, and anything deeper
-    ///   would only delay the execution throttle that bounds
-    ///   exec-to-stable lag;
     /// * the *output* queue covers the fan-out burst a single decision
     ///   emits (one message per peer replica and client), floor 64.
     pub fn derive(batch_size: usize, verifier_threads: usize) -> StageQueues {
@@ -155,7 +149,6 @@ impl StageQueues {
             input: QueuePolicy::shed(input),
             work: (input / 2).max(32),
             exec: 16,
-            checkpoint: 8,
             output: (input / 2).max(64),
         }
     }
@@ -211,6 +204,15 @@ pub(crate) fn stage_queue<T>(
 }
 
 impl<T> StageSender<T> {
+    /// Another producer end of the same queue that counts its hand-offs
+    /// in `stage`'s row: one consumer can be fed on behalf of two stages.
+    pub(crate) fn for_stage(&self, stage: Stage) -> StageSender<T> {
+        StageSender {
+            stage,
+            ..self.clone()
+        }
+    }
+
     /// Enqueue `item`, parking while the queue is full unless the item is
     /// `droppable` and the queue sheds. The park is charged to the stage's
     /// blocked time; the fast path is one `try_send` and reads no clock.

@@ -59,7 +59,6 @@ use rdb_consensus::registry;
 use rdb_consensus::stage::{Stage, VerifiedMessage};
 use rdb_consensus::types::{ClientBatch, Transaction};
 use rdb_crypto::sign::KeyStore;
-use rdb_storage::StorageBackend;
 use rdb_store::Operation;
 use rdb_workload::ycsb::{batch_source, YcsbConfig};
 use std::collections::HashMap;
@@ -431,7 +430,6 @@ pub struct Fabric {
     pub(crate) next_ycsb_client: AtomicUsize,
     pub(crate) next_session: AtomicU32,
     pub(crate) crashed: Vec<ReplicaId>,
-    pub(crate) backends: Vec<(ReplicaId, crate::storage::SharedBackend)>,
 }
 
 impl Fabric {
@@ -591,14 +589,6 @@ impl Fabric {
                 (node, r.stop())
             })
             .collect();
-        // Durable engines: the executor threads (the WAL writers) are
-        // joined, so seal each engine — flush the memtables to runs and
-        // fold its counters into the metrics for the report.
-        for (_, be) in std::mem::take(&mut self.backends) {
-            let mut be = be.guard();
-            be.flush().expect("flush durable engine at shutdown");
-            self.metrics.storage_merge(&be.stats());
-        }
         self.transport.shutdown();
         stopped
     }

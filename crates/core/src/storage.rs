@@ -15,6 +15,11 @@
 //! recovered ledger head's `state_digest` by construction, with no replay
 //! or version-bump reasoning required.
 //!
+//! Each replica's engine has one owner and no lock: its execute thread,
+//! which writes the decision batches, persists each certified checkpoint
+//! (`persist_checkpoint`, which flushes) and, on exit, flushes the engine
+//! and folds its counters into the deployment's metrics.
+//!
 //! The preload is genesis, not data. It is a deterministic function of
 //! the manifest's [`Manifest::records`], rebuilt at every boot and shared
 //! by every replica, and it is never written: the `table` keyspace holds
@@ -49,7 +54,6 @@
 //! written once, through the same codec, to `<root>/manifest`
 //! ([`Manifest`]); [`crate::Fabric::restart_from`] reads them back.
 
-use crate::sync::MutexExt;
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::ReplicaId;
 use rdb_consensus::codec;
@@ -61,7 +65,6 @@ use rdb_storage::{Keyspace, LogBackend, StorageBackend, WriteBatch};
 use rdb_store::{KvStore, Value};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Where a deployment keeps replica state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -76,13 +79,6 @@ pub enum StorageMode {
     /// reinitialized.
     Durable(PathBuf),
 }
-
-/// The engine handle one replica's execution and checkpoint stages share.
-///
-/// A concrete `LogBackend` (not a trait object): only durable deployments
-/// allocate one, and both writers funnel through the same mutex so WAL
-/// records interleave at batch granularity.
-pub type SharedBackend = Arc<Mutex<LogBackend>>;
 
 /// Meta-keyspace marker: set by the first boot's only write, so a
 /// directory without it is initialized rather than recovered.
@@ -227,8 +223,8 @@ pub(crate) fn init_replica(backend: &mut LogBackend) -> io::Result<()> {
 /// wrote, and the advanced `applied` watermark. See the module docs for
 /// why this makes torn tails land on decision boundaries.
 pub(crate) fn persist_decision<'a>(
-    backend: &SharedBackend,
-    blocks: &[Block],
+    backend: &mut LogBackend,
+    blocks: impl IntoIterator<Item = &'a Block>,
     writes: impl IntoIterator<Item = &'a (u64, Value, u64)>,
     applied: u64,
 ) -> io::Result<()> {
@@ -244,19 +240,18 @@ pub(crate) fn persist_decision<'a>(
         );
     }
     batch.put(Keyspace::Meta, META_APPLIED, applied.to_le_bytes());
-    backend.guard().apply(batch)
+    backend.apply(batch)
 }
 
 /// Persist a quorum-certified checkpoint and flush the engine: the stable
 /// prefix's state is forced into run files and the WAL resets, so restart
 /// replay cost stays bounded by the exec-to-stable lag, not run length.
 pub(crate) fn persist_checkpoint(
-    backend: &SharedBackend,
+    backend: &mut LogBackend,
     height: u64,
     state: Digest,
     anchor: Digest,
 ) -> io::Result<()> {
-    let mut be = backend.guard();
     let mut batch = WriteBatch::new();
     batch.put(
         Keyspace::Checkpoints,
@@ -264,8 +259,8 @@ pub(crate) fn persist_checkpoint(
         encode_checkpoint(state, anchor),
     );
     batch.put(Keyspace::Meta, META_STABLE, height.to_le_bytes());
-    be.apply(batch)?;
-    be.flush()
+    backend.apply(batch)?;
+    backend.flush()
 }
 
 /// Rebuild a replica's in-memory state from its engine: lay the `table`
@@ -520,10 +515,15 @@ mod tests {
     }
 
     /// Persist `head` and `writes` into `backend` as one decision.
-    fn persist(backend: LogBackend, head: &Block, writes: &[(u64, Value, u64)]) -> LogBackend {
-        let shared: SharedBackend = Arc::new(Mutex::new(backend));
-        persist_decision(&shared, std::slice::from_ref(head), writes, head.height).unwrap();
-        Arc::try_unwrap(shared).ok().unwrap().into_inner().unwrap()
+    fn persist(mut backend: LogBackend, head: &Block, writes: &[(u64, Value, u64)]) -> LogBackend {
+        persist_decision(
+            &mut backend,
+            std::slice::from_ref(head),
+            writes,
+            head.height,
+        )
+        .unwrap();
+        backend
     }
 
     /// Boot the engine in `dir` the way `DeploymentBuilder::start` does:

@@ -469,8 +469,8 @@ impl Transport {
     }
 
     /// Send for threads that must not park on a peer's full inbox (the
-    /// checkpoint thread delivering its non-droppable votes, the client
-    /// driver). In-process, delayed links accept unconditionally (the
+    /// execute thread delivering its non-droppable checkpoint votes, the
+    /// client driver). In-process, delayed links accept unconditionally (the
     /// message parks in the wheel, "in the network"), and on a direct
     /// link a full inbox sheds droppable traffic per the inbox policy
     /// (returns `true`: the message is accounted for) but hands a
@@ -553,7 +553,7 @@ impl TransportHandle {
 
 /// The sending half of a [`TransportHandle`] (no inbox receiver).
 /// Cloneable so that multiple producer-only stages of one replica (the
-/// output thread and the checkpoint thread) can send concurrently.
+/// output thread and the execute thread) can send concurrently.
 #[derive(Clone)]
 pub struct TransportSender {
     node: NodeId,

@@ -42,10 +42,10 @@ pub struct PipelineModel {
     pub input_overload: Overload,
     /// Decisions between pipeline checkpoints — the virtual twin of the
     /// fabric's `CheckpointConfig::interval`. At every boundary the
-    /// engine charges [`ComputeModel::checkpoint_ns`] on the dedicated
-    /// checkpoint horizon (off the worker's critical path, like the
-    /// fabric's checkpoint thread) and compacts any tracked ledger to
-    /// the boundary height. `0` (the default) disables the stage, so
+    /// engine charges [`ComputeModel::checkpoint_ns`] on the execute
+    /// horizon (off the worker's critical path, like the fabric, whose
+    /// execute thread runs the checkpoint stage) and compacts any tracked
+    /// ledger to the boundary height. `0` (the default) disables the stage, so
     /// every pre-checkpoint figure reproduction is unchanged byte for
     /// byte.
     pub checkpoint_interval: u64,
@@ -137,8 +137,9 @@ pub struct ComputeModel {
     /// reproductions are unaffected.
     pub exec_ns_per_instr: u64,
     /// Cost of one pipeline checkpoint (snapshot digest + certification
-    /// bookkeeping + compaction), charged on the dedicated checkpoint
-    /// horizon when [`PipelineModel::checkpoint_interval`] is nonzero.
+    /// bookkeeping + compaction), charged on the execute horizon with the
+    /// boundary decision when [`PipelineModel::checkpoint_interval`] is
+    /// nonzero.
     pub checkpoint_ns: u64,
 }
 

@@ -73,9 +73,6 @@ struct NodeState {
     /// only when [`crate::compute::PipelineModel::exec_queue_capacity`]
     /// gates the stage; `len()` is the modeled exec-queue depth.
     exec_inflight: BinaryHeap<Reverse<SimTime>>,
-    /// The modeled checkpoint stage (off the execute stage, like the
-    /// fabric's checkpoint thread) is busy until this instant.
-    ckpt_free: SimTime,
     /// Intra-region NIC egress is busy until this instant.
     nic_free: SimTime,
     /// WAN egress aggregate is busy until this instant.
@@ -453,31 +450,31 @@ impl Engine {
                     let exec =
                         model.exec_cost_decision(decision.txn_count(), decision.program_instrs());
                     cursor += SimDuration(model.wall(exec));
-                    cursor = self.charge_execution(node, &model, &decision, cursor);
+                    // Checkpoint stage: at every interval boundary the
+                    // execute stage also pays the snapshot/certification
+                    // cost (off the worker's critical path, on the
+                    // fabric's execute thread) and any tracked ledger
+                    // compacts to the boundary — the virtual twin of
+                    // quorum stability, which in the fabric merely lags
+                    // by a delivery round trip.
+                    let k = model.pipeline.checkpoint_interval;
+                    let boundary = match node {
+                        NodeId::Replica(rid) => {
+                            let decided = self.decided_counts.entry(rid).or_insert(0);
+                            *decided += 1;
+                            k > 0 && decided.is_multiple_of(k)
+                        }
+                        NodeId::Client(_) => false,
+                    };
+                    let checkpoint = if boundary { model.checkpoint_ns } else { 0 };
+                    cursor = self.charge_execution(node, &model, &decision, checkpoint, cursor);
                     if let NodeId::Replica(rid) = node {
-                        let decided = {
-                            let e = self.decided_counts.entry(rid).or_insert(0);
-                            *e += 1;
-                            *e
-                        };
                         if rid == ReplicaId::new(0, 0) {
                             self.stats.observer_decisions += 1;
                             self.stats.observer_txns += decision.txn_count() as u64;
                         }
                         self.append_ledger(rid, &decision);
-                        // Checkpoint stage: at every interval boundary,
-                        // charge the snapshot/certification cost on the
-                        // dedicated checkpoint horizon (off the worker's
-                        // critical path, like the fabric's checkpoint
-                        // thread) and compact any tracked ledger to the
-                        // boundary — the virtual twin of quorum
-                        // stability, which in the fabric merely lags by
-                        // a delivery round trip.
-                        let k = model.pipeline.checkpoint_interval;
-                        if k > 0 && decided.is_multiple_of(k) {
-                            let cost = model.checkpoint_ns;
-                            let state = self.nodes.entry(node).or_default();
-                            state.ckpt_free = state.ckpt_free.max(cursor) + SimDuration(cost);
+                        if boundary {
                             self.stats.checkpoints += 1;
                             if let Some(ledgers) = self.ledgers.as_mut() {
                                 if let Some(l) = ledgers.get_mut(&rid) {
@@ -502,9 +499,10 @@ impl Engine {
         state.busy_until = state.busy_until.max(cursor);
     }
 
-    /// Charge `decision`'s materialization (table apply + ledger append)
-    /// on the node's modeled execution stage and return the worker's
-    /// cursor, advanced past any wait the exec-queue gate imposed.
+    /// Charge `decision`'s materialization (table apply + ledger append),
+    /// plus `checkpoint_ns` of checkpoint work at an interval boundary, on
+    /// the node's modeled execution stage and return the worker's cursor,
+    /// advanced past any wait the exec-queue gate imposed.
     ///
     /// The whole cost lands on the one execution horizon, after every
     /// earlier decision's, and (with no gate configured) the cursor
@@ -517,6 +515,7 @@ impl Engine {
         node: NodeId,
         model: &ComputeModel,
         decision: &Decision,
+        checkpoint_ns: u64,
         mut cursor: SimTime,
     ) -> SimTime {
         let window = model.pipeline.exec_queue_capacity;
@@ -545,7 +544,7 @@ impl Engine {
             }
         }
         let exec = model.exec_cost_decision(decision.txn_count(), decision.program_instrs());
-        state.exec_free = state.exec_free.max(cursor) + SimDuration(exec);
+        state.exec_free = state.exec_free.max(cursor) + SimDuration(exec + checkpoint_ns);
         if window > 0 {
             state.exec_inflight.push(Reverse(state.exec_free));
         }
@@ -1197,7 +1196,9 @@ mod tests {
             e.attach_ledgers();
             let to = ReplicaId::new(0, 0);
             e.add_replica(Box::new(Decider { id: to, seq: 0 }));
-            for i in 0..7u64 {
+            // Six decisions: the last is a boundary, so its checkpoint
+            // work is the last thing on the execute horizon.
+            for i in 0..6u64 {
                 e.route(
                     ReplicaId::new(0, 1).into(),
                     to.into(),
@@ -1210,22 +1211,24 @@ mod tests {
             (
                 e.stats.checkpoints,
                 state.busy_until,
-                state.ckpt_free,
+                state.exec_free,
                 e.ledgers().unwrap()[&to].clone(),
             )
         };
-        let (off_ckpts, off_busy, off_ckpt_free, off_ledger) = run(0);
+        let (off_ckpts, off_busy, off_exec_free, off_ledger) = run(0);
         assert_eq!(off_ckpts, 0);
-        assert_eq!(off_ckpt_free, SimTime::ZERO);
         assert_eq!(off_ledger.base_height(), 0, "no compaction when disabled");
 
-        let (on_ckpts, on_busy, on_ckpt_free, on_ledger) = run(3);
+        let (on_ckpts, on_busy, on_exec_free, on_ledger) = run(3);
         assert_eq!(on_ckpts, 2, "boundaries at decisions 3 and 6");
-        // The checkpoint stage hangs off execution: its cost lands on the
-        // dedicated horizon, never on the worker — the schedule of every
-        // figure reproduction is unchanged.
+        // The checkpoint stage runs on the execute stage: its cost lands
+        // on the execute horizon, never on the worker — the schedule of
+        // every figure reproduction is unchanged.
         assert_eq!(on_busy, off_busy, "checkpointing must not touch the worker");
-        assert!(on_ckpt_free > SimTime::ZERO);
+        assert!(
+            on_exec_free > off_exec_free,
+            "checkpoint work extends the execute horizon"
+        );
         // Compaction tracked the boundaries; content is untouched.
         assert_eq!(on_ledger.base_height(), 6);
         assert_eq!(on_ledger.head_height(), off_ledger.head_height());

@@ -148,16 +148,15 @@ fn blocking_input_policy_never_sheds() {
 
 #[test]
 fn slow_checkpoint_stage_throttles_execution_and_bounds_stable_lag() {
-    // Fault injection: every checkpoint snapshot is artificially slowed
-    // inside the checkpoint thread. Because the checkpoint queue is
-    // Block-policy (checkpoints are not retransmittable), the executor
-    // parks on the full queue instead of letting checkpoint lag grow
-    // without bound: the wait must show up as `blocked_ns` on the
-    // checkpoint stage, each replica's head must stay within the
-    // queue's capacity worth of intervals of its own checkpoint
+    // Fault injection: every checkpoint boundary is artificially slowed
+    // on the execute thread, which runs the checkpoint stage. Because the
+    // exec queue is Block-policy (decisions are agreed state and
+    // checkpoint votes are not retransmittable), the worker parks on the
+    // full queue instead of letting checkpoint lag grow without bound:
+    // the wait must show up as `blocked_ns` on the execute stage, each
+    // replica's head must stay within one interval of its own checkpoint
     // progress, and the certified watermark must track the quorum's.
     const K: u64 = 2;
-    const CKPT_CAP: usize = 2;
     // Small work/exec queues keep the *shutdown drain* bounded too: when
     // the pipeline stops, the worker and executor drain their queues
     // after the verifiers (and with them, inbound peer votes) are gone,
@@ -170,7 +169,6 @@ fn slow_checkpoint_stage_throttles_execution_and_bounds_stable_lag() {
         .clients(4)
         .records(300)
         .checkpoint_interval(K)
-        .checkpoint_queue(CKPT_CAP)
         .order_queue(ORDER_CAP as usize)
         .exec_queue(EXEC_CAP as usize)
         .checkpoint_fault_delay(Duration::from_millis(5))
@@ -184,32 +182,33 @@ fn slow_checkpoint_stage_throttles_execution_and_bounds_stable_lag() {
         .audit_execution_stage()
         .expect("materialized tables match ledger heads");
 
-    let row = report.stages.row(Stage::Checkpoint);
-    assert!(row.processed > 0, "{}", report.stages.summary());
     assert!(
-        !row.blocked.is_zero(),
-        "the slowed checkpoint stage never pushed back on execution: {}",
+        report.stages.row(Stage::Checkpoint).processed > 0,
+        "{}",
+        report.stages.summary()
+    );
+    assert!(
+        !report.stages.row(Stage::Execute).blocked.is_zero(),
+        "the slowed checkpoint stage never pushed back on the worker: {}",
         report.stages.summary()
     );
 
-    // The throttle itself is *local*: the Block-policy checkpoint queue
-    // bounds how far a replica's executor can run past the last snapshot
-    // its own checkpoint thread processed — at most the queued snapshots
-    // (CKPT_CAP intervals), the one the executor is parked pushing, the
-    // one inside the slow thread, and the interval in progress. That
-    // holds regardless of OS scheduling, so it is asserted per replica.
-    let local_bound = K * (CKPT_CAP as u64 + 3);
+    // The throttle itself is *local*: the execute thread handles each
+    // checkpoint boundary right after the append that reaches it, so a
+    // replica's head can never run a whole interval past the last
+    // boundary it processed. That holds regardless of OS scheduling, so
+    // it is asserted per replica.
+    let local_bound = K - 1;
     // *Stability* additionally needs a quorum (N - F = 3 of 4) of votes,
     // so the certified watermark can only ever track the 2nd-slowest
-    // replica's snapshot progress (the quorum pivot). On a loaded host
+    // replica's checkpoint progress (the quorum pivot). On a loaded host
     // the scheduler can starve one replica hundreds of heights behind
     // its peers; that spread is real but is not the throttle's to bound,
     // so stability is measured against the pivot, not each replica's own
-    // head. Slack: a vote round trip plus one capacity of snapshots
-    // in flight at the pivot replica, plus the shutdown drain (the
-    // worker and executor drain their queues after the verifiers — and
-    // with them, inbound peer votes — are gone).
-    let pivot_bound = K * (2 * CKPT_CAP as u64 + 4) + ORDER_CAP + EXEC_CAP + K;
+    // head. Slack: a vote round trip at the pivot replica, plus the
+    // shutdown drain (the worker and executor drain their queues after
+    // the verifiers — and with them, inbound peer votes — are gone).
+    let pivot_bound = K * 4 + ORDER_CAP + EXEC_CAP + K;
     let mut processed: Vec<u64> = report
         .checkpoints
         .values()
@@ -227,7 +226,7 @@ fn slow_checkpoint_stage_throttles_execution_and_bounds_stable_lag() {
         assert!(
             local_lag <= local_bound,
             "replica {rid}: head {head} ran {local_lag} past its own \
-             checkpoint stage at {} (bound {local_bound})",
+             checkpoint boundary at {} (bound {local_bound})",
             ckpt.processed_height
         );
         let stable_lag = pivot.saturating_sub(ckpt.stable_height);

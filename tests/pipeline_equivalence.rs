@@ -375,7 +375,6 @@ fn checkpoint_compaction_preserves_ledger_equivalence_under_saturation() {
         .input_queue(QueuePolicy::block(6))
         .order_queue(8)
         .exec_queue(2)
-        .checkpoint_queue(2)
         .output_queue(8);
     let report = drive(builder, 1, Duration::from_millis(1_500));
     assert!(report.completed_batches > 0, "{}", report.summary());
