@@ -207,26 +207,6 @@ pub trait ReplicaProtocol: Send {
     fn on_timer(&mut self, now: SimTime, timer: TimerKind, out: &mut Outbox);
 }
 
-/// A client-side protocol state machine, as a closed-loop driver sees it:
-/// the driver calls [`ClientProtocol::next_request`] after start and after
-/// every [`Action::RequestComplete`].
-pub trait ClientProtocol: Send {
-    /// This client's identity.
-    fn id(&self) -> rdb_common::ids::ClientId;
-
-    /// Ask the client to submit its next request. Returns `false` if the
-    /// client has exhausted its workload.
-    fn next_request(&mut self, now: SimTime, out: &mut Outbox) -> bool;
-
-    /// Handle a reply-path message. Same precondition as
-    /// [`ReplicaProtocol::on_message`]: the caller ran
-    /// [`crate::stage::VerifiedMessage::check`] on it.
-    fn on_message(&mut self, now: SimTime, from: NodeId, msg: Message, out: &mut Outbox);
-
-    /// Handle a timer expiration (retransmissions, Zyzzyva fallbacks).
-    fn on_timer(&mut self, now: SimTime, timer: TimerKind, out: &mut Outbox);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,11 +27,12 @@
 //!
 //! A batch enters through [`QuorumClient::submit`] and leaves as an
 //! [`crate::api::Action::RequestComplete`] carrying its [`CommitProof`]. With a
-//! [`BatchSource`] attached the client also is a [`ClientProtocol`]: a
-//! closed-loop driver calls `next_request` after every completion —
+//! [`BatchSource`] attached the client also drives itself: a
+//! closed-loop driver calls [`QuorumClient::next_request`] after start
+//! and after every completion —
 //! exactly the behaviour of the paper's YCSB clients.
 
-use crate::api::{ClientProtocol, Outbox, TimerKind};
+use crate::api::{Outbox, TimerKind};
 use crate::config::ProtocolConfig;
 use crate::crypto_ctx::CryptoCtx;
 use crate::exec::digest_under;
@@ -223,7 +224,7 @@ impl QuorumClient {
         }
     }
 
-    /// Attach the source [`ClientProtocol::next_request`] draws from.
+    /// Attach the source [`QuorumClient::next_request`] draws from.
     pub fn with_source(mut self, source: BatchSource) -> QuorumClient {
         self.source = Some(source);
         self
@@ -332,14 +333,15 @@ impl QuorumClient {
             },
         );
     }
-}
 
-impl ClientProtocol for QuorumClient {
-    fn id(&self) -> ClientId {
+    /// This client's identity.
+    pub fn id(&self) -> ClientId {
         self.id
     }
 
-    fn next_request(&mut self, _now: SimTime, out: &mut Outbox) -> bool {
+    /// Submit the next batch from the attached [`BatchSource`]. Returns
+    /// `false` if the client has none.
+    pub fn next_request(&mut self, _now: SimTime, out: &mut Outbox) -> bool {
         let Some(source) = self.source.as_mut() else {
             return false;
         };
@@ -351,7 +353,10 @@ impl ClientProtocol for QuorumClient {
         true
     }
 
-    fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut Outbox) {
+    /// Handle a reply-path message. Same precondition as
+    /// [`crate::api::ReplicaProtocol::on_message`]: the caller ran
+    /// [`crate::stage::VerifiedMessage::check`] on it.
+    pub fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Message, out: &mut Outbox) {
         let NodeId::Replica(replica) = from else {
             return;
         };
@@ -417,7 +422,9 @@ impl ClientProtocol for QuorumClient {
         }
     }
 
-    fn on_timer(&mut self, _now: SimTime, timer: TimerKind, out: &mut Outbox) {
+    /// Handle a timer expiration (retransmissions, Zyzzyva's commit
+    /// phase).
+    pub fn on_timer(&mut self, _now: SimTime, timer: TimerKind, out: &mut Outbox) {
         match timer {
             TimerKind::ClientRetry { seq } => {
                 let entry = self.entry();

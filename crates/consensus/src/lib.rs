@@ -15,8 +15,8 @@
 //! * [`steward`] — the hierarchical wide-area protocol with a primary
 //!   cluster (§3).
 //!
-//! All protocols implement [`api::ReplicaProtocol`] (replica side) and
-//! [`api::ClientProtocol`] (client side) and are driven by either the
+//! All protocols implement [`api::ReplicaProtocol`] (replica side), share
+//! one client, [`clients::QuorumClient`], and are driven by either the
 //! discrete-event simulator (`rdb-simnet`) or the threaded fabric
 //! (`resilientdb`).
 
@@ -48,7 +48,7 @@ pub mod zyzzyva;
 pub(crate) mod testkit;
 
 pub use adversary::AdversarySpec;
-pub use api::{Action, ClientProtocol, Outbox, ReplicaProtocol, TimerKind};
+pub use api::{Action, Outbox, ReplicaProtocol, TimerKind};
 pub use certificate::{CommitCertificate, CommitSig};
 pub use checkpoint::{CheckpointTracker, StableCheckpoint};
 pub use config::{ExecMode, ProtocolConfig, ProtocolKind};

@@ -2,7 +2,7 @@
 //! client state machines. Drivers (the simulator and the fabric) go
 //! through these so that deployments are protocol-agnostic.
 
-use crate::api::{ClientProtocol, ReplicaProtocol};
+use crate::api::ReplicaProtocol;
 use crate::clients::{BatchSource, QuorumClient, TargetPolicy};
 use crate::config::{ProtocolConfig, ProtocolKind};
 use crate::crypto_ctx::CryptoCtx;
@@ -107,8 +107,8 @@ pub fn build_client(
     id: ClientId,
     crypto: CryptoCtx,
     source: BatchSource,
-) -> Box<dyn ClientProtocol> {
-    Box::new(client(kind, cfg, id, crypto).with_source(source))
+) -> QuorumClient {
+    client(kind, cfg, id, crypto).with_source(source)
 }
 
 #[cfg(test)]

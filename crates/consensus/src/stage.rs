@@ -4,10 +4,12 @@
 //! The paper's central systems claim (§3, Figure 9) is that a replica is a
 //! *pipeline*: input threads receive messages, a pool of threads verifies
 //! signatures in parallel, a single worker orders, a dedicated thread
-//! executes, and output threads drain the network. For that split to be
-//! sound, verification must be *pure*: a function of the message, its
-//! sender, the [`SystemConfig`] and the key material only, with no
-//! protocol state. This module is that function:
+//! executes, and output threads drain the network (here the ordering
+//! worker hands its messages to the network itself, in the fabric and in
+//! `rdb-simnet` alike, so output is a stage without a thread). For that
+//! split to be sound, verification must be *pure*: a function of the
+//! message, its sender, the [`SystemConfig`] and the key material only,
+//! with no protocol state. This module is that function:
 //!
 //! * [`Stage`] names the five stages so runtimes and metrics agree on the
 //!   vocabulary, and [`Overload`] / [`input_capacity`] are the one
@@ -63,7 +65,10 @@ pub enum Stage {
     /// Certifying executed state against peers and compacting the
     /// stable ledger prefix, off the execute stage (§2.2 checkpoints).
     Checkpoint,
-    /// Draining outgoing messages to the transport.
+    /// Handing outgoing messages to the transport. The ordering worker
+    /// does it after each callback, so the stage has no queue: one item
+    /// per message handed over, busy for the time inside the send, and
+    /// never blocked.
     Output,
 }
 
@@ -118,9 +123,9 @@ pub enum Overload {
     /// the queueing observable.
     ///
     /// Caveat for the fabric's *input* queue: Block parks whoever
-    /// delivers — including peer replicas' output threads. Under flood,
+    /// delivers — including peer replicas' workers. Under flood,
     /// an all-Block geometry whose queues are small relative to the
-    /// in-flight message volume can park output threads on each other's
+    /// in-flight message volume can park workers on each other's
     /// inboxes in a cycle; the derived default for the input stage is
     /// therefore [`Overload::Shed`], which keeps replica-to-replica
     /// deliveries non-blocking and the flow graph cycle-free.

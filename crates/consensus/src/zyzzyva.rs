@@ -246,7 +246,7 @@ impl ReplicaProtocol for ZyzzyvaReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Action, ClientProtocol};
+    use crate::api::Action;
     use crate::clients::{synthetic_source, QuorumClient};
     use crate::config::{ExecMode, ProtocolKind};
     use crate::exec::tests::assert_admission_bounded;

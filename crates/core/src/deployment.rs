@@ -75,7 +75,6 @@ pub struct DeploymentBuilder {
     input_queue: Option<QueuePolicy>,
     work_queue: Option<usize>,
     exec_queue: Option<usize>,
-    output_queue: Option<usize>,
     checkpoint: CheckpointConfig,
     storage: StorageMode,
 }
@@ -103,7 +102,6 @@ impl DeploymentBuilder {
             input_queue: None,
             work_queue: None,
             exec_queue: None,
-            output_queue: None,
             checkpoint: CheckpointConfig::default(),
             storage: StorageMode::Memory,
         }
@@ -184,12 +182,6 @@ impl DeploymentBuilder {
     /// when execution or checkpointing lags.
     pub fn exec_queue(mut self, capacity: usize) -> Self {
         self.exec_queue = Some(capacity);
-        self
-    }
-
-    /// Override the order → output queue's capacity (it blocks).
-    pub fn output_queue(mut self, capacity: usize) -> Self {
-        self.output_queue = Some(capacity);
         self
     }
 
@@ -287,7 +279,6 @@ impl DeploymentBuilder {
                 input: self.input_queue.unwrap_or(derived.input),
                 work: self.work_queue.unwrap_or(derived.work),
                 exec: self.exec_queue.unwrap_or(derived.exec),
-                output: self.output_queue.unwrap_or(derived.output),
             },
             checkpoint: self.checkpoint,
         };
@@ -510,7 +501,8 @@ pub struct DeploymentReport {
     pub completed_txns: u64,
     /// Replica decisions (sum over replicas).
     pub decided: u64,
-    /// Messages through the transport.
+    /// Messages the replicas' workers handed to the transport (the
+    /// Output row's `processed`).
     pub messages_sent: u64,
     /// Mean client latency (exact).
     pub avg_latency: Duration,
@@ -667,8 +659,10 @@ mod tests {
         assert!(common >= 2);
     }
 
-    /// The output thread times each hand-off to the transport. Fails if
-    /// it records its sends with no duration.
+    /// The worker times each hand-off to the transport as the Output
+    /// stage, which has no queue. Fails if it records its sends with no
+    /// duration, counts a message it did not hand over, or charges the
+    /// row a wait.
     #[test]
     fn output_stage_reports_its_busy_time() {
         let report = DeploymentBuilder::new(ProtocolKind::Pbft, 1, 4)
@@ -678,8 +672,12 @@ mod tests {
             .duration(Duration::from_millis(300))
             .run();
         let output = report.stages.row(rdb_consensus::stage::Stage::Output);
+        let rows = report.stages.summary();
         assert!(output.processed > 0, "{}", report.summary());
-        assert!(output.busy > Duration::ZERO, "{}", report.stages.summary());
+        assert!(output.busy > Duration::ZERO, "{rows}");
+        assert_eq!(output.enqueued, output.processed, "{rows}");
+        assert_eq!(output.blocked, Duration::ZERO, "{rows}");
+        assert_eq!(report.messages_sent, output.processed);
     }
 
     #[test]

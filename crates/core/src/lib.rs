@@ -16,7 +16,7 @@
 //! ```text
 //! transport ─▶ input ─▶ [verify ×N] ─▶ worker ─▶ execute ─▶ ledger
 //!                                        │
-//!                                        └─────▶ output ─▶ transport
+//!                                        └─ (output) ─▶ transport
 //! ```
 //!
 //! * the **input stage** has no thread of its own: the transport delivers
@@ -47,9 +47,14 @@
 //!   thread's bounded queue; slow checkpoint work lets that queue fill
 //!   and throttles the worker, bounding exec-to-stable lag — see
 //!   [`queue`];
-//! * the **output thread** drains outgoing messages to the transport, so
-//!   network pressure never stalls consensus processing (Figure 9
-//!   "output").
+//! * the **output stage** has no thread of its own either: after each
+//!   callback the worker hands its outgoing messages to the transport
+//!   (Figure 9 "output"). In-process a send is one push into a peer
+//!   inbox that sheds the worker's droppable traffic when full, so
+//!   network pressure never parks ordering; over TCP the worker writes
+//!   the frame itself. Its hand-off time is the Output row's busy time,
+//!   not the Order row's, and a replica runs `verifier_threads + 2`
+//!   threads.
 //!
 //! Every stage hand-off is counted in [`metrics::Metrics`]: per-stage
 //! `enqueued` / `processed` / `dropped` counters (their difference is the

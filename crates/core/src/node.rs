@@ -2,10 +2,12 @@
 //! wheel it shares with the client driver ([`crate::service`]).
 //!
 //! A replica runs the full Figure-9 pipeline (see the crate docs):
-//! input → verifier pool → ordering worker → execution → output, each on
-//! its own OS thread(s), connected by *bounded* MPMC channels sized by
+//! input → verifier pool → ordering worker → execution, each on its own
+//! OS thread(s), connected by *bounded* MPMC channels sized by
 //! [`PipelineConfig::queues`] and fed through [`crate::queue`]'s one
 //! sender, which meters every hand-off in per-stage [`Metrics`] counters.
+//! The output stage is the worker's hand-off of its messages to the
+//! transport, after each callback.
 
 use crate::metrics::Metrics;
 use crate::pipeline::{
@@ -13,7 +15,7 @@ use crate::pipeline::{
     PipelineConfig, VerifyCtx,
 };
 use crate::queue::{stage_queue, QueuePolicy, StageSender};
-use crate::transport::TransportHandle;
+use crate::transport::{TransportHandle, TransportSender};
 use crossbeam::channel::RecvTimeoutError;
 use rdb_common::ids::NodeId;
 use rdb_common::time::SimTime;
@@ -135,23 +137,27 @@ impl TimerWheel {
 /// transport ─▶ inbox ─▶ [verify ×N] ─▶ worker ─▶ execute + checkpoint ─▶ ledger (+ engine)
 ///   (input)               │              │          ▲
 ///                         └ (votes) ─────┼──────────┘
-///                                        └────▶ output ─▶ transport
+///                                        └─ (output) ─▶ transport
 /// ```
 ///
 /// The transport's delivery into the node's inbox *is* the input stage
 /// (in-process there is no socket to drain, so a dedicated forwarding
 /// thread would only add a hand-off); the verifier pool consumes the
-/// inbox directly. The execute thread owns the ledger and, in durable
-/// mode, the engine; when [`crate::pipeline::CheckpointConfig::interval`]
-/// is nonzero it also certifies and compacts them, so a checkpointed
-/// replica runs no more threads than any other.
+/// inbox directly. Likewise the worker's hand-off of its messages to the
+/// transport *is* the output stage: in-process a send is one push into a
+/// peer inbox that sheds the worker's (droppable) traffic when full, so
+/// an output thread would only add a hand-off too. Over TCP the worker
+/// writes the frame itself and parks on a full socket buffer. The
+/// execute thread owns the ledger and, in durable mode, the engine; when
+/// [`crate::pipeline::CheckpointConfig::interval`] is nonzero it also
+/// certifies and compacts them. A replica, checkpointed or not, thus runs
+/// `verifier_threads + 2` threads.
 pub struct ReplicaRuntime {
     node: NodeId,
     shutdown: Arc<AtomicBool>,
     verifier_handles: Vec<JoinHandle<()>>,
     worker_handle: JoinHandle<()>,
     exec_handle: JoinHandle<ReplicaStopReport>,
-    output_handle: JoinHandle<()>,
 }
 
 /// Everything a stopped replica hands back.
@@ -173,7 +179,7 @@ impl ReplicaRuntime {
     /// (with `verify`) on every inbound message, so the worker hands
     /// `protocol` only checked traffic — the precondition of
     /// [`ReplicaProtocol::on_message`] — plus its own loopback messages
-    /// (see `dispatch_replica_actions`). `protocol` holds the replica's
+    /// (see `Worker::dispatch`). `protocol` holds the replica's
     /// one table; the execution stage executes nothing and starts from
     /// `exec` (the boot table's digest, the snapshot mirror when
     /// snapshots are retained, and a restarted replica's gap, which it
@@ -187,7 +193,7 @@ impl ReplicaRuntime {
     /// checkpoints, and flushes it on exit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
-        mut protocol: Box<dyn ReplicaProtocol>,
+        protocol: Box<dyn ReplicaProtocol>,
         handle: TransportHandle,
         metrics: Metrics,
         epoch: Instant,
@@ -207,8 +213,6 @@ impl ReplicaRuntime {
             stage_queue(QueuePolicy::block(queues.work), Stage::Order, &metrics);
         let (exec_tx, exec_rx) =
             stage_queue(QueuePolicy::block(queues.exec), Stage::Execute, &metrics);
-        let (out_tx, out_rx) =
-            stage_queue(QueuePolicy::block(queues.output), Stage::Output, &metrics);
 
         // The verifier pool must be the *sole* owner of the inbox
         // receiver (see `TransportHandle::split`): when the verifiers
@@ -258,85 +262,49 @@ impl ReplicaRuntime {
             metrics.clone(),
         );
 
-        // Output stage: output queue -> transport.
+        // Order stage: the state machine and timers; then the output
+        // stage, the hand-off of each callback's messages to the transport.
         let stop = Arc::clone(&shutdown);
-        let out_metrics = metrics.clone();
-        let output_handle = std::thread::Builder::new()
-            .name(format!("{node}-output"))
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match out_rx.recv_timeout(Duration::from_millis(20)) {
-                        Ok((to, msg)) => {
-                            let t0 = Instant::now();
-                            sender.send(to, msg);
-                            out_metrics.stage_processed(Stage::Output, t0.elapsed());
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            })
-            .expect("spawn output thread");
-
-        // Order stage: the state machine and timers, nothing else.
-        let stop = Arc::clone(&shutdown);
-        let worker_metrics = metrics;
+        let mut worker = Worker {
+            protocol,
+            node,
+            wheel: TimerWheel::new(epoch),
+            loopback: VecDeque::new(),
+            sends: Vec::new(),
+            exec_tx,
+            sender,
+            metrics,
+        };
         let worker_handle = std::thread::Builder::new()
             .name(format!("{node}-worker"))
             .spawn(move || {
-                let mut wheel = TimerWheel::new(epoch);
                 let mut out = Outbox::new();
-                protocol.on_start(wheel.now(), &mut out);
-                dispatch_replica_actions(
-                    protocol.as_mut(),
-                    node,
-                    out.take(),
-                    &mut wheel,
-                    &out_tx,
-                    &exec_tx,
-                    &worker_metrics,
-                );
+                let t0 = Instant::now();
+                worker.protocol.on_start(worker.wheel.time_of(t0), &mut out);
+                worker.dispatch(&mut out, t0, 0);
                 while !stop.load(Ordering::Relaxed) {
-                    match work_rx.recv_timeout(wheel.next_wait()) {
+                    match work_rx.recv_timeout(worker.wheel.next_wait()) {
                         Ok(vm) => {
                             // One clock read serves both the protocol's
                             // virtual time and the busy measurement.
                             let t0 = Instant::now();
-                            let now = wheel.time_of(t0);
                             let (from, msg) = vm.into_parts();
-                            let mut out = Outbox::new();
-                            protocol.on_message(now, from, msg, &mut out);
-                            dispatch_replica_actions(
-                                protocol.as_mut(),
-                                node,
-                                out.take(),
-                                &mut wheel,
-                                &out_tx,
-                                &exec_tx,
-                                &worker_metrics,
-                            );
-                            worker_metrics.stage_processed(Stage::Order, t0.elapsed());
+                            let now = worker.wheel.time_of(t0);
+                            worker.protocol.on_message(now, from, msg, &mut out);
+                            worker.dispatch(&mut out, t0, 1);
                         }
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
-                    for kind in wheel.due() {
+                    for kind in worker.wheel.due() {
                         let t0 = Instant::now();
-                        let mut out = Outbox::new();
-                        protocol.on_timer(wheel.now(), kind, &mut out);
-                        dispatch_replica_actions(
-                            protocol.as_mut(),
-                            node,
-                            out.take(),
-                            &mut wheel,
-                            &out_tx,
-                            &exec_tx,
-                            &worker_metrics,
-                        );
-                        worker_metrics.stage_batch(Stage::Order, 0, 0, t0.elapsed());
+                        let now = worker.wheel.time_of(t0);
+                        worker.protocol.on_timer(now, kind, &mut out);
+                        worker.dispatch(&mut out, t0, 0);
                     }
                 }
-                // Dropping `exec_tx` here lets the executor drain and exit.
+                // Dropping the worker's `exec_tx` here lets the executor
+                // drain and exit.
             })
             .expect("spawn worker thread");
 
@@ -346,7 +314,6 @@ impl ReplicaRuntime {
             verifier_handles,
             worker_handle,
             exec_handle,
-            output_handle,
         }
     }
 
@@ -380,87 +347,98 @@ impl ReplicaRuntime {
             v.join().expect("verifier thread");
         }
         self.worker_handle.join().expect("worker thread");
-        let report = self.exec_handle.join().expect("execution thread");
-        self.output_handle.join().expect("output thread");
-        report
+        self.exec_handle.join().expect("execution thread")
     }
 }
 
-/// Run a protocol callback's actions, delivering self-addressed sends
-/// straight back into the protocol until it quiesces.
-///
-/// Protocols multicast votes to *all* members including themselves
-/// (`Outbox::multicast`). Routing that self-edge through the transport
-/// would thread it through the replica's own bounded input queue, closing
-/// a blocking cycle wholly inside one replica — input → work → output →
-/// own input — whose capacity (unlike the cross-replica cycles the queue
-/// design sizes for, see `tests/pipeline_equivalence.rs`) a single
-/// saturated replica can exhaust and deadlock on. The worker handles them
-/// inline as ordering work instead, and this is the one delivery path that
-/// skips [`rdb_consensus::stage::VerifiedMessage::check`]: a replica's own
-/// messages are trusted, not verified.
-fn dispatch_replica_actions(
-    protocol: &mut dyn ReplicaProtocol,
+/// The ordering worker: the protocol state machine, its timers, and the
+/// producer ends of its two hand-offs, to the execute thread and to the
+/// transport.
+struct Worker {
+    protocol: Box<dyn ReplicaProtocol>,
     node: NodeId,
-    actions: Vec<Action>,
-    wheel: &mut TimerWheel,
-    out_tx: &StageSender<(NodeId, Message)>,
-    exec_tx: &StageSender<ExecInput>,
-    metrics: &Metrics,
-) {
-    let mut loopback = VecDeque::new();
-    process_replica_actions(
-        actions,
-        node,
-        &mut loopback,
-        wheel,
-        out_tx,
-        exec_tx,
-        metrics,
-    );
-    while let Some(msg) = loopback.pop_front() {
-        let mut out = Outbox::new();
-        protocol.on_message(wheel.now(), node, msg, &mut out);
-        process_replica_actions(
-            out.take(),
-            node,
-            &mut loopback,
-            wheel,
-            out_tx,
-            exec_tx,
-            metrics,
-        );
-    }
+    wheel: TimerWheel,
+    /// Self-addressed messages not yet delivered back to `protocol`.
+    loopback: VecDeque<Message>,
+    /// The callback's messages for other nodes, in emission order.
+    sends: Vec<(NodeId, Message)>,
+    exec_tx: StageSender<ExecInput>,
+    sender: TransportSender,
+    metrics: Metrics,
 }
 
-fn process_replica_actions(
-    actions: Vec<Action>,
-    node: NodeId,
-    loopback: &mut VecDeque<Message>,
-    wheel: &mut TimerWheel,
-    out_tx: &StageSender<(NodeId, Message)>,
-    exec_tx: &StageSender<ExecInput>,
-    metrics: &Metrics,
-) {
-    for a in actions {
-        match a {
-            Action::Send { to, msg } if to == node => loopback.push_back(msg),
-            // The worker parks on a full output queue; its wait is the
-            // Output stage's blocked time.
-            Action::Send { to, msg } => {
-                out_tx.send((to, msg), false);
-            }
-            Action::SetTimer { kind, after } => wheel.set(kind, after),
-            Action::CancelTimer { kind } => wheel.cancel(kind),
-            Action::Decided(decision) => {
-                metrics.record_decision();
-                // Decisions are agreed state and always block (the
-                // executor drains continuously, so this wait is bounded
-                // by execution lag, not by peers).
-                exec_tx.send(ExecInput::Decision(decision), false);
-            }
-            Action::RequestComplete { .. } => {}
+impl Worker {
+    /// Finish a protocol callback that started at `t0` and left its
+    /// actions in `out`: run them, delivering self-addressed sends
+    /// straight back into the protocol until it quiesces, and count that
+    /// as Order work (`processed` items); then hand the collected sends to
+    /// the transport, the output stage.
+    ///
+    /// Protocols multicast votes to *all* members including themselves
+    /// (`Outbox::multicast`). Routing that self-edge through the transport
+    /// would thread it through the replica's own bounded input queue,
+    /// closing a blocking cycle wholly inside one replica — input → work →
+    /// own input — whose capacity (unlike the cross-replica cycles the
+    /// queue design sizes for, see `tests/pipeline_equivalence.rs`) a
+    /// single saturated replica can exhaust and deadlock on. The worker
+    /// handles them inline as ordering work instead, and this is the one
+    /// delivery path that skips
+    /// [`rdb_consensus::stage::VerifiedMessage::check`]: a replica's own
+    /// messages are trusted, not verified.
+    fn dispatch(&mut self, out: &mut Outbox, t0: Instant, processed: u64) {
+        self.process(out.take());
+        while let Some(msg) = self.loopback.pop_front() {
+            self.protocol
+                .on_message(self.wheel.now(), self.node, msg, out);
+            self.process(out.take());
         }
+        let t1 = Instant::now();
+        self.metrics
+            .stage_batch(Stage::Order, processed, 0, t1 - t0);
+        self.hand_off(t1);
+    }
+
+    fn process(&mut self, actions: Vec<Action>) {
+        for a in actions {
+            match a {
+                Action::Send { to, msg } if to == self.node => self.loopback.push_back(msg),
+                Action::Send { to, msg } => self.sends.push((to, msg)),
+                Action::SetTimer { kind, after } => self.wheel.set(kind, after),
+                Action::CancelTimer { kind } => self.wheel.cancel(kind),
+                Action::Decided(decision) => {
+                    self.metrics.record_decision();
+                    // Decisions are agreed state and always block (the
+                    // executor drains continuously, so this wait is
+                    // bounded by execution lag, not by peers).
+                    self.exec_tx.send(ExecInput::Decision(decision), false);
+                }
+                Action::RequestComplete { .. } => {}
+            }
+        }
+    }
+
+    /// The output stage: hand the collected sends to the transport, from
+    /// `t0`, the instant the callback's ordering work ended. The Output
+    /// row counts one item per message handed over (`enqueued` equals
+    /// `processed`: nothing queues) and its busy time is the time spent in
+    /// [`TransportSender::send`], which the Order row excludes.
+    ///
+    /// In-process every message the worker emits is droppable (only
+    /// clients send `Request`s; pipeline checkpoint votes leave the
+    /// execute thread), so under the default Shed input policy a full peer
+    /// inbox sheds it and the worker never parks here. It parks on a
+    /// peer's full inbox under an all-Block input policy, and over TCP on
+    /// a full socket buffer while it writes the frame.
+    fn hand_off(&mut self, t0: Instant) {
+        if self.sends.is_empty() {
+            return;
+        }
+        let n = self.sends.len() as u64;
+        for (to, msg) in self.sends.drain(..) {
+            self.sender.send(to, msg);
+        }
+        self.metrics.stage_enqueued_many(Stage::Output, n);
+        self.metrics.stage_batch(Stage::Output, n, 0, t0.elapsed());
     }
 }
 

@@ -2,7 +2,8 @@
 //! Figure 9), and §2.2's checkpoints, which run on the execute thread.
 //!
 //! [`crate::node::ReplicaRuntime`] wires these into the full
-//! input → verify ×N → order → execute → output thread chain.
+//! input → verify ×N → order → execute thread chain, whose worker hands
+//! its messages to the transport itself (the output stage).
 //! The stages here are the ones that moved *off* the ordering worker in
 //! the staged refactor:
 //!

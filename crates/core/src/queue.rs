@@ -9,11 +9,11 @@
 //!
 //! * [`QueuePolicy`] — the input queue's capacity plus its [`Overload`]
 //!   behavior;
-//! * [`StageQueues`] — the full per-replica layout (input → work → exec →
-//!   output), with defaults derived from batch size and verifier fan-out
-//!   via [`StageQueues::derive`];
+//! * [`StageQueues`] — the full per-replica layout (input → work → exec),
+//!   with defaults derived from batch size and verifier fan-out via
+//!   [`StageQueues::derive`];
 //! * `StageSender` — the producer end of every bounded queue in the
-//!   fabric (the replica inboxes and the three interior queues). It alone
+//!   fabric (the replica inboxes and the two interior queues). It alone
 //!   decides what a full queue does — park, shed, or hand the item back —
 //!   and it alone counts the fed stage's `enqueued`, `shed` and
 //!   `blocked_ns`, so no producer accounts a hand-off itself.
@@ -35,10 +35,10 @@
 //! (client retry timers, progress/view-change timers) will re-drive. A
 //! non-droppable item (a client's original `Request`) blocks even on a
 //! queue whose policy is Shed. Shedding replica-to-replica traffic is
-//! also what keeps the in-process deployment deadlock-free: no replica's
-//! output thread can ever park forever on another replica's full inbox,
-//! so the only threads that block across nodes are client submission
-//! threads — leaves of the flow graph.
+//! also what keeps the in-process deployment deadlock-free: a replica's
+//! worker sends only droppable traffic, so it never parks on another
+//! replica's full inbox, and the only threads that block across nodes
+//! are client submission threads — leaves of the flow graph.
 //!
 //! **Hand-back** is for threads that must not park on one peer's inbox
 //! (the delay pump, the execute thread's checkpoint votes, the client
@@ -88,19 +88,21 @@ impl QueuePolicy {
 
 /// The bounded-queue layout of one replica's pipeline, in flow order.
 ///
-/// Four queues connect the pipeline stages (the transport's delivery *is*
+/// Three queues connect the pipeline stages (the transport's delivery *is*
 /// the input stage, so the inbox doubles as the verify stage's feed; the
 /// exec queue carries the peers' checkpoint votes beside the decisions,
-/// because the execute thread is the checkpoint stage too):
+/// because the execute thread is the checkpoint stage too; and the
+/// worker hands its outbound messages to the transport itself, so the
+/// output stage has no queue):
 ///
 /// ```text
 /// transport ─▶ [input] ─▶ verify ×N ─▶ [work] ─▶ order ─▶ [exec] ─▶ execute + checkpoint
 ///                           │                      │         ▲
-///                           │                      └─▶ [output] ─▶ output thread
+///                           │                      └─▶ (output) ─▶ transport
 ///                           └─ (pipeline ckpt votes) ────────┘
 /// ```
 ///
-/// Only the input queue has a policy; the three interior queues always
+/// Only the input queue has a policy; the two interior queues always
 /// block, so they are plain capacities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageQueues {
@@ -126,9 +128,6 @@ pub struct StageQueues {
     /// TCP its frame write can still park on a full socket buffer (see
     /// `crate::socket`).
     pub exec: usize,
-    /// Ordering worker → output thread (outbound messages). The output
-    /// thread itself sheds droppable traffic at *peer* inboxes.
-    pub output: usize,
 }
 
 impl StageQueues {
@@ -140,16 +139,13 @@ impl StageQueues {
     /// * the *work* queue holds what the fan-out can verify ahead of the
     ///   worker — half the input bound, floor 32;
     /// * the *exec* queue holds a handful of in-flight decisions (each is
-    ///   a whole batch; a deep queue here just hides execution lag);
-    /// * the *output* queue covers the fan-out burst a single decision
-    ///   emits (one message per peer replica and client), floor 64.
+    ///   a whole batch; a deep queue here just hides execution lag).
     pub fn derive(batch_size: usize, verifier_threads: usize) -> StageQueues {
         let input = input_capacity(batch_size, verifier_threads);
         StageQueues {
             input: QueuePolicy::shed(input),
             work: (input / 2).max(32),
             exec: 16,
-            output: (input / 2).max(64),
         }
     }
 }
@@ -267,7 +263,6 @@ mod tests {
         let large = StageQueues::derive(100, 4);
         assert!(large.input.capacity > small.input.capacity);
         assert!(large.work > small.work);
-        assert!(large.output > small.output);
     }
 
     #[test]

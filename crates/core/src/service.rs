@@ -50,7 +50,7 @@ use crate::transport::{Envelope, Transport, TransportSender};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{ClientId, ClusterId, NodeId, ReplicaId};
-use rdb_consensus::api::{Action, ClientProtocol, Outbox};
+use rdb_consensus::api::{Action, Outbox};
 use rdb_consensus::clients::{BatchSource, QuorumClient};
 use rdb_consensus::config::{ProtocolConfig, ProtocolKind};
 use rdb_consensus::crypto_ctx::CryptoCtx;
@@ -613,7 +613,7 @@ impl Fabric {
         let elapsed = self.epoch.elapsed();
         let metrics = &self.metrics;
         let stages = metrics.stage_snapshot();
-        // Every message the output threads handed to the transport.
+        // Every message the replicas' workers handed to the transport.
         let messages_sent = stages.row(Stage::Output).processed;
         crate::DeploymentReport {
             kind: self.kind,

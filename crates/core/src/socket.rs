@@ -55,7 +55,7 @@
 //! a delayed link the reader never parks: the frame waits in the delay
 //! wheel, which retries it until the inbox has room. A reader parked in a
 //! delivery is released by the inbox, not by the socket: when the
-//! replica pipelines drop their receivers (see [`SocketTransport::close`]).
+//! replica pipelines drop their receivers (see `SocketTransport::close`).
 //!
 //! # Threads and shutdown
 //!
@@ -64,12 +64,12 @@
 //! accepted connection gets a reader thread that blocks in `read`. A
 //! lazy connect therefore costs one handshake round trip: the peer's
 //! accept returns at once and its reader answers the hello. The handshake
-//! is the only read under a timeout ([`HANDSHAKE_TIMEOUT`], both sides);
+//! is the only read under a timeout (`HANDSHAKE_TIMEOUT`, both sides);
 //! once it is through, the timeout is cleared and a reader waits for its
 //! next frame for as long as the link lives. The one timed wait left is
-//! [`ACCEPT_ERROR_BACKOFF`] after a failed `accept`.
+//! `ACCEPT_ERROR_BACKOFF` after a failed `accept`.
 //!
-//! [`SocketTransport::close`] runs after the router's running flag is
+//! `SocketTransport::close` runs after the router's running flag is
 //! clear. It dials each listener of this transport's own nodes once, so
 //! the accept loop returns from `accept`, sees the flag and exits (an
 //! advertised remote listener is never dialed); and it shuts down every

@@ -552,8 +552,8 @@ impl TransportHandle {
 }
 
 /// The sending half of a [`TransportHandle`] (no inbox receiver).
-/// Cloneable so that multiple producer-only stages of one replica (the
-/// output thread and the execute thread) can send concurrently.
+/// Cloneable so that both producer-only threads of one replica (the
+/// ordering worker and the execute thread) can send concurrently.
 #[derive(Clone)]
 pub struct TransportSender {
     node: NodeId,

@@ -15,7 +15,8 @@ use crate::topology::Topology;
 use rdb_common::config::SystemConfig;
 use rdb_common::ids::{ClientId, NodeId, ReplicaId};
 use rdb_common::time::{SimDuration, SimTime};
-use rdb_consensus::api::{Action, ClientProtocol, Outbox, ReplicaProtocol, TimerKind};
+use rdb_consensus::api::{Action, Outbox, ReplicaProtocol, TimerKind};
+use rdb_consensus::clients::QuorumClient;
 use rdb_consensus::crypto_ctx::CryptoCtx;
 use rdb_consensus::faults::FaultState;
 use rdb_consensus::messages::Message;
@@ -103,7 +104,7 @@ pub struct Engine {
     payloads: BTreeMap<u64, Ev>,
     seq: u64,
     replicas: BTreeMap<ReplicaId, Box<dyn ReplicaProtocol>>,
-    clients: BTreeMap<ClientId, Box<dyn ClientProtocol>>,
+    clients: BTreeMap<ClientId, QuorumClient>,
     nodes: BTreeMap<NodeId, NodeState>,
     faults: FaultState,
     /// Statistics for the current measurement window.
@@ -181,7 +182,7 @@ impl Engine {
     }
 
     /// Register a client.
-    pub fn add_client(&mut self, c: Box<dyn ClientProtocol>) {
+    pub fn add_client(&mut self, c: QuorumClient) {
         let id = c.id();
         self.nodes.entry(id.into()).or_default();
         self.clients.insert(id, c);

@@ -21,5 +21,5 @@ pub mod table;
 pub mod txn;
 
 pub use ops::{ExecOutcome, Operation, Outcomes, TxnEffect};
-pub use table::{KvStore, StoreStats, Value, STORE_SHARDS};
+pub use table::{KvStore, StoreStats, Value};
 pub use txn::{Cmp, TxnAbort, TxnInstr, TxnOutcome, TxnProgram};

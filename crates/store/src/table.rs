@@ -71,19 +71,8 @@ impl StoreStats {
     }
 }
 
-/// Number of internal fingerprint shards per [`KvStore`]. Power of two so
-/// shard selection is a mask. Each shard keeps its own XOR accumulator,
-/// so [`KvStore::verify_fingerprint`] can audit the table shard by shard.
-pub const STORE_SHARDS: usize = 16;
-const SHARD_MASK: u64 = STORE_SHARDS as u64 - 1;
-
 /// Version of every preloaded record.
 const BASE_VERSION: u64 = 1;
-
-#[inline]
-fn shard_of(key: u64) -> usize {
-    (key & SHARD_MASK) as usize
-}
 
 #[inline]
 fn xor_into(acc: &mut [u8; 32], d: &[u8; 32]) {
@@ -95,34 +84,17 @@ fn xor_into(acc: &mut [u8; 32], d: &[u8; 32]) {
 /// The preload every clone of a [`KvStore::with_ycsb_records`] table
 /// shares, immutable: record `k` of `0..n` is `values[k]` at version 1
 /// (a dense array, since the preload's keys are exactly `0..n`), plus
-/// each shard's XOR fold of those records' digests.
+/// the XOR fold of those records' digests.
 #[derive(Debug, Default)]
 struct Base {
     values: Vec<Value>,
-    accums: [[u8; 32]; STORE_SHARDS],
+    accum: [u8; 32],
 }
 
 impl Base {
     fn get(&self, key: u64) -> Option<Value> {
         self.values.get(usize::try_from(key).ok()?).copied()
     }
-
-    /// The keys of shard `shard`, ascending.
-    fn shard_keys(&self, shard: usize) -> impl Iterator<Item = u64> {
-        (shard as u64..self.values.len() as u64).step_by(STORE_SHARDS)
-    }
-}
-
-/// One fingerprint shard of a replica's private overlay: the records
-/// written since boot whose key falls in the shard, plus the XOR fold of
-/// the digests of *every* record the shard holds, base and overlay — so
-/// it starts from the base's accumulator. The table-wide accumulator is
-/// the XOR of every shard's `accum` (XOR is associative and commutative,
-/// so the partition is digest-preserving).
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    records: HashMap<u64, (Value, u64)>,
-    accum: [u8; 32],
 }
 
 /// The YCSB table: a map from `u64` record keys to [`Value`]s plus a
@@ -140,16 +112,19 @@ struct Shard {
 /// preload.
 ///
 /// The store maintains an *incremental* state fingerprint: a running XOR of
-/// per-record digests, decomposed over [`STORE_SHARDS`] internal shards.
-/// XOR-accumulation makes `state_digest` O(1) while still changing whenever
-/// any record differs — two stores have equal digests iff they hold the
-/// same records at the same versions (up to hash collisions, which SHA-256
-/// makes negligible), however their records divide between preload and
-/// overlay.
+/// the digests of every record it holds, preload and overlay, starting
+/// from the preload's fold. XOR-accumulation makes `state_digest` O(1)
+/// while still changing whenever any record differs — two stores have
+/// equal digests iff they hold the same records at the same versions (up
+/// to hash collisions, which SHA-256 makes negligible), however their
+/// records divide between preload and overlay.
 #[derive(Debug, Clone)]
 pub struct KvStore {
     base: Arc<Base>,
-    shards: Vec<Shard>,
+    /// The records written since the table was built.
+    overlay: HashMap<u64, (Value, u64)>,
+    /// XOR of the digests of every record, preload and overlay.
+    accum: [u8; 32],
     /// Cached total record count, preload and overlay.
     len: usize,
     stats: StoreStats,
@@ -170,14 +145,8 @@ impl KvStore {
 
     fn over(base: Arc<Base>) -> KvStore {
         KvStore {
-            shards: base
-                .accums
-                .iter()
-                .map(|&accum| Shard {
-                    records: HashMap::new(),
-                    accum,
-                })
-                .collect(),
+            overlay: HashMap::new(),
+            accum: base.accum,
             len: base.values.len(),
             base,
             stats: StoreStats::default(),
@@ -193,11 +162,11 @@ impl KvStore {
     pub fn with_ycsb_records(record_count: u64) -> KvStore {
         let mut base = Base {
             values: (0..record_count).map(Value::from_u64).collect(),
-            accums: [[0u8; 32]; STORE_SHARDS],
+            accum: [0u8; 32],
         };
         for (key, value) in (0..record_count).zip(&base.values) {
             let d = Self::record_digest(key, value, BASE_VERSION);
-            xor_into(&mut base.accums[shard_of(key)], &d);
+            xor_into(&mut base.accum, &d);
         }
         KvStore::over(Arc::new(base))
     }
@@ -212,7 +181,7 @@ impl KvStore {
     /// since it was built (a preloaded record counts once it is
     /// rewritten). What the table holds beyond its shared preload.
     pub fn private_records(&self) -> usize {
-        self.shards.iter().map(|s| s.records.len()).sum()
+        self.overlay.len()
     }
 
     pub(crate) fn record_digest(key: u64, value: &Value, version: u64) -> [u8; 32] {
@@ -225,7 +194,7 @@ impl KvStore {
 
     /// The record at `key`, overlay first, then the preload.
     fn record(&self, key: u64) -> Option<(Value, u64)> {
-        match self.shards[shard_of(key)].records.get(&key) {
+        match self.overlay.get(&key) {
             Some(&record) => Some(record),
             None => self.base.get(key).map(|v| (v, BASE_VERSION)),
         }
@@ -241,21 +210,20 @@ impl KvStore {
     /// Write `value` at `key` in the overlay, at the version `version`
     /// gives the record it replaces (`None` if absent), maintaining the
     /// fingerprint and the length; returns the version written. One
-    /// lookup in the shard's map: the preload is read only when the
-    /// overlay does not hold the key yet.
+    /// lookup in the overlay: the preload is read only when the overlay
+    /// does not hold the key yet.
     fn set(&mut self, key: u64, value: Value, version: impl FnOnce(Option<u64>) -> u64) -> u64 {
-        let shard = &mut self.shards[shard_of(key)];
-        let slot = shard.records.entry(key);
+        let slot = self.overlay.entry(key);
         let old = match &slot {
             Entry::Occupied(record) => Some(*record.get()),
             Entry::Vacant(_) => self.base.get(key).map(|v| (v, BASE_VERSION)),
         };
         let version = version(old.map(|(_, ver)| ver));
         slot.insert_entry((value, version));
-        xor_into(&mut shard.accum, &Self::record_digest(key, &value, version));
+        xor_into(&mut self.accum, &Self::record_digest(key, &value, version));
         match old {
             Some((old_v, old_ver)) => {
-                xor_into(&mut shard.accum, &Self::record_digest(key, &old_v, old_ver));
+                xor_into(&mut self.accum, &Self::record_digest(key, &old_v, old_ver));
             }
             None => self.len += 1,
         }
@@ -292,13 +260,10 @@ impl KvStore {
 
     /// Every record as `(key, value, version)`, in unspecified order.
     pub fn records(&self) -> impl Iterator<Item = (u64, Value, u64)> + '_ {
-        let overlay = self
-            .shards
-            .iter()
-            .flat_map(|s| s.records.iter().map(|(k, (v, ver))| (*k, *v, *ver)));
+        let overlay = self.overlay.iter().map(|(k, (v, ver))| (*k, *v, *ver));
         let base = (0u64..)
             .zip(&self.base.values)
-            .filter(|(k, _)| !self.shards[shard_of(*k)].records.contains_key(k))
+            .filter(|(k, _)| !self.overlay.contains_key(k))
             .map(|(k, v)| (k, *v, BASE_VERSION));
         overlay.chain(base)
     }
@@ -340,18 +305,9 @@ impl KvStore {
         // Mix in the record count so an empty store and a store whose
         // accumulated digests cancelled out (impossible in practice) differ.
         let mut h = Sha256::new();
-        h.update(&self.fold_accum());
+        h.update(&self.accum);
         h.update(&(self.len as u64).to_le_bytes());
         Digest(h.finalize())
-    }
-
-    /// XOR of all shard accumulators — the table-wide accumulator.
-    fn fold_accum(&self) -> [u8; 32] {
-        let mut acc = [0u8; 32];
-        for shard in &self.shards {
-            xor_into(&mut acc, &shard.accum);
-        }
-        acc
     }
 
     /// Audit the incremental fingerprint against a from-scratch rebuild:
@@ -359,19 +315,11 @@ impl KvStore {
     /// table. O(records); used to validate checkpoint snapshots before
     /// they become recovery anchors.
     pub fn verify_fingerprint(&self) -> bool {
-        self.shards.iter().enumerate().all(|(i, shard)| {
-            let mut acc = [0u8; 32];
-            for (key, (value, version)) in &shard.records {
-                xor_into(&mut acc, &Self::record_digest(*key, value, *version));
-            }
-            for key in self.base.shard_keys(i) {
-                if !shard.records.contains_key(&key) {
-                    let value = self.base.values[key as usize];
-                    xor_into(&mut acc, &Self::record_digest(key, &value, BASE_VERSION));
-                }
-            }
-            acc == shard.accum
-        })
+        let mut acc = [0u8; 32];
+        for (key, value, version) in self.records() {
+            xor_into(&mut acc, &Self::record_digest(key, &value, version));
+        }
+        acc == self.accum
     }
 
     fn contains(&self, key: u64) -> bool {
@@ -461,9 +409,7 @@ mod tests {
         });
         assert!(s.verify_fingerprint(), "fingerprinted writes stay live");
         // A record changed behind the fingerprint's back.
-        s.shards[shard_of(2)]
-            .records
-            .insert(2, (Value::from_u64(8), 2));
+        s.overlay.insert(2, (Value::from_u64(8), 2));
         assert!(!s.verify_fingerprint(), "unhashed write left it stale");
     }
 

@@ -125,7 +125,7 @@ fn blocking_input_policy_never_sheds() {
     // A moderate load against a pure Block input policy: zero sheds —
     // all backpressure lands on producers as blocked time. (Deliberately
     // not a flood: an all-Block input under heavy replica-to-replica
-    // traffic can park output threads on peer inboxes in a cycle, which
+    // traffic can park workers on peer inboxes in a cycle, which
     // is exactly why the derived default input policy is Shed — see
     // `resilientdb::queue`.)
     let report = DeploymentBuilder::new(ProtocolKind::Pbft, 1, 4)

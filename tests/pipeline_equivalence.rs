@@ -276,16 +276,16 @@ fn saturated_bounded_queues_commit_identical_ledgers() {
         .seed(SEED)
         // One PBFT instance keeps ~n² + n ≈ 20 messages in flight; these
         // bounds bite (single queues fill) while the sum along any
-        // replica-to-replica blocking cycle (work + output + inbox, both
-        // directions ≈ 44) stays above it, so lossless Block can never
-        // wedge the deployment. The capacity argument covers *cross*-
+        // replica-to-replica blocking cycle (work + inbox, both directions:
+        // 2 × (8 + 6) = 28; the worker parks on a peer's full inbox itself)
+        // stays above it, so lossless Block can never wedge the
+        // deployment. The capacity argument covers *cross*-
         // replica cycles only: the runtime delivers a replica's votes to
-        // itself inline on the worker (see `dispatch_replica_actions`),
+        // itself inline on the worker (see `Worker::dispatch`),
         // so no self-loop cycle through these queues exists.
         .input_queue(QueuePolicy::block(6))
         .order_queue(8)
-        .exec_queue(2)
-        .output_queue(8);
+        .exec_queue(2);
     let report = drive(builder, 1, Duration::from_millis(1_200));
     assert!(report.completed_batches > 0, "{}", report.summary());
     // Under saturation every stage's books still balance: nothing leaves
@@ -374,8 +374,7 @@ fn checkpoint_compaction_preserves_ledger_equivalence_under_saturation() {
         .checkpoint_interval(K)
         .input_queue(QueuePolicy::block(6))
         .order_queue(8)
-        .exec_queue(2)
-        .output_queue(8);
+        .exec_queue(2);
     let report = drive(builder, 1, Duration::from_millis(1_500));
     assert!(report.completed_batches > 0, "{}", report.summary());
     report.audit_ledgers().expect("fabric ledgers consistent");
